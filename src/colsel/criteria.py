@@ -2,157 +2,201 @@
 
 Every criterion is a function of the singular values of the selected
 submatrix C (plus its column norms for the scaled volume, and the parent
-matrix for the residuals).  The registry records, for each criterion, its
-optimization direction and the optimal value attained by k orthonormal
+matrix for the residuals).  ``_KINDS`` holds one row per criterion kind: its
+ids, optimization direction, rank requirement, Schatten-parameter domain,
+sigma-to-value function, and the optimal value attained by k orthonormal
 columns, which is what turns the optimization problems into decision
-problems.
+problems.  Adding a criterion means adding one row (plus its ``REGISTRY``
+entry when it belongs in the reports).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError, RankDeficiencyError, ShapeError
-from .matrixkit import DenseMatrix, default_rank_tolerance, svd
+from .matrixkit import EPS, DenseMatrix, svd
 
-KINDS = frozenset(
-    {
-        "volume",
-        "relative_volume",
-        "s_optimality",
-        "norm",
-        "pinv_norm",
-        "cond_two",
-        "cond_frobenius",
-        "cond_schatten",
-        "cond_mixed",
-        "cond_mixed_schatten",
-        "stable_rank",
-        "residual_two",
-        "residual_frobenius",
-    }
-)
+# Schatten-parameter domains as (minimum, whether p = inf is allowed)
+_ANY_P = (1.0, True)
+_FINITE_P2 = (2.0, False)
 
-_MAXIMIZED = frozenset({"volume", "relative_volume", "s_optimality", "stable_rank"})
-_P_KINDS = frozenset({"norm", "pinv_norm", "cond_schatten", "cond_mixed_schatten", "stable_rank"})
-_RANK_REQUIRED = frozenset(
-    {
-        "relative_volume",
-        "s_optimality",
-        "pinv_norm",
-        "cond_two",
-        "cond_frobenius",
-        "cond_schatten",
-        "cond_mixed",
-        "cond_mixed_schatten",
-    }
-)
+# The value functions take a stack of sigma rows and reduce along the last
+# axis.  The scalar evaluators pass a stack of one, so every power runs as
+# numpy's array power, never as the float64 scalar power, whose last bit can
+# differ; scalar and batched values then agree bit for bit.  The ufunc
+# reductions are called directly: np.sum and np.prod wrap them at a cost the
+# scalar evaluators would pay thousands of times per lemma-suite run.
+_sum = np.add.reduce
+_prod = np.multiply.reduce
 
 
-def _sigma(c: DenseMatrix) -> tuple[np.ndarray, int]:
-    res = svd(c)
-    return res.singular_values, res.numerical_rank
+def _schatten(sigma, p):
+    if p == math.inf:
+        return sigma[..., 0]
+    return _sum(sigma**p, axis=-1) ** (1.0 / p)
 
 
-def _require_full_rank(c: DenseMatrix) -> np.ndarray:
-    sigma, rank = _sigma(c)
-    if rank < c.cols:
-        raise RankDeficiencyError(f"matrix has numerical rank {rank} < {c.cols} columns")
-    return sigma
+def _pinv_schatten(sigma, p):
+    if p == math.inf:
+        return 1.0 / sigma[..., -1]
+    return _sum(sigma ** (-p), axis=-1) ** (1.0 / p)
 
 
-def _check_p(p, minimum=1.0):
+def _cond_two(sigma, p, norms):
+    return sigma[..., 0] / sigma[..., -1]
+
+
+def _cond_schatten(sigma, p, norms):
+    if p == math.inf:
+        return _cond_two(sigma, p, norms)
+    return _schatten(sigma, p) * _pinv_schatten(sigma, p)
+
+
+def _sopt(sigma, p, norms):
+    k = norms.shape[-1]
+    return (_prod(sigma, axis=-1) / _prod(norms, axis=-1)) ** (1.0 / k)
+
+
+def _unit_schatten(k, p):
+    if p < 2:
+        return None
+    return math.sqrt(k) if p == 2 else k ** (1.0 / p)
+
+
+def _one(k, p):
+    return 1.0
+
+
+def _always(p):
+    return True
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """Everything the package knows about one criterion kind.
+
+    ``ids`` holds the base id (which takes the ":p=" suffix when the kind has
+    a Schatten parameter) followed by its aliases; ``named`` holds ids that
+    pin p, e.g. ("norm-two", inf).  ``rank`` says what a numerically
+    rank-deficient C scores: "required" rejects it, "zero" scores 0, "any"
+    evaluates it as is.  ``value`` maps a stack of singular values (B, r), p
+    and column norms (B, k) to B criterion values; residuals, which are not
+    singular-value computable, name their norm in ``residual`` instead.
+    """
+
+    ids: tuple[str, ...]
+    direction: str
+    rank: str
+    unit_optimum: Callable[[int, float | None], float | None]
+    value: Callable | None = None
+    p_domain: tuple[float, bool] | None = None
+    named: tuple[tuple[str, float], ...] = ()
+    default_p: float | None = None
+    characterizes: Callable[[float | None], bool] = _always
+    needs_norms: bool = False
+    residual: str | None = None
+
+
+_KINDS = {
+    "volume": _Kind(("vol", "volume"), "maximize", "zero", _one,
+                    lambda s, p, n: _prod(s, axis=-1)),
+    "relative_volume": _Kind(("rvol",), "maximize", "required", _one,
+                             lambda s, p, n: _prod(s / s[..., :1], axis=-1)),
+    "s_optimality": _Kind(("sopt",), "maximize", "required", _one, _sopt, needs_norms=True),
+    "norm": _Kind(("norm",), "minimize", "any", _unit_schatten,
+                  lambda s, p, n: _schatten(s, p), _ANY_P,
+                  named=(("norm-two", math.inf), ("norm-frobenius", 2.0)),
+                  characterizes=lambda p: p > 2),
+    "pinv_norm": _Kind(("pinv-norm",), "minimize", "required", _unit_schatten,
+                       lambda s, p, n: _pinv_schatten(s, p), _ANY_P,
+                       named=(("pinv-norm-two", math.inf), ("pinv-norm-frobenius", 2.0)),
+                       characterizes=lambda p: p >= 2),
+    "cond_two": _Kind(("cond-two",), "minimize", "required", _one, _cond_two),
+    "cond_frobenius": _Kind(("cond-frobenius",), "minimize", "required", lambda k, p: float(k),
+                            lambda s, p, n: _schatten(s, 2.0) * _pinv_schatten(s, 2.0)),
+    "cond_schatten": _Kind(("cond",), "minimize", "required", lambda k, p: k ** (2.0 / p),
+                           _cond_schatten, _ANY_P),
+    "cond_mixed": _Kind(("cond-mixed",), "minimize", "required", lambda k, p: math.sqrt(k),
+                        lambda s, p, n: _schatten(s, 2.0) / s[..., -1]),
+    "cond_mixed_schatten": _Kind(("cond-mixed",), "minimize", "required",
+                                 lambda k, p: k ** (1.0 / p),
+                                 lambda s, p, n: _schatten(s, p) / s[..., -1], _ANY_P),
+    "stable_rank": _Kind(("srank",), "maximize", "any", lambda k, p: float(k),
+                         lambda s, p, n: _sum((s / s[..., :1]) ** p, axis=-1), _FINITE_P2,
+                         default_p=2.0),
+    "residual_two": _Kind(("res-two",), "minimize", "any", lambda k, p: None,
+                          characterizes=lambda p: False, residual="two"),
+    "residual_frobenius": _Kind(("res-frobenius",), "minimize", "any", lambda k, p: None,
+                                characterizes=lambda p: False, residual="frobenius"),
+}
+
+
+def _check_p(row: _Kind, p, label: str):
+    """Validate ``p`` against the row's Schatten-parameter domain."""
+    if row.p_domain is None:
+        if p is not None:
+            raise InvalidParameterError(f"{label} takes no p")
+        return None
     if p is None:
         raise InvalidParameterError("Schatten parameter p is required")
-    if p != math.inf and not p >= minimum:
-        raise InvalidParameterError(f"Schatten parameter must be >= {minimum} or inf, got {p}")
+    minimum, allow_inf = row.p_domain
+    if not (allow_inf if p == math.inf else p >= minimum):
+        domain = f">= {minimum:g} or inf" if allow_inf else f"finite and >= {minimum:g}"
+        raise InvalidParameterError(f"{label}: Schatten parameter must be {domain}, got {p}")
     return float(p)
 
 
-# The helpers below reduce along the last axis, so the scalar evaluators
-# (1-d sigma) and the batched selector path (2-d sigma) share the exact same
-# floating-point operations and never disagree on near-ties.
-
-
-def _vol_from_sigma(sigma):
-    return np.prod(sigma, axis=-1)
-
-
-def _rvol_from_sigma(sigma):
-    return np.prod(sigma / sigma[..., :1], axis=-1)
-
-
-def _schatten_from_sigma(sigma, p):
-    if p == math.inf:
-        return sigma[..., 0]
-    return np.sum(sigma**p, axis=-1) ** (1.0 / p)
-
-
-def _pinv_schatten_from_sigma(sigma, p):
-    if p == math.inf:
-        return 1.0 / sigma[..., -1]
-    return np.sum(sigma ** (-p), axis=-1) ** (1.0 / p)
-
-
-def _cond_from_sigma(sigma, kind, p):
-    if kind == "two" or p == math.inf:
-        return sigma[..., 0] / sigma[..., -1]
-    if kind == "frobenius":
-        return _schatten_from_sigma(sigma, 2.0) * _pinv_schatten_from_sigma(sigma, 2.0)
-    if kind == "schatten":
-        return _schatten_from_sigma(sigma, p) * _pinv_schatten_from_sigma(sigma, p)
-    if kind == "mixed":
-        return _schatten_from_sigma(sigma, 2.0) / sigma[..., -1]
-    return _schatten_from_sigma(sigma, p) / sigma[..., -1]
-
-
-def _srank_from_sigma(sigma, p):
-    return np.sum((sigma / sigma[..., :1]) ** p, axis=-1)
-
-
-def _sopt_from_sigma(sigma, column_norms):
-    k = column_norms.shape[-1]
-    return (np.prod(sigma, axis=-1) / np.prod(column_norms, axis=-1)) ** (1.0 / k)
+def _scalar(row: _Kind, c: DenseMatrix, p) -> float:
+    """One submatrix's value through its row's sigma-to-value function."""
+    norms = None
+    if row.needs_norms:
+        norms = c.column_norms()
+        if np.any(norms == 0.0):
+            raise InvalidInputError("matrix has a zero column")
+    res = svd(c)
+    if res.numerical_rank < c.cols:
+        if row.rank == "required":
+            raise RankDeficiencyError(
+                f"matrix has numerical rank {res.numerical_rank} < {c.cols} columns"
+            )
+        if row.rank == "zero":
+            return 0.0
+    sigma = res.singular_values
+    if sigma[0] == 0.0:
+        return 0.0
+    return float(row.value(sigma[None], p, None if norms is None else norms[None])[0])
 
 
 def volume(c: DenseMatrix) -> float:
     """Product of all k singular values; 0 for numerically rank-deficient input."""
-    sigma, rank = _sigma(c)
-    if rank < c.cols:
-        return 0.0
-    return float(_vol_from_sigma(sigma))
+    return _scalar(_KINDS["volume"], c, None)
 
 
 def relative_volume(c: DenseMatrix) -> float:
     """Product of sigma_j / sigma_1, in (0, 1] with 1 exactly for orthonormal columns."""
-    sigma = _require_full_rank(c)
-    return float(_rvol_from_sigma(sigma))
+    return _scalar(_KINDS["relative_volume"], c, None)
 
 
 def s_optimality(c: DenseMatrix) -> float:
     """k-th root of the volume scaled by the product of the column two-norms."""
-    norms = c.column_norms()
-    if np.any(norms == 0.0):
-        raise InvalidInputError("matrix has a zero column")
-    sigma = _require_full_rank(c)
-    return float(_sopt_from_sigma(sigma, norms))
+    return _scalar(_KINDS["s_optimality"], c, None)
 
 
 def schatten_norm(c: DenseMatrix, p) -> float:
     """(sum sigma_j^p)^(1/p); p=2 is the Frobenius norm, p=inf the two-norm."""
-    p = _check_p(p)
-    sigma, _ = _sigma(c)
-    return float(_schatten_from_sigma(sigma, p))
+    row = _KINDS["norm"]
+    return _scalar(row, c, _check_p(row, p, "Schatten norm"))
 
 
 def pinv_schatten_norm(c: DenseMatrix, p) -> float:
     """Schatten p-norm of the pseudo-inverse, computed as (sum sigma_j^-p)^(1/p)."""
-    p = _check_p(p)
-    sigma = _require_full_rank(c)
-    return float(_pinv_schatten_from_sigma(sigma, p))
+    row = _KINDS["pinv_norm"]
+    return _scalar(row, c, _check_p(row, p, "pseudo-inverse Schatten norm"))
 
 
 def condition_number(c: DenseMatrix, kind: str, p=None) -> float:
@@ -162,26 +206,33 @@ def condition_number(c: DenseMatrix, kind: str, p=None) -> float:
     "schatten" (needs p), "mixed" (Frobenius times two-norm of the
     pseudo-inverse), or "mixed_schatten" (needs p).
     """
-    if kind in ("two", "frobenius", "mixed"):
-        if p is not None:
-            raise InvalidParameterError(f"condition number kind {kind!r} takes no p")
-    elif kind in ("schatten", "mixed_schatten"):
-        p = _check_p(p)
-    else:
+    row = _KINDS.get("cond_" + kind)
+    if row is None:
         raise InvalidParameterError(f"unknown condition number kind {kind!r}")
-    sigma = _require_full_rank(c)
-    return float(_cond_from_sigma(sigma, kind, p))
+    return _scalar(row, c, _check_p(row, p, f"condition number kind {kind!r}"))
 
 
 def stable_rank(c: DenseMatrix, p=2) -> float:
     """Schatten-p energy relative to the largest singular value; 0 for the zero matrix."""
-    p = _check_p(p, minimum=2.0)
-    if p == math.inf:
-        raise InvalidParameterError("stable rank requires a finite p >= 2")
-    sigma, _ = _sigma(c)
-    if sigma[0] == 0.0:
-        return 0.0
-    return float(_srank_from_sigma(sigma, p))
+    row = _KINDS["stable_rank"]
+    return _scalar(row, c, _check_p(row, p, "stable rank"))
+
+
+def batch_residuals(a: np.ndarray, sub: np.ndarray, norm: str) -> np.ndarray:
+    """Norms of (I - C C^+) a for a stack ``sub`` of (B, m, k) submatrices C.
+
+    One thin SVD with U per submatrix; singular directions at or below the
+    rank tolerance are dropped, so rank-deficient C yields a finite residual.
+    """
+    m, k = sub.shape[1], sub.shape[2]
+    u, s, _ = np.linalg.svd(sub, full_matrices=False)
+    tol = max(m, k) * EPS * s[:, 0]
+    u = u * (s > tol[:, None])[:, None, :]
+    coeff = np.einsum("bmr,mn->brn", u, a)
+    rest = a[None, :, :] - u @ coeff
+    if norm == "two":
+        return np.linalg.svd(rest, compute_uv=False)[:, 0]
+    return np.sqrt(np.sum(rest**2, axis=(1, 2)))
 
 
 def residual(a: DenseMatrix, c: DenseMatrix, norm: str) -> float:
@@ -194,13 +245,7 @@ def residual(a: DenseMatrix, c: DenseMatrix, norm: str) -> float:
         raise ShapeError(f"row counts differ: {a.rows} vs {c.rows}")
     if norm not in ("two", "frobenius"):
         raise InvalidParameterError(f"unknown residual norm {norm!r}")
-    u, s, _ = np.linalg.svd(c.array, full_matrices=False)
-    tol = default_rank_tolerance(c.rows, c.cols, float(s[0]))
-    basis = u[:, s > tol]
-    rest = a.array - basis @ (basis.T @ a.array)
-    if norm == "two":
-        return float(np.linalg.svd(rest, compute_uv=False)[0])
-    return float(np.linalg.norm(rest))
+    return float(batch_residuals(a.array, c.array[None], norm)[0])
 
 
 @dataclass(frozen=True)
@@ -211,84 +256,35 @@ class CriterionSpec:
     p: float | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        row = _KINDS.get(self.kind)
+        if row is None:
             raise InvalidParameterError(f"unknown criterion kind {self.kind!r}")
-        if self.kind in _P_KINDS:
-            minimum = 2.0 if self.kind == "stable_rank" else 1.0
-            p = _check_p(self.p, minimum=minimum)
-            if self.kind == "stable_rank" and p == math.inf:
-                raise InvalidParameterError("stable rank requires a finite p >= 2")
-            object.__setattr__(self, "p", p)
-        elif self.p is not None:
-            raise InvalidParameterError(f"criterion kind {self.kind!r} takes no p")
+        object.__setattr__(self, "p", _check_p(row, self.p, f"criterion kind {self.kind!r}"))
 
     @property
     def direction(self) -> str:
-        return "maximize" if self.kind in _MAXIMIZED else "minimize"
+        return _KINDS[self.kind].direction
 
     @property
-    def rank_required(self) -> bool:
-        return self.kind in _RANK_REQUIRED
+    def residual_norm(self) -> str | None:
+        """"two" or "frobenius" for the residual criteria, None for the others."""
+        return _KINDS[self.kind].residual
 
     @property
     def identifier(self) -> str:
         """Stable lowercase string id, e.g. "rvol", "cond-two", "pinv-norm:p=4"."""
-        base = {
-            "volume": "vol",
-            "relative_volume": "rvol",
-            "s_optimality": "sopt",
-            "cond_two": "cond-two",
-            "cond_frobenius": "cond-frobenius",
-            "cond_mixed": "cond-mixed",
-            "residual_two": "res-two",
-            "residual_frobenius": "res-frobenius",
-        }
-        if self.kind in base:
-            return base[self.kind]
-        if self.kind == "norm":
-            if self.p == math.inf:
-                return "norm-two"
-            if self.p == 2:
-                return "norm-frobenius"
-            return f"norm:p={_fmt_p(self.p)}"
-        if self.kind == "pinv_norm":
-            if self.p == math.inf:
-                return "pinv-norm-two"
-            if self.p == 2:
-                return "pinv-norm-frobenius"
-            return f"pinv-norm:p={_fmt_p(self.p)}"
-        if self.kind == "cond_schatten":
-            return f"cond:p={_fmt_p(self.p)}"
-        if self.kind == "cond_mixed_schatten":
-            return f"cond-mixed:p={_fmt_p(self.p)}"
-        if self.p == 2:
-            return "srank"
-        return f"srank:p={_fmt_p(self.p)}"
+        row = _KINDS[self.kind]
+        for name, p in row.named:
+            if p == self.p:
+                return name
+        if self.p == row.default_p:
+            return row.ids[0]
+        return f"{row.ids[0]}:p={_fmt_p(self.p)}"
 
     def optimal_unit_value(self, k: int) -> float | None:
         """Criterion value attained by k orthonormal columns, or None when the
         criterion has no distinguished unit-column optimum."""
-        if self.kind in ("volume", "relative_volume", "s_optimality", "cond_two"):
-            return 1.0
-        if self.kind in ("norm", "pinv_norm"):
-            if self.p == math.inf:
-                return 1.0
-            if self.p == 2:
-                return math.sqrt(k)
-            if self.p > 2:
-                return k ** (1.0 / self.p)
-            return None
-        if self.kind == "cond_frobenius":
-            return float(k)
-        if self.kind == "cond_schatten":
-            return k ** (2.0 / self.p) if self.p != math.inf else 1.0
-        if self.kind == "cond_mixed":
-            return math.sqrt(k)
-        if self.kind == "cond_mixed_schatten":
-            return k ** (1.0 / self.p) if self.p != math.inf else 1.0
-        if self.kind == "stable_rank":
-            return float(k)
-        return None
+        return _KINDS[self.kind].unit_optimum(k, self.p)
 
     @property
     def characterizes_orthonormal(self) -> bool:
@@ -297,13 +293,7 @@ class CriterionSpec:
         False for the Frobenius norm (every unit-column matrix attains sqrt(k)),
         for Schatten norms with p < 2, and for the residuals.
         """
-        if self.kind in ("residual_two", "residual_frobenius"):
-            return False
-        if self.kind == "norm":
-            return self.p == math.inf or self.p > 2
-        if self.kind == "pinv_norm":
-            return self.p == math.inf or self.p >= 2
-        return True
+        return _KINDS[self.kind].characterizes(self.p)
 
     def __str__(self):
         return self.identifier
@@ -317,28 +307,6 @@ def _fmt_p(p: float) -> str:
     return repr(float(p))
 
 
-# id -> (kind, default p, whether the id pins its parameter)
-_BASE_IDS = {
-    "vol": ("volume", None, True),
-    "volume": ("volume", None, True),
-    "rvol": ("relative_volume", None, True),
-    "sopt": ("s_optimality", None, True),
-    "norm-two": ("norm", math.inf, True),
-    "norm-frobenius": ("norm", 2.0, True),
-    "norm": ("norm", None, False),
-    "pinv-norm-two": ("pinv_norm", math.inf, True),
-    "pinv-norm-frobenius": ("pinv_norm", 2.0, True),
-    "pinv-norm": ("pinv_norm", None, False),
-    "cond-two": ("cond_two", None, True),
-    "cond-frobenius": ("cond_frobenius", None, True),
-    "cond-mixed": ("cond_mixed", None, False),
-    "cond": ("cond_schatten", None, False),
-    "srank": ("stable_rank", 2.0, False),
-    "res-two": ("residual_two", None, True),
-    "res-frobenius": ("residual_frobenius", None, True),
-}
-
-
 def parse_criterion(text: str, p=None) -> CriterionSpec:
     """Parse a criterion id like "rvol", "cond-two" or "pinv-norm:p=4".
 
@@ -347,27 +315,30 @@ def parse_criterion(text: str, p=None) -> CriterionSpec:
     in the id takes precedence.
     """
     text = text.strip().lower()
-    suffix_p = None
+    override = None
     if ":p=" in text:
         text, _, raw = text.partition(":p=")
-        suffix_p = math.inf if raw == "inf" else _parse_p_token(raw)
-    if text not in _BASE_IDS:
-        raise InvalidParameterError(f"unknown criterion id {text!r}")
-    kind, default_p, p_fixed = _BASE_IDS[text]
-    override = suffix_p
-    if override is None and p is not None:
+        override = math.inf if raw == "inf" else _parse_p_token(raw)
+    elif p is not None:
         override = math.inf if p == "inf" else float(p)
-    if override is not None:
-        if p_fixed:
-            raise InvalidParameterError(f"criterion {text!r} takes no Schatten parameter")
-        if kind == "cond_mixed":
-            kind = "cond_mixed_schatten"
-        chosen = override
-    else:
-        chosen = default_p
-    if kind in _P_KINDS and chosen is None:
+    for kind, row in _KINDS.items():
+        for name, pinned in row.named:
+            if name == text:
+                if override is not None:
+                    raise InvalidParameterError(f"criterion {text!r} takes no Schatten parameter")
+                return CriterionSpec(kind, pinned)
+    rows = [(kind, row) for kind, row in _KINDS.items() if text in row.ids]
+    if not rows:
+        raise InvalidParameterError(f"unknown criterion id {text!r}")
+    if override is None:
+        for kind, row in rows:
+            if row.p_domain is None or row.default_p is not None:
+                return CriterionSpec(kind, row.default_p)
         raise InvalidParameterError(f"criterion {text!r} needs a Schatten parameter p")
-    return CriterionSpec(kind, chosen if kind in _P_KINDS else None)
+    for kind, row in rows:
+        if row.p_domain is not None:
+            return CriterionSpec(kind, override)
+    raise InvalidParameterError(f"criterion {text!r} takes no Schatten parameter")
 
 
 def _parse_p_token(raw: str) -> float:
@@ -381,26 +352,16 @@ DEFAULT_SCHATTEN_PS = (3.0, 4.0)
 
 
 def _build_registry() -> tuple[CriterionSpec, ...]:
-    specs = [
-        CriterionSpec("volume"),
-        CriterionSpec("relative_volume"),
-        CriterionSpec("s_optimality"),
-        CriterionSpec("norm", math.inf),
-    ]
-    specs += [CriterionSpec("norm", p) for p in DEFAULT_SCHATTEN_PS]
-    specs.append(CriterionSpec("norm", 2.0))
-    specs.append(CriterionSpec("pinv_norm", math.inf))
-    specs.append(CriterionSpec("pinv_norm", 2.0))
-    specs += [CriterionSpec("pinv_norm", p) for p in DEFAULT_SCHATTEN_PS]
-    specs.append(CriterionSpec("cond_two"))
-    specs.append(CriterionSpec("cond_frobenius"))
-    specs += [CriterionSpec("cond_schatten", p) for p in DEFAULT_SCHATTEN_PS]
+    ps = DEFAULT_SCHATTEN_PS
+    specs = [CriterionSpec(kind) for kind in ("volume", "relative_volume", "s_optimality")]
+    specs += [CriterionSpec("norm", p) for p in (math.inf, *ps, 2.0)]
+    specs += [CriterionSpec("pinv_norm", p) for p in (math.inf, 2.0, *ps)]
+    specs += [CriterionSpec("cond_two"), CriterionSpec("cond_frobenius")]
+    specs += [CriterionSpec("cond_schatten", p) for p in ps]
     specs.append(CriterionSpec("cond_mixed"))
-    specs += [CriterionSpec("cond_mixed_schatten", p) for p in DEFAULT_SCHATTEN_PS]
-    specs.append(CriterionSpec("stable_rank", 2.0))
-    specs += [CriterionSpec("stable_rank", p) for p in DEFAULT_SCHATTEN_PS]
-    specs.append(CriterionSpec("residual_two"))
-    specs.append(CriterionSpec("residual_frobenius"))
+    specs += [CriterionSpec("cond_mixed_schatten", p) for p in ps]
+    specs += [CriterionSpec("stable_rank", p) for p in (2.0, *ps)]
+    specs += [CriterionSpec("residual_two"), CriterionSpec("residual_frobenius")]
     return tuple(specs)
 
 
@@ -437,33 +398,13 @@ def evaluate(spec: CriterionSpec, c: DenseMatrix, full_matrix: DenseMatrix | Non
     The residual criteria additionally need the parent matrix the residual is
     measured against.
     """
-    kind = spec.kind
-    if kind == "volume":
-        value = volume(c)
-    elif kind == "relative_volume":
-        value = relative_volume(c)
-    elif kind == "s_optimality":
-        value = s_optimality(c)
-    elif kind == "norm":
-        value = schatten_norm(c, spec.p)
-    elif kind == "pinv_norm":
-        value = pinv_schatten_norm(c, spec.p)
-    elif kind == "cond_two":
-        value = condition_number(c, "two")
-    elif kind == "cond_frobenius":
-        value = condition_number(c, "frobenius")
-    elif kind == "cond_schatten":
-        value = condition_number(c, "schatten", spec.p)
-    elif kind == "cond_mixed":
-        value = condition_number(c, "mixed")
-    elif kind == "cond_mixed_schatten":
-        value = condition_number(c, "mixed_schatten", spec.p)
-    elif kind == "stable_rank":
-        value = stable_rank(c, spec.p)
+    row = _KINDS[spec.kind]
+    if row.residual is None:
+        value = _scalar(row, c, spec.p)
+    elif full_matrix is None:
+        raise InvalidParameterError("residual criteria need the parent matrix")
     else:
-        if full_matrix is None:
-            raise InvalidParameterError("residual criteria need the parent matrix")
-        value = residual(full_matrix, c, "two" if kind == "residual_two" else "frobenius")
+        value = residual(full_matrix, c, row.residual)
     return CriterionValue(value, spec, c.cols)
 
 
@@ -473,38 +414,19 @@ def batch_values(spec: CriterionSpec, sigma: np.ndarray, column_norms: np.ndarra
     ``sigma`` is (B, r) with singular values sorted non-increasing per row,
     ``column_norms`` is (B, k), and ``full_rank`` flags rows whose numerical
     rank equals k.  Returns (values, valid); invalid rows hold placeholder
-    values and must be skipped by the caller.  The arithmetic is shared with
-    the scalar evaluators, so batched values match scalar ones bit for bit.
-    Residual criteria are not singular-value computable and are rejected
-    here.
+    values and must be skipped by the caller.  The row's value function is
+    the one the scalar evaluators call, so batched values match scalar ones
+    bit for bit.  Residual criteria are not singular-value computable and are
+    rejected here.
     """
-    kind = spec.kind
-    b, r = sigma.shape
-    k = column_norms.shape[1]
-    ones = np.ones(b, dtype=bool)
+    row = _KINDS[spec.kind]
+    if row.value is None:
+        raise InvalidParameterError(
+            f"criterion {spec.identifier!r} is not singular-value computable"
+        )
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if kind == "volume":
-            vals = np.where(full_rank, _vol_from_sigma(sigma) if r == k else 0.0, 0.0)
-            return vals, ones
-        if kind == "relative_volume":
-            return _masked(_rvol_from_sigma(sigma), full_rank), full_rank
-        if kind == "s_optimality":
-            return _masked(_sopt_from_sigma(sigma, column_norms), full_rank), full_rank
-        if kind == "norm":
-            return np.asarray(_schatten_from_sigma(sigma, spec.p)), ones
-        if kind == "pinv_norm":
-            vals = _pinv_schatten_from_sigma(sigma, spec.p) if r == k else np.zeros(b)
-            return _masked(vals, full_rank), full_rank
-        if kind in ("cond_two", "cond_frobenius", "cond_schatten", "cond_mixed",
-                    "cond_mixed_schatten"):
-            flavor = kind[len("cond_"):]
-            vals = _cond_from_sigma(sigma, flavor, spec.p) if r == k else np.zeros(b)
-            return _masked(vals, full_rank), full_rank
-        if kind == "stable_rank":
-            vals = np.where(sigma[:, 0] > 0.0, _srank_from_sigma(sigma, spec.p), 0.0)
-            return vals, ones
-    raise InvalidParameterError(f"criterion {spec.identifier!r} is not singular-value computable")
-
-
-def _masked(vals: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    return np.where(valid & np.isfinite(vals), vals, 0.0)
+        vals = row.value(sigma, spec.p, column_norms)
+    if row.rank == "required":
+        return np.where(full_rank & np.isfinite(vals), vals, 0.0), full_rank
+    scored = full_rank if row.rank == "zero" else sigma[:, 0] > 0.0
+    return np.where(scored, vals, 0.0), np.ones(len(sigma), dtype=bool)

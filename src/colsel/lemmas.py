@@ -247,9 +247,12 @@ def _partition_trial(rng, sizes, acc):
         )
     acc["l_pi1"].record(*pi1_checks)
 
+    # C+ entries grow as 1/sigma_min, so the reconstruction error is taken
+    # relative to the largest of them, as e_sc below is
     parts = partitioned_pinv(c1, c2)
-    direct = pseudo_inverse(c)
-    recon = float(np.max(np.abs(parts.stacked().array - direct.array)))
+    direct = pseudo_inverse(c).array
+    scale = max(1.0, float(np.max(np.abs(direct))))
+    recon = float(np.max(np.abs(parts.stacked().array - direct))) / scale
     spd = min(
         float(np.linalg.eigvalsh(parts.schur1.array)[0]),
         float(np.linalg.eigvalsh(parts.schur2.array)[0]),

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import CriterionSpec, CriterionValue, batch_values, evaluate
+from .criteria import CriterionSpec, CriterionValue, batch_residuals, batch_values, evaluate
 from .errors import InfeasibleError, InvalidParameterError
 from .matrixkit import EPS, DenseMatrix
 
@@ -95,51 +95,55 @@ def _index_chunks(n: int, k: int, chunk_size: int = _CHUNK_SIZE):
         yield np.array(block, dtype=np.intp)
 
 
-def _batch_stats(a: np.ndarray, idx: np.ndarray):
-    """Singular values, column norms and full-rank flags for a batch of subsets."""
-    m = a.shape[0]
-    k = idx.shape[1]
-    sub = np.ascontiguousarray(np.moveaxis(a[:, idx], 1, 0))
+def _stack(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The (B, m, k) stack of submatrices a[:, idx[b]]."""
+    return np.ascontiguousarray(np.moveaxis(a[:, idx], 1, 0))
+
+
+def _batch_stats(sub: np.ndarray):
+    """Singular values and full-rank flags for a stack of submatrices."""
+    m, k = sub.shape[1], sub.shape[2]
     sigma = np.linalg.svd(sub, compute_uv=False)
     tol = max(m, k) * EPS * sigma[:, 0]
     ranks = np.count_nonzero(sigma > tol[:, None], axis=1)
-    return sigma, ranks == k, sub
+    return sigma, ranks == k
 
 
-def _batch_residuals(a: np.ndarray, sub: np.ndarray, two_norm: bool) -> np.ndarray:
-    m, k = sub.shape[1], sub.shape[2]
-    u, s, _ = np.linalg.svd(sub, full_matrices=False)
-    tol = max(m, k) * EPS * s[:, 0]
-    u = u * (s > tol[:, None])[:, None, :]
-    coeff = np.einsum("bmr,mn->brn", u, a)
-    rest = a[None, :, :] - u @ coeff
-    if two_norm:
-        return np.linalg.svd(rest, compute_uv=False)[:, 0]
-    return np.sqrt(np.sum(rest**2, axis=(1, 2)))
+def _batch_scores(a: np.ndarray, col_norms: np.ndarray, idx: np.ndarray, specs):
+    """(values, valid) per spec for the subsets in ``idx``.
+
+    The singular-value criteria share one values-only batched SVD; each
+    residual takes the SVD with U instead.  An SVD runs only when a spec
+    needs it.
+    """
+    sub = _stack(a, idx)
+    stats = None
+    scores = []
+    for spec in specs:
+        if spec.residual_norm is not None:
+            scores.append((batch_residuals(a, sub, spec.residual_norm),
+                           np.ones(len(idx), dtype=bool)))
+            continue
+        if stats is None:
+            stats = _batch_stats(sub) + (col_norms[idx],)
+        sigma, full, cn = stats
+        scores.append(batch_values(spec, sigma, cn, full))
+    return scores
+
+
+def _best_row(vals: np.ndarray, valid: np.ndarray, maximize: bool) -> int | None:
+    """Index of the first best valid row, or None when no row is valid."""
+    filled = np.where(valid, vals, -np.inf if maximize else np.inf)
+    row = int(np.argmax(filled)) if maximize else int(np.argmin(filled))
+    return row if valid[row] else None
 
 
 def _chunk_candidates(a: np.ndarray, col_norms: np.ndarray, idx: np.ndarray, specs):
     """Best (value, indices) within one chunk, per spec; None when no row is valid."""
-    sigma, full, sub = _batch_stats(a, idx)
-    cn = col_norms[idx]
     out = []
-    for spec in specs:
-        if spec.kind == "residual_two":
-            vals, valid = _batch_residuals(a, sub, True), np.ones(len(idx), dtype=bool)
-        elif spec.kind == "residual_frobenius":
-            vals, valid = _batch_residuals(a, sub, False), np.ones(len(idx), dtype=bool)
-        else:
-            vals, valid = batch_values(spec, sigma, cn, full)
-        if spec.direction == "maximize":
-            filled = np.where(valid, vals, -np.inf)
-            row = int(np.argmax(filled))
-        else:
-            filled = np.where(valid, vals, np.inf)
-            row = int(np.argmin(filled))
-        if not valid[row]:
-            out.append(None)
-        else:
-            out.append((float(vals[row]), tuple(int(i) for i in idx[row])))
+    for spec, (vals, valid) in zip(specs, _batch_scores(a, col_norms, idx, specs)):
+        row = _best_row(vals, valid, spec.direction == "maximize")
+        out.append(None if row is None else (float(vals[row]), tuple(int(i) for i in idx[row])))
     return out
 
 
@@ -151,6 +155,25 @@ def _better(current, candidate, maximize: bool):
     if maximize:
         return candidate if candidate[0] > current[0] else current
     return candidate if candidate[0] < current[0] else current
+
+
+def _in_order(work, items, threads: int):
+    """``map(work, items)``, fanned out over ``threads`` workers when above 1.
+
+    Results come back in submission order through a bounded window, so the
+    caller reduces them in enumeration order without materializing every item.
+    """
+    if threads == 1:
+        yield from map(work, items)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        pending = deque()
+        for item in items:
+            pending.append(pool.submit(work, item))
+            if len(pending) >= 2 * threads:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def exact_optima(matrix: DenseMatrix, k: int, specs, threads: int = 1, allow_large: bool = False):
@@ -171,6 +194,7 @@ def exact_optima(matrix: DenseMatrix, k: int, specs, threads: int = 1, allow_lar
     if threads < 1:
         raise InvalidParameterError("threads must be >= 1")
     specs = list(specs)
+    maximize = [spec.direction == "maximize" for spec in specs]
     a = matrix.array
     col_norms = matrix.column_norms()
     best = [None] * len(specs)
@@ -179,31 +203,9 @@ def exact_optima(matrix: DenseMatrix, k: int, specs, threads: int = 1, allow_lar
     def work(idx):
         return len(idx), _chunk_candidates(a, col_norms, idx, specs)
 
-    chunks = _index_chunks(n, k)
-    if threads == 1:
-        results = map(work, chunks)
-        for count, cands in results:
-            seen += count
-            for i, spec in enumerate(specs):
-                best[i] = _better(best[i], cands[i], spec.direction == "maximize")
-    else:
-        # submission-order results with a bounded window, so chunk reduction
-        # stays in enumeration order without materializing all index chunks
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pending = deque()
-            for chunk in chunks:
-                pending.append(pool.submit(work, chunk))
-                if len(pending) < 2 * threads:
-                    continue
-                count, cands = pending.popleft().result()
-                seen += count
-                for i, spec in enumerate(specs):
-                    best[i] = _better(best[i], cands[i], spec.direction == "maximize")
-            while pending:
-                count, cands = pending.popleft().result()
-                seen += count
-                for i, spec in enumerate(specs):
-                    best[i] = _better(best[i], cands[i], spec.direction == "maximize")
+    for count, cands in _in_order(work, _index_chunks(n, k), threads):
+        seen += count
+        best = [_better(*args) for args in zip(best, cands, maximize)]
     return best, seen
 
 
@@ -274,7 +276,7 @@ def select_local_swap_volume(matrix: DenseMatrix, k: int, seed: int = 0,
     current = None
     for _ in range(n * k):
         cand = np.sort(rng.choice(n, size=k, replace=False)).astype(np.intp)
-        sigma, full, _ = _batch_stats(a, cand[None, :])
+        sigma, full = _batch_stats(_stack(a, cand[None, :]))
         evaluated += 1
         if full[0]:
             current = tuple(int(i) for i in cand)
@@ -294,8 +296,7 @@ def select_local_swap_volume(matrix: DenseMatrix, k: int, seed: int = 0,
             for j in outside:
                 swaps.append(tuple(sorted(current[:pos] + current[pos + 1:] + (j,))))
         idx = np.array(swaps, dtype=np.intp)
-        sigma, full, _ = _batch_stats(a, idx)
-        vols, _ = batch_values(vol_spec, sigma, col_norms[idx], full)
+        ((vols, _),) = _batch_scores(a, col_norms, idx, [vol_spec])
         evaluated += len(swaps)
         best_row = int(np.argmax(vols))
         if vols[best_row] > current_vol * (1.0 + SWAP_IMPROVEMENT):
@@ -333,17 +334,10 @@ def select_greedy_forward(matrix: DenseMatrix, k: int, criterion: CriterionSpec)
         remaining = [j for j in range(n) if j not in chosen]
         cands = [tuple(sorted(chosen + (j,))) for j in remaining]
         idx = np.array(cands, dtype=np.intp)
-        sigma, full, sub = _batch_stats(a, idx)
-        if criterion.kind == "residual_two":
-            vals, valid = _batch_residuals(a, sub, True), np.ones(len(cands), dtype=bool)
-        elif criterion.kind == "residual_frobenius":
-            vals, valid = _batch_residuals(a, sub, False), np.ones(len(cands), dtype=bool)
-        else:
-            vals, valid = batch_values(criterion, sigma, col_norms[idx], full)
+        ((vals, valid),) = _batch_scores(a, col_norms, idx, [criterion])
         evaluated += len(cands)
-        filled = np.where(valid, vals, -np.inf if maximize else np.inf)
-        row = int(np.argmax(filled)) if maximize else int(np.argmin(filled))
-        if not valid[row]:
+        row = _best_row(vals, valid, maximize)
+        if row is None:
             raise InfeasibleError(
                 f"every extension is rank-deficient for criterion {criterion.identifier!r}"
             )
@@ -357,6 +351,14 @@ def select_greedy_forward(matrix: DenseMatrix, k: int, criterion: CriterionSpec)
         subsets_evaluated=evaluated,
         elapsed=time.perf_counter() - start,
     )
+
+
+def meets_threshold(criterion: CriterionSpec, value: float, b: float) -> bool:
+    """Whether ``value`` reaches threshold ``b`` on the criterion's side of it,
+    up to the absolute ``DECISION_SLACK``."""
+    if criterion.direction == "maximize":
+        return value >= b - DECISION_SLACK
+    return value <= b + DECISION_SLACK
 
 
 def decide(matrix: DenseMatrix, query: DecisionQuery, threads: int = 1,
@@ -376,8 +378,5 @@ def decide(matrix: DenseMatrix, query: DecisionQuery, threads: int = 1,
                 stacklevel=2,
             )
     result = select_exact(matrix, query.k, query.criterion, threads=threads, allow_large=allow_large)
-    if query.criterion.direction == "maximize":
-        answer = result.value.value >= query.b - DECISION_SLACK
-    else:
-        answer = result.value.value <= query.b + DECISION_SLACK
+    answer = meets_threshold(query.criterion, result.value.value, query.b)
     return DecisionOutcome(answer=answer, witness=result.subset if answer else None)

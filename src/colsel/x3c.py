@@ -21,14 +21,14 @@ from .criteria import CriterionSpec, equivalence_criteria
 from .errors import (
     CapacityError,
     GenerationFailureError,
-    InfeasibleError,
     InvalidInputError,
     InvalidParameterError,
     ParseError,
     PreconditionError,
 )
 from .matrixkit import DenseMatrix, svd
-from .selectors import ColumnSubset, DecisionQuery, decide, exact_optima
+from .selectors import ColumnSubset, exact_optima, meets_threshold
+from .selectors import decide  # noqa: F401  (bench/tracer.py patches colsel.x3c.decide)
 
 # computed once so every reduction and gadget entry is bit-identical
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
@@ -231,23 +231,25 @@ def verify_equivalence(instance: X3CInstance, threads: int = 1) -> bool:
 
     For each criterion whose unit-column optimum characterizes orthonormal
     columns, the decision "is there a k=M subset attaining the optimum" must
-    answer yes exactly when the instance has an exact cover.
+    answer yes exactly when the instance has an exact cover.  One exhaustive
+    enumeration serves every criterion.
     """
     if instance.m_triples > 5 or instance.n > 14:
         raise InvalidParameterError("equivalence checking is desk-scale: M <= 5, n <= 14")
     solvable = solve_exact(instance) is not None
-    a = reduce(instance).matrix
     k = instance.m_triples
-    for spec in equivalence_criteria():
-        query = DecisionQuery(spec, k, spec.optimal_unit_value(k))
-        try:
-            answer = decide(a, query, threads=threads).answer
-        except InfeasibleError:
-            # no full-rank subset at all, so no orthonormal one either
-            answer = False
-        if answer != solvable:
-            return False
-    return True
+    specs = equivalence_criteria()
+    if k > instance.n:
+        # no k-subset exists, so every decision is "no"
+        outcomes = [None] * len(specs)
+    else:
+        outcomes, _ = exact_optima(reduce(instance).matrix, k, specs, threads=threads)
+    # None: no full-rank subset at all, so no orthonormal one either
+    return all(
+        (outcome is not None
+         and meets_threshold(spec, outcome[0], spec.optimal_unit_value(k))) == solvable
+        for spec, outcome in zip(specs, outcomes)
+    )
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,44 @@
+"""Scalar and batched evaluation agree bit for bit on every registered criterion."""
+
+import numpy as np
+import pytest
+
+from colsel.criteria import batch_values, evaluate, registry
+from colsel.matrixkit import DenseMatrix
+from colsel.selectors import select_exact, select_greedy_forward
+
+SHAPES = [(5, 8, 3), (6, 9, 4), (4, 7, 2), (3, 6, 3), (7, 10, 5), (4, 8, 4)]
+
+
+def seeded(seed):
+    m, n, k = SHAPES[seed]
+    return DenseMatrix(np.random.default_rng(seed).standard_normal((m, n))), k
+
+
+@pytest.mark.parametrize("spec", registry(), ids=str)
+def test_exact_value_equals_scalar_reevaluation(spec):
+    for seed in range(len(SHAPES)):
+        a, k = seeded(seed)
+        result = select_exact(a, k, spec)
+        again = evaluate(spec, a.columns(result.subset), full_matrix=a)
+        assert result.value.value == again.value, (seed, result.subset)
+
+
+@pytest.mark.parametrize("spec", registry(), ids=str)
+def test_greedy_value_equals_scalar_reevaluation(spec):
+    a, k = seeded(1)
+    result = select_greedy_forward(a, k, spec)
+    again = evaluate(spec, a.columns(result.subset), full_matrix=a)
+    assert result.value.value == again.value
+
+
+@pytest.mark.parametrize("spec", [s for s in registry() if s.residual_norm is None], ids=str)
+def test_batch_values_equal_scalar_on_every_row(spec):
+    a, k = seeded(4)
+    idx = np.array([[0, 1, 2, 3, 4], [2, 4, 5, 8, 9], [1, 3, 6, 7, 9]], dtype=np.intp)
+    sub = np.stack([a.array[:, row] for row in idx])
+    sigma = np.linalg.svd(sub, compute_uv=False)
+    vals, valid = batch_values(spec, sigma, a.column_norms()[idx], np.ones(len(idx), dtype=bool))
+    assert valid.all()
+    for row, value in zip(idx, vals):
+        assert value == evaluate(spec, a.columns(row)).value

@@ -1,0 +1,155 @@
+"""Byte-identity corpus: fixed ``colsel`` command lines and their recorded stdout.
+
+Each case runs ``colsel.cli.main`` in process, with stdin either a literal
+text or the stdout of an earlier case, and must reproduce the recorded exit
+code and stdout byte for byte.  Record the corpus again with
+``PYTHONPATH=src python tests/test_cli_corpus.py`` from a commit whose output
+is trusted.
+"""
+
+import contextlib
+import io
+import json
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+from colsel.cli import main
+
+CORPUS = Path(__file__).resolve().parent / "data" / "cli_corpus.json"
+
+EVAL_MATRIX = """\
+1.029,1.642,1.147,-0.973
+-1.393,0.067,0.861,0.509
+1.81,0.751,0.64,-0.731
+-1.108,1.484,0.049,0.812
+-1.376,-0.436,-1.291,-0.776
+"""
+
+SELECT_MATRIX = """\
+0.903,-1.481,-0.534,0.164,-0.668,-0.252,-0.222,0.418
+-0.431,0.272,0.057,0.425,0.225,1.658,-0.664,1.199
+-0.403,-0.958,1.211,-0.44,-0.388,-1.389,-2.098,0.634
+-1.165,0.778,1.848,-0.115,-1.127,0.394,0.762,-0.262
+0.017,1.335,1.265,0.71,-0.866,-0.054,0.603,-0.212
+-0.61,-0.765,-0.632,-0.672,-0.451,1.146,-0.801,0.887
+"""
+
+_ROWS = [[float(x) for x in line.split(",")] for line in SELECT_MATRIX.splitlines()]
+SELECT_JSON = json.dumps({"rows": len(_ROWS), "cols": len(_ROWS[0]),
+                          "data": [x for row in _ROWS for x in row]})
+
+# lines whose recorded text may differ from today's output in rounding only,
+# as (case, line prefix) -> reason
+MAY_DIFFER = {
+    ("lemmas", "lemma=l_pi0 "): "l_pi0 reports its reconstruction error relative to max|C+|",
+    ("eval-res-two", ""): "scalar residuals run the exact selector's arithmetic; "
+                          "A against itself leaves ~1e-15 of rounding",
+    ("eval-res-frobenius", ""): "as eval-res-two",
+}
+
+
+def same_up_to_rounding(want: str, got: str) -> bool:
+    """Same tokens, numeric ones allowed to differ by 1e-12."""
+    want_tokens, got_tokens = re.split(r"[ =]", want), re.split(r"[ =]", got)
+    if len(want_tokens) != len(got_tokens):
+        return False
+    for x, y in zip(want_tokens, got_tokens):
+        if x != y:
+            try:
+                if abs(float(x) - float(y)) > 1e-12:
+                    return False
+            except ValueError:
+                return False
+    return True
+
+
+EVAL_IDS = ("vol", "rvol", "sopt", "norm:p=3", "pinv-norm:p=4", "cond-two", "cond-frobenius",
+            "cond:p=3", "cond-mixed", "cond-mixed:p=4", "srank:p=3", "res-two", "res-frobenius")
+
+# (name, argv, literal stdin, or the name of the earlier case whose stdout is stdin)
+CASES = [(f"eval-{ident}", ["eval", "--criterion", ident], EVAL_MATRIX) for ident in EVAL_IDS]
+CASES += [
+    ("eval-norm-p-flag", ["eval", "--criterion", "norm", "--p", "inf"], EVAL_MATRIX),
+    ("select-exact-rvol-t1", ["select", "--criterion", "rvol", "--k", "3", "--threads", "1"],
+     SELECT_MATRIX),
+    ("select-exact-rvol-t2", ["select", "--criterion", "rvol", "--k", "3", "--threads", "2"],
+     SELECT_MATRIX),
+    ("select-exact-cond-json", ["select", "--criterion", "cond:p=4", "--k", "4", "--threads", "2",
+                                "--format", "json"], SELECT_JSON),
+    ("select-exact-res-two", ["select", "--criterion", "res-two", "--k", "3"], SELECT_MATRIX),
+    ("select-exact-res-frobenius", ["select", "--criterion", "res-frobenius", "--k", "2"],
+     SELECT_MATRIX),
+    ("select-greedy-res-frobenius", ["select", "--method", "greedy", "--criterion",
+                                     "res-frobenius", "--k", "3"], SELECT_MATRIX),
+    ("select-greedy-vol", ["select", "--method", "greedy", "--criterion", "vol", "--k", "4"],
+     SELECT_MATRIX),
+    ("select-local-swap", ["select", "--method", "local-swap", "--k", "3", "--seed", "5"],
+     SELECT_MATRIX),
+    ("select-greedy-frobenius", ["select", "--method", "greedy-frobenius", "--k", "3"],
+     SELECT_MATRIX),
+    ("gen-true", ["x3c", "gen-true", "--m", "3", "--extra", "4", "--seed", "7"], None),
+    ("gen-false", ["x3c", "gen-false", "--m", "4", "--n", "10", "--seed", "3"], None),
+    ("reduce-true", ["x3c", "reduce"], "gen-true"),
+    ("reduce-false", ["x3c", "reduce"], "gen-false"),
+    ("solve-true", ["x3c", "solve"], "gen-true"),
+    ("verify-true", ["x3c", "verify"], "gen-true"),
+    ("verify-false", ["x3c", "verify", "--threads", "2"], "gen-false"),
+    ("decide-yes", ["decide", "--criterion", "rvol", "--k", "3", "--b", "1"], "reduce-true"),
+    ("decide-no", ["decide", "--criterion", "pinv-norm-two", "--k", "4", "--b", "1"],
+     "reduce-false"),
+    ("gap", ["gap"], "gen-false"),
+    ("gap-json", ["gap", "--format", "json", "--threads", "2"], "gen-false"),
+    ("gadget-1-rvol", ["gadget", "--shared", "1", "--eval", "rvol"], None),
+    ("gadget-2-cond", ["gadget", "--shared", "2", "--eval", "cond-mixed", "--p", "3"], None),
+    ("lemmas", ["lemmas", "--trials", "3", "--seed", "4"], None),
+]
+
+
+def run(argv, stdin: str) -> tuple[int, str]:
+    out = io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue()
+
+
+def run_all() -> dict:
+    results = {}
+    for name, argv, source in CASES:
+        stdin = results[source]["stdout"] if source in results else (source or "")
+        code, stdout = run(argv, stdin)
+        results[name] = {"argv": argv, "code": code, "stdout": stdout}
+    return results
+
+
+@pytest.fixture(scope="module")
+def current():
+    return run_all()
+
+
+@pytest.mark.parametrize("name", [case[0] for case in CASES])
+def test_stdout_matches_recorded_bytes(name, current):
+    recorded = json.loads(CORPUS.read_text(encoding="utf-8"))[name]
+    got = current[name]
+    assert got["argv"] == recorded["argv"]
+    assert got["code"] == recorded["code"]
+    want_lines = recorded["stdout"].splitlines(keepends=True)
+    got_lines = got["stdout"].splitlines(keepends=True)
+    assert len(got_lines) == len(want_lines)
+    for want, line in zip(want_lines, got_lines):
+        if any(name == case and want.startswith(prefix) for case, prefix in MAY_DIFFER):
+            assert same_up_to_rounding(want, line)
+            continue
+        assert line == want
+
+
+if __name__ == "__main__":
+    CORPUS.parent.mkdir(exist_ok=True)
+    CORPUS.write_text(json.dumps(run_all(), indent=1) + "\n", encoding="utf-8")
