@@ -9,10 +9,10 @@ floating-point values are printed in full round-trip precision.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .errors import ColselError, InvalidParameterError, ParseError
 from .lemmas import run_suite
 from .matrixkit import DenseMatrix
 from .selectors import (
+    ColumnSubset,
     DecisionQuery,
     decide,
     select_exact,
@@ -44,26 +45,28 @@ def parse_matrix_text(text: str, fmt: str = "csv") -> DenseMatrix:
         if not isinstance(obj, dict) or not {"rows", "cols", "data"} <= set(obj):
             raise ParseError('JSON matrix needs keys "rows", "cols", "data"', line=1)
         rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-        if not (isinstance(rows, int) and isinstance(cols, int) and isinstance(data, list)):
-            raise ParseError("rows/cols must be integers and data a list", line=1)
+        if not (isinstance(rows, int) and isinstance(cols, int) and min(rows, cols) >= 0
+                and isinstance(data, list)):
+            raise ParseError("rows/cols must be non-negative integers and data a list", line=1)
         if len(data) != rows * cols:
             raise ParseError(f"data length {len(data)} != rows*cols = {rows * cols}", line=1)
-        return DenseMatrix(np.array(data, dtype=np.float64).reshape(rows, cols))
+        try:
+            array = np.array(data, dtype=np.float64).reshape(rows, cols)
+        except (TypeError, ValueError):
+            raise ParseError("data must hold rows*cols numbers", line=1) from None
+        return DenseMatrix(array)
     if fmt != "csv":
         raise InvalidParameterError(f"unknown matrix format {fmt!r}")
-    rows = []
-    width = None
+    rows, width = [], None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        parts = line.split(",")
         try:
-            row = [float(tok) for tok in parts]
+            row = [float(tok) for tok in line.split(",")]
         except ValueError:
             raise ParseError(f"non-numeric entry in {line!r}", line=lineno) from None
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
+        width = width or len(row)
+        if len(row) != width:
             raise ParseError(f"ragged row: expected {width} entries, got {len(row)}", line=lineno)
         rows.append(row)
     if not rows:
@@ -78,275 +81,157 @@ def parse_matrix(path: str, fmt: str = "csv") -> DenseMatrix:
 
 def format_matrix(matrix: DenseMatrix, fmt: str = "csv") -> str:
     if fmt == "json":
-        payload = {
-            "rows": matrix.rows,
-            "cols": matrix.cols,
-            "data": [float(v) for v in matrix.entries],
-        }
-        return json.dumps(payload) + "\n"
+        data = [float(v) for v in matrix.entries]
+        return json.dumps({"rows": matrix.rows, "cols": matrix.cols, "data": data}) + "\n"
     return "\n".join(",".join(_fmt(v) for v in row) for row in matrix.array) + "\n"
 
 
-@dataclass
-class RunConfig:
-    command: str
-    subcommand: str | None = None
-    input_path: str | None = None
-    output_path: str | None = None
-    criterion: str | None = None
-    method: str | None = None
-    k: int | None = None
-    p: float | None = None
-    b: float | None = None
-    m: int | None = None
-    n: int | None = None
-    extra: int | None = None
-    shared: int | None = None
-    trials: int = 200
-    seed: int = 0
-    threads: int = 1
-    max_sweeps: int = 100
-    allow_large: bool = False
-    format: str = "csv"
-    eval_criterion: str | None = None
-
-    def __post_init__(self):
-        if self.threads < 1:
-            raise InvalidParameterError("threads must be >= 1")
-        if self.format not in ("csv", "json"):
-            raise InvalidParameterError(f"unknown format {self.format!r}")
-
-
-def _read_text(config: RunConfig) -> str:
-    if config.input_path:
-        with open(config.input_path, "r", encoding="utf-8") as fh:
+def _read_text(args) -> str:
+    if args.input_path:
+        with open(args.input_path, "r", encoding="utf-8") as fh:
             return fh.read()
     return sys.stdin.read()
 
 
-def _write(config: RunConfig, text: str):
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
+def _write(args, text: str):
+    if args.output_path:
+        with open(args.output_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _note(message: str):
-    print(message, file=sys.stderr)
-
-
-def _criterion(config: RunConfig) -> CriterionSpec:
-    if not config.criterion:
+def _criterion(args) -> CriterionSpec:
+    if not args.criterion:
         raise InvalidParameterError("a --criterion id is required")
-    return parse_criterion(config.criterion, config.p)
+    return parse_criterion(args.criterion, args.p)
 
 
-def _kv_line(pairs) -> str:
-    return " ".join(f"{key}={value}" for key, value in pairs) + "\n"
+def _instance(args) -> x3c.X3CInstance:
+    return x3c.parse_instance(_read_text(args))
 
 
-def _selection_report(result, fmt: str) -> str:
-    pairs = [
-        ("criterion", result.value.criterion.identifier),
-        ("method", result.method),
-        ("value", _fmt(result.value.value)),
-        ("subset", str(result.subset)),
-        ("subsets_evaluated", result.subsets_evaluated),
-    ]
+def _text_value(value) -> str:
+    if value is None or isinstance(value, bool):
+        return {None: "none", True: "yes", False: "no"}[value]
+    return _fmt(value) if isinstance(value, float) else str(value)
+
+
+def _render(report, fmt: str) -> str:
+    """A report, one record (a dict of typed values) or a list of them, as
+    JSON (one object, or an indented list) when ``fmt`` is "json", else as
+    ``key=value`` lines."""
+    records = report if isinstance(report, list) else [report]
     if fmt == "json":
-        obj = dict(pairs)
-        obj["value"] = float(result.value.value)
-        obj["subset"] = list(result.subset.indices)
-        return json.dumps(obj) + "\n"
-    return _kv_line(pairs)
+        objs = [{key: list(v) if isinstance(v, ColumnSubset) else v for key, v in rec.items()}
+                for rec in records]
+        text = json.dumps(objs, indent=2) if isinstance(report, list) else json.dumps(objs[0])
+        return text + "\n"
+    return "".join(" ".join(f"{key}={_text_value(v)}" for key, v in rec.items()) + "\n"
+                   for rec in records)
 
 
-def _cmd_eval(config: RunConfig) -> int:
-    spec = _criterion(config)
-    matrix = parse_matrix_text(_read_text(config), config.format)
-    value = evaluate(spec, matrix, full_matrix=matrix)
-    _write(config, _fmt(value.value) + "\n")
+def _cmd_eval(args) -> int:
+    spec = _criterion(args)
+    matrix = parse_matrix_text(_read_text(args), args.format)
+    _write(args, _fmt(evaluate(spec, matrix, full_matrix=matrix).value) + "\n")
     return 0
 
 
-def _cmd_select(config: RunConfig) -> int:
-    matrix = parse_matrix_text(_read_text(config), config.format)
-    if config.k is None:
-        raise InvalidParameterError("--k is required")
-    method = config.method or "exact"
-    if method == "exact":
-        result = select_exact(matrix, config.k, _criterion(config),
-                              threads=config.threads, allow_large=config.allow_large)
-    elif method == "greedy-frobenius":
-        result = select_greedy_frobenius(matrix, config.k)
-    elif method == "greedy":
-        result = select_greedy_forward(matrix, config.k, _criterion(config))
-    elif method == "local-swap":
-        result = select_local_swap_volume(matrix, config.k, seed=config.seed,
-                                          max_sweeps=config.max_sweeps)
+def _cmd_select(args) -> int:
+    matrix = parse_matrix_text(_read_text(args), args.format)
+    if args.method == "exact":
+        result = select_exact(matrix, args.k, _criterion(args),
+                              threads=args.threads, allow_large=args.allow_large)
+    elif args.method == "greedy":
+        result = select_greedy_forward(matrix, args.k, _criterion(args))
+    elif args.method == "greedy-frobenius":
+        result = select_greedy_frobenius(matrix, args.k)
     else:
-        raise InvalidParameterError(f"unknown selection method {method!r}")
-    _write(config, _selection_report(result, config.format))
-    _note(f"elapsed {result.elapsed:.3f}s")
+        result = select_local_swap_volume(matrix, args.k, seed=args.seed,
+                                          max_sweeps=args.max_sweeps)
+    _write(args, _render({
+        "criterion": result.value.criterion.identifier,
+        "method": result.method,
+        "value": result.value.value,
+        "subset": result.subset,
+        "subsets_evaluated": result.subsets_evaluated,
+    }, args.format))
+    print(f"elapsed {result.elapsed:.3f}s", file=sys.stderr)
     return 0
 
 
-def _cmd_decide(config: RunConfig) -> int:
-    matrix = parse_matrix_text(_read_text(config), config.format)
-    if config.k is None or config.b is None:
-        raise InvalidParameterError("--k and --b are required")
-    spec = _criterion(config)
-    outcome = decide(matrix, DecisionQuery(spec, config.k, config.b),
-                     threads=config.threads, allow_large=config.allow_large)
-    pairs = [
-        ("criterion", spec.identifier),
-        ("k", config.k),
-        ("b", _fmt(config.b)),
-        ("answer", "yes" if outcome.answer else "no"),
-        ("witness", str(outcome.witness) if outcome.witness else "none"),
-    ]
-    if config.format == "json":
-        obj = dict(pairs)
-        obj["b"] = float(config.b)
-        obj["answer"] = bool(outcome.answer)
-        obj["witness"] = list(outcome.witness.indices) if outcome.witness else None
-        _write(config, json.dumps(obj) + "\n")
-    else:
-        _write(config, _kv_line(pairs))
+def _cmd_decide(args) -> int:
+    matrix = parse_matrix_text(_read_text(args), args.format)
+    spec = _criterion(args)
+    outcome = decide(matrix, DecisionQuery(spec, args.k, args.b),
+                     threads=args.threads, allow_large=args.allow_large)
+    _write(args, _render({"criterion": spec.identifier, "k": args.k, "b": args.b,
+                          "answer": bool(outcome.answer), "witness": outcome.witness},
+                         args.format))
     return 0 if outcome.answer else 1
 
 
-def _cmd_x3c(config: RunConfig) -> int:
-    sub = config.subcommand
-    if sub == "gen-true":
-        if config.m is None:
-            raise InvalidParameterError("--m is required")
-        inst = x3c.generate_true(config.m, config.extra or 0, config.seed)
-        _write(config, x3c.format_instance(inst))
-        return 0
-    if sub == "gen-false":
-        if config.m is None or config.n is None:
-            raise InvalidParameterError("--m and --n are required")
-        inst = x3c.generate_false(config.m, config.n, config.seed)
-        _write(config, x3c.format_instance(inst))
-        return 0
-    inst = x3c.parse_instance(_read_text(config))
-    if sub == "solve":
-        cover = x3c.solve_exact(inst)
-        text = "cover=" + (",".join(str(i) for i in cover) if cover is not None else "none")
-        _write(config, text + "\n")
-        return 0 if cover is not None else 1
-    if sub == "reduce":
-        _write(config, format_matrix(x3c.reduce(inst).matrix, config.format))
-        return 0
-    if sub == "verify":
-        solvable = x3c.solve_exact(inst) is not None
-        agree = x3c.verify_equivalence(inst, threads=config.threads)
-        _write(config, _kv_line([
-            ("solvable", "yes" if solvable else "no"),
-            ("agreement", "yes" if agree else "no"),
-        ]))
-        return 0 if agree else 1
-    raise InvalidParameterError(f"unknown x3c subcommand {sub!r}")
-
-
-def _gap_pairs(report) -> list:
-    pairs = [
-        ("criterion", report.criterion.identifier),
-        ("optimum", _fmt(report.exact_optimum)),
-        ("threshold", _fmt(report.threshold)),
-    ]
-    if report.alt_threshold is not None:
-        pairs.append(("alt_threshold", _fmt(report.alt_threshold)))
-    pairs += [
-        ("holds", "yes" if report.gap_holds else "no"),
-        ("witness", str(report.witness)),
-    ]
-    return pairs
-
-
-def _cmd_gap(config: RunConfig) -> int:
-    inst = x3c.parse_instance(_read_text(config))
-    reports = x3c.gap_report(inst, threads=config.threads)
-    if config.format == "json":
-        payload = []
-        for rep in reports:
-            obj = {
-                "criterion": rep.criterion.identifier,
-                "optimum": rep.exact_optimum,
-                "threshold": rep.threshold,
-                "holds": rep.gap_holds,
-                "witness": list(rep.witness.indices),
-            }
-            if rep.alt_threshold is not None:
-                obj["alt_threshold"] = rep.alt_threshold
-            payload.append(obj)
-        _write(config, json.dumps(payload, indent=2) + "\n")
-    else:
-        _write(config, "".join(_kv_line(_gap_pairs(rep)) for rep in reports))
-    return 0 if all(rep.gap_holds for rep in reports) else 1
-
-
-def _cmd_gadget(config: RunConfig) -> int:
-    matrix = x3c.gadget(config.shared)
-    if config.eval_criterion:
-        spec = parse_criterion(config.eval_criterion, config.p)
-        value = evaluate(spec, matrix, full_matrix=matrix)
-        _write(config, _fmt(value.value) + "\n")
-    else:
-        _write(config, format_matrix(matrix, config.format))
+def _cmd_gen_true(args) -> int:
+    _write(args, x3c.format_instance(x3c.generate_true(args.m, args.extra, args.seed)))
     return 0
 
 
-def _cmd_lemmas(config: RunConfig) -> int:
-    reports = run_suite(seed=config.seed, trials=config.trials)
-    if config.format == "json":
-        payload = [
-            {
-                "lemma": rep.lemma_id,
-                "trials": rep.trials,
-                "failures": rep.failures,
-                "worst_violation": rep.worst_violation,
-                "seed": rep.seed,
-            }
-            for rep in reports
-        ]
-        _write(config, json.dumps(payload, indent=2) + "\n")
+def _cmd_gen_false(args) -> int:
+    _write(args, x3c.format_instance(x3c.generate_false(args.m, args.n, args.seed)))
+    return 0
+
+
+def _cmd_solve(args) -> int:
+    cover = x3c.solve_exact(_instance(args))
+    _write(args, _render({"cover": None if cover is None else ",".join(map(str, cover))}, "text"))
+    return 0 if cover is not None else 1
+
+
+def _cmd_reduce(args) -> int:
+    _write(args, format_matrix(x3c.reduce(_instance(args)).matrix, args.format))
+    return 0
+
+
+def _cmd_verify(args) -> int:
+    inst = _instance(args)
+    solvable = x3c.solve_exact(inst) is not None
+    agree = bool(x3c.verify_equivalence(inst, threads=args.threads))
+    _write(args, _render({"solvable": solvable, "agreement": agree}, "text"))
+    return 0 if agree else 1
+
+
+def _gap_record(rep, fmt: str) -> dict:
+    head = {"criterion": rep.criterion.identifier, "optimum": rep.exact_optimum,
+            "threshold": rep.threshold}
+    alt = {} if rep.alt_threshold is None else {"alt_threshold": rep.alt_threshold}
+    tail = {"holds": bool(rep.gap_holds), "witness": rep.witness}
+    # the text report puts alt_threshold beside threshold, JSON puts it last
+    return head | tail | alt if fmt == "json" else head | alt | tail
+
+
+def _cmd_gap(args) -> int:
+    reports = x3c.gap_report(_instance(args), threads=args.threads)
+    _write(args, _render([_gap_record(rep, args.format) for rep in reports], args.format))
+    return 0 if all(rep.gap_holds for rep in reports) else 1
+
+
+def _cmd_gadget(args) -> int:
+    matrix = x3c.gadget(args.shared)
+    if args.eval_criterion:
+        spec = parse_criterion(args.eval_criterion, args.p)
+        _write(args, _fmt(evaluate(spec, matrix, full_matrix=matrix).value) + "\n")
     else:
-        lines = [
-            _kv_line([
-                ("lemma", rep.lemma_id),
-                ("trials", rep.trials),
-                ("failures", rep.failures),
-                ("worst_violation", _fmt(rep.worst_violation)),
-                ("seed", rep.seed),
-            ])
-            for rep in reports
-        ]
-        _write(config, "".join(lines))
+        _write(args, format_matrix(matrix, args.format))
+    return 0
+
+
+def _cmd_lemmas(args) -> int:
+    reports = run_suite(seed=args.seed, trials=args.trials)
+    _write(args, _render([{"lemma": rep.lemma_id, "trials": rep.trials,
+                           "failures": rep.failures, "worst_violation": rep.worst_violation,
+                           "seed": rep.seed} for rep in reports], args.format))
     return 0 if all(rep.failures == 0 for rep in reports) else 1
-
-
-_COMMANDS = {
-    "eval": _cmd_eval,
-    "select": _cmd_select,
-    "decide": _cmd_decide,
-    "x3c": _cmd_x3c,
-    "gap": _cmd_gap,
-    "gadget": _cmd_gadget,
-    "lemmas": _cmd_lemmas,
-}
-
-
-def dispatch(config: RunConfig) -> int:
-    return _COMMANDS[config.command](config)
-
-
-def _add_io(parser: argparse.ArgumentParser):
-    parser.add_argument("--input", dest="input_path", help="read from this file instead of stdin")
-    parser.add_argument("--output", dest="output_path", help="write to this file instead of stdout")
-    parser.add_argument("--format", default="csv", choices=("csv", "json"))
 
 
 def _parse_p(raw: str) -> float:
@@ -358,91 +243,93 @@ def _parse_p(raw: str) -> float:
         raise argparse.ArgumentTypeError(f"bad Schatten parameter {raw!r}") from None
 
 
+def _parse_threads(raw: str) -> int:
+    if not raw.isdecimal() or int(raw) < 1:
+        raise argparse.ArgumentTypeError(f"threads must be an integer >= 1, got {raw!r}")
+    return int(raw)
+
+
+# flags that several subcommands read, each declared once
+_SHARED = {
+    "--input": {"dest": "input_path", "help": "read from this file instead of stdin"},
+    "--output": {"dest": "output_path", "help": "write to this file instead of stdout"},
+    "--format": {"default": "csv", "choices": ("csv", "json")},
+    "--p": {"type": _parse_p},
+    "--threads": {"type": _parse_threads, "default": 1},
+    "--allow-large": {"action": "store_true"},
+    "--seed": {"type": int, "default": 0},
+}
+_IO = ("--input", "--output", "--format")
+
+
+def _leaf(sub, name: str, run, help_text: str, *shared: str) -> argparse.ArgumentParser:
+    parser = sub.add_parser(name, help=help_text)
+    parser.set_defaults(run=run)
+    for flag in shared:
+        parser.add_argument(flag, **_SHARED[flag])
+    return parser
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``colsel`` argument parser, built on first use and shared after that."""
     top = argparse.ArgumentParser(
         prog="colsel",
         description="Column subset selection criteria, selectors and reduction checks.",
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("eval", help="criterion value of a whole matrix")
-    p_eval.add_argument("--criterion", required=True)
-    p_eval.add_argument("--p", type=_parse_p)
-    _add_io(p_eval)
+    p = _leaf(sub, "eval", _cmd_eval, "criterion value of a whole matrix", "--p", *_IO)
+    p.add_argument("--criterion", required=True)
 
-    p_sel = sub.add_parser("select", help="pick k columns by a criterion")
-    p_sel.add_argument("--method", default="exact",
-                       choices=("exact", "greedy-frobenius", "greedy", "local-swap"))
-    p_sel.add_argument("--criterion")
-    p_sel.add_argument("--k", type=int, required=True)
-    p_sel.add_argument("--p", type=_parse_p)
-    p_sel.add_argument("--seed", type=int, default=0)
-    p_sel.add_argument("--threads", type=int, default=1)
-    p_sel.add_argument("--max-sweeps", dest="max_sweeps", type=int, default=100)
-    p_sel.add_argument("--allow-large", dest="allow_large", action="store_true")
-    _add_io(p_sel)
+    p = _leaf(sub, "select", _cmd_select, "pick k columns by a criterion",
+              "--p", "--seed", "--threads", "--allow-large", *_IO)
+    p.add_argument("--method", default="exact",
+                   choices=("exact", "greedy-frobenius", "greedy", "local-swap"))
+    p.add_argument("--criterion")
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--max-sweeps", type=int, default=100)
 
-    p_dec = sub.add_parser("decide", help="threshold decision problem")
-    p_dec.add_argument("--criterion", required=True)
-    p_dec.add_argument("--k", type=int, required=True)
-    p_dec.add_argument("--b", type=float, required=True)
-    p_dec.add_argument("--p", type=_parse_p)
-    p_dec.add_argument("--threads", type=int, default=1)
-    p_dec.add_argument("--allow-large", dest="allow_large", action="store_true")
-    _add_io(p_dec)
+    p = _leaf(sub, "decide", _cmd_decide, "threshold decision problem",
+              "--p", "--threads", "--allow-large", *_IO)
+    p.add_argument("--criterion", required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--b", type=float, required=True)
 
     p_x3c = sub.add_parser("x3c", help="instance generation, solving and reduction")
     x3c_sub = p_x3c.add_subparsers(dest="subcommand", required=True)
-    g_true = x3c_sub.add_parser("gen-true", help="instance with a planted cover")
-    g_true.add_argument("--m", type=int, required=True)
-    g_true.add_argument("--extra", type=int, default=0)
-    g_true.add_argument("--seed", type=int, default=0)
-    _add_io(g_true)
-    g_false = x3c_sub.add_parser("gen-false", help="certified unsolvable instance")
-    g_false.add_argument("--m", type=int, required=True)
-    g_false.add_argument("--n", type=int, required=True)
-    g_false.add_argument("--seed", type=int, default=0)
-    _add_io(g_false)
-    for name, help_text in (
-        ("solve", "find an exact cover"),
-        ("reduce", "emit the membership matrix"),
-        ("verify", "check decision criteria against the solver"),
-    ):
-        p = x3c_sub.add_parser(name, help=help_text)
-        p.add_argument("--threads", type=int, default=1)
-        _add_io(p)
+    p = _leaf(x3c_sub, "gen-true", _cmd_gen_true, "instance with a planted cover",
+              "--seed", "--output")
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--extra", type=int, default=0)
+    p = _leaf(x3c_sub, "gen-false", _cmd_gen_false, "certified unsolvable instance",
+              "--seed", "--output")
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    _leaf(x3c_sub, "solve", _cmd_solve, "find an exact cover", "--input", "--output")
+    _leaf(x3c_sub, "reduce", _cmd_reduce, "emit the membership matrix", *_IO)
+    _leaf(x3c_sub, "verify", _cmd_verify, "check decision criteria against the solver",
+          "--threads", "--input", "--output")
 
-    p_gap = sub.add_parser("gap", help="separation thresholds on a false instance")
-    p_gap.add_argument("--threads", type=int, default=1)
-    _add_io(p_gap)
+    _leaf(sub, "gap", _cmd_gap, "separation thresholds on a false instance", "--threads", *_IO)
 
-    p_gad = sub.add_parser("gadget", help="two-column overlap patterns")
-    p_gad.add_argument("--shared", type=int, required=True, choices=(1, 2))
-    p_gad.add_argument("--eval", dest="eval_criterion")
-    p_gad.add_argument("--p", type=_parse_p)
-    _add_io(p_gad)
+    p = _leaf(sub, "gadget", _cmd_gadget, "two-column overlap patterns",
+              "--p", "--output", "--format")
+    p.add_argument("--shared", type=int, required=True, choices=(1, 2))
+    p.add_argument("--eval", dest="eval_criterion")
 
-    p_lem = sub.add_parser("lemmas", help="run the randomized verification suite")
-    p_lem.add_argument("--seed", type=int, default=0)
-    p_lem.add_argument("--trials", type=int, default=200)
-    _add_io(p_lem)
+    p = _leaf(sub, "lemmas", _cmd_lemmas, "run the randomized verification suite",
+              "--seed", "--output", "--format")
+    p.add_argument("--trials", type=int, default=200)
 
     return top
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {k: v for k, v in vars(args).items() if v is not None}
-    return RunConfig(**fields)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return dispatch(config_from_args(args))
-    except ColselError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        return args.run(args)
+    except (ColselError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError, RankDeficiencyError, ShapeError
-from .matrixkit import EPS, DenseMatrix, svd
+from .matrixkit import DenseMatrix, default_rank_tolerance, svd
 
 # Schatten-parameter domains as (minimum, whether p = inf is allowed)
 _ANY_P = (1.0, True)
@@ -226,7 +226,7 @@ def batch_residuals(a: np.ndarray, sub: np.ndarray, norm: str) -> np.ndarray:
     """
     m, k = sub.shape[1], sub.shape[2]
     u, s, _ = np.linalg.svd(sub, full_matrices=False)
-    tol = max(m, k) * EPS * s[:, 0]
+    tol = default_rank_tolerance(m, k, s[:, 0])
     u = u * (s > tol[:, None])[:, None, :]
     coeff = np.einsum("bmr,mn->brn", u, a)
     rest = a[None, :, :] - u @ coeff

@@ -298,17 +298,24 @@ def _interlacing_trial(rng, sizes, acc):
     if len(subsets) > sizes.submatrix_samples:
         pick = rng.choice(len(subsets), size=sizes.submatrix_samples, replace=False)
         subsets = [subsets[i] for i in sorted(pick)]
+    v_inter, v_inter2 = _removal_violations(c, subsets)
+    acc["l_inter"].record(v_inter)
+    acc["l_inter2"].record(v_inter2)
+
+
+def _removal_violations(c: DenseMatrix, subsets) -> tuple[float, float]:
+    """Signed worst violations, over the column ``subsets`` of C, of the scaled
+    volume never dropping (l_inter) and no condition number rising (l_inter2)
+    when columns are removed."""
     parent_rvol = relative_volume(c)
     parent_kappa = _kappa_profile(c)
-    v_inter = -math.inf
-    v_inter2 = -math.inf
+    v_inter = v_inter2 = -math.inf
     for sub_idx in subsets:
         sub = c.columns(sub_idx)
         v_inter = max(v_inter, parent_rvol - relative_volume(sub) - 1e-10)
         for kappa_sub, kappa_parent in zip(_kappa_profile(sub), parent_kappa):
             v_inter2 = max(v_inter2, kappa_sub - kappa_parent - 1e-10)
-    acc["l_inter"].record(v_inter)
-    acc["l_inter2"].record(v_inter2)
+    return v_inter, v_inter2
 
 
 def _kappa_profile(c: DenseMatrix, p: float = 4.0) -> tuple[float, ...]:
@@ -365,13 +372,4 @@ def check_removal_monotonicity(c: DenseMatrix, ell: int, seed: int = 0) -> bool:
         subsets = (
             tuple(np.sort(rng.choice(k, size=ell, replace=False))) for _ in range(1000)
         )
-    parent_rvol = relative_volume(c)
-    parent_kappa = _kappa_profile(c)
-    for sub_idx in subsets:
-        sub = c.columns(sub_idx)
-        if relative_volume(sub) < parent_rvol - 1e-10:
-            return False
-        for kappa_sub, kappa_parent in zip(_kappa_profile(sub), parent_kappa):
-            if kappa_sub > kappa_parent + 1e-10:
-                return False
-    return True
+    return max(_removal_violations(c, subsets)) <= 0.0

@@ -86,10 +86,15 @@ class SvdResult:
     rank_tolerance: float
 
 
-def default_rank_tolerance(rows: int, cols: int, sigma_max: float) -> float:
-    """max(m, n) * machine epsilon * sigma_1, floored at epsilon for the zero matrix."""
+def default_rank_tolerance(rows: int, cols: int, sigma_max):
+    """max(m, n) * machine epsilon * sigma_1.
+
+    ``sigma_max`` is one matrix's sigma_1, giving a float floored at epsilon for
+    the zero matrix, or an array of sigma_1 over a stack of m x n matrices,
+    giving one unfloored tolerance per matrix.
+    """
     tol = max(rows, cols) * EPS * sigma_max
-    return tol if tol > 0.0 else EPS
+    return tol if not isinstance(tol, float) or tol > 0.0 else EPS
 
 
 def svd(matrix: DenseMatrix, rank_tolerance: float | None = None) -> SvdResult:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .criteria import CriterionSpec, CriterionValue, batch_residuals, batch_values, evaluate
 from .errors import InfeasibleError, InvalidParameterError
-from .matrixkit import EPS, DenseMatrix
+from .matrixkit import DenseMatrix, default_rank_tolerance
 
 DECISION_SLACK = 1e-9
 SWAP_IMPROVEMENT = 1e-12
@@ -104,7 +104,7 @@ def _batch_stats(sub: np.ndarray):
     """Singular values and full-rank flags for a stack of submatrices."""
     m, k = sub.shape[1], sub.shape[2]
     sigma = np.linalg.svd(sub, compute_uv=False)
-    tol = max(m, k) * EPS * sigma[:, 0]
+    tol = default_rank_tolerance(m, k, sigma[:, 0])
     ranks = np.count_nonzero(sigma > tol[:, None], axis=1)
     return sigma, ranks == k
 

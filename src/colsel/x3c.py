@@ -27,7 +27,7 @@ from .errors import (
     PreconditionError,
 )
 from .matrixkit import DenseMatrix, svd
-from .selectors import ColumnSubset, exact_optima, meets_threshold
+from .selectors import DECISION_SLACK, ColumnSubset, exact_optima, meets_threshold
 from .selectors import decide  # noqa: F401  (bench/tracer.py patches colsel.x3c.decide)
 
 # computed once so every reduction and gadget entry is bit-identical
@@ -290,7 +290,7 @@ def gap_report(instance: X3CInstance, threads: int = 1) -> list[GapReport]:
 
     For a maximized criterion the gap holds when the exact optimum stays at or
     below the threshold; for a minimized one, at or above.  Comparisons carry
-    an absolute slack of 1e-9.
+    the absolute ``DECISION_SLACK`` of ``decide``.
     """
     if solve_exact(instance) is not None:
         raise PreconditionError("gap reports require an instance with no exact cover")
@@ -304,9 +304,9 @@ def gap_report(instance: X3CInstance, threads: int = 1) -> list[GapReport]:
     for (spec, threshold, alt), outcome in zip(rows, outcomes):
         value, idx = outcome
         if spec.direction == "maximize":
-            holds = value <= threshold + 1e-9
+            holds = value <= threshold + DECISION_SLACK
         else:
-            holds = value >= threshold - 1e-9
+            holds = value >= threshold - DECISION_SLACK
         reports.append(
             GapReport(
                 criterion=spec,

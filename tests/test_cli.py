@@ -50,6 +50,16 @@ class TestMatrixIO:
         with pytest.raises(ParseError):
             parse_matrix_text('{"rows": 2, "cols": 2, "data": [1, 2, 3]}', "json")
 
+    @pytest.mark.parametrize("text", [
+        '{"rows": 1, "cols": 1, "data": ["x"]}',
+        '{"rows": 1, "cols": 2, "data": [1, [2]]}',
+        '{"rows": -1, "cols": -1, "data": [1]}',
+        '{"rows": true, "cols": 1, "data": [2]}',
+    ])
+    def test_malformed_json_matrix_is_parse_error(self, text):
+        with pytest.raises(ParseError, match="line 1"):
+            parse_matrix_text(text, "json")
+
     def test_parse_matrix_from_file(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("2,0\n0,2\n")
@@ -244,3 +254,29 @@ class TestOutputFile:
         assert code == 0 and out == ""
         m = parse_matrix(str(target))
         assert (m.rows, m.cols) == (5, 2)
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("args", [
+        ["x3c", "solve", "--threads", "2"],
+        ["x3c", "reduce", "--threads", "2"],
+        ["x3c", "gen-true", "--m", "2", "--input", "a.txt"],
+        ["x3c", "gen-false", "--m", "2", "--n", "4", "--format", "json"],
+        ["x3c", "verify", "--format", "json"],
+        ["gadget", "--shared", "1", "--input", "a.csv"],
+        ["lemmas", "--input", "a.txt"],
+        ["select", "--k", "2", "--threads", "0"],
+        ["gap", "--threads", "two"],
+    ])
+    def test_flag_not_read_or_bad_thread_count_exits_2(self, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert "error" in capsys.readouterr().err
+
+    def test_malformed_json_matrix_exits_2(self, capsys, monkeypatch):
+        code, out, err = run_cli(capsys, monkeypatch,
+                                 ["eval", "--criterion", "vol", "--format", "json"],
+                                 '{"rows": 1, "cols": 1, "data": ["x"]}')
+        assert code == 2 and out == ""
+        assert err.startswith("error: line 1:")

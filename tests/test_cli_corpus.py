@@ -90,20 +90,32 @@ CASES += [
      SELECT_MATRIX),
     ("select-greedy-frobenius", ["select", "--method", "greedy-frobenius", "--k", "3"],
      SELECT_MATRIX),
+    ("select-local-swap-json", ["select", "--method", "local-swap", "--k", "3", "--seed", "5",
+                                "--format", "json"], SELECT_JSON),
     ("gen-true", ["x3c", "gen-true", "--m", "3", "--extra", "4", "--seed", "7"], None),
     ("gen-false", ["x3c", "gen-false", "--m", "4", "--n", "10", "--seed", "3"], None),
     ("reduce-true", ["x3c", "reduce"], "gen-true"),
     ("reduce-false", ["x3c", "reduce"], "gen-false"),
+    ("reduce-true-json", ["x3c", "reduce", "--format", "json"], "gen-true"),
+    ("reduce-false-json", ["x3c", "reduce", "--format", "json"], "gen-false"),
     ("solve-true", ["x3c", "solve"], "gen-true"),
+    ("solve-false", ["x3c", "solve"], "gen-false"),
     ("verify-true", ["x3c", "verify"], "gen-true"),
     ("verify-false", ["x3c", "verify", "--threads", "2"], "gen-false"),
     ("decide-yes", ["decide", "--criterion", "rvol", "--k", "3", "--b", "1"], "reduce-true"),
     ("decide-no", ["decide", "--criterion", "pinv-norm-two", "--k", "4", "--b", "1"],
      "reduce-false"),
+    ("decide-yes-json", ["decide", "--criterion", "rvol", "--k", "3", "--b", "1",
+                         "--format", "json"], "reduce-true-json"),
+    ("decide-no-json", ["decide", "--criterion", "pinv-norm-two", "--k", "4", "--b", "1",
+                        "--format", "json"], "reduce-false-json"),
     ("gap", ["gap"], "gen-false"),
     ("gap-json", ["gap", "--format", "json", "--threads", "2"], "gen-false"),
     ("gadget-1-rvol", ["gadget", "--shared", "1", "--eval", "rvol"], None),
     ("gadget-2-cond", ["gadget", "--shared", "2", "--eval", "cond-mixed", "--p", "3"], None),
+    ("gadget-1", ["gadget", "--shared", "1"], None),
+    ("gadget-2-json", ["gadget", "--shared", "2", "--format", "json"], None),
+    ("lemmas-json", ["lemmas", "--trials", "3", "--seed", "4", "--format", "json"], None),
     ("lemmas", ["lemmas", "--trials", "3", "--seed", "4"], None),
 ]
 
