@@ -1,6 +1,6 @@
 """Column subset selection criteria, selectors, and reduction-based checks."""
 
-from . import cli, lemmas, x3c
+from . import lemmas, x3c
 from .criteria import (
     CriterionSpec,
     CriterionValue,

@@ -45,15 +45,18 @@ def parse_matrix_text(text: str, fmt: str = "csv") -> DenseMatrix:
         if not isinstance(obj, dict) or not {"rows", "cols", "data"} <= set(obj):
             raise ParseError('JSON matrix needs keys "rows", "cols", "data"', line=1)
         rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-        if not (isinstance(rows, int) and isinstance(cols, int) and min(rows, cols) >= 0
+        # exact types: JSON true/false load as bool, a subclass of int
+        if not (type(rows) is int and type(cols) is int and min(rows, cols) >= 0
                 and isinstance(data, list)):
             raise ParseError("rows/cols must be non-negative integers and data a list", line=1)
         if len(data) != rows * cols:
             raise ParseError(f"data length {len(data)} != rows*cols = {rows * cols}", line=1)
+        if not all(type(v) in (int, float) for v in data):
+            raise ParseError("data must hold rows*cols JSON numbers", line=1)
         try:
             array = np.array(data, dtype=np.float64).reshape(rows, cols)
-        except (TypeError, ValueError):
-            raise ParseError("data must hold rows*cols numbers", line=1) from None
+        except OverflowError:
+            raise ParseError("data holds an integer beyond the float64 range", line=1) from None
         return DenseMatrix(array)
     if fmt != "csv":
         raise InvalidParameterError(f"unknown matrix format {fmt!r}")

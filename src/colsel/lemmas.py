@@ -121,81 +121,53 @@ def _unit_columns(arr: np.ndarray) -> DenseMatrix:
 
 
 def _unit_column_checks(c: DenseMatrix, acc: dict, sizes: SuiteSizes):
-    """All unit-column optimal-value lemmas on one matrix."""
+    """All unit-column optimal-value lemmas on one matrix.
+
+    Each lemma's claims are rows (value, optimum, is_max): the value never
+    passes the optimum that k orthonormal columns attain (never exceeds it
+    when ``is_max``, never falls below it otherwise), and it reaches the
+    optimum only when C is orthonormal.
+    """
     k = c.cols
-    defect = _orthonormality_defect(c)
     fro = schatten_norm(c, 2)
     vol = volume(c)
-    sopt = s_optimality(c)
     rvol = relative_volume(c)
-    two = schatten_norm(c, math.inf)
-    ptwo = pinv_schatten_norm(c, math.inf)
-    pfro = pinv_schatten_norm(c, 2)
-    sr = stable_rank(c, 2)
+    small = [(schatten_norm(c, p), k ** (1.0 / p)) for p in sizes.p_small]
+    claims = {
+        "l_vol": [(vol, 1.0, True), (s_optimality(c), 1.0, True)],
+        "lem:orth": [(rvol, 1.0, True)],
+        "l_norm": [(schatten_norm(c, math.inf), 1.0, False)],
+        "l_pinv": [(pinv_schatten_norm(c, math.inf), 1.0, False),
+                   (pinv_schatten_norm(c, 2), math.sqrt(k), False)],
+        "l_cond": [(condition_number(c, "two"), 1.0, False),
+                   (condition_number(c, "frobenius"), float(k), False),
+                   (condition_number(c, "mixed"), math.sqrt(k), False)],
+        "l_srank": [(stable_rank(c, 2), float(k), True)],
+        "r_schattenp": [(value, opt, True) for value, opt in small],
+    }
+    for p in sizes.p_large:
+        opt = k ** (1.0 / p)
+        claims["l_norm"].append((schatten_norm(c, p), opt, False))
+        claims["l_pinv"].append((pinv_schatten_norm(c, p), opt, False))
+        claims["l_cond"] += [(condition_number(c, "schatten", p), k ** (2.0 / p), False),
+                             (condition_number(c, "mixed_schatten", p), opt, False)]
+        claims["l_srank"].append((stable_rank(c, p), float(k), True))
+    # the claims that are not rows: rvol is non-negative, and for p < 2 the
+    # Schatten-p norm of unit columns is also bounded below by sqrt(k)
+    checks = {
+        "lem:orth": [-rvol],
+        "r_schattenp": [(math.sqrt(k) - value) - 1e-10 for value, _ in small],
+    }
 
+    defect = _orthonormality_defect(c)
     acc["e_srk"].record(abs(fro**2 - k) - 1e-12)
     acc["e_mean"].record(vol ** (2.0 / k) - fro**2 / k - 1e-12)
-    acc["l_vol"].record(
-        vol - 1.0 - 1e-10,
-        sopt - 1.0 - 1e-10,
-        _band(defect, vol, 1.0),
-        _band(defect, sopt, 1.0),
-    )
-    acc["lem:orth"].record(
-        -rvol,
-        rvol - 1.0 - 1e-10,
-        _band(defect, rvol, 1.0),
-    )
-
-    norm_checks = [(1.0 - two) - 1e-10, _band(defect, two, 1.0)]
-    pinv_checks = [
-        (1.0 - ptwo) - 1e-10,
-        (math.sqrt(k) - pfro) - 1e-10,
-        _band(defect, ptwo, 1.0),
-        _band(defect, pfro, math.sqrt(k)),
-    ]
-    cond_checks = []
-    for kind, p, optimum in (
-        ("two", None, 1.0),
-        ("frobenius", None, float(k)),
-        ("mixed", None, math.sqrt(k)),
-    ):
-        kappa = condition_number(c, kind, p)
-        cond_checks += [(optimum - kappa) - 1e-10, _band(defect, kappa, optimum)]
-    srank_checks = [sr - k - 1e-10, _band(defect, sr, float(k))]
-
-    for p in sizes.p_large:
-        np_norm = schatten_norm(c, p)
-        npinv = pinv_schatten_norm(c, p)
-        opt = k ** (1.0 / p)
-        norm_checks += [(opt - np_norm) - 1e-10, _band(defect, np_norm, opt)]
-        pinv_checks += [(opt - npinv) - 1e-10, _band(defect, npinv, opt)]
-        kp = condition_number(c, "schatten", p)
-        kdp = condition_number(c, "mixed_schatten", p)
-        cond_checks += [
-            (k ** (2.0 / p) - kp) - 1e-10,
-            _band(defect, kp, k ** (2.0 / p)),
-            (opt - kdp) - 1e-10,
-            _band(defect, kdp, opt),
-        ]
-        srp = stable_rank(c, p)
-        srank_checks += [srp - k - 1e-10, _band(defect, srp, float(k))]
-
-    small_checks = []
-    for p in sizes.p_small:
-        np_norm = schatten_norm(c, p)
-        opt = k ** (1.0 / p)
-        small_checks += [
-            (math.sqrt(k) - np_norm) - 1e-10,
-            (np_norm - opt) - 1e-10,
-            _band(defect, np_norm, opt),
-        ]
-
-    acc["l_norm"].record(*norm_checks)
-    acc["r_schattenp"].record(*small_checks)
-    acc["l_pinv"].record(*pinv_checks)
-    acc["l_cond"].record(*cond_checks)
-    acc["l_srank"].record(*srank_checks)
+    for lid, rows in claims.items():
+        found = checks.setdefault(lid, [])
+        for value, optimum, is_max in rows:
+            excess = value - optimum if is_max else optimum - value
+            found += [excess - 1e-10, _band(defect, value, optimum)]
+        acc[lid].record(*found)
 
 
 def _dims(rng, sizes: SuiteSizes) -> tuple[int, int]:
@@ -205,24 +177,23 @@ def _dims(rng, sizes: SuiteSizes) -> tuple[int, int]:
     return m, k
 
 
-def _unit_trial(rng, sizes, acc):
+# the unit-column families by perturbation size: normalized Gaussian columns
+# (None), orthonormal columns (0) and two normalized perturbations of them
+_UNIT_FAMILIES = (None, 0.0, 1e-6, 1e-3)
+
+
+def _unit_column_trial(rng, sizes, acc, eps: float | None):
     m, k = _dims(rng, sizes)
-    c = _unit_columns(_draw_full_rank(rng, m, k).array)
+    arr = _draw_full_rank(rng, m, k).array
+    if eps is None:
+        c = _unit_columns(arr)
+    elif eps == 0.0:
+        c = DenseMatrix(np.linalg.qr(arr)[0])
+    else:
+        q, _ = np.linalg.qr(arr)
+        g = rng.standard_normal((m, k))
+        c = _unit_columns(q + eps * (g / np.linalg.norm(g, 2)))
     _unit_column_checks(c, acc, sizes)
-
-
-def _orthonormal_trial(rng, sizes, acc):
-    m, k = _dims(rng, sizes)
-    q, _ = np.linalg.qr(_draw_full_rank(rng, m, k).array)
-    _unit_column_checks(DenseMatrix(q), acc, sizes)
-
-
-def _perturbed_trial(rng, sizes, acc, eps: float):
-    m, k = _dims(rng, sizes)
-    q, _ = np.linalg.qr(_draw_full_rank(rng, m, k).array)
-    g = rng.standard_normal((m, k))
-    g /= np.linalg.norm(g, 2)
-    _unit_column_checks(_unit_columns(q + eps * g), acc, sizes)
 
 
 def _partition_trial(rng, sizes, acc):
@@ -233,19 +204,14 @@ def _partition_trial(rng, sizes, acc):
     c1 = DenseMatrix(c.array[:, :split])
     c2 = DenseMatrix(c.array[:, split:])
 
-    whole_f = pinv_schatten_norm(c, 2)
-    acc["l_fi"].record(
-        pinv_schatten_norm(c1, 2) ** 2 + pinv_schatten_norm(c2, 2) ** 2 - whole_f**2 - 1e-9
-    )
-    # block-diagonal Schatten-q norms add in q-th powers, so the partition
-    # bound for p > 2 is in p-th powers (the squared form is the p=2 case)
-    pi1_checks = []
-    for p in (3.0, 4.0, 6.0):
-        whole_p = pinv_schatten_norm(c, p)
-        pi1_checks.append(
-            pinv_schatten_norm(c1, p) ** p + pinv_schatten_norm(c2, p) ** p - whole_p**p - 1e-9
-        )
-    acc["l_pi1"].record(*pi1_checks)
+    # block-diagonal Schatten-p norms add in p-th powers, so the parts'
+    # pseudo-inverse norms, in p-th powers, sum to at most C's (l_fi is p=2)
+    for lid, powers in (("l_fi", (2.0,)), ("l_pi1", (3.0, 4.0, 6.0))):
+        acc[lid].record(*(
+            pinv_schatten_norm(c1, p) ** p + pinv_schatten_norm(c2, p) ** p
+            - pinv_schatten_norm(c, p) ** p - 1e-9
+            for p in powers
+        ))
 
     # C+ entries grow as 1/sigma_min, so the reconstruction error is taken
     # relative to the largest of them, as e_sc below is
@@ -278,7 +244,8 @@ def _interlacing_trial(rng, sizes, acc):
     c = a.columns(cols)
 
     sig_a = svd(a).singular_values
-    sig_c = svd(c).singular_values
+    svd_c = svd(c)
+    sig_c = svd_c.singular_values
     worst = -math.inf
     for j in range(k):
         # deleting n-k columns pushes sigma_j(C) down to at most position
@@ -289,7 +256,7 @@ def _interlacing_trial(rng, sizes, acc):
         worst = max(worst, sig_c[j] - sig_a[j] - 1e-10)
     acc["e_inter"].record(worst)
 
-    if svd(c).numerical_rank < k:
+    if svd_c.numerical_rank < k:
         acc["l_inter"].record(-math.inf)
         acc["l_inter2"].record(-math.inf)
         return
@@ -340,10 +307,8 @@ def run_suite(seed: int = 0, trials: int = 200, sizes: SuiteSizes | None = None)
     acc = {lid: _Accumulator() for lid in LEMMA_IDS}
     rng = np.random.default_rng(seed)
     for _ in range(trials):
-        _unit_trial(rng, sizes, acc)
-        _orthonormal_trial(rng, sizes, acc)
-        _perturbed_trial(rng, sizes, acc, 1e-6)
-        _perturbed_trial(rng, sizes, acc, 1e-3)
+        for eps in _UNIT_FAMILIES:
+            _unit_column_trial(rng, sizes, acc, eps)
         _partition_trial(rng, sizes, acc)
         _interlacing_trial(rng, sizes, acc)
     return [

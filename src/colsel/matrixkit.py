@@ -87,38 +87,31 @@ class SvdResult:
 
 
 def default_rank_tolerance(rows: int, cols: int, sigma_max):
-    """max(m, n) * machine epsilon * sigma_1.
+    """max(m, n) * machine epsilon * sigma_1, the one rank tolerance.
 
-    ``sigma_max`` is one matrix's sigma_1, giving a float floored at epsilon for
-    the zero matrix, or an array of sigma_1 over a stack of m x n matrices,
-    giving one unfloored tolerance per matrix.
+    ``sigma_max`` is one matrix's sigma_1 (a float) or an array of sigma_1
+    over a stack of m x n matrices.  Singular values above the tolerance
+    count toward the rank, so the zero matrix has rank 0 at any scale.
     """
-    tol = max(rows, cols) * EPS * sigma_max
-    return tol if not isinstance(tol, float) or tol > 0.0 else EPS
+    return max(rows, cols) * EPS * sigma_max
 
 
-def svd(matrix: DenseMatrix, rank_tolerance: float | None = None) -> SvdResult:
+def svd(matrix: DenseMatrix) -> SvdResult:
     """Singular values of ``matrix`` with an SVD-based numerical rank."""
     sigma = np.linalg.svd(matrix.array, compute_uv=False)
-    if rank_tolerance is None:
-        rank_tolerance = default_rank_tolerance(matrix.rows, matrix.cols, float(sigma[0]))
-    rank = int(np.count_nonzero(sigma > rank_tolerance))
-    return SvdResult(_readonly(sigma), rank, float(rank_tolerance))
+    tol = default_rank_tolerance(matrix.rows, matrix.cols, float(sigma[0]))
+    return SvdResult(_readonly(sigma), int(np.count_nonzero(sigma > tol)), tol)
 
 
-def pseudo_inverse(matrix: DenseMatrix, tol: float | None = None) -> DenseMatrix:
+def pseudo_inverse(matrix: DenseMatrix) -> DenseMatrix:
     """Moore-Penrose pseudo-inverse via SVD.
 
-    Singular values at or below ``tol`` (default: the standard rank tolerance)
-    are treated as zero, so rank-deficient inputs are handled by truncation
-    rather than rejected.
+    Singular values at or below the rank tolerance are treated as zero, so
+    rank-deficient inputs are handled by truncation rather than rejected.
     """
     u, s, vt = np.linalg.svd(matrix.array, full_matrices=False)
-    if tol is None:
-        tol = default_rank_tolerance(matrix.rows, matrix.cols, float(s[0]))
-    elif tol <= 0:
-        raise InvalidInputError("tolerance must be positive")
-    inv = np.where(s > tol, np.divide(1.0, s, out=np.zeros_like(s), where=s > 0), 0.0)
+    tol = default_rank_tolerance(matrix.rows, matrix.cols, float(s[0]))
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > tol)
     return DenseMatrix(vt.T @ (inv[:, None] * u.T))
 
 
@@ -163,17 +156,12 @@ def partitioned_pinv(c1: DenseMatrix, c2: DenseMatrix) -> PartitionedPinv:
     The stack of the two returned pseudo-inverse blocks equals the
     pseudo-inverse of [C1 C2] whenever the concatenation has full column rank.
     """
-    if c1.rows != c2.rows:
-        raise ShapeError(f"row counts differ: {c1.rows} vs {c2.rows}")
-    m = c1.rows
-    n = c1.cols + c2.cols
+    combined = concat_columns(c1, c2)
+    m, n = combined.rows, combined.cols
     if m < n:
         # undefined for wide concatenations, which can never have full column rank
         raise ShapeError(f"need at least {n} rows for {n} total columns, got {m}")
-    combined = np.hstack([c1.array, c2.array])
-    s = np.linalg.svd(combined, compute_uv=False)
-    tol = default_rank_tolerance(m, n, float(s[0]))
-    if int(np.count_nonzero(s > tol)) < n:
+    if svd(combined).numerical_rank < n:
         raise RankDeficiencyError("concatenation [C1 C2] is numerically rank deficient")
 
     p1 = complement_projector(c1).array

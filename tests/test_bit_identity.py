@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from colsel.criteria import batch_values, evaluate, registry
+from colsel.criteria import batch_values, evaluate, parse_criterion, registry
 from colsel.matrixkit import DenseMatrix
 from colsel.selectors import select_exact, select_greedy_forward
 
@@ -42,3 +42,13 @@ def test_batch_values_equal_scalar_on_every_row(spec):
     assert valid.all()
     for row, value in zip(idx, vals):
         assert value == evaluate(spec, a.columns(row)).value
+
+
+@pytest.mark.parametrize("criterion", ["rvol", "cond-two"])
+def test_exact_value_equals_scalar_at_subnormal_scale(criterion):
+    # the scalar and batched rank tests share one unfloored tolerance, so a
+    # subset the enumerator scores as full rank also evaluates as full rank
+    spec = parse_criterion(criterion)
+    a = DenseMatrix(np.random.default_rng(0).standard_normal((4, 5)) * 1e-310)
+    result = select_exact(a, 2, spec)
+    assert result.value.value == evaluate(spec, a.columns(result.subset)).value

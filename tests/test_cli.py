@@ -1,6 +1,10 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +59,10 @@ class TestMatrixIO:
         '{"rows": 1, "cols": 2, "data": [1, [2]]}',
         '{"rows": -1, "cols": -1, "data": [1]}',
         '{"rows": true, "cols": 1, "data": [2]}',
+        '{"rows": 1, "cols": 2, "data": ["1.5", "2"]}',
+        '{"rows": 1, "cols": 2, "data": [true, 2]}',
+        pytest.param('{"rows": 1, "cols": 1, "data": [1' + '0' * 400 + ']}',
+                     id="integer-beyond-float64"),
     ])
     def test_malformed_json_matrix_is_parse_error(self, text):
         with pytest.raises(ParseError, match="line 1"):
@@ -280,3 +288,16 @@ class TestUsageErrors:
                                  '{"rows": 1, "cols": 1, "data": ["x"]}')
         assert code == 2 and out == ""
         assert err.startswith("error: line 1:")
+
+
+def test_module_run_prints_no_runtime_warning():
+    """``python -m colsel.cli`` must not find colsel.cli already imported by
+    the package, which runpy reports as a RuntimeWarning."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "colsel.cli", "lemmas", "--trials", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

@@ -98,6 +98,10 @@ class TestSvd:
         assert res.numerical_rank == 1
         assert res.rank_tolerance > 0
 
+    def test_rank_at_subnormal_scale_and_of_zero(self):
+        assert svd(DenseMatrix(np.eye(2) * 1e-310)).numerical_rank == 2
+        assert svd(DenseMatrix(np.zeros((2, 3)))).numerical_rank == 0
+
 
 class TestPseudoInverse:
     def test_identity(self):
