@@ -108,11 +108,19 @@ def pseudo_inverse(matrix: DenseMatrix) -> DenseMatrix:
 
     Singular values at or below the rank tolerance are treated as zero, so
     rank-deficient inputs are handled by truncation rather than rejected.
+    A pseudo-inverse beyond float64 range (e.g. of ``eye(2) * 1e-310``)
+    raises InvalidInputError.
     """
     u, s, vt = np.linalg.svd(matrix.array, full_matrices=False)
     tol = default_rank_tolerance(matrix.rows, matrix.cols, float(s[0]))
-    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > tol)
-    return DenseMatrix(vt.T @ (inv[:, None] * u.T))
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > tol)
+        pinv = vt.T @ (inv[:, None] * u.T)
+    if not np.all(np.isfinite(pinv)):
+        raise InvalidInputError(
+            f"pseudo-inverse overflows float64: smallest kept singular value {s[s > tol][-1]!r}"
+        )
+    return DenseMatrix(pinv)
 
 
 def complement_projector(c: DenseMatrix) -> DenseMatrix:

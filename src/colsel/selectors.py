@@ -6,6 +6,18 @@ is one small SVD inside a vectorized LAPACK call.  Enumeration may fan out
 over worker threads; chunks are reduced in enumeration order with a
 strictly-better rule, so the witness is independent of the thread count and
 ties resolve to the lexicographically smallest index sequence.
+
+The heuristic selectors (forward greedy for vol and res-frobenius, and the
+local swap) estimate every candidate with a rank-one update of the current
+selection, certify with the same batched SVD only the candidates whose
+estimate lies within ``SCREEN_MARGIN`` (plus, for res-frobenius, an absolute
+``RESIDUAL_SLACK * ||A||_F``) of the best one, and keep the certified best
+only when every certified value lies within that margin of its estimate,
+which leaves no excluded candidate's widened estimate able to reach it.
+When that guard fails, an estimate is not finite, or no certified candidate
+is valid, they score every candidate, so their choices and values equal
+those of scoring every candidate.  ``subsets_evaluated`` counts every
+candidate considered, not only the ones the SVD certified.
 """
 
 from __future__ import annotations
@@ -26,6 +38,10 @@ from .matrixkit import DenseMatrix, default_rank_tolerance
 
 DECISION_SLACK = 1e-9
 SWAP_IMPROVEMENT = 1e-12
+# How far a heuristic selector's rank-one estimate may sit from the SVD value:
+# relative, and for res-frobenius also absolute, in units of ||A||_F.
+SCREEN_MARGIN = 1e-6
+RESIDUAL_SLACK = 1e-6
 MAX_EXHAUSTIVE_COLUMNS = 30
 _CHUNK_SIZE = 2048
 
@@ -255,13 +271,84 @@ def select_greedy_frobenius(matrix: DenseMatrix, k: int) -> SelectionResult:
     )
 
 
+def _unit_scaled(a: np.ndarray):
+    """(a / s, s) with s the power of two just above max|a|, so the division is exact.
+
+    The estimates below square column norms; at unit scale that neither
+    underflows nor overflows, whatever the scale of ``a``.
+    """
+    top = float(np.max(np.abs(a)))
+    if top == 0.0:
+        return a, 1.0
+    scale = math.ldexp(1.0, math.frexp(top)[1])
+    return a / scale, scale
+
+
+def _screened_best(a: np.ndarray, col_norms: np.ndarray, idx: np.ndarray, spec: CriterionSpec,
+                   estimate: np.ndarray | None = None, slack: float = 0.0):
+    """(row, value) of the first best valid row of ``idx``, or None when no row is valid.
+
+    Without ``estimate`` every row is scored by the batched SVD.  With one,
+    each row's value is taken to lie in a band of ``SCREEN_MARGIN``
+    (relative) plus ``slack`` (absolute) around its estimate, and only the
+    rows whose band reaches the best band are certified by the SVD.  The
+    certified answer stands when every certified value lies in its band.
+    That guard implies the rest: an excluded row's band lies wholly beyond
+    some certified row's band, so its widened estimate cannot reach the
+    certified best, and the best is finite.  When rank(A) < k leaves every
+    volume at 0 behind noisy positive estimates, the zeros miss their bands;
+    residuals at noise level all share one band and are all scored.  When
+    the guard fails, no certified row is valid, or an estimate is not
+    finite, every row is scored, so the row and value always equal those of
+    scoring every row.
+    """
+    maximize = spec.direction == "maximize"
+    if estimate is not None and np.all(np.isfinite(estimate)):
+        low = estimate * (1.0 - SCREEN_MARGIN) - slack
+        high = estimate * (1.0 + SCREEN_MARGIN) + slack
+        keep = high >= low.max() if maximize else low <= high.min()
+        if not keep.all():
+            rows = np.flatnonzero(keep)
+            ((vals, valid),) = _batch_scores(a, col_norms, idx[rows], [spec])
+            best = _best_row(vals, valid, maximize)
+            if best is not None and np.all((low[rows] <= vals) & (vals <= high[rows])):
+                return int(rows[best]), float(vals[best])
+    ((vals, valid),) = _batch_scores(a, col_norms, idx, [spec])
+    best = _best_row(vals, valid, maximize)
+    return None if best is None else (best, float(vals[best]))
+
+
+def _swap_estimates(unit: np.ndarray, current, outside: np.ndarray, current_vol: float):
+    """Volume after swapping position i of ``current`` for column j, per (i, j), row-major.
+
+    With C = unit[:, current] = QR and B = C^+ A_out, the squared volume
+    ratio of the swap is B_ij^2 + [(C^T C)^-1]_ii * ||P_perp a_j||^2
+    (rectangular maxvol); the ratio is scale-free, so computing it at unit
+    scale and multiplying by ``current_vol`` gives the volume itself.
+    """
+    q, r = np.linalg.qr(unit[:, list(current)])
+    rinv = np.linalg.inv(r)
+    cols = unit[:, outside]
+    coef = q.T @ cols
+    rest = cols - q @ coef
+    ratio = (rinv @ coef) ** 2 + np.sum(rinv**2, axis=1)[:, None] * np.sum(rest**2, axis=0)
+    return current_vol * np.sqrt(ratio).ravel()
+
+
 def select_local_swap_volume(matrix: DenseMatrix, k: int, seed: int = 0,
                              max_sweeps: int = 100) -> SelectionResult:
     """Volume ascent by single-column swaps from a seeded random full-rank start.
 
-    Each sweep scans every (selected, unselected) exchange and applies the one
-    with the largest volume; iteration stops when no swap improves by a
-    relative factor above 1 + 1e-12 or after ``max_sweeps`` accepted swaps.
+    Each sweep considers every (selected, unselected) exchange and applies
+    the one with the largest volume, ties going to the earliest selected
+    position and then the smallest column; iteration stops when no swap
+    improves by a relative factor above 1 + 1e-12 or after ``max_sweeps``
+    accepted swaps.  A sweep estimates every swap's volume from one QR of
+    the current selection (``_swap_estimates``) and runs the batched SVD
+    only on the swaps that could be the best (``_screened_best``); the
+    chosen swap and its volume equal those of an SVD of every swap.
+    ``subsets_evaluated`` counts the start attempts plus every swap
+    considered, k(n - k) per sweep, whether or not its SVD ran.
     """
     n = matrix.cols
     if not 1 <= k <= n:
@@ -270,6 +357,7 @@ def select_local_swap_volume(matrix: DenseMatrix, k: int, seed: int = 0,
     rng = np.random.default_rng(seed)
     a = matrix.array
     col_norms = matrix.column_norms()
+    unit = _unit_scaled(a)[0]
     vol_spec = CriterionSpec("volume")
     evaluated = 0
 
@@ -288,20 +376,20 @@ def select_local_swap_volume(matrix: DenseMatrix, k: int, seed: int = 0,
         )
 
     for _ in range(max_sweeps):
-        outside = [j for j in range(n) if j not in current]
-        if not outside:
+        outside = np.setdiff1d(np.arange(n), current)
+        if not len(outside):
             break
-        swaps = []
-        for pos in range(k):
-            for j in outside:
-                swaps.append(tuple(sorted(current[:pos] + current[pos + 1:] + (j,))))
-        idx = np.array(swaps, dtype=np.intp)
-        ((vols, _),) = _batch_scores(a, col_norms, idx, [vol_spec])
-        evaluated += len(swaps)
-        best_row = int(np.argmax(vols))
-        if vols[best_row] > current_vol * (1.0 + SWAP_IMPROVEMENT):
-            current = swaps[best_row]
-            current_vol = float(vols[best_row])
+        kept = np.array([current[:pos] + current[pos + 1:] for pos in range(k)],
+                        dtype=np.intp).reshape(k, k - 1)
+        idx = np.sort(np.column_stack([np.repeat(kept, len(outside), axis=0),
+                                       np.tile(outside, k)]), axis=1)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            estimate = _swap_estimates(unit, current, outside, current_vol)
+        row, vol = _screened_best(a, col_norms, idx, vol_spec, estimate)
+        evaluated += len(idx)
+        if vol > current_vol * (1.0 + SWAP_IMPROVEMENT):
+            current = tuple(int(i) for i in idx[row])
+            current_vol = vol
         else:
             break
 
@@ -314,11 +402,44 @@ def select_local_swap_volume(matrix: DenseMatrix, k: int, seed: int = 0,
     )
 
 
+def _extension_estimates(criterion: CriterionSpec, unit: np.ndarray, scale: float,
+                         chosen, remaining: np.ndarray, value: float):
+    """(estimate, slack) of each extension chosen + (j,), or (None, 0.0) for a
+    criterion without a rank-one estimate.
+
+    With R = P_perp_S A and r_j its column j: vol(S + j) = vol(S) * ||r_j||,
+    and res-frobenius(S + j)^2 = ||R||_F^2 - ||r_j^T R||^2 / ||r_j||^2
+    (a zero r_j gains nothing).  That difference cancels, so res-frobenius
+    also gets an absolute slack of ``RESIDUAL_SLACK * ||A||_F``.
+    """
+    if criterion.kind not in ("volume", "residual_frobenius"):
+        return None, 0.0
+    rest = unit
+    if chosen:
+        q = np.linalg.qr(unit[:, list(chosen)])[0]
+        rest = unit - q @ (q.T @ unit)
+    if criterion.kind == "volume":
+        return value * (scale * np.linalg.norm(rest[:, remaining], axis=0)), 0.0
+    gram = rest.T @ rest[:, remaining]
+    norms2 = gram[remaining, np.arange(len(remaining))]
+    gain = np.divide(np.sum(gram**2, axis=0), norms2, out=np.zeros_like(norms2),
+                     where=norms2 > 0.0)
+    estimate = scale * np.sqrt(np.maximum(np.sum(rest**2) - gain, 0.0))
+    return estimate, RESIDUAL_SLACK * scale * math.sqrt(np.sum(unit**2))
+
+
 def select_greedy_forward(matrix: DenseMatrix, k: int, criterion: CriterionSpec) -> SelectionResult:
     """Grow the subset one column at a time, taking the best extension each step.
 
     Ties break toward the smallest column index.  Heuristic: no optimality
     guarantee.  Residual criteria are evaluated against the full matrix.
+    For vol and res-frobenius each step estimates every extension from the
+    part of A outside the chosen columns (``_extension_estimates``, a
+    column-pivoted-QR-style sweep) and runs the batched SVD only on the
+    extensions that could be the best (``_screened_best``); the choice and
+    its value equal those of an SVD of every extension.  The other criteria
+    score every extension.  ``subsets_evaluated`` counts every extension
+    considered, whether or not its SVD ran.
     """
     n = matrix.cols
     if not 1 <= k <= n:
@@ -326,27 +447,29 @@ def select_greedy_forward(matrix: DenseMatrix, k: int, criterion: CriterionSpec)
     start = time.perf_counter()
     a = matrix.array
     col_norms = matrix.column_norms()
-    maximize = criterion.direction == "maximize"
+    unit, scale = _unit_scaled(a)
     evaluated = 0
 
     chosen: tuple[int, ...] = ()
+    value = 1.0  # the volume of no columns
     for _ in range(k):
-        remaining = [j for j in range(n) if j not in chosen]
-        cands = [tuple(sorted(chosen + (j,))) for j in remaining]
-        idx = np.array(cands, dtype=np.intp)
-        ((vals, valid),) = _batch_scores(a, col_norms, idx, [criterion])
-        evaluated += len(cands)
-        row = _best_row(vals, valid, maximize)
-        if row is None:
+        remaining = np.setdiff1d(np.arange(n), chosen)
+        idx = np.sort(np.column_stack([np.tile(np.array(chosen, dtype=np.intp), (len(remaining), 1)),
+                                       remaining]), axis=1)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            estimate, slack = _extension_estimates(criterion, unit, scale, chosen, remaining, value)
+        best = _screened_best(a, col_norms, idx, criterion, estimate, slack)
+        evaluated += len(idx)
+        if best is None:
             raise InfeasibleError(
                 f"every extension is rank-deficient for criterion {criterion.identifier!r}"
             )
-        chosen = cands[row]
-        last_value = float(vals[row])
+        row, value = best
+        chosen = tuple(int(i) for i in idx[row])
 
     return SelectionResult(
         subset=ColumnSubset(chosen),
-        value=CriterionValue(last_value, criterion, k),
+        value=CriterionValue(value, criterion, k),
         method="greedy_forward",
         subsets_evaluated=evaluated,
         elapsed=time.perf_counter() - start,

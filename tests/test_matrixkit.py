@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +107,13 @@ class TestSvd:
 class TestPseudoInverse:
     def test_identity(self):
         np.testing.assert_array_equal(pseudo_inverse(DenseMatrix(np.eye(3))).array, np.eye(3))
+
+    @pytest.mark.parametrize("base", [np.eye(2), np.array([[1.0, 1.0], [1.0, -1.0], [0.0, 0.0]])])
+    def test_overflowing_pseudo_inverse_raises_without_warnings(self, base):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="overflows float64"):
+                pseudo_inverse(DenseMatrix(base * 1e-310))
 
     def test_diagonal(self):
         out = pseudo_inverse(DenseMatrix(np.diag([2.0, 1.0])))
