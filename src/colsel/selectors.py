@@ -9,15 +9,10 @@ ties resolve to the lexicographically smallest index sequence.
 
 The heuristic selectors (forward greedy for vol and res-frobenius, and the
 local swap) estimate every candidate with a rank-one update of the current
-selection, certify with the same batched SVD only the candidates whose
-estimate lies within ``SCREEN_MARGIN`` (plus, for res-frobenius, an absolute
-``RESIDUAL_SLACK * ||A||_F``) of the best one, and keep the certified best
-only when every certified value lies within that margin of its estimate,
-which leaves no excluded candidate's widened estimate able to reach it.
-When that guard fails, an estimate is not finite, or no certified candidate
-is valid, they score every candidate, so their choices and values equal
-those of scoring every candidate.  ``subsets_evaluated`` counts every
-candidate considered, not only the ones the SVD certified.
+selection and run the same batched SVD only on the candidates that could be
+the best; ``_screened_best`` states when that equals scoring every
+candidate and when it falls back to doing so.  ``subsets_evaluated`` counts
+every candidate considered, not only the ones the SVD certified.
 """
 
 from __future__ import annotations
@@ -39,9 +34,12 @@ from .matrixkit import DenseMatrix, default_rank_tolerance
 DECISION_SLACK = 1e-9
 SWAP_IMPROVEMENT = 1e-12
 # How far a heuristic selector's rank-one estimate may sit from the SVD value:
-# relative, and for res-frobenius also absolute, in units of ||A||_F.
+# relative, and for res-frobenius also absolute, in units of ||A||_F; on top,
+# ROUNDING * k * kappa^2 relative for a k-column candidate whose condition
+# number is at most kappa (see _screened_best).
 SCREEN_MARGIN = 1e-6
 RESIDUAL_SLACK = 1e-6
+ROUNDING = 1e-14
 MAX_EXHAUSTIVE_COLUMNS = 30
 _CHUNK_SIZE = 2048
 
@@ -272,7 +270,7 @@ def select_greedy_frobenius(matrix: DenseMatrix, k: int) -> SelectionResult:
 
 
 def _unit_scaled(a: np.ndarray):
-    """(a / s, s) with s the power of two just above max|a|, so the division is exact.
+    """(a / s, s) with s the power of two at or below max|a|, so |a / s| < 2.
 
     The estimates below square column norms; at unit scale that neither
     underflows nor overflows, whatever the scale of ``a``.
@@ -280,32 +278,55 @@ def _unit_scaled(a: np.ndarray):
     top = float(np.max(np.abs(a)))
     if top == 0.0:
         return a, 1.0
-    scale = math.ldexp(1.0, math.frexp(top)[1])
+    scale = math.ldexp(0.5, math.frexp(top)[1])
     return a / scale, scale
 
 
+def _condition_bounds(r: np.ndarray, norms: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Per column j, a bound on the two-norm condition number of C = QR with
+    a_j appended or swapped in, where ``norms`` holds ||a_j|| and ``rho``
+    holds ||P_perp a_j||.
+
+    Both matrices are [Q, u] M with ||M|| <= ||R|| + ||a_j|| and
+    sigma_min(M) >= min(sigma_min(R), rho_j) / (2 + ||R^-1|| ||a_j||).
+    A zero rho_j or a singular R gives inf or NaN.
+    """
+    top = inv = 0.0
+    if r.size:
+        sigma = np.linalg.svd(r, compute_uv=False)
+        top, inv = float(sigma[0]), float(1.0 / sigma[-1])
+    return (top + norms) * (2.0 + inv * norms) * np.maximum(inv, 1.0 / rho)
+
+
+def _rounding(k: int, kappa: np.ndarray) -> np.ndarray:
+    """Relative rounding error allowed between an estimate and the SVD value
+    of a k-column candidate whose condition number is at most ``kappa``."""
+    return ROUNDING * k * kappa**2
+
+
 def _screened_best(a: np.ndarray, col_norms: np.ndarray, idx: np.ndarray, spec: CriterionSpec,
-                   estimate: np.ndarray | None = None, slack: float = 0.0):
+                   band=None):
     """(row, value) of the first best valid row of ``idx``, or None when no row is valid.
 
-    Without ``estimate`` every row is scored by the batched SVD.  With one,
-    each row's value is taken to lie in a band of ``SCREEN_MARGIN``
-    (relative) plus ``slack`` (absolute) around its estimate, and only the
-    rows whose band reaches the best band are certified by the SVD.  The
-    certified answer stands when every certified value lies in its band.
-    That guard implies the rest: an excluded row's band lies wholly beyond
-    some certified row's band, so its widened estimate cannot reach the
-    certified best, and the best is finite.  When rank(A) < k leaves every
-    volume at 0 behind noisy positive estimates, the zeros miss their bands;
-    residuals at noise level all share one band and are all scored.  When
-    the guard fails, no certified row is valid, or an estimate is not
-    finite, every row is scored, so the row and value always equal those of
-    scoring every row.
+    Without ``band`` every row is scored by the batched SVD.  A band is a
+    pair (estimate, width): each row's SVD value is taken to lie within
+    ``width`` of its ``estimate``, and only the rows whose band reaches the
+    best band are certified by the SVD.  A width is ``SCREEN_MARGIN`` of the
+    estimate plus a first-order rounding bound in the row's condition number
+    (``_rounding``), so a near-dependent row gets a wide band and is
+    certified rather than excluded; a NaN width counts as infinite.  Every
+    row is scored instead when an estimate is not finite, no certified row
+    is valid, or a certified value lies outside its band; that last check
+    also catches estimates that are wrong as a whole, e.g. positive noise
+    over volumes that are all 0.  The row and value equal those of scoring
+    every row whenever each excluded row's value lies in its band, which the
+    rounding bound is there to ensure; the excluded values themselves are
+    never computed.
     """
     maximize = spec.direction == "maximize"
-    if estimate is not None and np.all(np.isfinite(estimate)):
-        low = estimate * (1.0 - SCREEN_MARGIN) - slack
-        high = estimate * (1.0 + SCREEN_MARGIN) + slack
+    if band is not None and np.all(np.isfinite(band[0])):
+        width = np.where(np.isnan(band[1]), np.inf, band[1])
+        low, high = band[0] - width, band[0] + width
         keep = high >= low.max() if maximize else low <= high.min()
         if not keep.all():
             rows = np.flatnonzero(keep)
@@ -318,21 +339,28 @@ def _screened_best(a: np.ndarray, col_norms: np.ndarray, idx: np.ndarray, spec: 
     return None if best is None else (best, float(vals[best]))
 
 
-def _swap_estimates(unit: np.ndarray, current, outside: np.ndarray, current_vol: float):
-    """Volume after swapping position i of ``current`` for column j, per (i, j), row-major.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _swap_estimates(a: np.ndarray, current, outside: np.ndarray, current_vol: float):
+    """Band (estimate, width) of the volume after swapping position i of
+    ``current`` for column j, per (i, j), row-major.
 
-    With C = unit[:, current] = QR and B = C^+ A_out, the squared volume
+    With C = a[:, current] = QR and B = C^+ A_out, the squared volume
     ratio of the swap is B_ij^2 + [(C^T C)^-1]_ii * ||P_perp a_j||^2
-    (rectangular maxvol); the ratio is scale-free, so computing it at unit
-    scale and multiplying by ``current_vol`` gives the volume itself.
+    (rectangular maxvol); the ratio is scale-free, so it is computed on
+    ``a`` at unit scale and multiplied by ``current_vol``.
     """
+    unit = _unit_scaled(a)[0]
     q, r = np.linalg.qr(unit[:, list(current)])
     rinv = np.linalg.inv(r)
     cols = unit[:, outside]
     coef = q.T @ cols
     rest = cols - q @ coef
-    ratio = (rinv @ coef) ** 2 + np.sum(rinv**2, axis=1)[:, None] * np.sum(rest**2, axis=0)
-    return current_vol * np.sqrt(ratio).ravel()
+    rho = np.linalg.norm(rest, axis=0)
+    ratio = (rinv @ coef) ** 2 + np.sum(rinv**2, axis=1)[:, None] * rho**2
+    estimate = current_vol * np.sqrt(ratio)
+    kappa = _condition_bounds(r, np.linalg.norm(cols, axis=0), rho)
+    width = estimate * (SCREEN_MARGIN + _rounding(len(current), kappa))
+    return estimate.ravel(), width.ravel()
 
 
 def select_local_swap_volume(matrix: DenseMatrix, k: int, seed: int = 0,
@@ -344,11 +372,11 @@ def select_local_swap_volume(matrix: DenseMatrix, k: int, seed: int = 0,
     position and then the smallest column; iteration stops when no swap
     improves by a relative factor above 1 + 1e-12 or after ``max_sweeps``
     accepted swaps.  A sweep estimates every swap's volume from one QR of
-    the current selection (``_swap_estimates``) and runs the batched SVD
-    only on the swaps that could be the best (``_screened_best``); the
-    chosen swap and its volume equal those of an SVD of every swap.
-    ``subsets_evaluated`` counts the start attempts plus every swap
-    considered, k(n - k) per sweep, whether or not its SVD ran.
+    the current selection (``_swap_estimates``) and certifies the near-best
+    by the batched SVD (``_screened_best``, which states when the result
+    equals an SVD of every swap).  ``subsets_evaluated`` counts the start
+    attempts plus every swap considered, k(n - k) per sweep, whether or not
+    its SVD ran.
     """
     n = matrix.cols
     if not 1 <= k <= n:
@@ -357,7 +385,6 @@ def select_local_swap_volume(matrix: DenseMatrix, k: int, seed: int = 0,
     rng = np.random.default_rng(seed)
     a = matrix.array
     col_norms = matrix.column_norms()
-    unit = _unit_scaled(a)[0]
     vol_spec = CriterionSpec("volume")
     evaluated = 0
 
@@ -383,9 +410,8 @@ def select_local_swap_volume(matrix: DenseMatrix, k: int, seed: int = 0,
                         dtype=np.intp).reshape(k, k - 1)
         idx = np.sort(np.column_stack([np.repeat(kept, len(outside), axis=0),
                                        np.tile(outside, k)]), axis=1)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            estimate = _swap_estimates(unit, current, outside, current_vol)
-        row, vol = _screened_best(a, col_norms, idx, vol_spec, estimate)
+        band = _swap_estimates(a, current, outside, current_vol)
+        row, vol = _screened_best(a, col_norms, idx, vol_spec, band)
         evaluated += len(idx)
         if vol > current_vol * (1.0 + SWAP_IMPROVEMENT):
             current = tuple(int(i) for i in idx[row])
@@ -402,30 +428,43 @@ def select_local_swap_volume(matrix: DenseMatrix, k: int, seed: int = 0,
     )
 
 
-def _extension_estimates(criterion: CriterionSpec, unit: np.ndarray, scale: float,
-                         chosen, remaining: np.ndarray, value: float):
-    """(estimate, slack) of each extension chosen + (j,), or (None, 0.0) for a
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _extension_estimates(criterion: CriterionSpec, a: np.ndarray, chosen,
+                         remaining: np.ndarray, value: float):
+    """Band (estimate, width) of each extension chosen + (j,), or None for a
     criterion without a rank-one estimate.
 
     With R = P_perp_S A and r_j its column j: vol(S + j) = vol(S) * ||r_j||,
     and res-frobenius(S + j)^2 = ||R||_F^2 - ||r_j^T R||^2 / ||r_j||^2
-    (a zero r_j gains nothing).  That difference cancels, so res-frobenius
-    also gets an absolute slack of ``RESIDUAL_SLACK * ||A||_F``.
+    (a zero r_j gains nothing).  That difference cancels, so a res-frobenius
+    width also holds ``RESIDUAL_SLACK * ||A||_F`` and the rounding of the
+    squared value carried through the square root.
     """
     if criterion.kind not in ("volume", "residual_frobenius"):
-        return None, 0.0
-    rest = unit
+        return None
+    unit, scale = _unit_scaled(a)
+    rest, r = unit, np.zeros((0, 0))
     if chosen:
-        q = np.linalg.qr(unit[:, list(chosen)])[0]
+        q, r = np.linalg.qr(unit[:, list(chosen)])
         rest = unit - q @ (q.T @ unit)
+    rho = np.linalg.norm(rest[:, remaining], axis=0)
+    rounding = _rounding(len(chosen) + 1, _condition_bounds(
+        r, np.linalg.norm(unit[:, remaining], axis=0), rho))
     if criterion.kind == "volume":
-        return value * (scale * np.linalg.norm(rest[:, remaining], axis=0)), 0.0
-    gram = rest.T @ rest[:, remaining]
-    norms2 = gram[remaining, np.arange(len(remaining))]
-    gain = np.divide(np.sum(gram**2, axis=0), norms2, out=np.zeros_like(norms2),
-                     where=norms2 > 0.0)
-    estimate = scale * np.sqrt(np.maximum(np.sum(rest**2) - gain, 0.0))
-    return estimate, RESIDUAL_SLACK * scale * math.sqrt(np.sum(unit**2))
+        estimate = value * (scale * rho)
+        width = estimate * (SCREEN_MARGIN + rounding)
+    else:
+        gram = rest.T @ rest[:, remaining]
+        gain = np.divide(np.sum(gram**2, axis=0), rho**2, out=np.zeros_like(rho),
+                         where=rho > 0.0)
+        norm2 = np.sum(unit**2)
+        estimate = np.sqrt(np.maximum(np.sum(rest**2) - gain, 0.0))
+        squared = rounding * norm2
+        width = (SCREEN_MARGIN * estimate
+                 + math.sqrt(norm2) * (RESIDUAL_SLACK + rounding)
+                 + np.minimum(np.sqrt(squared), squared / estimate))
+        estimate, width = scale * estimate, scale * width
+    return estimate, width
 
 
 def select_greedy_forward(matrix: DenseMatrix, k: int, criterion: CriterionSpec) -> SelectionResult:
@@ -435,11 +474,11 @@ def select_greedy_forward(matrix: DenseMatrix, k: int, criterion: CriterionSpec)
     guarantee.  Residual criteria are evaluated against the full matrix.
     For vol and res-frobenius each step estimates every extension from the
     part of A outside the chosen columns (``_extension_estimates``, a
-    column-pivoted-QR-style sweep) and runs the batched SVD only on the
-    extensions that could be the best (``_screened_best``); the choice and
-    its value equal those of an SVD of every extension.  The other criteria
-    score every extension.  ``subsets_evaluated`` counts every extension
-    considered, whether or not its SVD ran.
+    column-pivoted-QR-style sweep) and certifies the near-best by the
+    batched SVD (``_screened_best``, which states when the result equals an
+    SVD of every extension).  The other criteria score every extension.
+    ``subsets_evaluated`` counts every extension considered, whether or not
+    its SVD ran.
     """
     n = matrix.cols
     if not 1 <= k <= n:
@@ -447,7 +486,6 @@ def select_greedy_forward(matrix: DenseMatrix, k: int, criterion: CriterionSpec)
     start = time.perf_counter()
     a = matrix.array
     col_norms = matrix.column_norms()
-    unit, scale = _unit_scaled(a)
     evaluated = 0
 
     chosen: tuple[int, ...] = ()
@@ -456,9 +494,8 @@ def select_greedy_forward(matrix: DenseMatrix, k: int, criterion: CriterionSpec)
         remaining = np.setdiff1d(np.arange(n), chosen)
         idx = np.sort(np.column_stack([np.tile(np.array(chosen, dtype=np.intp), (len(remaining), 1)),
                                        remaining]), axis=1)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            estimate, slack = _extension_estimates(criterion, unit, scale, chosen, remaining, value)
-        best = _screened_best(a, col_norms, idx, criterion, estimate, slack)
+        band = _extension_estimates(criterion, a, chosen, remaining, value)
+        best = _screened_best(a, col_norms, idx, criterion, band)
         evaluated += len(idx)
         if best is None:
             raise InfeasibleError(

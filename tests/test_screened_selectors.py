@@ -6,7 +6,8 @@ the near-best.  The oracles below are the loops that score every candidate
 through ``_batch_scores``; the selectors must return the same subset, the same
 value under ``==`` and the same ``subsets_evaluated`` (or raise the same
 error), also on inputs where the estimates are poor: rank(A) < k, duplicated
-and nearly duplicated columns, and extreme scales.
+and nearly duplicated columns, extreme scales, and a near-dependent column
+whose value nearly ties the best.
 """
 
 import numpy as np
@@ -105,14 +106,46 @@ def _near_duplicate(seed):
     return a
 
 
+def _near_tie_vol(seed, big):
+    # column 0, scaled by ``big``, is greedy vol's first choice; column 59 is
+    # 0.999 times it plus the best other column's part outside it, so the two
+    # second steps nearly tie while column 59 is near-dependent on column 0
+    a = np.random.default_rng(seed).standard_normal((30, 60))
+    a[:, 0] *= big
+    u = a[:, 0] / np.linalg.norm(a[:, 0])
+    rest = a - np.outer(u, u @ a)
+    best = 1 + int(np.argmax(np.linalg.norm(rest[:, 1:], axis=0)))
+    a[:, 59] = 0.999 * a[:, 0] + rest[:, best]
+    return a
+
+
+def _near_tie_residual(seed):
+    # column 59 is greedy res-frobenius's first choice plus 1e-12 times the
+    # part of its third choice outside the first two, so at the third step it
+    # nearly ties that choice while being near-dependent on the first
+    a = np.random.default_rng(seed).standard_normal((30, 60))
+    crit = parse_criterion("res-frobenius")
+    first, third = oracle_greedy(DenseMatrix(a), 2, crit)[0], oracle_greedy(DenseMatrix(a), 3, crit)[0]
+    (pick,) = set(third) - set(first)
+    q = np.linalg.qr(a[:, list(first)])[0]
+    a[:, 59] = a[:, first[0]] + 1e-12 * (a[:, pick] - q @ (q.T @ a[:, pick]))
+    return a
+
+
+# name -> (matrix, k)
 CASES = {
-    **{f"gaussian-{s}": (lambda s=s: _gaussian(s)) for s in (0, 1, 2, 3)},
-    "rank-8": lambda: _low_rank(4),
-    "duplicated": lambda: _duplicated(5),
-    "near-duplicate": lambda: _near_duplicate(6),
-    **{f"scale-{c:g}": (lambda c=c: _gaussian(7) * c) for c in (1e-150, 1e-100, 1e100, 1e150)},
+    **{f"gaussian-{s}": (lambda s=s: _gaussian(s), 12) for s in (0, 1, 2, 3)},
+    "rank-8": (lambda: _low_rank(4), 12),
+    "duplicated": (lambda: _duplicated(5), 12),
+    "near-duplicate": (lambda: _near_duplicate(6), 12),
+    **{f"scale-{c:g}": (lambda c=c: _gaussian(7) * c, 12) for c in (1e-150, 1e-100, 1e100, 1e150)},
     # small enough that vol stays finite at 1e+-100, so values are compared there too
-    **{f"small-scale-{c:g}": (lambda c=c: _gaussian(8, 12, 40) * c) for c in (1e-100, 1e100)},
+    **{f"small-scale-{c:g}": (lambda c=c: _gaussian(8, 12, 40) * c, 3) for c in (1e-100, 1e100)},
+    # max|A| at or above 2**1023
+    "entry-1e308": (lambda: np.array([[1e308, 1.0]]), 1),
+    "near-tie-vol-1e11": (lambda: _near_tie_vol(4, 1e11), 6),
+    "near-tie-vol-1e12": (lambda: _near_tie_vol(0, 1e12), 6),
+    "near-tie-res-frobenius": (lambda: _near_tie_residual(9), 6),
 }
 
 RUNS = {
@@ -142,15 +175,16 @@ def _selector_outcome(run):
 @pytest.mark.parametrize("run", sorted(RUNS))
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_screened_selector_equals_scoring_every_candidate(case, run):
-    a = CASES[case]()
-    matrix = DenseMatrix(a)
-    k = 12 if a.shape == (60, 200) else 3
+    make, k = CASES[case]
+    matrix = DenseMatrix(make())
     selector, oracle = RUNS[run]
     expected = _outcome(lambda: oracle(matrix, k))
     assert _selector_outcome(lambda: selector(matrix, k)) == expected
 
 
-def test_local_swap_certifies_few_swaps_per_sweep(monkeypatch):
+@pytest.fixture
+def svd_rows(monkeypatch):
+    """The number of rows of each call to ``selectors._batch_scores``."""
     rows = []
     real = selectors._batch_scores
 
@@ -159,44 +193,40 @@ def test_local_swap_certifies_few_swaps_per_sweep(monkeypatch):
         return real(a, col_norms, idx, specs)
 
     monkeypatch.setattr(selectors, "_batch_scores", counting)
+    return rows
+
+
+def test_local_swap_certifies_few_swaps_per_sweep(svd_rows):
     k, n = 12, 200
     result = select_local_swap_volume(DenseMatrix(_gaussian(11)), k, seed=1)
     per_sweep = k * (n - k)
     sweeps = (result.subsets_evaluated - 1) // per_sweep
-    assert sweeps >= 2 and len(rows) >= sweeps
-    assert sum(rows) <= sweeps * per_sweep // 50
-    assert per_sweep not in rows
+    assert sweeps >= 2 and len(svd_rows) >= sweeps
+    assert sum(svd_rows) <= sweeps * per_sweep // 50
+    assert per_sweep not in svd_rows
 
 
-def test_greedy_certifies_few_extensions_per_step(monkeypatch):
-    rows = []
-    real = selectors._batch_scores
-
-    def counting(a, col_norms, idx, specs):
-        rows.append(len(idx))
-        return real(a, col_norms, idx, specs)
-
-    monkeypatch.setattr(selectors, "_batch_scores", counting)
+def test_greedy_certifies_few_extensions_per_step(svd_rows):
     matrix = DenseMatrix(_gaussian(12))
     for ident in ("vol", "res-frobenius"):
-        rows.clear()
+        svd_rows.clear()
         result = select_greedy_forward(matrix, 12, parse_criterion(ident))
-        assert len(rows) == 12
-        assert sum(rows) <= result.subsets_evaluated // 20, ident
+        assert len(svd_rows) == 12
+        assert sum(svd_rows) <= result.subsets_evaluated // 20, ident
 
 
 @pytest.mark.parametrize("run", sorted(RUNS))
 def test_wrong_estimates_fall_back_to_scoring_every_candidate(run, monkeypatch):
     # reversed estimates are plausible in size but belong to other candidates;
     # the guard must notice and score every candidate
-    real_swap, real_ext = selectors._swap_estimates, selectors._extension_estimates
-    monkeypatch.setattr(selectors, "_swap_estimates", lambda *args: real_swap(*args)[::-1].copy())
+    def reversed_estimates(real):
+        def wrapped(*args):
+            band = real(*args)
+            return None if band is None else (band[0][::-1].copy(), band[1])
+        return wrapped
 
-    def reversed_extensions(*args):
-        estimate, slack = real_ext(*args)
-        return (None if estimate is None else estimate[::-1].copy()), slack
-
-    monkeypatch.setattr(selectors, "_extension_estimates", reversed_extensions)
+    for name in ("_swap_estimates", "_extension_estimates"):
+        monkeypatch.setattr(selectors, name, reversed_estimates(getattr(selectors, name)))
     matrix = DenseMatrix(_gaussian(13))
     selector, oracle = RUNS[run]
     assert _selector_outcome(lambda: selector(matrix, 12)) == _outcome(lambda: oracle(matrix, 12))
