@@ -4,10 +4,10 @@ Every criterion is a function of the singular values of the selected
 submatrix C (plus its column norms for the scaled volume, and the parent
 matrix for the residuals).  ``_KINDS`` holds one row per criterion kind: its
 ids, optimization direction, rank requirement, Schatten-parameter domain,
-sigma-to-value function, and the optimal value attained by k orthonormal
-columns, which is what turns the optimization problems into decision
-problems.  Adding a criterion means adding one row (plus its ``REGISTRY``
-entry when it belongs in the reports).
+sigma-to-value function, how far that value can move when the sigmas move,
+and the optimal value attained by k orthonormal columns, which is what turns
+the optimization problems into decision problems.  Adding a criterion means
+adding one row (plus its ``REGISTRY`` entry when it belongs in the reports).
 """
 
 from __future__ import annotations
@@ -72,6 +72,10 @@ def _one(k, p):
     return 1.0
 
 
+def _two(k, p):
+    return 2.0
+
+
 def _always(p):
     return True
 
@@ -87,6 +91,9 @@ class _Kind:
     evaluates it as is.  ``value`` maps a stack of singular values (B, r), p
     and column norms (B, k) to B criterion values; residuals, which are not
     singular-value computable, name their norm in ``residual`` instead.
+    ``log_lipschitz`` bounds the sum over i of |d log value / d log sigma_i|
+    for k columns, so sigmas that each move by a factor within [1/c, c] move
+    the value by a factor within [c^-L, c^L] (``batch_bands``).
     """
 
     ids: tuple[str, ...]
@@ -100,13 +107,15 @@ class _Kind:
     characterizes: Callable[[float | None], bool] = _always
     needs_norms: bool = False
     residual: str | None = None
+    log_lipschitz: Callable[[int, float | None], float] = _one
 
 
 _KINDS = {
     "volume": _Kind(("vol", "volume"), "maximize", "zero", _one,
-                    lambda s, p, n: _prod(s, axis=-1)),
+                    lambda s, p, n: _prod(s, axis=-1), log_lipschitz=lambda k, p: float(k)),
     "relative_volume": _Kind(("rvol",), "maximize", "required", _one,
-                             lambda s, p, n: _prod(s / s[..., :1], axis=-1)),
+                             lambda s, p, n: _prod(s / s[..., :1], axis=-1),
+                             log_lipschitz=lambda k, p: 2.0 * (k - 1)),
     "s_optimality": _Kind(("sopt",), "maximize", "required", _one, _sopt, needs_norms=True),
     "norm": _Kind(("norm",), "minimize", "any", _unit_schatten,
                   lambda s, p, n: _schatten(s, p), _ANY_P,
@@ -116,19 +125,21 @@ _KINDS = {
                        lambda s, p, n: _pinv_schatten(s, p), _ANY_P,
                        named=(("pinv-norm-two", math.inf), ("pinv-norm-frobenius", 2.0)),
                        characterizes=lambda p: p >= 2),
-    "cond_two": _Kind(("cond-two",), "minimize", "required", _one, _cond_two),
+    "cond_two": _Kind(("cond-two",), "minimize", "required", _one, _cond_two, log_lipschitz=_two),
     "cond_frobenius": _Kind(("cond-frobenius",), "minimize", "required", lambda k, p: float(k),
-                            lambda s, p, n: _schatten(s, 2.0) * _pinv_schatten(s, 2.0)),
+                            lambda s, p, n: _schatten(s, 2.0) * _pinv_schatten(s, 2.0),
+                            log_lipschitz=_two),
     "cond_schatten": _Kind(("cond",), "minimize", "required", lambda k, p: k ** (2.0 / p),
-                           _cond_schatten, _ANY_P),
+                           _cond_schatten, _ANY_P, log_lipschitz=_two),
     "cond_mixed": _Kind(("cond-mixed",), "minimize", "required", lambda k, p: math.sqrt(k),
-                        lambda s, p, n: _schatten(s, 2.0) / s[..., -1]),
+                        lambda s, p, n: _schatten(s, 2.0) / s[..., -1], log_lipschitz=_two),
     "cond_mixed_schatten": _Kind(("cond-mixed",), "minimize", "required",
                                  lambda k, p: k ** (1.0 / p),
-                                 lambda s, p, n: _schatten(s, p) / s[..., -1], _ANY_P),
+                                 lambda s, p, n: _schatten(s, p) / s[..., -1], _ANY_P,
+                                 log_lipschitz=_two),
     "stable_rank": _Kind(("srank",), "maximize", "any", lambda k, p: float(k),
                          lambda s, p, n: _sum((s / s[..., :1]) ** p, axis=-1), _FINITE_P2,
-                         default_p=2.0),
+                         default_p=2.0, log_lipschitz=lambda k, p: 2.0 * p),
     "residual_two": _Kind(("res-two",), "minimize", "any", lambda k, p: None,
                           characterizes=lambda p: False, residual="two"),
     "residual_frobenius": _Kind(("res-frobenius",), "minimize", "any", lambda k, p: None,
@@ -430,3 +441,34 @@ def batch_values(spec: CriterionSpec, sigma: np.ndarray, column_norms: np.ndarra
         return np.where(full_rank & np.isfinite(vals), vals, 0.0), full_rank
     scored = full_rank if row.rank == "zero" else sigma[:, 0] > 0.0
     return np.where(scored, vals, 0.0), np.ones(len(sigma), dtype=bool)
+
+
+def batch_bands(spec: CriterionSpec, sigma: np.ndarray, column_norms: np.ndarray, rel_error: np.ndarray):
+    """Band (estimate, width) around the value ``batch_values`` gives each row,
+    from estimated singular values, or None when the estimate cannot be used.
+
+    ``sigma`` (B, r) and ``column_norms`` (B, k) are as in ``batch_values``;
+    row b's sigmas are taken to lie within a factor 1 -+ ``rel_error[b]`` of
+    the ones the SVD computes, a bound large enough to also cover the value
+    function's own rounding.  A row whose error is 1 or more (inf: its full
+    column rank is not proven) gets an estimate of 0 and an infinite width.
+    For the others the estimate is the row's value function at ``sigma``,
+    and the width ``estimate * ((1 - rel_error)^-L - 1)`` follows from the
+    kind's ``log_lipschitz`` constant L.  None when the estimate overflows,
+    underflows or is not finite, where the value's own rounding is no longer
+    relative to the value.
+    """
+    row = _KINDS[spec.kind]
+    known = rel_error < 1.0
+    estimate = np.zeros(len(sigma))
+    width = np.full(len(sigma), np.inf)
+    try:
+        with np.errstate(all="raise"):
+            estimate[known] = row.value(sigma[known], spec.p, column_norms[known])
+    except FloatingPointError:
+        return None
+    if not np.all(np.isfinite(estimate)):
+        return None
+    factor = (1.0 - rel_error[known]) ** -row.log_lipschitz(column_norms.shape[-1], spec.p)
+    width[known] = estimate[known] * (factor - 1.0)
+    return estimate, width

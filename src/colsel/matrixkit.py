@@ -64,7 +64,13 @@ class DenseMatrix:
         return DenseMatrix(self.array[:, idx])
 
     def column_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.array, axis=0)
+        """Two-norm of each column, computed on the column divided by the power
+        of two at or below its largest entry, so squaring neither overflows
+        nor underflows; the scaling is exact, so in range the result has the
+        bits of ``np.linalg.norm(axis=0)``."""
+        top = np.max(np.abs(self.array), axis=0)
+        scale = np.ldexp(0.5, np.frexp(top)[1])
+        return np.linalg.norm(self.array / scale, axis=0) * scale
 
     def __repr__(self):
         return f"DenseMatrix({self.rows}x{self.cols})"

@@ -1,23 +1,25 @@
 """Exact and heuristic column subset selectors plus the decision-problem solver.
 
 The exact selector enumerates all C(n, k) subsets in lexicographic order,
-evaluating criteria on batches of stacked submatrices so the per-subset cost
-is one small SVD inside a vectorized LAPACK call.  Enumeration may fan out
-over worker threads; chunks are reduced in enumeration order with a
+in chunks of stacked submatrices.  Every subset of a chunk gets singular-value
+estimates from one batched eigensolve of its k x k block of the shared Gram
+matrix A^T A, and only the subsets whose estimated value could be the
+chunk's best run through the vectorized LAPACK SVD that gives the reported
+values; the residual criteria run the SVD on every subset.  Enumeration may
+fan out over worker threads; chunks are reduced in enumeration order with a
 strictly-better rule, so the witness is independent of the thread count and
 ties resolve to the lexicographically smallest index sequence.
 
 The heuristic selectors (forward greedy for vol and res-frobenius, and the
 local swap) estimate every candidate with a rank-one update of the current
-selection and run the same batched SVD only on the candidates that could be
-the best; ``_screened_best`` states when that equals scoring every
-candidate and when it falls back to doing so.  ``subsets_evaluated`` counts
-every candidate considered, not only the ones the SVD certified.
+selection and certify the same way.  ``_screened_best`` is the one certify
+path; it states when its result equals scoring every candidate and when it
+falls back to doing so.  ``subsets_evaluated`` counts every candidate
+considered, not only the ones the SVD certified.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 import warnings
@@ -27,7 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import CriterionSpec, CriterionValue, batch_residuals, batch_values, evaluate
+from .criteria import (
+    CriterionSpec,
+    CriterionValue,
+    batch_bands,
+    batch_residuals,
+    batch_values,
+    evaluate,
+)
 from .errors import InfeasibleError, InvalidParameterError
 from .matrixkit import DenseMatrix, default_rank_tolerance
 
@@ -36,7 +45,8 @@ SWAP_IMPROVEMENT = 1e-12
 # How far a heuristic selector's rank-one estimate may sit from the SVD value:
 # relative, and for res-frobenius also absolute, in units of ||A||_F; on top,
 # ROUNDING * k * kappa^2 relative for a k-column candidate whose condition
-# number is at most kappa (see _screened_best).
+# number is at most kappa (see _screened_best).  The exact selector's Gram
+# eigenvalues get ROUNDING * (m + k) * k * sigma_1^2 (see _gram_estimates).
 SCREEN_MARGIN = 1e-6
 RESIDUAL_SLACK = 1e-6
 ROUNDING = 1e-14
@@ -100,13 +110,52 @@ class DecisionOutcome:
     witness: ColumnSubset | None
 
 
+def _combinations(n: int, k: int) -> np.ndarray:
+    """All k-combinations of range(n) in lexicographic order, one per row."""
+    table, last = np.zeros((1, 0), dtype=np.intp), np.full(1, -1, dtype=np.intp)
+    for j in range(k):
+        # element j of a row follows ``last`` and leaves room for k - j - 1 more
+        counts = n - k + j - last
+        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        last = np.repeat(last, counts) + 1 + np.arange(len(starts)) - starts
+        table = np.column_stack([np.repeat(table, counts, axis=0), last])
+    return table
+
+
+def _lex_blocks(tables: dict, prefix: tuple, low: int, n: int, k: int, limit: int):
+    """Pairs (prefix, suffixes) whose rows prefix + suffixes[i] are every
+    k-combination of range(low, n) after ``prefix``, lexicographic, with at
+    most ``limit`` suffixes per pair.
+
+    The combinations of range(low, n) are the last C(n - low, k) rows of
+    those of any wider range(low', n), so ``tables`` keeps one table per k,
+    over the widest range asked for so far.
+    """
+    rows = math.comb(n - low, k)
+    if rows <= limit:
+        if k not in tables or len(tables[k]) < rows:
+            tables[k] = _combinations(n - low, k) + low
+        yield prefix, tables[k][len(tables[k]) - rows:]
+        return
+    for first in range(low, n - k + 1):
+        yield from _lex_blocks(tables, prefix + (first,), first + 1, n, k - 1, limit)
+
+
 def _index_chunks(n: int, k: int, chunk_size: int = _CHUNK_SIZE):
-    combos = itertools.combinations(range(n), k)
-    while True:
-        block = list(itertools.islice(combos, chunk_size))
-        if not block:
-            return
-        yield np.array(block, dtype=np.intp)
+    """The k-combinations of range(n) in lexicographic order, as (rows, k)
+    index arrays of ``chunk_size`` rows (the last one may be shorter)."""
+    chunk, filled = np.empty((chunk_size, k), dtype=np.intp), 0
+    for prefix, suffixes in _lex_blocks({}, (), 0, n, k, chunk_size):
+        while len(suffixes):
+            take = min(chunk_size - filled, len(suffixes))
+            chunk[filled:filled + take, :len(prefix)] = prefix
+            chunk[filled:filled + take, len(prefix):] = suffixes[:take]
+            filled, suffixes = filled + take, suffixes[take:]
+            if filled == chunk_size:
+                yield chunk
+                chunk, filled = np.empty((chunk_size, k), dtype=np.intp), 0
+    if filled:
+        yield chunk[:filled]
 
 
 def _stack(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -152,13 +201,48 @@ def _best_row(vals: np.ndarray, valid: np.ndarray, maximize: bool) -> int | None
     return row if valid[row] else None
 
 
-def _chunk_candidates(a: np.ndarray, col_norms: np.ndarray, idx: np.ndarray, specs):
-    """Best (value, indices) within one chunk, per spec; None when no row is valid."""
-    out = []
-    for spec, (vals, valid) in zip(specs, _batch_scores(a, col_norms, idx, specs)):
-        row = _best_row(vals, valid, spec.direction == "maximize")
-        out.append(None if row is None else (float(vals[row]), tuple(int(i) for i in idx[row])))
-    return out
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _gram_estimates(gram: np.ndarray, scale: float, m: int, idx: np.ndarray):
+    """Singular-value estimates of each submatrix a[:, idx[b]] and a bound on
+    their relative error against the SVD's values, inf for a row whose full
+    column rank the estimate does not prove.
+
+    ``gram`` is (a / scale)^T (a / scale) for a power of two ``scale``.  Each
+    row's sigma^2 are the eigenvalues of its k x k block; Gram formation,
+    ``eigvalsh`` and the SVD's own rounding together move them by at most
+    ROUNDING * (m + k) * k * sigma_1^2 (plus underflow, which is below
+    m * k * the smallest normal number).  The relative error grows as the
+    square of the row's condition number and is never below
+    ROUNDING * (m + k) * k, which also covers the rounding of the criteria's
+    value functions.
+    """
+    k = idx.shape[1]
+    r = min(m, k)
+    lam = np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]])[:, ::-1][:, :r]
+    err = ROUNDING * (m + k) * k * lam[:, 0] + m * k * np.finfo(np.float64).smallest_normal
+    lam = np.maximum(lam, 0.0)
+    rel = err / lam[:, -1]
+    sigma = np.sqrt(lam) * scale
+    proven = (r == k) & (sigma[:, -1] * (1.0 - rel)
+                         > default_rank_tolerance(m, k, sigma[:, 0] * (1.0 + rel)))
+    return sigma, np.where(proven, rel, np.inf)
+
+
+def _chunk_candidates(a: np.ndarray, col_norms: np.ndarray, gram: np.ndarray, scale: float,
+                      idx: np.ndarray, specs):
+    """Best (value, indices) within one chunk, per spec; None when no row is valid.
+
+    The singular-value criteria are screened by their Gram-eigenvalue bands
+    (``_gram_estimates``, ``batch_bands``); the residuals score every row.
+    """
+    bands = [None] * len(specs)
+    if any(spec.residual_norm is None for spec in specs):
+        sigma, rel = _gram_estimates(gram, scale, a.shape[0], idx)
+        norms = col_norms[idx]
+        bands = [None if spec.residual_norm is not None else batch_bands(spec, sigma, norms, rel)
+                 for spec in specs]
+    return [None if best is None else (best[1], tuple(int(i) for i in idx[best[0]]))
+            for best in _screened_best(a, col_norms, idx, specs, bands)]
 
 
 def _better(current, candidate, maximize: bool):
@@ -195,7 +279,11 @@ def exact_optima(matrix: DenseMatrix, k: int, specs, threads: int = 1, allow_lar
 
     Returns (per-spec optimum list, subsets enumerated).  A spec whose
     criterion admits no valid subset (e.g. no full-rank subset exists for a
-    rank-requiring criterion) gets None.
+    rank-requiring criterion) gets None.  Every subset is scored: each chunk
+    bands every row's value from the Gram matrix of A at unit scale and
+    certifies the rows that could be its best with one batched SVD over the
+    union of those rows for all specs (``_screened_best``), so optima,
+    witnesses and the count equal those of an SVD of every subset.
     """
     n = matrix.cols
     if not 1 <= k <= n:
@@ -211,11 +299,13 @@ def exact_optima(matrix: DenseMatrix, k: int, specs, threads: int = 1, allow_lar
     maximize = [spec.direction == "maximize" for spec in specs]
     a = matrix.array
     col_norms = matrix.column_norms()
+    unit, scale = _unit_scaled(a)
+    gram = unit.T @ unit
     best = [None] * len(specs)
     seen = 0
 
     def work(idx):
-        return len(idx), _chunk_candidates(a, col_norms, idx, specs)
+        return len(idx), _chunk_candidates(a, col_norms, gram, scale, idx, specs)
 
     for count, cands in _in_order(work, _index_chunks(n, k), threads):
         seen += count
@@ -304,39 +394,57 @@ def _rounding(k: int, kappa: np.ndarray) -> np.ndarray:
     return ROUNDING * k * kappa**2
 
 
-def _screened_best(a: np.ndarray, col_norms: np.ndarray, idx: np.ndarray, spec: CriterionSpec,
-                   band=None):
-    """(row, value) of the first best valid row of ``idx``, or None when no row is valid.
+def _screened_best(a: np.ndarray, col_norms: np.ndarray, idx: np.ndarray, specs, bands):
+    """Per spec, (row, value) of the first best valid row of ``idx``, or None
+    when no row is valid.
 
-    Without ``band`` every row is scored by the batched SVD.  A band is a
-    pair (estimate, width): each row's SVD value is taken to lie within
-    ``width`` of its ``estimate``, and only the rows whose band reaches the
-    best band are certified by the SVD.  A width is ``SCREEN_MARGIN`` of the
-    estimate plus a first-order rounding bound in the row's condition number
-    (``_rounding``), so a near-dependent row gets a wide band and is
-    certified rather than excluded; a NaN width counts as infinite.  Every
-    row is scored instead when an estimate is not finite, no certified row
-    is valid, or a certified value lies outside its band; that last check
-    also catches estimates that are wrong as a whole, e.g. positive noise
-    over volumes that are all 0.  The row and value equal those of scoring
-    every row whenever each excluded row's value lies in its band, which the
-    rounding bound is there to ensure; the excluded values themselves are
-    never computed.
+    ``bands`` holds one entry per spec.  None means every row is scored by
+    the batched SVD.  A band is a pair (estimate, width): each row's SVD
+    value is taken to lie within ``width`` of its ``estimate``, and only the
+    rows whose band reaches the best band are certified by the SVD, in one
+    call over the union of those rows for all specs.  A width bounds the
+    estimate's rounding and grows with the row's condition number, so a
+    near-dependent row gets a wide band and is certified rather than
+    excluded; an infinite width, which the exact search gives every row
+    whose full column rank its estimate does not prove, never sets the cut;
+    a NaN width counts as infinite.  A spec's
+    rows are all scored instead when an estimate is not finite, no certified
+    row is valid, or a certified value lies outside its band; that last
+    check also catches estimates that are wrong as a whole, e.g. positive
+    noise over volumes that are all 0.  The row and value equal those of
+    scoring every row whenever each excluded row's value lies in its band,
+    which the rounding bound is there to ensure; the excluded values
+    themselves are never computed.
     """
-    maximize = spec.direction == "maximize"
-    if band is not None and np.all(np.isfinite(band[0])):
-        width = np.where(np.isnan(band[1]), np.inf, band[1])
-        low, high = band[0] - width, band[0] + width
-        keep = high >= low.max() if maximize else low <= high.min()
-        if not keep.all():
-            rows = np.flatnonzero(keep)
-            ((vals, valid),) = _batch_scores(a, col_norms, idx[rows], [spec])
-            best = _best_row(vals, valid, maximize)
-            if best is not None and np.all((low[rows] <= vals) & (vals <= high[rows])):
-                return int(rows[best]), float(vals[best])
-    ((vals, valid),) = _batch_scores(a, col_norms, idx, [spec])
-    best = _best_row(vals, valid, maximize)
-    return None if best is None else (best, float(vals[best]))
+    maximize = [spec.direction == "maximize" for spec in specs]
+    reach = [None] * len(specs)
+    for i, band in enumerate(bands):
+        if band is not None and np.all(np.isfinite(band[0])):
+            width = np.where(np.isnan(band[1]), np.inf, band[1])
+            low, high = band[0] - width, band[0] + width
+            reach[i] = low, high, high >= low.max() if maximize[i] else low <= high.min()
+    union = np.zeros(len(idx), dtype=bool)
+    for entry in reach:
+        if entry is not None:
+            union |= entry[2]
+    screened = [] if union.all() else [i for i, entry in enumerate(reach) if entry is not None]
+    rest = [i for i in range(len(specs)) if i not in screened]
+    out = [None] * len(specs)
+    if screened:
+        rows = np.flatnonzero(union)
+        scores = _batch_scores(a, col_norms, idx[rows], [specs[i] for i in screened])
+        for i, (vals, valid) in zip(screened, scores):
+            best = _best_row(vals, valid, maximize[i])
+            low, high = reach[i][0][rows], reach[i][1][rows]
+            if best is None or not np.all((low <= vals) & (vals <= high)):
+                rest.append(i)
+            else:
+                out[i] = int(rows[best]), float(vals[best])
+    if rest:
+        for i, (vals, valid) in zip(rest, _batch_scores(a, col_norms, idx, [specs[i] for i in rest])):
+            best = _best_row(vals, valid, maximize[i])
+            out[i] = None if best is None else (best, float(vals[best]))
+    return out
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
@@ -411,7 +519,7 @@ def select_local_swap_volume(matrix: DenseMatrix, k: int, seed: int = 0,
         idx = np.sort(np.column_stack([np.repeat(kept, len(outside), axis=0),
                                        np.tile(outside, k)]), axis=1)
         band = _swap_estimates(a, current, outside, current_vol)
-        row, vol = _screened_best(a, col_norms, idx, vol_spec, band)
+        ((row, vol),) = _screened_best(a, col_norms, idx, [vol_spec], [band])
         evaluated += len(idx)
         if vol > current_vol * (1.0 + SWAP_IMPROVEMENT):
             current = tuple(int(i) for i in idx[row])
@@ -495,7 +603,7 @@ def select_greedy_forward(matrix: DenseMatrix, k: int, criterion: CriterionSpec)
         idx = np.sort(np.column_stack([np.tile(np.array(chosen, dtype=np.intp), (len(remaining), 1)),
                                        remaining]), axis=1)
         band = _extension_estimates(criterion, a, chosen, remaining, value)
-        best = _screened_best(a, col_norms, idx, criterion, band)
+        (best,) = _screened_best(a, col_norms, idx, [criterion], [band])
         evaluated += len(idx)
         if best is None:
             raise InfeasibleError(

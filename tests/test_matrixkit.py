@@ -58,6 +58,17 @@ class TestDenseMatrix:
         with pytest.raises(InvalidInputError):
             m.columns([])
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_column_norms_match_numpy_without_warnings(self, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((1 + 3 * seed, 2 + 5 * seed)) * 10.0 ** rng.integers(-150, 150)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norms = DenseMatrix(a).column_norms()
+            assert np.array_equal(norms, np.linalg.norm(a, axis=0))
+            assert np.array_equal(DenseMatrix([[1e308, 1.0]]).column_norms(), [1e308, 1.0])
+            assert np.array_equal(DenseMatrix(np.zeros((3, 2))).column_norms(), [0.0, 0.0])
+
     def test_concat_columns(self):
         a = DenseMatrix(np.eye(2))
         b = DenseMatrix([[5.0], [6.0]])

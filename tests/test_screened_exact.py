@@ -1,0 +1,240 @@
+"""The screened exhaustive enumeration against scoring every subset.
+
+``exact_optima`` bands every subset's value from the eigenvalues of its Gram
+block and runs the batched SVD only on the subsets that could be a chunk's
+best.  The oracle below is the loop that scores every subset through
+``_batch_scores``, over ``itertools.combinations``; the selector must return
+the same subset, the same value under ``==`` and the same
+``subsets_evaluated`` (or raise the same error) for every registered
+criterion, also where the estimates are poor or absent: duplicated and nearly
+duplicated columns, rank below k, the tie-heavy X3C reduction matrices, and
+scales of 1e+-100 and 1e+-150, where the values themselves are known to be
+wrong (sigma**p over- or underflows) and must stay exactly as wrong.
+"""
+
+import functools
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from colsel import selectors, x3c
+from colsel.criteria import parse_criterion, registry
+from colsel.matrixkit import DenseMatrix
+from colsel.selectors import _batch_scores, _best_row, _better, exact_optima, select_exact
+
+SINGULAR_VALUE_SPECS = tuple(spec for spec in registry() if spec.residual_norm is None)
+BENCH_CRITERIA = ("vol", "rvol", "sopt", "norm-two", "pinv-norm:p=4", "cond:p=4", "srank")
+
+
+def oracle_optima(matrix, k, specs):
+    a = matrix.array
+    col_norms = matrix.column_norms()
+    maximize = [spec.direction == "maximize" for spec in specs]
+    best = [None] * len(specs)
+    seen = 0
+    combos = itertools.combinations(range(matrix.cols), k)
+    while block := list(itertools.islice(combos, 2048)):
+        idx = np.array(block, dtype=np.intp)
+        for i, (vals, valid) in enumerate(_batch_scores(a, col_norms, idx, specs)):
+            row = _best_row(vals, valid, maximize[i])
+            cand = None if row is None else (float(vals[row]), tuple(int(j) for j in idx[row]))
+            best[i] = _better(best[i], cand, maximize[i])
+        seen += len(idx)
+    return best, seen
+
+
+def _gaussian(seed, m=9, n=15):
+    return np.random.default_rng(seed).standard_normal((m, n))
+
+
+def _duplicated(seed):
+    a = _gaussian(seed)
+    a[:, [1, 9, 13]] = a[:, [0, 4, 4]]
+    return a
+
+
+def _near_duplicate(seed):
+    a = _gaussian(seed)
+    a[:, 6] = a[:, 2] + 1e-9 * np.random.default_rng(seed + 1).standard_normal(len(a))
+    return a
+
+
+def _low_rank(seed, rank=4):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((9, rank)) @ rng.standard_normal((rank, 15))
+
+
+def _reduction(instance):
+    return x3c.reduce(instance).matrix.array
+
+
+# name -> (matrix, k); 9 x 15 with k = 5 is 3,003 subsets, two chunks
+CASES = {
+    **{f"gaussian-{s}": (lambda s=s: _gaussian(s), 5) for s in (0, 1)},
+    "duplicated": (lambda: _duplicated(2), 5),
+    "near-duplicate": (lambda: _near_duplicate(3), 5),
+    "rank-k-1": (lambda: _low_rank(4), 5),
+    # fewer rows than k: no subset has full column rank
+    "wide": (lambda: _gaussian(6, 4, 10), 5),
+    "x3c-false": (lambda: _reduction(x3c.generate_false(5, 14, 1)), 5),
+    "x3c-true": (lambda: _reduction(x3c.generate_true(5, 9, 1)), 5),
+    **{f"scale-{c:g}": (lambda c=c: _gaussian(5) * c, 5) for c in (1e-150, 1e-100, 1e100, 1e150)},
+}
+# the benchmark's size, 38,760 subsets; the residual criteria, which keep
+# the score-every-subset path, are left out there to keep the suite fast
+LARGE_CASES = {f"gaussian-12x20-{s}": (lambda s=s: _gaussian(s, 12, 20), 6) for s in (0, 1, 2)}
+
+@functools.cache
+def _oracle(case, specs):
+    make, k = {**CASES, **LARGE_CASES}[case]
+    return oracle_optima(DenseMatrix(make()), k, specs)
+
+
+def _expected(case, spec, specs=registry()):
+    """What ``select_exact`` gives for ``spec`` by the oracle's one pass over ``specs``."""
+    best, seen = _oracle(case, specs)
+    outcome = best[specs.index(spec)]
+    if outcome is None:
+        return ("error", "InfeasibleError")
+    value, idx = outcome
+    if not math.isfinite(value):
+        return ("error", "InvalidInputError")
+    return ("ok", idx, value, seen)
+
+
+def _estimates(matrix, idx):
+    """``_gram_estimates`` of the subsets ``idx`` of ``matrix``."""
+    unit, scale = selectors._unit_scaled(matrix.array)
+    return selectors._gram_estimates(unit.T @ unit, scale, matrix.rows, idx)
+
+
+def _select_outcome(matrix, k, spec, threads=1):
+    try:
+        result = select_exact(matrix, k, spec, threads=threads)
+    except Exception as exc:  # the oracle and the selector must fail alike
+        return ("error", type(exc).__name__)
+    return ("ok", result.subset.indices, result.value.value, result.subsets_evaluated)
+
+
+@pytest.mark.parametrize("n, k, chunk_size", [(20, 6, 2048), (9, 4, 126), (10, 3, 7), (7, 7, 3),
+                                               (7, 1, 3), (2100, 1, 2048), (12, 6, 1)])
+def test_index_chunks_match_itertools(n, k, chunk_size):
+    combos = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
+    chunks = list(selectors._index_chunks(n, k, chunk_size))
+    assert [len(c) for c in chunks[:-1]] == [chunk_size] * (len(chunks) - 1)
+    assert all(c.dtype == np.intp for c in chunks)
+    assert np.array_equal(np.concatenate(chunks), combos)
+
+
+@pytest.mark.parametrize("spec", registry(), ids=str)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_select_exact_equals_scoring_every_subset(case, spec):
+    # the oracle scores every criterion in one pass; each criterion's optimum
+    # is the one a pass of its own would give
+    make, k = CASES[case]
+    assert _select_outcome(DenseMatrix(make()), k, spec) == _expected(case, spec)
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+@pytest.mark.parametrize("case", sorted(LARGE_CASES))
+def test_large_shared_pass_equals_scoring_every_subset(case, threads):
+    # one pass for every criterion certifies the union of their near-best rows
+    make, k = LARGE_CASES[case]
+    specs = SINGULAR_VALUE_SPECS
+    assert exact_optima(DenseMatrix(make()), k, specs, threads=threads) == _oracle(case, specs)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_shared_pass_equals_scoring_every_subset(case):
+    make, k = CASES[case]
+    assert exact_optima(DenseMatrix(make()), k, registry(), threads=2) == _oracle(case, registry())
+
+
+@pytest.mark.parametrize("ident", BENCH_CRITERIA)
+def test_large_select_exact_equals_scoring_every_subset(ident):
+    make, k = LARGE_CASES["gaussian-12x20-0"]
+    spec = parse_criterion(ident)
+    expected = _expected("gaussian-12x20-0", spec, SINGULAR_VALUE_SPECS)
+    assert _select_outcome(DenseMatrix(make()), k, spec, threads=2) == expected
+
+
+@pytest.fixture
+def svd_rows(monkeypatch):
+    """The number of rows of each call to ``selectors._batch_scores``."""
+    rows = []
+    real = selectors._batch_scores
+
+    def counting(a, col_norms, idx, specs):
+        rows.append(len(idx))
+        return real(a, col_norms, idx, specs)
+
+    monkeypatch.setattr(selectors, "_batch_scores", counting)
+    return rows
+
+
+@pytest.mark.parametrize("ident", BENCH_CRITERIA)
+def test_svd_runs_on_few_subsets(ident, svd_rows):
+    matrix = DenseMatrix(_gaussian(7, 12, 20))
+    result = select_exact(matrix, 6, parse_criterion(ident))
+    assert result.subsets_evaluated == math.comb(20, 6)
+    assert 0 < sum(svd_rows) <= result.subsets_evaluated // 100
+
+
+def _reversed(band):
+    return None if band is None else (band[0][::-1].copy(), band[1])
+
+
+def _halved(band):
+    return None if band is None else (band[0] / 2.0, band[1])
+
+
+@pytest.mark.parametrize("corrupt", (_reversed, _halved), ids=("reversed", "halved"))
+@pytest.mark.parametrize("ident", BENCH_CRITERIA)
+def test_wrong_estimates_fall_back_to_scoring_every_subset(ident, corrupt, monkeypatch, svd_rows):
+    # estimates of the right size that belong to other rows, or are all off by
+    # a factor of two: the certified values leave their bands, and the guard
+    # must score the chunk in full
+    real = selectors.batch_bands
+    monkeypatch.setattr(selectors, "batch_bands", lambda *args: corrupt(real(*args)))
+    make, k = CASES["gaussian-0"]
+    spec = parse_criterion(ident)
+    assert _select_outcome(DenseMatrix(make()), k, spec) == _expected("gaussian-0", spec)
+    assert sum(svd_rows) >= math.comb(make().shape[1], k)
+
+
+@pytest.mark.parametrize("case", ("gaussian-0", "duplicated", "near-duplicate", "rank-k-1", "wide"))
+def test_estimates_prove_full_rank_only_where_the_svd_finds_it(case):
+    # a finite relative error marks a row whose rank the estimate proves; every
+    # such row must be full rank for the SVD, since it may set the cut
+    make, k = CASES[case]
+    matrix = DenseMatrix(make())
+    for idx in selectors._index_chunks(matrix.cols, k):
+        _, rel = _estimates(matrix, idx)
+        _, full = selectors._batch_stats(selectors._stack(matrix.array, idx))
+        assert np.all(full[np.isfinite(rel)])
+        if case == "gaussian-0":
+            assert np.all(np.isfinite(rel))
+        if case in ("rank-k-1", "wide"):
+            assert not np.any(np.isfinite(rel))
+
+
+@pytest.mark.parametrize("ident", ("pinv-norm-two", "pinv-norm:p=4", "cond-two", "cond:p=4", "cond-mixed"))
+def test_rank_deficient_best_estimate_is_not_the_witness(ident):
+    # columns 0 and 1 are equal, so the first rows of the first chunk are
+    # rank-deficient; their estimates prove nothing, and for a minimized
+    # criterion that requires full rank they hold the best estimate (0 with
+    # an infinite width): they are certified, found invalid, and must neither
+    # win nor set the cut
+    make, k = CASES["duplicated"]
+    matrix = DenseMatrix(make())
+    spec = parse_criterion(ident)
+    idx = next(selectors._index_chunks(matrix.cols, k))
+    sigma, rel = _estimates(matrix, idx)
+    estimate, _ = selectors.batch_bands(spec, sigma, matrix.column_norms()[idx], rel)
+    ((_, valid),) = _batch_scores(matrix.array, matrix.column_norms(), idx, [spec])
+    assert not valid[int(np.argmin(estimate))]
+    expected = _expected("duplicated", spec)
+    assert expected[0] == "ok"
+    assert _select_outcome(matrix, k, spec) == expected
