@@ -246,10 +246,18 @@ def _parse_p(raw: str) -> float:
         raise argparse.ArgumentTypeError(f"bad Schatten parameter {raw!r}") from None
 
 
-def _parse_threads(raw: str) -> int:
-    if not raw.isdecimal() or int(raw) < 1:
-        raise argparse.ArgumentTypeError(f"threads must be an integer >= 1, got {raw!r}")
+def _parse_count(raw: str, name: str, minimum: int) -> int:
+    if not raw.isdecimal() or int(raw) < minimum:
+        raise argparse.ArgumentTypeError(f"{name} must be an integer >= {minimum}, got {raw!r}")
     return int(raw)
+
+
+def _parse_threads(raw: str) -> int:
+    return _parse_count(raw, "threads", 1)
+
+
+def _parse_sweeps(raw: str) -> int:
+    return _parse_count(raw, "max-sweeps", 0)
 
 
 # flags that several subcommands read, each declared once
@@ -291,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("exact", "greedy-frobenius", "greedy", "local-swap"))
     p.add_argument("--criterion")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--max-sweeps", type=int, default=100)
+    p.add_argument("--max-sweeps", type=_parse_sweeps, default=100)
 
     p = _leaf(sub, "decide", _cmd_decide, "threshold decision problem",
               "--p", "--threads", "--allow-large", *_IO)

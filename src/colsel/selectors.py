@@ -3,9 +3,9 @@
 The exact selector enumerates all C(n, k) subsets in lexicographic order,
 in chunks of stacked submatrices.  Every subset of a chunk gets singular-value
 estimates from one batched eigensolve of its k x k block of the shared Gram
-matrix A^T A, and only the subsets whose estimated value could be the
-chunk's best run through the vectorized LAPACK SVD that gives the reported
-values; the residual criteria run the SVD on every subset.  Enumeration may
+matrix A^T A, and residual estimates from one batched QR of its columns;
+only the subsets whose estimated value could be the chunk's best run through
+the vectorized LAPACK SVD that gives the reported values.  Enumeration may
 fan out over worker threads; chunks are reduced in enumeration order with a
 strictly-better rule, so the witness is independent of the thread count and
 ties resolve to the lexicographically smallest index sequence.
@@ -42,8 +42,8 @@ from .matrixkit import DenseMatrix, default_rank_tolerance
 
 DECISION_SLACK = 1e-9
 SWAP_IMPROVEMENT = 1e-12
-# How far a heuristic selector's rank-one estimate may sit from the SVD value:
-# relative, and for res-frobenius also absolute, in units of ||A||_F; on top,
+# How far an estimate may sit from the SVD value: relative, and for the
+# residuals also absolute, in units of ||A||_F (see _residual_width); on top,
 # ROUNDING * k * kappa^2 relative for a k-column candidate whose condition
 # number is at most kappa (see _screened_best).  The exact selector's Gram
 # eigenvalues get ROUNDING * (m + k) * k * sigma_1^2 (see _gram_estimates).
@@ -228,19 +228,20 @@ def _gram_estimates(gram: np.ndarray, scale: float, m: int, idx: np.ndarray):
     return sigma, np.where(proven, rel, np.inf)
 
 
-def _chunk_candidates(a: np.ndarray, col_norms: np.ndarray, gram: np.ndarray, scale: float,
-                      idx: np.ndarray, specs):
+def _chunk_candidates(a: np.ndarray, col_norms: np.ndarray, unit: np.ndarray, scale: float,
+                      gram: np.ndarray, idx: np.ndarray, specs):
     """Best (value, indices) within one chunk, per spec; None when no row is valid.
 
-    The singular-value criteria are screened by their Gram-eigenvalue bands
-    (``_gram_estimates``, ``batch_bands``); the residuals score every row.
+    Every spec is screened: the singular-value criteria by their
+    Gram-eigenvalue bands (``_gram_estimates``, ``batch_bands``), the
+    residuals by a complete QR of each subset (``_residual_bands``).
     """
-    bands = [None] * len(specs)
-    if any(spec.residual_norm is None for spec in specs):
-        sigma, rel = _gram_estimates(gram, scale, a.shape[0], idx)
-        norms = col_norms[idx]
-        bands = [None if spec.residual_norm is not None else batch_bands(spec, sigma, norms, rel)
-                 for spec in specs]
+    sigma, rel = _gram_estimates(gram, scale, a.shape[0], idx)
+    norms = col_norms[idx]
+    residual = _residual_bands(unit, scale, idx, sigma, rel,
+                               {spec.residual_norm for spec in specs} - {None})
+    bands = [residual[spec.residual_norm] if spec.residual_norm is not None
+             else batch_bands(spec, sigma, norms, rel) for spec in specs]
     return [None if best is None else (best[1], tuple(int(i) for i in idx[best[0]]))
             for best in _screened_best(a, col_norms, idx, specs, bands)]
 
@@ -280,10 +281,11 @@ def exact_optima(matrix: DenseMatrix, k: int, specs, threads: int = 1, allow_lar
     Returns (per-spec optimum list, subsets enumerated).  A spec whose
     criterion admits no valid subset (e.g. no full-rank subset exists for a
     rank-requiring criterion) gets None.  Every subset is scored: each chunk
-    bands every row's value from the Gram matrix of A at unit scale and
-    certifies the rows that could be its best with one batched SVD over the
-    union of those rows for all specs (``_screened_best``), so optima,
-    witnesses and the count equal those of an SVD of every subset.
+    bands every row's value for every spec, from the Gram matrix of A at
+    unit scale and, for the residuals, a QR of each subset, and certifies
+    the rows that could be its best with one batched SVD over the union of
+    those rows for all specs (``_screened_best``), so optima, witnesses and
+    the count equal those of an SVD of every subset.
     """
     n = matrix.cols
     if not 1 <= k <= n:
@@ -305,7 +307,7 @@ def exact_optima(matrix: DenseMatrix, k: int, specs, threads: int = 1, allow_lar
     seen = 0
 
     def work(idx):
-        return len(idx), _chunk_candidates(a, col_norms, gram, scale, idx, specs)
+        return len(idx), _chunk_candidates(a, col_norms, unit, scale, gram, idx, specs)
 
     for count, cands in _in_order(work, _index_chunks(n, k), threads):
         seen += count
@@ -392,6 +394,65 @@ def _rounding(k: int, kappa: np.ndarray) -> np.ndarray:
     """Relative rounding error allowed between an estimate and the SVD value
     of a k-column candidate whose condition number is at most ``kappa``."""
     return ROUNDING * k * kappa**2
+
+
+def _residual_width(estimate: np.ndarray, norm2: float, rounding: np.ndarray) -> np.ndarray:
+    """Width of a band around an ``estimate`` of ||(I - P_C) A|| at unit
+    scale, where ||A||_F^2 = ``norm2`` and ``rounding`` is C's ``_rounding``.
+
+    Besides the relative margin, the width holds ``RESIDUAL_SLACK * ||A||_F``
+    and the rounding relative to ||A||_F, since a residual can be far below
+    ||A||, and that rounding carried through a square root, for an estimate
+    formed from its square.
+    """
+    squared = rounding * norm2
+    return (SCREEN_MARGIN * estimate
+            + math.sqrt(norm2) * (RESIDUAL_SLACK + rounding)
+            + np.minimum(np.sqrt(squared), squared / estimate))
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore")
+def _residual_bands(unit: np.ndarray, scale: float, idx: np.ndarray, sigma: np.ndarray,
+                    rel: np.ndarray, norms) -> dict:
+    """Band (estimate, width) of ||(I - P_C) A|| for each subset of ``idx``,
+    per residual norm in ``norms`` ("two", "frobenius"), for ``unit`` = A / ``scale``.
+
+    A complete QR of each C = [Q1, Q2] R gives (I - P_C) A = Q2 Q2^T A for a
+    full-rank C: res-frobenius is ||Q2^T A||_F and res-two the square root
+    of the largest eigenvalue of its Gram on the smaller side.  A with more
+    rows than columns is first replaced by the R of its own QR, which has
+    the same residual norms, so Q2 never has more entries than A.  ``sigma``
+    and ``rel`` are C's ``_gram_estimates``.  They bound C's condition
+    number, which sets the rounding in the width (``_residual_width``).  A
+    row whose full column rank they do not prove gets an infinite width,
+    since ``batch_residuals`` truncates its rank and the QR does not.  The
+    width also holds the underflow of the squares that ``batch_residuals``
+    sums for res-frobenius, below sqrt(m * n) times the square root of the
+    smallest normal number.
+    """
+    if not norms:
+        return {}
+    (m, n), k = unit.shape, idx.shape[1]
+    underflow = math.sqrt(m * n * np.finfo(np.float64).smallest_normal)
+    norm2 = np.sum(unit**2)
+    if m > n:
+        unit = np.linalg.qr(unit, mode="r")
+    q = np.linalg.qr(_stack(unit, idx), mode="complete").Q
+    # Q2^T A has at most n rows, so its Gram on the smaller side is tail tail^T
+    tail = np.swapaxes(q[:, :, k:], 1, 2) @ unit
+    rounding = _rounding(k, sigma[:, 0] / sigma[:, -1] * ((1.0 + rel) / (1.0 - rel)))
+    bands = {}
+    for norm in norms:
+        if norm == "frobenius":
+            estimate = np.sqrt(np.sum(tail**2, axis=(1, 2)))
+        elif tail.shape[1]:
+            top = np.linalg.eigvalsh(tail @ np.swapaxes(tail, 1, 2))[:, -1]
+            estimate = np.sqrt(np.maximum(top, 0.0))
+        else:
+            estimate = np.zeros(len(idx))
+        width = scale * _residual_width(estimate, norm2, rounding) + underflow
+        bands[norm] = scale * estimate, np.where(np.isfinite(rel), width, np.inf)
+    return bands
 
 
 def _screened_best(a: np.ndarray, col_norms: np.ndarray, idx: np.ndarray, specs, bands):
@@ -489,6 +550,8 @@ def select_local_swap_volume(matrix: DenseMatrix, k: int, seed: int = 0,
     n = matrix.cols
     if not 1 <= k <= n:
         raise InvalidParameterError(f"k must be in [1, {n}], got {k}")
+    if max_sweeps < 0:
+        raise InvalidParameterError(f"max_sweeps must be >= 0, got {max_sweeps}")
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     a = matrix.array
@@ -544,9 +607,8 @@ def _extension_estimates(criterion: CriterionSpec, a: np.ndarray, chosen,
 
     With R = P_perp_S A and r_j its column j: vol(S + j) = vol(S) * ||r_j||,
     and res-frobenius(S + j)^2 = ||R||_F^2 - ||r_j^T R||^2 / ||r_j||^2
-    (a zero r_j gains nothing).  That difference cancels, so a res-frobenius
-    width also holds ``RESIDUAL_SLACK * ||A||_F`` and the rounding of the
-    squared value carried through the square root.
+    (a zero r_j gains nothing).  That difference cancels; ``_residual_width``
+    allows for it.
     """
     if criterion.kind not in ("volume", "residual_frobenius"):
         return None
@@ -565,12 +627,8 @@ def _extension_estimates(criterion: CriterionSpec, a: np.ndarray, chosen,
         gram = rest.T @ rest[:, remaining]
         gain = np.divide(np.sum(gram**2, axis=0), rho**2, out=np.zeros_like(rho),
                          where=rho > 0.0)
-        norm2 = np.sum(unit**2)
         estimate = np.sqrt(np.maximum(np.sum(rest**2) - gain, 0.0))
-        squared = rounding * norm2
-        width = (SCREEN_MARGIN * estimate
-                 + math.sqrt(norm2) * (RESIDUAL_SLACK + rounding)
-                 + np.minimum(np.sqrt(squared), squared / estimate))
+        width = _residual_width(estimate, np.sum(unit**2), rounding)
         estimate, width = scale * estimate, scale * width
     return estimate, width
 

@@ -275,6 +275,8 @@ class TestUsageErrors:
         ["lemmas", "--input", "a.txt"],
         ["select", "--k", "2", "--threads", "0"],
         ["gap", "--threads", "two"],
+        # a negative count used to run zero sweeps and exit 0
+        ["select", "--method", "local-swap", "--k", "2", "--max-sweeps", "-1"],
     ])
     def test_flag_not_read_or_bad_thread_count_exits_2(self, capsys, args):
         with pytest.raises(SystemExit) as exc:

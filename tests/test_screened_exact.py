@@ -1,15 +1,17 @@
 """The screened exhaustive enumeration against scoring every subset.
 
-``exact_optima`` bands every subset's value from the eigenvalues of its Gram
-block and runs the batched SVD only on the subsets that could be a chunk's
-best.  The oracle below is the loop that scores every subset through
+``exact_optima`` bands every subset's value, from the eigenvalues of its Gram
+block for the singular-value criteria and from a QR of the subset for the
+residuals, and runs the batched SVD only on the subsets that could be a
+chunk's best.  The oracle below is the loop that scores every subset through
 ``_batch_scores``, over ``itertools.combinations``; the selector must return
 the same subset, the same value under ``==`` and the same
 ``subsets_evaluated`` (or raise the same error) for every registered
 criterion, also where the estimates are poor or absent: duplicated and nearly
-duplicated columns, rank below k, the tie-heavy X3C reduction matrices, and
-scales of 1e+-100 and 1e+-150, where the values themselves are known to be
-wrong (sigma**p over- or underflows) and must stay exactly as wrong.
+duplicated columns, rank below k, k equal to or above the row count, more
+rows than columns, the tie-heavy X3C reduction matrices, and scales of
+1e+-100 and 1e+-150, where the values themselves are known to be wrong
+(sigma**p over- or underflows) and must stay exactly as wrong.
 """
 
 import functools
@@ -24,8 +26,9 @@ from colsel.criteria import parse_criterion, registry
 from colsel.matrixkit import DenseMatrix
 from colsel.selectors import _batch_scores, _best_row, _better, exact_optima, select_exact
 
-SINGULAR_VALUE_SPECS = tuple(spec for spec in registry() if spec.residual_norm is None)
-BENCH_CRITERIA = ("vol", "rvol", "sopt", "norm-two", "pinv-norm:p=4", "cond:p=4", "srank")
+# the benchmark's eight criteria and res-frobenius
+CRITERIA = ("vol", "rvol", "sopt", "norm-two", "pinv-norm:p=4", "cond:p=4", "srank", "res-two",
+            "res-frobenius")
 
 
 def oracle_optima(matrix, k, specs):
@@ -78,12 +81,15 @@ CASES = {
     "rank-k-1": (lambda: _low_rank(4), 5),
     # fewer rows than k: no subset has full column rank
     "wide": (lambda: _gaussian(6, 4, 10), 5),
+    "k-above-m": (lambda: _gaussian(9, 2, 8), 5),
+    # every full-rank subset spans the whole column space: residuals near 0
+    "k-equals-m": (lambda: _gaussian(10, 5, 10), 5),
+    "tall": (lambda: _gaussian(11, 16, 9), 4),
     "x3c-false": (lambda: _reduction(x3c.generate_false(5, 14, 1)), 5),
     "x3c-true": (lambda: _reduction(x3c.generate_true(5, 9, 1)), 5),
     **{f"scale-{c:g}": (lambda c=c: _gaussian(5) * c, 5) for c in (1e-150, 1e-100, 1e100, 1e150)},
 }
-# the benchmark's size, 38,760 subsets; the residual criteria, which keep
-# the score-every-subset path, are left out there to keep the suite fast
+# the benchmark's size, 38,760 subsets
 LARGE_CASES = {f"gaussian-12x20-{s}": (lambda s=s: _gaussian(s, 12, 20), 6) for s in (0, 1, 2)}
 
 @functools.cache
@@ -142,7 +148,7 @@ def test_select_exact_equals_scoring_every_subset(case, spec):
 def test_large_shared_pass_equals_scoring_every_subset(case, threads):
     # one pass for every criterion certifies the union of their near-best rows
     make, k = LARGE_CASES[case]
-    specs = SINGULAR_VALUE_SPECS
+    specs = registry()
     assert exact_optima(DenseMatrix(make()), k, specs, threads=threads) == _oracle(case, specs)
 
 
@@ -152,11 +158,11 @@ def test_shared_pass_equals_scoring_every_subset(case):
     assert exact_optima(DenseMatrix(make()), k, registry(), threads=2) == _oracle(case, registry())
 
 
-@pytest.mark.parametrize("ident", BENCH_CRITERIA)
+@pytest.mark.parametrize("ident", CRITERIA)
 def test_large_select_exact_equals_scoring_every_subset(ident):
     make, k = LARGE_CASES["gaussian-12x20-0"]
     spec = parse_criterion(ident)
-    expected = _expected("gaussian-12x20-0", spec, SINGULAR_VALUE_SPECS)
+    expected = _expected("gaussian-12x20-0", spec)
     assert _select_outcome(DenseMatrix(make()), k, spec, threads=2) == expected
 
 
@@ -174,7 +180,7 @@ def svd_rows(monkeypatch):
     return rows
 
 
-@pytest.mark.parametrize("ident", BENCH_CRITERIA)
+@pytest.mark.parametrize("ident", CRITERIA)
 def test_svd_runs_on_few_subsets(ident, svd_rows):
     matrix = DenseMatrix(_gaussian(7, 12, 20))
     result = select_exact(matrix, 6, parse_criterion(ident))
@@ -191,13 +197,15 @@ def _halved(band):
 
 
 @pytest.mark.parametrize("corrupt", (_reversed, _halved), ids=("reversed", "halved"))
-@pytest.mark.parametrize("ident", BENCH_CRITERIA)
+@pytest.mark.parametrize("ident", CRITERIA)
 def test_wrong_estimates_fall_back_to_scoring_every_subset(ident, corrupt, monkeypatch, svd_rows):
     # estimates of the right size that belong to other rows, or are all off by
     # a factor of two: the certified values leave their bands, and the guard
     # must score the chunk in full
-    real = selectors.batch_bands
+    real, real_residual = selectors.batch_bands, selectors._residual_bands
     monkeypatch.setattr(selectors, "batch_bands", lambda *args: corrupt(real(*args)))
+    monkeypatch.setattr(selectors, "_residual_bands", lambda *args: {
+        norm: corrupt(band) for norm, band in real_residual(*args).items()})
     make, k = CASES["gaussian-0"]
     spec = parse_criterion(ident)
     assert _select_outcome(DenseMatrix(make()), k, spec) == _expected("gaussian-0", spec)
@@ -238,3 +246,27 @@ def test_rank_deficient_best_estimate_is_not_the_witness(ident):
     expected = _expected("duplicated", spec)
     assert expected[0] == "ok"
     assert _select_outcome(matrix, k, spec) == expected
+
+
+@pytest.mark.parametrize("ident", ("res-two", "res-frobenius"))
+def test_rank_deficient_rows_are_certified_for_the_residuals(ident, monkeypatch):
+    # batch_residuals truncates a rank-deficient C, the QR estimate does not:
+    # such a row gets an infinite width, so every chunk certifies it
+    make, k = CASES["duplicated"]
+    matrix = DenseMatrix(make())
+    certified = set()
+    real = selectors._batch_scores
+
+    def recording(a, col_norms, idx, specs):
+        certified.update(map(tuple, idx.tolist()))
+        return real(a, col_norms, idx, specs)
+
+    monkeypatch.setattr(selectors, "_batch_scores", recording)
+    spec = parse_criterion(ident)
+    assert _select_outcome(matrix, k, spec) == _expected("duplicated", spec)
+    deficient = set()
+    for idx in selectors._index_chunks(matrix.cols, k):
+        _, full = selectors._batch_stats(selectors._stack(matrix.array, idx))
+        deficient.update(map(tuple, idx[~full].tolist()))
+    assert deficient and deficient <= certified
+    assert len(certified) < math.comb(matrix.cols, k)

@@ -183,6 +183,12 @@ class TestLocalSwapVolume:
             result = select_local_swap_volume(DenseMatrix(np.eye(4)), 2, seed=seed)
             np.testing.assert_allclose(result.value.value, 1.0, atol=1e-14)
 
+    def test_negative_max_sweeps_is_rejected(self):
+        with pytest.raises(InvalidParameterError, match="max_sweeps"):
+            select_local_swap_volume(DenseMatrix(np.eye(4)), 2, max_sweeps=-1)
+        result = select_local_swap_volume(DenseMatrix(np.eye(4)), 2, max_sweeps=0)
+        assert result.subsets_evaluated >= 1
+
     def test_reaches_global_optimum_here(self):
         a = DenseMatrix([[1.0, 0.0, 2**-0.5], [0.0, 1.0, 2**-0.5]])
         result = select_local_swap_volume(a, 2, seed=0)
