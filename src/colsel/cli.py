@@ -142,6 +142,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_select(args) -> int:
+    if args.criterion and args.method in ("greedy-frobenius", "local-swap"):
+        raise InvalidParameterError(f"--criterion is not read by --method {args.method}")
     matrix = parse_matrix_text(_read_text(args), args.format)
     if args.method == "exact":
         result = select_exact(matrix, args.k, _criterion(args),

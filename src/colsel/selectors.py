@@ -1,14 +1,14 @@
 """Exact and heuristic column subset selectors plus the decision-problem solver.
 
 The exact selector enumerates all C(n, k) subsets in lexicographic order,
-in chunks of stacked submatrices.  Every subset of a chunk gets singular-value
-estimates from one batched eigensolve of its k x k block of the shared Gram
-matrix A^T A, and residual estimates from one batched QR of its columns;
-only the subsets whose estimated value could be the chunk's best run through
-the vectorized LAPACK SVD that gives the reported values.  Enumeration may
-fan out over worker threads; chunks are reduced in enumeration order with a
-strictly-better rule, so the witness is independent of the thread count and
-ties resolve to the lexicographically smallest index sequence.
+in chunks of stacked submatrices, each unranked in closed form from its first
+rank.  Every subset of a chunk gets singular-value estimates from one batched
+eigensolve of its k x k block of the shared Gram matrix A^T A, and residual
+estimates from one batched QR of its columns; only the subsets whose
+estimated value could be the chunk's best run through the vectorized LAPACK
+SVD that gives the reported values.  Each worker thread reduces every
+threads-th chunk on its own, and optima merge by (value, indices), so ties
+resolve to the lexicographically smallest index sequence at any thread count.
 
 The heuristic selectors (forward greedy for vol and res-frobenius, and the
 local swap) estimate every candidate with a rank-one update of the current
@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -110,52 +109,28 @@ class DecisionOutcome:
     witness: ColumnSubset | None
 
 
-def _combinations(n: int, k: int) -> np.ndarray:
-    """All k-combinations of range(n) in lexicographic order, one per row."""
-    table, last = np.zeros((1, 0), dtype=np.intp), np.full(1, -1, dtype=np.intp)
-    for j in range(k):
-        # element j of a row follows ``last`` and leaves room for k - j - 1 more
-        counts = n - k + j - last
-        starts = np.repeat(np.cumsum(counts) - counts, counts)
-        last = np.repeat(last, counts) + 1 + np.arange(len(starts)) - starts
-        table = np.column_stack([np.repeat(table, counts, axis=0), last])
-    return table
+def _index_chunks(n: int, k: int, chunk_size: int = _CHUNK_SIZE, first: int = 0, stride: int = 1):
+    """Chunks ``first``, ``first + stride``, ... of the k-combinations of
+    range(n) in lexicographic order, as (rows, k) index arrays of
+    ``chunk_size`` rows (the last chunk may be shorter).
 
-
-def _lex_blocks(tables: dict, prefix: tuple, low: int, n: int, k: int, limit: int):
-    """Pairs (prefix, suffixes) whose rows prefix + suffixes[i] are every
-    k-combination of range(low, n) after ``prefix``, lexicographic, with at
-    most ``limit`` suffixes per pair.
-
-    The combinations of range(low, n) are the last C(n - low, k) rows of
-    those of any wider range(low', n), so ``tables`` keeps one table per k,
-    over the widest range asked for so far.
+    Each chunk is unranked in closed form (combinatorial number system): the
+    combination of lexicographic rank r is j -> n - 1 - j applied to the one
+    of colex rank R = C(n, k) - 1 - r, whose largest element is the c with
+    C(c, k) <= R < C(c + 1, k), and so on down with R - C(c, k).  Table
+    entries are clamped at C(n, k), above every rank, to fit in int64.
     """
-    rows = math.comb(n - low, k)
-    if rows <= limit:
-        if k not in tables or len(tables[k]) < rows:
-            tables[k] = _combinations(n - low, k) + low
-        yield prefix, tables[k][len(tables[k]) - rows:]
-        return
-    for first in range(low, n - k + 1):
-        yield from _lex_blocks(tables, prefix + (first,), first + 1, n, k - 1, limit)
-
-
-def _index_chunks(n: int, k: int, chunk_size: int = _CHUNK_SIZE):
-    """The k-combinations of range(n) in lexicographic order, as (rows, k)
-    index arrays of ``chunk_size`` rows (the last one may be shorter)."""
-    chunk, filled = np.empty((chunk_size, k), dtype=np.intp), 0
-    for prefix, suffixes in _lex_blocks({}, (), 0, n, k, chunk_size):
-        while len(suffixes):
-            take = min(chunk_size - filled, len(suffixes))
-            chunk[filled:filled + take, :len(prefix)] = prefix
-            chunk[filled:filled + take, len(prefix):] = suffixes[:take]
-            filled, suffixes = filled + take, suffixes[take:]
-            if filled == chunk_size:
-                yield chunk
-                chunk, filled = np.empty((chunk_size, k), dtype=np.intp), 0
-    if filled:
-        yield chunk[:filled]
+    total = math.comb(n, k)
+    table = np.array([[min(math.comb(c, j), total) for c in range(n)] for j in range(k, 0, -1)],
+                     dtype=np.int64)
+    for start in range(first * chunk_size, total, stride * chunk_size):
+        rank = total - 1 - np.arange(start, min(start + chunk_size, total), dtype=np.int64)
+        chunk = np.empty((len(rank), k), dtype=np.intp)
+        for pos, row in enumerate(table):
+            c = np.searchsorted(row, rank, side="right") - 1
+            rank -= row[c]
+            chunk[:, pos] = n - 1 - c
+        yield chunk
 
 
 def _stack(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -228,51 +203,28 @@ def _gram_estimates(gram: np.ndarray, scale: float, m: int, idx: np.ndarray):
     return sigma, np.where(proven, rel, np.inf)
 
 
-def _chunk_candidates(a: np.ndarray, col_norms: np.ndarray, unit: np.ndarray, scale: float,
-                      gram: np.ndarray, idx: np.ndarray, specs):
-    """Best (value, indices) within one chunk, per spec; None when no row is valid.
-
-    Every spec is screened: the singular-value criteria by their
-    Gram-eigenvalue bands (``_gram_estimates``, ``batch_bands``), the
-    residuals by a complete QR of each subset (``_residual_bands``).
-    """
-    sigma, rel = _gram_estimates(gram, scale, a.shape[0], idx)
-    norms = col_norms[idx]
-    residual = _residual_bands(unit, scale, idx, sigma, rel,
-                               {spec.residual_norm for spec in specs} - {None})
-    bands = [residual[spec.residual_norm] if spec.residual_norm is not None
-             else batch_bands(spec, sigma, norms, rel) for spec in specs]
-    return [None if best is None else (best[1], tuple(int(i) for i in idx[best[0]]))
-            for best in _screened_best(a, col_norms, idx, specs, bands)]
-
-
 def _better(current, candidate, maximize: bool):
+    """The better of two (value, indices) optima, either of which may be
+    None.  An exact tie goes to the smaller index tuple, so optima merge to
+    the same result in any order."""
     if candidate is None:
         return current
     if current is None:
         return candidate
+    if candidate[0] == current[0]:
+        return min(current, candidate)
     if maximize:
         return candidate if candidate[0] > current[0] else current
     return candidate if candidate[0] < current[0] else current
 
 
-def _in_order(work, items, threads: int):
-    """``map(work, items)``, fanned out over ``threads`` workers when above 1.
-
-    Results come back in submission order through a bounded window, so the
-    caller reduces them in enumeration order without materializing every item.
-    """
-    if threads == 1:
-        yield from map(work, items)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending = deque()
-        for item in items:
-            pending.append(pool.submit(work, item))
-            if len(pending) >= 2 * threads:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+def _merged(optima, maximize):
+    """(per-spec optima, subsets) pairs folded into one by ``_better``."""
+    best, seen = [None] * len(maximize), 0
+    for cands, count in optima:
+        best = [_better(*args) for args in zip(best, cands, maximize)]
+        seen += count
+    return best, seen
 
 
 def exact_optima(matrix: DenseMatrix, k: int, specs, threads: int = 1, allow_large: bool = False):
@@ -281,11 +233,18 @@ def exact_optima(matrix: DenseMatrix, k: int, specs, threads: int = 1, allow_lar
     Returns (per-spec optimum list, subsets enumerated).  A spec whose
     criterion admits no valid subset (e.g. no full-rank subset exists for a
     rank-requiring criterion) gets None.  Every subset is scored: each chunk
-    bands every row's value for every spec, from the Gram matrix of A at
-    unit scale and, for the residuals, a QR of each subset, and certifies
-    the rows that could be its best with one batched SVD over the union of
-    those rows for all specs (``_screened_best``), so optima, witnesses and
-    the count equal those of an SVD of every subset.
+    bands every row's value for every spec, from the eigenvalues of its
+    blocks of the Gram matrix of A at unit scale (``_gram_estimates``,
+    ``batch_bands``) and, for the residuals, a QR of each subset
+    (``_residual_bands``), and certifies the rows that could be its best
+    with one batched SVD over the union of those rows for all specs
+    (``_screened_best``), so optima, witnesses and the count equal those of
+    an SVD of every subset.
+
+    Each of ``threads`` workers unranks and reduces every ``threads``-th
+    chunk (``_index_chunks``) on its own, and the workers' optima merge by
+    (value, indices) (``_better``): the witness is the lexicographically
+    smallest optimal subset at any thread count.
     """
     n = matrix.cols
     if not 1 <= k <= n:
@@ -295,6 +254,8 @@ def exact_optima(matrix: DenseMatrix, k: int, specs, threads: int = 1, allow_lar
             f"exhaustive selection over n={n} columns exceeds the desk-scale bound "
             f"{MAX_EXHAUSTIVE_COLUMNS}; pass allow_large to override"
         )
+    if math.comb(n, k) >= 2**63:
+        raise InvalidParameterError(f"C({n}, {k}) subsets exceed the 2**63 ranks of the enumeration")
     if threads < 1:
         raise InvalidParameterError("threads must be >= 1")
     specs = list(specs)
@@ -303,16 +264,25 @@ def exact_optima(matrix: DenseMatrix, k: int, specs, threads: int = 1, allow_lar
     col_norms = matrix.column_norms()
     unit, scale = _unit_scaled(a)
     gram = unit.T @ unit
-    best = [None] * len(specs)
-    seen = 0
+    norms = {spec.residual_norm for spec in specs} - {None}
+    basis = _residual_basis(unit) if norms else None
 
-    def work(idx):
-        return len(idx), _chunk_candidates(a, col_norms, unit, scale, gram, idx, specs)
+    def chunk_optima(idx):
+        sigma, rel = _gram_estimates(gram, scale, a.shape[0], idx)
+        cn = col_norms[idx]
+        residual = _residual_bands(basis, scale, idx, sigma, rel, norms)
+        bands = [residual[spec.residual_norm] if spec.residual_norm is not None
+                 else batch_bands(spec, sigma, cn, rel) for spec in specs]
+        return [None if best is None else (best[1], tuple(int(i) for i in idx[best[0]]))
+                for best in _screened_best(a, col_norms, idx, specs, bands)], len(idx)
 
-    for count, cands in _in_order(work, _index_chunks(n, k), threads):
-        seen += count
-        best = [_better(*args) for args in zip(best, cands, maximize)]
-    return best, seen
+    def reduce_stride(first):
+        return _merged(map(chunk_optima, _index_chunks(n, k, first=first, stride=threads)), maximize)
+
+    if threads == 1:
+        return reduce_stride(0)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return _merged(pool.map(reduce_stride, range(threads)), maximize)
 
 
 def select_exact(matrix: DenseMatrix, k: int, criterion: CriterionSpec,
@@ -411,32 +381,37 @@ def _residual_width(estimate: np.ndarray, norm2: float, rounding: np.ndarray) ->
             + np.minimum(np.sqrt(squared), squared / estimate))
 
 
+def _residual_basis(unit: np.ndarray):
+    """(B, ||A||_F^2, underflow) for ``unit`` = A / scale, what every chunk's
+    ``_residual_bands`` needs: B has A's residual norms and no more rows than
+    columns (the R of A's own QR for a tall A); the underflow of the squares
+    ``batch_residuals`` sums is below sqrt(m * n * smallest normal)."""
+    m, n = unit.shape
+    underflow = math.sqrt(m * n * np.finfo(np.float64).smallest_normal)
+    return np.linalg.qr(unit, mode="r") if m > n else unit, np.sum(unit**2), underflow
+
+
 @np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore")
-def _residual_bands(unit: np.ndarray, scale: float, idx: np.ndarray, sigma: np.ndarray,
+def _residual_bands(basis, scale: float, idx: np.ndarray, sigma: np.ndarray,
                     rel: np.ndarray, norms) -> dict:
     """Band (estimate, width) of ||(I - P_C) A|| for each subset of ``idx``,
-    per residual norm in ``norms`` ("two", "frobenius"), for ``unit`` = A / ``scale``.
+    per residual norm in ``norms`` ("two", "frobenius"), from the
+    ``_residual_basis`` of A / ``scale``.
 
     A complete QR of each C = [Q1, Q2] R gives (I - P_C) A = Q2 Q2^T A for a
     full-rank C: res-frobenius is ||Q2^T A||_F and res-two the square root
-    of the largest eigenvalue of its Gram on the smaller side.  A with more
-    rows than columns is first replaced by the R of its own QR, which has
-    the same residual norms, so Q2 never has more entries than A.  ``sigma``
-    and ``rel`` are C's ``_gram_estimates``.  They bound C's condition
-    number, which sets the rounding in the width (``_residual_width``).  A
-    row whose full column rank they do not prove gets an infinite width,
-    since ``batch_residuals`` truncates its rank and the QR does not.  The
-    width also holds the underflow of the squares that ``batch_residuals``
-    sums for res-frobenius, below sqrt(m * n) times the square root of the
-    smallest normal number.
+    of the largest eigenvalue of its Gram on the smaller side; A's stand-in
+    B has the same residual norms, so Q2 never has more entries than A.
+    ``sigma`` and ``rel`` are C's ``_gram_estimates``.  They bound C's
+    condition number, which sets the rounding in the width
+    (``_residual_width``).  A row whose full column rank they do not prove
+    gets an infinite width, since ``batch_residuals`` truncates its rank and
+    the QR does not.  The width also holds the underflow bound.
     """
     if not norms:
         return {}
-    (m, n), k = unit.shape, idx.shape[1]
-    underflow = math.sqrt(m * n * np.finfo(np.float64).smallest_normal)
-    norm2 = np.sum(unit**2)
-    if m > n:
-        unit = np.linalg.qr(unit, mode="r")
+    unit, norm2, underflow = basis
+    k = idx.shape[1]
     q = np.linalg.qr(_stack(unit, idx), mode="complete").Q
     # Q2^T A has at most n rows, so its Gram on the smaller side is tail tail^T
     tail = np.swapaxes(q[:, :, k:], 1, 2) @ unit
@@ -509,16 +484,15 @@ def _screened_best(a: np.ndarray, col_norms: np.ndarray, idx: np.ndarray, specs,
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _swap_estimates(a: np.ndarray, current, outside: np.ndarray, current_vol: float):
+def _swap_estimates(unit: np.ndarray, current, outside: np.ndarray, current_vol: float):
     """Band (estimate, width) of the volume after swapping position i of
     ``current`` for column j, per (i, j), row-major.
 
     With C = a[:, current] = QR and B = C^+ A_out, the squared volume
     ratio of the swap is B_ij^2 + [(C^T C)^-1]_ii * ||P_perp a_j||^2
     (rectangular maxvol); the ratio is scale-free, so it is computed on
-    ``a`` at unit scale and multiplied by ``current_vol``.
+    ``unit`` (``_unit_scaled``) and multiplied by ``current_vol``.
     """
-    unit = _unit_scaled(a)[0]
     q, r = np.linalg.qr(unit[:, list(current)])
     rinv = np.linalg.inv(r)
     cols = unit[:, outside]
@@ -556,6 +530,7 @@ def select_local_swap_volume(matrix: DenseMatrix, k: int, seed: int = 0,
     rng = np.random.default_rng(seed)
     a = matrix.array
     col_norms = matrix.column_norms()
+    unit = _unit_scaled(a)[0]
     vol_spec = CriterionSpec("volume")
     evaluated = 0
 
@@ -581,7 +556,7 @@ def select_local_swap_volume(matrix: DenseMatrix, k: int, seed: int = 0,
                         dtype=np.intp).reshape(k, k - 1)
         idx = np.sort(np.column_stack([np.repeat(kept, len(outside), axis=0),
                                        np.tile(outside, k)]), axis=1)
-        band = _swap_estimates(a, current, outside, current_vol)
+        band = _swap_estimates(unit, current, outside, current_vol)
         ((row, vol),) = _screened_best(a, col_norms, idx, [vol_spec], [band])
         evaluated += len(idx)
         if vol > current_vol * (1.0 + SWAP_IMPROVEMENT):
@@ -600,10 +575,10 @@ def select_local_swap_volume(matrix: DenseMatrix, k: int, seed: int = 0,
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _extension_estimates(criterion: CriterionSpec, a: np.ndarray, chosen,
+def _extension_estimates(criterion: CriterionSpec, unit: np.ndarray, scale: float, chosen,
                          remaining: np.ndarray, value: float):
-    """Band (estimate, width) of each extension chosen + (j,), or None for a
-    criterion without a rank-one estimate.
+    """Band (estimate, width) of each extension chosen + (j,) of A = ``unit``
+    * ``scale``, or None for a criterion without a rank-one estimate.
 
     With R = P_perp_S A and r_j its column j: vol(S + j) = vol(S) * ||r_j||,
     and res-frobenius(S + j)^2 = ||R||_F^2 - ||r_j^T R||^2 / ||r_j||^2
@@ -612,7 +587,6 @@ def _extension_estimates(criterion: CriterionSpec, a: np.ndarray, chosen,
     """
     if criterion.kind not in ("volume", "residual_frobenius"):
         return None
-    unit, scale = _unit_scaled(a)
     rest, r = unit, np.zeros((0, 0))
     if chosen:
         q, r = np.linalg.qr(unit[:, list(chosen)])
@@ -652,6 +626,7 @@ def select_greedy_forward(matrix: DenseMatrix, k: int, criterion: CriterionSpec)
     start = time.perf_counter()
     a = matrix.array
     col_norms = matrix.column_norms()
+    unit, scale = _unit_scaled(a)
     evaluated = 0
 
     chosen: tuple[int, ...] = ()
@@ -660,7 +635,7 @@ def select_greedy_forward(matrix: DenseMatrix, k: int, criterion: CriterionSpec)
         remaining = np.setdiff1d(np.arange(n), chosen)
         idx = np.sort(np.column_stack([np.tile(np.array(chosen, dtype=np.intp), (len(remaining), 1)),
                                        remaining]), axis=1)
-        band = _extension_estimates(criterion, a, chosen, remaining, value)
+        band = _extension_estimates(criterion, unit, scale, chosen, remaining, value)
         (best,) = _screened_best(a, col_norms, idx, [criterion], [band])
         evaluated += len(idx)
         if best is None:

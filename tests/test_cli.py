@@ -284,6 +284,26 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method, criterion", [("local-swap", "rvol"),
+                                                   ("greedy-frobenius", "vol")])
+    def test_criterion_for_a_method_that_ignores_it_exits_2(self, capsys, monkeypatch,
+                                                            method, criterion):
+        # local swap always maximizes vol, greedy-frobenius always minimizes
+        # the Frobenius norm; both used to drop the flag and exit 0
+        code, out, err = run_cli(capsys, monkeypatch,
+                                 ["select", "--method", method, "--criterion", criterion,
+                                  "--k", "2"], "1,0,0\n0,1,0\n0,0,1\n")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--criterion" in err
+
+    def test_enumeration_beyond_int64_ranks_exits_2(self, capsys, monkeypatch):
+        # C(70, 35) > 2**63 subsets: this ran without end and without output
+        code, out, err = run_cli(capsys, monkeypatch,
+                                 ["select", "--k", "35", "--criterion", "vol", "--allow-large"],
+                                 ",".join(["1"] * 70) + "\n")
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
     def test_malformed_json_matrix_exits_2(self, capsys, monkeypatch):
         code, out, err = run_cli(capsys, monkeypatch,
                                  ["eval", "--criterion", "vol", "--format", "json"],

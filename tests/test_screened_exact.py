@@ -23,6 +23,7 @@ import pytest
 
 from colsel import selectors, x3c
 from colsel.criteria import parse_criterion, registry
+from colsel.errors import InvalidParameterError
 from colsel.matrixkit import DenseMatrix
 from colsel.selectors import _batch_scores, _best_row, _better, exact_optima, select_exact
 
@@ -92,9 +93,20 @@ CASES = {
 # the benchmark's size, 38,760 subsets
 LARGE_CASES = {f"gaussian-12x20-{s}": (lambda s=s: _gaussian(s, 12, 20), 6) for s in (0, 1, 2)}
 
+
+def _twice(scale):
+    b = _gaussian(0, 8, 12)
+    return np.hstack([b, b]) * scale
+
+
+# [B, B]: subset S and its copy S + 12 are the same submatrix, so optima tie
+# exactly across chunks and strides; 10,626 subsets in six chunks
+TIE_CASES = {f"twice-{c:g}": (lambda c=c: _twice(c), 4) for c in (1.0, 1e100)}
+
+
 @functools.cache
 def _oracle(case, specs):
-    make, k = {**CASES, **LARGE_CASES}[case]
+    make, k = {**CASES, **LARGE_CASES, **TIE_CASES}[case]
     return oracle_optima(DenseMatrix(make()), k, specs)
 
 
@@ -125,13 +137,27 @@ def _select_outcome(matrix, k, spec, threads=1):
 
 
 @pytest.mark.parametrize("n, k, chunk_size", [(20, 6, 2048), (9, 4, 126), (10, 3, 7), (7, 7, 3),
-                                               (7, 1, 3), (2100, 1, 2048), (12, 6, 1)])
+                                               (7, 1, 3), (2100, 1, 2048), (12, 6, 1),
+                                               (70, 69, 2048), (40, 37, 2048)])
 def test_index_chunks_match_itertools(n, k, chunk_size):
     combos = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
     chunks = list(selectors._index_chunks(n, k, chunk_size))
     assert [len(c) for c in chunks[:-1]] == [chunk_size] * (len(chunks) - 1)
     assert all(c.dtype == np.intp for c in chunks)
     assert np.array_equal(np.concatenate(chunks), combos)
+
+
+@pytest.mark.parametrize("stride", (2, 3, 4, 7))
+@pytest.mark.parametrize("n, k, chunk_size", [(20, 6, 2048), (10, 3, 7), (7, 7, 3), (40, 37, 2048)])
+def test_index_chunk_strides_interleave_to_every_chunk(n, k, chunk_size, stride):
+    # worker ``first`` of ``stride`` gets chunks first, first + stride, ...;
+    # a worker past the last chunk gets none
+    chunks = list(selectors._index_chunks(n, k, chunk_size))
+    strides = [list(selectors._index_chunks(n, k, chunk_size, first, stride))
+               for first in range(stride)]
+    assert sum(map(len, strides)) == len(chunks)
+    for i, chunk in enumerate(chunks):
+        assert np.array_equal(strides[i % stride][i // stride], chunk)
 
 
 @pytest.mark.parametrize("spec", registry(), ids=str)
@@ -270,3 +296,58 @@ def test_rank_deficient_rows_are_certified_for_the_residuals(ident, monkeypatch)
         deficient.update(map(tuple, idx[~full].tolist()))
     assert deficient and deficient <= certified
     assert len(certified) < math.comb(matrix.cols, k)
+
+
+@pytest.mark.parametrize("threads", (3, 4))
+@pytest.mark.parametrize("case", sorted(CASES) + sorted(LARGE_CASES))
+def test_shared_pass_equals_scoring_every_subset_at_more_threads(case, threads):
+    # CASES fill at most two chunks, so some workers get none
+    make, k = {**CASES, **LARGE_CASES}[case]
+    assert exact_optima(DenseMatrix(make()), k, registry(), threads=threads) == _oracle(case, registry())
+
+
+@pytest.mark.parametrize("threads", (1, 2, 3, 4))
+@pytest.mark.parametrize("case", sorted(TIE_CASES))
+def test_exact_ties_across_chunks_go_to_the_smallest_witness(case, threads):
+    make, k = TIE_CASES[case]
+    matrix = DenseMatrix(make())
+    best, _ = expected = _oracle(case, registry())
+    assert exact_optima(matrix, k, registry(), threads=threads) == expected
+    # the ties are real: a witness in the first copy of B scores exactly what
+    # its copy in the last chunk does
+    ties = 0
+    for spec, (value, idx) in zip(registry(), best):
+        if max(idx) < 12:
+            pair = np.array([idx, tuple(i + 12 for i in idx)])
+            ((vals, _),) = _batch_scores(matrix.array, matrix.column_norms(), pair, [spec])
+            ties += vals[0] == vals[1] == value
+    assert ties >= 1
+
+
+def _ones(m, n):
+    return DenseMatrix(np.ones((m, n)))
+
+
+@pytest.mark.parametrize("select", (
+    lambda: exact_optima(_ones(1, 70), 35, registry(), allow_large=True),
+    lambda: select_exact(_ones(1, 70), 35, parse_criterion("vol"), allow_large=True),
+), ids=("exact_optima", "select_exact"))
+def test_enumeration_beyond_int64_ranks_is_rejected_up_front(select, monkeypatch):
+    # C(70, 35) > 2**63: rejected before the scaled copy, the Gram matrix or
+    # any chunk is made, rather than running without end
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the enumeration started")
+
+    for name in ("_unit_scaled", "_index_chunks"):
+        monkeypatch.setattr(selectors, name, unreachable)
+    with pytest.raises(InvalidParameterError, match="C\\(70, 35\\)"):
+        select()
+
+
+def test_unranking_stays_in_int64_where_binomials_overflow_it():
+    # C(69, 35) > 2**63 sits in the unranking table of C(70, 69) = 70 subsets
+    matrix = DenseMatrix(np.random.default_rng(0).standard_normal((3, 70)))
+    result = select_exact(matrix, 69, parse_criterion("vol"), allow_large=True)
+    assert result.subset.indices == tuple(range(69))
+    assert result.value.value == 0.0
+    assert result.subsets_evaluated == 70
