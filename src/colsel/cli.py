@@ -141,20 +141,35 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+# the flags of select that only some methods read, by dest, and the ones each
+# method reads; the select parser defaults them to None, so a flag that is not
+# None was given on the command line
+_METHOD_FLAGS = {
+    "exact": ("criterion", "p", "threads", "allow_large"),
+    "greedy": ("criterion", "p"),
+    "greedy-frobenius": (),
+    "local-swap": ("seed", "max_sweeps"),
+}
+
+
 def _cmd_select(args) -> int:
-    if args.criterion and args.method in ("greedy-frobenius", "local-swap"):
-        raise InvalidParameterError(f"--criterion is not read by --method {args.method}")
+    given = [dest for dest in ("criterion", "p", "seed", "threads", "allow_large", "max_sweeps")
+             if getattr(args, dest) is not None]
+    for dest in given:
+        if dest not in _METHOD_FLAGS[args.method]:
+            flag = "--" + dest.replace("_", "-")
+            raise InvalidParameterError(f"{flag} is not read by --method {args.method}")
+    # a flag left out takes the selector's own default
+    options = {dest: getattr(args, dest) for dest in given if dest not in ("criterion", "p")}
     matrix = parse_matrix_text(_read_text(args), args.format)
     if args.method == "exact":
-        result = select_exact(matrix, args.k, _criterion(args),
-                              threads=args.threads, allow_large=args.allow_large)
+        result = select_exact(matrix, args.k, _criterion(args), **options)
     elif args.method == "greedy":
         result = select_greedy_forward(matrix, args.k, _criterion(args))
     elif args.method == "greedy-frobenius":
         result = select_greedy_frobenius(matrix, args.k)
     else:
-        result = select_local_swap_volume(matrix, args.k, seed=args.seed,
-                                          max_sweeps=args.max_sweeps)
+        result = select_local_swap_volume(matrix, args.k, **options)
     _write(args, _render({
         "criterion": result.value.criterion.identifier,
         "method": result.method,
@@ -301,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("exact", "greedy-frobenius", "greedy", "local-swap"))
     p.add_argument("--criterion")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--max-sweeps", type=_parse_sweeps, default=100)
+    p.add_argument("--max-sweeps", type=_parse_sweeps)
+    p.set_defaults(seed=None, threads=None, allow_large=None)
 
     p = _leaf(sub, "decide", _cmd_decide, "threshold decision problem",
               "--p", "--threads", "--allow-large", *_IO)

@@ -445,7 +445,7 @@ def batch_values(spec: CriterionSpec, sigma: np.ndarray, column_norms: np.ndarra
 
 def batch_bands(spec: CriterionSpec, sigma: np.ndarray, column_norms: np.ndarray, rel_error: np.ndarray):
     """Band (estimate, width) around the value ``batch_values`` gives each row,
-    from estimated singular values, or None when the estimate cannot be used.
+    from estimated singular values; an infinite width marks no usable estimate.
 
     ``sigma`` (B, r) and ``column_norms`` (B, k) are as in ``batch_values``;
     row b's sigmas are taken to lie within a factor 1 -+ ``rel_error[b]`` of
@@ -454,9 +454,9 @@ def batch_bands(spec: CriterionSpec, sigma: np.ndarray, column_norms: np.ndarray
     column rank is not proven) gets an estimate of 0 and an infinite width.
     For the others the estimate is the row's value function at ``sigma``,
     and the width ``estimate * ((1 - rel_error)^-L - 1)`` follows from the
-    kind's ``log_lipschitz`` constant L.  None when the estimate overflows,
-    underflows or is not finite, where the value's own rounding is no longer
-    relative to the value.
+    kind's ``log_lipschitz`` constant L.  Every width is infinite when the
+    estimate overflows or underflows, where the value's own rounding is no
+    longer relative to the value.
     """
     row = _KINDS[spec.kind]
     known = rel_error < 1.0
@@ -466,9 +466,7 @@ def batch_bands(spec: CriterionSpec, sigma: np.ndarray, column_norms: np.ndarray
         with np.errstate(all="raise"):
             estimate[known] = row.value(sigma[known], spec.p, column_norms[known])
     except FloatingPointError:
-        return None
-    if not np.all(np.isfinite(estimate)):
-        return None
+        return estimate, width
     factor = (1.0 - rel_error[known]) ** -row.log_lipschitz(column_norms.shape[-1], spec.p)
     width[known] = estimate[known] * (factor - 1.0)
     return estimate, width

@@ -11,11 +11,11 @@ threads-th chunk on its own, and optima merge by (value, indices), so ties
 resolve to the lexicographically smallest index sequence at any thread count.
 
 The heuristic selectors (forward greedy for vol and res-frobenius, and the
-local swap) estimate every candidate with a rank-one update of the current
-selection and certify the same way.  ``_screened_best`` is the one certify
-path; it states when its result equals scoring every candidate and when it
-falls back to doing so.  ``subsets_evaluated`` counts every candidate
-considered, not only the ones the SVD certified.
+local swap) estimate every candidate from one rank-one projection of the
+current selection (``_projection``) and certify the same way.  Every band
+is (estimate, width), an infinite width marking no usable estimate, and
+``_screened_best`` is the one certify path.  ``subsets_evaluated`` counts
+every candidate considered, not only the ones the SVD certified.
 """
 
 from __future__ import annotations
@@ -344,26 +344,38 @@ def _unit_scaled(a: np.ndarray):
     return a / scale, scale
 
 
-def _condition_bounds(r: np.ndarray, norms: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Per column j, a bound on the two-norm condition number of C = QR with
-    a_j appended or swapped in, where ``norms`` holds ||a_j|| and ``rho``
-    holds ||P_perp a_j||.
-
-    Both matrices are [Q, u] M with ||M|| <= ||R|| + ||a_j|| and
-    sigma_min(M) >= min(sigma_min(R), rho_j) / (2 + ||R^-1|| ||a_j||).
-    A zero rho_j or a singular R gives inf or NaN.
-    """
-    top = inv = 0.0
-    if r.size:
-        sigma = np.linalg.svd(r, compute_uv=False)
-        top, inv = float(sigma[0]), float(1.0 / sigma[-1])
-    return (top + norms) * (2.0 + inv * norms) * np.maximum(inv, 1.0 / rho)
-
-
 def _rounding(k: int, kappa: np.ndarray) -> np.ndarray:
     """Relative rounding error allowed between an estimate and the SVD value
     of a k-column candidate whose condition number is at most ``kappa``."""
     return ROUNDING * k * kappa**2
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _projection(unit: np.ndarray, chosen, cols, k: int):
+    """(R, Q^T A, P_perp A, rho, rounding) for unit[:, chosen] = QR and
+    A = unit[:, cols], where rho_j = ||P_perp a_j|| and rounding_j is the
+    ``_rounding`` of the k columns with a_j appended to or swapped into
+    ``chosen``.  Both are [Q, u] M with ||M|| <= ||R|| + ||a_j|| and
+    sigma_min(M) >= min(sigma_min(R), rho_j) / (2 + ||R^-1|| ||a_j||).  A
+    zero rho_j or a singular R gives an infinite or NaN rounding and so an
+    infinite or NaN band width: no usable estimate (``_screened_best``).
+    """
+    q, r = np.linalg.qr(unit[:, list(chosen)])
+    cols = unit[:, cols]
+    coef = q.T @ cols
+    rest = cols - q @ coef if chosen else cols
+    rho = np.linalg.norm(rest, axis=0)
+    sigma = np.linalg.svd(r, compute_uv=False)
+    top, inv = sigma.max(initial=0.0), 1.0 / sigma.min(initial=np.inf)
+    norms = np.linalg.norm(cols, axis=0)
+    kappa = (top + norms) * (2.0 + inv * norms) * np.maximum(inv, 1.0 / rho)
+    return r, coef, rest, rho, _rounding(k, kappa)
+
+
+def _moves(bases: np.ndarray, added: np.ndarray) -> np.ndarray:
+    """Sorted rows base + (j,), per row of ``bases`` and then per j in ``added``."""
+    return np.sort(np.column_stack([np.repeat(bases, len(added), axis=0),
+                                    np.tile(added, len(bases))]), axis=1)
 
 
 def _residual_width(estimate: np.ndarray, norm2: float, rounding: np.ndarray) -> np.ndarray:
@@ -434,36 +446,33 @@ def _screened_best(a: np.ndarray, col_norms: np.ndarray, idx: np.ndarray, specs,
     """Per spec, (row, value) of the first best valid row of ``idx``, or None
     when no row is valid.
 
-    ``bands`` holds one entry per spec.  None means every row is scored by
-    the batched SVD.  A band is a pair (estimate, width): each row's SVD
-    value is taken to lie within ``width`` of its ``estimate``, and only the
-    rows whose band reaches the best band are certified by the SVD, in one
-    call over the union of those rows for all specs.  A width bounds the
-    estimate's rounding and grows with the row's condition number, so a
-    near-dependent row gets a wide band and is certified rather than
-    excluded; an infinite width, which the exact search gives every row
-    whose full column rank its estimate does not prove, never sets the cut;
-    a NaN width counts as infinite.  A spec's
-    rows are all scored instead when an estimate is not finite, no certified
-    row is valid, or a certified value lies outside its band; that last
-    check also catches estimates that are wrong as a whole, e.g. positive
-    noise over volumes that are all 0.  The row and value equal those of
-    scoring every row whenever each excluded row's value lies in its band,
-    which the rounding bound is there to ensure; the excluded values
-    themselves are never computed.
+    ``bands`` holds one band (estimate, width) per spec, the one band
+    contract: each row's SVD value is taken to lie within ``width`` of its
+    ``estimate``, and a row without a usable estimate has an infinite width,
+    as has a row whose estimate is not finite or whose width is NaN.  Only
+    the rows whose band reaches the best band are certified by the SVD, in
+    one call over the union of those rows for all specs, so an
+    infinite-width row is always certified and never sets the cut.  A width
+    grows with the row's condition number, so a near-dependent row is
+    certified rather than excluded.  A spec's rows are all scored instead,
+    apart from that union, when no width is finite, no certified row is
+    valid, or a certified value lies outside its band (which also catches
+    estimates wrong as a whole, e.g. noise over volumes that are all 0).
+    The row and value equal those of scoring every row whenever each
+    excluded row's value lies in its band, which the rounding bound is there
+    to ensure.
     """
     maximize = [spec.direction == "maximize" for spec in specs]
-    reach = [None] * len(specs)
-    for i, band in enumerate(bands):
-        if band is not None and np.all(np.isfinite(band[0])):
-            width = np.where(np.isnan(band[1]), np.inf, band[1])
-            low, high = band[0] - width, band[0] + width
-            reach[i] = low, high, high >= low.max() if maximize[i] else low <= high.min()
+    reach = {}
+    for i, (estimate, width) in enumerate(bands):
+        wide = ~(np.isfinite(estimate) & (width < np.inf))
+        if not wide.all():
+            estimate, width = np.where(wide, 0.0, estimate), np.where(wide, np.inf, width)
+            reach[i] = estimate - width, estimate + width
     union = np.zeros(len(idx), dtype=bool)
-    for entry in reach:
-        if entry is not None:
-            union |= entry[2]
-    screened = [] if union.all() else [i for i, entry in enumerate(reach) if entry is not None]
+    for i, (low, high) in reach.items():
+        union |= high >= low.max() if maximize[i] else low <= high.min()
+    screened = [] if union.all() else list(reach)
     rest = [i for i in range(len(specs)) if i not in screened]
     out = [None] * len(specs)
     if screened:
@@ -493,22 +502,20 @@ def _swap_estimates(unit: np.ndarray, current, outside: np.ndarray, current_vol:
     (rectangular maxvol); the ratio is scale-free, so it is computed on
     ``unit`` (``_unit_scaled``) and multiplied by ``current_vol``.
     """
-    q, r = np.linalg.qr(unit[:, list(current)])
+    r, coef, _, rho, rounding = _projection(unit, current, outside, len(current))
     rinv = np.linalg.inv(r)
-    cols = unit[:, outside]
-    coef = q.T @ cols
-    rest = cols - q @ coef
-    rho = np.linalg.norm(rest, axis=0)
     ratio = (rinv @ coef) ** 2 + np.sum(rinv**2, axis=1)[:, None] * rho**2
     estimate = current_vol * np.sqrt(ratio)
-    kappa = _condition_bounds(r, np.linalg.norm(cols, axis=0), rho)
-    width = estimate * (SCREEN_MARGIN + _rounding(len(current), kappa))
-    return estimate.ravel(), width.ravel()
+    return estimate.ravel(), (estimate * (SCREEN_MARGIN + rounding)).ravel()
 
 
 def select_local_swap_volume(matrix: DenseMatrix, k: int, seed: int = 0,
                              max_sweeps: int = 100) -> SelectionResult:
     """Volume ascent by single-column swaps from a seeded random full-rank start.
+
+    The start is the first full-rank one of n * k seeded random draws, or
+    else greedy vol's subset (``select_greedy_forward``) if that is full
+    rank; with neither, no start exists and InfeasibleError is raised.
 
     Each sweep considers every (selected, unselected) exchange and applies
     the one with the largest volume, ties going to the earliest selected
@@ -518,8 +525,8 @@ def select_local_swap_volume(matrix: DenseMatrix, k: int, seed: int = 0,
     the current selection (``_swap_estimates``) and certifies the near-best
     by the batched SVD (``_screened_best``, which states when the result
     equals an SVD of every swap).  ``subsets_evaluated`` counts the start
-    attempts plus every swap considered, k(n - k) per sweep, whether or not
-    its SVD ran.
+    draws (plus greedy's count when it gives the start) and every swap
+    considered, k(n - k) per sweep, whether or not its SVD ran.
     """
     n = matrix.cols
     if not 1 <= k <= n:
@@ -534,28 +541,33 @@ def select_local_swap_volume(matrix: DenseMatrix, k: int, seed: int = 0,
     vol_spec = CriterionSpec("volume")
     evaluated = 0
 
-    current = None
+    def full_rank_volume(cand):
+        """The volume of a[:, cand], or None when it is rank-deficient."""
+        idx = np.array([cand], dtype=np.intp)
+        sigma, full = _batch_stats(_stack(a, idx))
+        vols, _ = batch_values(vol_spec, sigma, col_norms[idx], full)
+        return float(vols[0]) if full[0] else None
+
     for _ in range(n * k):
-        cand = np.sort(rng.choice(n, size=k, replace=False)).astype(np.intp)
-        sigma, full = _batch_stats(_stack(a, cand[None, :]))
+        current = tuple(int(i) for i in np.sort(rng.choice(n, size=k, replace=False)))
         evaluated += 1
-        if full[0]:
-            current = tuple(int(i) for i in cand)
-            current_vol = float(np.prod(sigma[0]))
+        if (current_vol := full_rank_volume(current)) is not None:
             break
-    if current is None:
+    else:
+        greedy = select_greedy_forward(matrix, k, vol_spec)
+        evaluated += greedy.subsets_evaluated
+        current_vol = full_rank_volume(current := greedy.subset.indices)
+    if current_vol is None:
         raise InfeasibleError(
-            f"no full-rank starting subset found after {n * k} seeded attempts"
+            f"no full-rank starting subset found after {n * k} seeded attempts or by greedy vol"
         )
 
     for _ in range(max_sweeps):
         outside = np.setdiff1d(np.arange(n), current)
         if not len(outside):
             break
-        kept = np.array([current[:pos] + current[pos + 1:] for pos in range(k)],
-                        dtype=np.intp).reshape(k, k - 1)
-        idx = np.sort(np.column_stack([np.repeat(kept, len(outside), axis=0),
-                                       np.tile(outside, k)]), axis=1)
+        kept = np.array([current[:pos] + current[pos + 1:] for pos in range(k)], dtype=np.intp)
+        idx = _moves(kept, outside)
         band = _swap_estimates(unit, current, outside, current_vol)
         ((row, vol),) = _screened_best(a, col_norms, idx, [vol_spec], [band])
         evaluated += len(idx)
@@ -578,7 +590,8 @@ def select_local_swap_volume(matrix: DenseMatrix, k: int, seed: int = 0,
 def _extension_estimates(criterion: CriterionSpec, unit: np.ndarray, scale: float, chosen,
                          remaining: np.ndarray, value: float):
     """Band (estimate, width) of each extension chosen + (j,) of A = ``unit``
-    * ``scale``, or None for a criterion without a rank-one estimate.
+    * ``scale``; all widths are infinite for a criterion without a rank-one
+    estimate, and a row's width is infinite or NaN where its rounding is.
 
     With R = P_perp_S A and r_j its column j: vol(S + j) = vol(S) * ||r_j||,
     and res-frobenius(S + j)^2 = ||R||_F^2 - ||r_j^T R||^2 / ||r_j||^2
@@ -586,25 +599,16 @@ def _extension_estimates(criterion: CriterionSpec, unit: np.ndarray, scale: floa
     allows for it.
     """
     if criterion.kind not in ("volume", "residual_frobenius"):
-        return None
-    rest, r = unit, np.zeros((0, 0))
-    if chosen:
-        q, r = np.linalg.qr(unit[:, list(chosen)])
-        rest = unit - q @ (q.T @ unit)
-    rho = np.linalg.norm(rest[:, remaining], axis=0)
-    rounding = _rounding(len(chosen) + 1, _condition_bounds(
-        r, np.linalg.norm(unit[:, remaining], axis=0), rho))
+        return np.zeros(len(remaining)), np.full(len(remaining), np.inf)
+    _, _, rest, rho, rounding = _projection(unit, chosen, slice(None), len(chosen) + 1)
+    rho, rounding = rho[remaining], rounding[remaining]
     if criterion.kind == "volume":
         estimate = value * (scale * rho)
-        width = estimate * (SCREEN_MARGIN + rounding)
-    else:
-        gram = rest.T @ rest[:, remaining]
-        gain = np.divide(np.sum(gram**2, axis=0), rho**2, out=np.zeros_like(rho),
-                         where=rho > 0.0)
-        estimate = np.sqrt(np.maximum(np.sum(rest**2) - gain, 0.0))
-        width = _residual_width(estimate, np.sum(unit**2), rounding)
-        estimate, width = scale * estimate, scale * width
-    return estimate, width
+        return estimate, estimate * (SCREEN_MARGIN + rounding)
+    gram = rest.T @ rest[:, remaining]
+    gain = np.divide(np.sum(gram**2, axis=0), rho**2, out=np.zeros_like(rho), where=rho > 0.0)
+    estimate = np.sqrt(np.maximum(np.sum(rest**2) - gain, 0.0))
+    return scale * estimate, scale * _residual_width(estimate, np.sum(unit**2), rounding)
 
 
 def select_greedy_forward(matrix: DenseMatrix, k: int, criterion: CriterionSpec) -> SelectionResult:
@@ -633,8 +637,7 @@ def select_greedy_forward(matrix: DenseMatrix, k: int, criterion: CriterionSpec)
     value = 1.0  # the volume of no columns
     for _ in range(k):
         remaining = np.setdiff1d(np.arange(n), chosen)
-        idx = np.sort(np.column_stack([np.tile(np.array(chosen, dtype=np.intp), (len(remaining), 1)),
-                                       remaining]), axis=1)
+        idx = _moves(np.array([chosen], dtype=np.intp), remaining)
         band = _extension_estimates(criterion, unit, scale, chosen, remaining, value)
         (best,) = _screened_best(a, col_norms, idx, [criterion], [band])
         evaluated += len(idx)

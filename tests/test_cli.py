@@ -210,6 +210,26 @@ class TestSelectCommand:
         report = json.loads(out)
         assert report["subset"] == [1] and report["value"] == 1.0
 
+    @pytest.mark.parametrize("method, flags", [
+        ("exact", ["--threads", "1"]),
+        ("local-swap", ["--seed", "0", "--max-sweeps", "100"]),
+    ])
+    def test_flags_at_their_defaults_change_nothing(self, capsys, monkeypatch, method, flags):
+        text = "3,1,0,2\n1,4,1,0\n0,2,5,1\n"
+        base = ["select", "--method", method, "--k", "2"]
+        if method == "exact":
+            base += ["--criterion", "vol"]
+        implicit = run_cli(capsys, monkeypatch, base, text)
+        explicit = run_cli(capsys, monkeypatch, base + flags, text)
+        assert implicit[0] == explicit[0] == 0 and implicit[1] == explicit[1]
+
+    def test_local_swap_starts_from_greedy_where_the_draws_fail(self, capsys, monkeypatch):
+        # seed 0's six draws are all rank-deficient; this exited 2
+        code, out, _ = run_cli(capsys, monkeypatch, ["select", "--method", "local-swap", "--k", "2"],
+                               "1,0,0\n0,1,0\n")
+        assert code == 0
+        assert out == "criterion=vol method=local_swap value=1.0 subset=0,1 subsets_evaluated=13\n"
+
 
 class TestDeterminism:
     def test_reports_byte_identical(self, capsys, monkeypatch):
@@ -284,17 +304,36 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("method, criterion", [("local-swap", "rvol"),
-                                                   ("greedy-frobenius", "vol")])
+    @pytest.mark.parametrize("method, flags, unread", [
+        pytest.param("local-swap", ["--criterion", "rvol"], "--criterion", id="local-swap-rvol"),
+        pytest.param("greedy-frobenius", ["--criterion", "vol"], "--criterion",
+                     id="greedy-frobenius-vol"),
+        # every other flag a method does not read, even at its default value
+        pytest.param("exact", ["--criterion", "vol", "--seed", "9"], "--seed", id="exact-seed"),
+        pytest.param("exact", ["--criterion", "vol", "--max-sweeps", "3"], "--max-sweeps",
+                     id="exact-max-sweeps"),
+        pytest.param("greedy", ["--criterion", "vol", "--threads", "2"], "--threads",
+                     id="greedy-threads"),
+        pytest.param("greedy", ["--criterion", "vol", "--allow-large"], "--allow-large",
+                     id="greedy-allow-large"),
+        pytest.param("greedy", ["--criterion", "vol", "--seed", "0"], "--seed", id="greedy-seed"),
+        pytest.param("greedy-frobenius", ["--p", "3"], "--p", id="greedy-frobenius-p"),
+        pytest.param("greedy-frobenius", ["--max-sweeps", "100"], "--max-sweeps",
+                     id="greedy-frobenius-max-sweeps"),
+        pytest.param("local-swap", ["--threads", "2"], "--threads", id="local-swap-threads"),
+        pytest.param("local-swap", ["--allow-large"], "--allow-large", id="local-swap-allow-large"),
+        pytest.param("local-swap", ["--p", "3"], "--p", id="local-swap-p"),
+    ])
     def test_criterion_for_a_method_that_ignores_it_exits_2(self, capsys, monkeypatch,
-                                                            method, criterion):
+                                                            method, flags, unread):
         # local swap always maximizes vol, greedy-frobenius always minimizes
-        # the Frobenius norm; both used to drop the flag and exit 0
+        # the Frobenius norm; both used to drop the flag and exit 0, and so did
+        # every method with any other flag it does not read
         code, out, err = run_cli(capsys, monkeypatch,
-                                 ["select", "--method", method, "--criterion", criterion,
-                                  "--k", "2"], "1,0,0\n0,1,0\n0,0,1\n")
+                                 ["select", "--method", method, *flags, "--k", "2"],
+                                 "1,0,0\n0,1,0\n0,0,1\n")
         assert code == 2 and out == ""
-        assert err.startswith("error:") and "--criterion" in err
+        assert err == f"error: {unread} is not read by --method {method}\n"
 
     def test_enumeration_beyond_int64_ranks_exits_2(self, capsys, monkeypatch):
         # C(70, 35) > 2**63 subsets: this ran without end and without output

@@ -215,11 +215,11 @@ def test_svd_runs_on_few_subsets(ident, svd_rows):
 
 
 def _reversed(band):
-    return None if band is None else (band[0][::-1].copy(), band[1])
+    return band[0][::-1].copy(), band[1]
 
 
 def _halved(band):
-    return None if band is None else (band[0] / 2.0, band[1])
+    return band[0] / 2.0, band[1]
 
 
 @pytest.mark.parametrize("corrupt", (_reversed, _halved), ids=("reversed", "halved"))
@@ -351,3 +351,12 @@ def test_unranking_stays_in_int64_where_binomials_overflow_it():
     assert result.subset.indices == tuple(range(69))
     assert result.value.value == 0.0
     assert result.subsets_evaluated == 70
+
+
+def test_bands_that_overflow_have_infinite_widths():
+    # sopt's value function multiplies the sigmas, which overflows at this
+    # scale; its band is still a band, every width infinite
+    sigma = np.full((4, 6), 1e100)
+    estimate, width = selectors.batch_bands(parse_criterion("sopt"), sigma, sigma, np.full(4, 1e-12))
+    assert estimate.shape == width.shape == (4,)
+    assert np.all(width == np.inf)

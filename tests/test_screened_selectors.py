@@ -10,6 +10,8 @@ and nearly duplicated columns, extreme scales, and a near-dependent column
 whose value nearly ties the best.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -63,8 +65,13 @@ def oracle_local_swap(matrix, k, seed=0, max_sweeps=100):
             current = tuple(int(i) for i in cand)
             current_vol = float(np.prod(sigma[0]))
             break
-    if current is None:
-        raise InfeasibleError("no full-rank starting subset")
+    if current is None:  # greedy vol's subset, if full rank, is the start
+        chosen, _, count = oracle_greedy(matrix, k, vol_spec)
+        evaluated += count
+        sigma, full = _batch_stats(_stack(a, np.array([chosen], dtype=np.intp)))
+        if not full[0]:
+            raise InfeasibleError("no full-rank starting subset")
+        current, current_vol = chosen, float(np.prod(sigma[0]))
     for _ in range(max_sweeps):
         outside = [j for j in range(n) if j not in current]
         if not outside:
@@ -95,6 +102,14 @@ def _low_rank(seed):
 def _duplicated(seed):
     a = _gaussian(seed)
     a[:, [17, 64, 150]] = a[:, [3, 40, 3]]
+    return a
+
+
+def _sparse_support(seed):
+    # only 12 of 200 columns are nonzero, so local swap's seeded draws never
+    # find a full-rank start of 12 columns and greedy vol's subset is its start
+    a = np.zeros((60, 200))
+    a[:, ::17] = _gaussian(seed, 60, 12)
     return a
 
 
@@ -137,6 +152,7 @@ CASES = {
     **{f"gaussian-{s}": (lambda s=s: _gaussian(s), 12) for s in (0, 1, 2, 3)},
     "rank-8": (lambda: _low_rank(4), 12),
     "duplicated": (lambda: _duplicated(5), 12),
+    "sparse-support": (lambda: _sparse_support(10), 12),
     "near-duplicate": (lambda: _near_duplicate(6), 12),
     **{f"scale-{c:g}": (lambda c=c: _gaussian(7) * c, 12) for c in (1e-150, 1e-100, 1e100, 1e150)},
     # small enough that vol stays finite at 1e+-100, so values are compared there too
@@ -222,7 +238,7 @@ def test_wrong_estimates_fall_back_to_scoring_every_candidate(run, monkeypatch):
     def reversed_estimates(real):
         def wrapped(*args):
             band = real(*args)
-            return None if band is None else (band[0][::-1].copy(), band[1])
+            return band[0][::-1].copy(), band[1]
         return wrapped
 
     for name in ("_swap_estimates", "_extension_estimates"):
@@ -230,3 +246,56 @@ def test_wrong_estimates_fall_back_to_scoring_every_candidate(run, monkeypatch):
     matrix = DenseMatrix(_gaussian(13))
     selector, oracle = RUNS[run]
     assert _selector_outcome(lambda: selector(matrix, 12)) == _outcome(lambda: oracle(matrix, 12))
+
+
+def _exact_band(matrix, idx, spec):
+    """A band (estimate, width) whose estimates are the values themselves."""
+    ((vals, _),) = _batch_scores(matrix.array, matrix.column_norms(), idx, [spec])
+    return vals.copy(), 1e-9 * np.abs(vals)
+
+
+def _every_row(matrix, idx, spec):
+    ((vals, valid),) = _batch_scores(matrix.array, matrix.column_norms(), idx, [spec])
+    row = _best_row(vals, valid, spec.direction == "maximize")
+    return row, float(vals[row])
+
+
+def test_rows_without_a_usable_estimate_are_certified_alone(svd_rows):
+    # an infinite estimate and a NaN width each mark a row as unusable; only
+    # those two rows and the near-best one reach the SVD
+    matrix = DenseMatrix(_gaussian(14, 8, 12))
+    idx = np.array(list(itertools.combinations(range(12), 3)), dtype=np.intp)
+    spec = parse_criterion("vol")
+    estimate, width = _exact_band(matrix, idx, spec)
+    best = _every_row(matrix, idx, spec)
+    low, lower = np.argsort(estimate)[:2]  # two rows far below the best
+    estimate[low], width[lower] = np.inf, np.nan
+    svd_rows.clear()
+    assert selectors._screened_best(matrix.array, matrix.column_norms(), idx, [spec],
+                                    [(estimate, width)]) == [best]
+    assert svd_rows == [3]
+
+
+def test_a_spec_without_finite_widths_leaves_the_other_screened(svd_rows):
+    # sopt has no usable estimate at all, so it is scored on every row in a
+    # call of its own; vol still certifies only its near-best row
+    matrix = DenseMatrix(_gaussian(15, 8, 12))
+    idx = np.array(list(itertools.combinations(range(12), 3)), dtype=np.intp)
+    vol, sopt = parse_criterion("vol"), parse_criterion("sopt")
+    blank = (np.zeros(len(idx)), np.full(len(idx), np.inf))
+    svd_rows.clear()
+    out = selectors._screened_best(matrix.array, matrix.column_norms(), idx, [vol, sopt],
+                                   [_exact_band(matrix, idx, vol), blank])
+    assert out == [_every_row(matrix, idx, vol), _every_row(matrix, idx, sopt)]
+    assert svd_rows == [1, len(idx)]
+
+
+def test_criteria_without_a_rank_one_estimate_get_infinite_widths():
+    a = _gaussian(16, 10, 20)
+    unit, scale = selectors._unit_scaled(a)
+    remaining = np.arange(2, 20)
+    for ident in ("sopt", "rvol", "res-two"):
+        estimate, width = selectors._extension_estimates(parse_criterion(ident), unit, scale,
+                                                         (0, 1), remaining, 1.0)
+        assert estimate.shape == width.shape == remaining.shape
+        assert np.all(width == np.inf), ident

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from colsel.criteria import evaluate, parse_criterion
-from colsel.errors import InfeasibleError, InvalidParameterError
+from colsel.errors import InfeasibleError, InvalidInputError, InvalidParameterError
 from colsel.matrixkit import DenseMatrix
 from colsel.selectors import (
     ColumnSubset,
@@ -215,6 +215,25 @@ class TestLocalSwapVolume:
         a = DenseMatrix(np.hstack([col, 2 * col, 3 * col]))
         with pytest.raises(InfeasibleError):
             select_local_swap_volume(a, 2, seed=0)
+
+    def test_greedy_start_where_the_seeded_draws_find_none(self):
+        # the six draws of seed 0 are all rank-deficient, but columns 0, 1 are
+        # not; greedy vol's subset is the start, and its extensions are counted
+        a = DenseMatrix([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        result = select_local_swap_volume(a, 2, seed=0)
+        assert result.subset.indices == (0, 1)
+        assert result.value.value == 1.0
+        assert result.subsets_evaluated == 6 + 5 + 2  # draws, greedy, one sweep
+
+    @pytest.mark.parametrize("scale", (1e100, 1e150))
+    def test_overflowing_start_volume_raises_without_a_warning(self, scale):
+        # the start volume comes from the criteria table like every other
+        # volume, so its overflow is one clean error, not a numpy warning first
+        a = DenseMatrix(np.random.default_rng(7).standard_normal((60, 200)) * scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError):
+                select_local_swap_volume(a, 12)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(7)
