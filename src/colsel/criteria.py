@@ -2,12 +2,13 @@
 
 Every criterion is a function of the singular values of the selected
 submatrix C (plus its column norms for the scaled volume, and the parent
-matrix for the residuals).  ``_KINDS`` holds one row per criterion kind: its
-ids, optimization direction, rank requirement, Schatten-parameter domain,
+matrix for the residuals).  ``_KINDS`` holds one row per criterion (a
+Schatten family such as the condition numbers is one criterion): its ids,
+optimization direction, rank requirement, Schatten-parameter domain,
 sigma-to-value function, how far that value can move when the sigmas move,
 and the optimal value attained by k orthonormal columns, which is what turns
 the optimization problems into decision problems.  Adding a criterion means
-adding one row (plus its ``REGISTRY`` entry when it belongs in the reports).
+adding one row (plus its ``REGISTRY`` id when it belongs in the reports).
 """
 
 from __future__ import annotations
@@ -47,13 +48,9 @@ def _pinv_schatten(sigma, p):
     return _sum(sigma ** (-p), axis=-1) ** (1.0 / p)
 
 
-def _cond_two(sigma, p, norms):
-    return sigma[..., 0] / sigma[..., -1]
-
-
 def _cond_schatten(sigma, p, norms):
     if p == math.inf:
-        return _cond_two(sigma, p, norms)
+        return sigma[..., 0] / sigma[..., -1]
     return _schatten(sigma, p) * _pinv_schatten(sigma, p)
 
 
@@ -62,18 +59,16 @@ def _sopt(sigma, p, norms):
     return (_prod(sigma, axis=-1) / _prod(norms, axis=-1)) ** (1.0 / k)
 
 
-def _unit_schatten(k, p):
-    if p < 2:
-        return None
+def _root(k, p):
     return math.sqrt(k) if p == 2 else k ** (1.0 / p)
+
+
+def _unit_schatten(k, p):
+    return None if p < 2 else _root(k, p)
 
 
 def _one(k, p):
     return 1.0
-
-
-def _two(k, p):
-    return 2.0
 
 
 def _always(p):
@@ -82,13 +77,14 @@ def _always(p):
 
 @dataclass(frozen=True)
 class _Kind:
-    """Everything the package knows about one criterion kind.
+    """Everything the package knows about one criterion; one row per criterion.
 
     ``ids`` holds the base id (which takes the ":p=" suffix when the kind has
     a Schatten parameter) followed by its aliases; ``named`` holds ids that
-    pin p, e.g. ("norm-two", inf).  ``rank`` says what a numerically
-    rank-deficient C scores: "required" rejects it, "zero" scores 0, "any"
-    evaluates it as is.  ``value`` maps a stack of singular values (B, r), p
+    pin p, e.g. ("norm-two", inf) or ("cond-frobenius", 2); ``default_p`` is
+    the p a bare base id means (2 for "srank" and "cond-mixed").  ``rank``
+    says what a numerically rank-deficient C scores: "required" rejects it,
+    "zero" scores 0, "any" evaluates it as is.  ``value`` maps a stack of singular values (B, r), p
     and column norms (B, k) to B criterion values; residuals, which are not
     singular-value computable, name their norm in ``residual`` instead.
     ``log_lipschitz`` bounds the sum over i of |d log value / d log sigma_i|
@@ -125,18 +121,13 @@ _KINDS = {
                        lambda s, p, n: _pinv_schatten(s, p), _ANY_P,
                        named=(("pinv-norm-two", math.inf), ("pinv-norm-frobenius", 2.0)),
                        characterizes=lambda p: p >= 2),
-    "cond_two": _Kind(("cond-two",), "minimize", "required", _one, _cond_two, log_lipschitz=_two),
-    "cond_frobenius": _Kind(("cond-frobenius",), "minimize", "required", lambda k, p: float(k),
-                            lambda s, p, n: _schatten(s, 2.0) * _pinv_schatten(s, 2.0),
-                            log_lipschitz=_two),
     "cond_schatten": _Kind(("cond",), "minimize", "required", lambda k, p: k ** (2.0 / p),
-                           _cond_schatten, _ANY_P, log_lipschitz=_two),
-    "cond_mixed": _Kind(("cond-mixed",), "minimize", "required", lambda k, p: math.sqrt(k),
-                        lambda s, p, n: _schatten(s, 2.0) / s[..., -1], log_lipschitz=_two),
-    "cond_mixed_schatten": _Kind(("cond-mixed",), "minimize", "required",
-                                 lambda k, p: k ** (1.0 / p),
+                           _cond_schatten, _ANY_P,
+                           named=(("cond-two", math.inf), ("cond-frobenius", 2.0)),
+                           log_lipschitz=lambda k, p: 2.0),
+    "cond_mixed_schatten": _Kind(("cond-mixed",), "minimize", "required", _root,
                                  lambda s, p, n: _schatten(s, p) / s[..., -1], _ANY_P,
-                                 log_lipschitz=_two),
+                                 default_p=2.0, log_lipschitz=lambda k, p: 2.0),
     "stable_rank": _Kind(("srank",), "maximize", "any", lambda k, p: float(k),
                          lambda s, p, n: _sum((s / s[..., :1]) ** p, axis=-1), _FINITE_P2,
                          default_p=2.0, log_lipschitz=lambda k, p: 2.0 * p),
@@ -145,6 +136,11 @@ _KINDS = {
     "residual_frobenius": _Kind(("res-frobenius",), "minimize", "any", lambda k, p: None,
                                 characterizes=lambda p: False, residual="frobenius"),
 }
+
+# every id, alias and pinned name -> (kind, pinned p or None), and pinned (kind, p) -> name
+_NAMES = {name: (kind, None) for kind, row in _KINDS.items() for name in row.ids}
+_NAMES.update((name, (kind, p)) for kind, row in _KINDS.items() for name, p in row.named)
+_PINNED_NAMES = {(kind, p): name for kind, row in _KINDS.items() for name, p in row.named}
 
 
 def _check_p(row: _Kind, p, label: str):
@@ -210,6 +206,12 @@ def pinv_schatten_norm(c: DenseMatrix, p) -> float:
     return _scalar(row, c, _check_p(row, p, "pseudo-inverse Schatten norm"))
 
 
+# condition-number flavor -> (criterion kind, the p it pins, or None when it takes p)
+_COND_FLAVORS = {"two": ("cond_schatten", math.inf), "frobenius": ("cond_schatten", 2.0),
+                 "schatten": ("cond_schatten", None), "mixed": ("cond_mixed_schatten", 2.0),
+                 "mixed_schatten": ("cond_mixed_schatten", None)}
+
+
 def condition_number(c: DenseMatrix, kind: str, p=None) -> float:
     """Condition number with respect to left inversion.
 
@@ -217,10 +219,15 @@ def condition_number(c: DenseMatrix, kind: str, p=None) -> float:
     "schatten" (needs p), "mixed" (Frobenius times two-norm of the
     pseudo-inverse), or "mixed_schatten" (needs p).
     """
-    row = _KINDS.get("cond_" + kind)
-    if row is None:
+    if kind not in _COND_FLAVORS:
         raise InvalidParameterError(f"unknown condition number kind {kind!r}")
-    return _scalar(row, c, _check_p(row, p, f"condition number kind {kind!r}"))
+    name, pinned = _COND_FLAVORS[kind]
+    row, label = _KINDS[name], f"condition number kind {kind!r}"
+    if pinned is None:
+        pinned = _check_p(row, p, label)
+    elif p is not None:
+        raise InvalidParameterError(f"{label} takes no p")
+    return _scalar(row, c, pinned)
 
 
 def stable_rank(c: DenseMatrix, p=2) -> float:
@@ -284,10 +291,9 @@ class CriterionSpec:
     @property
     def identifier(self) -> str:
         """Stable lowercase string id, e.g. "rvol", "cond-two", "pinv-norm:p=4"."""
+        if (self.kind, self.p) in _PINNED_NAMES:
+            return _PINNED_NAMES[self.kind, self.p]
         row = _KINDS[self.kind]
-        for name, p in row.named:
-            if p == self.p:
-                return name
         if self.p == row.default_p:
             return row.ids[0]
         return f"{row.ids[0]}:p={_fmt_p(self.p)}"
@@ -326,57 +332,36 @@ def parse_criterion(text: str, p=None) -> CriterionSpec:
     in the id takes precedence.
     """
     text = text.strip().lower()
-    override = None
     if ":p=" in text:
-        text, _, raw = text.partition(":p=")
-        override = math.inf if raw == "inf" else _parse_p_token(raw)
-    elif p is not None:
-        override = math.inf if p == "inf" else float(p)
-    for kind, row in _KINDS.items():
-        for name, pinned in row.named:
-            if name == text:
-                if override is not None:
-                    raise InvalidParameterError(f"criterion {text!r} takes no Schatten parameter")
-                return CriterionSpec(kind, pinned)
-    rows = [(kind, row) for kind, row in _KINDS.items() if text in row.ids]
-    if not rows:
+        text, _, p = text.partition(":p=")
+    if p is not None:
+        p = _parse_p(p)
+    if text not in _NAMES:
         raise InvalidParameterError(f"unknown criterion id {text!r}")
-    if override is None:
-        for kind, row in rows:
-            if row.p_domain is None or row.default_p is not None:
-                return CriterionSpec(kind, row.default_p)
-        raise InvalidParameterError(f"criterion {text!r} needs a Schatten parameter p")
-    for kind, row in rows:
-        if row.p_domain is not None:
-            return CriterionSpec(kind, override)
-    raise InvalidParameterError(f"criterion {text!r} takes no Schatten parameter")
+    kind, pinned = _NAMES[text]
+    row = _KINDS[kind]
+    if p is None:
+        p = row.default_p if pinned is None else pinned
+        if p is None and row.p_domain is not None:
+            raise InvalidParameterError(f"criterion {text!r} needs a Schatten parameter p")
+    elif pinned is not None or row.p_domain is None:
+        raise InvalidParameterError(f"criterion {text!r} takes no Schatten parameter")
+    return CriterionSpec(kind, p)
 
 
-def _parse_p_token(raw: str) -> float:
+def _parse_p(raw) -> float:
+    """A Schatten parameter given as text ("4", "inf") or as a number."""
     try:
         return float(raw)
-    except ValueError:
+    except (TypeError, ValueError):
         raise InvalidParameterError(f"bad Schatten parameter {raw!r}") from None
 
 
-DEFAULT_SCHATTEN_PS = (3.0, 4.0)
-
-
-def _build_registry() -> tuple[CriterionSpec, ...]:
-    ps = DEFAULT_SCHATTEN_PS
-    specs = [CriterionSpec(kind) for kind in ("volume", "relative_volume", "s_optimality")]
-    specs += [CriterionSpec("norm", p) for p in (math.inf, *ps, 2.0)]
-    specs += [CriterionSpec("pinv_norm", p) for p in (math.inf, 2.0, *ps)]
-    specs += [CriterionSpec("cond_two"), CriterionSpec("cond_frobenius")]
-    specs += [CriterionSpec("cond_schatten", p) for p in ps]
-    specs.append(CriterionSpec("cond_mixed"))
-    specs += [CriterionSpec("cond_mixed_schatten", p) for p in ps]
-    specs += [CriterionSpec("stable_rank", p) for p in (2.0, *ps)]
-    specs += [CriterionSpec("residual_two"), CriterionSpec("residual_frobenius")]
-    return tuple(specs)
-
-
-REGISTRY: tuple[CriterionSpec, ...] = _build_registry()
+REGISTRY: tuple[CriterionSpec, ...] = tuple(map(parse_criterion, (
+    "vol", "rvol", "sopt", "norm-two", "norm:p=3", "norm:p=4", "norm-frobenius",
+    "pinv-norm-two", "pinv-norm-frobenius", "pinv-norm:p=3", "pinv-norm:p=4",
+    "cond-two", "cond-frobenius", "cond:p=3", "cond:p=4", "cond-mixed", "cond-mixed:p=3",
+    "cond-mixed:p=4", "srank", "srank:p=3", "srank:p=4", "res-two", "res-frobenius")))
 
 
 def registry() -> tuple[CriterionSpec, ...]:

@@ -278,9 +278,9 @@ def _gap_rows(k: int):
         (CriterionSpec("pinv_norm", 2.0), math.sqrt(k + 0.25), None),
         (CriterionSpec("pinv_norm", 3.0), k ** (1.0 / 3.0) * quarter, None),
         (CriterionSpec("pinv_norm", 4.0), k ** (1.0 / 4.0) * quarter, None),
-        (CriterionSpec("cond_two"), math.sqrt(2.0), None),
-        (CriterionSpec("cond_frobenius"), k * quarter, None),
-        (CriterionSpec("cond_mixed"), math.sqrt(1.5 * k), None),
+        (CriterionSpec("cond_schatten", math.inf), math.sqrt(2.0), None),
+        (CriterionSpec("cond_schatten", 2.0), k * quarter, None),
+        (CriterionSpec("cond_mixed_schatten", 2.0), math.sqrt(1.5 * k), None),
         (CriterionSpec("stable_rank", 2.0), 0.75 * k, None),
     ]
 

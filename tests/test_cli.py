@@ -186,6 +186,21 @@ class TestSelectCommand:
         assert "subsets_evaluated=3" in out
         assert "elapsed" in err and "elapsed" not in out
 
+    @pytest.mark.parametrize("given, canonical", [
+        ("cond:p=inf", "cond-two"), ("cond-two", "cond-two"),
+        ("cond:p=2", "cond-frobenius"), ("cond-frobenius", "cond-frobenius"),
+        ("cond-mixed:p=2", "cond-mixed"), ("cond-mixed", "cond-mixed"),
+    ])
+    def test_one_printed_name_per_criterion(self, capsys, monkeypatch, given, canonical):
+        stdin = "1,0,0.5\n0,1,0.25\n0,0,1\n"
+        code, out, _ = run_cli(capsys, monkeypatch, ["select", "--method", "exact",
+                                                     "--criterion", given, "--k", "2"], stdin)
+        assert code == 0
+        assert out.startswith(f"criterion={canonical} ")
+        _, expected, _ = run_cli(capsys, monkeypatch, ["select", "--method", "exact",
+                                                       "--criterion", canonical, "--k", "2"], stdin)
+        assert out == expected
+
     def test_greedy_frobenius(self, capsys, monkeypatch):
         code, out, _ = run_cli(capsys, monkeypatch,
                                ["select", "--method", "greedy-frobenius", "--k", "2"],

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from colsel.criteria import (
+    _KINDS,
+    _NAMES,
     CriterionSpec,
     CriterionValue,
     batch_values,
@@ -189,6 +191,30 @@ class TestConditionNumber:
         with pytest.raises(InvalidParameterError):
             condition_number(c, "nuclear")
 
+    @pytest.mark.parametrize("kind, p, ident", [
+        ("two", None, "cond-two"),
+        ("frobenius", None, "cond-frobenius"),
+        ("mixed", None, "cond-mixed"),
+        ("schatten", 2, "cond-frobenius"),
+        ("schatten", 3, "cond:p=3"),
+        ("schatten", math.inf, "cond-two"),
+        ("mixed_schatten", 2, "cond-mixed"),
+        ("mixed_schatten", 4, "cond-mixed:p=4"),
+        ("mixed_schatten", math.inf, "cond-mixed:p=inf"),
+    ])
+    def test_flavor_table(self, kind, p, ident):
+        c = DenseMatrix(np.random.default_rng(11).standard_normal((6, 3)))
+        expected = evaluate(parse_criterion(ident), c).value
+        assert condition_number(c, kind, p) == expected
+
+    @pytest.mark.parametrize("kind, p", [
+        ("two", 3), ("two", math.inf), ("frobenius", 2), ("mixed", 3), ("mixed", 2),
+        ("schatten", None), ("mixed_schatten", None), ("schatten", 0.5), ("mixed_schatten", 0),
+    ])
+    def test_flavor_table_rejects(self, kind, p):
+        with pytest.raises(InvalidParameterError):
+            condition_number(DenseMatrix(np.eye(2)), kind, p)
+
 
 class TestStableRank:
     def test_zero_matrix(self):
@@ -308,6 +334,59 @@ class TestParseCriterion:
             parse_criterion("spectral-gap")
         with pytest.raises(InvalidParameterError):
             parse_criterion("cond:p=zero")
+        with pytest.raises(InvalidParameterError, match="bad Schatten parameter 'abc'"):
+            parse_criterion("norm", p="abc")
+        with pytest.raises(InvalidParameterError, match="bad Schatten parameter 'abc'"):
+            parse_criterion("norm:p=abc")
+
+
+class TestNameIndex:
+    """One row and one printed name per criterion."""
+
+    def test_no_name_in_two_rows(self):
+        names = [name for row in _KINDS.values()
+                 for name in (*row.ids, *(pinned for pinned, _ in row.named))]
+        assert len(names) == len(set(names))
+        assert set(names) == set(_NAMES)
+        assert len(_KINDS) == 10
+
+    @pytest.mark.parametrize("name", sorted(_NAMES))
+    def test_every_name_round_trips(self, name):
+        parsed = []
+        for p in (None, 2, 3, "inf"):
+            try:
+                spec = parse_criterion(name, p)
+            except InvalidParameterError:
+                continue
+            parsed.append(spec)
+            assert parse_criterion(spec.identifier) == spec
+            assert str(spec) == spec.identifier
+        assert parsed
+
+    @pytest.mark.parametrize("text, canonical", [
+        ("cond:p=2", "cond-frobenius"),
+        ("cond:p=inf", "cond-two"),
+        ("cond-mixed:p=2", "cond-mixed"),
+        ("norm:p=2", "norm-frobenius"),
+        ("srank:p=2", "srank"),
+    ])
+    def test_pinned_and_default_p_share_one_spec(self, text, canonical):
+        assert parse_criterion(text) == parse_criterion(canonical)
+        assert parse_criterion(text).identifier == canonical
+
+    @pytest.mark.parametrize("kind", ["cond_two", "cond_frobenius", "cond_mixed"])
+    def test_removed_kind_names_are_rejected(self, kind):
+        with pytest.raises(InvalidParameterError, match="unknown criterion kind"):
+            CriterionSpec(kind)
+
+    def test_registry_ids_in_report_order(self):
+        assert [spec.identifier for spec in registry()] == [
+            "vol", "rvol", "sopt", "norm-two", "norm:p=3", "norm:p=4", "norm-frobenius",
+            "pinv-norm-two", "pinv-norm-frobenius", "pinv-norm:p=3", "pinv-norm:p=4",
+            "cond-two", "cond-frobenius", "cond:p=3", "cond:p=4", "cond-mixed",
+            "cond-mixed:p=3", "cond-mixed:p=4", "srank", "srank:p=3", "srank:p=4",
+            "res-two", "res-frobenius",
+        ]
 
 
 class TestUnitColumnBounds:

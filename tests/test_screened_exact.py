@@ -65,6 +65,17 @@ def _near_duplicate(seed):
     return a
 
 
+def _spanning_near_duplicate(seed):
+    # column 6 is column 2 plus 1e-12 z and column 11 is z, so a subset holding
+    # 2 and 6 spans what one holding 2 and 11 spans, at a condition number
+    # above 1e11: such subsets lie next to the residual optima
+    a = _gaussian(seed)
+    z = np.random.default_rng(seed + 1).standard_normal(len(a))
+    a[:, 6] = a[:, 2] + 1e-12 * z
+    a[:, 11] = z
+    return a
+
+
 def _low_rank(seed, rank=4):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((9, rank)) @ rng.standard_normal((rank, 15))
@@ -79,6 +90,7 @@ CASES = {
     **{f"gaussian-{s}": (lambda s=s: _gaussian(s), 5) for s in (0, 1)},
     "duplicated": (lambda: _duplicated(2), 5),
     "near-duplicate": (lambda: _near_duplicate(3), 5),
+    "spanning-near-duplicate": (lambda: _spanning_near_duplicate(2), 5),
     "rank-k-1": (lambda: _low_rank(4), 5),
     # fewer rows than k: no subset has full column rank
     "wide": (lambda: _gaussian(6, 4, 10), 5),
@@ -86,6 +98,7 @@ CASES = {
     # every full-rank subset spans the whole column space: residuals near 0
     "k-equals-m": (lambda: _gaussian(10, 5, 10), 5),
     "tall": (lambda: _gaussian(11, 16, 9), 4),
+    "very-tall": (lambda: _gaussian(12, 200, 10), 4),
     "x3c-false": (lambda: _reduction(x3c.generate_false(5, 14, 1)), 5),
     "x3c-true": (lambda: _reduction(x3c.generate_true(5, 9, 1)), 5),
     **{f"scale-{c:g}": (lambda c=c: _gaussian(5) * c, 5) for c in (1e-150, 1e-100, 1e100, 1e150)},
@@ -322,6 +335,80 @@ def test_exact_ties_across_chunks_go_to_the_smallest_witness(case, threads):
             ((vals, _),) = _batch_scores(matrix.array, matrix.column_norms(), pair, [spec])
             ties += vals[0] == vals[1] == value
     assert ties >= 1
+
+
+@pytest.mark.parametrize("ident", ("res-two", "res-frobenius"))
+def test_ill_conditioned_subsets_next_to_the_residual_optimum(ident):
+    # the witness holds 2 and 11; swapping 11 for 6 gives a subset within a
+    # relative 1e-5 of the optimum at a condition number above 1e11, whose
+    # Gram estimates prove no full rank, so its band is infinite and it is
+    # certified, whatever the rounding term of the widths
+    make, k = CASES["spanning-near-duplicate"]
+    matrix = DenseMatrix(make())
+    spec = parse_criterion(ident)
+    expected = _expected("spanning-near-duplicate", spec)
+    _, witness, value, _ = expected
+    assert {2, 11} <= set(witness)
+    idx = np.array([sorted(set(witness) - {11} | {6})], dtype=np.intp)
+    sigma = np.linalg.svd(matrix.array[:, idx[0]], compute_uv=False)
+    assert sigma[0] / sigma[-1] >= 1e11
+    ((vals, _),) = _batch_scores(matrix.array, matrix.column_norms(), idx, [spec])
+    assert 0.0 < vals[0] - value <= 1e-5 * value
+    estimates, rel = _estimates(matrix, idx)
+    unit, scale = selectors._unit_scaled(matrix.array)
+    bands = selectors._residual_bands(selectors._residual_basis(unit), scale, idx, estimates, rel,
+                                      {spec.residual_norm})
+    assert bands[spec.residual_norm][1][0] == np.inf
+    assert _select_outcome(matrix, k, spec) == expected
+
+
+@pytest.mark.parametrize("ident", ("res-two", "res-frobenius"))
+def test_residual_widths_hold_the_rounding_of_the_condition_number(ident):
+    # columns 2 and 6 differ by 1e-4 z: condition numbers near 1e5 that the
+    # Gram estimates still prove, where ROUNDING * k * kappa^2 exceeds
+    # RESIDUAL_SLACK and so sets the width
+    a = _gaussian(3)
+    a[:, 6] = a[:, 2] + 1e-4 * np.random.default_rng(4).standard_normal(len(a))
+    matrix, k = DenseMatrix(a), 5
+    spec = parse_criterion(ident)
+    unit, scale = selectors._unit_scaled(a)
+    basis = selectors._residual_basis(unit)
+    dominant = 0
+    for idx in selectors._index_chunks(matrix.cols, k):
+        estimates, rel = _estimates(matrix, idx)
+        _, width = selectors._residual_bands(basis, scale, idx, estimates, rel,
+                                             {spec.residual_norm})[spec.residual_norm]
+        sigma, _ = selectors._batch_stats(selectors._stack(a, idx))
+        proven = np.isfinite(rel)
+        norm = np.linalg.norm(a)
+        rounding = norm * selectors._rounding(k, sigma[:, 0] / sigma[:, -1])
+        assert np.all(width[proven] >= rounding[proven])
+        dominant += np.count_nonzero(proven & (rounding > norm * selectors.RESIDUAL_SLACK))
+    assert dominant > 0
+    (best,), seen = oracle_optima(matrix, k, [spec])
+    assert _select_outcome(matrix, k, spec) == ("ok", best[1], best[0], seen)
+
+
+@pytest.mark.parametrize("ident", ("res-two", "res-frobenius"))
+def test_tall_input_keeps_every_subset_qr_at_n_rows(ident, monkeypatch):
+    # 200 x 10: A is replaced by the R of its own QR before the chunks, so no
+    # chunk's complete Q is larger than n x n
+    make, k = CASES["very-tall"]
+    matrix = DenseMatrix(make())
+    spec = parse_criterion(ident)
+    expected = _expected("very-tall", spec)
+    rows = []
+    real = np.linalg.qr
+
+    def recording(a, mode="reduced"):
+        out = real(a, mode=mode)
+        if mode == "complete":
+            rows.append(out.Q.shape[-2])
+        return out
+
+    monkeypatch.setattr(np.linalg, "qr", recording)
+    assert _select_outcome(matrix, k, spec) == expected
+    assert rows and max(rows) <= matrix.cols
 
 
 def _ones(m, n):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from colsel import selectors
-from colsel.criteria import CriterionSpec, CriterionValue, parse_criterion
+from colsel.criteria import CriterionSpec, CriterionValue, batch_values, parse_criterion
 from colsel.errors import InfeasibleError
 from colsel.matrixkit import DenseMatrix
 from colsel.selectors import (
@@ -57,21 +57,28 @@ def oracle_local_swap(matrix, k, seed=0, max_sweeps=100):
     vol_spec = CriterionSpec("volume")
     evaluated = 0
     current = None
+
+    def volume(idx, sigma, full):
+        # batch_values, unlike np.prod, keeps an overflowing volume free of warnings
+        vols, _ = batch_values(vol_spec, sigma, col_norms[idx], full)
+        return float(vols[0])
+
     for _ in range(n * k):
         cand = np.sort(rng.choice(n, size=k, replace=False)).astype(np.intp)
         sigma, full = _batch_stats(_stack(a, cand[None, :]))
         evaluated += 1
         if full[0]:
             current = tuple(int(i) for i in cand)
-            current_vol = float(np.prod(sigma[0]))
+            current_vol = volume(cand[None, :], sigma, full)
             break
     if current is None:  # greedy vol's subset, if full rank, is the start
         chosen, _, count = oracle_greedy(matrix, k, vol_spec)
         evaluated += count
-        sigma, full = _batch_stats(_stack(a, np.array([chosen], dtype=np.intp)))
+        idx = np.array([chosen], dtype=np.intp)
+        sigma, full = _batch_stats(_stack(a, idx))
         if not full[0]:
             raise InfeasibleError("no full-rank starting subset")
-        current, current_vol = chosen, float(np.prod(sigma[0]))
+        current, current_vol = chosen, volume(idx, sigma, full)
     for _ in range(max_sweeps):
         outside = [j for j in range(n) if j not in current]
         if not outside:
