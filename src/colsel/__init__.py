@@ -15,6 +15,7 @@ from .criteria import (
     s_optimality,
     schatten_norm,
     stable_rank,
+    values,
     volume,
 )
 from .errors import (

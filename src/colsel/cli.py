@@ -11,13 +11,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 
 import numpy as np
 
 from . import x3c
-from .criteria import CriterionSpec, evaluate, parse_criterion
+from .criteria import CriterionSpec, evaluate, parse_criterion, parse_p
 from .errors import ColselError, InvalidParameterError, ParseError
 from .lemmas import run_suite
 from .matrixkit import DenseMatrix
@@ -255,12 +254,10 @@ def _cmd_lemmas(args) -> int:
 
 
 def _parse_p(raw: str) -> float:
-    if raw.lower() == "inf":
-        return math.inf
     try:
-        return float(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad Schatten parameter {raw!r}") from None
+        return parse_p(raw)
+    except InvalidParameterError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_count(raw: str, name: str, minimum: int) -> int:

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError, RankDeficiencyError, ShapeError
-from .matrixkit import DenseMatrix, default_rank_tolerance, svd
+from .matrixkit import DenseMatrix, SvdResult, default_rank_tolerance, svd
 
 # Schatten-parameter domains as (minimum, whether p = inf is allowed)
 _ANY_P = (1.0, True)
@@ -158,18 +158,13 @@ def _check_p(row: _Kind, p, label: str):
     return float(p)
 
 
-def _scalar(row: _Kind, c: DenseMatrix, p) -> float:
-    """One submatrix's value through its row's sigma-to-value function."""
-    norms = None
-    if row.needs_norms:
-        norms = c.column_norms()
-        if np.any(norms == 0.0):
-            raise InvalidInputError("matrix has a zero column")
-    res = svd(c)
-    if res.numerical_rank < c.cols:
+def _scalar(row: _Kind, res: SvdResult, norms, cols: int, p) -> float:
+    """One submatrix's value through its row's sigma-to-value function, from
+    the submatrix's SVD and its column norms (None unless a row needed them)."""
+    if res.numerical_rank < cols:
         if row.rank == "required":
             raise RankDeficiencyError(
-                f"matrix has numerical rank {res.numerical_rank} < {c.cols} columns"
+                f"matrix has numerical rank {res.numerical_rank} < {cols} columns"
             )
         if row.rank == "zero":
             return 0.0
@@ -179,31 +174,56 @@ def _scalar(row: _Kind, c: DenseMatrix, p) -> float:
     return float(row.value(sigma[None], p, None if norms is None else norms[None])[0])
 
 
+def values(c: DenseMatrix, specs, full_matrix: DenseMatrix | None = None) -> list[float]:
+    """The value of each criterion in ``specs`` on submatrix ``c``.
+
+    One ``svd(c)`` and at most one ``column_norms()`` serve every spec; the
+    residual criteria measure against ``full_matrix``.  Raises what
+    ``evaluate`` raises for the first spec that fails, apart from its
+    finite-value check: a value that overflows is returned as is.
+    """
+    res = norms = None
+    out = []
+    for spec in specs:
+        row = _KINDS[spec.kind]
+        if row.residual is not None:
+            if full_matrix is None:
+                raise InvalidParameterError("residual criteria need the parent matrix")
+            out.append(residual(full_matrix, c, row.residual))
+            continue
+        if row.needs_norms and norms is None:
+            norms = c.column_norms()
+            if np.any(norms == 0.0):
+                raise InvalidInputError("matrix has a zero column")
+        if res is None:
+            res = svd(c)
+        out.append(_scalar(row, res, norms, c.cols, spec.p))
+    return out
+
+
 def volume(c: DenseMatrix) -> float:
     """Product of all k singular values; 0 for numerically rank-deficient input."""
-    return _scalar(_KINDS["volume"], c, None)
+    return values(c, (CriterionSpec("volume"),))[0]
 
 
 def relative_volume(c: DenseMatrix) -> float:
     """Product of sigma_j / sigma_1, in (0, 1] with 1 exactly for orthonormal columns."""
-    return _scalar(_KINDS["relative_volume"], c, None)
+    return values(c, (CriterionSpec("relative_volume"),))[0]
 
 
 def s_optimality(c: DenseMatrix) -> float:
     """k-th root of the volume scaled by the product of the column two-norms."""
-    return _scalar(_KINDS["s_optimality"], c, None)
+    return values(c, (CriterionSpec("s_optimality"),))[0]
 
 
 def schatten_norm(c: DenseMatrix, p) -> float:
     """(sum sigma_j^p)^(1/p); p=2 is the Frobenius norm, p=inf the two-norm."""
-    row = _KINDS["norm"]
-    return _scalar(row, c, _check_p(row, p, "Schatten norm"))
+    return values(c, (CriterionSpec("norm", p),))[0]
 
 
 def pinv_schatten_norm(c: DenseMatrix, p) -> float:
     """Schatten p-norm of the pseudo-inverse, computed as (sum sigma_j^-p)^(1/p)."""
-    row = _KINDS["pinv_norm"]
-    return _scalar(row, c, _check_p(row, p, "pseudo-inverse Schatten norm"))
+    return values(c, (CriterionSpec("pinv_norm", p),))[0]
 
 
 # condition-number flavor -> (criterion kind, the p it pins, or None when it takes p)
@@ -222,18 +242,14 @@ def condition_number(c: DenseMatrix, kind: str, p=None) -> float:
     if kind not in _COND_FLAVORS:
         raise InvalidParameterError(f"unknown condition number kind {kind!r}")
     name, pinned = _COND_FLAVORS[kind]
-    row, label = _KINDS[name], f"condition number kind {kind!r}"
-    if pinned is None:
-        pinned = _check_p(row, p, label)
-    elif p is not None:
-        raise InvalidParameterError(f"{label} takes no p")
-    return _scalar(row, c, pinned)
+    if pinned is not None and p is not None:
+        raise InvalidParameterError(f"condition number kind {kind!r} takes no p")
+    return values(c, (CriterionSpec(name, p if pinned is None else pinned),))[0]
 
 
 def stable_rank(c: DenseMatrix, p=2) -> float:
     """Schatten-p energy relative to the largest singular value; 0 for the zero matrix."""
-    row = _KINDS["stable_rank"]
-    return _scalar(row, c, _check_p(row, p, "stable rank"))
+    return values(c, (CriterionSpec("stable_rank", p),))[0]
 
 
 def batch_residuals(a: np.ndarray, sub: np.ndarray, norm: str) -> np.ndarray:
@@ -335,7 +351,7 @@ def parse_criterion(text: str, p=None) -> CriterionSpec:
     if ":p=" in text:
         text, _, p = text.partition(":p=")
     if p is not None:
-        p = _parse_p(p)
+        p = parse_p(p)
     if text not in _NAMES:
         raise InvalidParameterError(f"unknown criterion id {text!r}")
     kind, pinned = _NAMES[text]
@@ -349,7 +365,7 @@ def parse_criterion(text: str, p=None) -> CriterionSpec:
     return CriterionSpec(kind, p)
 
 
-def _parse_p(raw) -> float:
+def parse_p(raw) -> float:
     """A Schatten parameter given as text ("4", "inf") or as a number."""
     try:
         return float(raw)
@@ -394,14 +410,7 @@ def evaluate(spec: CriterionSpec, c: DenseMatrix, full_matrix: DenseMatrix | Non
     The residual criteria additionally need the parent matrix the residual is
     measured against.
     """
-    row = _KINDS[spec.kind]
-    if row.residual is None:
-        value = _scalar(row, c, spec.p)
-    elif full_matrix is None:
-        raise InvalidParameterError("residual criteria need the parent matrix")
-    else:
-        value = residual(full_matrix, c, row.residual)
-    return CriterionValue(value, spec, c.cols)
+    return CriterionValue(values(c, (spec,), full_matrix)[0], spec, c.cols)
 
 
 def batch_values(spec: CriterionSpec, sigma: np.ndarray, column_norms: np.ndarray, full_rank: np.ndarray):

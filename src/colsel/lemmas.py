@@ -11,21 +11,17 @@ report record per lemma id.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import (
-    condition_number,
-    pinv_schatten_norm,
-    relative_volume,
-    s_optimality,
-    schatten_norm,
-    stable_rank,
-    volume,
-)
+from .criteria import CriterionSpec, parse_criterion, values
+# unused here, but bench/tracer.py PATCHES wraps these names in this module (ROADMAP item 4)
+from .criteria import (condition_number, pinv_schatten_norm, relative_volume,  # noqa: F401
+                       s_optimality, schatten_norm, stable_rank, volume)
 from .errors import InvalidParameterError, RankDeficiencyError
 from .matrixkit import DenseMatrix, complement_projector, partitioned_pinv, pseudo_inverse, svd
 
@@ -68,7 +64,7 @@ class LemmaReport:
 
 @dataclass(frozen=True)
 class SuiteSizes:
-    """Dimension and Schatten-parameter ranges the suite draws from."""
+    """Dimension and Schatten-parameter ranges the suite draws from (p_large >= 2)."""
 
     rows: tuple[int, int] = (3, 8)
     subset_cols: tuple[int, int] = (1, 5)
@@ -120,54 +116,51 @@ def _unit_columns(arr: np.ndarray) -> DenseMatrix:
     return DenseMatrix(arr / np.linalg.norm(arr, axis=0))
 
 
-def _unit_column_checks(c: DenseMatrix, acc: dict, sizes: SuiteSizes):
-    """All unit-column optimal-value lemmas on one matrix.
+_FROBENIUS, _VOLUME, _RVOL = map(parse_criterion, ("norm-frobenius", "vol", "rvol"))
 
-    Each lemma's claims are rows (value, optimum, is_max): the value never
-    passes the optimum that k orthonormal columns attain (never exceeds it
-    when ``is_max``, never falls below it otherwise), and it reaches the
-    optimum only when C is orthonormal.
+
+@functools.lru_cache(maxsize=None)
+def _unit_claims(sizes: SuiteSizes, k: int) -> tuple[tuple[str, CriterionSpec, float, bool], ...]:
+    """Every unit-column claim on k columns, as rows (lemma id, spec, optimum,
+    is_max): the spec's value never passes the optimum (never exceeds it when
+    ``is_max``, never falls below it otherwise), and it reaches the optimum
+    only when C is orthonormal.  The optimum is the criterion's value at k
+    orthonormal columns, except for r_schattenp: for p < 2 the Schatten-p norm
+    of unit columns is at most k^(1/p), which orthonormal columns attain.
     """
-    k = c.cols
-    fro = schatten_norm(c, 2)
-    vol = volume(c)
-    rvol = relative_volume(c)
-    small = [(schatten_norm(c, p), k ** (1.0 / p)) for p in sizes.p_small]
-    claims = {
-        "l_vol": [(vol, 1.0, True), (s_optimality(c), 1.0, True)],
-        "lem:orth": [(rvol, 1.0, True)],
-        "l_norm": [(schatten_norm(c, math.inf), 1.0, False)],
-        "l_pinv": [(pinv_schatten_norm(c, math.inf), 1.0, False),
-                   (pinv_schatten_norm(c, 2), math.sqrt(k), False)],
-        "l_cond": [(condition_number(c, "two"), 1.0, False),
-                   (condition_number(c, "frobenius"), float(k), False),
-                   (condition_number(c, "mixed"), math.sqrt(k), False)],
-        "l_srank": [(stable_rank(c, 2), float(k), True)],
-        "r_schattenp": [(value, opt, True) for value, opt in small],
-    }
+    ids = [("l_vol", "vol"), ("l_vol", "sopt"), ("lem:orth", "rvol"), ("l_norm", "norm-two"),
+           ("l_pinv", "pinv-norm-two"), ("l_pinv", "pinv-norm-frobenius"), ("l_cond", "cond-two"),
+           ("l_cond", "cond-frobenius"), ("l_cond", "cond-mixed"), ("l_srank", "srank")]
     for p in sizes.p_large:
-        opt = k ** (1.0 / p)
-        claims["l_norm"].append((schatten_norm(c, p), opt, False))
-        claims["l_pinv"].append((pinv_schatten_norm(c, p), opt, False))
-        claims["l_cond"] += [(condition_number(c, "schatten", p), k ** (2.0 / p), False),
-                             (condition_number(c, "mixed_schatten", p), opt, False)]
-        claims["l_srank"].append((stable_rank(c, p), float(k), True))
+        ids += [("l_norm", f"norm:p={p}"), ("l_pinv", f"pinv-norm:p={p}"), ("l_cond", f"cond:p={p}"),
+                ("l_cond", f"cond-mixed:p={p}"), ("l_srank", f"srank:p={p}")]
+    specs = [(lid, parse_criterion(ident)) for lid, ident in ids]
+    rows = [(lid, spec, spec.optimal_unit_value(k), spec.direction == "maximize") for lid, spec in specs]
+    rows += [("r_schattenp", parse_criterion("norm", p), k ** (1.0 / p), True) for p in sizes.p_small]
+    return tuple(rows)
+
+
+def _unit_column_checks(c: DenseMatrix, acc: dict, sizes: SuiteSizes):
+    """All unit-column optimal-value lemmas on one matrix, every claim scored
+    from one SVD; each claim row yields its bound check and its equality check."""
+    k = c.cols
+    claims = _unit_claims(sizes, k)
+    specs = [_FROBENIUS] + [spec for _, spec, _, _ in claims]
+    value = dict(zip(specs, values(c, specs)))
+    fro, vol = value[_FROBENIUS], value[_VOLUME]
     # the claims that are not rows: rvol is non-negative, and for p < 2 the
     # Schatten-p norm of unit columns is also bounded below by sqrt(k)
-    checks = {
-        "lem:orth": [-rvol],
-        "r_schattenp": [(math.sqrt(k) - value) - 1e-10 for value, _ in small],
-    }
+    small = [value[spec] for lid, spec, _, _ in claims if lid == "r_schattenp"]
+    found = {"lem:orth": [-value[_RVOL]], "r_schattenp": [(math.sqrt(k) - v) - 1e-10 for v in small]}
 
     defect = _orthonormality_defect(c)
     acc["e_srk"].record(abs(fro**2 - k) - 1e-12)
     acc["e_mean"].record(vol ** (2.0 / k) - fro**2 / k - 1e-12)
-    for lid, rows in claims.items():
-        found = checks.setdefault(lid, [])
-        for value, optimum, is_max in rows:
-            excess = value - optimum if is_max else optimum - value
-            found += [excess - 1e-10, _band(defect, value, optimum)]
-        acc[lid].record(*found)
+    for lid, spec, optimum, is_max in claims:
+        excess = value[spec] - optimum if is_max else optimum - value[spec]
+        found.setdefault(lid, []).extend((excess - 1e-10, _band(defect, value[spec], optimum)))
+    for lid, violations in found.items():
+        acc[lid].record(*violations)
 
 
 def _dims(rng, sizes: SuiteSizes) -> tuple[int, int]:
@@ -196,6 +189,10 @@ def _unit_column_trial(rng, sizes, acc, eps: float | None):
     _unit_column_checks(c, acc, sizes)
 
 
+_PINV_POWERS = (2.0, 3.0, 4.0, 6.0)
+_PINV_SPECS = tuple(parse_criterion("pinv-norm", p) for p in _PINV_POWERS)
+
+
 def _partition_trial(rng, sizes, acc):
     m = int(rng.integers(max(sizes.rows[0], 3), sizes.rows[1] + 1))
     n = int(rng.integers(2, min(m, 6) + 1))
@@ -206,12 +203,12 @@ def _partition_trial(rng, sizes, acc):
 
     # block-diagonal Schatten-p norms add in p-th powers, so the parts'
     # pseudo-inverse norms, in p-th powers, sum to at most C's (l_fi is p=2)
-    for lid, powers in (("l_fi", (2.0,)), ("l_pi1", (3.0, 4.0, 6.0))):
-        acc[lid].record(*(
-            pinv_schatten_norm(c1, p) ** p + pinv_schatten_norm(c2, p) ** p
-            - pinv_schatten_norm(c, p) ** p - 1e-9
-            for p in powers
-        ))
+    pinv1, pinv2 = values(c1, _PINV_SPECS), values(c2, _PINV_SPECS)
+    vol, *pinv = values(c, (_VOLUME, *_PINV_SPECS))
+    excess = [a**p + b**p - whole**p - 1e-9
+              for p, a, b, whole in zip(_PINV_POWERS, pinv1, pinv2, pinv)]
+    acc["l_fi"].record(excess[0])
+    acc["l_pi1"].record(*excess[1:])
 
     # C+ entries grow as 1/sigma_min, so the reconstruction error is taken
     # relative to the largest of them, as e_sc below is
@@ -228,7 +225,7 @@ def _partition_trial(rng, sizes, acc):
     # determinant identity for appending one column
     head = DenseMatrix(c.array[:, :-1])
     tail = c.array[:, -1]
-    lhs = volume(c) ** 2
+    lhs = vol**2
     gram = head.array.T @ head.array
     rhs = float(np.linalg.det(gram) * np.sum((complement_projector(head).array @ tail) ** 2))
     scale = max(abs(lhs), abs(rhs), 1e-300)
@@ -270,29 +267,23 @@ def _interlacing_trial(rng, sizes, acc):
     acc["l_inter2"].record(v_inter2)
 
 
+# rvol, then the five condition numbers that never rise when columns go
+_REMOVAL_SPECS = tuple(map(parse_criterion, (
+    "rvol", "cond-two", "cond-frobenius", "cond:p=4", "cond-mixed", "cond-mixed:p=4")))
+
+
 def _removal_violations(c: DenseMatrix, subsets) -> tuple[float, float]:
     """Signed worst violations, over the column ``subsets`` of C, of the scaled
     volume never dropping (l_inter) and no condition number rising (l_inter2)
-    when columns are removed."""
-    parent_rvol = relative_volume(c)
-    parent_kappa = _kappa_profile(c)
+    when columns are removed; each matrix is scored from one SVD."""
+    parent_rvol, *parent_kappa = values(c, _REMOVAL_SPECS)
     v_inter = v_inter2 = -math.inf
     for sub_idx in subsets:
-        sub = c.columns(sub_idx)
-        v_inter = max(v_inter, parent_rvol - relative_volume(sub) - 1e-10)
-        for kappa_sub, kappa_parent in zip(_kappa_profile(sub), parent_kappa):
+        rvol, *kappa = values(c.columns(sub_idx), _REMOVAL_SPECS)
+        v_inter = max(v_inter, parent_rvol - rvol - 1e-10)
+        for kappa_sub, kappa_parent in zip(kappa, parent_kappa):
             v_inter2 = max(v_inter2, kappa_sub - kappa_parent - 1e-10)
     return v_inter, v_inter2
-
-
-def _kappa_profile(c: DenseMatrix, p: float = 4.0) -> tuple[float, ...]:
-    return (
-        condition_number(c, "two"),
-        condition_number(c, "frobenius"),
-        condition_number(c, "schatten", p),
-        condition_number(c, "mixed"),
-        condition_number(c, "mixed_schatten", p),
-    )
 
 
 def run_suite(seed: int = 0, trials: int = 200, sizes: SuiteSizes | None = None) -> list[LemmaReport]:

@@ -94,6 +94,18 @@ class TestEvalCommand:
         assert code == 2
         assert "line 2" in err
 
+    def test_bad_p_is_usage_error(self, capsys, monkeypatch):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(capsys, monkeypatch, ["eval", "--criterion", "norm", "--p", "bogus"], "1,0\n0,1\n")
+        assert exit_info.value.code == 2
+        assert "bad Schatten parameter 'bogus'" in capsys.readouterr().err
+
+    def test_p_reads_inf_in_any_case(self, capsys, monkeypatch):
+        upper = run_cli(capsys, monkeypatch, ["eval", "--criterion", "norm", "--p", "INF"], "1,2\n3,4\n")
+        lower = run_cli(capsys, monkeypatch, ["eval", "--criterion", "norm", "--p", "inf"], "1,2\n3,4\n")
+        assert upper[0] == 0
+        assert upper == lower
+
 
 class TestGadgetCommand:
     def test_eval_scaled_volume(self, capsys, monkeypatch):

@@ -117,6 +117,8 @@ CASES += [
     ("gadget-2-json", ["gadget", "--shared", "2", "--format", "json"], None),
     ("lemmas-json", ["lemmas", "--trials", "3", "--seed", "4", "--format", "json"], None),
     ("lemmas", ["lemmas", "--trials", "3", "--seed", "4"], None),
+    # the bench's trial count; seed 131 draws the ill-conditioned l_pi0 case
+    ("lemmas-25-seed-131", ["lemmas", "--trials", "25", "--seed", "131"], None),
 ]
 
 
