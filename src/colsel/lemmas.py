@@ -294,6 +294,8 @@ def run_suite(seed: int = 0, trials: int = 200, sizes: SuiteSizes | None = None)
     """
     if trials < 1:
         raise InvalidParameterError(f"need trials >= 1, got {trials}")
+    if seed < 0:
+        raise InvalidParameterError(f"need seed >= 0, got {seed}")
     sizes = sizes or SuiteSizes()
     acc = {lid: _Accumulator() for lid in LEMMA_IDS}
     rng = np.random.default_rng(seed)

@@ -49,7 +49,11 @@ SWAP_IMPROVEMENT = 1e-12
 SCREEN_MARGIN = 1e-6
 RESIDUAL_SLACK = 1e-6
 ROUNDING = 1e-14
-MAX_EXHAUSTIVE_COLUMNS = 30
+# The subsets an exhaustive search may enumerate without allow_large.  On one
+# thread of a 2-vCPU x86 machine it scores 9e4 (k = 11) to 1.2e6 (k = 2)
+# subsets/s for vol and 2.6e4 to 3.4e4 for res-two (k = 11, 6), so a search
+# within it takes at most about 11 s, or 40 s for res-two.
+MAX_EXHAUSTIVE_SUBSETS = 10**6
 _CHUNK_SIZE = 2048
 
 
@@ -227,6 +231,18 @@ def _merged(optima, maximize):
     return best, seen
 
 
+def check_exhaustive(n: int, k: int, allow_large: bool = False):
+    """Raise InvalidParameterError before an exhaustive search over the C(n, k)
+    k-subsets of n columns that exceeds ``MAX_EXHAUSTIVE_SUBSETS`` (unless
+    ``allow_large``) or the 2**63 ranks the enumeration can index (always)."""
+    count = math.comb(n, k)
+    if count >= 2**63:
+        raise InvalidParameterError(f"C({n}, {k}) subsets exceed the 2**63 ranks of the enumeration")
+    if count > MAX_EXHAUSTIVE_SUBSETS and not allow_large:
+        raise InvalidParameterError(f"C({n}, {k}) = {count} subsets exceed the search budget "
+                                    f"of {MAX_EXHAUSTIVE_SUBSETS}")
+
+
 def exact_optima(matrix: DenseMatrix, k: int, specs, threads: int = 1, allow_large: bool = False):
     """One exhaustive enumeration shared by several criteria.
 
@@ -245,17 +261,15 @@ def exact_optima(matrix: DenseMatrix, k: int, specs, threads: int = 1, allow_lar
     chunk (``_index_chunks``) on its own, and the workers' optima merge by
     (value, indices) (``_better``): the witness is the lexicographically
     smallest optimal subset at any thread count.
+
+    Before any of this work, ``check_exhaustive`` rejects a search over more
+    than ``MAX_EXHAUSTIVE_SUBSETS`` subsets unless ``allow_large`` is set, and
+    one over 2**63 or more subsets in any case.
     """
     n = matrix.cols
     if not 1 <= k <= n:
         raise InvalidParameterError(f"k must be in [1, {n}], got {k}")
-    if n > MAX_EXHAUSTIVE_COLUMNS and not allow_large:
-        raise InvalidParameterError(
-            f"exhaustive selection over n={n} columns exceeds the desk-scale bound "
-            f"{MAX_EXHAUSTIVE_COLUMNS}; pass allow_large to override"
-        )
-    if math.comb(n, k) >= 2**63:
-        raise InvalidParameterError(f"C({n}, {k}) subsets exceed the 2**63 ranks of the enumeration")
+    check_exhaustive(n, k, allow_large)
     if threads < 1:
         raise InvalidParameterError("threads must be >= 1")
     specs = list(specs)
@@ -290,7 +304,9 @@ def select_exact(matrix: DenseMatrix, k: int, criterion: CriterionSpec,
     """Ground-truth selector: the optimum over all C(n, k) column subsets.
 
     Rank-deficient subsets are skipped for criteria that require full column
-    rank; ties go to the lexicographically smallest index sequence.
+    rank; ties go to the lexicographically smallest index sequence.  Over
+    ``MAX_EXHAUSTIVE_SUBSETS`` subsets the search needs ``allow_large``
+    (``exact_optima``).
     """
     start = time.perf_counter()
     (outcome,), seen = exact_optima(matrix, k, [criterion], threads=threads, allow_large=allow_large)
@@ -533,6 +549,8 @@ def select_local_swap_volume(matrix: DenseMatrix, k: int, seed: int = 0,
         raise InvalidParameterError(f"k must be in [1, {n}], got {k}")
     if max_sweeps < 0:
         raise InvalidParameterError(f"max_sweeps must be >= 0, got {max_sweeps}")
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     a = matrix.array

@@ -27,7 +27,7 @@ from .errors import (
     PreconditionError,
 )
 from .matrixkit import DenseMatrix, svd
-from .selectors import DECISION_SLACK, ColumnSubset, exact_optima, meets_threshold
+from .selectors import DECISION_SLACK, ColumnSubset, check_exhaustive, exact_optima, meets_threshold
 from .selectors import decide  # noqa: F401  (bench/tracer.py patches colsel.x3c.decide)
 
 # computed once so every reduction and gadget entry is bit-identical
@@ -93,7 +93,9 @@ def solve_exact(instance: X3CInstance):
     """Indices of an exact cover (M pairwise disjoint sets covering 1..3M), or None.
 
     Backtracking over the sets containing the lowest uncovered element; worst
-    case exponential, but desk-scale instances (M <= 6) solve in milliseconds.
+    case exponential.  Measured on a 2-vCPU x86 machine over 50 random and 50
+    planted instances per size with 2M to 3M sets: at most 0.6 ms a call up
+    to M = 9, 1.6 ms at M = 12 and 23 ms at M = 20.
     """
     m = instance.m_triples
     ground = instance.ground_size
@@ -172,16 +174,21 @@ def generate_false(m: int, n: int, seed: int) -> X3CInstance:
     """Instance certified by exhaustive search to have no exact cover.
 
     Rejection-sampling: draw n distinct triples, keep the first collection the
-    exact solver certifies unsolvable.  Certification bounds M at 5.
+    exact solver certifies unsolvable.  The instances exist to be checked by
+    exhaustive search over their C(n, M) M-subsets (``verify_equivalence``,
+    ``gap_report``), so an (M, n) past that search's budget is rejected up
+    front (``check_exhaustive``).  That also bounds n, and so the draws: at
+    the largest n within it, M = 5 to 12 returned within 0.3 s (three seeds
+    each), while M = 4, n = 71 and M = 3, n = 84, where nearly every draw has
+    a cover, fail after all 10,000 draws in about 7 s and 21 s.
     """
     if m < 2:
         raise InvalidParameterError(
             "M >= 2 required: the single possible triple over 3 elements always covers"
         )
-    if m > 5:
-        raise InvalidParameterError(f"falseness certification is bounded at M <= 5, got {m}")
     if n < 2:
         raise InvalidParameterError(f"need n >= 2, got {n}")
+    check_exhaustive(n, m)
     capacity = _all_triples_count(m)
     if n > capacity:
         raise CapacityError(f"cannot draw {n} distinct triples (capacity {capacity})")
@@ -232,10 +239,10 @@ def verify_equivalence(instance: X3CInstance, threads: int = 1) -> bool:
     For each criterion whose unit-column optimum characterizes orthonormal
     columns, the decision "is there a k=M subset attaining the optimum" must
     answer yes exactly when the instance has an exact cover.  One exhaustive
-    enumeration serves every criterion.
+    enumeration serves every criterion; an instance whose C(n, M) subsets
+    exceed its budget is rejected before the solver runs (``check_exhaustive``).
     """
-    if instance.m_triples > 5 or instance.n > 14:
-        raise InvalidParameterError("equivalence checking is desk-scale: M <= 5, n <= 14")
+    check_exhaustive(instance.n, instance.m_triples)
     solvable = solve_exact(instance) is not None
     k = instance.m_triples
     specs = equivalence_criteria()
@@ -290,8 +297,11 @@ def gap_report(instance: X3CInstance, threads: int = 1) -> list[GapReport]:
 
     For a maximized criterion the gap holds when the exact optimum stays at or
     below the threshold; for a minimized one, at or above.  Comparisons carry
-    the absolute ``DECISION_SLACK`` of ``decide``.
+    the absolute ``DECISION_SLACK`` of ``decide``.  An instance whose C(n, M)
+    subsets exceed the search budget is rejected before the solver runs
+    (``check_exhaustive``).
     """
+    check_exhaustive(instance.n, instance.m_triples)
     if solve_exact(instance) is not None:
         raise PreconditionError("gap reports require an instance with no exact cover")
     k = instance.m_triples

@@ -370,6 +370,31 @@ class TestUsageErrors:
         assert code == 2 and out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("args, stdin", [
+        # numpy's generator raised a ValueError traceback and exited 1, which
+        # for lemmas means a lemma failed
+        (["select", "--method", "local-swap", "--k", "1", "--seed", "-1"], "1,0,2\n0,1,3\n"),
+        (["lemmas", "--seed", "-1", "--trials", "1"], ""),
+        # C(30, 15) = 155,117,520 subsets, hours of enumeration
+        (["select", "--k", "15", "--criterion", "vol"], ",".join(["1"] * 30) + "\n"),
+        # M = 9 with 27 sets: C(27, 9) = 4,686,825 subsets
+        (["x3c", "verify"], "9 27\n" + "".join(f"{i + 1} {(i + 1) % 27 + 1} {(i + 2) % 27 + 1}\n"
+                                               for i in range(27))),
+    ], ids=("local-swap-seed", "lemmas-seed", "select-over-budget", "verify-over-budget"))
+    def test_negative_seed_or_over_budget_search_exits_2(self, capsys, monkeypatch, args, stdin):
+        code, out, err = run_cli(capsys, monkeypatch, args, stdin)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_generators_take_a_negative_seed(self, capsys, monkeypatch):
+        # random.Random accepts any int; the output is pinned
+        code, out, _ = run_cli(capsys, monkeypatch,
+                               ["x3c", "gen-true", "--m", "2", "--extra", "1", "--seed", "-5"])
+        assert (code, out) == (0, "2 3\n1 2 3\n1 2 4\n3 5 6\n")
+        code, out, _ = run_cli(capsys, monkeypatch,
+                               ["x3c", "gen-false", "--m", "3", "--n", "6", "--seed", "-5"])
+        assert (code, out) == (0, "3 6\n1 3 9\n1 7 9\n4 5 7\n4 6 8\n5 6 7\n6 7 8\n")
+
     def test_malformed_json_matrix_exits_2(self, capsys, monkeypatch):
         code, out, err = run_cli(capsys, monkeypatch,
                                  ["eval", "--criterion", "vol", "--format", "json"],

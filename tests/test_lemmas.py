@@ -35,6 +35,11 @@ class TestRunSuite:
         with pytest.raises(InvalidParameterError):
             run_suite(seed=0, trials=0)
 
+    def test_negative_seed_validated(self):
+        # numpy's generator raised a bare ValueError here
+        with pytest.raises(InvalidParameterError, match="seed"):
+            run_suite(seed=-1, trials=1)
+
     def test_custom_sizes(self):
         sizes = SuiteSizes(rows=(4, 6), subset_cols=(2, 3), parent_cols=(3, 5))
         reports = run_suite(seed=3, trials=10, sizes=sizes)

@@ -8,9 +8,11 @@ import pytest
 from colsel.criteria import evaluate, parse_criterion
 from colsel.errors import InfeasibleError, InvalidInputError, InvalidParameterError
 from colsel.matrixkit import DenseMatrix
+from colsel import selectors
 from colsel.selectors import (
     ColumnSubset,
     DecisionQuery,
+    check_exhaustive,
     decide,
     select_exact,
     select_greedy_forward,
@@ -118,11 +120,48 @@ class TestSelectExact:
         with pytest.raises(InfeasibleError):
             select_exact(a, 2, parse_criterion("rvol"))
 
-    def test_large_enumeration_guard(self):
+    def test_over_budget_enumeration_is_rejected_up_front(self, monkeypatch):
+        # C(31, 15) = 300,540,195 subsets: rejected before the scaled copy or
+        # any chunk is made
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the enumeration started")
+
         a = DenseMatrix(np.random.default_rng(0).standard_normal((3, 31)))
+        for name in ("_unit_scaled", "_index_chunks"):
+            monkeypatch.setattr(selectors, name, unreachable)
+        with pytest.raises(InvalidParameterError, match="C\\(31, 15\\)"):
+            select_exact(a, 15, parse_criterion("norm-two"))
+
+    def test_budget_counts_subsets(self, monkeypatch):
+        monkeypatch.setattr(selectors, "MAX_EXHAUSTIVE_SUBSETS", math.comb(8, 4))
+        check_exhaustive(8, 4)
+        check_exhaustive(40, 1)
+        with pytest.raises(InvalidParameterError, match="C\\(9, 4\\) = 126"):
+            check_exhaustive(9, 4)
+        rng = np.random.default_rng(1)
+        assert select_exact(DenseMatrix(rng.standard_normal((4, 8))), 4,
+                            parse_criterion("vol")).subsets_evaluated == 70
         with pytest.raises(InvalidParameterError):
-            select_exact(a, 2, parse_criterion("norm-two"))
-        select_exact(a, 2, parse_criterion("norm-two"), allow_large=True)
+            select_exact(DenseMatrix(rng.standard_normal((4, 9))), 4, parse_criterion("vol"))
+
+    def test_allow_large_lifts_the_budget_but_not_the_rank_limit(self, monkeypatch):
+        monkeypatch.setattr(selectors, "MAX_EXHAUSTIVE_SUBSETS", math.comb(8, 4))
+        a = DenseMatrix(np.random.default_rng(2).standard_normal((4, 9)))
+        result = select_exact(a, 4, parse_criterion("vol"), allow_large=True)
+        assert result.subsets_evaluated == 126
+        check_exhaustive(9, 4, allow_large=True)
+        check_exhaustive(66, 33, allow_large=True)  # C(66, 33) < 2**63 <= C(67, 33)
+        with pytest.raises(InvalidParameterError, match="C\\(67, 33\\)"):
+            check_exhaustive(67, 33, allow_large=True)
+
+    def test_many_columns_within_budget_need_no_override(self):
+        # 3 x 31 at k = 2 is 465 subsets; a cap on n alone rejected it
+        a = DenseMatrix(np.random.default_rng(0).standard_normal((3, 31)))
+        spec = parse_criterion("norm-two")
+        default, lifted = select_exact(a, 2, spec), select_exact(a, 2, spec, allow_large=True)
+        assert (default.subset, default.value.value, default.subsets_evaluated) == (
+            lifted.subset, lifted.value.value, lifted.subsets_evaluated)
+        assert default.subsets_evaluated == 465
 
     def test_k_bounds(self):
         a = DenseMatrix(np.eye(3))
@@ -188,6 +227,11 @@ class TestLocalSwapVolume:
             select_local_swap_volume(DenseMatrix(np.eye(4)), 2, max_sweeps=-1)
         result = select_local_swap_volume(DenseMatrix(np.eye(4)), 2, max_sweeps=0)
         assert result.subsets_evaluated >= 1
+
+    def test_negative_seed_is_rejected(self):
+        # numpy's generator raised a bare ValueError here
+        with pytest.raises(InvalidParameterError, match="seed"):
+            select_local_swap_volume(DenseMatrix(np.eye(4)), 2, seed=-1)
 
     def test_reaches_global_optimum_here(self):
         a = DenseMatrix([[1.0, 0.0, 2**-0.5], [0.0, 1.0, 2**-0.5]])

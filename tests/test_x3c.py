@@ -143,9 +143,14 @@ class TestGenerators:
         with pytest.raises(InvalidParameterError):
             generate_false(1, 1, seed=0)
 
-    def test_false_certification_bound(self):
-        with pytest.raises(InvalidParameterError):
-            generate_false(6, 10, seed=0)
+    def test_false_generation_over_budget_is_rejected_up_front(self, monkeypatch):
+        # C(40, 6) = 3,838,380 subsets: no draw is made or solved
+        def unreachable(instance):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(x3c, "solve_exact", unreachable)
+        with pytest.raises(InvalidParameterError, match="C\\(40, 6\\)"):
+            generate_false(6, 40, seed=0)
 
 
 class TestReduction:
@@ -230,9 +235,18 @@ class TestVerifyEquivalence:
     def test_single_triple(self):
         assert verify_equivalence(X3CInstance(1, ((1, 2, 3),))) is True
 
-    def test_desk_scale_guard(self):
-        with pytest.raises(InvalidParameterError):
-            verify_equivalence(generate_true(6, 0, seed=0))
+    def test_over_budget_instance_is_rejected_up_front(self, monkeypatch):
+        # M = 9 with n = 27 consecutive triples: C(27, 9) = 4,686,825 subsets
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the check started")
+
+        instance = X3CInstance(9, tuple((i + 1, (i + 1) % 27 + 1, (i + 2) % 27 + 1)
+                                        for i in range(27)))
+        for name in ("solve_exact", "exact_optima"):
+            monkeypatch.setattr(x3c, name, unreachable)
+        for check in (verify_equivalence, gap_report):
+            with pytest.raises(InvalidParameterError, match="C\\(27, 9\\)"):
+                check(instance)
 
     def test_decisions_agree_with_direct_orthonormality_scan(self):
         """Independent oracle: scan all subsets for Gram defect <= 1e-8."""
