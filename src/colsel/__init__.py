@@ -30,7 +30,7 @@ from .errors import (
     RankDeficiencyError,
     ShapeError,
 )
-from .lemmas import LemmaReport, SuiteSizes, check_removal_monotonicity, run_suite
+from .lemmas import LemmaReport, check_removal_monotonicity, run_suite
 from .matrixkit import (
     DenseMatrix,
     PartitionedPinv,

@@ -62,16 +62,13 @@ class LemmaReport:
     seed: int
 
 
-@dataclass(frozen=True)
-class SuiteSizes:
-    """Dimension and Schatten-parameter ranges the suite draws from (p_large >= 2)."""
-
-    rows: tuple[int, int] = (3, 8)
-    subset_cols: tuple[int, int] = (1, 5)
-    parent_cols: tuple[int, int] = (2, 8)
-    p_large: tuple[float, ...] = (3.0, 4.0, 6.0)
-    p_small: tuple[float, ...] = (1.0, 1.5)
-    submatrix_samples: int = 12
+# the ranges the suite draws from: rows, subset columns and parent columns
+# (inclusive), and the Schatten parameters p > 2 and p < 2
+_ROWS = (3, 8)
+_SUBSET_COLS = (1, 5)
+_PARENT_COLS = (2, 8)
+_P_LARGE = (3.0, 4.0, 6.0)
+_P_SMALL = (1.0, 1.5)
 
 
 class _Accumulator:
@@ -120,7 +117,7 @@ _FROBENIUS, _VOLUME, _RVOL = map(parse_criterion, ("norm-frobenius", "vol", "rvo
 
 
 @functools.lru_cache(maxsize=None)
-def _unit_claims(sizes: SuiteSizes, k: int) -> tuple[tuple[str, CriterionSpec, float, bool], ...]:
+def _unit_claims(k: int) -> tuple[tuple[str, CriterionSpec, float, bool], ...]:
     """Every unit-column claim on k columns, as rows (lemma id, spec, optimum,
     is_max): the spec's value never passes the optimum (never exceeds it when
     ``is_max``, never falls below it otherwise), and it reaches the optimum
@@ -131,20 +128,20 @@ def _unit_claims(sizes: SuiteSizes, k: int) -> tuple[tuple[str, CriterionSpec, f
     ids = [("l_vol", "vol"), ("l_vol", "sopt"), ("lem:orth", "rvol"), ("l_norm", "norm-two"),
            ("l_pinv", "pinv-norm-two"), ("l_pinv", "pinv-norm-frobenius"), ("l_cond", "cond-two"),
            ("l_cond", "cond-frobenius"), ("l_cond", "cond-mixed"), ("l_srank", "srank")]
-    for p in sizes.p_large:
+    for p in _P_LARGE:
         ids += [("l_norm", f"norm:p={p}"), ("l_pinv", f"pinv-norm:p={p}"), ("l_cond", f"cond:p={p}"),
                 ("l_cond", f"cond-mixed:p={p}"), ("l_srank", f"srank:p={p}")]
     specs = [(lid, parse_criterion(ident)) for lid, ident in ids]
     rows = [(lid, spec, spec.optimal_unit_value(k), spec.direction == "maximize") for lid, spec in specs]
-    rows += [("r_schattenp", parse_criterion("norm", p), k ** (1.0 / p), True) for p in sizes.p_small]
+    rows += [("r_schattenp", parse_criterion("norm", p), k ** (1.0 / p), True) for p in _P_SMALL]
     return tuple(rows)
 
 
-def _unit_column_checks(c: DenseMatrix, acc: dict, sizes: SuiteSizes):
+def _unit_column_checks(c: DenseMatrix, acc: dict):
     """All unit-column optimal-value lemmas on one matrix, every claim scored
     from one SVD; each claim row yields its bound check and its equality check."""
     k = c.cols
-    claims = _unit_claims(sizes, k)
+    claims = _unit_claims(k)
     specs = [_FROBENIUS] + [spec for _, spec, _, _ in claims]
     value = dict(zip(specs, values(c, specs)))
     fro, vol = value[_FROBENIUS], value[_VOLUME]
@@ -163,10 +160,9 @@ def _unit_column_checks(c: DenseMatrix, acc: dict, sizes: SuiteSizes):
         acc[lid].record(*violations)
 
 
-def _dims(rng, sizes: SuiteSizes) -> tuple[int, int]:
-    m = int(rng.integers(sizes.rows[0], sizes.rows[1] + 1))
-    k_hi = min(sizes.subset_cols[1], m)
-    k = int(rng.integers(sizes.subset_cols[0], k_hi + 1))
+def _dims(rng) -> tuple[int, int]:
+    m = int(rng.integers(_ROWS[0], _ROWS[1] + 1))
+    k = int(rng.integers(_SUBSET_COLS[0], min(_SUBSET_COLS[1], m) + 1))
     return m, k
 
 
@@ -175,8 +171,8 @@ def _dims(rng, sizes: SuiteSizes) -> tuple[int, int]:
 _UNIT_FAMILIES = (None, 0.0, 1e-6, 1e-3)
 
 
-def _unit_column_trial(rng, sizes, acc, eps: float | None):
-    m, k = _dims(rng, sizes)
+def _unit_column_trial(rng, acc, eps: float | None):
+    m, k = _dims(rng)
     arr = _draw_full_rank(rng, m, k).array
     if eps is None:
         c = _unit_columns(arr)
@@ -186,15 +182,15 @@ def _unit_column_trial(rng, sizes, acc, eps: float | None):
         q, _ = np.linalg.qr(arr)
         g = rng.standard_normal((m, k))
         c = _unit_columns(q + eps * (g / np.linalg.norm(g, 2)))
-    _unit_column_checks(c, acc, sizes)
+    _unit_column_checks(c, acc)
 
 
 _PINV_POWERS = (2.0, 3.0, 4.0, 6.0)
 _PINV_SPECS = tuple(parse_criterion("pinv-norm", p) for p in _PINV_POWERS)
 
 
-def _partition_trial(rng, sizes, acc):
-    m = int(rng.integers(max(sizes.rows[0], 3), sizes.rows[1] + 1))
+def _partition_trial(rng, acc):
+    m = int(rng.integers(max(_ROWS[0], 3), _ROWS[1] + 1))
     n = int(rng.integers(2, min(m, 6) + 1))
     c = _draw_full_rank(rng, m, n)
     split = int(rng.integers(1, n))
@@ -232,11 +228,11 @@ def _partition_trial(rng, sizes, acc):
     acc["e_sc"].record(abs(lhs - rhs) / scale - 1e-9)
 
 
-def _interlacing_trial(rng, sizes, acc):
-    m = int(rng.integers(sizes.rows[0], sizes.rows[1] + 1))
-    n = int(rng.integers(sizes.parent_cols[0], sizes.parent_cols[1] + 1))
+def _interlacing_trial(rng, acc):
+    m = int(rng.integers(_ROWS[0], _ROWS[1] + 1))
+    n = int(rng.integers(_PARENT_COLS[0], _PARENT_COLS[1] + 1))
     a = DenseMatrix(rng.standard_normal((m, n)))
-    k = int(rng.integers(2, min(m, n, sizes.subset_cols[1]) + 1)) if min(m, n) > 2 else 2
+    k = int(rng.integers(2, min(m, n, _SUBSET_COLS[1]) + 1)) if min(m, n) > 2 else 2
     cols = np.sort(rng.choice(n, size=k, replace=False))
     c = a.columns(cols)
 
@@ -258,11 +254,7 @@ def _interlacing_trial(rng, sizes, acc):
         acc["l_inter2"].record(-math.inf)
         return
     ell = int(rng.integers(1, k))
-    subsets = list(itertools.combinations(range(k), ell))
-    if len(subsets) > sizes.submatrix_samples:
-        pick = rng.choice(len(subsets), size=sizes.submatrix_samples, replace=False)
-        subsets = [subsets[i] for i in sorted(pick)]
-    v_inter, v_inter2 = _removal_violations(c, subsets)
+    v_inter, v_inter2 = _removal_violations(c, itertools.combinations(range(k), ell))
     acc["l_inter"].record(v_inter)
     acc["l_inter2"].record(v_inter2)
 
@@ -286,7 +278,7 @@ def _removal_violations(c: DenseMatrix, subsets) -> tuple[float, float]:
     return v_inter, v_inter2
 
 
-def run_suite(seed: int = 0, trials: int = 200, sizes: SuiteSizes | None = None) -> list[LemmaReport]:
+def run_suite(seed: int = 0, trials: int = 200) -> list[LemmaReport]:
     """Run every documented check ``trials`` times per matrix family.
 
     Deterministic given ``seed``; the report is sorted by lemma id and a
@@ -296,14 +288,13 @@ def run_suite(seed: int = 0, trials: int = 200, sizes: SuiteSizes | None = None)
         raise InvalidParameterError(f"need trials >= 1, got {trials}")
     if seed < 0:
         raise InvalidParameterError(f"need seed >= 0, got {seed}")
-    sizes = sizes or SuiteSizes()
     acc = {lid: _Accumulator() for lid in LEMMA_IDS}
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         for eps in _UNIT_FAMILIES:
-            _unit_column_trial(rng, sizes, acc, eps)
-        _partition_trial(rng, sizes, acc)
-        _interlacing_trial(rng, sizes, acc)
+            _unit_column_trial(rng, acc, eps)
+        _partition_trial(rng, acc)
+        _interlacing_trial(rng, acc)
     return [
         LemmaReport(lid, acc[lid].trials, acc[lid].failures, acc[lid].worst, seed)
         for lid in LEMMA_IDS

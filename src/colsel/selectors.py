@@ -223,12 +223,11 @@ def _better(current, candidate, maximize: bool):
 
 
 def _merged(optima, maximize):
-    """(per-spec optima, subsets) pairs folded into one by ``_better``."""
-    best, seen = [None] * len(maximize), 0
-    for cands, count in optima:
+    """Per-spec optimum lists folded into one by ``_better``."""
+    best = [None] * len(maximize)
+    for cands in optima:
         best = [_better(*args) for args in zip(best, cands, maximize)]
-        seen += count
-    return best, seen
+    return best
 
 
 def check_exhaustive(n: int, k: int, allow_large: bool = False):
@@ -246,7 +245,7 @@ def check_exhaustive(n: int, k: int, allow_large: bool = False):
 def exact_optima(matrix: DenseMatrix, k: int, specs, threads: int = 1, allow_large: bool = False):
     """One exhaustive enumeration shared by several criteria.
 
-    Returns (per-spec optimum list, subsets enumerated).  A spec whose
+    Returns (per-spec optimum list, C(n, k) subsets enumerated).  A spec whose
     criterion admits no valid subset (e.g. no full-rank subset exists for a
     rank-requiring criterion) gets None.  Every subset is scored: each chunk
     bands every row's value for every spec, from the eigenvalues of its
@@ -287,16 +286,15 @@ def exact_optima(matrix: DenseMatrix, k: int, specs, threads: int = 1, allow_lar
         residual = _residual_bands(basis, scale, idx, sigma, rel, norms)
         bands = [residual[spec.residual_norm] if spec.residual_norm is not None
                  else batch_bands(spec, sigma, cn, rel) for spec in specs]
-        return [None if best is None else (best[1], tuple(int(i) for i in idx[best[0]]))
-                for best in _screened_best(a, col_norms, idx, specs, bands)], len(idx)
+        return _screened_best(a, col_norms, idx, specs, bands)
 
     def reduce_stride(first):
         return _merged(map(chunk_optima, _index_chunks(n, k, first=first, stride=threads)), maximize)
 
     if threads == 1:
-        return reduce_stride(0)
+        return reduce_stride(0), math.comb(n, k)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return _merged(pool.map(reduce_stride, range(threads)), maximize)
+        return _merged(pool.map(reduce_stride, range(threads)), maximize), math.comb(n, k)
 
 
 def select_exact(matrix: DenseMatrix, k: int, criterion: CriterionSpec,
@@ -459,52 +457,41 @@ def _residual_bands(basis, scale: float, idx: np.ndarray, sigma: np.ndarray,
 
 
 def _screened_best(a: np.ndarray, col_norms: np.ndarray, idx: np.ndarray, specs, bands):
-    """Per spec, (row, value) of the first best valid row of ``idx``, or None
-    when no row is valid.
+    """Per spec, (value, indices) of the first best valid row of ``idx``, the
+    optimum ``_better`` merges, or None when no row is valid.
 
     ``bands`` holds one band (estimate, width) per spec, the one band
     contract: each row's SVD value is taken to lie within ``width`` of its
-    ``estimate``, and a row without a usable estimate has an infinite width,
-    as has a row whose estimate is not finite or whose width is NaN.  Only
-    the rows whose band reaches the best band are certified by the SVD, in
-    one call over the union of those rows for all specs, so an
-    infinite-width row is always certified and never sets the cut.  A width
-    grows with the row's condition number, so a near-dependent row is
-    certified rather than excluded.  A spec's rows are all scored instead,
-    apart from that union, when no width is finite, no certified row is
-    valid, or a certified value lies outside its band (which also catches
-    estimates wrong as a whole, e.g. noise over volumes that are all 0).
-    The row and value equal those of scoring every row whenever each
-    excluded row's value lies in its band, which the rounding bound is there
-    to ensure.
+    ``estimate``, and a row whose estimate or width is not finite (no usable
+    estimate) spans (-inf, inf).  The rows whose band reaches their spec's
+    best band join one union for all specs, certified by one SVD call, so a
+    row without a usable estimate is always certified and never sets the
+    cut.  A width grows with the row's condition number, so a near-dependent
+    row is certified rather than excluded.  When the union left rows out, a
+    spec is rescored on every row if no certified row is valid or a
+    certified value lies outside its band (which also catches estimates
+    wrong as a whole, e.g. noise over volumes that are all 0).  The result
+    equals that of scoring every row whenever each excluded row's value lies
+    in its band, which the rounding bound is there to ensure.
     """
     maximize = [spec.direction == "maximize" for spec in specs]
-    reach = {}
-    for i, (estimate, width) in enumerate(bands):
+    spans, union = [], np.zeros(len(idx), dtype=bool)
+    for (estimate, width), up in zip(bands, maximize):
         wide = ~(np.isfinite(estimate) & (width < np.inf))
-        if not wide.all():
-            estimate, width = np.where(wide, 0.0, estimate), np.where(wide, np.inf, width)
-            reach[i] = estimate - width, estimate + width
-    union = np.zeros(len(idx), dtype=bool)
-    for i, (low, high) in reach.items():
-        union |= high >= low.max() if maximize[i] else low <= high.min()
-    screened = [] if union.all() else list(reach)
-    rest = [i for i in range(len(specs)) if i not in screened]
-    out = [None] * len(specs)
-    if screened:
-        rows = np.flatnonzero(union)
-        scores = _batch_scores(a, col_norms, idx[rows], [specs[i] for i in screened])
-        for i, (vals, valid) in zip(screened, scores):
-            best = _best_row(vals, valid, maximize[i])
-            low, high = reach[i][0][rows], reach[i][1][rows]
-            if best is None or not np.all((low <= vals) & (vals <= high)):
-                rest.append(i)
-            else:
-                out[i] = int(rows[best]), float(vals[best])
-    if rest:
-        for i, (vals, valid) in zip(rest, _batch_scores(a, col_norms, idx, [specs[i] for i in rest])):
-            best = _best_row(vals, valid, maximize[i])
-            out[i] = None if best is None else (best, float(vals[best]))
+        estimate, width = np.where(wide, 0.0, estimate), np.where(wide, np.inf, width)
+        low, high = estimate - width, estimate + width
+        union |= high >= low.max() if up else low <= high.min()
+        spans.append((low, high))
+    certified = idx[union]
+    out = []
+    for spec, up, (low, high), (vals, valid) in zip(
+            specs, maximize, spans, _batch_scores(a, col_norms, certified, specs)):
+        cands, best = certified, _best_row(vals, valid, up)
+        inside = np.all((low[union] <= vals) & (vals <= high[union]))
+        if not (union.all() or best is not None and inside):
+            ((vals, valid),) = _batch_scores(a, col_norms, idx, [spec])
+            cands, best = idx, _best_row(vals, valid, up)
+        out.append(None if best is None else (float(vals[best]), tuple(map(int, cands[best]))))
     return out
 
 
@@ -587,11 +574,10 @@ def select_local_swap_volume(matrix: DenseMatrix, k: int, seed: int = 0,
         kept = np.array([current[:pos] + current[pos + 1:] for pos in range(k)], dtype=np.intp)
         idx = _moves(kept, outside)
         band = _swap_estimates(unit, current, outside, current_vol)
-        ((row, vol),) = _screened_best(a, col_norms, idx, [vol_spec], [band])
+        ((vol, swapped),) = _screened_best(a, col_norms, idx, [vol_spec], [band])
         evaluated += len(idx)
         if vol > current_vol * (1.0 + SWAP_IMPROVEMENT):
-            current = tuple(int(i) for i in idx[row])
-            current_vol = vol
+            current, current_vol = swapped, vol
         else:
             break
 
@@ -663,8 +649,7 @@ def select_greedy_forward(matrix: DenseMatrix, k: int, criterion: CriterionSpec)
             raise InfeasibleError(
                 f"every extension is rank-deficient for criterion {criterion.identifier!r}"
             )
-        row, value = best
-        chosen = tuple(int(i) for i in idx[row])
+        value, chosen = best
 
     return SelectionResult(
         subset=ColumnSubset(chosen),

@@ -174,13 +174,19 @@ def generate_false(m: int, n: int, seed: int) -> X3CInstance:
     """Instance certified by exhaustive search to have no exact cover.
 
     Rejection-sampling: draw n distinct triples, keep the first collection the
-    exact solver certifies unsolvable.  The instances exist to be checked by
-    exhaustive search over their C(n, M) M-subsets (``verify_equivalence``,
-    ``gap_report``), so an (M, n) past that search's budget is rejected up
-    front (``check_exhaustive``).  That also bounds n, and so the draws: at
-    the largest n within it, M = 5 to 12 returned within 0.3 s (three seeds
-    each), while M = 4, n = 71 and M = 3, n = 84, where nearly every draw has
-    a cover, fail after all 10,000 draws in about 7 s and 21 s.
+    exact solver certifies unsolvable.  Such a collection exists exactly when
+    n <= C(3M - 1, 3), and a larger n is rejected before any draw: the
+    C(3M - 1, 3) triples that avoid one element have no cover, while each
+    triple lies in P(M - 1) of the P(M) partitions of 1..3M into triples and
+    P(M) / P(M - 1) = C(3M - 1, 2), so fewer missing triples than that always
+    leave a partition, an exact cover, whole.  The instances exist to be
+    checked by exhaustive search over their C(n, M) M-subsets
+    (``verify_equivalence``, ``gap_report``), so an (M, n) past that search's
+    budget is rejected up front too (``check_exhaustive``).  At the largest n
+    within both, M = 2 and M = 5 to 12 returned within 0.3 s (three seeds
+    each).  Where false instances exist but nearly every draw has a cover
+    (seed 0: M = 3 from n = 30 to 56, M = 4 from n = 50 to 71), it fails
+    after all 10,000 draws, in 3 to 7 s.
     """
     if m < 2:
         raise InvalidParameterError(
@@ -189,9 +195,9 @@ def generate_false(m: int, n: int, seed: int) -> X3CInstance:
     if n < 2:
         raise InvalidParameterError(f"need n >= 2, got {n}")
     check_exhaustive(n, m)
-    capacity = _all_triples_count(m)
-    if n > capacity:
-        raise CapacityError(f"cannot draw {n} distinct triples (capacity {capacity})")
+    if n > (most := math.comb(3 * m - 1, 3)):
+        raise CapacityError(f"no {n} distinct triples over {3 * m} elements lack an exact cover: "
+                            f"a false instance has at most {most} sets")
     rng = random.Random(seed)
     for _ in range(_FALSE_DRAW_BUDGET):
         seen = set()

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from colsel import x3c
 from colsel.cli import format_matrix, main, parse_matrix, parse_matrix_text
 from colsel.errors import ParseError
 from colsel.matrixkit import DenseMatrix
@@ -385,6 +386,35 @@ class TestUsageErrors:
         code, out, err = run_cli(capsys, monkeypatch, args, stdin)
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("args, stdin", [
+        (["x3c", "gen-true", "--m", "0", "--extra", "1"], ""),
+        (["x3c", "gen-true", "--m", "2", "--extra", "-1"], ""),
+        (["x3c", "gen-false", "--m", "3", "--n", "1"], ""),
+        (["x3c", "gen-false", "--m", "2", "--n", "21"], ""),
+        # more than C(3M - 1, 3) triples always hold a cover: this spent all
+        # 10,000 draws (about 20 s at M = 3, n = 84) before it failed
+        (["x3c", "gen-false", "--m", "2", "--n", "11"], ""),
+        (["x3c", "gen-false", "--m", "3", "--n", "84"], ""),
+        (["gap"], "4 4\n1 2 3\n4 5 6\n1 2 4\n3 5 6\n"),
+        (["x3c", "solve"], "0 1\n1 2 3\n"),
+        (["x3c", "solve"], "3 x\n"),
+        (["x3c", "solve"], "2 2\n1 2 3\n"),
+        (["x3c", "solve"], "1 1\n1 2 4\n"),
+    ], ids=("gen-true-m-0", "gen-true-extra-negative", "gen-false-n-1", "gen-false-over-capacity",
+            "gen-false-2-11", "gen-false-3-84", "gap-rank-deficient", "instance-m-0",
+            "header-not-integer", "missing-set-line", "element-outside-ground"))
+    def test_x3c_input_errors_exit_2(self, capsys, monkeypatch, args, stdin):
+        code, out, err = run_cli(capsys, monkeypatch, args, stdin)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_false_generation_out_of_draws_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(x3c, "_FALSE_DRAW_BUDGET", 3)
+        monkeypatch.setattr(x3c, "solve_exact", lambda instance: (0, 1))
+        code, out, err = run_cli(capsys, monkeypatch, ["x3c", "gen-false", "--m", "2", "--n", "4"])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "3 draws" in err
 
     def test_generators_take_a_negative_seed(self, capsys, monkeypatch):
         # random.Random accepts any int; the output is pinned

@@ -5,7 +5,7 @@ import pytest
 
 from colsel.criteria import relative_volume
 from colsel.errors import InvalidParameterError, RankDeficiencyError
-from colsel.lemmas import LEMMA_IDS, SuiteSizes, check_removal_monotonicity, run_suite
+from colsel.lemmas import LEMMA_IDS, check_removal_monotonicity, run_suite
 from colsel.matrixkit import DenseMatrix
 from colsel.x3c import gadget
 
@@ -39,11 +39,6 @@ class TestRunSuite:
         # numpy's generator raised a bare ValueError here
         with pytest.raises(InvalidParameterError, match="seed"):
             run_suite(seed=-1, trials=1)
-
-    def test_custom_sizes(self):
-        sizes = SuiteSizes(rows=(4, 6), subset_cols=(2, 3), parent_cols=(3, 5))
-        reports = run_suite(seed=3, trials=10, sizes=sizes)
-        assert all(rep.failures == 0 for rep in reports)
 
 
 class TestRemovalMonotonicity:

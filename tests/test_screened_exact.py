@@ -205,20 +205,6 @@ def test_large_select_exact_equals_scoring_every_subset(ident):
     assert _select_outcome(DenseMatrix(make()), k, spec, threads=2) == expected
 
 
-@pytest.fixture
-def svd_rows(monkeypatch):
-    """The number of rows of each call to ``selectors._batch_scores``."""
-    rows = []
-    real = selectors._batch_scores
-
-    def counting(a, col_norms, idx, specs):
-        rows.append(len(idx))
-        return real(a, col_norms, idx, specs)
-
-    monkeypatch.setattr(selectors, "_batch_scores", counting)
-    return rows
-
-
 @pytest.mark.parametrize("ident", CRITERIA)
 def test_svd_runs_on_few_subsets(ident, svd_rows):
     matrix = DenseMatrix(_gaussian(7, 12, 20))

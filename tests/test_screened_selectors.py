@@ -205,20 +205,6 @@ def test_screened_selector_equals_scoring_every_candidate(case, run):
     assert _selector_outcome(lambda: selector(matrix, k)) == expected
 
 
-@pytest.fixture
-def svd_rows(monkeypatch):
-    """The number of rows of each call to ``selectors._batch_scores``."""
-    rows = []
-    real = selectors._batch_scores
-
-    def counting(a, col_norms, idx, specs):
-        rows.append(len(idx))
-        return real(a, col_norms, idx, specs)
-
-    monkeypatch.setattr(selectors, "_batch_scores", counting)
-    return rows
-
-
 def test_local_swap_certifies_few_swaps_per_sweep(svd_rows):
     k, n = 12, 200
     result = select_local_swap_volume(DenseMatrix(_gaussian(11)), k, seed=1)
@@ -264,37 +250,70 @@ def _exact_band(matrix, idx, spec):
 def _every_row(matrix, idx, spec):
     ((vals, valid),) = _batch_scores(matrix.array, matrix.column_norms(), idx, [spec])
     row = _best_row(vals, valid, spec.direction == "maximize")
-    return row, float(vals[row])
+    return float(vals[row]), tuple(int(i) for i in idx[row])
+
+
+def _triples(seed):
+    """A seeded 8 x 12 matrix and the index rows of its C(12, 3) column triples."""
+    idx = np.array(list(itertools.combinations(range(12), 3)), dtype=np.intp)
+    return DenseMatrix(_gaussian(seed, 8, 12)), idx
+
+
+def _screened(matrix, idx, specs, bands):
+    return selectors._screened_best(matrix.array, matrix.column_norms(), idx, specs, bands)
 
 
 def test_rows_without_a_usable_estimate_are_certified_alone(svd_rows):
     # an infinite estimate and a NaN width each mark a row as unusable; only
     # those two rows and the near-best one reach the SVD
-    matrix = DenseMatrix(_gaussian(14, 8, 12))
-    idx = np.array(list(itertools.combinations(range(12), 3)), dtype=np.intp)
+    matrix, idx = _triples(14)
     spec = parse_criterion("vol")
     estimate, width = _exact_band(matrix, idx, spec)
     best = _every_row(matrix, idx, spec)
     low, lower = np.argsort(estimate)[:2]  # two rows far below the best
     estimate[low], width[lower] = np.inf, np.nan
     svd_rows.clear()
-    assert selectors._screened_best(matrix.array, matrix.column_norms(), idx, [spec],
-                                    [(estimate, width)]) == [best]
+    assert _screened(matrix, idx, [spec], [(estimate, width)]) == [best]
     assert svd_rows == [3]
 
 
-def test_a_spec_without_finite_widths_leaves_the_other_screened(svd_rows):
-    # sopt has no usable estimate at all, so it is scored on every row in a
-    # call of its own; vol still certifies only its near-best row
-    matrix = DenseMatrix(_gaussian(15, 8, 12))
-    idx = np.array(list(itertools.combinations(range(12), 3)), dtype=np.intp)
+def test_a_spec_without_finite_widths_certifies_every_row_in_one_call(svd_rows):
+    # sopt has no usable estimate at all, so the union is every row, and one
+    # call certifies it for both specs
+    matrix, idx = _triples(15)
     vol, sopt = parse_criterion("vol"), parse_criterion("sopt")
     blank = (np.zeros(len(idx)), np.full(len(idx), np.inf))
     svd_rows.clear()
-    out = selectors._screened_best(matrix.array, matrix.column_norms(), idx, [vol, sopt],
-                                   [_exact_band(matrix, idx, vol), blank])
+    out = _screened(matrix, idx, [vol, sopt], [_exact_band(matrix, idx, vol), blank])
     assert out == [_every_row(matrix, idx, vol), _every_row(matrix, idx, sopt)]
-    assert svd_rows == [1, len(idx)]
+    assert svd_rows == [len(idx)]
+
+
+def test_a_union_of_every_row_gives_its_best_though_values_leave_their_bands(svd_rows):
+    # every band is about 0 and reaches the best, so every row is certified;
+    # no volume lies in its band, yet there is nothing left to rescore
+    matrix, idx = _triples(16)
+    spec = parse_criterion("vol")
+    band = np.zeros(len(idx)), np.full(len(idx), 1e-300)
+    svd_rows.clear()
+    assert _screened(matrix, idx, [spec], [band]) == [_every_row(matrix, idx, spec)]
+    assert svd_rows == [len(idx)]
+
+
+def test_a_certified_best_outside_its_band_rescores_every_row(svd_rows):
+    # the best row's band lies below its value but still reaches the best
+    # band; the union leaves rows out, so the spec is rescored on every row
+    matrix, idx = _triples(17)
+    spec = parse_criterion("vol")
+    estimate, _ = _exact_band(matrix, idx, spec)
+    width = np.full(len(idx), 0.05 * estimate.max())
+    top = int(np.argmax(estimate))
+    estimate[top] -= 1.5 * width[top]
+    union = np.count_nonzero(estimate + width >= np.max(estimate - width))
+    assert 1 < union < len(idx)
+    svd_rows.clear()
+    assert _screened(matrix, idx, [spec], [(estimate, width)]) == [_every_row(matrix, idx, spec)]
+    assert svd_rows == [union, len(idx)]
 
 
 def test_criteria_without_a_rank_one_estimate_get_infinite_widths():

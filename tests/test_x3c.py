@@ -8,12 +8,13 @@ from colsel import x3c
 from colsel.criteria import evaluate, registry
 from colsel.errors import (
     CapacityError,
+    GenerationFailureError,
     InvalidInputError,
     InvalidParameterError,
     ParseError,
     PreconditionError,
 )
-from colsel.matrixkit import svd
+from colsel.matrixkit import DenseMatrix, svd
 from colsel.x3c import (
     INV_SQRT3,
     ReductionMatrix,
@@ -152,6 +153,83 @@ class TestGenerators:
         with pytest.raises(InvalidParameterError, match="C\\(40, 6\\)"):
             generate_false(6, 40, seed=0)
 
+    @pytest.mark.parametrize("m, n", [(2, 11), (3, 57), (3, 84)])
+    def test_false_generation_past_the_bound_is_rejected_up_front(self, monkeypatch, m, n):
+        # more than C(3M - 1, 3) distinct triples always hold an exact cover;
+        # (3, 84) spent all 10,000 draws, about 20 s, before it failed
+        def unreachable(instance):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(x3c, "solve_exact", unreachable)
+        with pytest.raises(CapacityError, match="exact cover"):
+            generate_false(m, n, seed=0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_false_generation_at_the_uncoverable_count(self, seed):
+        inst = generate_false(2, 10, seed=seed)
+        assert inst.n == 10
+        assert solve_exact(inst) is None and naive_cover(inst) is None
+
+    @pytest.mark.parametrize("m", (2, 3))
+    def test_uncoverable_count_is_exact(self, m):
+        # the C(3M - 1, 3) triples that avoid one element have no cover, and
+        # any one more distinct triples have one
+        triples = list(itertools.combinations(range(1, 3 * m + 1), 3))
+        avoiding = tuple(t for t in triples if 1 not in t)
+        assert len(avoiding) == math.comb(3 * m - 1, 3)
+        assert solve_exact(X3CInstance(m, avoiding)) is None
+        rng = np.random.default_rng(m)
+        for _ in range(50):
+            pick = rng.choice(len(triples), size=len(avoiding) + 1, replace=False)
+            assert solve_exact(X3CInstance(m, tuple(triples[i] for i in pick))) is not None
+
+
+class TestInputErrors:
+    """Every documented input error of the instances, generators, reduction,
+    gap report and parser."""
+
+    def test_instance_needs_m_at_least_one(self):
+        with pytest.raises(InvalidInputError, match="M >= 1"):
+            X3CInstance(0, ((1, 2, 3),))
+
+    def test_reduction_matrix_must_match_its_instance(self):
+        inst = X3CInstance(1, ((1, 2, 3),))
+        with pytest.raises(InvalidInputError, match="shape"):
+            ReductionMatrix(DenseMatrix(np.full((3, 2), INV_SQRT3)), inst)
+        with pytest.raises(InvalidInputError, match="3 nonzeros"):
+            ReductionMatrix(DenseMatrix(np.array([[INV_SQRT3], [INV_SQRT3], [0.0]])), inst)
+
+    @pytest.mark.parametrize("make, error, match", [
+        (lambda: generate_true(0, 1, 0), InvalidParameterError, "M >= 1"),
+        (lambda: generate_true(2, -1, 0), InvalidParameterError, "extra_sets >= 0"),
+        (lambda: generate_false(3, 1, 0), InvalidParameterError, "n >= 2"),
+        (lambda: generate_false(2, 21, 0), CapacityError, "at most 10 sets"),
+    ], ids=("true-m-0", "true-extra-negative", "false-n-1", "false-over-capacity"))
+    def test_generator_arguments(self, make, error, match):
+        with pytest.raises(error, match=match):
+            make()
+
+    def test_false_generation_gives_up_after_its_draw_budget(self, monkeypatch):
+        monkeypatch.setattr(x3c, "_FALSE_DRAW_BUDGET", 3)
+        monkeypatch.setattr(x3c, "solve_exact", lambda instance: (0, 1))
+        with pytest.raises(GenerationFailureError, match="3 draws"):
+            generate_false(2, 4, seed=0)
+
+    def test_gap_report_needs_rank_m(self):
+        # no cover, and [1,2,3] + [4,5,6] = [1,2,4] + [3,5,6] leaves rank 3 < 4
+        inst = X3CInstance(4, ((1, 2, 3), (4, 5, 6), (1, 2, 4), (3, 5, 6)))
+        with pytest.raises(PreconditionError, match="rank >= 4"):
+            gap_report(inst)
+
+    @pytest.mark.parametrize("text, match", [
+        ("3 x", "two integers"),
+        ("2 2\n1 2 3\n", "expected 2 set lines, found 1"),
+        ("1 1\n1 2 4\n", "outside 1..3"),
+    ], ids=("header-not-integer", "missing-set-line", "element-outside-ground"))
+    def test_parse_errors(self, text, match):
+        with pytest.raises(ParseError, match=match):
+            parse_instance(text)
+
 
 class TestReduction:
     def test_single_set_column(self):
@@ -177,8 +255,6 @@ class TestReduction:
 
     def test_reduction_matrix_validates(self):
         inst = X3CInstance(1, ((1, 2, 3),))
-        from colsel.matrixkit import DenseMatrix
-
         with pytest.raises(InvalidInputError):
             ReductionMatrix(DenseMatrix(np.ones((3, 1))), inst)
 
