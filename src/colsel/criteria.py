@@ -3,12 +3,13 @@
 Every criterion is a function of the singular values of the selected
 submatrix C (plus its column norms for the scaled volume, and the parent
 matrix for the residuals).  ``_KINDS`` holds one row per criterion (a
-Schatten family such as the condition numbers is one criterion): its ids,
-optimization direction, rank requirement, Schatten-parameter domain,
-sigma-to-value function, how far that value can move when the sigmas move,
-and the optimal value attained by k orthonormal columns, which is what turns
-the optimization problems into decision problems.  Adding a criterion means
-adding one row (plus its ``REGISTRY`` id when it belongs in the reports).
+Schatten family such as the condition numbers is one criterion), keyed by its
+id, the one name a ``CriterionSpec`` takes: its other names, optimization
+direction, rank requirement, Schatten-parameter domain, sigma-to-value
+function, how far that value can move when the sigmas move, and the optimal
+value attained by k orthonormal columns, which is what turns the optimization
+problems into decision problems.  Adding a criterion means adding one row
+(plus its ``REGISTRY`` id when it belongs in the reports).
 """
 
 from __future__ import annotations
@@ -79,10 +80,11 @@ def _always(p):
 class _Kind:
     """Everything the package knows about one criterion; one row per criterion.
 
-    ``ids`` holds the base id (which takes the ":p=" suffix when the kind has
-    a Schatten parameter) followed by its aliases; ``named`` holds ids that
-    pin p, e.g. ("norm-two", inf) or ("cond-frobenius", 2); ``default_p`` is
-    the p a bare base id means (2 for "srank" and "cond-mixed").  ``rank``
+    The row's key in ``_KINDS`` is the criterion's id, which takes the ":p="
+    suffix when the criterion has a Schatten parameter.  ``named`` holds its
+    other names with the p each pins, e.g. ("norm-two", inf) or
+    ("cond-frobenius", 2), or None for an alias that pins none ("volume");
+    ``default_p`` is the p a bare id means (2 for "srank" and "cond-mixed").  ``rank``
     says what a numerically rank-deficient C scores: "required" rejects it,
     "zero" scores 0, "any" evaluates it as is.  ``value`` maps a stack of singular values (B, r), p
     and column norms (B, k) to B criterion values; residuals, which are not
@@ -92,13 +94,12 @@ class _Kind:
     the value by a factor within [c^-L, c^L] (``batch_bands``).
     """
 
-    ids: tuple[str, ...]
     direction: str
     rank: str
     unit_optimum: Callable[[int, float | None], float | None]
     value: Callable | None = None
     p_domain: tuple[float, bool] | None = None
-    named: tuple[tuple[str, float], ...] = ()
+    named: tuple[tuple[str, float | None], ...] = ()
     default_p: float | None = None
     characterizes: Callable[[float | None], bool] = _always
     needs_norms: bool = False
@@ -107,55 +108,38 @@ class _Kind:
 
 
 _KINDS = {
-    "volume": _Kind(("vol", "volume"), "maximize", "zero", _one,
-                    lambda s, p, n: _prod(s, axis=-1), log_lipschitz=lambda k, p: float(k)),
-    "relative_volume": _Kind(("rvol",), "maximize", "required", _one,
-                             lambda s, p, n: _prod(s / s[..., :1], axis=-1),
-                             log_lipschitz=lambda k, p: 2.0 * (k - 1)),
-    "s_optimality": _Kind(("sopt",), "maximize", "required", _one, _sopt, needs_norms=True),
-    "norm": _Kind(("norm",), "minimize", "any", _unit_schatten,
-                  lambda s, p, n: _schatten(s, p), _ANY_P,
+    "vol": _Kind("maximize", "zero", _one, lambda s, p, n: _prod(s, axis=-1),
+                 named=(("volume", None),), log_lipschitz=lambda k, p: float(k)),
+    "rvol": _Kind("maximize", "required", _one, lambda s, p, n: _prod(s / s[..., :1], axis=-1),
+                  log_lipschitz=lambda k, p: 2.0 * (k - 1)),
+    "sopt": _Kind("maximize", "required", _one, _sopt, needs_norms=True),
+    "norm": _Kind("minimize", "any", _unit_schatten, lambda s, p, n: _schatten(s, p), _ANY_P,
                   named=(("norm-two", math.inf), ("norm-frobenius", 2.0)),
                   characterizes=lambda p: p > 2),
-    "pinv_norm": _Kind(("pinv-norm",), "minimize", "required", _unit_schatten,
+    "pinv-norm": _Kind("minimize", "required", _unit_schatten,
                        lambda s, p, n: _pinv_schatten(s, p), _ANY_P,
                        named=(("pinv-norm-two", math.inf), ("pinv-norm-frobenius", 2.0)),
                        characterizes=lambda p: p >= 2),
-    "cond_schatten": _Kind(("cond",), "minimize", "required", lambda k, p: k ** (2.0 / p),
-                           _cond_schatten, _ANY_P,
-                           named=(("cond-two", math.inf), ("cond-frobenius", 2.0)),
-                           log_lipschitz=lambda k, p: 2.0),
-    "cond_mixed_schatten": _Kind(("cond-mixed",), "minimize", "required", _root,
-                                 lambda s, p, n: _schatten(s, p) / s[..., -1], _ANY_P,
-                                 default_p=2.0, log_lipschitz=lambda k, p: 2.0),
-    "stable_rank": _Kind(("srank",), "maximize", "any", lambda k, p: float(k),
-                         lambda s, p, n: _sum((s / s[..., :1]) ** p, axis=-1), _FINITE_P2,
-                         default_p=2.0, log_lipschitz=lambda k, p: 2.0 * p),
-    "residual_two": _Kind(("res-two",), "minimize", "any", lambda k, p: None,
-                          characterizes=lambda p: False, residual="two"),
-    "residual_frobenius": _Kind(("res-frobenius",), "minimize", "any", lambda k, p: None,
-                                characterizes=lambda p: False, residual="frobenius"),
+    "cond": _Kind("minimize", "required", lambda k, p: k ** (2.0 / p), _cond_schatten, _ANY_P,
+                  named=(("cond-two", math.inf), ("cond-frobenius", 2.0)),
+                  log_lipschitz=lambda k, p: 2.0),
+    "cond-mixed": _Kind("minimize", "required", _root,
+                        lambda s, p, n: _schatten(s, p) / s[..., -1], _ANY_P,
+                        default_p=2.0, log_lipschitz=lambda k, p: 2.0),
+    "srank": _Kind("maximize", "any", lambda k, p: float(k),
+                   lambda s, p, n: _sum((s / s[..., :1]) ** p, axis=-1), _FINITE_P2,
+                   default_p=2.0, log_lipschitz=lambda k, p: 2.0 * p),
+    "res-two": _Kind("minimize", "any", lambda k, p: None,
+                     characterizes=lambda p: False, residual="two"),
+    "res-frobenius": _Kind("minimize", "any", lambda k, p: None,
+                           characterizes=lambda p: False, residual="frobenius"),
 }
 
-# every id, alias and pinned name -> (kind, pinned p or None), and pinned (kind, p) -> name
-_NAMES = {name: (kind, None) for kind, row in _KINDS.items() for name in row.ids}
+# every id and named entry -> (id, the p it pins or None), and pinned (id, p) -> its name
+_NAMES = {kind: (kind, None) for kind in _KINDS}
 _NAMES.update((name, (kind, p)) for kind, row in _KINDS.items() for name, p in row.named)
-_PINNED_NAMES = {(kind, p): name for kind, row in _KINDS.items() for name, p in row.named}
-
-
-def _check_p(row: _Kind, p, label: str):
-    """Validate ``p`` against the row's Schatten-parameter domain."""
-    if row.p_domain is None:
-        if p is not None:
-            raise InvalidParameterError(f"{label} takes no p")
-        return None
-    if p is None:
-        raise InvalidParameterError("Schatten parameter p is required")
-    minimum, allow_inf = row.p_domain
-    if not (allow_inf if p == math.inf else p >= minimum):
-        domain = f">= {minimum:g} or inf" if allow_inf else f"finite and >= {minimum:g}"
-        raise InvalidParameterError(f"{label}: Schatten parameter must be {domain}, got {p}")
-    return float(p)
+_PINNED_NAMES = {(kind, p): name for kind, row in _KINDS.items()
+                 for name, p in row.named if p is not None}
 
 
 def _scalar(row: _Kind, res: SvdResult, norms, cols: int, p) -> float:
@@ -180,40 +164,42 @@ def values(c: DenseMatrix, specs, full_matrix: DenseMatrix | None = None) -> lis
     One ``svd(c)`` and at most one ``column_norms()`` serve every spec; the
     residual criteria measure against ``full_matrix``.  Raises what
     ``evaluate`` raises for the first spec that fails, apart from its
-    finite-value check: a value that overflows is returned as is.
+    finite-value check: a value that overflows is returned as is, without the
+    floating-point warning, as ``batch_values`` returns it.
     """
     res = norms = None
     out = []
-    for spec in specs:
-        row = _KINDS[spec.kind]
-        if row.residual is not None:
-            if full_matrix is None:
-                raise InvalidParameterError("residual criteria need the parent matrix")
-            out.append(residual(full_matrix, c, row.residual))
-            continue
-        if row.needs_norms and norms is None:
-            norms = c.column_norms()
-            if np.any(norms == 0.0):
-                raise InvalidInputError("matrix has a zero column")
-        if res is None:
-            res = svd(c)
-        out.append(_scalar(row, res, norms, c.cols, spec.p))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for spec in specs:
+            row = _KINDS[spec.kind]
+            if row.residual is not None:
+                if full_matrix is None:
+                    raise InvalidParameterError("residual criteria need the parent matrix")
+                out.append(residual(full_matrix, c, row.residual))
+                continue
+            if row.needs_norms and norms is None:
+                norms = c.column_norms()
+                if np.any(norms == 0.0):
+                    raise InvalidInputError("matrix has a zero column")
+            if res is None:
+                res = svd(c)
+            out.append(_scalar(row, res, norms, c.cols, spec.p))
     return out
 
 
 def volume(c: DenseMatrix) -> float:
     """Product of all k singular values; 0 for numerically rank-deficient input."""
-    return values(c, (CriterionSpec("volume"),))[0]
+    return values(c, (CriterionSpec("vol"),))[0]
 
 
 def relative_volume(c: DenseMatrix) -> float:
     """Product of sigma_j / sigma_1, in (0, 1] with 1 exactly for orthonormal columns."""
-    return values(c, (CriterionSpec("relative_volume"),))[0]
+    return values(c, (CriterionSpec("rvol"),))[0]
 
 
 def s_optimality(c: DenseMatrix) -> float:
     """k-th root of the volume scaled by the product of the column two-norms."""
-    return values(c, (CriterionSpec("s_optimality"),))[0]
+    return values(c, (CriterionSpec("sopt"),))[0]
 
 
 def schatten_norm(c: DenseMatrix, p) -> float:
@@ -223,13 +209,12 @@ def schatten_norm(c: DenseMatrix, p) -> float:
 
 def pinv_schatten_norm(c: DenseMatrix, p) -> float:
     """Schatten p-norm of the pseudo-inverse, computed as (sum sigma_j^-p)^(1/p)."""
-    return values(c, (CriterionSpec("pinv_norm", p),))[0]
+    return values(c, (CriterionSpec("pinv-norm", p),))[0]
 
 
-# condition-number flavor -> (criterion kind, the p it pins, or None when it takes p)
-_COND_FLAVORS = {"two": ("cond_schatten", math.inf), "frobenius": ("cond_schatten", 2.0),
-                 "schatten": ("cond_schatten", None), "mixed": ("cond_mixed_schatten", 2.0),
-                 "mixed_schatten": ("cond_mixed_schatten", None)}
+# condition-number flavor -> (criterion id, the p it pins, or None when it takes p)
+_COND_FLAVORS = {"two": ("cond", math.inf), "frobenius": ("cond", 2.0), "schatten": ("cond", None),
+                 "mixed": ("cond-mixed", 2.0), "mixed_schatten": ("cond-mixed", None)}
 
 
 def condition_number(c: DenseMatrix, kind: str, p=None) -> float:
@@ -242,14 +227,15 @@ def condition_number(c: DenseMatrix, kind: str, p=None) -> float:
     if kind not in _COND_FLAVORS:
         raise InvalidParameterError(f"unknown condition number kind {kind!r}")
     name, pinned = _COND_FLAVORS[kind]
-    if pinned is not None and p is not None:
-        raise InvalidParameterError(f"condition number kind {kind!r} takes no p")
+    if (pinned is None) == (p is None):
+        need = "needs" if p is None else "takes no"
+        raise InvalidParameterError(f"condition number kind {kind!r} {need} p")
     return values(c, (CriterionSpec(name, p if pinned is None else pinned),))[0]
 
 
 def stable_rank(c: DenseMatrix, p=2) -> float:
     """Schatten-p energy relative to the largest singular value; 0 for the zero matrix."""
-    return values(c, (CriterionSpec("stable_rank", p),))[0]
+    return values(c, (CriterionSpec("srank", p),))[0]
 
 
 def batch_residuals(a: np.ndarray, sub: np.ndarray, norm: str) -> np.ndarray:
@@ -284,7 +270,8 @@ def residual(a: DenseMatrix, c: DenseMatrix, norm: str) -> float:
 
 @dataclass(frozen=True)
 class CriterionSpec:
-    """A named criterion with optimization direction and optimal unit-column value."""
+    """A criterion by its id ("vol", "pinv-norm", ...) and Schatten parameter p,
+    which defaults to the id's default p and is checked against its domain."""
 
     kind: str
     p: float | None = None
@@ -292,8 +279,18 @@ class CriterionSpec:
     def __post_init__(self):
         row = _KINDS.get(self.kind)
         if row is None:
-            raise InvalidParameterError(f"unknown criterion kind {self.kind!r}")
-        object.__setattr__(self, "p", _check_p(row, self.p, f"criterion kind {self.kind!r}"))
+            raise InvalidParameterError(f"unknown criterion id {self.kind!r}")
+        p = row.default_p if self.p is None else self.p
+        if (row.p_domain is None) != (p is None):
+            need = "takes no" if p is not None else "needs a"
+            raise InvalidParameterError(f"criterion {self.kind!r} {need} Schatten parameter")
+        if p is not None:
+            minimum, allow_inf = row.p_domain
+            if not (allow_inf if p == math.inf else p >= minimum):
+                domain = f">= {minimum:g} or inf" if allow_inf else f"finite and >= {minimum:g}"
+                raise InvalidParameterError(
+                    f"criterion {self.kind!r}: Schatten parameter must be {domain}, got {p}")
+            object.__setattr__(self, "p", float(p))
 
     @property
     def direction(self) -> str:
@@ -309,10 +306,9 @@ class CriterionSpec:
         """Stable lowercase string id, e.g. "rvol", "cond-two", "pinv-norm:p=4"."""
         if (self.kind, self.p) in _PINNED_NAMES:
             return _PINNED_NAMES[self.kind, self.p]
-        row = _KINDS[self.kind]
-        if self.p == row.default_p:
-            return row.ids[0]
-        return f"{row.ids[0]}:p={_fmt_p(self.p)}"
+        if self.p == _KINDS[self.kind].default_p:
+            return self.kind
+        return f"{self.kind}:p={_fmt_p(self.p)}"
 
     def optimal_unit_value(self, k: int) -> float | None:
         """Criterion value attained by k orthonormal columns, or None when the
@@ -341,28 +337,22 @@ def _fmt_p(p: float) -> str:
 
 
 def parse_criterion(text: str, p=None) -> CriterionSpec:
-    """Parse a criterion id like "rvol", "cond-two" or "pinv-norm:p=4".
+    """Parse a criterion name like "rvol", "cond-two" or "pinv-norm:p=4".
 
-    An explicit ``p`` argument supplies the Schatten parameter for the bare
-    forms "norm", "pinv-norm", "cond", "cond-mixed" and "srank"; a ":p=" suffix
-    in the id takes precedence.
+    The name is an id, the alias "volume", or a name that pins p such as
+    "cond-two".  An explicit ``p`` argument supplies the Schatten parameter
+    for the ids that take one, "norm", "pinv-norm", "cond", "cond-mixed" and
+    "srank"; a ":p=" suffix takes precedence.  ``CriterionSpec`` checks p.
     """
     text = text.strip().lower()
     if ":p=" in text:
         text, _, p = text.partition(":p=")
-    if p is not None:
-        p = parse_p(p)
     if text not in _NAMES:
         raise InvalidParameterError(f"unknown criterion id {text!r}")
     kind, pinned = _NAMES[text]
-    row = _KINDS[kind]
-    if p is None:
-        p = row.default_p if pinned is None else pinned
-        if p is None and row.p_domain is not None:
-            raise InvalidParameterError(f"criterion {text!r} needs a Schatten parameter p")
-    elif pinned is not None or row.p_domain is None:
+    if pinned is not None and p is not None:
         raise InvalidParameterError(f"criterion {text!r} takes no Schatten parameter")
-    return CriterionSpec(kind, p)
+    return CriterionSpec(kind, pinned if p is None else parse_p(p))
 
 
 def parse_p(raw) -> float:

@@ -101,8 +101,8 @@ class DecisionQuery:
     b: float
 
     def __post_init__(self):
-        if not self.b > 0:
-            raise InvalidParameterError(f"threshold b must be positive, got {self.b}")
+        if not 0 < self.b < math.inf:
+            raise InvalidParameterError(f"threshold b must be positive and finite, got {self.b}")
         if self.k < 1:
             raise InvalidParameterError(f"subset size k must be >= 1, got {self.k}")
 
@@ -543,7 +543,7 @@ def select_local_swap_volume(matrix: DenseMatrix, k: int, seed: int = 0,
     a = matrix.array
     col_norms = matrix.column_norms()
     unit = _unit_scaled(a)[0]
-    vol_spec = CriterionSpec("volume")
+    vol_spec = CriterionSpec("vol")
     evaluated = 0
 
     def full_rank_volume(cand):
@@ -602,11 +602,11 @@ def _extension_estimates(criterion: CriterionSpec, unit: np.ndarray, scale: floa
     (a zero r_j gains nothing).  That difference cancels; ``_residual_width``
     allows for it.
     """
-    if criterion.kind not in ("volume", "residual_frobenius"):
+    if criterion.kind not in ("vol", "res-frobenius"):
         return np.zeros(len(remaining)), np.full(len(remaining), np.inf)
     _, _, rest, rho, rounding = _projection(unit, chosen, slice(None), len(chosen) + 1)
     rho, rounding = rho[remaining], rounding[remaining]
-    if criterion.kind == "volume":
+    if criterion.kind == "vol":
         estimate = value * (scale * rho)
         return estimate, estimate * (SCREEN_MARGIN + rounding)
     gram = rest.T @ rest[:, remaining]
@@ -675,6 +675,7 @@ def decide(matrix: DenseMatrix, query: DecisionQuery, threads: int = 1,
     Comparisons use an absolute slack of 1e-9, strictly smaller than every
     separation the reduction harness needs to distinguish.
     """
+    result = select_exact(matrix, query.k, query.criterion, threads=threads, allow_large=allow_large)
     optimal = query.criterion.optimal_unit_value(query.k)
     if optimal is not None and math.isclose(query.b, optimal, rel_tol=0.0, abs_tol=1e-12):
         norms = matrix.column_norms()
@@ -684,6 +685,5 @@ def decide(matrix: DenseMatrix, query: DecisionQuery, threads: int = 1,
                 "does not have unit columns; the decision is still answered",
                 stacklevel=2,
             )
-    result = select_exact(matrix, query.k, query.criterion, threads=threads, allow_large=allow_large)
     answer = meets_threshold(query.criterion, result.value.value, query.b)
     return DecisionOutcome(answer=answer, witness=result.subset if answer else None)

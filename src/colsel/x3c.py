@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import CriterionSpec, equivalence_criteria
+from .criteria import CriterionSpec, equivalence_criteria, parse_criterion
 from .errors import (
     CapacityError,
     GenerationFailureError,
@@ -281,20 +281,20 @@ def _gap_rows(k: int):
     """(criterion, threshold, alternate threshold) for the separation checks at subset size k."""
     quarter = math.sqrt(1.0 + 1.0 / (4.0 * k))
     return [
-        (CriterionSpec("relative_volume"), 1.0 / math.sqrt(2.0), None),
-        (CriterionSpec("volume"), 2.0 * math.sqrt(2.0) / 3.0, None),
-        (CriterionSpec("s_optimality"), (2.0 * math.sqrt(2.0) / 3.0) ** (1.0 / k), None),
-        (CriterionSpec("norm", math.inf), 2.0 / math.sqrt(3.0), None),
+        (parse_criterion("rvol"), 1.0 / math.sqrt(2.0), None),
+        (parse_criterion("vol"), 2.0 * math.sqrt(2.0) / 3.0, None),
+        (parse_criterion("sopt"), (2.0 * math.sqrt(2.0) / 3.0) ** (1.0 / k), None),
+        (parse_criterion("norm-two"), 2.0 / math.sqrt(3.0), None),
         # the bound established for the smallest singular value is sqrt(3/2);
         # the alternate stated factor 2/sqrt(3) is recorded alongside
-        (CriterionSpec("pinv_norm", math.inf), math.sqrt(1.5), 2.0 / math.sqrt(3.0)),
-        (CriterionSpec("pinv_norm", 2.0), math.sqrt(k + 0.25), None),
-        (CriterionSpec("pinv_norm", 3.0), k ** (1.0 / 3.0) * quarter, None),
-        (CriterionSpec("pinv_norm", 4.0), k ** (1.0 / 4.0) * quarter, None),
-        (CriterionSpec("cond_schatten", math.inf), math.sqrt(2.0), None),
-        (CriterionSpec("cond_schatten", 2.0), k * quarter, None),
-        (CriterionSpec("cond_mixed_schatten", 2.0), math.sqrt(1.5 * k), None),
-        (CriterionSpec("stable_rank", 2.0), 0.75 * k, None),
+        (parse_criterion("pinv-norm-two"), math.sqrt(1.5), 2.0 / math.sqrt(3.0)),
+        (parse_criterion("pinv-norm-frobenius"), math.sqrt(k + 0.25), None),
+        (parse_criterion("pinv-norm:p=3"), k ** (1.0 / 3.0) * quarter, None),
+        (parse_criterion("pinv-norm:p=4"), k ** (1.0 / 4.0) * quarter, None),
+        (parse_criterion("cond-two"), math.sqrt(2.0), None),
+        (parse_criterion("cond-frobenius"), k * quarter, None),
+        (parse_criterion("cond-mixed"), math.sqrt(1.5 * k), None),
+        (parse_criterion("srank"), 0.75 * k, None),
     ]
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from colsel.criteria import (
     s_optimality,
     schatten_norm,
     stable_rank,
+    values,
     volume,
 )
 from colsel.errors import (
@@ -265,7 +267,7 @@ class TestRegistry:
         for spec in registry():
             expected = (
                 "maximize"
-                if spec.kind in ("volume", "relative_volume", "s_optimality", "stable_rank")
+                if spec.kind in ("vol", "rvol", "sopt", "srank")
                 else "minimize"
             )
             assert spec.direction == expected
@@ -316,12 +318,12 @@ class TestRegistry:
 
 class TestParseCriterion:
     def test_aliases_and_p_flag(self):
-        assert parse_criterion("volume") == CriterionSpec("volume")
+        assert parse_criterion("volume") == CriterionSpec("vol")
         assert parse_criterion("norm", p=4) == CriterionSpec("norm", 4.0)
         assert parse_criterion("norm", p="inf") == CriterionSpec("norm", math.inf)
-        assert parse_criterion("srank") == CriterionSpec("stable_rank", 2.0)
-        assert parse_criterion("srank", p=4) == CriterionSpec("stable_rank", 4.0)
-        assert parse_criterion("cond-mixed:p=4") == CriterionSpec("cond_mixed_schatten", 4.0)
+        assert parse_criterion("srank") == CriterionSpec("srank", 2.0)
+        assert parse_criterion("srank", p=4) == CriterionSpec("srank", 4.0)
+        assert parse_criterion("cond-mixed:p=4") == CriterionSpec("cond-mixed", 4.0)
 
     def test_rejections(self):
         with pytest.raises(InvalidParameterError):
@@ -339,13 +341,31 @@ class TestParseCriterion:
         with pytest.raises(InvalidParameterError, match="bad Schatten parameter 'abc'"):
             parse_criterion("norm:p=abc")
 
+    @pytest.mark.parametrize("text, p, message", [
+        ("bogus", None, "unknown criterion id 'bogus'"),
+        ("norm", None, "criterion 'norm' needs a Schatten parameter"),
+        ("volume", 3, "criterion 'vol' takes no Schatten parameter"),
+        ("cond-two", 3, "criterion 'cond-two' takes no Schatten parameter"),
+        ("cond", 0.5, "criterion 'cond': Schatten parameter must be >= 1 or inf, got 0.5"),
+        ("srank", "inf", "criterion 'srank': Schatten parameter must be finite and >= 2, got inf"),
+    ])
+    def test_errors_name_the_criterion_id(self, text, p, message):
+        with pytest.raises(InvalidParameterError) as err:
+            parse_criterion(text, p)
+        assert str(err.value) == message
+
+    def test_spec_checks_p_as_the_parser_does(self):
+        assert CriterionSpec("srank") == parse_criterion("srank")
+        with pytest.raises(InvalidParameterError, match="unknown criterion id 'bogus'"):
+            CriterionSpec("bogus")
+
 
 class TestNameIndex:
     """One row and one printed name per criterion."""
 
     def test_no_name_in_two_rows(self):
-        names = [name for row in _KINDS.values()
-                 for name in (*row.ids, *(pinned for pinned, _ in row.named))]
+        names = [name for kind, row in _KINDS.items()
+                 for name in (kind, *(named for named, _ in row.named))]
         assert len(names) == len(set(names))
         assert set(names) == set(_NAMES)
         assert len(_KINDS) == 10
@@ -376,7 +396,7 @@ class TestNameIndex:
 
     @pytest.mark.parametrize("kind", ["cond_two", "cond_frobenius", "cond_mixed"])
     def test_removed_kind_names_are_rejected(self, kind):
-        with pytest.raises(InvalidParameterError, match="unknown criterion kind"):
+        with pytest.raises(InvalidParameterError, match="unknown criterion id"):
             CriterionSpec(kind)
 
     def test_registry_ids_in_report_order(self):
@@ -436,7 +456,7 @@ class TestUnitColumnBounds:
 
     def test_criterion_value_requires_finite(self):
         with pytest.raises(InvalidInputError):
-            CriterionValue(math.nan, CriterionSpec("volume"), 2)
+            CriterionValue(math.nan, CriterionSpec("vol"), 2)
 
 
 class TestBatchValues:
@@ -462,3 +482,16 @@ class TestBatchValues:
         with pytest.raises(InvalidParameterError):
             batch_values(parse_criterion("res-two"), np.ones((1, 2)), np.ones((1, 2)),
                          np.ones(1, dtype=bool))
+
+
+class TestFloatingPointWarnings:
+    """The scalar path ignores the floating-point warnings the batched path ignores."""
+
+    def test_overflowing_value_warns_nothing(self):
+        c = DenseMatrix(np.eye(2) * 1e-310)
+        spec = parse_criterion("pinv-norm-two")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert values(c, (spec,)) == [math.inf]
+            with pytest.raises(InvalidInputError, match="must be finite"):
+                evaluate(spec, c)

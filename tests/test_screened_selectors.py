@@ -54,7 +54,7 @@ def oracle_local_swap(matrix, k, seed=0, max_sweeps=100):
     rng = np.random.default_rng(seed)
     a = matrix.array
     col_norms = matrix.column_norms()
-    vol_spec = CriterionSpec("volume")
+    vol_spec = CriterionSpec("vol")
     evaluated = 0
     current = None
 

@@ -366,3 +366,15 @@ class TestDecide:
             DecisionQuery(parse_criterion("vol"), 2, 0.0)
         with pytest.raises(InvalidParameterError):
             DecisionQuery(parse_criterion("vol"), 0, 1.0)
+
+    @pytest.mark.parametrize("b", [math.inf, float("1e400"), math.nan])
+    def test_threshold_must_be_finite(self, b):
+        with pytest.raises(InvalidParameterError, match="positive and finite"):
+            DecisionQuery(parse_criterion("vol"), 2, b)
+
+    def test_invalid_k_raises_before_any_warning(self):
+        a = DenseMatrix([[1.0, 2.0, 3.0], [3.0, 4.0, 5.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match="k must be in"):
+                decide(a, DecisionQuery(parse_criterion("vol"), 5, 1.0))
