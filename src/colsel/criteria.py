@@ -6,9 +6,10 @@ matrix for the residuals).  ``_KINDS`` holds one row per criterion (a
 Schatten family such as the condition numbers is one criterion), keyed by its
 id, the one name a ``CriterionSpec`` takes: its other names, optimization
 direction, rank requirement, Schatten-parameter domain, sigma-to-value
-function, how far that value can move when the sigmas move, and the optimal
-value attained by k orthonormal columns, which is what turns the optimization
-problems into decision problems.  Adding a criterion means adding one row
+function, its value from the Gram invariants of C where it has one, how far
+that value can move when the sigmas move, and the optimal value attained by
+k orthonormal columns, which is what turns the optimization problems into
+decision problems.  Adding a criterion means adding one row
 (plus its ``REGISTRY`` id when it belongs in the reports).
 """
 
@@ -60,6 +61,18 @@ def _sopt(sigma, p, norms):
     return (_prod(sigma, axis=-1) / _prod(norms, axis=-1)) ** (1.0 / k)
 
 
+def _gram_pinv_schatten(g, p, norms):
+    return g.power_sum(-p) ** (1.0 / p)
+
+
+def _gram_schatten(g, p, norms):
+    return g.power_sum(p) ** (1.0 / p)
+
+
+def _gram_sopt(g, p, norms):
+    return (g.prod() / _prod(norms, axis=-1)) ** (1.0 / g.k)
+
+
 def _root(k, p):
     return math.sqrt(k) if p == 2 else k ** (1.0 / p)
 
@@ -89,9 +102,13 @@ class _Kind:
     "zero" scores 0, "any" evaluates it as is.  ``value`` maps a stack of singular values (B, r), p
     and column norms (B, k) to B criterion values; residuals, which are not
     singular-value computable, name their norm in ``residual`` instead.
-    ``log_lipschitz`` bounds the sum over i of |d log value / d log sigma_i|
-    for k columns, so sigmas that each move by a factor within [1/c, c] move
-    the value by a factor within [c^-L, c^L] (``batch_bands``).
+    ``gram_value`` maps a ``GramSpectrum`` (B rows), p and column norms to the
+    same B values, for the criteria that are functions of det(C^T C) and the
+    traces of its powers (vol, sopt, and norm, pinv-norm and cond at a p in
+    ``_GRAM_P``), and is None for the others.  ``log_lipschitz`` bounds the
+    sum over i of |d log value / d log sigma_i| for k columns, so sigmas that
+    each move by a factor within [1/c, c] move the value by a factor within
+    [c^-L, c^L] (``batch_bands``).
     """
 
     direction: str
@@ -105,24 +122,27 @@ class _Kind:
     needs_norms: bool = False
     residual: str | None = None
     log_lipschitz: Callable[[int, float | None], float] = _one
+    gram_value: Callable | None = None
 
 
 _KINDS = {
     "vol": _Kind("maximize", "zero", _one, lambda s, p, n: _prod(s, axis=-1),
-                 named=(("volume", None),), log_lipschitz=lambda k, p: float(k)),
+                 named=(("volume", None),), log_lipschitz=lambda k, p: float(k),
+                 gram_value=lambda g, p, n: g.prod()),
     "rvol": _Kind("maximize", "required", _one, lambda s, p, n: _prod(s / s[..., :1], axis=-1),
                   log_lipschitz=lambda k, p: 2.0 * (k - 1)),
-    "sopt": _Kind("maximize", "required", _one, _sopt, needs_norms=True),
+    "sopt": _Kind("maximize", "required", _one, _sopt, needs_norms=True, gram_value=_gram_sopt),
     "norm": _Kind("minimize", "any", _unit_schatten, lambda s, p, n: _schatten(s, p), _ANY_P,
                   named=(("norm-two", math.inf), ("norm-frobenius", 2.0)),
-                  characterizes=lambda p: p > 2),
+                  characterizes=lambda p: p > 2, gram_value=_gram_schatten),
     "pinv-norm": _Kind("minimize", "required", _unit_schatten,
                        lambda s, p, n: _pinv_schatten(s, p), _ANY_P,
                        named=(("pinv-norm-two", math.inf), ("pinv-norm-frobenius", 2.0)),
-                       characterizes=lambda p: p >= 2),
+                       characterizes=lambda p: p >= 2, gram_value=_gram_pinv_schatten),
     "cond": _Kind("minimize", "required", lambda k, p: k ** (2.0 / p), _cond_schatten, _ANY_P,
                   named=(("cond-two", math.inf), ("cond-frobenius", 2.0)),
-                  log_lipschitz=lambda k, p: 2.0),
+                  log_lipschitz=lambda k, p: 2.0,
+                  gram_value=lambda g, p, n: _gram_schatten(g, p, n) * _gram_pinv_schatten(g, p, n)),
     "cond-mixed": _Kind("minimize", "required", _root,
                         lambda s, p, n: _schatten(s, p) / s[..., -1], _ANY_P,
                         default_p=2.0, log_lipschitz=lambda k, p: 2.0),
@@ -302,6 +322,12 @@ class CriterionSpec:
         return _KINDS[self.kind].residual
 
     @property
+    def gram_invariant(self) -> bool:
+        """Whether ``batch_bands`` can band the value from a ``GramSpectrum``:
+        vol, sopt, and norm, pinv-norm and cond at p = 2 or 4."""
+        return _KINDS[self.kind].gram_value is not None and self.p in (None, *_GRAM_P)
+
+    @property
     def identifier(self) -> str:
         """Stable lowercase string id, e.g. "rvol", "cond-two", "pinv-norm:p=4"."""
         if (self.kind, self.p) in _PINNED_NAMES:
@@ -427,28 +453,64 @@ def batch_values(spec: CriterionSpec, sigma: np.ndarray, column_norms: np.ndarra
     return np.where(scored, vals, 0.0), np.ones(len(sigma), dtype=bool)
 
 
-def batch_bands(spec: CriterionSpec, sigma: np.ndarray, column_norms: np.ndarray, rel_error: np.ndarray):
+# the Schatten p whose power sums, tr H^(p/2) and tr H^(-p/2), a GramSpectrum holds
+_GRAM_P = (2.0, 4.0)
+
+
+@dataclass(frozen=True)
+class GramSpectrum:
+    """The Gram invariants of a stack of B k-column submatrices C, what the
+    ``_Kind.gram_value`` functions read in place of singular values.
+
+    Per row, with H = C^T C / scale^2: ``root_det`` is det(H)^(1/2), and
+    ``traces`` maps j to tr H^j for j = 1, 2 and, when an inverse was formed,
+    -1, -2.  ``prod()`` and ``power_sum(q)`` are C's prod sigma and sum
+    sigma^q.  ``scale`` is a numpy float64, so under ``np.errstate`` they
+    over- and underflow where the products and powers of ``_Kind.value`` do.
+    """
+
+    root_det: np.ndarray
+    traces: dict
+    scale: np.float64
+    k: int
+
+    def __getitem__(self, rows):
+        return GramSpectrum(self.root_det[rows], {j: t[rows] for j, t in self.traces.items()},
+                            self.scale, self.k)
+
+    def prod(self):
+        return self.root_det * self.scale**self.k
+
+    def power_sum(self, q):
+        return self.traces[q / 2] * self.scale**q
+
+
+def batch_bands(spec: CriterionSpec, spectrum, column_norms: np.ndarray, rel_error: np.ndarray):
     """Band (estimate, width) around the value ``batch_values`` gives each row,
     from estimated singular values; an infinite width marks no usable estimate.
 
-    ``sigma`` (B, r) and ``column_norms`` (B, k) are as in ``batch_values``;
-    row b's sigmas are taken to lie within a factor 1 -+ ``rel_error[b]`` of
-    the ones the SVD computes, a bound large enough to also cover the value
-    function's own rounding.  A row whose error is 1 or more (inf: its full
-    column rank is not proven) gets an estimate of 0 and an infinite width.
-    For the others the estimate is the row's value function at ``sigma``,
-    and the width ``estimate * ((1 - rel_error)^-L - 1)`` follows from the
-    kind's ``log_lipschitz`` constant L.  Every width is infinite when the
-    estimate overflows or underflows, where the value's own rounding is no
-    longer relative to the value.
+    ``spectrum`` is a (B, r) stack of sigmas as in ``batch_values``, or, for
+    a spec that is ``gram_invariant``, a ``GramSpectrum``; ``column_norms``
+    is (B, k).  Row b's sigmas are taken to lie within a factor
+    1 -+ ``rel_error[b]`` of the ones the SVD computes, a bound large enough
+    to also cover the value function's own rounding (for a GramSpectrum,
+    that of its invariants too).  A row whose error is 1 or more (inf: its
+    full column rank is not proven) gets an estimate of 0 and an infinite
+    width.  For the others the estimate is the row's value function at
+    ``spectrum`` (``value`` or ``gram_value``: the same function of the
+    sigmas), and the width ``estimate * ((1 - rel_error)^-L - 1)`` follows
+    from the kind's ``log_lipschitz`` constant L.  Every width is infinite
+    when the estimate overflows or underflows, where the value's own rounding
+    is no longer relative to the value.
     """
     row = _KINDS[spec.kind]
+    value = row.value if isinstance(spectrum, np.ndarray) else row.gram_value
     known = rel_error < 1.0
-    estimate = np.zeros(len(sigma))
-    width = np.full(len(sigma), np.inf)
+    estimate = np.zeros(len(rel_error))
+    width = np.full(len(rel_error), np.inf)
     try:
         with np.errstate(all="raise"):
-            estimate[known] = row.value(sigma[known], spec.p, column_norms[known])
+            estimate[known] = value(spectrum[known], spec.p, column_norms[known])
     except FloatingPointError:
         return estimate, width
     factor = (1.0 - rel_error[known]) ** -row.log_lipschitz(column_norms.shape[-1], spec.p)

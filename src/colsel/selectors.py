@@ -2,13 +2,17 @@
 
 The exact selector enumerates all C(n, k) subsets in lexicographic order,
 in chunks of stacked submatrices, each unranked in closed form from its first
-rank.  Every subset of a chunk gets singular-value estimates from one batched
-eigensolve of its k x k block of the shared Gram matrix A^T A, and residual
-estimates from one batched QR of its columns; only the subsets whose
-estimated value could be the chunk's best run through the vectorized LAPACK
-SVD that gives the reported values.  Each worker thread reduces every
-threads-th chunk on its own, and optima merge by (value, indices), so ties
-resolve to the lexicographically smallest index sequence at any thread count.
+rank.  Every subset of a chunk gets estimates from its k x k block of the
+shared Gram matrix A^T A: a pass whose criteria are all Gram-invariant
+(vol, sopt, and norm, pinv-norm and cond at p = 2 or 4) or residuals takes
+them from one batched Cholesky of the chunk's blocks, any other pass (and a
+chunk whose blocks fail to factor) from one batched eigensolve.  Residual
+estimates come from one batched QR of the subsets' columns.  Only the
+subsets whose estimated value could be the chunk's best run through the
+vectorized LAPACK SVD that gives the reported values.  Each worker thread
+reduces every threads-th chunk on its own, and optima merge by (value,
+indices), so ties resolve to the lexicographically smallest index sequence
+at any thread count.
 
 The heuristic selectors (forward greedy for vol and res-frobenius, and the
 local swap) estimate every candidate from one rank-one projection of the
@@ -31,6 +35,7 @@ import numpy as np
 from .criteria import (
     CriterionSpec,
     CriterionValue,
+    GramSpectrum,
     batch_bands,
     batch_residuals,
     batch_values,
@@ -45,14 +50,17 @@ SWAP_IMPROVEMENT = 1e-12
 # residuals also absolute, in units of ||A||_F (see _residual_width); on top,
 # ROUNDING * k * kappa^2 relative for a k-column candidate whose condition
 # number is at most kappa (see _screened_best).  The exact selector's Gram
-# eigenvalues get ROUNDING * (m + k) * k * sigma_1^2 (see _gram_estimates).
+# eigenvalues get ROUNDING * (m + k) * k * sigma_1^2 (see _gram_estimates),
+# and its Cholesky estimates a multiple of that (see _cholesky_estimates).
 SCREEN_MARGIN = 1e-6
 RESIDUAL_SLACK = 1e-6
 ROUNDING = 1e-14
 # The subsets an exhaustive search may enumerate without allow_large.  On one
-# thread of a 2-vCPU x86 machine it scores 9e4 (k = 11) to 1.2e6 (k = 2)
-# subsets/s for vol and 2.6e4 to 3.4e4 for res-two (k = 11, 6), so a search
-# within it takes at most about 11 s, or 40 s for res-two.
+# thread of a 2-vCPU x86 machine, at 12 rows, it scores 2.7e5 (k = 11) to
+# 1.2e6 (k = 2) subsets/s for vol, whose pass factors its Gram blocks, 7.5e4
+# at k = 11 for rvol, whose pass solves their eigenproblems, and 5.9e4 to
+# 9.4e4 for the residuals (k = 11, 6), so a search within it takes at most
+# about 17 s.
 MAX_EXHAUSTIVE_SUBSETS = 10**6
 _CHUNK_SIZE = 2048
 
@@ -180,11 +188,23 @@ def _best_row(vals: np.ndarray, valid: np.ndarray, maximize: bool) -> int | None
     return row if valid[row] else None
 
 
+def _proven(m: int, k: int, top: np.ndarray, bottom: np.ndarray, rel: np.ndarray):
+    """(rel, kappa) for estimates ``top`` of sigma_1 and ``bottom`` of sigma_k
+    of m x k submatrices, each within a factor 1 -+ ``rel`` of the SVD's:
+    rel, and the condition-number bound top (1 + rel) / (bottom (1 - rel)),
+    both inf for a row whose full column rank the estimates do not prove
+    (the SVD path's rank test, applied to the bounds)."""
+    high, low = top * (1.0 + rel), bottom * (1.0 - rel)
+    proven = (m >= k) & (low > default_rank_tolerance(m, k, high))
+    return np.where(proven, rel, np.inf), np.where(proven, high / low, np.inf)
+
+
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _gram_estimates(gram: np.ndarray, scale: float, m: int, idx: np.ndarray):
-    """Singular-value estimates of each submatrix a[:, idx[b]] and a bound on
-    their relative error against the SVD's values, inf for a row whose full
-    column rank the estimate does not prove.
+    """(sigma, rel, kappa): singular-value estimates of each submatrix
+    a[:, idx[b]], a bound on their relative error against the SVD's values,
+    and a bound on its condition number, both inf for a row whose full column
+    rank the estimate does not prove (``_proven``).
 
     ``gram`` is (a / scale)^T (a / scale) for a power of two ``scale``.  Each
     row's sigma^2 are the eigenvalues of its k x k block; Gram formation,
@@ -202,9 +222,85 @@ def _gram_estimates(gram: np.ndarray, scale: float, m: int, idx: np.ndarray):
     lam = np.maximum(lam, 0.0)
     rel = err / lam[:, -1]
     sigma = np.sqrt(lam) * scale
-    proven = (r == k) & (sigma[:, -1] * (1.0 - rel)
-                         > default_rank_tolerance(m, k, sigma[:, 0] * (1.0 + rel)))
-    return sigma, np.where(proven, rel, np.inf)
+    return (sigma, *_proven(m, k, sigma[:, 0], sigma[:, -1], rel))
+
+
+def _inverse_traces(lower: np.ndarray):
+    """(tr H^-1, tr H^-2) for each H = L L^T of a (B, k, k) stack of
+    lower-triangular factors L.
+
+    X = L^-1 is formed by forward substitution, one entry at a time, each
+    entry a vector over the stack; then tr H^-1 = ||X||_F^2 and
+    tr H^-2 = ||X^T X||_F^2, whose entry (i, j) sums X_li X_lj over l >= i, j.
+    """
+    k = lower.shape[1]
+    factor = np.moveaxis(lower, 0, -1)
+    x = {}
+    for i in range(k):
+        for j in range(i + 1):
+            known = sum(factor[i, l] * x[l, j] for l in range(j, i))
+            x[i, j] = ((i == j) - known) / factor[i, i]
+    return (sum(v**2 for v in x.values()),
+            sum((1 + (i != j)) * sum(x[l, i] * x[l, j] for l in range(i, k)) ** 2
+                for i in range(k) for j in range(i + 1)))
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore")
+def _cholesky_estimates(gram: np.ndarray, scale: float, m: int, idx: np.ndarray, inverse: bool):
+    """(spectrum, rel, kappa) as ``_gram_estimates`` gives them, with a
+    ``GramSpectrum`` for the sigmas, from one batched Cholesky L L^T of the
+    rows' k x k blocks G_b of ``gram``, each shifted to H = G_b + delta I;
+    the traces of L^-1 are formed only when ``inverse``.  Raises LinAlgError
+    when any block fails to factor.
+
+    The width.  delta = ROUNDING * (m + k) * k * tr G_b (plus the underflow
+    term) is the bound of ``_gram_estimates`` with tr G_b for sigma_1^2
+    (tr G_b >= sigma_1^2 - k delta, a second-order gap that the margin of
+    ROUNDING over the measured rounding absorbs), so Gram formation and the
+    SVD's own rounding leave each eigenvalue of G_b within delta of the
+    SVD's sigma_i^2 (at unit scale), and sigma_1^2 <= tr H.  H's eigenvalues are therefore within
+    [sigma_i^2, sigma_i^2 + 2 delta]: at least delta, which keeps the
+    factorization of a singular block from breaking down (it needs about
+    k^2 eps lambda_1(H), and ROUNDING is about 45 eps).  The computed L is
+    the exact factor of H + E with ||E||_2 <= (k + 1) eps tr H / (1 -
+    (k + 1) eps) <= delta (Cholesky backward error; Higham, Accuracy and
+    Stability of Numerical Algorithms, Thm 10.3), so the eigenvalues nu_i of
+    L L^T, which ``root_det`` = prod diag L and the inverse traces describe,
+    lie within [sigma_i^2 - delta, sigma_i^2 + 3 delta], while tr H and
+    ||H||_F^2 hold H's own.  For nu_low <= every nu_i, rel = 4 delta / nu_low
+    bounds |sigma_i^2 - nu_i| / nu_i, so sigma_i lies within 1 -+ rel of
+    sqrt(nu_i), with delta / nu_low to spare.  The spare is at least
+    45 (m + k) k eps kappa(H); it covers the forward error of the triangular
+    inverse, about k eps kappa(L) relative with kappa(L)^2 = kappa(L L^T)
+    (Higham, section 14.2), and the rounding of the traces, of nu_low and of
+    the value functions.  ``batch_bands`` carries rel through the kind's
+    ``log_lipschitz``.
+
+    nu_low is 1 / tr (L L^T)^-1 with the inverse, and otherwise the
+    determinant bound min(D) det(S) ((k - 1) / k)^(k - 1), where D is the
+    diagonal of L L^T and S = D^-1/2 L L^T D^-1/2: S has unit diagonal, so
+    AM-GM over its other k - 1 eigenvalues, which sum to at most k, bounds
+    its smallest one, and nu_min >= min(D) lambda_min(S).  The rank proof
+    and kappa take sqrt(tr H) for sigma_1 and sqrt(nu_low) for sigma_k.
+    """
+    k = idx.shape[1]
+    block = gram[idx[:, :, None], idx[:, None, :]]
+    trace = np.einsum("bii->b", block)
+    delta = ROUNDING * (m + k) * k * trace + m * k * np.finfo(np.float64).smallest_normal
+    block[:, range(k), range(k)] += delta[:, None]
+    traces = {1: trace + k * delta, 2: np.einsum("bij,bij->b", block, block)}
+    lower = np.linalg.cholesky(block)
+    del block  # the factor replaces the block in memory
+    pivots = np.diagonal(lower, axis1=1, axis2=2)
+    if inverse:
+        traces[-1], traces[-2] = _inverse_traces(lower)
+        low = 1.0 / traces[-1]
+    else:
+        d = np.einsum("bij,bij->bi", lower, lower)
+        low = np.min(d, axis=1) * np.prod(pivots**2 / d, axis=1) * ((k - 1) / k) ** (k - 1)
+    rel = 4.0 * delta / low
+    spectrum = GramSpectrum(np.prod(pivots, axis=1), traces, np.float64(scale), k)
+    return (spectrum, *_proven(m, k, np.sqrt(traces[1]) * scale, np.sqrt(low) * scale, rel))
 
 
 def _better(current, candidate, maximize: bool):
@@ -248,13 +344,16 @@ def exact_optima(matrix: DenseMatrix, k: int, specs, threads: int = 1, allow_lar
     Returns (per-spec optimum list, C(n, k) subsets enumerated).  A spec whose
     criterion admits no valid subset (e.g. no full-rank subset exists for a
     rank-requiring criterion) gets None.  Every subset is scored: each chunk
-    bands every row's value for every spec, from the eigenvalues of its
-    blocks of the Gram matrix of A at unit scale (``_gram_estimates``,
-    ``batch_bands``) and, for the residuals, a QR of each subset
-    (``_residual_bands``), and certifies the rows that could be its best
-    with one batched SVD over the union of those rows for all specs
-    (``_screened_best``), so optima, witnesses and the count equal those of
-    an SVD of every subset.
+    bands every row's value for every spec from its blocks of the Gram
+    matrix of A at unit scale (``batch_bands``) and, for the residuals, a QR
+    of each subset (``_residual_bands``), and certifies the rows that could
+    be its best with one batched SVD over the union of those rows for all
+    specs (``_screened_best``), so optima, witnesses and the count equal
+    those of an SVD of every subset.  When every spec is ``gram_invariant``
+    or a residual, the blocks are factored (``_cholesky_estimates``, with
+    the inverse's traces only for pinv-norm and cond); otherwise, and for a
+    chunk whose factorization fails, their eigenvalues are solved for
+    (``_gram_estimates``).
 
     Each of ``threads`` workers unranks and reduces every ``threads``-th
     chunk (``_index_chunks``) on its own, and the workers' optima merge by
@@ -280,12 +379,24 @@ def exact_optima(matrix: DenseMatrix, k: int, specs, threads: int = 1, allow_lar
     norms = {spec.residual_norm for spec in specs} - {None}
     basis = _residual_basis(unit) if norms else None
 
+    # a pass of Gram-invariant criteria and residuals factors its Gram blocks
+    cholesky = all(spec.gram_invariant or spec.residual_norm is not None for spec in specs)
+    inverse = any(spec.kind in ("pinv-norm", "cond") for spec in specs)
+
+    def estimates(idx):
+        if cholesky:
+            try:
+                return _cholesky_estimates(gram, scale, a.shape[0], idx, inverse)
+            except np.linalg.LinAlgError:
+                pass
+        return _gram_estimates(gram, scale, a.shape[0], idx)
+
     def chunk_optima(idx):
-        sigma, rel = _gram_estimates(gram, scale, a.shape[0], idx)
+        spectrum, rel, kappa = estimates(idx)
         cn = col_norms[idx]
-        residual = _residual_bands(basis, scale, idx, sigma, rel, norms)
+        residual = _residual_bands(basis, scale, idx, kappa, norms)
         bands = [residual[spec.residual_norm] if spec.residual_norm is not None
-                 else batch_bands(spec, sigma, cn, rel) for spec in specs]
+                 else batch_bands(spec, spectrum, cn, rel) for spec in specs]
         return _screened_best(a, col_norms, idx, specs, bands)
 
     def reduce_stride(first):
@@ -418,8 +529,7 @@ def _residual_basis(unit: np.ndarray):
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore")
-def _residual_bands(basis, scale: float, idx: np.ndarray, sigma: np.ndarray,
-                    rel: np.ndarray, norms) -> dict:
+def _residual_bands(basis, scale: float, idx: np.ndarray, kappa: np.ndarray, norms) -> dict:
     """Band (estimate, width) of ||(I - P_C) A|| for each subset of ``idx``,
     per residual norm in ``norms`` ("two", "frobenius"), from the
     ``_residual_basis`` of A / ``scale``.
@@ -428,11 +538,11 @@ def _residual_bands(basis, scale: float, idx: np.ndarray, sigma: np.ndarray,
     full-rank C: res-frobenius is ||Q2^T A||_F and res-two the square root
     of the largest eigenvalue of its Gram on the smaller side; A's stand-in
     B has the same residual norms, so Q2 never has more entries than A.
-    ``sigma`` and ``rel`` are C's ``_gram_estimates``.  They bound C's
-    condition number, which sets the rounding in the width
-    (``_residual_width``).  A row whose full column rank they do not prove
-    gets an infinite width, since ``batch_residuals`` truncates its rank and
-    the QR does not.  The width also holds the underflow bound.
+    ``kappa`` bounds C's condition number, which sets the rounding in the
+    width (``_residual_width``); it is inf for a row whose full column rank
+    the chunk's estimates do not prove, whose width is then infinite, since
+    ``batch_residuals`` truncates its rank and the QR does not.  The width
+    also holds the underflow bound.
     """
     if not norms:
         return {}
@@ -441,7 +551,7 @@ def _residual_bands(basis, scale: float, idx: np.ndarray, sigma: np.ndarray,
     q = np.linalg.qr(_stack(unit, idx), mode="complete").Q
     # Q2^T A has at most n rows, so its Gram on the smaller side is tail tail^T
     tail = np.swapaxes(q[:, :, k:], 1, 2) @ unit
-    rounding = _rounding(k, sigma[:, 0] / sigma[:, -1] * ((1.0 + rel) / (1.0 - rel)))
+    rounding = _rounding(k, kappa)
     bands = {}
     for norm in norms:
         if norm == "frobenius":
@@ -452,7 +562,7 @@ def _residual_bands(basis, scale: float, idx: np.ndarray, sigma: np.ndarray,
         else:
             estimate = np.zeros(len(idx))
         width = scale * _residual_width(estimate, norm2, rounding) + underflow
-        bands[norm] = scale * estimate, np.where(np.isfinite(rel), width, np.inf)
+        bands[norm] = scale * estimate, np.where(np.isfinite(kappa), width, np.inf)
     return bands
 
 

@@ -1,9 +1,11 @@
 """The screened exhaustive enumeration against scoring every subset.
 
-``exact_optima`` bands every subset's value, from the eigenvalues of its Gram
-block for the singular-value criteria and from a QR of the subset for the
-residuals, and runs the batched SVD only on the subsets that could be a
-chunk's best.  The oracle below is the loop that scores every subset through
+``exact_optima`` bands every subset's value and runs the batched SVD only on
+the subsets that could be a chunk's best.  A pass of Gram-invariant criteria
+(vol, sopt, and norm, pinv-norm and cond at p = 2 or 4) and residuals takes
+its bands from a Cholesky factor of each subset's Gram block, any other pass
+from the eigenvalues of that block, and the residuals from a QR of the
+subset.  The oracle below is the loop that scores every subset through
 ``_batch_scores``, over ``itertools.combinations``; the selector must return
 the same subset, the same value under ``==`` and the same
 ``subsets_evaluated`` (or raise the same error) for every registered
@@ -135,10 +137,20 @@ def _expected(case, spec, specs=registry()):
     return ("ok", idx, value, seen)
 
 
-def _estimates(matrix, idx):
-    """``_gram_estimates`` of the subsets ``idx`` of ``matrix``."""
+# how exact_optima estimates a chunk: by eigenvalues for a pass with a spectral
+# criterion, by a Cholesky factor for the others, with the inverse's traces
+# for a pass with pinv-norm or cond
+ESTIMATORS = ("eigvalsh", "cholesky", "cholesky-inverse")
+
+
+def _estimates(matrix, idx, estimator="eigvalsh"):
+    """(spectrum, rel, kappa) of the subsets ``idx`` of ``matrix`` by ``estimator``."""
     unit, scale = selectors._unit_scaled(matrix.array)
-    return selectors._gram_estimates(unit.T @ unit, scale, matrix.rows, idx)
+    gram = unit.T @ unit
+    if estimator == "eigvalsh":
+        return selectors._gram_estimates(gram, scale, matrix.rows, idx)
+    return selectors._cholesky_estimates(gram, scale, matrix.rows, idx,
+                                         estimator == "cholesky-inverse")
 
 
 def _select_outcome(matrix, k, spec, threads=1):
@@ -213,6 +225,19 @@ def test_svd_runs_on_few_subsets(ident, svd_rows):
     assert 0 < sum(svd_rows) <= result.subsets_evaluated // 100
 
 
+def _recording(monkeypatch, name):
+    """The shapes of the arrays passed to ``np.linalg.<name>`` from now on."""
+    shapes = []
+    real = getattr(np.linalg, name)
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, recording)
+    return shapes
+
+
 def _reversed(band):
     return band[0][::-1].copy(), band[1]
 
@@ -226,35 +251,146 @@ def _halved(band):
 def test_wrong_estimates_fall_back_to_scoring_every_subset(ident, corrupt, monkeypatch, svd_rows):
     # estimates of the right size that belong to other rows, or are all off by
     # a factor of two: the certified values leave their bands, and the guard
-    # must score the chunk in full
+    # must score the chunk in full; batch_bands forms the bands of both the
+    # eigenvalue and the Cholesky estimates
     real, real_residual = selectors.batch_bands, selectors._residual_bands
     monkeypatch.setattr(selectors, "batch_bands", lambda *args: corrupt(real(*args)))
     monkeypatch.setattr(selectors, "_residual_bands", lambda *args: {
         norm: corrupt(band) for norm, band in real_residual(*args).items()})
+    factored = _recording(monkeypatch, "cholesky")
     make, k = CASES["gaussian-0"]
     spec = parse_criterion(ident)
     assert _select_outcome(DenseMatrix(make()), k, spec) == _expected("gaussian-0", spec)
     assert sum(svd_rows) >= math.comb(make().shape[1], k)
+    assert bool(factored) == (spec.gram_invariant or spec.residual_norm is not None)
 
 
-@pytest.mark.parametrize("case", ("gaussian-0", "duplicated", "near-duplicate", "rank-k-1", "wide"))
-def test_estimates_prove_full_rank_only_where_the_svd_finds_it(case):
+@pytest.mark.parametrize("case", ("gaussian-0", "duplicated", "scale-1e-150"))
+def test_a_failed_cholesky_falls_back_to_the_eigenvalues(case, monkeypatch):
+    # numpy's stacked cholesky raises when any block of a chunk fails to
+    # factor; that chunk is then estimated by eigvalsh
+    calls = []
+
+    def failing(a, *args, **kwargs):
+        calls.append(a.shape)
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    make, k = CASES[case]
+    matrix = DenseMatrix(make())
+    for ident in CRITERIA:
+        spec = parse_criterion(ident)
+        assert _select_outcome(matrix, k, spec) == _expected(case, spec)
+    assert calls
+
+
+def _specs(*idents):
+    return [parse_criterion(ident) for ident in idents]
+
+
+def test_only_passes_without_a_spectral_criterion_factor(monkeypatch):
+    # a pass holding any criterion that is no function of the Gram invariants
+    # keeps its eigenvalue estimates and never factors, x3c's passes included;
+    # a pass of Gram-invariant criteria never solves an eigenproblem on a Gram
+    # block (res-two's eigvalsh runs on its (m - k) x (m - k) tail Grams)
+    factored = _recording(monkeypatch, "cholesky")
+    solved = _recording(monkeypatch, "eigvalsh")
+    matrix, k = DenseMatrix(_gaussian(0)), 5
+    for specs in (_specs("rvol"), _specs("norm-two"), _specs("pinv-norm:p=3"), _specs("srank"),
+                  _specs("cond-mixed"), _specs("vol", "sopt", "cond-two"), registry()):
+        exact_optima(matrix, k, specs)
+    instance = x3c.generate_false(3, 8, 1)
+    x3c.gap_report(instance)
+    x3c.verify_equivalence(instance)
+    assert solved and not factored
+    solved.clear()
+    gram_invariant = [spec for spec in registry() if spec.gram_invariant]
+    assert len(gram_invariant) == 8
+    for specs in ([[spec] for spec in gram_invariant] + [gram_invariant]
+                  + [_specs("res-two"), _specs("res-frobenius", "vol")]):
+        factored.clear()
+        exact_optima(matrix, k, specs)
+        assert factored
+    assert all(shape[-2:] == (matrix.rows - k,) * 2 for shape in solved)
+
+
+# the CASES families by seed, and their k
+FAMILIES = {
+    "gaussian": (_gaussian, 5),
+    "duplicated": (_duplicated, 5),
+    "near-duplicate": (_near_duplicate, 5),
+    "spanning-near-duplicate": (_spanning_near_duplicate, 5),
+    "rank-k-1": (_low_rank, 5),
+    "wide": (lambda seed: _gaussian(seed, 4, 10), 5),
+    "very-tall": (lambda seed: _gaussian(seed, 200, 10), 4),
+    "x3c-false": (lambda seed: _reduction(x3c.generate_false(5, 14, seed)), 5),
+}
+
+
+@pytest.mark.parametrize("scale", (1.0, 1e-150, 1e-100, 1e100, 1e150), ids="{:g}".format)
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_cholesky_bands_hold_the_svd_value(family, scale):
+    # every row whose band has a finite width scores inside it, for each
+    # Gram-invariant criterion, with and without the inverse's traces, and for
+    # the residuals, whose widths then take the Cholesky condition-number bound
+    make, k = FAMILIES[family]
+    specs = [spec for spec in registry() if spec.gram_invariant] + _specs("res-two", "res-frobenius")
+    checked = 0
+    for seed in range(3):
+        matrix = DenseMatrix(make(seed) * scale)
+        a, col_norms = matrix.array, matrix.column_norms()
+        unit, unit_scale = selectors._unit_scaled(a)
+        basis = selectors._residual_basis(unit)
+        for idx in selectors._index_chunks(matrix.cols, k):
+            scores = _batch_scores(a, col_norms, idx, specs)
+            for estimator in ("cholesky", "cholesky-inverse"):
+                spectrum, rel, kappa = _estimates(matrix, idx, estimator)
+                residual = selectors._residual_bands(basis, unit_scale, idx, kappa,
+                                                     {"two", "frobenius"})
+                for spec, (vals, _) in zip(specs, scores):
+                    if spec.residual_norm is not None:
+                        estimate, width = residual[spec.residual_norm]
+                    elif spec.kind in ("pinv-norm", "cond") and estimator == "cholesky":
+                        continue
+                    else:
+                        estimate, width = selectors.batch_bands(spec, spectrum, col_norms[idx], rel)
+                    finite = np.isfinite(width)
+                    assert np.all(np.abs(vals[finite] - estimate[finite]) <= width[finite]), spec
+                    checked += np.count_nonzero(finite)
+    assert checked > 0 or family in ("rank-k-1", "wide")
+
+
+def _by_estimator(values, estimators=ESTIMATORS):
+    """Each of ``values`` with each estimator; the eigenvalue cases keep the
+    bare value as their id."""
+    return [pytest.param(v, e, id=v if e == "eigvalsh" else f"{v}-{e}")
+            for e in estimators for v in values]
+
+
+@pytest.mark.parametrize("case, estimator", _by_estimator(
+    ("gaussian-0", "duplicated", "near-duplicate", "rank-k-1", "wide")))
+def test_estimates_prove_full_rank_only_where_the_svd_finds_it(case, estimator):
     # a finite relative error marks a row whose rank the estimate proves; every
     # such row must be full rank for the SVD, since it may set the cut
     make, k = CASES[case]
     matrix = DenseMatrix(make())
     for idx in selectors._index_chunks(matrix.cols, k):
-        _, rel = _estimates(matrix, idx)
-        _, full = selectors._batch_stats(selectors._stack(matrix.array, idx))
-        assert np.all(full[np.isfinite(rel)])
+        _, rel, kappa = _estimates(matrix, idx, estimator)
+        sigma, full = selectors._batch_stats(selectors._stack(matrix.array, idx))
+        proven = np.isfinite(rel)
+        assert np.array_equal(proven, np.isfinite(kappa))
+        assert np.all(full[proven])
+        assert np.all(sigma[proven, 0] <= kappa[proven] * sigma[proven, -1])
         if case == "gaussian-0":
-            assert np.all(np.isfinite(rel))
+            assert np.all(proven)
         if case in ("rank-k-1", "wide"):
-            assert not np.any(np.isfinite(rel))
+            assert not np.any(proven)
 
 
-@pytest.mark.parametrize("ident", ("pinv-norm-two", "pinv-norm:p=4", "cond-two", "cond:p=4", "cond-mixed"))
-def test_rank_deficient_best_estimate_is_not_the_witness(ident):
+@pytest.mark.parametrize("ident, estimator", _by_estimator(
+    ("pinv-norm-two", "pinv-norm:p=4", "cond-two", "cond:p=4", "cond-mixed"), ("eigvalsh",))
+    + _by_estimator(("pinv-norm:p=4", "cond:p=4"), ("cholesky-inverse",)))
+def test_rank_deficient_best_estimate_is_not_the_witness(ident, estimator):
     # columns 0 and 1 are equal, so the first rows of the first chunk are
     # rank-deficient; their estimates prove nothing, and for a minimized
     # criterion that requires full rank they hold the best estimate (0 with
@@ -264,8 +400,8 @@ def test_rank_deficient_best_estimate_is_not_the_witness(ident):
     matrix = DenseMatrix(make())
     spec = parse_criterion(ident)
     idx = next(selectors._index_chunks(matrix.cols, k))
-    sigma, rel = _estimates(matrix, idx)
-    estimate, _ = selectors.batch_bands(spec, sigma, matrix.column_norms()[idx], rel)
+    spectrum, rel, _ = _estimates(matrix, idx, estimator)
+    estimate, _ = selectors.batch_bands(spec, spectrum, matrix.column_norms()[idx], rel)
     ((_, valid),) = _batch_scores(matrix.array, matrix.column_norms(), idx, [spec])
     assert not valid[int(np.argmin(estimate))]
     expected = _expected("duplicated", spec)
@@ -323,8 +459,9 @@ def test_exact_ties_across_chunks_go_to_the_smallest_witness(case, threads):
     assert ties >= 1
 
 
-@pytest.mark.parametrize("ident", ("res-two", "res-frobenius"))
-def test_ill_conditioned_subsets_next_to_the_residual_optimum(ident):
+@pytest.mark.parametrize("ident, estimator", _by_estimator(("res-two", "res-frobenius"),
+                                                           ("eigvalsh", "cholesky")))
+def test_ill_conditioned_subsets_next_to_the_residual_optimum(ident, estimator):
     # the witness holds 2 and 11; swapping 11 for 6 gives a subset within a
     # relative 1e-5 of the optimum at a condition number above 1e11, whose
     # Gram estimates prove no full rank, so its band is infinite and it is
@@ -340,16 +477,17 @@ def test_ill_conditioned_subsets_next_to_the_residual_optimum(ident):
     assert sigma[0] / sigma[-1] >= 1e11
     ((vals, _),) = _batch_scores(matrix.array, matrix.column_norms(), idx, [spec])
     assert 0.0 < vals[0] - value <= 1e-5 * value
-    estimates, rel = _estimates(matrix, idx)
+    _, _, kappa = _estimates(matrix, idx, estimator)
     unit, scale = selectors._unit_scaled(matrix.array)
-    bands = selectors._residual_bands(selectors._residual_basis(unit), scale, idx, estimates, rel,
+    bands = selectors._residual_bands(selectors._residual_basis(unit), scale, idx, kappa,
                                       {spec.residual_norm})
     assert bands[spec.residual_norm][1][0] == np.inf
     assert _select_outcome(matrix, k, spec) == expected
 
 
-@pytest.mark.parametrize("ident", ("res-two", "res-frobenius"))
-def test_residual_widths_hold_the_rounding_of_the_condition_number(ident):
+@pytest.mark.parametrize("ident, estimator", _by_estimator(("res-two", "res-frobenius"),
+                                                           ("eigvalsh", "cholesky")))
+def test_residual_widths_hold_the_rounding_of_the_condition_number(ident, estimator):
     # columns 2 and 6 differ by 1e-4 z: condition numbers near 1e5 that the
     # Gram estimates still prove, where ROUNDING * k * kappa^2 exceeds
     # RESIDUAL_SLACK and so sets the width
@@ -361,11 +499,11 @@ def test_residual_widths_hold_the_rounding_of_the_condition_number(ident):
     basis = selectors._residual_basis(unit)
     dominant = 0
     for idx in selectors._index_chunks(matrix.cols, k):
-        estimates, rel = _estimates(matrix, idx)
-        _, width = selectors._residual_bands(basis, scale, idx, estimates, rel,
+        _, _, kappa = _estimates(matrix, idx, estimator)
+        _, width = selectors._residual_bands(basis, scale, idx, kappa,
                                              {spec.residual_norm})[spec.residual_norm]
         sigma, _ = selectors._batch_stats(selectors._stack(a, idx))
-        proven = np.isfinite(rel)
+        proven = np.isfinite(kappa)
         norm = np.linalg.norm(a)
         rounding = norm * selectors._rounding(k, sigma[:, 0] / sigma[:, -1])
         assert np.all(width[proven] >= rounding[proven])
