@@ -27,6 +27,8 @@ from .matrixkit import DenseMatrix, SvdResult, default_rank_tolerance, svd
 # Schatten-parameter domains as (minimum, whether p = inf is allowed)
 _ANY_P = (1.0, True)
 _FINITE_P2 = (2.0, False)
+# the Schatten p whose power sums, tr H^(p/2) and tr H^(-p/2), a GramSpectrum holds
+_GRAM_P = (2.0, 4.0)
 
 # The value functions take a stack of sigma rows and reduce along the last
 # axis.  The scalar evaluators pass a stack of one, so every power runs as
@@ -66,7 +68,18 @@ def _gram_pinv_schatten(g, p, norms):
 
 
 def _gram_schatten(g, p, norms):
+    if p == math.inf:
+        return g.largest()
     return g.power_sum(p) ** (1.0 / p)
+
+
+def _gram_rvol(g, p, norms):
+    # both invariants at unit scale: scale-free, as prod(sigma / sigma_1) is
+    return g.root_det / g.top ** (g.k / 2.0)
+
+
+def _gram_srank(g, p, norms):
+    return g.traces[p / 2] / g.top ** (p / 2)
 
 
 def _gram_sopt(g, p, norms):
@@ -103,12 +116,17 @@ class _Kind:
     and column norms (B, k) to B criterion values; residuals, which are not
     singular-value computable, name their norm in ``residual`` instead.
     ``gram_value`` maps a ``GramSpectrum`` (B rows), p and column norms to the
-    same B values, for the criteria that are functions of det(C^T C) and the
-    traces of its powers (vol, sopt, and norm, pinv-norm and cond at a p in
-    ``_GRAM_P``), and is None for the others.  ``log_lipschitz`` bounds the
+    same B values, at each p in ``gram_p``, for the criteria that are
+    functions of det(C^T C), the traces of its powers and its largest
+    eigenvalue (vol, rvol, sopt, norm at p = 2, 4 and inf, pinv-norm, cond
+    and srank at p = 2 and 4), and is None for cond-mixed, which needs
+    sigma_k on its own, as pinv-norm and cond at p = inf do; no criterion has
+    one at p = 3.  ``log_lipschitz`` bounds the
     sum over i of |d log value / d log sigma_i| for k columns, so sigmas that
     each move by a factor within [1/c, c] move the value by a factor within
-    [c^-L, c^L] (``batch_bands``).
+    [c^-L, c^L] (``batch_bands``); where ``gram_value`` reads one sigma through
+    two invariants, each estimated on its own (rvol's sigma_1 through the
+    determinant and the largest eigenvalue), the sum counts it in both.
     """
 
     direction: str
@@ -123,6 +141,7 @@ class _Kind:
     residual: str | None = None
     log_lipschitz: Callable[[int, float | None], float] = _one
     gram_value: Callable | None = None
+    gram_p: tuple[float, ...] = _GRAM_P
 
 
 _KINDS = {
@@ -130,11 +149,12 @@ _KINDS = {
                  named=(("volume", None),), log_lipschitz=lambda k, p: float(k),
                  gram_value=lambda g, p, n: g.prod()),
     "rvol": _Kind("maximize", "required", _one, lambda s, p, n: _prod(s / s[..., :1], axis=-1),
-                  log_lipschitz=lambda k, p: 2.0 * (k - 1)),
+                  log_lipschitz=lambda k, p: 2.0 * k, gram_value=_gram_rvol),
     "sopt": _Kind("maximize", "required", _one, _sopt, needs_norms=True, gram_value=_gram_sopt),
     "norm": _Kind("minimize", "any", _unit_schatten, lambda s, p, n: _schatten(s, p), _ANY_P,
                   named=(("norm-two", math.inf), ("norm-frobenius", 2.0)),
-                  characterizes=lambda p: p > 2, gram_value=_gram_schatten),
+                  characterizes=lambda p: p > 2, gram_value=_gram_schatten,
+                  gram_p=(*_GRAM_P, math.inf)),
     "pinv-norm": _Kind("minimize", "required", _unit_schatten,
                        lambda s, p, n: _pinv_schatten(s, p), _ANY_P,
                        named=(("pinv-norm-two", math.inf), ("pinv-norm-frobenius", 2.0)),
@@ -148,7 +168,7 @@ _KINDS = {
                         default_p=2.0, log_lipschitz=lambda k, p: 2.0),
     "srank": _Kind("maximize", "any", lambda k, p: float(k),
                    lambda s, p, n: _sum((s / s[..., :1]) ** p, axis=-1), _FINITE_P2,
-                   default_p=2.0, log_lipschitz=lambda k, p: 2.0 * p),
+                   default_p=2.0, log_lipschitz=lambda k, p: 2.0 * p, gram_value=_gram_srank),
     "res-two": _Kind("minimize", "any", lambda k, p: None,
                      characterizes=lambda p: False, residual="two"),
     "res-frobenius": _Kind("minimize", "any", lambda k, p: None,
@@ -324,8 +344,10 @@ class CriterionSpec:
     @property
     def gram_invariant(self) -> bool:
         """Whether ``batch_bands`` can band the value from a ``GramSpectrum``:
-        vol, sopt, and norm, pinv-norm and cond at p = 2 or 4."""
-        return _KINDS[self.kind].gram_value is not None and self.p in (None, *_GRAM_P)
+        vol, rvol, sopt, norm-two, and norm, pinv-norm, cond and srank at
+        p = 2 or 4."""
+        row = _KINDS[self.kind]
+        return row.gram_value is not None and self.p in (None, *row.gram_p)
 
     @property
     def identifier(self) -> str:
@@ -453,33 +475,35 @@ def batch_values(spec: CriterionSpec, sigma: np.ndarray, column_norms: np.ndarra
     return np.where(scored, vals, 0.0), np.ones(len(sigma), dtype=bool)
 
 
-# the Schatten p whose power sums, tr H^(p/2) and tr H^(-p/2), a GramSpectrum holds
-_GRAM_P = (2.0, 4.0)
-
-
 @dataclass(frozen=True)
 class GramSpectrum:
     """The Gram invariants of a stack of B k-column submatrices C, what the
     ``_Kind.gram_value`` functions read in place of singular values.
 
-    Per row, with H = C^T C / scale^2: ``root_det`` is det(H)^(1/2), and
+    Per row, with H = C^T C / scale^2: ``root_det`` is det(H)^(1/2),
     ``traces`` maps j to tr H^j for j = 1, 2 and, when an inverse was formed,
-    -1, -2.  ``prod()`` and ``power_sum(q)`` are C's prod sigma and sum
-    sigma^q.  ``scale`` is a numpy float64, so under ``np.errstate`` they
-    over- and underflow where the products and powers of ``_Kind.value`` do.
+    -1, -2, and ``top``, when it was formed, is the largest eigenvalue of H
+    (else None).  ``prod()``, ``power_sum(q)`` and ``largest()`` are C's prod
+    sigma, sum sigma^q and sigma_1.  ``scale`` is a numpy float64, so under
+    ``np.errstate`` they over- and underflow where the products and powers of
+    ``_Kind.value`` do.
     """
 
     root_det: np.ndarray
     traces: dict
     scale: np.float64
     k: int
+    top: np.ndarray | None = None
 
     def __getitem__(self, rows):
         return GramSpectrum(self.root_det[rows], {j: t[rows] for j, t in self.traces.items()},
-                            self.scale, self.k)
+                            self.scale, self.k, None if self.top is None else self.top[rows])
 
     def prod(self):
         return self.root_det * self.scale**self.k
+
+    def largest(self):
+        return np.sqrt(self.top) * self.scale
 
     def power_sum(self, q):
         return self.traces[q / 2] * self.scale**q

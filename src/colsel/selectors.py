@@ -4,8 +4,10 @@ The exact selector enumerates all C(n, k) subsets in lexicographic order,
 in chunks of stacked submatrices, each unranked in closed form from its first
 rank.  Every subset of a chunk gets estimates from its k x k block of the
 shared Gram matrix A^T A: a pass whose criteria are all Gram-invariant
-(vol, sopt, and norm, pinv-norm and cond at p = 2 or 4) or residuals takes
-them from one batched Cholesky of the chunk's blocks, any other pass (and a
+(vol, rvol, sopt, norm-two, and norm, pinv-norm, cond and srank at p = 2 or
+4) or residuals takes them from one batched Cholesky of the chunk's blocks,
+with a bracket on each block's largest eigenvalue from repeated squaring
+where a criterion reads it, any other pass (p = 3, or sigma_k alone; and a
 chunk whose blocks fail to factor) from one batched eigensolve.  Residual
 estimates come from one batched QR of the subsets' columns.  Only the
 subsets whose estimated value could be the chunk's best run through the
@@ -57,12 +59,14 @@ RESIDUAL_SLACK = 1e-6
 ROUNDING = 1e-14
 # The subsets an exhaustive search may enumerate without allow_large.  On one
 # thread of a 2-vCPU x86 machine, at 12 rows, it scores 2.7e5 (k = 11) to
-# 1.2e6 (k = 2) subsets/s for vol, whose pass factors its Gram blocks, 7.5e4
-# at k = 11 for rvol, whose pass solves their eigenproblems, and 5.9e4 to
-# 9.4e4 for the residuals (k = 11, 6), so a search within it takes at most
-# about 17 s.
+# 1.2e6 (k = 2) subsets/s for vol, whose pass factors its Gram blocks, 1.6e5
+# at k = 11 for rvol, whose pass also brackets their largest eigenvalues, and
+# 5.9e4 to 9.4e4 for the residuals (k = 11, 6), so a search within it takes
+# at most about 17 s.
 MAX_EXHAUSTIVE_SUBSETS = 10**6
 _CHUNK_SIZE = 2048
+# _top_bracket's normalized squarings: the traces of H^16 and H^32
+_SQUARINGS = 5
 
 
 @dataclass(frozen=True)
@@ -245,13 +249,66 @@ def _inverse_traces(lower: np.ndarray):
                 for i in range(k) for j in range(i + 1)))
 
 
+@np.errstate(divide="ignore", invalid="ignore", under="ignore")
+def _top_bracket(h: np.ndarray):
+    """(lo, hi) with lo <= lambda_max(H) <= hi for each H of a (B, d, d) stack
+    ``h`` of symmetric positive semidefinite blocks, both 0 for a zero block.
+    The squarings overwrite ``h``: they take turns between it and one more
+    array of its size.
+
+    With t_q = tr H^q, lambda_max^32 <= t_32 <= lambda_max^16 t_16, so
+    lo = (t_32 / t_16)^(1/16) and hi = t_32^(1/32).  The traces come from
+    ``_SQUARINGS`` normalized squarings: X_0 = H / tr H and
+    X_j = X_(j-1)^2 / c_j with c_j = tr X_(j-1)^2, so every X_j has trace 1
+    and 1/d <= c_j <= 1, and the traces are carried as logs,
+    log t_(2^j) / 2^j = log tr H + sum over i <= j of 2^-i log c_i, which
+    neither over- nor underflow.  The last c_5 = ||X_4||_F^2 = t_32 / t_16^2
+    needs no product, and hi / lo = c_5^(-1/32): 1 where lambda_max is well
+    separated (c_5 -> 1), and at most d^(1/32) (5% at d = 5) where it is
+    multiple.
+
+    Rounding (u = eps / 2, gamma_n = n u / (1 - n u)).  The computed X_j
+    differs from X_(j-1)^2 / c_j by at most gamma_(d+1) |X_(j-1)|^2 / c_j
+    entrywise (Higham, Accuracy and Stability of Numerical Algorithms,
+    section 3.5), a matrix of Frobenius norm at most gamma_(d+1), since
+    || |X|^2 ||_F <= ||X||_F^2 = c_j; so each squaring moves the eigenvalues
+    of X_j by at most gamma_(d+1) (Weyl), at most d gamma_(d+1) relative to
+    lambda_max(X_j) >= tr X_j / d = 1 / d, and the same bound puts each
+    computed c_j within gamma_d, and c_5 within gamma_(d^2), relative.
+    Squaring j enters log lambda_max(H) = log tr H + sum over i <= j of
+    2^-i log c_i + 2^-j log lambda_max(X_j) with the weight 2^-j, and the
+    weights sum to less than 2, so to first order log lo and log hi bracket
+    log lambda_max of the block given within 2 (d gamma_(d+1) + gamma_(d^2))
+    <= 2 d (d + 1) eps.
+    """
+    c = np.einsum("bii->b", h)
+    positive = c > 0.0
+    c = np.where(positive, c, 1.0)
+    log_root = np.log(c)  # log t_(2^j) / 2^j, for j = 0 so far
+    x, y = h, np.empty_like(h)
+    x /= c[:, None, None]
+    for j in range(1, _SQUARINGS):
+        np.matmul(x, x, out=y)
+        c = np.einsum("bii->b", y)
+        log_root += np.log(c) / 2**j
+        y /= c[:, None, None]
+        x, y = y, x
+    last = np.log(np.einsum("bij,bij->b", x, x))  # log c_5
+    weight = 2.0 ** (1 - _SQUARINGS)  # 1/16
+    lo, hi = np.exp(log_root + last * weight), np.exp(log_root + last * weight / 2)
+    return np.where(positive, lo, 0.0), np.where(positive, hi, 0.0)
+
+
 @np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore")
-def _cholesky_estimates(gram: np.ndarray, scale: float, m: int, idx: np.ndarray, inverse: bool):
+def _cholesky_estimates(gram: np.ndarray, scale: float, m: int, idx: np.ndarray, inverse: bool,
+                        top: bool):
     """(spectrum, rel, kappa) as ``_gram_estimates`` gives them, with a
     ``GramSpectrum`` for the sigmas, from one batched Cholesky L L^T of the
     rows' k x k blocks G_b of ``gram``, each shifted to H = G_b + delta I;
-    the traces of L^-1 are formed only when ``inverse``.  Raises LinAlgError
-    when any block fails to factor.
+    the traces of L^-1 are formed only when ``inverse``, and the largest
+    eigenvalue of H (``_top_bracket``, on the gathered block once it is
+    factored) only when ``top``.  Raises LinAlgError when any block fails to
+    factor.
 
     The width.  delta = ROUNDING * (m + k) * k * tr G_b (plus the underflow
     term) is the bound of ``_gram_estimates`` with tr G_b for sigma_1^2
@@ -272,9 +329,15 @@ def _cholesky_estimates(gram: np.ndarray, scale: float, m: int, idx: np.ndarray,
     sqrt(nu_i), with delta / nu_low to spare.  The spare is at least
     45 (m + k) k eps kappa(H); it covers the forward error of the triangular
     inverse, about k eps kappa(L) relative with kappa(L)^2 = kappa(L L^T)
-    (Higham, section 14.2), and the rounding of the traces, of nu_low and of
-    the value functions.  ``batch_bands`` carries rel through the kind's
-    ``log_lipschitz``.
+    (Higham, section 14.2), the rounding of the traces, of nu_low and of the
+    value functions, and the 2 k (k + 1) eps of ``_top_bracket``.
+    ``batch_bands`` carries rel through the kind's ``log_lipschitz``.
+
+    The largest eigenvalue.  ``_top_bracket`` gives lo <= lambda_max(H) <= hi,
+    and sigma_1^2 lies within [lambda_max(H) - 2 delta, lambda_max(H)], so
+    sigma_1 lies within 1 -+ r of the midpoint s of [sqrt(lo), sqrt(hi)],
+    r = (sqrt(hi) - sqrt(lo)) / (sqrt(hi) + sqrt(lo)), up to the 2 delta
+    that the spare holds; ``top`` is s^2, and the row's rel grows by r.
 
     nu_low is 1 / tr (L L^T)^-1 with the inverse, and otherwise the
     determinant bound min(D) det(S) ((k - 1) / k)^(k - 1), where D is the
@@ -290,16 +353,23 @@ def _cholesky_estimates(gram: np.ndarray, scale: float, m: int, idx: np.ndarray,
     block[:, range(k), range(k)] += delta[:, None]
     traces = {1: trace + k * delta, 2: np.einsum("bij,bij->b", block, block)}
     lower = np.linalg.cholesky(block)
-    del block  # the factor replaces the block in memory
+    if not top:
+        del block  # the factor replaces the block in memory
     pivots = np.diagonal(lower, axis1=1, axis2=2)
+    root_det = np.prod(pivots, axis=1)
     if inverse:
         traces[-1], traces[-2] = _inverse_traces(lower)
         low = 1.0 / traces[-1]
     else:
         d = np.einsum("bij,bij->bi", lower, lower)
         low = np.min(d, axis=1) * np.prod(pivots**2 / d, axis=1) * ((k - 1) / k) ** (k - 1)
-    rel = 4.0 * delta / low
-    spectrum = GramSpectrum(np.prod(pivots, axis=1), traces, np.float64(scale), k)
+    del lower, pivots  # the bracket's squarings take the factor's place
+    spread, largest = 0.0, None  # r and s^2 of the largest eigenvalue's bracket
+    if top:
+        low1, high1 = np.sqrt(_top_bracket(block))
+        spread, largest = (high1 - low1) / (high1 + low1), ((low1 + high1) / 2.0) ** 2
+    rel = 4.0 * delta / low + spread
+    spectrum = GramSpectrum(root_det, traces, np.float64(scale), k, largest)
     return (spectrum, *_proven(m, k, np.sqrt(traces[1]) * scale, np.sqrt(low) * scale, rel))
 
 
@@ -351,8 +421,9 @@ def exact_optima(matrix: DenseMatrix, k: int, specs, threads: int = 1, allow_lar
     specs (``_screened_best``), so optima, witnesses and the count equal
     those of an SVD of every subset.  When every spec is ``gram_invariant``
     or a residual, the blocks are factored (``_cholesky_estimates``, with
-    the inverse's traces only for pinv-norm and cond); otherwise, and for a
-    chunk whose factorization fails, their eigenvalues are solved for
+    the inverse's traces only for pinv-norm and cond, and the bracket on the
+    largest eigenvalue only for rvol, norm-two and srank); otherwise, and for
+    a chunk whose factorization fails, their eigenvalues are solved for
     (``_gram_estimates``).
 
     Each of ``threads`` workers unranks and reduces every ``threads``-th
@@ -382,11 +453,13 @@ def exact_optima(matrix: DenseMatrix, k: int, specs, threads: int = 1, allow_lar
     # a pass of Gram-invariant criteria and residuals factors its Gram blocks
     cholesky = all(spec.gram_invariant or spec.residual_norm is not None for spec in specs)
     inverse = any(spec.kind in ("pinv-norm", "cond") for spec in specs)
+    top = any(spec.kind in ("rvol", "srank") or spec.kind == "norm" and spec.p == math.inf
+              for spec in specs)
 
     def estimates(idx):
         if cholesky:
             try:
-                return _cholesky_estimates(gram, scale, a.shape[0], idx, inverse)
+                return _cholesky_estimates(gram, scale, a.shape[0], idx, inverse, top)
             except np.linalg.LinAlgError:
                 pass
         return _gram_estimates(gram, scale, a.shape[0], idx)
@@ -536,8 +609,12 @@ def _residual_bands(basis, scale: float, idx: np.ndarray, kappa: np.ndarray, nor
 
     A complete QR of each C = [Q1, Q2] R gives (I - P_C) A = Q2 Q2^T A for a
     full-rank C: res-frobenius is ||Q2^T A||_F and res-two the square root
-    of the largest eigenvalue of its Gram on the smaller side; A's stand-in
-    B has the same residual norms, so Q2 never has more entries than A.
+    of the largest eigenvalue of its Gram on the smaller side, whose
+    ``_top_bracket`` [lo, hi] gives the midpoint of [sqrt(lo), sqrt(hi)] as
+    the estimate and half its length on top of the width (its rounding, a
+    relative 2 d (d + 1) eps for a d x d Gram, is far inside the width's
+    ``SCREEN_MARGIN``); A's stand-in B has the same residual norms, so Q2
+    never has more entries than A.
     ``kappa`` bounds C's condition number, which sets the rounding in the
     width (``_residual_width``); it is inf for a row whose full column rank
     the chunk's estimates do not prove, whose width is then infinite, since
@@ -551,17 +628,18 @@ def _residual_bands(basis, scale: float, idx: np.ndarray, kappa: np.ndarray, nor
     q = np.linalg.qr(_stack(unit, idx), mode="complete").Q
     # Q2^T A has at most n rows, so its Gram on the smaller side is tail tail^T
     tail = np.swapaxes(q[:, :, k:], 1, 2) @ unit
+    del q  # freed before res-two's bracket allocates
     rounding = _rounding(k, kappa)
     bands = {}
     for norm in norms:
         if norm == "frobenius":
-            estimate = np.sqrt(np.sum(tail**2, axis=(1, 2)))
+            estimate, spread = np.sqrt(np.sum(tail**2, axis=(1, 2))), 0.0
         elif tail.shape[1]:
-            top = np.linalg.eigvalsh(tail @ np.swapaxes(tail, 1, 2))[:, -1]
-            estimate = np.sqrt(np.maximum(top, 0.0))
+            low, high = np.sqrt(_top_bracket(tail @ np.swapaxes(tail, 1, 2)))
+            estimate, spread = (low + high) / 2.0, (high - low) / 2.0
         else:
-            estimate = np.zeros(len(idx))
-        width = scale * _residual_width(estimate, norm2, rounding) + underflow
+            estimate = spread = np.zeros(len(idx))
+        width = scale * (_residual_width(estimate, norm2, rounding) + spread) + underflow
         bands[norm] = scale * estimate, np.where(np.isfinite(kappa), width, np.inf)
     return bands
 
@@ -772,18 +850,19 @@ def select_greedy_forward(matrix: DenseMatrix, k: int, criterion: CriterionSpec)
 
 def meets_threshold(criterion: CriterionSpec, value: float, b: float) -> bool:
     """Whether ``value`` reaches threshold ``b`` on the criterion's side of it,
-    up to the absolute ``DECISION_SLACK``."""
+    up to a slack of ``DECISION_SLACK * b``, relative to the threshold."""
     if criterion.direction == "maximize":
-        return value >= b - DECISION_SLACK
-    return value <= b + DECISION_SLACK
+        return value >= b - DECISION_SLACK * b
+    return value <= b + DECISION_SLACK * b
 
 
 def decide(matrix: DenseMatrix, query: DecisionQuery, threads: int = 1,
            allow_large: bool = False) -> DecisionOutcome:
     """Answer a threshold decision problem by exhaustive selection.
 
-    Comparisons use an absolute slack of 1e-9, strictly smaller than every
-    separation the reduction harness needs to distinguish.
+    Comparisons use a slack of 1e-9 relative to the threshold b
+    (``meets_threshold``), strictly smaller than every separation the
+    reduction harness needs to distinguish, at any scale of b.
     """
     result = select_exact(matrix, query.k, query.criterion, threads=threads, allow_large=allow_large)
     optimal = query.criterion.optimal_unit_value(query.k)

@@ -303,9 +303,9 @@ def gap_report(instance: X3CInstance, threads: int = 1) -> list[GapReport]:
 
     For a maximized criterion the gap holds when the exact optimum stays at or
     below the threshold; for a minimized one, at or above.  Comparisons carry
-    the absolute ``DECISION_SLACK`` of ``decide``.  An instance whose C(n, M)
-    subsets exceed the search budget is rejected before the solver runs
-    (``check_exhaustive``).
+    the slack of ``decide``, ``DECISION_SLACK`` relative to the threshold.
+    An instance whose C(n, M) subsets exceed the search budget is rejected
+    before the solver runs (``check_exhaustive``).
     """
     check_exhaustive(instance.n, instance.m_triples)
     if solve_exact(instance) is not None:
@@ -320,9 +320,9 @@ def gap_report(instance: X3CInstance, threads: int = 1) -> list[GapReport]:
     for (spec, threshold, alt), outcome in zip(rows, outcomes):
         value, idx = outcome
         if spec.direction == "maximize":
-            holds = value <= threshold + DECISION_SLACK
+            holds = value <= threshold + DECISION_SLACK * threshold
         else:
-            holds = value >= threshold - DECISION_SLACK
+            holds = value >= threshold - DECISION_SLACK * threshold
         reports.append(
             GapReport(
                 criterion=spec,

@@ -146,6 +146,19 @@ class TestPipelines:
         assert code == 1
         assert "answer=no" in out and "witness=none" in out
 
+    @pytest.mark.parametrize("criterion, entry, b", [("vol", "1e-6", "1e-10"),
+                                                     ("pinv-norm-two", "1e12", "1e-13")])
+    def test_decide_slack_is_relative_to_the_threshold(self, capsys, monkeypatch, criterion,
+                                                       entry, b):
+        # vol 1e-18 is far below b = 1e-10, and pinv-norm-two 1e-12 far above
+        # b = 1e-13: an absolute slack of 1e-9 answered yes to both
+        text = "".join(",".join(entry if i == j else "0" for j in range(3)) + "\n"
+                       for i in range(3))
+        code, out, _ = run_cli(capsys, monkeypatch,
+                               ["decide", "--criterion", criterion, "--k", "3", "--b", b], text)
+        assert code == 1
+        assert out == f"criterion={criterion} k=3 b={b} answer=no witness=none\n"
+
     def test_solve_exit_codes(self, capsys, monkeypatch):
         _, inst_text, _ = run_cli(capsys, monkeypatch,
                                   ["x3c", "gen-true", "--m", "2", "--extra", "2", "--seed", "1"])

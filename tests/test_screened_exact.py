@@ -2,10 +2,11 @@
 
 ``exact_optima`` bands every subset's value and runs the batched SVD only on
 the subsets that could be a chunk's best.  A pass of Gram-invariant criteria
-(vol, sopt, and norm, pinv-norm and cond at p = 2 or 4) and residuals takes
-its bands from a Cholesky factor of each subset's Gram block, any other pass
-from the eigenvalues of that block, and the residuals from a QR of the
-subset.  The oracle below is the loop that scores every subset through
+(vol, rvol, sopt, norm-two, and norm, pinv-norm, cond and srank at p = 2 or
+4) and residuals takes its bands from a Cholesky factor of each subset's Gram
+block and a bracket on its largest eigenvalue, any other pass from the
+eigenvalues of that block, and the residuals from a QR of the subset.  The
+oracle below is the loop that scores every subset through
 ``_batch_scores``, over ``itertools.combinations``; the selector must return
 the same subset, the same value under ``==`` and the same
 ``subsets_evaluated`` (or raise the same error) for every registered
@@ -139,18 +140,23 @@ def _expected(case, spec, specs=registry()):
 
 # how exact_optima estimates a chunk: by eigenvalues for a pass with a spectral
 # criterion, by a Cholesky factor for the others, with the inverse's traces
-# for a pass with pinv-norm or cond
-ESTIMATORS = ("eigvalsh", "cholesky", "cholesky-inverse")
+# for a pass with pinv-norm or cond, and the bracket on the largest eigenvalue
+# for a pass with rvol, norm-two or srank
+ESTIMATORS = ("eigvalsh", "cholesky", "cholesky-inverse", "cholesky-top")
+# the Gram-invariant criteria that read the largest eigenvalue, and the inverse
+READS_TOP = ("rvol", "norm-two", "srank", "srank:p=4")
+READS_INVERSE = ("pinv-norm", "cond")
 
 
 def _estimates(matrix, idx, estimator="eigvalsh"):
-    """(spectrum, rel, kappa) of the subsets ``idx`` of ``matrix`` by ``estimator``."""
+    """(spectrum, rel, kappa) of the subsets ``idx`` of ``matrix`` by ``estimator``:
+    "eigvalsh", or "cholesky" with the parts "-inverse" and "-top" it names."""
     unit, scale = selectors._unit_scaled(matrix.array)
     gram = unit.T @ unit
     if estimator == "eigvalsh":
         return selectors._gram_estimates(gram, scale, matrix.rows, idx)
     return selectors._cholesky_estimates(gram, scale, matrix.rows, idx,
-                                         estimator == "cholesky-inverse")
+                                         "-inverse" in estimator, "-top" in estimator)
 
 
 def _select_outcome(matrix, k, spec, threads=1):
@@ -252,7 +258,8 @@ def test_wrong_estimates_fall_back_to_scoring_every_subset(ident, corrupt, monke
     # estimates of the right size that belong to other rows, or are all off by
     # a factor of two: the certified values leave their bands, and the guard
     # must score the chunk in full; batch_bands forms the bands of both the
-    # eigenvalue and the Cholesky estimates
+    # eigenvalue and the Cholesky estimates, and every one of CRITERIA, rvol,
+    # norm-two and srank among them, now has Cholesky estimates
     real, real_residual = selectors.batch_bands, selectors._residual_bands
     monkeypatch.setattr(selectors, "batch_bands", lambda *args: corrupt(real(*args)))
     monkeypatch.setattr(selectors, "_residual_bands", lambda *args: {
@@ -262,7 +269,7 @@ def test_wrong_estimates_fall_back_to_scoring_every_subset(ident, corrupt, monke
     spec = parse_criterion(ident)
     assert _select_outcome(DenseMatrix(make()), k, spec) == _expected("gaussian-0", spec)
     assert sum(svd_rows) >= math.comb(make().shape[1], k)
-    assert bool(factored) == (spec.gram_invariant or spec.residual_norm is not None)
+    assert factored and (spec.gram_invariant or spec.residual_norm is not None)
 
 
 @pytest.mark.parametrize("case", ("gaussian-0", "duplicated", "scale-1e-150"))
@@ -290,14 +297,16 @@ def _specs(*idents):
 
 def test_only_passes_without_a_spectral_criterion_factor(monkeypatch):
     # a pass holding any criterion that is no function of the Gram invariants
-    # keeps its eigenvalue estimates and never factors, x3c's passes included;
-    # a pass of Gram-invariant criteria never solves an eigenproblem on a Gram
-    # block (res-two's eigvalsh runs on its (m - k) x (m - k) tail Grams)
+    # and the largest eigenvalue (p = 3, or sigma_k alone) keeps its eigenvalue
+    # estimates and never factors, x3c's passes included; a pass of
+    # Gram-invariant criteria and residuals never calls eigvalsh at all,
+    # res-two's tail Grams included
     factored = _recording(monkeypatch, "cholesky")
     solved = _recording(monkeypatch, "eigvalsh")
     matrix, k = DenseMatrix(_gaussian(0)), 5
-    for specs in (_specs("rvol"), _specs("norm-two"), _specs("pinv-norm:p=3"), _specs("srank"),
-                  _specs("cond-mixed"), _specs("vol", "sopt", "cond-two"), registry()):
+    for specs in (_specs("pinv-norm:p=3"), _specs("srank:p=3"), _specs("pinv-norm-two"),
+                  _specs("cond-two"), _specs("cond-mixed"), _specs("rvol", "norm-two", "norm:p=3"),
+                  _specs("vol", "sopt", "cond-two"), registry()):
         exact_optima(matrix, k, specs)
     instance = x3c.generate_false(3, 8, 1)
     x3c.gap_report(instance)
@@ -305,13 +314,80 @@ def test_only_passes_without_a_spectral_criterion_factor(monkeypatch):
     assert solved and not factored
     solved.clear()
     gram_invariant = [spec for spec in registry() if spec.gram_invariant]
-    assert len(gram_invariant) == 8
+    assert len(gram_invariant) == 12
+    assert {"rvol", "norm-two", "srank", "srank:p=4"} <= {str(spec) for spec in gram_invariant}
     for specs in ([[spec] for spec in gram_invariant] + [gram_invariant]
-                  + [_specs("res-two"), _specs("res-frobenius", "vol")]):
+                  + [_specs("res-two"), _specs("res-frobenius", "vol"), _specs("res-two", "rvol")]):
         factored.clear()
         exact_optima(matrix, k, specs)
         assert factored
-    assert all(shape[-2:] == (matrix.rows - k,) * 2 for shape in solved)
+    assert not solved
+
+
+def _grams(b):
+    """B^T B for each B of a stack."""
+    return np.swapaxes(b, 1, 2) @ b
+
+
+def _top_gap(seed, gap, d=6, count=64):
+    """Q diag(lambda) Q^T for seeded random orthogonal Q, whose two largest
+    eigenvalues are 1 and 1 - ``gap``."""
+    rng = np.random.default_rng(seed)
+    lam = np.sort(rng.uniform(0.0, 1.0 - gap, (count, d)), axis=1)[:, ::-1]
+    lam[:, 0], lam[:, 1] = 1.0, 1.0 - gap
+    q = np.linalg.qr(rng.standard_normal((count, d, d)))[0]
+    return (q * lam[:, None, :]) @ np.swapaxes(q, 1, 2)
+
+
+def _cover_grams(seed):
+    """C^T C for an exact cover C of seeded X3C instances, M = 3 to 6: every
+    eigenvalue equal, up to the rounding of the reduction's entries."""
+    grams = []
+    for m in range(3, 7):
+        instance = x3c.generate_true(m, 3, seed)
+        c = x3c.reduce(instance).matrix.array[:, list(x3c.solve_exact(instance))]
+        grams.append(c.T @ c)
+    return grams
+
+
+# name -> a list of (d, d) PSD blocks or (B, d, d) stacks of them, by seed
+TOP_STACKS = {
+    "x3c-cover": _cover_grams,
+    "gap-1e-8": lambda seed: [_top_gap(seed, 1e-8)],
+    "gap-0.5": lambda seed: [_top_gap(seed, 0.5)],
+    # rank 3 of 6
+    "rank-deficient": lambda seed: [_grams(np.random.default_rng(seed).standard_normal((64, 3, 6)))],
+    "zero": lambda seed: [np.zeros((4, 5, 5))],
+    "column-scales": lambda seed: [_grams(
+        _gaussian(seed, 12, 6)[None] * 10.0 ** np.random.default_rng(seed).uniform(-3, 3, 6))],
+    "gaussian-grams": lambda seed: [_grams(np.random.default_rng(seed).standard_normal((256, 12, 6)))],
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("family", sorted(TOP_STACKS))
+def test_top_bracket_holds_the_largest_eigenvalue(family, seed):
+    # lo <= lambda_max <= hi within the 2 d (d + 1) eps the docstring derives,
+    # widened by eigvalsh's own rounding, a few d eps; hi / lo is at most
+    # d^(1/32), and, with the other eigenvalues at most r lambda_max, at most
+    # exp((d - 1) r^16 / 16)
+    eps = np.finfo(np.float64).eps
+    for stack in TOP_STACKS[family](seed):
+        h = stack if stack.ndim == 3 else stack[None]
+        d = h.shape[-1]
+        lo, hi = selectors._top_bracket(h.copy())  # it overwrites its input
+        top = np.linalg.eigvalsh(h)[:, -1]
+        slack = 2 * d * (d + 1) * eps + 8 * d * eps
+        assert np.all(lo * (1.0 - slack) <= top), family
+        assert np.all(top <= hi * (1.0 + slack)), family
+        assert np.all(hi <= lo * d ** (1 / 32) * (1.0 + slack))
+        if family == "zero":
+            assert np.all(lo == 0.0) and np.all(hi == 0.0)
+        if family == "x3c-cover":
+            # a d-fold top eigenvalue: the bracket is as wide as it can be
+            assert np.allclose(hi / lo, d ** (1 / 32), rtol=1e-12, atol=0.0)
+        if family == "gap-0.5":
+            assert np.all(hi <= lo * math.exp((d - 1) * 0.5**16 / 16) * (1.0 + slack))
 
 
 # the CASES families by seed, and their k
@@ -331,8 +407,10 @@ FAMILIES = {
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_cholesky_bands_hold_the_svd_value(family, scale):
     # every row whose band has a finite width scores inside it, for each
-    # Gram-invariant criterion, with and without the inverse's traces, and for
-    # the residuals, whose widths then take the Cholesky condition-number bound
+    # Gram-invariant criterion, with and without the inverse's traces and the
+    # largest eigenvalue's bracket (each criterion with the parts it reads),
+    # and for the residuals, whose widths then take the Cholesky
+    # condition-number bound
     make, k = FAMILIES[family]
     specs = [spec for spec in registry() if spec.gram_invariant] + _specs("res-two", "res-frobenius")
     checked = 0
@@ -343,14 +421,15 @@ def test_cholesky_bands_hold_the_svd_value(family, scale):
         basis = selectors._residual_basis(unit)
         for idx in selectors._index_chunks(matrix.cols, k):
             scores = _batch_scores(a, col_norms, idx, specs)
-            for estimator in ("cholesky", "cholesky-inverse"):
+            for estimator in ("cholesky", "cholesky-inverse", "cholesky-top", "cholesky-inverse-top"):
                 spectrum, rel, kappa = _estimates(matrix, idx, estimator)
                 residual = selectors._residual_bands(basis, unit_scale, idx, kappa,
                                                      {"two", "frobenius"})
                 for spec, (vals, _) in zip(specs, scores):
                     if spec.residual_norm is not None:
                         estimate, width = residual[spec.residual_norm]
-                    elif spec.kind in ("pinv-norm", "cond") and estimator == "cholesky":
+                    elif (spec.kind in READS_INVERSE and "-inverse" not in estimator
+                          or str(spec) in READS_TOP and "-top" not in estimator):
                         continue
                     else:
                         estimate, width = selectors.batch_bands(spec, spectrum, col_norms[idx], rel)
