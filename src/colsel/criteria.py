@@ -6,11 +6,12 @@ matrix for the residuals).  ``_KINDS`` holds one row per criterion (a
 Schatten family such as the condition numbers is one criterion), keyed by its
 id, the one name a ``CriterionSpec`` takes: its other names, optimization
 direction, rank requirement, Schatten-parameter domain, sigma-to-value
-function, its value from the Gram invariants of C where it has one, how far
-that value can move when the sigmas move, and the optimal value attained by
-k orthonormal columns, which is what turns the optimization problems into
-decision problems.  Adding a criterion means adding one row
-(plus its ``REGISTRY`` id when it belongs in the reports).
+function, its value from an estimated spectrum of C (a ``GramSpectrum``,
+for every criterion but the residuals) and the p at which a Cholesky factor
+of C^T C gives that value, how far it can move when the sigmas move, and
+the optimal value attained by k orthonormal columns, which is what turns
+the optimization problems into decision problems.  Adding a criterion means
+adding one row (plus its ``REGISTRY`` id when it belongs in the reports).
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .matrixkit import DenseMatrix, SvdResult, default_rank_tolerance, svd
 # Schatten-parameter domains as (minimum, whether p = inf is allowed)
 _ANY_P = (1.0, True)
 _FINITE_P2 = (2.0, False)
-# the Schatten p whose power sums, tr H^(p/2) and tr H^(-p/2), a GramSpectrum holds
-_GRAM_P = (2.0, 4.0)
+# the Schatten p whose power sums, tr H^(p/2) and tr H^(-p/2), a Cholesky factor gives
+_CHOLESKY_P = (2.0, 4.0)
 
 # The value functions take a stack of sigma rows and reduce along the last
 # axis.  The scalar evaluators pass a stack of one, so every power runs as
@@ -63,14 +64,22 @@ def _sopt(sigma, p, norms):
     return (_prod(sigma, axis=-1) / _prod(norms, axis=-1)) ** (1.0 / k)
 
 
-def _gram_pinv_schatten(g, p, norms):
-    return g.power_sum(-p) ** (1.0 / p)
-
-
 def _gram_schatten(g, p, norms):
     if p == math.inf:
         return g.largest()
     return g.power_sum(p) ** (1.0 / p)
+
+
+def _gram_pinv_schatten(g, p, norms):
+    if p == math.inf:
+        return 1.0 / g.smallest()
+    return g.power_sum(-p) ** (1.0 / p)
+
+
+def _gram_cond(g, p, norms):
+    if p == math.inf:
+        return g.largest() / g.smallest()
+    return _gram_schatten(g, p, norms) * _gram_pinv_schatten(g, p, norms)
 
 
 def _gram_rvol(g, p, norms):
@@ -79,11 +88,11 @@ def _gram_rvol(g, p, norms):
 
 
 def _gram_srank(g, p, norms):
-    return g.traces[p / 2] / g.top ** (p / 2)
+    return g.sum(p / 2) / g.top ** (p / 2)
 
 
 def _gram_sopt(g, p, norms):
-    return (g.prod() / _prod(norms, axis=-1)) ** (1.0 / g.k)
+    return (g.prod() / _prod(norms, axis=0)) ** (1.0 / g.k)
 
 
 def _root(k, p):
@@ -115,13 +124,14 @@ class _Kind:
     "zero" scores 0, "any" evaluates it as is.  ``value`` maps a stack of singular values (B, r), p
     and column norms (B, k) to B criterion values; residuals, which are not
     singular-value computable, name their norm in ``residual`` instead.
-    ``gram_value`` maps a ``GramSpectrum`` (B rows), p and column norms to the
-    same B values, at each p in ``gram_p``, for the criteria that are
-    functions of det(C^T C), the traces of its powers and its largest
+    ``gram_value`` maps a ``GramSpectrum`` (B rows), p and column norms
+    (k, B) to the same B values, through its power sums, sigma_1, sigma_k
+    and prod sigma; every criterion but the residuals has one.  ``cholesky_p`` holds the p
+    at which that value needs only what a Cholesky factor gives, det(C^T C),
+    the traces of its first two powers and inverse powers, and the largest
     eigenvalue (vol, rvol, sopt, norm at p = 2, 4 and inf, pinv-norm, cond
-    and srank at p = 2 and 4), and is None for cond-mixed, which needs
-    sigma_k on its own, as pinv-norm and cond at p = inf do; no criterion has
-    one at p = 3.  ``log_lipschitz`` bounds the
+    and srank at p = 2 and 4; none for cond-mixed, which needs sigma_k on
+    its own, as pinv-norm and cond at p = inf do).  ``log_lipschitz`` bounds the
     sum over i of |d log value / d log sigma_i| for k columns, so sigmas that
     each move by a factor within [1/c, c] move the value by a factor within
     [c^-L, c^L] (``batch_bands``); where ``gram_value`` reads one sigma through
@@ -141,7 +151,7 @@ class _Kind:
     residual: str | None = None
     log_lipschitz: Callable[[int, float | None], float] = _one
     gram_value: Callable | None = None
-    gram_p: tuple[float, ...] = _GRAM_P
+    cholesky_p: tuple[float, ...] = _CHOLESKY_P
 
 
 _KINDS = {
@@ -154,18 +164,19 @@ _KINDS = {
     "norm": _Kind("minimize", "any", _unit_schatten, lambda s, p, n: _schatten(s, p), _ANY_P,
                   named=(("norm-two", math.inf), ("norm-frobenius", 2.0)),
                   characterizes=lambda p: p > 2, gram_value=_gram_schatten,
-                  gram_p=(*_GRAM_P, math.inf)),
+                  cholesky_p=(*_CHOLESKY_P, math.inf)),
     "pinv-norm": _Kind("minimize", "required", _unit_schatten,
                        lambda s, p, n: _pinv_schatten(s, p), _ANY_P,
                        named=(("pinv-norm-two", math.inf), ("pinv-norm-frobenius", 2.0)),
                        characterizes=lambda p: p >= 2, gram_value=_gram_pinv_schatten),
     "cond": _Kind("minimize", "required", lambda k, p: k ** (2.0 / p), _cond_schatten, _ANY_P,
                   named=(("cond-two", math.inf), ("cond-frobenius", 2.0)),
-                  log_lipschitz=lambda k, p: 2.0,
-                  gram_value=lambda g, p, n: _gram_schatten(g, p, n) * _gram_pinv_schatten(g, p, n)),
+                  log_lipschitz=lambda k, p: 2.0, gram_value=_gram_cond),
     "cond-mixed": _Kind("minimize", "required", _root,
                         lambda s, p, n: _schatten(s, p) / s[..., -1], _ANY_P,
-                        default_p=2.0, log_lipschitz=lambda k, p: 2.0),
+                        default_p=2.0, log_lipschitz=lambda k, p: 2.0,
+                        gram_value=lambda g, p, n: _gram_schatten(g, p, n) / g.smallest(),
+                        cholesky_p=()),
     "srank": _Kind("maximize", "any", lambda k, p: float(k),
                    lambda s, p, n: _sum((s / s[..., :1]) ** p, axis=-1), _FINITE_P2,
                    default_p=2.0, log_lipschitz=lambda k, p: 2.0 * p, gram_value=_gram_srank),
@@ -343,11 +354,11 @@ class CriterionSpec:
 
     @property
     def gram_invariant(self) -> bool:
-        """Whether ``batch_bands`` can band the value from a ``GramSpectrum``:
-        vol, rvol, sopt, norm-two, and norm, pinv-norm, cond and srank at
-        p = 2 or 4."""
+        """Whether ``batch_bands`` can band the value from the ``GramSpectrum``
+        of a Cholesky factor: vol, rvol, sopt, norm-two, and norm, pinv-norm,
+        cond and srank at p = 2 or 4."""
         row = _KINDS[self.kind]
-        return row.gram_value is not None and self.p in (None, *row.gram_p)
+        return row.gram_value is not None and self.p in (None, *row.cholesky_p)
 
     @property
     def identifier(self) -> str:
@@ -475,29 +486,73 @@ def batch_values(spec: CriterionSpec, sigma: np.ndarray, column_norms: np.ndarra
     return np.where(scored, vals, 0.0), np.ones(len(sigma), dtype=bool)
 
 
-@dataclass(frozen=True)
 class GramSpectrum:
-    """The Gram invariants of a stack of B k-column submatrices C, what the
-    ``_Kind.gram_value`` functions read in place of singular values.
+    """Estimated spectra of a stack of B k-column submatrices C: what the
+    ``_Kind.gram_value`` functions read in place of singular values, one
+    object for every criterion of a chunk, so each quantity is formed once.
 
-    Per row, with H = C^T C / scale^2: ``root_det`` is det(H)^(1/2),
-    ``traces`` maps j to tr H^j for j = 1, 2 and, when an inverse was formed,
-    -1, -2, and ``top``, when it was formed, is the largest eigenvalue of H
-    (else None).  ``prod()``, ``power_sum(q)`` and ``largest()`` are C's prod
-    sigma, sum sigma^q and sigma_1.  ``scale`` is a numpy float64, so under
-    ``np.errstate`` they over- and underflow where the products and powers of
-    ``_Kind.value`` do.
+    Row b's sigmas are taken to lie within a factor 1 -+ ``rel[b]`` of the
+    ones the SVD computes; only the ``known`` rows, those whose bound is
+    below 1, are held, and ``rel`` keeps theirs.  Per held row, with
+    H = C^T C / scale^2, its estimator gave either the eigenvalues of H
+    (``eigenvalues``, non-increasing), or what a Cholesky factor gives:
+    ``root_det`` = det(H)^(1/2), ``traces`` mapping j to tr H^j for j = 1, 2
+    and, when an inverse was formed, -1, -2, and ``top``, the largest
+    eigenvalue of H, when it was bracketed (else None).  ``sum(j)`` is the
+    power sum tr H^j, formed once and kept: by products and square roots of
+    the eigenvalues where 2j is an integer of magnitude at most 4, the j
+    that p = 2, 3 and 4 need, by ``np.power`` for any other.  ``prod()``,
+    ``power_sum(q)``, ``largest()`` and ``smallest()`` are C's prod sigma,
+    sum sigma^q, sigma_1 and sigma_k.  ``scale`` is a numpy float64, so
+    under ``np.errstate`` they over- and underflow where the products and
+    powers of ``_Kind.value`` do; a quantity whose forming raises is not
+    kept.  ``growth(L)`` is (1 - rel)^-L - 1, formed once per L.
     """
 
-    root_det: np.ndarray
-    traces: dict
-    scale: np.float64
-    k: int
-    top: np.ndarray | None = None
+    def __init__(self, rel, scale, k: int, eigenvalues=None, root_det=None, traces=None,
+                 top=None):
+        self.known = known = rel < 1.0
+        self.rel, self.scale, self.k = rel[known], np.float64(scale), k
+        self._sums = {j: t[known] for j, t in (traces or {}).items()}
+        self._powers, self._growth = {}, {}
+        # the eigenvalues of a row run down a column, so that every sum over
+        # them adds whole rows of this array
+        self._eigenvalues = lam = None if eigenvalues is None else np.ascontiguousarray(
+            eigenvalues.compress(known, axis=0).T)
+        self._root_det = None if root_det is None else root_det[known]
+        if lam is not None:
+            self.top, self.bottom = lam[0], lam[-1]
+        else:
+            self.top, self.bottom = None if top is None else top[known], None
 
-    def __getitem__(self, rows):
-        return GramSpectrum(self.root_det[rows], {j: t[rows] for j, t in self.traces.items()},
-                            self.scale, self.k, None if self.top is None else self.top[rows])
+    def _power(self, j):
+        """The eigenvalues to the power j, formed once per j."""
+        if j not in self._powers:
+            lam = self._eigenvalues
+            if j == 1:
+                out = lam
+            elif j == -1:
+                out = 1.0 / lam
+            elif abs(j) == 0.5:
+                out = np.sqrt(self._power(2 * j))
+            elif float(2 * j).is_integer() and abs(j) <= 2:
+                unit = math.copysign(1.0, j)
+                out = self._power(unit) * self._power(j - unit)
+            else:
+                out = lam**j
+            self._powers[j] = out
+        return self._powers[j]
+
+    def sum(self, j):
+        if j not in self._sums:
+            self._sums[j] = _sum(self._power(j), axis=0)
+        return self._sums[j]
+
+    @property
+    def root_det(self):
+        if self._root_det is None:
+            self._root_det = _prod(self._power(0.5), axis=0)
+        return self._root_det
 
     def prod(self):
         return self.root_det * self.scale**self.k
@@ -505,38 +560,45 @@ class GramSpectrum:
     def largest(self):
         return np.sqrt(self.top) * self.scale
 
+    def smallest(self):
+        return np.sqrt(self.bottom) * self.scale
+
     def power_sum(self, q):
-        return self.traces[q / 2] * self.scale**q
+        return self.sum(q / 2) * self.scale**q
+
+    def growth(self, lipschitz: float):
+        if lipschitz not in self._growth:
+            self._growth[lipschitz] = (1.0 - self.rel) ** -lipschitz - 1.0
+        return self._growth[lipschitz]
 
 
-def batch_bands(spec: CriterionSpec, spectrum, column_norms: np.ndarray, rel_error: np.ndarray):
+def batch_bands(spec: CriterionSpec, spectrum: GramSpectrum, column_norms: np.ndarray):
     """Band (estimate, width) around the value ``batch_values`` gives each row,
-    from estimated singular values; an infinite width marks no usable estimate.
+    from a ``GramSpectrum`` of its sigmas; an infinite width marks no usable
+    estimate.
 
-    ``spectrum`` is a (B, r) stack of sigmas as in ``batch_values``, or, for
-    a spec that is ``gram_invariant``, a ``GramSpectrum``; ``column_norms``
-    is (B, k).  Row b's sigmas are taken to lie within a factor
-    1 -+ ``rel_error[b]`` of the ones the SVD computes, a bound large enough
-    to also cover the value function's own rounding (for a GramSpectrum,
-    that of its invariants too).  A row whose error is 1 or more (inf: its
-    full column rank is not proven) gets an estimate of 0 and an infinite
-    width.  For the others the estimate is the row's value function at
-    ``spectrum`` (``value`` or ``gram_value``: the same function of the
-    sigmas), and the width ``estimate * ((1 - rel_error)^-L - 1)`` follows
-    from the kind's ``log_lipschitz`` constant L.  Every width is infinite
-    when the estimate overflows or underflows, where the value's own rounding
-    is no longer relative to the value.
+    ``column_norms`` is (B, k).  A row the spectrum does not hold (its
+    ``rel`` is 1 or more; inf: its full column rank is not proven) gets an
+    estimate of 0 and an infinite width.  For the others the estimate is the
+    kind's ``gram_value`` (the same function of the sigmas as its
+    ``value``), and the width ``estimate * ((1 - rel)^-L - 1)`` follows from
+    its ``log_lipschitz`` constant L; ``rel`` is large enough to also cover
+    the rounding of the value function and of the invariants it reads.
+    Every width of the spec is infinite when its estimate overflows or
+    underflows, where the value's own rounding is no longer relative to the
+    value; the other specs of the spectrum keep theirs.
     """
     row = _KINDS[spec.kind]
-    value = row.value if isinstance(spectrum, np.ndarray) else row.gram_value
-    known = rel_error < 1.0
-    estimate = np.zeros(len(rel_error))
-    width = np.full(len(rel_error), np.inf)
+    known = spectrum.known
+    estimate = np.zeros(len(known))
+    width = np.full(len(known), np.inf)
+    norms = None
+    if row.needs_norms:  # down columns, as the spectrum's eigenvalues run
+        norms = np.ascontiguousarray(column_norms.compress(known, axis=0).T)
     try:
         with np.errstate(all="raise"):
-            estimate[known] = value(spectrum[known], spec.p, column_norms[known])
+            estimate[known] = row.gram_value(spectrum, spec.p, norms)
     except FloatingPointError:
         return estimate, width
-    factor = (1.0 - rel_error[known]) ** -row.log_lipschitz(column_norms.shape[-1], spec.p)
-    width[known] = estimate[known] * (factor - 1.0)
+    width[known] = estimate[known] * spectrum.growth(row.log_lipschitz(spectrum.k, spec.p))
     return estimate, width

@@ -3,12 +3,15 @@
 The exact selector enumerates all C(n, k) subsets in lexicographic order,
 in chunks of stacked submatrices, each unranked in closed form from its first
 rank.  Every subset of a chunk gets estimates from its k x k block of the
-shared Gram matrix A^T A: a pass whose criteria are all Gram-invariant
-(vol, rvol, sopt, norm-two, and norm, pinv-norm, cond and srank at p = 2 or
-4) or residuals takes them from one batched Cholesky of the chunk's blocks,
-with a bracket on each block's largest eigenvalue from repeated squaring
-where a criterion reads it, any other pass (p = 3, or sigma_k alone; and a
-chunk whose blocks fail to factor) from one batched eigensolve.  Residual
+shared Gram matrix A^T A, held in one ``GramSpectrum`` per chunk from which
+every criterion of the pass reads its band, so each power sum, sigma_1,
+sigma_k and det is formed once per chunk, whatever the number of criteria.
+A pass whose criteria are all Gram-invariant (vol, rvol, sopt, norm-two,
+and norm, pinv-norm, cond and srank at p = 2 or 4) or residuals fills it
+from one batched Cholesky of the chunk's blocks, with a bracket on each
+block's largest eigenvalue from repeated squaring where a criterion reads
+it, any other pass (p = 3, or sigma_k alone: every x3c pass; and a chunk
+whose blocks fail to factor) from one batched eigensolve.  Residual
 estimates come from one batched QR of the subsets' columns.  Only the
 subsets whose estimated value could be the chunk's best run through the
 vectorized LAPACK SVD that gives the reported values.  Each worker thread
@@ -61,8 +64,9 @@ ROUNDING = 1e-14
 # thread of a 2-vCPU x86 machine, at 12 rows, it scores 2.7e5 (k = 11) to
 # 1.2e6 (k = 2) subsets/s for vol, whose pass factors its Gram blocks, 1.6e5
 # at k = 11 for rvol, whose pass also brackets their largest eigenvalues, and
-# 5.9e4 to 9.4e4 for the residuals (k = 11, 6), so a search within it takes
-# at most about 17 s.
+# 5.9e4 to 9.4e4 for the residuals (k = 11, 6); the spectral pass of gap's 12
+# criteria, which solves for the blocks' eigenvalues, scores 1.0e5 to 1.2e5
+# at M = 8 (24 x 24, k = 8).  So a search within it takes at most about 17 s.
 MAX_EXHAUSTIVE_SUBSETS = 10**6
 _CHUNK_SIZE = 2048
 # _top_bracket's normalized squarings: the traces of H^16 and H^32
@@ -205,10 +209,11 @@ def _proven(m: int, k: int, top: np.ndarray, bottom: np.ndarray, rel: np.ndarray
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _gram_estimates(gram: np.ndarray, scale: float, m: int, idx: np.ndarray):
-    """(sigma, rel, kappa): singular-value estimates of each submatrix
-    a[:, idx[b]], a bound on their relative error against the SVD's values,
-    and a bound on its condition number, both inf for a row whose full column
-    rank the estimate does not prove (``_proven``).
+    """(spectrum, kappa): a ``GramSpectrum`` of the eigenvalues of each
+    submatrix a[:, idx[b]], with a bound rel on the relative error of its
+    sigmas against the SVD's values, and a bound on its condition number,
+    both inf for a row whose full column rank the estimate does not prove
+    (``_proven``); the spectrum holds only the proven rows.
 
     ``gram`` is (a / scale)^T (a / scale) for a power of two ``scale``.  Each
     row's sigma^2 are the eigenvalues of its k x k block; Gram formation,
@@ -224,9 +229,9 @@ def _gram_estimates(gram: np.ndarray, scale: float, m: int, idx: np.ndarray):
     lam = np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]])[:, ::-1][:, :r]
     err = ROUNDING * (m + k) * k * lam[:, 0] + m * k * np.finfo(np.float64).smallest_normal
     lam = np.maximum(lam, 0.0)
-    rel = err / lam[:, -1]
-    sigma = np.sqrt(lam) * scale
-    return (sigma, *_proven(m, k, sigma[:, 0], sigma[:, -1], rel))
+    rel, kappa = _proven(m, k, np.sqrt(lam[:, 0]) * scale, np.sqrt(lam[:, -1]) * scale,
+                         err / lam[:, -1])
+    return GramSpectrum(rel, scale, k, eigenvalues=lam), kappa
 
 
 def _inverse_traces(lower: np.ndarray):
@@ -302,8 +307,8 @@ def _top_bracket(h: np.ndarray):
 @np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore")
 def _cholesky_estimates(gram: np.ndarray, scale: float, m: int, idx: np.ndarray, inverse: bool,
                         top: bool):
-    """(spectrum, rel, kappa) as ``_gram_estimates`` gives them, with a
-    ``GramSpectrum`` for the sigmas, from one batched Cholesky L L^T of the
+    """(spectrum, kappa) as ``_gram_estimates`` gives them, with the
+    spectrum's Cholesky invariants, from one batched Cholesky L L^T of the
     rows' k x k blocks G_b of ``gram``, each shifted to H = G_b + delta I;
     the traces of L^-1 are formed only when ``inverse``, and the largest
     eigenvalue of H (``_top_bracket``, on the gathered block once it is
@@ -368,9 +373,9 @@ def _cholesky_estimates(gram: np.ndarray, scale: float, m: int, idx: np.ndarray,
     if top:
         low1, high1 = np.sqrt(_top_bracket(block))
         spread, largest = (high1 - low1) / (high1 + low1), ((low1 + high1) / 2.0) ** 2
-    rel = 4.0 * delta / low + spread
-    spectrum = GramSpectrum(root_det, traces, np.float64(scale), k, largest)
-    return (spectrum, *_proven(m, k, np.sqrt(traces[1]) * scale, np.sqrt(low) * scale, rel))
+    rel, kappa = _proven(m, k, np.sqrt(traces[1]) * scale, np.sqrt(low) * scale,
+                         4.0 * delta / low + spread)
+    return GramSpectrum(rel, scale, k, root_det=root_det, traces=traces, top=largest), kappa
 
 
 def _better(current, candidate, maximize: bool):
@@ -414,17 +419,18 @@ def exact_optima(matrix: DenseMatrix, k: int, specs, threads: int = 1, allow_lar
     Returns (per-spec optimum list, C(n, k) subsets enumerated).  A spec whose
     criterion admits no valid subset (e.g. no full-rank subset exists for a
     rank-requiring criterion) gets None.  Every subset is scored: each chunk
-    bands every row's value for every spec from its blocks of the Gram
-    matrix of A at unit scale (``batch_bands``) and, for the residuals, a QR
-    of each subset (``_residual_bands``), and certifies the rows that could
-    be its best with one batched SVD over the union of those rows for all
-    specs (``_screened_best``), so optima, witnesses and the count equal
-    those of an SVD of every subset.  When every spec is ``gram_invariant``
-    or a residual, the blocks are factored (``_cholesky_estimates``, with
-    the inverse's traces only for pinv-norm and cond, and the bracket on the
-    largest eigenvalue only for rvol, norm-two and srank); otherwise, and for
-    a chunk whose factorization fails, their eigenvalues are solved for
-    (``_gram_estimates``).
+    forms one ``GramSpectrum`` of its blocks of the Gram matrix of A at unit
+    scale, bands every row's value for every spec from it (``batch_bands``)
+    and, for the residuals, from a QR of each subset (``_residual_bands``),
+    and certifies the rows that could be its best with one batched SVD over
+    the union of those rows for all specs (``_screened_best``), so optima,
+    witnesses and the count equal those of an SVD of every subset.  When
+    every spec is ``gram_invariant`` or a residual, the blocks are factored
+    (``_cholesky_estimates``, with the inverse's traces only for pinv-norm
+    and cond, and the bracket on the largest eigenvalue only for rvol,
+    norm-two and srank); otherwise, and for a chunk whose factorization
+    fails, their eigenvalues are solved for (``_gram_estimates``), and the
+    spectrum forms each power sum the pass reads once, from them.
 
     Each of ``threads`` workers unranks and reduces every ``threads``-th
     chunk (``_index_chunks``) on its own, and the workers' optima merge by
@@ -464,13 +470,16 @@ def exact_optima(matrix: DenseMatrix, k: int, specs, threads: int = 1, allow_lar
                 pass
         return _gram_estimates(gram, scale, a.shape[0], idx)
 
-    def chunk_optima(idx):
-        spectrum, rel, kappa = estimates(idx)
+    def chunk_bands(idx):
+        # the spectrum and its power sums are freed before the screen
+        spectrum, kappa = estimates(idx)
         cn = col_norms[idx]
         residual = _residual_bands(basis, scale, idx, kappa, norms)
-        bands = [residual[spec.residual_norm] if spec.residual_norm is not None
-                 else batch_bands(spec, spectrum, cn, rel) for spec in specs]
-        return _screened_best(a, col_norms, idx, specs, bands)
+        return [residual[spec.residual_norm] if spec.residual_norm is not None
+                else batch_bands(spec, spectrum, cn) for spec in specs]
+
+    def chunk_optima(idx):
+        return _screened_best(a, col_norms, idx, specs, chunk_bands(idx))
 
     def reduce_stride(first):
         return _merged(map(chunk_optima, _index_chunks(n, k, first=first, stride=threads)), maximize)
@@ -651,11 +660,14 @@ def _screened_best(a: np.ndarray, col_norms: np.ndarray, idx: np.ndarray, specs,
     ``bands`` holds one band (estimate, width) per spec, the one band
     contract: each row's SVD value is taken to lie within ``width`` of its
     ``estimate``, and a row whose estimate or width is not finite (no usable
-    estimate) spans (-inf, inf).  The rows whose band reaches their spec's
-    best band join one union for all specs, certified by one SVD call, so a
-    row without a usable estimate is always certified and never sets the
-    cut.  A width grows with the row's condition number, so a near-dependent
-    row is certified rather than excluded.  When the union left rows out, a
+    estimate) spans (-inf, inf).  The bands are stacked into (specs, rows)
+    arrays, each spec's oriented so that larger is better, and one pass over
+    them finds the rows whose band reaches their spec's best band: they join
+    one union for all specs, certified by one SVD call, so a row without a
+    usable estimate is always certified and never sets the cut.  The check
+    that every certified value lies in its band is one pass too.  A width
+    grows with the row's condition number, so a near-dependent row is
+    certified rather than excluded.  When the union left rows out, a
     spec is rescored on every row if no certified row is valid or a
     certified value lies outside its band (which also catches estimates
     wrong as a whole, e.g. noise over volumes that are all 0).  The result
@@ -663,22 +675,28 @@ def _screened_best(a: np.ndarray, col_norms: np.ndarray, idx: np.ndarray, specs,
     in its band, which the rounding bound is there to ensure.
     """
     maximize = [spec.direction == "maximize" for spec in specs]
-    spans, union = [], np.zeros(len(idx), dtype=bool)
-    for (estimate, width), up in zip(bands, maximize):
-        wide = ~(np.isfinite(estimate) & (width < np.inf))
-        estimate, width = np.where(wide, 0.0, estimate), np.where(wide, np.inf, width)
-        low, high = estimate - width, estimate + width
-        union |= high >= low.max() if up else low <= high.min()
-        spans.append((low, high))
-    certified = idx[union]
+    sign = np.where(maximize, 1.0, -1.0)[:, None]
+    estimate, width = (np.concatenate(part).reshape(len(specs), -1) for part in zip(*bands))
+    wide = ~(np.isfinite(estimate) & (width < np.inf))
+    estimate[wide], width[wide] = 0.0, np.inf
+    # every band oriented so that larger is better (a minimized spec's
+    # estimate negated): a row can be its spec's best when its upper end
+    # reaches the largest lower end
+    estimate *= sign
+    low = estimate - width
+    high = np.add(estimate, width, out=estimate)
+    union = (high >= low.max(axis=1, keepdims=True)).any(axis=0)
+    certified, everything = idx.compress(union, axis=0), union.all()
+    scores = _batch_scores(a, col_norms, certified, specs)
+    oriented = sign * np.concatenate([vals for vals, _ in scores]).reshape(len(specs), -1)
+    low, high = low.compress(union, axis=1), high.compress(union, axis=1)
+    inside = ((low <= oriented) & (oriented <= high)).all(axis=1)
     out = []
-    for spec, up, (low, high), (vals, valid) in zip(
-            specs, maximize, spans, _batch_scores(a, col_norms, certified, specs)):
-        cands, best = certified, _best_row(vals, valid, up)
-        inside = np.all((low[union] <= vals) & (vals <= high[union]))
-        if not (union.all() or best is not None and inside):
+    for spec, larger, held, (vals, valid) in zip(specs, maximize, inside, scores):
+        cands, best = certified, _best_row(vals, valid, larger)
+        if not (everything or best is not None and held):
             ((vals, valid),) = _batch_scores(a, col_norms, idx, [spec])
-            cands, best = idx, _best_row(vals, valid, up)
+            cands, best = idx, _best_row(vals, valid, larger)
         out.append(None if best is None else (float(vals[best]), tuple(map(int, cands[best]))))
     return out
 

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from colsel import selectors, x3c
-from colsel.criteria import parse_criterion, registry
+from colsel.criteria import GramSpectrum, equivalence_criteria, parse_criterion, registry
 from colsel.errors import InvalidParameterError
 from colsel.matrixkit import DenseMatrix
 from colsel.selectors import _batch_scores, _best_row, _better, exact_optima, select_exact
@@ -149,7 +149,7 @@ READS_INVERSE = ("pinv-norm", "cond")
 
 
 def _estimates(matrix, idx, estimator="eigvalsh"):
-    """(spectrum, rel, kappa) of the subsets ``idx`` of ``matrix`` by ``estimator``:
+    """(spectrum, kappa) of the subsets ``idx`` of ``matrix`` by ``estimator``:
     "eigvalsh", or "cholesky" with the parts "-inverse" and "-top" it names."""
     unit, scale = selectors._unit_scaled(matrix.array)
     gram = unit.T @ unit
@@ -422,7 +422,7 @@ def test_cholesky_bands_hold_the_svd_value(family, scale):
         for idx in selectors._index_chunks(matrix.cols, k):
             scores = _batch_scores(a, col_norms, idx, specs)
             for estimator in ("cholesky", "cholesky-inverse", "cholesky-top", "cholesky-inverse-top"):
-                spectrum, rel, kappa = _estimates(matrix, idx, estimator)
+                spectrum, kappa = _estimates(matrix, idx, estimator)
                 residual = selectors._residual_bands(basis, unit_scale, idx, kappa,
                                                      {"two", "frobenius"})
                 for spec, (vals, _) in zip(specs, scores):
@@ -432,11 +432,102 @@ def test_cholesky_bands_hold_the_svd_value(family, scale):
                           or str(spec) in READS_TOP and "-top" not in estimator):
                         continue
                     else:
-                        estimate, width = selectors.batch_bands(spec, spectrum, col_norms[idx], rel)
+                        estimate, width = selectors.batch_bands(spec, spectrum, col_norms[idx])
                     finite = np.isfinite(width)
                     assert np.all(np.abs(vals[finite] - estimate[finite]) <= width[finite]), spec
                     checked += np.count_nonzero(finite)
     assert checked > 0 or family in ("rank-k-1", "wide")
+
+
+# the Schatten criteria at p off the registry's 2, 3, 4 and inf, whose power
+# sums take np.power rather than products
+OFF_REGISTRY = tuple(_specs(*(f"{kind}:p={p}" for p in (1.5, 6)
+                               for kind in ("norm", "pinv-norm", "cond", "cond-mixed")), "srank:p=6"))
+
+
+def _x3c(m, seed, solvable):
+    """The reduction matrix of a seeded X3C instance with M = m and n = 3m
+    triples, at most 14 (C(14, 6) = 3,003 subsets at M = 6)."""
+    n = min(3 * m, 14)
+    instance = x3c.generate_true(m, n - m, seed) if solvable else x3c.generate_false(m, n, seed)
+    return _reduction(instance)
+
+
+# the families whose eigenvalue estimates band the x3c passes and the others,
+# with the reduction matrices at M = 3 to 6 (k = M)
+EIGEN_FAMILIES = {
+    **{name: FAMILIES[name]
+       for name in ("gaussian", "duplicated", "near-duplicate", "rank-k-1", "wide")},
+    **{f"x3c-{kind}-{m}": (functools.partial(_x3c, m, solvable=kind == "true"), m)
+       for kind in ("false", "true") for m in range(3, 7)},
+}
+
+
+def _chunk_bands(specs, spectrum, kappa, matrix, idx):
+    """Each spec's band of the rows ``idx``, all from one ``spectrum``, as a
+    pass of exact search forms them."""
+    unit, scale = selectors._unit_scaled(matrix.array)
+    norms = {spec.residual_norm for spec in specs} - {None}
+    residual = selectors._residual_bands(selectors._residual_basis(unit), scale, idx, kappa, norms)
+    col_norms = matrix.column_norms()[idx]
+    return [residual[spec.residual_norm] if spec.residual_norm is not None
+            else selectors.batch_bands(spec, spectrum, col_norms) for spec in specs]
+
+
+@pytest.mark.parametrize("scale", (1.0, 1e-100, 1e100), ids="{:g}".format)
+@pytest.mark.parametrize("family", sorted(EIGEN_FAMILIES))
+def test_eigenvalue_bands_hold_the_svd_value(family, scale):
+    # the analogue of the Cholesky test above for the spectrum of the
+    # eigenvalue estimates, the one that bands every x3c pass: every row
+    # whose band has a finite width scores inside it, for every registered
+    # criterion and the off-registry p, all banded from one spectrum per chunk
+    make, k = EIGEN_FAMILIES[family]
+    specs = registry() + OFF_REGISTRY
+    checked = 0
+    for seed in range(2):
+        matrix = DenseMatrix(make(seed) * scale)
+        a, col_norms = matrix.array, matrix.column_norms()
+        for idx in selectors._index_chunks(matrix.cols, k):
+            spectrum, kappa = _estimates(matrix, idx)
+            bands = _chunk_bands(specs, spectrum, kappa, matrix, idx)
+            for spec, (vals, _), (estimate, width) in zip(
+                    specs, _batch_scores(a, col_norms, idx, specs), bands):
+                finite = np.isfinite(width)
+                assert np.all(np.abs(vals[finite] - estimate[finite]) <= width[finite]), spec
+                checked += np.count_nonzero(finite)
+    assert checked > 0 or family in ("rank-k-1", "wide")
+
+
+# estimator -> the specs of one pass: the x3c verify pass plus the
+# off-registry p, or every criterion a Cholesky factor bands
+SHARED_PASSES = {"eigvalsh": equivalence_criteria() + OFF_REGISTRY,
+                 "cholesky-inverse-top": tuple(spec for spec in registry() if spec.gram_invariant)}
+
+
+@pytest.mark.parametrize("estimator", sorted(SHARED_PASSES))
+@pytest.mark.parametrize("case", ("gaussian-0", "duplicated", "x3c-false", "x3c-true",
+                                  "scale-1e-100", "scale-1e+100"))
+def test_a_shared_spectrum_bands_as_one_spec_passes_do(case, estimator):
+    # a pass over many specs reads every power sum from one spectrum's cache;
+    # each band must be the one a pass of that spec alone gives the chunk,
+    # so no spec reads another's sum (Schatten sums at unit scale, signed
+    # exponents, half-integer ones) or another's width factor
+    make, k = CASES[case]
+    matrix = DenseMatrix(make())
+    specs = SHARED_PASSES[estimator]
+    compared = 0
+    for idx in selectors._index_chunks(matrix.cols, k):
+        shared = _chunk_bands(specs, *_estimates(matrix, idx, estimator), matrix, idx)
+        for spec, (estimate, width) in zip(specs, shared):
+            ((alone, alone_width),) = _chunk_bands([spec], *_estimates(matrix, idx, estimator),
+                                                   matrix, idx)
+            finite = np.isfinite(width)
+            assert np.array_equal(finite, np.isfinite(alone_width)), spec
+            tolerance = 1e-12 * width[finite]
+            assert np.all(np.abs(estimate[finite] - alone[finite]) <= tolerance), spec
+            assert np.all(np.abs(width[finite] - alone_width[finite]) <= tolerance), spec
+            compared += np.count_nonzero(finite)
+    assert compared > 0
 
 
 def _by_estimator(values, estimators=ESTIMATORS):
@@ -454,9 +545,9 @@ def test_estimates_prove_full_rank_only_where_the_svd_finds_it(case, estimator):
     make, k = CASES[case]
     matrix = DenseMatrix(make())
     for idx in selectors._index_chunks(matrix.cols, k):
-        _, rel, kappa = _estimates(matrix, idx, estimator)
+        spectrum, kappa = _estimates(matrix, idx, estimator)
         sigma, full = selectors._batch_stats(selectors._stack(matrix.array, idx))
-        proven = np.isfinite(rel)
+        proven = spectrum.known
         assert np.array_equal(proven, np.isfinite(kappa))
         assert np.all(full[proven])
         assert np.all(sigma[proven, 0] <= kappa[proven] * sigma[proven, -1])
@@ -479,8 +570,8 @@ def test_rank_deficient_best_estimate_is_not_the_witness(ident, estimator):
     matrix = DenseMatrix(make())
     spec = parse_criterion(ident)
     idx = next(selectors._index_chunks(matrix.cols, k))
-    spectrum, rel, _ = _estimates(matrix, idx, estimator)
-    estimate, _ = selectors.batch_bands(spec, spectrum, matrix.column_norms()[idx], rel)
+    spectrum, _ = _estimates(matrix, idx, estimator)
+    estimate, _ = selectors.batch_bands(spec, spectrum, matrix.column_norms()[idx])
     ((_, valid),) = _batch_scores(matrix.array, matrix.column_norms(), idx, [spec])
     assert not valid[int(np.argmin(estimate))]
     expected = _expected("duplicated", spec)
@@ -556,7 +647,7 @@ def test_ill_conditioned_subsets_next_to_the_residual_optimum(ident, estimator):
     assert sigma[0] / sigma[-1] >= 1e11
     ((vals, _),) = _batch_scores(matrix.array, matrix.column_norms(), idx, [spec])
     assert 0.0 < vals[0] - value <= 1e-5 * value
-    _, _, kappa = _estimates(matrix, idx, estimator)
+    _, kappa = _estimates(matrix, idx, estimator)
     unit, scale = selectors._unit_scaled(matrix.array)
     bands = selectors._residual_bands(selectors._residual_basis(unit), scale, idx, kappa,
                                       {spec.residual_norm})
@@ -578,7 +669,7 @@ def test_residual_widths_hold_the_rounding_of_the_condition_number(ident, estima
     basis = selectors._residual_basis(unit)
     dominant = 0
     for idx in selectors._index_chunks(matrix.cols, k):
-        _, _, kappa = _estimates(matrix, idx, estimator)
+        _, kappa = _estimates(matrix, idx, estimator)
         _, width = selectors._residual_bands(basis, scale, idx, kappa,
                                              {spec.residual_norm})[spec.residual_norm]
         sigma, _ = selectors._batch_stats(selectors._stack(a, idx))
@@ -644,9 +735,13 @@ def test_unranking_stays_in_int64_where_binomials_overflow_it():
 
 
 def test_bands_that_overflow_have_infinite_widths():
-    # sopt's value function multiplies the sigmas, which overflows at this
-    # scale; its band is still a band, every width infinite
-    sigma = np.full((4, 6), 1e100)
-    estimate, width = selectors.batch_bands(parse_criterion("sopt"), sigma, sigma, np.full(4, 1e-12))
+    # sopt's value multiplies the sigmas, which overflows at this scale; its
+    # band is still a band, every width infinite, while rvol, scale-free, keeps
+    # finite widths from the same spectrum
+    spectrum = GramSpectrum(np.full(4, 1e-12), 2.0**332, 6, eigenvalues=np.ones((4, 6)))
+    norms = np.full((4, 6), 1e100)
+    estimate, width = selectors.batch_bands(parse_criterion("sopt"), spectrum, norms)
     assert estimate.shape == width.shape == (4,)
     assert np.all(width == np.inf)
+    _, width = selectors.batch_bands(parse_criterion("rvol"), spectrum, norms)
+    assert np.all(np.isfinite(width))
