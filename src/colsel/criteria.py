@@ -492,38 +492,33 @@ class GramSpectrum:
     object for every criterion of a chunk, so each quantity is formed once.
 
     Row b's sigmas are taken to lie within a factor 1 -+ ``rel[b]`` of the
-    ones the SVD computes; only the ``known`` rows, those whose bound is
-    below 1, are held, and ``rel`` keeps theirs.  Per held row, with
-    H = C^T C / scale^2, its estimator gave either the eigenvalues of H
-    (``eigenvalues``, non-increasing), or what a Cholesky factor gives:
-    ``root_det`` = det(H)^(1/2), ``traces`` mapping j to tr H^j for j = 1, 2
-    and, when an inverse was formed, -1, -2, and ``top``, the largest
-    eigenvalue of H, when it was bracketed (else None).  ``sum(j)`` is the
-    power sum tr H^j, formed once and kept: by products and square roots of
-    the eigenvalues where 2j is an integer of magnitude at most 4, the j
-    that p = 2, 3 and 4 need, by ``np.power`` for any other.  ``prod()``,
-    ``power_sum(q)``, ``largest()`` and ``smallest()`` are C's prod sigma,
-    sum sigma^q, sigma_1 and sigma_k.  ``scale`` is a numpy float64, so
-    under ``np.errstate`` they over- and underflow where the products and
-    powers of ``_Kind.value`` do; a quantity whose forming raises is not
-    kept.  ``growth(L)`` is (1 - rel)^-L - 1, formed once per L.
+    ones the SVD computes; a row whose full column rank its estimator did not
+    prove has a NaN ``rel`` and NaN invariants, so every quantity formed from
+    it is NaN.  Per row, with H = C^T C / scale^2, its estimator gave either
+    the eigenvalues of H (``eigenvalues``, non-increasing), or what a
+    Cholesky factor gives: ``root_det`` = det(H)^(1/2), ``traces`` mapping j
+    to tr H^j for j = 1, 2 and, when an inverse was formed, -1, -2, and
+    ``top``, the largest eigenvalue of H, when it was bracketed (else None).
+    ``sum(j)`` is the power sum tr H^j, formed once and kept: by products and
+    square roots of the eigenvalues where 2j is an integer of magnitude at
+    most 4, the j that p = 2, 3 and 4 need, by ``np.power`` for any other.
+    ``prod()``, ``power_sum(q)``, ``largest()`` and ``smallest()`` are C's
+    prod sigma, sum sigma^q, sigma_1 and sigma_k.  ``scale`` is a numpy
+    float64, so under ``np.errstate`` they over- and underflow where the
+    products and powers of ``_Kind.value`` do; a quantity whose forming
+    raises is not kept.  ``growth(L)`` is (1 - rel)^-L - 1, formed once per L.
     """
 
     def __init__(self, rel, scale, k: int, eigenvalues=None, root_det=None, traces=None,
                  top=None):
-        self.known = known = rel < 1.0
-        self.rel, self.scale, self.k = rel[known], np.float64(scale), k
-        self._sums = {j: t[known] for j, t in (traces or {}).items()}
-        self._powers, self._growth = {}, {}
-        # the eigenvalues of a row run down a column, so that every sum over
-        # them adds whole rows of this array
-        self._eigenvalues = lam = None if eigenvalues is None else np.ascontiguousarray(
-            eigenvalues.compress(known, axis=0).T)
-        self._root_det = None if root_det is None else root_det[known]
-        if lam is not None:
+        self.rel, self.scale, self.k = rel, np.float64(scale), k
+        self._sums, self._root_det, self.top, self.bottom = dict(traces or {}), root_det, top, None
+        self._powers, self._growth, self._eigenvalues = {}, {}, None
+        if eigenvalues is not None:
+            # the eigenvalues of a row run down a column, so that every sum
+            # over them adds whole rows of this array
+            self._eigenvalues = lam = np.ascontiguousarray(eigenvalues.T)
             self.top, self.bottom = lam[0], lam[-1]
-        else:
-            self.top, self.bottom = None if top is None else top[known], None
 
     def _power(self, j):
         """The eigenvalues to the power j, formed once per j."""
@@ -574,31 +569,25 @@ class GramSpectrum:
 
 def batch_bands(spec: CriterionSpec, spectrum: GramSpectrum, column_norms: np.ndarray):
     """Band (estimate, width) around the value ``batch_values`` gives each row,
-    from a ``GramSpectrum`` of its sigmas; an infinite width marks no usable
-    estimate.
+    from a ``GramSpectrum`` of its sigmas; a band that is not finite marks no
+    usable estimate.
 
-    ``column_norms`` is (B, k).  A row the spectrum does not hold (its
-    ``rel`` is 1 or more; inf: its full column rank is not proven) gets an
-    estimate of 0 and an infinite width.  For the others the estimate is the
-    kind's ``gram_value`` (the same function of the sigmas as its
-    ``value``), and the width ``estimate * ((1 - rel)^-L - 1)`` follows from
-    its ``log_lipschitz`` constant L; ``rel`` is large enough to also cover
-    the rounding of the value function and of the invariants it reads.
+    ``column_norms`` is (B, k).  The estimate is the kind's ``gram_value``
+    (the same function of the sigmas as its ``value``), and the width
+    ``estimate * ((1 - rel)^-L - 1)`` follows from its ``log_lipschitz``
+    constant L; ``rel`` is large enough to also cover the rounding of the
+    value function and of the invariants it reads.  Both are NaN on a row
+    whose full column rank the spectrum does not prove (its ``rel`` is NaN).
     Every width of the spec is infinite when its estimate overflows or
     underflows, where the value's own rounding is no longer relative to the
     value; the other specs of the spectrum keep theirs.
     """
     row = _KINDS[spec.kind]
-    known = spectrum.known
-    estimate = np.zeros(len(known))
-    width = np.full(len(known), np.inf)
-    norms = None
-    if row.needs_norms:  # down columns, as the spectrum's eigenvalues run
-        norms = np.ascontiguousarray(column_norms.compress(known, axis=0).T)
+    # down columns, as the spectrum's eigenvalues run
+    norms = np.ascontiguousarray(column_norms.T) if row.needs_norms else None
     try:
         with np.errstate(all="raise"):
-            estimate[known] = row.gram_value(spectrum, spec.p, norms)
+            estimate = row.gram_value(spectrum, spec.p, norms)
     except FloatingPointError:
-        return estimate, width
-    width[known] = estimate[known] * spectrum.growth(row.log_lipschitz(spectrum.k, spec.p))
-    return estimate, width
+        return np.zeros(len(spectrum.rel)), np.full(len(spectrum.rel), np.inf)
+    return estimate, estimate * spectrum.growth(row.log_lipschitz(spectrum.k, spec.p))

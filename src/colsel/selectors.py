@@ -22,8 +22,8 @@ at any thread count.
 The heuristic selectors (forward greedy for vol and res-frobenius, and the
 local swap) estimate every candidate from one rank-one projection of the
 current selection (``_projection``) and certify the same way.  Every band
-is (estimate, width), an infinite width marking no usable estimate, and
-``_screened_best`` is the one certify path.  ``subsets_evaluated`` counts
+is (estimate, width), one that is not finite marking no usable estimate,
+and ``_screened_best`` is the one certify path.  ``subsets_evaluated`` counts
 every candidate considered, not only the ones the SVD certified.
 """
 
@@ -200,20 +200,20 @@ def _proven(m: int, k: int, top: np.ndarray, bottom: np.ndarray, rel: np.ndarray
     """(rel, kappa) for estimates ``top`` of sigma_1 and ``bottom`` of sigma_k
     of m x k submatrices, each within a factor 1 -+ ``rel`` of the SVD's:
     rel, and the condition-number bound top (1 + rel) / (bottom (1 - rel)),
-    both inf for a row whose full column rank the estimates do not prove
+    NaN and inf for a row whose full column rank the estimates do not prove
     (the SVD path's rank test, applied to the bounds)."""
     high, low = top * (1.0 + rel), bottom * (1.0 - rel)
     proven = (m >= k) & (low > default_rank_tolerance(m, k, high))
-    return np.where(proven, rel, np.inf), np.where(proven, high / low, np.inf)
+    return np.where(proven, rel, np.nan), np.where(proven, high / low, np.inf)
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _gram_estimates(gram: np.ndarray, scale: float, m: int, idx: np.ndarray):
     """(spectrum, kappa): a ``GramSpectrum`` of the eigenvalues of each
     submatrix a[:, idx[b]], with a bound rel on the relative error of its
-    sigmas against the SVD's values, and a bound on its condition number,
-    both inf for a row whose full column rank the estimate does not prove
-    (``_proven``); the spectrum holds only the proven rows.
+    sigmas against the SVD's values, and a bound on its condition number;
+    a row whose full column rank the estimate does not prove (``_proven``)
+    has a NaN rel and NaN eigenvalues, and an infinite kappa.
 
     ``gram`` is (a / scale)^T (a / scale) for a power of two ``scale``.  Each
     row's sigma^2 are the eigenvalues of its k x k block; Gram formation,
@@ -231,6 +231,7 @@ def _gram_estimates(gram: np.ndarray, scale: float, m: int, idx: np.ndarray):
     lam = np.maximum(lam, 0.0)
     rel, kappa = _proven(m, k, np.sqrt(lam[:, 0]) * scale, np.sqrt(lam[:, -1]) * scale,
                          err / lam[:, -1])
+    lam[np.isnan(rel)] = np.nan
     return GramSpectrum(rel, scale, k, eigenvalues=lam), kappa
 
 
@@ -308,12 +309,12 @@ def _top_bracket(h: np.ndarray):
 def _cholesky_estimates(gram: np.ndarray, scale: float, m: int, idx: np.ndarray, inverse: bool,
                         top: bool):
     """(spectrum, kappa) as ``_gram_estimates`` gives them, with the
-    spectrum's Cholesky invariants, from one batched Cholesky L L^T of the
-    rows' k x k blocks G_b of ``gram``, each shifted to H = G_b + delta I;
-    the traces of L^-1 are formed only when ``inverse``, and the largest
-    eigenvalue of H (``_top_bracket``, on the gathered block once it is
-    factored) only when ``top``.  Raises LinAlgError when any block fails to
-    factor.
+    spectrum's Cholesky invariants (NaN where rel is), from one batched
+    Cholesky L L^T of the rows' k x k blocks G_b of ``gram``, each shifted
+    to H = G_b + delta I; the traces of L^-1 are formed only when
+    ``inverse``, and the largest eigenvalue of H (``_top_bracket``, on the
+    gathered block once it is factored) only when ``top``.  Raises
+    LinAlgError when any block fails to factor.
 
     The width.  delta = ROUNDING * (m + k) * k * tr G_b (plus the underflow
     term) is the bound of ``_gram_estimates`` with tr G_b for sigma_1^2
@@ -375,7 +376,40 @@ def _cholesky_estimates(gram: np.ndarray, scale: float, m: int, idx: np.ndarray,
         spread, largest = (high1 - low1) / (high1 + low1), ((low1 + high1) / 2.0) ** 2
     rel, kappa = _proven(m, k, np.sqrt(traces[1]) * scale, np.sqrt(low) * scale,
                          4.0 * delta / low + spread)
+    unproven = np.isnan(rel)
+    for invariant in [root_det, *traces.values()] + ([largest] if top else []):
+        invariant[unproven] = np.nan
     return GramSpectrum(rel, scale, k, root_det=root_det, traces=traces, top=largest), kappa
+
+
+def _chunk_bands(gram: np.ndarray, scale: float, m: int, col_norms: np.ndarray, basis,
+                 idx: np.ndarray, specs):
+    """Each spec's band (estimate, width) of the m x k submatrices a[:, idx[b]]:
+    from one ``GramSpectrum`` of their blocks of ``gram`` = (a / scale)^T
+    (a / scale) (``batch_bands``), and the residuals' from the
+    ``_residual_basis`` ``basis`` (``_residual_bands``).  The blocks are
+    factored (``_cholesky_estimates``, with the inverse's traces only for
+    pinv-norm and cond, and the bracket on the largest eigenvalue only for
+    rvol, norm-two and srank) when every spec is ``gram_invariant`` or a
+    residual and every block factors; otherwise their eigenvalues are solved
+    for (``_gram_estimates``).
+    """
+    spectrum = None
+    if all(spec.gram_invariant or spec.residual_norm for spec in specs):
+        inverse = any(spec.kind in ("pinv-norm", "cond") for spec in specs)
+        top = any(spec.kind in ("rvol", "srank") or spec.kind == "norm" and spec.p == math.inf
+                  for spec in specs)
+        try:
+            spectrum, kappa = _cholesky_estimates(gram, scale, m, idx, inverse, top)
+        except np.linalg.LinAlgError:
+            pass
+    if spectrum is None:
+        spectrum, kappa = _gram_estimates(gram, scale, m, idx)
+    norms = {spec.residual_norm for spec in specs} - {None}
+    residual = _residual_bands(basis, scale, idx, kappa, norms) if norms else {}
+    cn = col_norms[idx]
+    return [residual[spec.residual_norm] if spec.residual_norm else batch_bands(spec, spectrum, cn)
+            for spec in specs]
 
 
 def _better(current, candidate, maximize: bool):
@@ -420,17 +454,11 @@ def exact_optima(matrix: DenseMatrix, k: int, specs, threads: int = 1, allow_lar
     criterion admits no valid subset (e.g. no full-rank subset exists for a
     rank-requiring criterion) gets None.  Every subset is scored: each chunk
     forms one ``GramSpectrum`` of its blocks of the Gram matrix of A at unit
-    scale, bands every row's value for every spec from it (``batch_bands``)
-    and, for the residuals, from a QR of each subset (``_residual_bands``),
-    and certifies the rows that could be its best with one batched SVD over
-    the union of those rows for all specs (``_screened_best``), so optima,
-    witnesses and the count equal those of an SVD of every subset.  When
-    every spec is ``gram_invariant`` or a residual, the blocks are factored
-    (``_cholesky_estimates``, with the inverse's traces only for pinv-norm
-    and cond, and the bracket on the largest eigenvalue only for rvol,
-    norm-two and srank); otherwise, and for a chunk whose factorization
-    fails, their eigenvalues are solved for (``_gram_estimates``), and the
-    spectrum forms each power sum the pass reads once, from them.
+    scale, bands every row's value for every spec from it and, for the
+    residuals, from a QR of each subset (``_chunk_bands``), and certifies the
+    rows that could be its best with one batched SVD over the union of those
+    rows for all specs (``_screened_best``), so optima, witnesses and the
+    count equal those of an SVD of every subset.
 
     Each of ``threads`` workers unranks and reduces every ``threads``-th
     chunk (``_index_chunks``) on its own, and the workers' optima merge by
@@ -453,33 +481,11 @@ def exact_optima(matrix: DenseMatrix, k: int, specs, threads: int = 1, allow_lar
     col_norms = matrix.column_norms()
     unit, scale = _unit_scaled(a)
     gram = unit.T @ unit
-    norms = {spec.residual_norm for spec in specs} - {None}
-    basis = _residual_basis(unit) if norms else None
-
-    # a pass of Gram-invariant criteria and residuals factors its Gram blocks
-    cholesky = all(spec.gram_invariant or spec.residual_norm is not None for spec in specs)
-    inverse = any(spec.kind in ("pinv-norm", "cond") for spec in specs)
-    top = any(spec.kind in ("rvol", "srank") or spec.kind == "norm" and spec.p == math.inf
-              for spec in specs)
-
-    def estimates(idx):
-        if cholesky:
-            try:
-                return _cholesky_estimates(gram, scale, a.shape[0], idx, inverse, top)
-            except np.linalg.LinAlgError:
-                pass
-        return _gram_estimates(gram, scale, a.shape[0], idx)
-
-    def chunk_bands(idx):
-        # the spectrum and its power sums are freed before the screen
-        spectrum, kappa = estimates(idx)
-        cn = col_norms[idx]
-        residual = _residual_bands(basis, scale, idx, kappa, norms)
-        return [residual[spec.residual_norm] if spec.residual_norm is not None
-                else batch_bands(spec, spectrum, cn) for spec in specs]
+    basis = _residual_basis(unit) if any(spec.residual_norm for spec in specs) else None
 
     def chunk_optima(idx):
-        return _screened_best(a, col_norms, idx, specs, chunk_bands(idx))
+        bands = _chunk_bands(gram, scale, a.shape[0], col_norms, basis, idx, specs)
+        return _screened_best(a, col_norms, idx, specs, bands)
 
     def reduce_stride(first):
         return _merged(map(chunk_optima, _index_chunks(n, k, first=first, stride=threads)), maximize)
@@ -630,11 +636,9 @@ def _residual_bands(basis, scale: float, idx: np.ndarray, kappa: np.ndarray, nor
     ``batch_residuals`` truncates its rank and the QR does not.  The width
     also holds the underflow bound.
     """
-    if not norms:
-        return {}
     unit, norm2, underflow = basis
     k = idx.shape[1]
-    q = np.linalg.qr(_stack(unit, idx), mode="complete").Q
+    q = np.linalg.qr(_stack(unit, idx), mode="complete")[0]
     # Q2^T A has at most n rows, so its Gram on the smaller side is tail tail^T
     tail = np.swapaxes(q[:, :, k:], 1, 2) @ unit
     del q  # freed before res-two's bracket allocates

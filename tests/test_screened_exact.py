@@ -547,7 +547,7 @@ def test_estimates_prove_full_rank_only_where_the_svd_finds_it(case, estimator):
     for idx in selectors._index_chunks(matrix.cols, k):
         spectrum, kappa = _estimates(matrix, idx, estimator)
         sigma, full = selectors._batch_stats(selectors._stack(matrix.array, idx))
-        proven = spectrum.known
+        proven = ~np.isnan(spectrum.rel)
         assert np.array_equal(proven, np.isfinite(kappa))
         assert np.all(full[proven])
         assert np.all(sigma[proven, 0] <= kappa[proven] * sigma[proven, -1])
@@ -557,15 +557,61 @@ def test_estimates_prove_full_rank_only_where_the_svd_finds_it(case, estimator):
             assert not np.any(proven)
 
 
+@pytest.mark.parametrize("scale", (1.0, 1e-100, 1e100), ids="{:g}".format)
+@pytest.mark.parametrize("estimator", ("eigvalsh", "cholesky-inverse-top"))
+@pytest.mark.parametrize("family", ("duplicated", "rank-k-1"))
+def test_bands_are_not_finite_exactly_where_full_rank_is_not_proven(family, estimator, scale):
+    # an unproven row carries a NaN rel and NaN invariants, so every band of
+    # it is NaN, and no other row's band is lost to a floating-point error
+    # that row would raise; only an estimate that over- or underflows on a
+    # proven row makes a spec's widths infinite, and at unit scale none does
+    make, k = FAMILIES[family]
+    specs = [spec for spec in registry()
+             if spec.residual_norm is None and (estimator == "eigvalsh" or spec.gram_invariant)]
+    unproven_rows = overflowed = 0
+    for seed in range(2):
+        matrix = DenseMatrix(make(seed) * scale)
+        col_norms = matrix.column_norms()
+        for idx in selectors._index_chunks(matrix.cols, k):
+            spectrum, _ = _estimates(matrix, idx, estimator)
+            unproven = np.isnan(spectrum.rel)
+            unproven_rows += np.count_nonzero(unproven)
+            for spec in specs:
+                estimate, width = selectors.batch_bands(spec, spectrum, col_norms[idx])
+                if np.all(width == np.inf) and not np.any(estimate):
+                    overflowed += 1
+                    continue
+                usable = np.isfinite(estimate) & np.isfinite(width)
+                assert np.array_equal(usable, ~unproven), spec
+                assert np.array_equal(np.isnan(estimate), unproven), spec
+    assert unproven_rows > 0
+    assert overflowed == 0 or scale != 1.0
+
+
+@pytest.mark.parametrize("ident", ("res-two", "res-frobenius"))
+def test_residual_bands_take_the_complete_q_of_numpy_1_qr(ident, monkeypatch):
+    # numpy 1.x returns qr's factors as a plain tuple, without numpy 2's
+    # named fields
+    real = np.linalg.qr
+
+    def plain(a, mode="reduced"):
+        out = real(a, mode=mode)
+        return out if mode == "r" else tuple(out)
+
+    monkeypatch.setattr(np.linalg, "qr", plain)
+    make, k = CASES["gaussian-0"]
+    spec = parse_criterion(ident)
+    assert _select_outcome(DenseMatrix(make()), k, spec) == _expected("gaussian-0", spec)
+
+
 @pytest.mark.parametrize("ident, estimator", _by_estimator(
     ("pinv-norm-two", "pinv-norm:p=4", "cond-two", "cond:p=4", "cond-mixed"), ("eigvalsh",))
     + _by_estimator(("pinv-norm:p=4", "cond:p=4"), ("cholesky-inverse",)))
 def test_rank_deficient_best_estimate_is_not_the_witness(ident, estimator):
     # columns 0 and 1 are equal, so the first rows of the first chunk are
-    # rank-deficient; their estimates prove nothing, and for a minimized
-    # criterion that requires full rank they hold the best estimate (0 with
-    # an infinite width): they are certified, found invalid, and must neither
-    # win nor set the cut
+    # rank-deficient; their estimates prove nothing, and their NaN bands
+    # become (0, inf) in the screen: they are certified, found invalid, and
+    # must neither win nor set the cut
     make, k = CASES["duplicated"]
     matrix = DenseMatrix(make())
     spec = parse_criterion(ident)
@@ -697,7 +743,7 @@ def test_tall_input_keeps_every_subset_qr_at_n_rows(ident, monkeypatch):
     def recording(a, mode="reduced"):
         out = real(a, mode=mode)
         if mode == "complete":
-            rows.append(out.Q.shape[-2])
+            rows.append(out[0].shape[-2])
         return out
 
     monkeypatch.setattr(np.linalg, "qr", recording)
