@@ -238,6 +238,32 @@ def values(c: DenseMatrix, specs, full_matrix: DenseMatrix | None = None) -> lis
     return out
 
 
+def stacked_values(specs, sigma: np.ndarray, column_norms, full_rank: np.ndarray) -> np.ndarray:
+    """``values`` on a stack of B matrices of k columns, one value-function
+    call per spec: the (len(specs), B) array whose column b is what
+    ``values`` returns for matrix b, bit for bit.
+
+    ``sigma`` (B, k), ``column_norms`` (B, k) and ``full_rank`` (B,) are as
+    ``batch_values`` takes them; ``column_norms`` may be None when no spec
+    reads it.  Raises what ``values`` raises, for the first spec on which
+    any of the matrices makes it raise; the residual criteria are rejected.
+    """
+    out = np.empty((len(specs), len(sigma)))
+    zero_top = sigma[:, 0] == 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i, spec in enumerate(specs):
+            row = _KINDS[spec.kind]
+            if row.value is None:
+                raise InvalidParameterError("residual criteria need the parent matrix")
+            if row.needs_norms and np.any(column_norms == 0.0):
+                raise InvalidInputError("matrix has a zero column")
+            if row.rank == "required" and not full_rank.all():
+                raise RankDeficiencyError("a matrix of the stack is numerically rank deficient")
+            zero = ~full_rank if row.rank == "zero" else zero_top
+            out[i] = np.where(zero, 0.0, row.value(sigma, spec.p, column_norms))
+    return out
+
+
 def volume(c: DenseMatrix) -> float:
     """Product of all k singular values; 0 for numerically rank-deficient input."""
     return values(c, (CriterionSpec("vol"),))[0]

@@ -7,10 +7,19 @@ monotonicity and reconstruction identity on them.  Failures are data, not
 exceptions: each check contributes a signed violation (positive means the
 tolerance was exceeded) and the per-check maxima are aggregated into one
 report record per lemma id.
+
+The suite runs in blocks of ``_BLOCK_ROUNDS`` rounds.  A block first draws
+its rounds, in the order of the generator calls that fix every report; the
+partition and interlacing trials are scored as they are drawn.  It then
+scores the unit-column family as stacks: one ``np.linalg.svd`` call per
+shape (m, k), then one call of each claim's value function per k
+(``stacked_values``), whose rows equal ``values`` bit for bit.  The
+removal subsets of a matrix are one stack as well.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -18,12 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import CriterionSpec, parse_criterion, values
-# unused here, but bench/tracer.py PATCHES wraps these names in this module (ROADMAP item 4)
+from .criteria import CriterionSpec, parse_criterion, stacked_values, values
+# bench/tracer.py PATCHES wraps these names in this module: svd, pseudo_inverse,
+# complement_projector and partitioned_pinv, which the suite calls, and the
+# seven scalar wrappers, which it does not (ROADMAP item 4)
 from .criteria import (condition_number, pinv_schatten_norm, relative_volume,  # noqa: F401
                        s_optimality, schatten_norm, stable_rank, volume)
 from .errors import InvalidParameterError, RankDeficiencyError
-from .matrixkit import DenseMatrix, complement_projector, partitioned_pinv, pseudo_inverse, svd
+from .matrixkit import (DenseMatrix, column_norms, complement_projector, default_rank_tolerance,
+                        partitioned_pinv, pseudo_inverse, svd)
+from .selectors import _batch_stats, _stack
 
 LEMMA_IDS = (
     "e_inter",
@@ -70,6 +83,13 @@ _PARENT_COLS = (2, 8)
 _P_LARGE = (3.0, 4.0, 6.0)
 _P_SMALL = (1.0, 1.5)
 
+# rounds per block: a block is drawn, then scored, so the unit-column stacks
+# hold at most 4 * _BLOCK_ROUNDS matrices at any trial count
+_BLOCK_ROUNDS = 64
+# the most matrix entries in one stack of removal subsets, which bounds the
+# memory check_removal_monotonicity takes on a large C
+_STACK_ENTRIES = 1 << 20
+
 
 class _Accumulator:
     __slots__ = ("trials", "failures", "worst")
@@ -79,38 +99,55 @@ class _Accumulator:
         self.failures = 0
         self.worst = -math.inf
 
-    def record(self, *violations: float):
-        worst = max(violations)
-        self.trials += 1
-        self.worst = max(self.worst, worst)
-        if worst > 0.0:
-            self.failures += 1
+    def record(self, violations):
+        """One trial per row of the (rows, checks) ``violations``; a trial
+        fails when its worst check is positive."""
+        worst = np.max(violations, axis=1)
+        self.trials += len(worst)
+        self.failures += int(np.count_nonzero(worst > 0.0))
+        self.worst = max(self.worst, float(np.max(worst)))
 
 
-def _band(defect: float, value: float, optimum: float) -> float:
-    """Two-sided equality-characterization check, as a signed violation."""
-    hit = abs(value - optimum)
-    v_if = (hit - BAND_LOOSE) if defect <= DEFECT_TIGHT else -math.inf
-    v_only_if = (defect - DEFECT_LOOSE) if hit <= BAND_TIGHT else -math.inf
-    return max(v_if, v_only_if)
+def _band(defect, value, optimum):
+    """Two-sided equality-characterization check, as signed violations."""
+    hit = np.abs(value - optimum)
+    v_if = np.where(defect <= DEFECT_TIGHT, hit - BAND_LOOSE, -math.inf)
+    v_only_if = np.where(hit <= BAND_TIGHT, defect - DEFECT_LOOSE, -math.inf)
+    return np.maximum(v_if, v_only_if)
 
 
-def _orthonormality_defect(c: DenseMatrix) -> float:
-    k = c.cols
-    return float(np.linalg.norm(c.array.T @ c.array - np.eye(k)))
+def _unit_stacks(matrices) -> dict[int, tuple[np.ndarray, ...]]:
+    """The m x k matrices by column count k, with one SVD call per shape:
+    for each k, their positions in ``matrices``, singular values, column
+    norms, full-rank flags and orthonormality defects ||C^T C - I||_F, each
+    with one row per matrix."""
+    shapes = {}
+    for i, c in enumerate(matrices):
+        shapes.setdefault(c.shape, []).append(i)
+    by_cols = {}
+    for (_, k), rows in shapes.items():
+        stack = np.stack([matrices[i] for i in rows])
+        sigma, full = _batch_stats(stack)
+        # one ddot per matrix, as np.linalg.norm takes the Frobenius norm
+        d = (np.swapaxes(stack, 1, 2) @ stack - np.eye(k)).reshape(len(rows), 1, k * k)
+        defect = np.sqrt(d @ np.swapaxes(d, 1, 2))[:, 0, 0]
+        by_cols.setdefault(k, []).append((np.array(rows), sigma, column_norms(stack), full, defect))
+    return {k: tuple(map(np.concatenate, zip(*parts))) for k, parts in by_cols.items()}
 
 
-def _draw_full_rank(rng, m: int, k: int) -> DenseMatrix:
+def _draw_full_rank(rng, m: int, k: int) -> np.ndarray:
+    """A standard normal m x k draw (m >= k) of full column rank under
+    ``svd``'s tolerance, redrawn until it has it."""
     for _ in range(64):
         g = rng.standard_normal((m, k))
-        c = DenseMatrix(g)
-        if svd(c).numerical_rank == k:
-            return c
+        sigma = np.linalg.svd(g, compute_uv=False)
+        if sigma[-1] > default_rank_tolerance(m, k, sigma[0]):
+            return g
     raise RuntimeError("could not draw a full-rank matrix")  # pragma: no cover
 
 
-def _unit_columns(arr: np.ndarray) -> DenseMatrix:
-    return DenseMatrix(arr / np.linalg.norm(arr, axis=0))
+def _unit_columns(arr: np.ndarray) -> np.ndarray:
+    return arr / np.linalg.norm(arr, axis=0)
 
 
 _FROBENIUS, _VOLUME, _RVOL = map(parse_criterion, ("norm-frobenius", "vol", "rvol"))
@@ -137,27 +174,33 @@ def _unit_claims(k: int) -> tuple[tuple[str, CriterionSpec, float, bool], ...]:
     return tuple(rows)
 
 
-def _unit_column_checks(c: DenseMatrix, acc: dict):
-    """All unit-column optimal-value lemmas on one matrix, every claim scored
-    from one SVD; each claim row yields its bound check and its equality check."""
-    k = c.cols
-    claims = _unit_claims(k)
-    specs = [_FROBENIUS] + [spec for _, spec, _, _ in claims]
-    value = dict(zip(specs, values(c, specs)))
-    fro, vol = value[_FROBENIUS], value[_VOLUME]
-    # the claims that are not rows: rvol is non-negative, and for p < 2 the
-    # Schatten-p norm of unit columns is also bounded below by sqrt(k)
-    small = [value[spec] for lid, spec, _, _ in claims if lid == "r_schattenp"]
-    found = {"lem:orth": [-value[_RVOL]], "r_schattenp": [(math.sqrt(k) - v) - 1e-10 for v in small]}
-
-    defect = _orthonormality_defect(c)
-    acc["e_srk"].record(abs(fro**2 - k) - 1e-12)
-    acc["e_mean"].record(vol ** (2.0 / k) - fro**2 / k - 1e-12)
-    for lid, spec, optimum, is_max in claims:
-        excess = value[spec] - optimum if is_max else optimum - value[spec]
-        found.setdefault(lid, []).extend((excess - 1e-10, _band(defect, value[spec], optimum)))
-    for lid, violations in found.items():
-        acc[lid].record(*violations)
+def _unit_column_checks(matrices, acc: dict):
+    """All unit-column optimal-value lemmas on the unit-column ``matrices``,
+    each claim scored by one value-function call per k; each claim row
+    yields its bound check and its equality check on every matrix."""
+    for k, (_, sigma, norms, full, defect) in _unit_stacks(matrices).items():
+        claims = _unit_claims(k)
+        specs = [spec for _, spec, _, _ in claims]
+        scores = stacked_values([_FROBENIUS, *specs], sigma, norms, full)
+        fro, value = scores[0], scores[1:]
+        optimum = np.array([[optimum] for _, _, optimum, _ in claims])
+        is_max = np.array([[is_max] for _, _, _, is_max in claims])
+        excess = np.where(is_max, value - optimum, optimum - value) - 1e-10
+        band = _band(defect, value, optimum)
+        # the checks that are not claim rows: rvol is non-negative, and for p < 2
+        # the Schatten-p norm of unit columns is also bounded below by sqrt(k)
+        found = {"lem:orth": [-value[specs.index(_RVOL)]]}
+        for row, (lid, _, _, _) in enumerate(claims):
+            found.setdefault(lid, []).extend((excess[row], band[row]))
+            if lid == "r_schattenp":
+                found[lid].append((math.sqrt(k) - value[row]) - 1e-10)
+        # as Python floats: numpy's power can differ from Python's in the last bit
+        vol = value[specs.index(_VOLUME)].tolist()
+        fro = fro.tolist()
+        acc["e_srk"].record([[abs(f**2 - k) - 1e-12] for f in fro])
+        acc["e_mean"].record([[v ** (2.0 / k) - f**2 / k - 1e-12] for v, f in zip(vol, fro)])
+        for lid, violations in found.items():
+            acc[lid].record(np.transpose(violations))
 
 
 def _dims(rng) -> tuple[int, int]:
@@ -171,28 +214,26 @@ def _dims(rng) -> tuple[int, int]:
 _UNIT_FAMILIES = (None, 0.0, 1e-6, 1e-3)
 
 
-def _unit_column_trial(rng, acc, eps: float | None):
+def _draw_unit_columns(rng, eps: float | None) -> np.ndarray:
     m, k = _dims(rng)
-    arr = _draw_full_rank(rng, m, k).array
+    arr = _draw_full_rank(rng, m, k)
     if eps is None:
-        c = _unit_columns(arr)
-    elif eps == 0.0:
-        c = DenseMatrix(np.linalg.qr(arr)[0])
-    else:
-        q, _ = np.linalg.qr(arr)
-        g = rng.standard_normal((m, k))
-        c = _unit_columns(q + eps * (g / np.linalg.norm(g, 2)))
-    _unit_column_checks(c, acc)
+        return _unit_columns(arr)
+    q, _ = np.linalg.qr(arr)
+    if eps == 0.0:
+        return q
+    g = rng.standard_normal((m, k))
+    return _unit_columns(q + eps * (g / np.linalg.norm(g, 2)))
 
 
 _PINV_POWERS = (2.0, 3.0, 4.0, 6.0)
 _PINV_SPECS = tuple(parse_criterion("pinv-norm", p) for p in _PINV_POWERS)
 
 
-def _partition_trial(rng, acc):
+def _partition_trial(rng, found: dict):
     m = int(rng.integers(max(_ROWS[0], 3), _ROWS[1] + 1))
     n = int(rng.integers(2, min(m, 6) + 1))
-    c = _draw_full_rank(rng, m, n)
+    c = DenseMatrix(_draw_full_rank(rng, m, n))
     split = int(rng.integers(1, n))
     c1 = DenseMatrix(c.array[:, :split])
     c2 = DenseMatrix(c.array[:, split:])
@@ -203,8 +244,8 @@ def _partition_trial(rng, acc):
     vol, *pinv = values(c, (_VOLUME, *_PINV_SPECS))
     excess = [a**p + b**p - whole**p - 1e-9
               for p, a, b, whole in zip(_PINV_POWERS, pinv1, pinv2, pinv)]
-    acc["l_fi"].record(excess[0])
-    acc["l_pi1"].record(*excess[1:])
+    found["l_fi"].append(excess[:1])
+    found["l_pi1"].append(excess[1:])
 
     # C+ entries grow as 1/sigma_min, so the reconstruction error is taken
     # relative to the largest of them, as e_sc below is
@@ -216,7 +257,7 @@ def _partition_trial(rng, acc):
         float(np.linalg.eigvalsh(parts.schur1.array)[0]),
         float(np.linalg.eigvalsh(parts.schur2.array)[0]),
     )
-    acc["l_pi0"].record(recon - 1e-9, -spd)
+    found["l_pi0"].append((recon - 1e-9, -spd))
 
     # determinant identity for appending one column
     head = DenseMatrix(c.array[:, :-1])
@@ -225,10 +266,10 @@ def _partition_trial(rng, acc):
     gram = head.array.T @ head.array
     rhs = float(np.linalg.det(gram) * np.sum((complement_projector(head).array @ tail) ** 2))
     scale = max(abs(lhs), abs(rhs), 1e-300)
-    acc["e_sc"].record(abs(lhs - rhs) / scale - 1e-9)
+    found["e_sc"].append((abs(lhs - rhs) / scale - 1e-9,))
 
 
-def _interlacing_trial(rng, acc):
+def _interlacing_trial(rng, found: dict):
     m = int(rng.integers(_ROWS[0], _ROWS[1] + 1))
     n = int(rng.integers(_PARENT_COLS[0], _PARENT_COLS[1] + 1))
     a = DenseMatrix(rng.standard_normal((m, n)))
@@ -247,16 +288,15 @@ def _interlacing_trial(rng, acc):
         lower = sig_a[pos] if pos < len(sig_a) else 0.0
         worst = max(worst, lower - sig_c[j] - 1e-10)
         worst = max(worst, sig_c[j] - sig_a[j] - 1e-10)
-    acc["e_inter"].record(worst)
+    found["e_inter"].append((worst,))
 
     if svd_c.numerical_rank < k:
-        acc["l_inter"].record(-math.inf)
-        acc["l_inter2"].record(-math.inf)
-        return
-    ell = int(rng.integers(1, k))
-    v_inter, v_inter2 = _removal_violations(c, itertools.combinations(range(k), ell))
-    acc["l_inter"].record(v_inter)
-    acc["l_inter2"].record(v_inter2)
+        v_inter = v_inter2 = -math.inf
+    else:
+        ell = int(rng.integers(1, k))
+        v_inter, v_inter2 = _removal_violations(c, list(itertools.combinations(range(k), ell)))
+    found["l_inter"].append((v_inter,))
+    found["l_inter2"].append((v_inter2,))
 
 
 # rvol, then the five condition numbers that never rise when columns go
@@ -265,16 +305,22 @@ _REMOVAL_SPECS = tuple(map(parse_criterion, (
 
 
 def _removal_violations(c: DenseMatrix, subsets) -> tuple[float, float]:
-    """Signed worst violations, over the column ``subsets`` of C, of the scaled
-    volume never dropping (l_inter) and no condition number rising (l_inter2)
-    when columns are removed; each matrix is scored from one SVD."""
+    """Signed worst violations, over the column ``subsets`` of C (a sequence
+    of equal-length index tuples), of the scaled volume never dropping
+    (l_inter) and no condition number rising (l_inter2) when columns are
+    removed; the subsets are scored as stacks of at most ``_STACK_ENTRIES``
+    entries, one SVD call each, and C from one SVD."""
     parent_rvol, *parent_kappa = values(c, _REMOVAL_SPECS)
+    parent_kappa = np.array(parent_kappa)[:, None]
+    subsets = np.array(subsets, dtype=np.intp)
+    step = max(1, _STACK_ENTRIES // (c.rows * subsets.shape[1]))
     v_inter = v_inter2 = -math.inf
-    for sub_idx in subsets:
-        rvol, *kappa = values(c.columns(sub_idx), _REMOVAL_SPECS)
-        v_inter = max(v_inter, parent_rvol - rvol - 1e-10)
-        for kappa_sub, kappa_parent in zip(kappa, parent_kappa):
-            v_inter2 = max(v_inter2, kappa_sub - kappa_parent - 1e-10)
+    for start in range(0, len(subsets), step):
+        sigma, full = _batch_stats(_stack(c.array, subsets[start:start + step]))
+        scores = stacked_values(_REMOVAL_SPECS, sigma, None, full)
+        rvol, kappa = scores[0], scores[1:]
+        v_inter = max(v_inter, float(np.max(parent_rvol - rvol - 1e-10)))
+        v_inter2 = max(v_inter2, float(np.max(kappa - parent_kappa - 1e-10)))
     return v_inter, v_inter2
 
 
@@ -290,11 +336,17 @@ def run_suite(seed: int = 0, trials: int = 200) -> list[LemmaReport]:
         raise InvalidParameterError(f"need seed >= 0, got {seed}")
     acc = {lid: _Accumulator() for lid in LEMMA_IDS}
     rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        for eps in _UNIT_FAMILIES:
-            _unit_column_trial(rng, acc, eps)
-        _partition_trial(rng, acc)
-        _interlacing_trial(rng, acc)
+    for start in range(0, trials, _BLOCK_ROUNDS):
+        # the partition and interlacing trials score as they draw, one
+        # violation row per trial and lemma, recorded once per block
+        units, found = [], collections.defaultdict(list)
+        for _ in range(min(_BLOCK_ROUNDS, trials - start)):
+            units += [_draw_unit_columns(rng, eps) for eps in _UNIT_FAMILIES]
+            _partition_trial(rng, found)
+            _interlacing_trial(rng, found)
+        for lid, rows in found.items():
+            acc[lid].record(rows)
+        _unit_column_checks(units, acc)
     return [
         LemmaReport(lid, acc[lid].trials, acc[lid].failures, acc[lid].worst, seed)
         for lid in LEMMA_IDS
@@ -313,12 +365,13 @@ def check_removal_monotonicity(c: DenseMatrix, ell: int, seed: int = 0) -> bool:
         raise InvalidParameterError(f"need 1 <= ell < {k}, got {ell}")
     if svd(c).numerical_rank < k:
         raise RankDeficiencyError("removal monotonicity requires full column rank")
-    total = math.comb(k, ell)
-    if total <= 1000:
-        subsets = itertools.combinations(range(k), ell)
-    else:
-        rng = np.random.default_rng(seed)
-        subsets = (
-            tuple(np.sort(rng.choice(k, size=ell, replace=False))) for _ in range(1000)
-        )
-    return max(_removal_violations(c, subsets)) <= 0.0
+    return max(_removal_violations(c, _removal_subsets(k, ell, seed))) <= 0.0
+
+
+def _removal_subsets(k: int, ell: int, seed: int) -> list:
+    """Every ell-column subset of k columns when there are at most 1000, else
+    a seeded sample of 1000, each sorted."""
+    if math.comb(k, ell) <= 1000:
+        return list(itertools.combinations(range(k), ell))
+    rng = np.random.default_rng(seed)
+    return [np.sort(rng.choice(k, size=ell, replace=False)) for _ in range(1000)]

@@ -64,16 +64,23 @@ class DenseMatrix:
         return DenseMatrix(self.array[:, idx])
 
     def column_norms(self) -> np.ndarray:
-        """Two-norm of each column, computed on the column divided by the power
-        of two at or below its largest entry, so squaring neither overflows
-        nor underflows; the scaling is exact, so in range the result has the
-        bits of ``np.linalg.norm(axis=0)``."""
-        top = np.max(np.abs(self.array), axis=0)
-        scale = np.ldexp(0.5, np.frexp(top)[1])
-        return np.linalg.norm(self.array / scale, axis=0) * scale
+        """Two-norm of each column, as ``column_norms`` computes it."""
+        return column_norms(self.array)
 
     def __repr__(self):
         return f"DenseMatrix({self.rows}x{self.cols})"
+
+
+def column_norms(arr: np.ndarray) -> np.ndarray:
+    """Two-norm of each column of an m x k array, or of each matrix of a
+    (B, m, k) stack, computed on the column divided by the power of two at or
+    below its largest entry, so squaring neither overflows nor underflows; the
+    scaling is exact, so in range the result has the bits of
+    ``np.linalg.norm(axis=-2)``, and a matrix of a stack gets the bits it
+    gets alone."""
+    top = np.max(np.abs(arr), axis=-2, keepdims=True)
+    scale = np.ldexp(0.5, np.frexp(top)[1])
+    return np.linalg.norm(arr / scale, axis=-2) * scale[..., 0, :]
 
 
 def concat_columns(left: DenseMatrix, right: DenseMatrix) -> DenseMatrix:

@@ -44,7 +44,6 @@ SELECT_JSON = json.dumps({"rows": len(_ROWS), "cols": len(_ROWS[0]),
 # lines whose recorded text may differ from today's output in rounding only,
 # as (case, line prefix) -> reason
 MAY_DIFFER = {
-    ("lemmas", "lemma=l_pi0 "): "l_pi0 reports its reconstruction error relative to max|C+|",
     ("eval-res-two", ""): "scalar residuals run the exact selector's arithmetic; "
                           "A against itself leaves ~1e-15 of rounding",
     ("eval-res-frobenius", ""): "as eval-res-two",
@@ -119,6 +118,13 @@ CASES += [
     ("lemmas", ["lemmas", "--trials", "3", "--seed", "4"], None),
     # the bench's trial count; seed 131 draws the ill-conditioned l_pi0 case
     ("lemmas-25-seed-131", ["lemmas", "--trials", "25", "--seed", "131"], None),
+    # seeds whose e_mean worst violation moves in the last bit if vol ** (2 / k)
+    # is taken as numpy's power instead of Python's
+    ("lemmas-25-seed-22", ["lemmas", "--trials", "25", "--seed", "22"], None),
+    ("lemmas-25-seed-49", ["lemmas", "--trials", "25", "--seed", "49"], None),
+    # several blocks of rounds
+    ("lemmas-200-seed-1-json", ["lemmas", "--trials", "200", "--seed", "1", "--format", "json"],
+     None),
 ]
 
 
