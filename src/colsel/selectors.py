@@ -6,18 +6,20 @@ rank.  Every subset of a chunk gets estimates from its k x k block of the
 shared Gram matrix A^T A, held in one ``GramSpectrum`` per chunk from which
 every criterion of the pass reads its band, so each power sum, sigma_1,
 sigma_k and det is formed once per chunk, whatever the number of criteria.
-A pass whose criteria are all Gram-invariant (vol, rvol, sopt, norm-two,
-and norm, pinv-norm, cond and srank at p = 2 or 4) or residuals fills it
-from one batched Cholesky of the chunk's blocks, with a bracket on each
-block's largest eigenvalue from repeated squaring where a criterion reads
-it, any other pass (p = 3, or sigma_k alone: every x3c pass; and a chunk
-whose blocks fail to factor) from one batched eigensolve.  Residual
-estimates come from one batched QR of the subsets' columns.  Only the
-subsets whose estimated value could be the chunk's best run through the
-vectorized LAPACK SVD that gives the reported values.  Each worker thread
-reduces every threads-th chunk on its own, and optima merge by (value,
-indices), so ties resolve to the lexicographically smallest index sequence
-at any thread count.
+The chunk's blocks are gathered once, as one (k, k, B) array.  A pass
+whose criteria are all Gram-invariant (vol, rvol, sopt, norm-two, and
+norm, pinv-norm, cond and srank at p = 2 or 4) or residuals fills the
+spectrum from a Cholesky factor of that array, formed a column of every
+block at a time, with a bracket on each block's largest eigenvalue from
+repeated squaring where a criterion reads it; a block that fails to
+factor leaves only its own row unproven, for the SVD to certify.  Any
+other pass (p = 3, or sigma_k alone: every x3c pass) fills it from one
+batched eigensolve.  Residual estimates come from one batched QR of the
+subsets' columns.  Only the subsets whose estimated value could be the
+chunk's best run through the vectorized LAPACK SVD that gives the reported
+values.  Each worker thread reduces every threads-th chunk on its own, and
+optima merge by (value, indices), so ties resolve to the lexicographically
+smallest index sequence at any thread count.
 
 The heuristic selectors (forward greedy for vol and res-frobenius, and the
 local swap) estimate every candidate from one rank-one projection of the
@@ -61,12 +63,13 @@ SCREEN_MARGIN = 1e-6
 RESIDUAL_SLACK = 1e-6
 ROUNDING = 1e-14
 # The subsets an exhaustive search may enumerate without allow_large.  On one
-# thread of a 2-vCPU x86 machine, at 12 rows, it scores 2.7e5 (k = 11) to
-# 1.2e6 (k = 2) subsets/s for vol, whose pass factors its Gram blocks, 1.6e5
-# at k = 11 for rvol, whose pass also brackets their largest eigenvalues, and
-# 5.9e4 to 9.4e4 for the residuals (k = 11, 6); the spectral pass of gap's 12
-# criteria, which solves for the blocks' eigenvalues, scores 1.0e5 to 1.2e5
-# at M = 8 (24 x 24, k = 8).  So a search within it takes at most about 17 s.
+# thread of a 2-vCPU x86 machine, at 12 rows, it scores 4.8e5 (k = 11) to
+# 3.5e6 (k = 2) subsets/s for vol, whose pass factors its Gram blocks, 4.5e5
+# at k = 11 for pinv-norm, whose pass also inverts the factor, 2.3e5 at
+# k = 11 for rvol, whose pass also brackets their largest eigenvalues, and
+# 1.1e5 to 2.0e5 for the residuals (k = 11, 6); the spectral pass of gap's 12
+# criteria, which solves for the blocks' eigenvalues, scores 1.6e5 at M = 8
+# (24 x 24, k = 8).  So a search within it takes at most about 10 s.
 MAX_EXHAUSTIVE_SUBSETS = 10**6
 _CHUNK_SIZE = 2048
 # _top_bracket's normalized squarings: the traces of H^16 and H^32
@@ -207,6 +210,15 @@ def _proven(m: int, k: int, top: np.ndarray, bottom: np.ndarray, rel: np.ndarray
     return np.where(proven, rel, np.nan), np.where(proven, high / low, np.inf)
 
 
+def _blocks(gram: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The rows' k x k blocks of ``gram`` as one (k, k, B) array, entry
+    (i, j, b) = gram[idx[b, i], idx[b, j]], so each entry of every block is
+    one contiguous vector over the chunk.  One gather, whose innermost
+    index runs over the chunk."""
+    cols = np.ascontiguousarray(idx.T)
+    return gram[cols[:, None, :], cols[None, :, :]]
+
+
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _gram_estimates(gram: np.ndarray, scale: float, m: int, idx: np.ndarray):
     """(spectrum, kappa): a ``GramSpectrum`` of the eigenvalues of each
@@ -226,7 +238,7 @@ def _gram_estimates(gram: np.ndarray, scale: float, m: int, idx: np.ndarray):
     """
     k = idx.shape[1]
     r = min(m, k)
-    lam = np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]])[:, ::-1][:, :r]
+    lam = np.linalg.eigvalsh(np.moveaxis(_blocks(gram, idx), -1, 0))[:, ::-1][:, :r]
     err = ROUNDING * (m + k) * k * lam[:, 0] + m * k * np.finfo(np.float64).smallest_normal
     lam = np.maximum(lam, 0.0)
     rel, kappa = _proven(m, k, np.sqrt(lam[:, 0]) * scale, np.sqrt(lam[:, -1]) * scale,
@@ -235,24 +247,43 @@ def _gram_estimates(gram: np.ndarray, scale: float, m: int, idx: np.ndarray):
     return GramSpectrum(rel, scale, k, eigenvalues=lam), kappa
 
 
-def _inverse_traces(lower: np.ndarray):
-    """(tr H^-1, tr H^-2) for each H = L L^T of a (B, k, k) stack of
-    lower-triangular factors L.
-
-    X = L^-1 is formed by forward substitution, one entry at a time, each
-    entry a vector over the stack; then tr H^-1 = ||X||_F^2 and
-    tr H^-2 = ||X^T X||_F^2, whose entry (i, j) sums X_li X_lj over l >= i, j.
+def _cholesky(h: np.ndarray) -> np.ndarray:
+    """Each block H of a (k, k, B) array ``h`` (``_blocks``) overwritten by
+    its lower-triangular factor L, L L^T = H, and returned; a column of
+    every block at a time: column j is c / sqrt(c_j), c = h[j:, j] - the
+    sum over l < j of L[j:, l] L[j, l].  A block whose pivot c_j is not
+    positive gets NaN from that column on; the other blocks are untouched
+    by it.
     """
-    k = lower.shape[1]
-    factor = np.moveaxis(lower, 0, -1)
-    x = {}
-    for i in range(k):
-        for j in range(i + 1):
-            known = sum(factor[i, l] * x[l, j] for l in range(j, i))
-            x[i, j] = ((i == j) - known) / factor[i, i]
-    return (sum(v**2 for v in x.values()),
-            sum((1 + (i != j)) * sum(x[l, i] * x[l, j] for l in range(i, k)) ** 2
-                for i in range(k) for j in range(i + 1)))
+    k = len(h)
+    for j in range(k):
+        col = h[j:, j] - np.einsum("ilb,lb->ib", h[j:, :j], h[j, :j])
+        h[j:, j] = col / np.sqrt(np.where(col[0] > 0.0, col[0], np.nan))
+    h[np.triu_indices(k, 1)] = 0.0
+    return h
+
+
+def _inverse_traces(lower: np.ndarray):
+    """(tr H^-1, tr H^-2) for each H = L L^T of a (k, k, B) array of
+    lower-triangular factors L (``_cholesky``), which is overwritten.
+
+    X = L^-1 takes L's place by forward substitution, a row of every block
+    at a time, X_i = (e_i - sum over l < i of L_il X_l) / L_ii.  Then
+    H^-1 = X^T X, whose entry (i, j) is the sum of X_li X_lj over
+    l >= i, j; it is formed a row at a time, j <= i, and
+    tr H^-2 = ||X^T X||_F^2 counts each entry off the diagonal twice.
+    """
+    x = lower
+    for i in range(len(x)):
+        x[i, :i] = -np.einsum("lb,ljb->jb", lower[i, :i], x[:i, :i]) / lower[i, i]
+        x[i, i] = 1.0 / lower[i, i]
+    first = second = 0.0
+    for i in range(len(x)):
+        row = np.einsum("lb,ljb->jb", x[i:, i], x[i:, :i + 1])  # (X^T X)_ij, j <= i
+        first = first + row[i]
+        row *= row
+        second = second + 2.0 * np.sum(row, axis=0) - row[i]
+    return first, second
 
 
 @np.errstate(divide="ignore", invalid="ignore", under="ignore")
@@ -309,12 +340,14 @@ def _top_bracket(h: np.ndarray):
 def _cholesky_estimates(gram: np.ndarray, scale: float, m: int, idx: np.ndarray, inverse: bool,
                         top: bool):
     """(spectrum, kappa) as ``_gram_estimates`` gives them, with the
-    spectrum's Cholesky invariants (NaN where rel is), from one batched
-    Cholesky L L^T of the rows' k x k blocks G_b of ``gram``, each shifted
-    to H = G_b + delta I; the traces of L^-1 are formed only when
-    ``inverse``, and the largest eigenvalue of H (``_top_bracket``, on the
-    gathered block once it is factored) only when ``top``.  Raises
-    LinAlgError when any block fails to factor.
+    spectrum's Cholesky invariants (NaN where rel is), from one (k, k, B)
+    array of the rows' k x k blocks G_b of ``gram`` (``_blocks``), each
+    shifted to H = G_b + delta I and factored L L^T = H a column of every
+    block at a time (``_cholesky``); the traces of L^-1 are formed only
+    when ``inverse``, and the largest eigenvalue of H (``_top_bracket``, on
+    a (B, k, k) copy of the shifted blocks) only when ``top``.  A block
+    whose pivot is not positive gets a NaN factor, so its row alone is
+    unproven (NaN rel) and goes to the SVD.
 
     The width.  delta = ROUNDING * (m + k) * k * tr G_b (plus the underflow
     term) is the bound of ``_gram_estimates`` with tr G_b for sigma_1^2
@@ -327,7 +360,8 @@ def _cholesky_estimates(gram: np.ndarray, scale: float, m: int, idx: np.ndarray,
     k^2 eps lambda_1(H), and ROUNDING is about 45 eps).  The computed L is
     the exact factor of H + E with ||E||_2 <= (k + 1) eps tr H / (1 -
     (k + 1) eps) <= delta (Cholesky backward error; Higham, Accuracy and
-    Stability of Numerical Algorithms, Thm 10.3), so the eigenvalues nu_i of
+    Stability of Numerical Algorithms, Thm 10.3, which holds for any order
+    of the sums in ``_cholesky``'s columns), so the eigenvalues nu_i of
     L L^T, which ``root_det`` = prod diag L and the inverse traces describe,
     lie within [sigma_i^2 - delta, sigma_i^2 + 3 delta], while tr H and
     ||H||_F^2 hold H's own.  For nu_low <= every nu_i, rel = 4 delta / nu_low
@@ -353,27 +387,25 @@ def _cholesky_estimates(gram: np.ndarray, scale: float, m: int, idx: np.ndarray,
     and kappa take sqrt(tr H) for sigma_1 and sqrt(nu_low) for sigma_k.
     """
     k = idx.shape[1]
-    block = gram[idx[:, :, None], idx[:, None, :]]
-    trace = np.einsum("bii->b", block)
+    h = _blocks(gram, idx)
+    diagonal = h.reshape(k * k, -1)[:: k + 1]  # a view of every block's diagonal
+    trace = np.sum(diagonal, axis=0)
     delta = ROUNDING * (m + k) * k * trace + m * k * np.finfo(np.float64).smallest_normal
-    block[:, range(k), range(k)] += delta[:, None]
-    traces = {1: trace + k * delta, 2: np.einsum("bij,bij->b", block, block)}
-    lower = np.linalg.cholesky(block)
-    if not top:
-        del block  # the factor replaces the block in memory
-    pivots = np.diagonal(lower, axis1=1, axis2=2)
-    root_det = np.prod(pivots, axis=1)
-    if inverse:
+    diagonal += delta
+    traces = {1: trace + k * delta, 2: np.einsum("ijb,ijb->b", h, h)}
+    spread, largest = 0.0, None  # r and s^2 of the largest eigenvalue's bracket
+    if top:
+        low1, high1 = np.sqrt(_top_bracket(np.moveaxis(h, -1, 0).copy()))
+        spread, largest = (high1 - low1) / (high1 + low1), ((low1 + high1) / 2.0) ** 2
+    lower = _cholesky(h)
+    pivots = lower.reshape(k * k, -1)[:: k + 1]
+    root_det = np.prod(pivots, axis=0)
+    if inverse:  # the inverse takes the factor's place
         traces[-1], traces[-2] = _inverse_traces(lower)
         low = 1.0 / traces[-1]
     else:
-        d = np.einsum("bij,bij->bi", lower, lower)
-        low = np.min(d, axis=1) * np.prod(pivots**2 / d, axis=1) * ((k - 1) / k) ** (k - 1)
-    del lower, pivots  # the bracket's squarings take the factor's place
-    spread, largest = 0.0, None  # r and s^2 of the largest eigenvalue's bracket
-    if top:
-        low1, high1 = np.sqrt(_top_bracket(block))
-        spread, largest = (high1 - low1) / (high1 + low1), ((low1 + high1) / 2.0) ** 2
+        d = np.einsum("ilb,ilb->ib", lower, lower)
+        low = np.min(d, axis=0) * np.prod(pivots**2 / d, axis=0) * ((k - 1) / k) ** (k - 1)
     rel, kappa = _proven(m, k, np.sqrt(traces[1]) * scale, np.sqrt(low) * scale,
                          4.0 * delta / low + spread)
     unproven = np.isnan(rel)
@@ -391,19 +423,16 @@ def _chunk_bands(gram: np.ndarray, scale: float, m: int, col_norms: np.ndarray, 
     factored (``_cholesky_estimates``, with the inverse's traces only for
     pinv-norm and cond, and the bracket on the largest eigenvalue only for
     rvol, norm-two and srank) when every spec is ``gram_invariant`` or a
-    residual and every block factors; otherwise their eigenvalues are solved
-    for (``_gram_estimates``).
+    residual, a block that fails to factor leaving only its own row
+    unproven; otherwise their eigenvalues are solved for
+    (``_gram_estimates``).
     """
-    spectrum = None
     if all(spec.gram_invariant or spec.residual_norm for spec in specs):
         inverse = any(spec.kind in ("pinv-norm", "cond") for spec in specs)
         top = any(spec.kind in ("rvol", "srank") or spec.kind == "norm" and spec.p == math.inf
                   for spec in specs)
-        try:
-            spectrum, kappa = _cholesky_estimates(gram, scale, m, idx, inverse, top)
-        except np.linalg.LinAlgError:
-            pass
-    if spectrum is None:
+        spectrum, kappa = _cholesky_estimates(gram, scale, m, idx, inverse, top)
+    else:
         spectrum, kappa = _gram_estimates(gram, scale, m, idx)
     norms = {spec.residual_norm for spec in specs} - {None}
     residual = _residual_bands(basis, scale, idx, kappa, norms) if norms else {}

@@ -158,6 +158,19 @@ class TestRemovalMonotonicity:
         c = DenseMatrix(rng.standard_normal((16, 14)))
         assert check_removal_monotonicity(c, 7, seed=1) is True
 
+    # C(14, 4) = 1,001 is one above the sample size, and C(70, 35) and
+    # C(100, 50) are above the 2**62 ranks drawn without replacement
+    @pytest.mark.parametrize("k, ell, seed", [(14, 7, 1), (14, 4, 0), (16, 8, 3), (70, 35, 2),
+                                              (100, 50, 5), (200, 3, 4)])
+    def test_sampled_subsets_are_distinct_and_sorted(self, k, ell, seed):
+        subsets = _removal_subsets(k, ell, seed)
+        assert len(subsets) == len(set(subsets)) == 1000
+        assert all(len(s) == ell and 0 <= s[0] and s[-1] < k for s in subsets)
+        assert all(a < b for s in subsets for a, b in zip(s, s[1:]))
+        assert subsets == sorted(subsets)
+        assert len({s[0] for s in subsets}) > 1
+        assert _removal_subsets(k, ell, seed) == subsets
+
 
 def per_subset_violations(c, subsets):
     """The removal violations with one ``values`` call per subset."""

@@ -231,16 +231,16 @@ def test_svd_runs_on_few_subsets(ident, svd_rows):
     assert 0 < sum(svd_rows) <= result.subsets_evaluated // 100
 
 
-def _recording(monkeypatch, name):
-    """The shapes of the arrays passed to ``np.linalg.<name>`` from now on."""
+def _recording(monkeypatch, name, module=np.linalg):
+    """The shapes of the arrays passed to ``module.<name>`` from now on."""
     shapes = []
-    real = getattr(np.linalg, name)
+    real = getattr(module, name)
 
     def recording(a, *args, **kwargs):
         shapes.append(np.shape(a))
         return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, name, recording)
+    monkeypatch.setattr(module, name, recording)
     return shapes
 
 
@@ -264,7 +264,7 @@ def test_wrong_estimates_fall_back_to_scoring_every_subset(ident, corrupt, monke
     monkeypatch.setattr(selectors, "batch_bands", lambda *args: corrupt(real(*args)))
     monkeypatch.setattr(selectors, "_residual_bands", lambda *args: {
         norm: corrupt(band) for norm, band in real_residual(*args).items()})
-    factored = _recording(monkeypatch, "cholesky")
+    factored = _recording(monkeypatch, "_cholesky", selectors)
     make, k = CASES["gaussian-0"]
     spec = parse_criterion(ident)
     assert _select_outcome(DenseMatrix(make()), k, spec) == _expected("gaussian-0", spec)
@@ -272,23 +272,32 @@ def test_wrong_estimates_fall_back_to_scoring_every_subset(ident, corrupt, monke
     assert factored and (spec.gram_invariant or spec.residual_norm is not None)
 
 
+@pytest.mark.parametrize("threads", (1, 3))
+# every block of a chunk, or every other one, is made to fail its first pivot
+@pytest.mark.parametrize("stride", (1, 2), ids=("every", "alternate"))
 @pytest.mark.parametrize("case", ("gaussian-0", "duplicated", "scale-1e-150"))
-def test_a_failed_cholesky_falls_back_to_the_eigenvalues(case, monkeypatch):
-    # numpy's stacked cholesky raises when any block of a chunk fails to
-    # factor; that chunk is then estimated by eigvalsh
+def test_failed_pivots_are_certified_by_the_svd(case, stride, threads, monkeypatch, svd_rows):
+    # a block whose pivot is not positive leaves its own row unproven (NaN
+    # rel), and that row is certified by the SVD; no chunk falls back to
+    # eigvalsh, and a row that fails does not disturb its chunk's others
+    real = selectors._cholesky
     calls = []
 
-    def failing(a, *args, **kwargs):
-        calls.append(a.shape)
-        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    def failing(h):
+        calls.append(h.shape)
+        return real(np.where(np.arange(h.shape[-1]) % stride == 0, -h, h))
 
-    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    monkeypatch.setattr(selectors, "_cholesky", failing)
+    solved = _recording(monkeypatch, "eigvalsh")
     make, k = CASES[case]
     matrix = DenseMatrix(make())
     for ident in CRITERIA:
         spec = parse_criterion(ident)
-        assert _select_outcome(matrix, k, spec) == _expected(case, spec)
-    assert calls
+        svd_rows.clear()
+        assert _select_outcome(matrix, k, spec, threads) == _expected(case, spec)
+        if stride == 1:
+            assert sum(svd_rows) >= math.comb(matrix.cols, k), spec
+    assert calls and not solved
 
 
 def _specs(*idents):
@@ -301,7 +310,7 @@ def test_only_passes_without_a_spectral_criterion_factor(monkeypatch):
     # estimates and never factors, x3c's passes included; a pass of
     # Gram-invariant criteria and residuals never calls eigvalsh at all,
     # res-two's tail Grams included
-    factored = _recording(monkeypatch, "cholesky")
+    factored = _recording(monkeypatch, "_cholesky", selectors)
     solved = _recording(monkeypatch, "eigvalsh")
     matrix, k = DenseMatrix(_gaussian(0)), 5
     for specs in (_specs("pinv-norm:p=3"), _specs("srank:p=3"), _specs("pinv-norm-two"),
@@ -388,6 +397,96 @@ def test_top_bracket_holds_the_largest_eigenvalue(family, seed):
             assert np.allclose(hi / lo, d ** (1 / 32), rtol=1e-12, atol=0.0)
         if family == "gap-0.5":
             assert np.all(hi <= lo * math.exp((d - 1) * 0.5**16 / 16) * (1.0 + slack))
+
+
+def _spd_stacks(k, seed, count=256):
+    """(k, k, count) arrays of symmetric positive definite blocks, one per
+    family: Gaussian Grams, Grams of columns scaled by 10^U(-3, 3), and
+    Grams of rank k - 1 (1 at k = 1) shifted as ``_cholesky_estimates``
+    shifts them."""
+    rng = np.random.default_rng(seed)
+    gaussian = _grams(rng.standard_normal((count, k + 3, k)))
+    scaled = _grams(rng.standard_normal((count, k + 3, k)) * 10.0 ** rng.uniform(-3, 3, k))
+    rank = max(k - 1, 1)
+    singular = _grams(rng.standard_normal((count, k + 3, rank)) @ rng.standard_normal((count, rank, k)))
+    trace = np.trace(singular, axis1=1, axis2=2)
+    singular += (selectors.ROUNDING * (12 + k) * k * trace)[:, None, None] * np.eye(k)
+    return [np.ascontiguousarray(np.moveaxis(h, 0, -1)) for h in (gaussian, scaled, singular)]
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("k", (1, 2, 6, 11))
+def test_column_cholesky_reproduces_each_block(k, seed):
+    # L is lower triangular with a positive diagonal, and L L^T is within
+    # the backward error (k + 1) eps tr H of each block in the two-norm
+    # (Higham, Thm 10.3), which also holds the rounding of the product
+    eps = np.finfo(np.float64).eps
+    for h in _spd_stacks(k, seed):
+        lower = selectors._cholesky(h.copy())
+        assert lower.shape == h.shape
+        assert np.all(lower[np.triu_indices(k, 1)] == 0.0)
+        assert np.all(np.diagonal(lower).T > 0.0)
+        error = np.einsum("ilb,jlb->bij", lower, lower) - np.moveaxis(h, -1, 0)
+        bound = (k + 1) * eps * np.einsum("iib->b", h)
+        assert np.all(np.linalg.norm(error, 2, axis=(1, 2)) <= bound)
+
+
+@pytest.mark.parametrize("k", (1, 2, 6, 11))
+def test_inverse_traces_match_the_inverse(k):
+    # tr H^-1 and tr H^-2 from the forward substitution against those of
+    # numpy's inverse of L L^T, on the Gaussian Grams, within
+    # 4 k eps kappa^2 of either
+    eps = np.finfo(np.float64).eps
+    h = _spd_stacks(k, 0)[0]
+    lower = selectors._cholesky(h.copy())
+    product = np.einsum("ilb,jlb->bij", lower, lower)
+    inverse = np.linalg.inv(product)
+    tolerance = 4 * k * eps * np.linalg.cond(product) ** 2
+    first, second = selectors._inverse_traces(lower.copy())
+    assert np.all(np.abs(first / np.trace(inverse, axis1=1, axis2=2) - 1.0) <= tolerance)
+    assert np.all(np.abs(second / np.sum(inverse**2, axis=(1, 2)) - 1.0) <= tolerance)
+
+
+@pytest.mark.parametrize("case", ("duplicated", "rank-k-1", "wide", "k-above-m", "scale-1e-150",
+                                  "x3c-true"))
+def test_every_shifted_block_of_a_gram_factors(case, monkeypatch):
+    # the shift by the rounding bound keeps each block's eigenvalues at or
+    # above it, so no pivot of a Gram's block fails, singular blocks included
+    real = selectors._cholesky
+    factors = []
+
+    def recording(h):
+        factors.append(real(h))
+        return factors[-1]
+
+    monkeypatch.setattr(selectors, "_cholesky", recording)
+    make, k = CASES[case]
+    exact_optima(DenseMatrix(make()), k, _specs("vol"))
+    assert factors and not any(np.isnan(factor).any() for factor in factors)
+
+
+@pytest.mark.parametrize("inverse, top", itertools.product((False, True), repeat=2))
+def test_a_row_is_unproven_exactly_where_its_pivot_fails(inverse, top):
+    # columns 0 and 1 of a Gram made indefinite: every block holding both
+    # fails its second pivot and no other block fails, so the chunk mixes
+    # both kinds; NaN runs from the failing pivot on, and the row's rel is
+    # NaN exactly where a pivot failed
+    make, k = CASES["gaussian-0"]
+    matrix = DenseMatrix(make())
+    unit, scale = selectors._unit_scaled(matrix.array)
+    gram = unit.T @ unit
+    gram[0, 1] = gram[1, 0] = 3.0 * math.sqrt(gram[0, 0] * gram[1, 1])
+    mixed = 0
+    for idx in selectors._index_chunks(matrix.cols, k):
+        fails = (idx[:, 0] == 0) & (idx[:, 1] == 1)
+        pivots = np.diagonal(selectors._cholesky(selectors._blocks(gram, idx))).T
+        assert np.array_equal(np.isnan(pivots).any(axis=0), fails)
+        assert np.all(np.isnan(pivots[1:, fails])) and np.all(pivots[0, fails] > 0.0)
+        spectrum, kappa = selectors._cholesky_estimates(gram, scale, matrix.rows, idx, inverse, top)
+        assert np.array_equal(np.isnan(spectrum.rel), fails)
+        assert np.array_equal(np.isinf(kappa), fails)
+        mixed += fails.any() and not fails.all()
+    assert mixed
 
 
 # the CASES families by seed, and their k
