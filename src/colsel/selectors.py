@@ -2,7 +2,10 @@
 
 The exact selector enumerates all C(n, k) subsets in lexicographic order,
 in chunks of stacked submatrices, each unranked in closed form from its first
-rank.  Every subset of a chunk gets estimates from its k x k block of the
+rank.  A chunk holds as many subsets as fit in a per-worker byte budget
+(``_CHUNK_BYTES``, counted by ``_chunk_bytes`` from the arrays the pass
+holds at once), so a pass of small arrays takes few large chunks and few
+numpy calls.  Every subset of a chunk gets estimates from its k x k block of the
 shared Gram matrix A^T A, held in one ``GramSpectrum`` per chunk from which
 every criterion of the pass reads its band, so each power sum, sigma_1,
 sigma_k and det is formed once per chunk, whatever the number of criteria.
@@ -17,9 +20,11 @@ other pass (p = 3, or sigma_k alone: every x3c pass) fills it from one
 batched eigensolve.  Residual estimates come from one batched QR of the
 subsets' columns.  Only the subsets whose estimated value could be the
 chunk's best run through the vectorized LAPACK SVD that gives the reported
-values.  Each worker thread reduces every threads-th chunk on its own, and
-optima merge by (value, indices), so ties resolve to the lexicographically
-smallest index sequence at any thread count.
+values, in slices within the same budget (``_score_bytes``).  Each worker
+thread reduces every workers-th chunk on its own, the workers being the
+threads asked for but never more than the chunks, and optima merge by
+(value, indices), so ties resolve to the lexicographically smallest index
+sequence at any thread count.
 
 The heuristic selectors (forward greedy for vol and res-frobenius, and the
 local swap) estimate every candidate from one rank-one projection of the
@@ -63,15 +68,21 @@ SCREEN_MARGIN = 1e-6
 RESIDUAL_SLACK = 1e-6
 ROUNDING = 1e-14
 # The subsets an exhaustive search may enumerate without allow_large.  On one
-# thread of a 2-vCPU x86 machine, at 12 rows, it scores 4.8e5 (k = 11) to
-# 3.5e6 (k = 2) subsets/s for vol, whose pass factors its Gram blocks, 4.5e5
-# at k = 11 for pinv-norm, whose pass also inverts the factor, 2.3e5 at
-# k = 11 for rvol, whose pass also brackets their largest eigenvalues, and
-# 1.1e5 to 2.0e5 for the residuals (k = 11, 6); the spectral pass of gap's 12
-# criteria, which solves for the blocks' eigenvalues, scores 1.6e5 at M = 8
-# (24 x 24, k = 8).  So a search within it takes at most about 10 s.
+# thread of a 2-vCPU x86 machine (4 MiB L2), at 12 rows, it scores 7.1e5
+# (12 x 20, k = 11) to 4.6e6 (12 x 1000, k = 2) subsets/s for vol, whose pass
+# factors its Gram blocks, 4.8e5 at k = 11 for pinv-norm, whose pass also
+# inverts the factor, 2.4e5 at k = 11 for rvol, whose pass also brackets
+# their largest eigenvalues, and 0.9e5 to 1.5e5 for the residuals (k = 11,
+# 6); the spectral pass of gap's 12 criteria, which solves for the blocks'
+# eigenvalues, scores 1.3e5 at M = 8 (24 x 24, k = 8).  These are the best
+# of several runs; the host's load moves single runs by up to a third.  So
+# a search within it takes at most about 11 s.
 MAX_EXHAUSTIVE_SUBSETS = 10**6
-_CHUNK_SIZE = 2048
+# The bytes one exact-search worker's chunk may hold in its arrays
+# (_chunk_bytes), and one certification slice in its stacks (_score_bytes):
+# a pass holds 0.74 to 1.21 times it at 12 x 20, k = 6 and x3c's M = 6
+# (tracemalloc, tests/test_chunk_budget.py).
+_CHUNK_BYTES = 4 * 2**20
 # _top_bracket's normalized squarings: the traces of H^16 and H^32
 _SQUARINGS = 5
 
@@ -132,10 +143,14 @@ class DecisionOutcome:
     witness: ColumnSubset | None
 
 
-def _index_chunks(n: int, k: int, chunk_size: int = _CHUNK_SIZE, first: int = 0, stride: int = 1):
+def _index_chunks(n: int, k: int, chunk_size: int, first: int = 0, stride: int = 1,
+                  extra: int = 0):
     """Chunks ``first``, ``first + stride``, ... of the k-combinations of
     range(n) in lexicographic order, as (rows, k) index arrays of
-    ``chunk_size`` rows (the last chunk may be shorter).
+    ``chunk_size`` rows, one more in each of the first ``extra`` chunks; the
+    last chunk may be shorter, and no chunk is empty.  (chunk_size, extra) =
+    divmod(C(n, k), c) cuts them into c chunks (fewer when c > C(n, k)) whose
+    sizes differ by at most one.
 
     Each chunk is unranked in closed form (combinatorial number system): the
     combination of lexicographic rank r is j -> n - 1 - j applied to the one
@@ -146,8 +161,12 @@ def _index_chunks(n: int, k: int, chunk_size: int = _CHUNK_SIZE, first: int = 0,
     total = math.comb(n, k)
     table = np.array([[min(math.comb(c, j), total) for c in range(n)] for j in range(k, 0, -1)],
                      dtype=np.int64)
-    for start in range(first * chunk_size, total, stride * chunk_size):
-        rank = total - 1 - np.arange(start, min(start + chunk_size, total), dtype=np.int64)
+    for i in range(first, total, stride):
+        start = i * chunk_size + min(i, extra)
+        if start >= total:
+            break
+        stop = min(start + chunk_size + (i < extra), total)
+        rank = total - 1 - np.arange(start, stop, dtype=np.int64)
         chunk = np.empty((len(rank), k), dtype=np.intp)
         for pos, row in enumerate(table):
             c = np.searchsorted(row, rank, side="right") - 1
@@ -157,8 +176,9 @@ def _index_chunks(n: int, k: int, chunk_size: int = _CHUNK_SIZE, first: int = 0,
 
 
 def _stack(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """The (B, m, k) stack of submatrices a[:, idx[b]]."""
-    return np.ascontiguousarray(np.moveaxis(a[:, idx], 1, 0))
+    """The (B, m, k) stack of submatrices a[:, idx[b]], a view of one gather
+    of their columns."""
+    return np.swapaxes(a.T[idx], 1, 2)
 
 
 def _batch_stats(sub: np.ndarray):
@@ -170,8 +190,35 @@ def _batch_stats(sub: np.ndarray):
     return sigma, ranks == k
 
 
+def _score_bytes(m: int, n: int, k: int, specs) -> int:
+    """Bytes per subset of the largest arrays ``_batch_scores`` forms for
+    ``specs`` on an m x n matrix: the (B, m, k) stack and four (B, k)
+    vectors of singular values and their powers, and for the residuals the
+    SVD's U (B, m, k), U^T A (B, k, n), and the (B, m, n) product and
+    residual."""
+    floats = m * k + 4 * k
+    if any(spec.residual_norm for spec in specs):
+        floats += m * k + k * n + 2 * m * n
+    return 8 * floats
+
+
 def _batch_scores(a: np.ndarray, col_norms: np.ndarray, idx: np.ndarray, specs):
-    """(values, valid) per spec for the subsets in ``idx``.
+    """(values, valid) per spec for the subsets in ``idx``, scored in the
+    fewest slices of at most ``_CHUNK_BYTES`` (``_score_bytes``), with sizes
+    at most one apart, so a rescore of a whole chunk stays within the
+    budget.  Every subset's SVD is its own, so the slices change no bit of
+    the result.
+    """
+    rows = max(1, _CHUNK_BYTES // _score_bytes(*a.shape, idx.shape[1], specs))
+    if len(idx) <= rows:
+        return _slice_scores(a, col_norms, idx, specs)
+    parts = [_slice_scores(a, col_norms, part, specs)
+             for part in np.array_split(idx, -(-len(idx) // rows))]
+    return [tuple(map(np.concatenate, zip(*spec_parts))) for spec_parts in zip(*parts)]
+
+
+def _slice_scores(a: np.ndarray, col_norms: np.ndarray, idx: np.ndarray, specs):
+    """``_batch_scores`` of one slice.
 
     The singular-value criteria share one values-only batched SVD; each
     residual takes the SVD with U instead.  An SVD runs only when a spec
@@ -414,6 +461,50 @@ def _cholesky_estimates(gram: np.ndarray, scale: float, m: int, idx: np.ndarray,
     return GramSpectrum(rel, scale, k, root_det=root_det, traces=traces, top=largest), kappa
 
 
+def _factored_parts(specs):
+    """How ``_chunk_bands`` bands a pass over ``specs``: None when it solves
+    for the blocks' eigenvalues, and otherwise (inverse, top) for its
+    Cholesky factors, whether it also forms the inverse's traces
+    (pinv-norm, cond) and the bracket on the largest eigenvalue (rvol,
+    norm-two, srank)."""
+    if not all(spec.gram_invariant or spec.residual_norm for spec in specs):
+        return None
+    return (any(spec.kind in ("pinv-norm", "cond") for spec in specs),
+            any(spec.kind in ("rvol", "srank") or spec.kind == "norm" and spec.p == math.inf
+                for spec in specs))
+
+
+def _chunk_bytes(m: int, n: int, k: int, specs) -> int:
+    """Bytes per subset of the arrays one chunk of a pass over ``specs`` on
+    an m x n matrix holds at once, certification slices aside
+    (``_score_bytes``).  The estimates hold the (k, k, B) blocks, with
+    ``_top_bracket``'s two (B, k, k) buffers on a factored pass that
+    brackets the largest eigenvalue.  The residuals, once the estimates are
+    formed, hold the (B, m', m') complete Q of ``_residual_bands``,
+    m' = min(m, n) being the rows of ``_residual_basis``, beside the larger
+    of three arrays of the (B, m', k) stack's size (the stack, the QR's
+    working copy and its R) and the (B, m' - k, n) tail.  Throughout, a
+    chunk holds four (B, k) arrays (its indices, their transpose, their
+    column norms and the certified rows' copy) and four (B,) vectors per
+    spec: its band (estimate, width) and the band stacked
+    (``_screened_best``)."""
+    parts = _factored_parts(specs)
+    floats = k * k * (3 if parts and parts[1] else 1)
+    if any(spec.residual_norm for spec in specs):
+        rows = min(m, n)
+        floats = max(floats, rows * rows + max(3 * rows * k, max(rows - k, 0) * n))
+    return 8 * (floats + 4 * k + 4 * len(specs))
+
+
+def _chunk_plan(total: int, rows: int, threads: int):
+    """(workers, chunks) for ``total`` subsets: the fewest chunks of at most
+    ``rows`` subsets, rounded up to a multiple of the workers, which are
+    ``threads`` but never more than those fewest chunks."""
+    needed = -(-total // rows)
+    workers = min(threads, needed)
+    return workers, workers * -(-needed // workers)
+
+
 def _chunk_bands(gram: np.ndarray, scale: float, m: int, col_norms: np.ndarray, basis,
                  idx: np.ndarray, specs):
     """Each spec's band (estimate, width) of the m x k submatrices a[:, idx[b]]:
@@ -427,13 +518,11 @@ def _chunk_bands(gram: np.ndarray, scale: float, m: int, col_norms: np.ndarray, 
     unproven; otherwise their eigenvalues are solved for
     (``_gram_estimates``).
     """
-    if all(spec.gram_invariant or spec.residual_norm for spec in specs):
-        inverse = any(spec.kind in ("pinv-norm", "cond") for spec in specs)
-        top = any(spec.kind in ("rvol", "srank") or spec.kind == "norm" and spec.p == math.inf
-                  for spec in specs)
-        spectrum, kappa = _cholesky_estimates(gram, scale, m, idx, inverse, top)
-    else:
+    parts = _factored_parts(specs)
+    if parts is None:
         spectrum, kappa = _gram_estimates(gram, scale, m, idx)
+    else:
+        spectrum, kappa = _cholesky_estimates(gram, scale, m, idx, *parts)
     norms = {spec.residual_norm for spec in specs} - {None}
     residual = _residual_bands(basis, scale, idx, kappa, norms) if norms else {}
     cn = col_norms[idx]
@@ -489,10 +578,16 @@ def exact_optima(matrix: DenseMatrix, k: int, specs, threads: int = 1, allow_lar
     rows for all specs (``_screened_best``), so optima, witnesses and the
     count equal those of an SVD of every subset.
 
-    Each of ``threads`` workers unranks and reduces every ``threads``-th
-    chunk (``_index_chunks``) on its own, and the workers' optima merge by
-    (value, indices) (``_better``): the witness is the lexicographically
-    smallest optimal subset at any thread count.
+    A chunk holds as many subsets as fit in ``_CHUNK_BYTES`` of the arrays
+    the pass holds at once (``_chunk_bytes``).  The workers are
+    ``threads``, but never more than the chunks that budget needs, so no
+    thread starts without a chunk; the chunk count is rounded up to a
+    multiple of the workers, with sizes that differ by at most one
+    (``_chunk_plan``).  Each worker unranks and
+    reduces every workers-th chunk (``_index_chunks``) on its own, and the
+    workers' optima merge by (value, indices) (``_better``): the witness is
+    the lexicographically smallest optimal subset at any thread count and
+    any chunk size.
 
     Before any of this work, ``check_exhaustive`` rejects a search over more
     than ``MAX_EXHAUSTIVE_SUBSETS`` subsets unless ``allow_large`` is set, and
@@ -511,18 +606,23 @@ def exact_optima(matrix: DenseMatrix, k: int, specs, threads: int = 1, allow_lar
     unit, scale = _unit_scaled(a)
     gram = unit.T @ unit
     basis = _residual_basis(unit) if any(spec.residual_norm for spec in specs) else None
+    total = math.comb(n, k)
+    rows = max(1, _CHUNK_BYTES // _chunk_bytes(*a.shape, k, specs))
+    workers, chunks = _chunk_plan(total, rows, threads)
+    size, extra = divmod(total, chunks)
 
     def chunk_optima(idx):
         bands = _chunk_bands(gram, scale, a.shape[0], col_norms, basis, idx, specs)
         return _screened_best(a, col_norms, idx, specs, bands)
 
     def reduce_stride(first):
-        return _merged(map(chunk_optima, _index_chunks(n, k, first=first, stride=threads)), maximize)
+        strided = _index_chunks(n, k, size, first, workers, extra)
+        return _merged(map(chunk_optima, strided), maximize)
 
-    if threads == 1:
-        return reduce_stride(0), math.comb(n, k)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return _merged(pool.map(reduce_stride, range(threads)), maximize), math.comb(n, k)
+    if workers == 1:
+        return reduce_stride(0), total
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return _merged(pool.map(reduce_stride, range(workers)), maximize), total
 
 
 def select_exact(matrix: DenseMatrix, k: int, criterion: CriterionSpec,

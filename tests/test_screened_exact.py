@@ -88,7 +88,7 @@ def _reduction(instance):
     return x3c.reduce(instance).matrix.array
 
 
-# name -> (matrix, k); 9 x 15 with k = 5 is 3,003 subsets, two chunks
+# name -> (matrix, k); 9 x 15 with k = 5 is 3,003 subsets, one or two chunks
 CASES = {
     **{f"gaussian-{s}": (lambda s=s: _gaussian(s), 5) for s in (0, 1)},
     "duplicated": (lambda: _duplicated(2), 5),
@@ -477,7 +477,7 @@ def test_a_row_is_unproven_exactly_where_its_pivot_fails(inverse, top):
     gram = unit.T @ unit
     gram[0, 1] = gram[1, 0] = 3.0 * math.sqrt(gram[0, 0] * gram[1, 1])
     mixed = 0
-    for idx in selectors._index_chunks(matrix.cols, k):
+    for idx in selectors._index_chunks(matrix.cols, k, 2048):
         fails = (idx[:, 0] == 0) & (idx[:, 1] == 1)
         pivots = np.diagonal(selectors._cholesky(selectors._blocks(gram, idx))).T
         assert np.array_equal(np.isnan(pivots).any(axis=0), fails)
@@ -518,7 +518,7 @@ def test_cholesky_bands_hold_the_svd_value(family, scale):
         a, col_norms = matrix.array, matrix.column_norms()
         unit, unit_scale = selectors._unit_scaled(a)
         basis = selectors._residual_basis(unit)
-        for idx in selectors._index_chunks(matrix.cols, k):
+        for idx in selectors._index_chunks(matrix.cols, k, 2048):
             scores = _batch_scores(a, col_norms, idx, specs)
             for estimator in ("cholesky", "cholesky-inverse", "cholesky-top", "cholesky-inverse-top"):
                 spectrum, kappa = _estimates(matrix, idx, estimator)
@@ -586,7 +586,7 @@ def test_eigenvalue_bands_hold_the_svd_value(family, scale):
     for seed in range(2):
         matrix = DenseMatrix(make(seed) * scale)
         a, col_norms = matrix.array, matrix.column_norms()
-        for idx in selectors._index_chunks(matrix.cols, k):
+        for idx in selectors._index_chunks(matrix.cols, k, 2048):
             spectrum, kappa = _estimates(matrix, idx)
             bands = _chunk_bands(specs, spectrum, kappa, matrix, idx)
             for spec, (vals, _), (estimate, width) in zip(
@@ -615,7 +615,7 @@ def test_a_shared_spectrum_bands_as_one_spec_passes_do(case, estimator):
     matrix = DenseMatrix(make())
     specs = SHARED_PASSES[estimator]
     compared = 0
-    for idx in selectors._index_chunks(matrix.cols, k):
+    for idx in selectors._index_chunks(matrix.cols, k, 2048):
         shared = _chunk_bands(specs, *_estimates(matrix, idx, estimator), matrix, idx)
         for spec, (estimate, width) in zip(specs, shared):
             ((alone, alone_width),) = _chunk_bands([spec], *_estimates(matrix, idx, estimator),
@@ -643,7 +643,7 @@ def test_estimates_prove_full_rank_only_where_the_svd_finds_it(case, estimator):
     # such row must be full rank for the SVD, since it may set the cut
     make, k = CASES[case]
     matrix = DenseMatrix(make())
-    for idx in selectors._index_chunks(matrix.cols, k):
+    for idx in selectors._index_chunks(matrix.cols, k, 2048):
         spectrum, kappa = _estimates(matrix, idx, estimator)
         sigma, full = selectors._batch_stats(selectors._stack(matrix.array, idx))
         proven = ~np.isnan(spectrum.rel)
@@ -671,7 +671,7 @@ def test_bands_are_not_finite_exactly_where_full_rank_is_not_proven(family, esti
     for seed in range(2):
         matrix = DenseMatrix(make(seed) * scale)
         col_norms = matrix.column_norms()
-        for idx in selectors._index_chunks(matrix.cols, k):
+        for idx in selectors._index_chunks(matrix.cols, k, 2048):
             spectrum, _ = _estimates(matrix, idx, estimator)
             unproven = np.isnan(spectrum.rel)
             unproven_rows += np.count_nonzero(unproven)
@@ -714,7 +714,7 @@ def test_rank_deficient_best_estimate_is_not_the_witness(ident, estimator):
     make, k = CASES["duplicated"]
     matrix = DenseMatrix(make())
     spec = parse_criterion(ident)
-    idx = next(selectors._index_chunks(matrix.cols, k))
+    idx = next(selectors._index_chunks(matrix.cols, k, 2048))
     spectrum, _ = _estimates(matrix, idx, estimator)
     estimate, _ = selectors.batch_bands(spec, spectrum, matrix.column_norms()[idx])
     ((_, valid),) = _batch_scores(matrix.array, matrix.column_norms(), idx, [spec])
@@ -741,36 +741,62 @@ def test_rank_deficient_rows_are_certified_for_the_residuals(ident, monkeypatch)
     spec = parse_criterion(ident)
     assert _select_outcome(matrix, k, spec) == _expected("duplicated", spec)
     deficient = set()
-    for idx in selectors._index_chunks(matrix.cols, k):
+    for idx in selectors._index_chunks(matrix.cols, k, 2048):
         _, full = selectors._batch_stats(selectors._stack(matrix.array, idx))
         deficient.update(map(tuple, idx[~full].tolist()))
     assert deficient and deficient <= certified
     assert len(certified) < math.comb(matrix.cols, k)
 
 
+def _recording_chunks(monkeypatch):
+    """Every chunk ``exact_optima`` enumerates from now on, in any worker."""
+    chunks = []
+    real = selectors._index_chunks
+
+    def recording(*args):
+        for idx in real(*args):
+            chunks.append(idx)
+            yield idx
+
+    monkeypatch.setattr(selectors, "_index_chunks", recording)
+    return chunks
+
+
+def _chunk_of(chunks, subset):
+    """The position in ``chunks`` of the one chunk that holds ``subset``."""
+    (found,) = [i for i, idx in enumerate(chunks) if (idx == subset).all(axis=1).any()]
+    return found
+
+
 @pytest.mark.parametrize("threads", (3, 4))
 @pytest.mark.parametrize("case", sorted(CASES) + sorted(LARGE_CASES))
-def test_shared_pass_equals_scoring_every_subset_at_more_threads(case, threads):
-    # CASES fill at most two chunks, so some workers get none
+def test_shared_pass_equals_scoring_every_subset_at_more_threads(case, threads, monkeypatch):
+    # CASES fill one or two chunks, so the workers are capped at the chunks;
+    # LARGE_CASES give every worker chunks of its own
     make, k = {**CASES, **LARGE_CASES}[case]
+    chunks = _recording_chunks(monkeypatch)
     assert exact_optima(DenseMatrix(make()), k, registry(), threads=threads) == _oracle(case, registry())
+    if case in LARGE_CASES:
+        assert len(chunks) >= threads
 
 
 @pytest.mark.parametrize("threads", (1, 2, 3, 4))
 @pytest.mark.parametrize("case", sorted(TIE_CASES))
-def test_exact_ties_across_chunks_go_to_the_smallest_witness(case, threads):
+def test_exact_ties_across_chunks_go_to_the_smallest_witness(case, threads, monkeypatch):
     make, k = TIE_CASES[case]
     matrix = DenseMatrix(make())
     best, _ = expected = _oracle(case, registry())
+    chunks = _recording_chunks(monkeypatch)
     assert exact_optima(matrix, k, registry(), threads=threads) == expected
-    # the ties are real: a witness in the first copy of B scores exactly what
-    # its copy in the last chunk does
+    # the ties are real and cross chunks: a witness in the first copy of B
+    # scores exactly what its copy in the last chunk does
     ties = 0
     for spec, (value, idx) in zip(registry(), best):
         if max(idx) < 12:
-            pair = np.array([idx, tuple(i + 12 for i in idx)])
-            ((vals, _),) = _batch_scores(matrix.array, matrix.column_norms(), pair, [spec])
-            ties += vals[0] == vals[1] == value
+            copy = tuple(i + 12 for i in idx)
+            ((vals, _),) = _batch_scores(matrix.array, matrix.column_norms(), np.array([idx, copy]),
+                                         [spec])
+            ties += vals[0] == vals[1] == value and _chunk_of(chunks, idx) != _chunk_of(chunks, copy)
     assert ties >= 1
 
 
@@ -813,7 +839,7 @@ def test_residual_widths_hold_the_rounding_of_the_condition_number(ident, estima
     unit, scale = selectors._unit_scaled(a)
     basis = selectors._residual_basis(unit)
     dominant = 0
-    for idx in selectors._index_chunks(matrix.cols, k):
+    for idx in selectors._index_chunks(matrix.cols, k, 2048):
         _, kappa = _estimates(matrix, idx, estimator)
         _, width = selectors._residual_bands(basis, scale, idx, kappa,
                                              {spec.residual_norm})[spec.residual_norm]
