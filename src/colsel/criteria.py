@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError, RankDeficiencyError, ShapeError
-from .matrixkit import DenseMatrix, SvdResult, default_rank_tolerance, svd
+from .matrixkit import DenseMatrix, default_rank_tolerance, svd
 
 # Schatten-parameter domains as (minimum, whether p = inf is allowed)
 _ANY_P = (1.0, True)
@@ -32,11 +32,11 @@ _FINITE_P2 = (2.0, False)
 _CHOLESKY_P = (2.0, 4.0)
 
 # The value functions take a stack of sigma rows and reduce along the last
-# axis.  The scalar evaluators pass a stack of one, so every power runs as
-# numpy's array power, never as the float64 scalar power, whose last bit can
-# differ; scalar and batched values then agree bit for bit.  The ufunc
-# reductions are called directly: np.sum and np.prod wrap them at a cost the
-# scalar evaluators would pay thousands of times per lemma-suite run.
+# axis.  ``values`` passes a stack of one, so every power runs as numpy's
+# array power, never as the float64 scalar power, whose last bit can differ;
+# scalar and batched values then agree bit for bit.  The ufunc reductions
+# are called directly: np.sum and np.prod wrap them at a cost ``values``
+# would pay thousands of times per lemma-suite run.
 _sum = np.add.reduce
 _prod = np.multiply.reduce
 
@@ -193,74 +193,72 @@ _PINNED_NAMES = {(kind, p): name for kind, row in _KINDS.items()
                  for name, p in row.named if p is not None}
 
 
-def _scalar(row: _Kind, res: SvdResult, norms, cols: int, p) -> float:
-    """One submatrix's value through its row's sigma-to-value function, from
-    the submatrix's SVD and its column norms (None unless a row needed them)."""
-    if res.numerical_rank < cols:
-        if row.rank == "required":
-            raise RankDeficiencyError(
-                f"matrix has numerical rank {res.numerical_rank} < {cols} columns"
-            )
-        if row.rank == "zero":
-            return 0.0
-    sigma = res.singular_values
-    if sigma[0] == 0.0:
-        return 0.0
-    return float(row.value(sigma[None], p, None if norms is None else norms[None])[0])
-
-
 def values(c: DenseMatrix, specs, full_matrix: DenseMatrix | None = None) -> list[float]:
     """The value of each criterion in ``specs`` on submatrix ``c``.
 
-    One ``svd(c)`` and at most one ``column_norms()`` serve every spec; the
+    One ``svd(c)`` and at most one ``column_norms()`` serve every spec,
+    scored by one ``stacked_values`` call on the stack of ``c`` alone; the
     residual criteria measure against ``full_matrix``.  Raises what
     ``evaluate`` raises for the first spec that fails, apart from its
-    finite-value check: a value that overflows is returned as is, without the
-    floating-point warning, as ``batch_values`` returns it.
+    finite-value check: a value that overflows is returned as is, without
+    the floating-point warning (``batch_values`` instead scores a non-finite
+    value of a rank-required criterion 0.0).
     """
-    res = norms = None
-    out = []
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for spec in specs:
-            row = _KINDS[spec.kind]
-            if row.residual is not None:
-                if full_matrix is None:
-                    raise InvalidParameterError("residual criteria need the parent matrix")
-                out.append(residual(full_matrix, c, row.residual))
-                continue
-            if row.needs_norms and norms is None:
-                norms = c.column_norms()
-                if np.any(norms == 0.0):
-                    raise InvalidInputError("matrix has a zero column")
-            if res is None:
-                res = svd(c)
-            out.append(_scalar(row, res, norms, c.cols, spec.p))
+    out, spectral, failure = [None] * len(specs), [], None
+    # a residual spec that fails ends the specs scored, so that an earlier
+    # spec's failure still comes first; without the parent matrix, it goes to
+    # the stack, which rejects it in its turn
+    for i, spec in enumerate(specs):
+        if spec.residual_norm is None or full_matrix is None:
+            spectral.append(i)
+            continue
+        try:
+            out[i] = residual(full_matrix, c, spec.residual_norm)
+        except ShapeError as exc:
+            failure = exc
+            break
+    if spectral:
+        res, chosen = svd(c), [specs[i] for i in spectral]
+        norms = c.column_norms()[None] if any(_KINDS[s.kind].needs_norms for s in chosen) else None
+        scores = stacked_values(chosen, res.singular_values[None], norms,
+                                np.array([res.numerical_rank == c.cols]))
+        for i, value in zip(spectral, scores[:, 0].tolist()):
+            out[i] = value
+    if failure is not None:
+        raise failure
     return out
 
 
 def stacked_values(specs, sigma: np.ndarray, column_norms, full_rank: np.ndarray) -> np.ndarray:
     """``values`` on a stack of B matrices of k columns, one value-function
     call per spec: the (len(specs), B) array whose column b is what
-    ``values`` returns for matrix b, bit for bit.
+    ``values`` returns for matrix b.
 
-    ``sigma`` (B, k), ``column_norms`` (B, k) and ``full_rank`` (B,) are as
+    ``sigma`` (B, r), ``column_norms`` (B, k) and ``full_rank`` (B,) are as
     ``batch_values`` takes them; ``column_norms`` may be None when no spec
-    reads it.  Raises what ``values`` raises, for the first spec on which
-    any of the matrices makes it raise; the residual criteria are rejected.
+    reads it.  Raises for the first spec on which any of the matrices fails
+    (a zero column for sopt, rank deficiency for a rank-required criterion);
+    the residual criteria are rejected.
     """
     out = np.empty((len(specs), len(sigma)))
-    zero_top = sigma[:, 0] == 0.0
+    # the rows each rank rule scores 0, formed once: none when every matrix
+    # has full rank, as each then has sigma_1 > 0
+    zeroed = {}
+    if np.count_nonzero(full_rank) < len(full_rank):
+        zeroed = {"zero": ~full_rank, "any": sigma[:, 0] == 0.0}
+    zero_column = column_norms is not None and bool((column_norms == 0.0).any())
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for i, spec in enumerate(specs):
             row = _KINDS[spec.kind]
             if row.value is None:
                 raise InvalidParameterError("residual criteria need the parent matrix")
-            if row.needs_norms and np.any(column_norms == 0.0):
+            if row.needs_norms and zero_column:
                 raise InvalidInputError("matrix has a zero column")
-            if row.rank == "required" and not full_rank.all():
-                raise RankDeficiencyError("a matrix of the stack is numerically rank deficient")
-            zero = ~full_rank if row.rank == "zero" else zero_top
-            out[i] = np.where(zero, 0.0, row.value(sigma, spec.p, column_norms))
+            if row.rank == "required" and zeroed:
+                raise RankDeficiencyError(f"criterion {spec.identifier!r} needs full column rank")
+            out[i] = row.value(sigma, spec.p, column_norms)
+            if row.rank in zeroed:
+                out[i, zeroed[row.rank]] = 0.0
     return out
 
 
@@ -495,7 +493,7 @@ def batch_values(spec: CriterionSpec, sigma: np.ndarray, column_norms: np.ndarra
     ``column_norms`` is (B, k), and ``full_rank`` flags rows whose numerical
     rank equals k.  Returns (values, valid); invalid rows hold placeholder
     values and must be skipped by the caller.  The row's value function is
-    the one the scalar evaluators call, so batched values match scalar ones
+    the one ``stacked_values`` calls, so batched values match scalar ones
     bit for bit.  Residual criteria are not singular-value computable and are
     rejected here.
     """

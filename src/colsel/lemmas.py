@@ -11,10 +11,10 @@ report record per lemma id.
 The suite runs in blocks of ``_BLOCK_ROUNDS`` rounds.  A block first draws
 its rounds, in the order of the generator calls that fix every report; the
 partition and interlacing trials are scored as they are drawn.  It then
-scores the unit-column family as stacks: one ``np.linalg.svd`` call per
-shape (m, k), then one call of each claim's value function per k
-(``stacked_values``), whose rows equal ``values`` bit for bit.  The
-removal subsets of a matrix are one stack as well.
+scores the unit-column family as stacks: one ``batch_svd`` call per shape
+(m, k), then one ``stacked_values`` call per k, the path ``values`` takes
+for a single matrix, so a matrix scores the same bits in a stack and alone.
+The removal subsets of a matrix are one stack as well (``gather_columns``).
 """
 
 from __future__ import annotations
@@ -35,9 +35,8 @@ from .criteria import CriterionSpec, parse_criterion, stacked_values, values
 from .criteria import (condition_number, pinv_schatten_norm, relative_volume,  # noqa: F401
                        s_optimality, schatten_norm, stable_rank, volume)
 from .errors import InvalidParameterError, RankDeficiencyError
-from .matrixkit import (DenseMatrix, column_norms, complement_projector, default_rank_tolerance,
-                        partitioned_pinv, pseudo_inverse, svd)
-from .selectors import _batch_stats, _stack
+from .matrixkit import (DenseMatrix, batch_svd, column_norms, complement_projector, default_rank_tolerance,
+                        gather_columns, partitioned_pinv, pseudo_inverse, svd)
 
 LEMMA_IDS = (
     "e_inter",
@@ -128,7 +127,7 @@ def _unit_stacks(matrices) -> dict[int, tuple[np.ndarray, ...]]:
     by_cols = {}
     for (_, k), rows in shapes.items():
         stack = np.stack([matrices[i] for i in rows])
-        sigma, full = _batch_stats(stack)
+        sigma, full = batch_svd(stack)
         # one ddot per matrix, as np.linalg.norm takes the Frobenius norm
         d = (np.swapaxes(stack, 1, 2) @ stack - np.eye(k)).reshape(len(rows), 1, k * k)
         defect = np.sqrt(d @ np.swapaxes(d, 1, 2))[:, 0, 0]
@@ -317,7 +316,7 @@ def _removal_violations(c: DenseMatrix, subsets) -> tuple[float, float]:
     step = max(1, _STACK_ENTRIES // (c.rows * subsets.shape[1]))
     v_inter = v_inter2 = -math.inf
     for start in range(0, len(subsets), step):
-        sigma, full = _batch_stats(_stack(c.array, subsets[start:start + step]))
+        sigma, full = batch_svd(gather_columns(c.array, subsets[start:start + step]))
         scores = stacked_values(_REMOVAL_SPECS, sigma, None, full)
         rvol, kappa = scores[0], scores[1:]
         v_inter = max(v_inter, float(np.max(parent_rvol - rvol - 1e-10)))
@@ -364,6 +363,8 @@ def check_removal_monotonicity(c: DenseMatrix, ell: int, seed: int = 0) -> bool:
     k = c.cols
     if not 1 <= ell < k:
         raise InvalidParameterError(f"need 1 <= ell < {k}, got {ell}")
+    if seed < 0:
+        raise InvalidParameterError(f"need seed >= 0, got {seed}")
     if svd(c).numerical_rank < k:
         raise RankDeficiencyError("removal monotonicity requires full column rank")
     return max(_removal_violations(c, _removal_subsets(k, ell, seed))) <= 0.0

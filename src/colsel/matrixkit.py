@@ -83,6 +83,11 @@ def column_norms(arr: np.ndarray) -> np.ndarray:
     return np.linalg.norm(arr / scale, axis=-2) * scale[..., 0, :]
 
 
+def gather_columns(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The (B, m, k) stack of the submatrices a[:, idx[b]], one gather of their columns."""
+    return np.swapaxes(a.T[idx], 1, 2)
+
+
 def concat_columns(left: DenseMatrix, right: DenseMatrix) -> DenseMatrix:
     """Horizontal concatenation [left right]."""
     if left.rows != right.rows:
@@ -114,6 +119,14 @@ def svd(matrix: DenseMatrix) -> SvdResult:
     sigma = np.linalg.svd(matrix.array, compute_uv=False)
     tol = default_rank_tolerance(matrix.rows, matrix.cols, float(sigma[0]))
     return SvdResult(_readonly(sigma), int(np.count_nonzero(sigma > tol)), tol)
+
+
+def batch_svd(stack: np.ndarray):
+    """Singular values of a (B, m, k) stack from one LAPACK call, and whether
+    each matrix has numerical rank k under ``svd``'s tolerance."""
+    sigma = np.linalg.svd(stack, compute_uv=False)
+    tol = default_rank_tolerance(*stack.shape[1:], sigma[:, 0])
+    return sigma, np.count_nonzero(sigma > tol[:, None], axis=1) == stack.shape[2]
 
 
 def pseudo_inverse(matrix: DenseMatrix) -> DenseMatrix:

@@ -54,7 +54,7 @@ from .criteria import (
     evaluate,
 )
 from .errors import InfeasibleError, InvalidParameterError
-from .matrixkit import DenseMatrix, default_rank_tolerance
+from .matrixkit import DenseMatrix, batch_svd, default_rank_tolerance, gather_columns
 
 DECISION_SLACK = 1e-9
 SWAP_IMPROVEMENT = 1e-12
@@ -175,21 +175,6 @@ def _index_chunks(n: int, k: int, chunk_size: int, first: int = 0, stride: int =
         yield chunk
 
 
-def _stack(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """The (B, m, k) stack of submatrices a[:, idx[b]], a view of one gather
-    of their columns."""
-    return np.swapaxes(a.T[idx], 1, 2)
-
-
-def _batch_stats(sub: np.ndarray):
-    """Singular values and full-rank flags for a stack of submatrices."""
-    m, k = sub.shape[1], sub.shape[2]
-    sigma = np.linalg.svd(sub, compute_uv=False)
-    tol = default_rank_tolerance(m, k, sigma[:, 0])
-    ranks = np.count_nonzero(sigma > tol[:, None], axis=1)
-    return sigma, ranks == k
-
-
 def _score_bytes(m: int, n: int, k: int, specs) -> int:
     """Bytes per subset of the largest arrays ``_batch_scores`` forms for
     ``specs`` on an m x n matrix: the (B, m, k) stack and four (B, k)
@@ -224,7 +209,7 @@ def _slice_scores(a: np.ndarray, col_norms: np.ndarray, idx: np.ndarray, specs):
     residual takes the SVD with U instead.  An SVD runs only when a spec
     needs it.
     """
-    sub = _stack(a, idx)
+    sub = gather_columns(a, idx)
     stats = None
     scores = []
     for spec in specs:
@@ -233,7 +218,7 @@ def _slice_scores(a: np.ndarray, col_norms: np.ndarray, idx: np.ndarray, specs):
                            np.ones(len(idx), dtype=bool)))
             continue
         if stats is None:
-            stats = _batch_stats(sub) + (col_norms[idx],)
+            stats = batch_svd(sub) + (col_norms[idx],)
         sigma, full, cn = stats
         scores.append(batch_values(spec, sigma, cn, full))
     return scores
@@ -767,7 +752,7 @@ def _residual_bands(basis, scale: float, idx: np.ndarray, kappa: np.ndarray, nor
     """
     unit, norm2, underflow = basis
     k = idx.shape[1]
-    q = np.linalg.qr(_stack(unit, idx), mode="complete")[0]
+    q = np.linalg.qr(gather_columns(unit, idx), mode="complete")[0]
     # Q2^T A has at most n rows, so its Gram on the smaller side is tail tail^T
     tail = np.swapaxes(q[:, :, k:], 1, 2) @ unit
     del q  # freed before res-two's bracket allocates
@@ -888,7 +873,7 @@ def select_local_swap_volume(matrix: DenseMatrix, k: int, seed: int = 0,
     def full_rank_volume(cand):
         """The volume of a[:, cand], or None when it is rank-deficient."""
         idx = np.array([cand], dtype=np.intp)
-        sigma, full = _batch_stats(_stack(a, idx))
+        sigma, full = batch_svd(gather_columns(a, idx))
         vols, _ = batch_values(vol_spec, sigma, col_norms[idx], full)
         return float(vols[0]) if full[0] else None
 

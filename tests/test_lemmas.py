@@ -11,8 +11,7 @@ from colsel.errors import InvalidInputError, InvalidParameterError, RankDeficien
 from colsel.lemmas import (_FROBENIUS, _REMOVAL_SPECS, LEMMA_IDS, _removal_subsets,
                            _removal_violations, _unit_claims, _unit_stacks,
                            check_removal_monotonicity, run_suite)
-from colsel.matrixkit import DenseMatrix
-from colsel.selectors import _batch_stats
+from colsel.matrixkit import DenseMatrix, batch_svd
 from colsel.x3c import gadget
 
 # run_suite(seed=7) reports recorded from the suite before it drew in blocks,
@@ -94,7 +93,7 @@ class TestStackedScorer:
         stack[2, :, 2] = 2.0 * stack[2, :, 0]
         with pytest.raises(RankDeficiencyError):
             values(DenseMatrix(stack[2]), _REMOVAL_SPECS)
-        sigma, full = _batch_stats(stack)
+        sigma, full = batch_svd(stack)
         assert full.tolist() == [True, True, False, True, True]
         with pytest.raises(RankDeficiencyError):
             stacked_values(_REMOVAL_SPECS, sigma, None, full)
@@ -107,7 +106,7 @@ class TestStackedScorer:
         stack[1, :, 2] = 2.0 * stack[1, :, 0]
         stack[3] = 0.0
         specs = list(map(parse_criterion, ("vol", "norm-two", "norm:p=3", "srank")))
-        sigma, full = _batch_stats(stack)
+        sigma, full = batch_svd(stack)
         got = stacked_values(specs, sigma, None, full)
         for b, c in enumerate(stack):
             assert got[:, b].tolist() == values(DenseMatrix(c), specs), b
@@ -152,6 +151,15 @@ class TestRemovalMonotonicity:
             check_removal_monotonicity(c, 0)
         with pytest.raises(InvalidParameterError):
             check_removal_monotonicity(c, 3)
+
+    # C(15, 7) = 6,435 subsets take the seeded sample, C(15, 2) = 105 are all
+    # checked; numpy's generator raised a bare ValueError in the first case,
+    # and the second ignored the seed
+    @pytest.mark.parametrize("ell", [7, 2])
+    def test_negative_seed_validated(self, ell):
+        c = DenseMatrix(np.random.default_rng(6).standard_normal((20, 15)))
+        with pytest.raises(InvalidParameterError, match="seed"):
+            check_removal_monotonicity(c, ell, seed=-1)
 
     def test_sampled_path_for_many_submatrices(self):
         rng = np.random.default_rng(4)

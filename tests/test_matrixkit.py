@@ -7,8 +7,10 @@ import pytest
 from colsel.errors import InvalidInputError, RankDeficiencyError, ShapeError
 from colsel.matrixkit import (
     DenseMatrix,
+    batch_svd,
     complement_projector,
     concat_columns,
+    gather_columns,
     partitioned_pinv,
     pseudo_inverse,
     svd,
@@ -113,6 +115,46 @@ class TestSvd:
     def test_rank_at_subnormal_scale_and_of_zero(self):
         assert svd(DenseMatrix(np.eye(2) * 1e-310)).numerical_rank == 2
         assert svd(DenseMatrix(np.zeros((2, 3)))).numerical_rank == 0
+
+
+def _batch_cases():
+    """(m, k) stacks whose middle matrix is each of the rank test's edge cases,
+    between two Gaussian matrices of its shape."""
+    rng = np.random.default_rng(5)
+    dup = rng.standard_normal((5, 3))
+    dup[:, 2] = dup[:, 0]
+    special = {"zero": np.zeros((4, 3)), "duplicated-column": dup,
+               "subnormal": rng.standard_normal((4, 3)) * 1e-310,
+               "wide": rng.standard_normal((2, 4))}
+    return {name: np.stack([rng.standard_normal(mid.shape), mid, rng.standard_normal(mid.shape)])
+            for name, mid in special.items()}
+
+
+BATCH_CASES = _batch_cases()
+
+
+class TestBatchSvd:
+    @pytest.mark.parametrize("name", BATCH_CASES)
+    def test_flags_and_sigmas_match_svd_row_by_row(self, name):
+        stack = BATCH_CASES[name]
+        sigma, full = batch_svd(stack)
+        alone = [svd(DenseMatrix(c)) for c in stack]
+        assert full.tolist() == [res.numerical_rank == stack.shape[2] for res in alone]
+        for row, res in zip(sigma, alone):
+            assert row.tobytes() == res.singular_values.tobytes()
+
+    def test_edge_cases_are_flagged_as_svd_ranks_them(self):
+        flags = {name: batch_svd(stack)[1].tolist() for name, stack in BATCH_CASES.items()}
+        assert flags == {"zero": [True, False, True], "duplicated-column": [True, False, True],
+                         "subnormal": [True, True, True], "wide": [False, False, False]}
+
+    def test_gather_columns_stacks_the_subsets(self):
+        a = np.arange(12.0).reshape(3, 4)
+        idx = np.array([[0, 2], [3, 1]])
+        got = gather_columns(a, idx)
+        assert got.shape == (2, 3, 2)
+        for sub, cols in zip(got, idx):
+            assert np.array_equal(sub, a[:, cols])
 
 
 class TestPseudoInverse:

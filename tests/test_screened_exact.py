@@ -27,7 +27,7 @@ import pytest
 from colsel import selectors, x3c
 from colsel.criteria import GramSpectrum, equivalence_criteria, parse_criterion, registry
 from colsel.errors import InvalidParameterError
-from colsel.matrixkit import DenseMatrix
+from colsel.matrixkit import DenseMatrix, batch_svd, gather_columns
 from colsel.selectors import _batch_scores, _best_row, _better, exact_optima, select_exact
 
 # the benchmark's eight criteria and res-frobenius
@@ -645,7 +645,7 @@ def test_estimates_prove_full_rank_only_where_the_svd_finds_it(case, estimator):
     matrix = DenseMatrix(make())
     for idx in selectors._index_chunks(matrix.cols, k, 2048):
         spectrum, kappa = _estimates(matrix, idx, estimator)
-        sigma, full = selectors._batch_stats(selectors._stack(matrix.array, idx))
+        sigma, full = batch_svd(gather_columns(matrix.array, idx))
         proven = ~np.isnan(spectrum.rel)
         assert np.array_equal(proven, np.isfinite(kappa))
         assert np.all(full[proven])
@@ -742,7 +742,7 @@ def test_rank_deficient_rows_are_certified_for_the_residuals(ident, monkeypatch)
     assert _select_outcome(matrix, k, spec) == _expected("duplicated", spec)
     deficient = set()
     for idx in selectors._index_chunks(matrix.cols, k, 2048):
-        _, full = selectors._batch_stats(selectors._stack(matrix.array, idx))
+        _, full = batch_svd(gather_columns(matrix.array, idx))
         deficient.update(map(tuple, idx[~full].tolist()))
     assert deficient and deficient <= certified
     assert len(certified) < math.comb(matrix.cols, k)
@@ -843,7 +843,7 @@ def test_residual_widths_hold_the_rounding_of_the_condition_number(ident, estima
         _, kappa = _estimates(matrix, idx, estimator)
         _, width = selectors._residual_bands(basis, scale, idx, kappa,
                                              {spec.residual_norm})[spec.residual_norm]
-        sigma, _ = selectors._batch_stats(selectors._stack(a, idx))
+        sigma, _ = batch_svd(gather_columns(a, idx))
         proven = np.isfinite(kappa)
         norm = np.linalg.norm(a)
         rounding = norm * selectors._rounding(k, sigma[:, 0] / sigma[:, -1])

@@ -18,12 +18,10 @@ import pytest
 from colsel import selectors
 from colsel.criteria import CriterionSpec, CriterionValue, batch_values, parse_criterion
 from colsel.errors import InfeasibleError
-from colsel.matrixkit import DenseMatrix
+from colsel.matrixkit import DenseMatrix, batch_svd, gather_columns
 from colsel.selectors import (
     _batch_scores,
-    _batch_stats,
     _best_row,
-    _stack,
     select_greedy_forward,
     select_local_swap_volume,
 )
@@ -65,7 +63,7 @@ def oracle_local_swap(matrix, k, seed=0, max_sweeps=100):
 
     for _ in range(n * k):
         cand = np.sort(rng.choice(n, size=k, replace=False)).astype(np.intp)
-        sigma, full = _batch_stats(_stack(a, cand[None, :]))
+        sigma, full = batch_svd(gather_columns(a, cand[None, :]))
         evaluated += 1
         if full[0]:
             current = tuple(int(i) for i in cand)
@@ -75,7 +73,7 @@ def oracle_local_swap(matrix, k, seed=0, max_sweeps=100):
         chosen, _, count = oracle_greedy(matrix, k, vol_spec)
         evaluated += count
         idx = np.array([chosen], dtype=np.intp)
-        sigma, full = _batch_stats(_stack(a, idx))
+        sigma, full = batch_svd(gather_columns(a, idx))
         if not full[0]:
             raise InfeasibleError("no full-rank starting subset")
         current, current_vol = chosen, volume(idx, sigma, full)

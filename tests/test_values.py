@@ -5,7 +5,7 @@ import pytest
 
 from colsel import criteria
 from colsel.criteria import evaluate, parse_criterion, registry, values
-from colsel.errors import InvalidInputError
+from colsel.errors import InvalidInputError, InvalidParameterError, RankDeficiencyError, ShapeError
 from colsel.matrixkit import DenseMatrix
 
 # every singular-value criterion in the registry, plus the Schatten
@@ -90,3 +90,16 @@ def test_residuals_measure_against_the_parent(spec):
     c = a.columns([0, 2])
     assert values(c, [spec], full_matrix=a) == [evaluate(spec, c, full_matrix=a).value]
     assert outcome(lambda: values(c, [spec])) is outcome(lambda: evaluate(spec, c))
+
+
+@pytest.mark.parametrize("parent", [None, "gaussian-4x4"])
+@pytest.mark.parametrize("order", [("res-two", "rvol"), ("rvol", "res-two")])
+def test_residual_and_rank_failures_come_in_spec_order(order, parent):
+    # the residual fails without the parent matrix, or against a parent with
+    # other row counts, and rvol fails on the duplicated column: the spec that
+    # comes first decides the error
+    specs = [parse_criterion(ident) for ident in order]
+    full = None if parent is None else MATRICES[parent]
+    residual_error = InvalidParameterError if parent is None else ShapeError
+    with pytest.raises(residual_error if order[0] == "res-two" else RankDeficiencyError):
+        values(MATRICES["duplicated-column"], specs, full_matrix=full)
