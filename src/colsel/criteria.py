@@ -6,12 +6,13 @@ matrix for the residuals).  ``_KINDS`` holds one row per criterion (a
 Schatten family such as the condition numbers is one criterion), keyed by its
 id, the one name a ``CriterionSpec`` takes: its other names, optimization
 direction, rank requirement, Schatten-parameter domain, sigma-to-value
-function, its value from an estimated spectrum of C (a ``GramSpectrum``,
-for every criterion but the residuals) and the p at which a Cholesky factor
-of C^T C gives that value, how far it can move when the sigmas move, and
-the optimal value attained by k orthonormal columns, which is what turns
-the optimization problems into decision problems.  Adding a criterion means
-adding one row (plus its ``REGISTRY`` id when it belongs in the reports).
+function, its value from an estimated spectrum of C (a
+``screen.GramSpectrum``, for every criterion but the residuals) and the p at
+which a Cholesky factor of C^T C gives that value, how far it can move when
+the sigmas move (``batch_bands``), and the optimal value attained by k
+orthonormal columns, which is what turns the optimization problems into
+decision problems.  Adding a criterion means adding one row (plus its
+``REGISTRY`` id when it belongs in the reports).
 """
 
 from __future__ import annotations
@@ -510,91 +511,10 @@ def batch_values(spec: CriterionSpec, sigma: np.ndarray, column_norms: np.ndarra
     return np.where(scored, vals, 0.0), np.ones(len(sigma), dtype=bool)
 
 
-class GramSpectrum:
-    """Estimated spectra of a stack of B k-column submatrices C: what the
-    ``_Kind.gram_value`` functions read in place of singular values, one
-    object for every criterion of a chunk, so each quantity is formed once.
-
-    Row b's sigmas are taken to lie within a factor 1 -+ ``rel[b]`` of the
-    ones the SVD computes; a row whose full column rank its estimator did not
-    prove has a NaN ``rel`` and NaN invariants, so every quantity formed from
-    it is NaN.  Per row, with H = C^T C / scale^2, its estimator gave either
-    the eigenvalues of H (``eigenvalues``, non-increasing), or what a
-    Cholesky factor gives: ``root_det`` = det(H)^(1/2), ``traces`` mapping j
-    to tr H^j for j = 1, 2 and, when an inverse was formed, -1, -2, and
-    ``top``, the largest eigenvalue of H, when it was bracketed (else None).
-    ``sum(j)`` is the power sum tr H^j, formed once and kept: by products and
-    square roots of the eigenvalues where 2j is an integer of magnitude at
-    most 4, the j that p = 2, 3 and 4 need, by ``np.power`` for any other.
-    ``prod()``, ``power_sum(q)``, ``largest()`` and ``smallest()`` are C's
-    prod sigma, sum sigma^q, sigma_1 and sigma_k.  ``scale`` is a numpy
-    float64, so under ``np.errstate`` they over- and underflow where the
-    products and powers of ``_Kind.value`` do; a quantity whose forming
-    raises is not kept.  ``growth(L)`` is (1 - rel)^-L - 1, formed once per L.
-    """
-
-    def __init__(self, rel, scale, k: int, eigenvalues=None, root_det=None, traces=None,
-                 top=None):
-        self.rel, self.scale, self.k = rel, np.float64(scale), k
-        self._sums, self._root_det, self.top, self.bottom = dict(traces or {}), root_det, top, None
-        self._powers, self._growth, self._eigenvalues = {}, {}, None
-        if eigenvalues is not None:
-            # the eigenvalues of a row run down a column, so that every sum
-            # over them adds whole rows of this array
-            self._eigenvalues = lam = np.ascontiguousarray(eigenvalues.T)
-            self.top, self.bottom = lam[0], lam[-1]
-
-    def _power(self, j):
-        """The eigenvalues to the power j, formed once per j."""
-        if j not in self._powers:
-            lam = self._eigenvalues
-            if j == 1:
-                out = lam
-            elif j == -1:
-                out = 1.0 / lam
-            elif abs(j) == 0.5:
-                out = np.sqrt(self._power(2 * j))
-            elif float(2 * j).is_integer() and abs(j) <= 2:
-                unit = math.copysign(1.0, j)
-                out = self._power(unit) * self._power(j - unit)
-            else:
-                out = lam**j
-            self._powers[j] = out
-        return self._powers[j]
-
-    def sum(self, j):
-        if j not in self._sums:
-            self._sums[j] = _sum(self._power(j), axis=0)
-        return self._sums[j]
-
-    @property
-    def root_det(self):
-        if self._root_det is None:
-            self._root_det = _prod(self._power(0.5), axis=0)
-        return self._root_det
-
-    def prod(self):
-        return self.root_det * self.scale**self.k
-
-    def largest(self):
-        return np.sqrt(self.top) * self.scale
-
-    def smallest(self):
-        return np.sqrt(self.bottom) * self.scale
-
-    def power_sum(self, q):
-        return self.sum(q / 2) * self.scale**q
-
-    def growth(self, lipschitz: float):
-        if lipschitz not in self._growth:
-            self._growth[lipschitz] = (1.0 - self.rel) ** -lipschitz - 1.0
-        return self._growth[lipschitz]
-
-
-def batch_bands(spec: CriterionSpec, spectrum: GramSpectrum, column_norms: np.ndarray):
+def batch_bands(spec: CriterionSpec, spectrum, column_norms: np.ndarray):
     """Band (estimate, width) around the value ``batch_values`` gives each row,
-    from a ``GramSpectrum`` of its sigmas; a band that is not finite marks no
-    usable estimate.
+    from a ``screen.GramSpectrum`` of its sigmas; a band that is not finite
+    marks no usable estimate.
 
     ``column_norms`` is (B, k).  The estimate is the kind's ``gram_value``
     (the same function of the sigmas as its ``value``), and the width

@@ -1,10 +1,11 @@
 """Exact search's chunks, sized by a per-worker byte budget.
 
 ``exact_optima`` cuts the C(n, k) subsets into as many chunks as
-``_CHUNK_BYTES`` of the arrays the pass holds at once needs (``_chunk_bytes``), a
-multiple of the workers, which never outnumber the chunks; ``_batch_scores``
-certifies in slices within the same budget (``_score_bytes``).  Neither the
-chunks, the slices nor the thread count may change a value or a witness.
+``_CHUNK_BYTES`` of the arrays the pass holds at once needs
+(``ChunkScreen.bytes_per_subset``), a multiple of the workers, which never
+outnumber the chunks; ``_batch_scores`` certifies in slices within the same
+budget (``_score_bytes``).  Neither the chunks, the slices nor the thread
+count may change a value or a witness.
 """
 
 import itertools
@@ -14,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from colsel import selectors, x3c
+from colsel import screen, selectors, x3c
 from colsel.criteria import equivalence_criteria, parse_criterion, registry
 from colsel.matrixkit import DenseMatrix
 from colsel.selectors import _batch_scores, exact_optima
@@ -34,9 +35,14 @@ def _x3c_matrix():
     return x3c.reduce(x3c.generate_false(5, 14, 3)).matrix
 
 
+def _bytes_per_subset(matrix, k, specs):
+    """What a pass's chunk holds per subset of k columns of ``matrix``."""
+    return screen.ChunkScreen(matrix.array, matrix.column_norms(), specs).bytes_per_subset(k)
+
+
 def _budget(matrix, k, specs, rows):
     """The byte budget that gives chunks of ``rows`` subsets to a pass."""
-    return rows * selectors._chunk_bytes(matrix.rows, matrix.cols, k, specs)
+    return rows * _bytes_per_subset(matrix, k, specs)
 
 
 def _recording_chunks(monkeypatch):
@@ -194,7 +200,7 @@ def _pass(name, scale):
     return _bench_matrix(scale), K, registry() if name == "registry" else [parse_criterion(name)]
 
 
-# a pass's peak against the bytes its largest chunk holds by _chunk_bytes,
+# a pass's peak against the bytes its largest chunk holds by bytes_per_subset,
 # which the budget bounds: measured 0.79 to 1.24 (a rescore of every row
 # adds its certification slices).  Above the range, the byte counts miss an
 # array; below it, they count arrays the pass does not hold, and its chunks
@@ -205,7 +211,7 @@ HELD_RANGE = (0.6, 1.3)
 @pytest.mark.parametrize("name, scale", PASSES, ids=str)
 def test_a_pass_holds_what_its_chunks_count(name, scale):
     matrix, k, specs = _pass(name, scale)
-    per_row = selectors._chunk_bytes(matrix.rows, matrix.cols, k, specs)
+    per_row = _bytes_per_subset(matrix, k, specs)
     total = math.comb(matrix.cols, k)
     _, chunks = selectors._chunk_plan(total, selectors._CHUNK_BYTES // per_row, 1)
     assert chunks > 1

@@ -146,6 +146,16 @@ class TestPipelines:
         assert code == 1
         assert "answer=no" in out and "witness=none" in out
 
+    def test_decide_no_when_no_subset_is_feasible(self, capsys, monkeypatch):
+        # every 2-subset is rank-deficient, which rvol rejects: no subset
+        # crosses b, as for vol, whose rank-deficient subsets score 0
+        for criterion in ("rvol", "vol"):
+            code, out, err = run_cli(capsys, monkeypatch,
+                                     ["decide", "--criterion", criterion, "--k", "2", "--b", "0.5"],
+                                     "1,1\n1,1\n")
+            assert code == 1 and err == ""
+            assert out == f"criterion={criterion} k=2 b=0.5 answer=no witness=none\n"
+
     @pytest.mark.parametrize("criterion, entry, b", [("vol", "1e-6", "1e-10"),
                                                      ("pinv-norm-two", "1e12", "1e-13")])
     def test_decide_slack_is_relative_to_the_threshold(self, capsys, monkeypatch, criterion,

@@ -24,10 +24,11 @@ import math
 import numpy as np
 import pytest
 
-from colsel import selectors, x3c
-from colsel.criteria import GramSpectrum, equivalence_criteria, parse_criterion, registry
+from colsel import screen, selectors, x3c
+from colsel.criteria import equivalence_criteria, parse_criterion, registry
 from colsel.errors import InvalidParameterError
 from colsel.matrixkit import DenseMatrix, batch_svd, gather_columns
+from colsel.screen import GramSpectrum
 from colsel.selectors import _batch_scores, _best_row, _better, exact_optima, select_exact
 
 # the benchmark's eight criteria and res-frobenius
@@ -151,11 +152,11 @@ READS_INVERSE = ("pinv-norm", "cond")
 def _estimates(matrix, idx, estimator="eigvalsh"):
     """(spectrum, kappa) of the subsets ``idx`` of ``matrix`` by ``estimator``:
     "eigvalsh", or "cholesky" with the parts "-inverse" and "-top" it names."""
-    unit, scale = selectors._unit_scaled(matrix.array)
+    unit, scale = screen.unit_scaled(matrix.array)
     gram = unit.T @ unit
     if estimator == "eigvalsh":
-        return selectors._gram_estimates(gram, scale, matrix.rows, idx)
-    return selectors._cholesky_estimates(gram, scale, matrix.rows, idx,
+        return screen._gram_estimates(gram, scale, matrix.rows, idx)
+    return screen._cholesky_estimates(gram, scale, matrix.rows, idx,
                                          "-inverse" in estimator, "-top" in estimator)
 
 
@@ -260,11 +261,11 @@ def test_wrong_estimates_fall_back_to_scoring_every_subset(ident, corrupt, monke
     # must score the chunk in full; batch_bands forms the bands of both the
     # eigenvalue and the Cholesky estimates, and every one of CRITERIA, rvol,
     # norm-two and srank among them, now has Cholesky estimates
-    real, real_residual = selectors.batch_bands, selectors._residual_bands
-    monkeypatch.setattr(selectors, "batch_bands", lambda *args: corrupt(real(*args)))
-    monkeypatch.setattr(selectors, "_residual_bands", lambda *args: {
+    real, real_residual = screen.batch_bands, screen._residual_bands
+    monkeypatch.setattr(screen, "batch_bands", lambda *args: corrupt(real(*args)))
+    monkeypatch.setattr(screen, "_residual_bands", lambda *args: {
         norm: corrupt(band) for norm, band in real_residual(*args).items()})
-    factored = _recording(monkeypatch, "_cholesky", selectors)
+    factored = _recording(monkeypatch, "_cholesky", screen)
     make, k = CASES["gaussian-0"]
     spec = parse_criterion(ident)
     assert _select_outcome(DenseMatrix(make()), k, spec) == _expected("gaussian-0", spec)
@@ -280,14 +281,14 @@ def test_failed_pivots_are_certified_by_the_svd(case, stride, threads, monkeypat
     # a block whose pivot is not positive leaves its own row unproven (NaN
     # rel), and that row is certified by the SVD; no chunk falls back to
     # eigvalsh, and a row that fails does not disturb its chunk's others
-    real = selectors._cholesky
+    real = screen._cholesky
     calls = []
 
     def failing(h):
         calls.append(h.shape)
         return real(np.where(np.arange(h.shape[-1]) % stride == 0, -h, h))
 
-    monkeypatch.setattr(selectors, "_cholesky", failing)
+    monkeypatch.setattr(screen, "_cholesky", failing)
     solved = _recording(monkeypatch, "eigvalsh")
     make, k = CASES[case]
     matrix = DenseMatrix(make())
@@ -310,7 +311,7 @@ def test_only_passes_without_a_spectral_criterion_factor(monkeypatch):
     # estimates and never factors, x3c's passes included; a pass of
     # Gram-invariant criteria and residuals never calls eigvalsh at all,
     # res-two's tail Grams included
-    factored = _recording(monkeypatch, "_cholesky", selectors)
+    factored = _recording(monkeypatch, "_cholesky", screen)
     solved = _recording(monkeypatch, "eigvalsh")
     matrix, k = DenseMatrix(_gaussian(0)), 5
     for specs in (_specs("pinv-norm:p=3"), _specs("srank:p=3"), _specs("pinv-norm-two"),
@@ -384,7 +385,7 @@ def test_top_bracket_holds_the_largest_eigenvalue(family, seed):
     for stack in TOP_STACKS[family](seed):
         h = stack if stack.ndim == 3 else stack[None]
         d = h.shape[-1]
-        lo, hi = selectors._top_bracket(h.copy())  # it overwrites its input
+        lo, hi = screen._top_bracket(h.copy())  # it overwrites its input
         top = np.linalg.eigvalsh(h)[:, -1]
         slack = 2 * d * (d + 1) * eps + 8 * d * eps
         assert np.all(lo * (1.0 - slack) <= top), family
@@ -410,7 +411,7 @@ def _spd_stacks(k, seed, count=256):
     rank = max(k - 1, 1)
     singular = _grams(rng.standard_normal((count, k + 3, rank)) @ rng.standard_normal((count, rank, k)))
     trace = np.trace(singular, axis1=1, axis2=2)
-    singular += (selectors.ROUNDING * (12 + k) * k * trace)[:, None, None] * np.eye(k)
+    singular += (screen.ROUNDING * (12 + k) * k * trace)[:, None, None] * np.eye(k)
     return [np.ascontiguousarray(np.moveaxis(h, 0, -1)) for h in (gaussian, scaled, singular)]
 
 
@@ -422,7 +423,7 @@ def test_column_cholesky_reproduces_each_block(k, seed):
     # (Higham, Thm 10.3), which also holds the rounding of the product
     eps = np.finfo(np.float64).eps
     for h in _spd_stacks(k, seed):
-        lower = selectors._cholesky(h.copy())
+        lower = screen._cholesky(h.copy())
         assert lower.shape == h.shape
         assert np.all(lower[np.triu_indices(k, 1)] == 0.0)
         assert np.all(np.diagonal(lower).T > 0.0)
@@ -438,11 +439,11 @@ def test_inverse_traces_match_the_inverse(k):
     # 4 k eps kappa^2 of either
     eps = np.finfo(np.float64).eps
     h = _spd_stacks(k, 0)[0]
-    lower = selectors._cholesky(h.copy())
+    lower = screen._cholesky(h.copy())
     product = np.einsum("ilb,jlb->bij", lower, lower)
     inverse = np.linalg.inv(product)
     tolerance = 4 * k * eps * np.linalg.cond(product) ** 2
-    first, second = selectors._inverse_traces(lower.copy())
+    first, second = screen._inverse_traces(lower.copy())
     assert np.all(np.abs(first / np.trace(inverse, axis1=1, axis2=2) - 1.0) <= tolerance)
     assert np.all(np.abs(second / np.sum(inverse**2, axis=(1, 2)) - 1.0) <= tolerance)
 
@@ -452,14 +453,14 @@ def test_inverse_traces_match_the_inverse(k):
 def test_every_shifted_block_of_a_gram_factors(case, monkeypatch):
     # the shift by the rounding bound keeps each block's eigenvalues at or
     # above it, so no pivot of a Gram's block fails, singular blocks included
-    real = selectors._cholesky
+    real = screen._cholesky
     factors = []
 
     def recording(h):
         factors.append(real(h))
         return factors[-1]
 
-    monkeypatch.setattr(selectors, "_cholesky", recording)
+    monkeypatch.setattr(screen, "_cholesky", recording)
     make, k = CASES[case]
     exact_optima(DenseMatrix(make()), k, _specs("vol"))
     assert factors and not any(np.isnan(factor).any() for factor in factors)
@@ -473,16 +474,16 @@ def test_a_row_is_unproven_exactly_where_its_pivot_fails(inverse, top):
     # NaN exactly where a pivot failed
     make, k = CASES["gaussian-0"]
     matrix = DenseMatrix(make())
-    unit, scale = selectors._unit_scaled(matrix.array)
+    unit, scale = screen.unit_scaled(matrix.array)
     gram = unit.T @ unit
     gram[0, 1] = gram[1, 0] = 3.0 * math.sqrt(gram[0, 0] * gram[1, 1])
     mixed = 0
     for idx in selectors._index_chunks(matrix.cols, k, 2048):
         fails = (idx[:, 0] == 0) & (idx[:, 1] == 1)
-        pivots = np.diagonal(selectors._cholesky(selectors._blocks(gram, idx))).T
+        pivots = np.diagonal(screen._cholesky(screen._blocks(gram, idx))).T
         assert np.array_equal(np.isnan(pivots).any(axis=0), fails)
         assert np.all(np.isnan(pivots[1:, fails])) and np.all(pivots[0, fails] > 0.0)
-        spectrum, kappa = selectors._cholesky_estimates(gram, scale, matrix.rows, idx, inverse, top)
+        spectrum, kappa = screen._cholesky_estimates(gram, scale, matrix.rows, idx, inverse, top)
         assert np.array_equal(np.isnan(spectrum.rel), fails)
         assert np.array_equal(np.isinf(kappa), fails)
         mixed += fails.any() and not fails.all()
@@ -516,13 +517,13 @@ def test_cholesky_bands_hold_the_svd_value(family, scale):
     for seed in range(3):
         matrix = DenseMatrix(make(seed) * scale)
         a, col_norms = matrix.array, matrix.column_norms()
-        unit, unit_scale = selectors._unit_scaled(a)
-        basis = selectors._residual_basis(unit)
+        unit, unit_scale = screen.unit_scaled(a)
+        basis = screen._residual_basis(unit)
         for idx in selectors._index_chunks(matrix.cols, k, 2048):
             scores = _batch_scores(a, col_norms, idx, specs)
             for estimator in ("cholesky", "cholesky-inverse", "cholesky-top", "cholesky-inverse-top"):
                 spectrum, kappa = _estimates(matrix, idx, estimator)
-                residual = selectors._residual_bands(basis, unit_scale, idx, kappa,
+                residual = screen._residual_bands(basis, unit_scale, idx, kappa,
                                                      {"two", "frobenius"})
                 for spec, (vals, _) in zip(specs, scores):
                     if spec.residual_norm is not None:
@@ -531,7 +532,7 @@ def test_cholesky_bands_hold_the_svd_value(family, scale):
                           or str(spec) in READS_TOP and "-top" not in estimator):
                         continue
                     else:
-                        estimate, width = selectors.batch_bands(spec, spectrum, col_norms[idx])
+                        estimate, width = screen.batch_bands(spec, spectrum, col_norms[idx])
                     finite = np.isfinite(width)
                     assert np.all(np.abs(vals[finite] - estimate[finite]) <= width[finite]), spec
                     checked += np.count_nonzero(finite)
@@ -565,12 +566,12 @@ EIGEN_FAMILIES = {
 def _chunk_bands(specs, spectrum, kappa, matrix, idx):
     """Each spec's band of the rows ``idx``, all from one ``spectrum``, as a
     pass of exact search forms them."""
-    unit, scale = selectors._unit_scaled(matrix.array)
+    unit, scale = screen.unit_scaled(matrix.array)
     norms = {spec.residual_norm for spec in specs} - {None}
-    residual = selectors._residual_bands(selectors._residual_basis(unit), scale, idx, kappa, norms)
+    residual = screen._residual_bands(screen._residual_basis(unit), scale, idx, kappa, norms)
     col_norms = matrix.column_norms()[idx]
     return [residual[spec.residual_norm] if spec.residual_norm is not None
-            else selectors.batch_bands(spec, spectrum, col_norms) for spec in specs]
+            else screen.batch_bands(spec, spectrum, col_norms) for spec in specs]
 
 
 @pytest.mark.parametrize("scale", (1.0, 1e-100, 1e100), ids="{:g}".format)
@@ -676,7 +677,7 @@ def test_bands_are_not_finite_exactly_where_full_rank_is_not_proven(family, esti
             unproven = np.isnan(spectrum.rel)
             unproven_rows += np.count_nonzero(unproven)
             for spec in specs:
-                estimate, width = selectors.batch_bands(spec, spectrum, col_norms[idx])
+                estimate, width = screen.batch_bands(spec, spectrum, col_norms[idx])
                 if np.all(width == np.inf) and not np.any(estimate):
                     overflowed += 1
                     continue
@@ -716,7 +717,7 @@ def test_rank_deficient_best_estimate_is_not_the_witness(ident, estimator):
     spec = parse_criterion(ident)
     idx = next(selectors._index_chunks(matrix.cols, k, 2048))
     spectrum, _ = _estimates(matrix, idx, estimator)
-    estimate, _ = selectors.batch_bands(spec, spectrum, matrix.column_norms()[idx])
+    estimate, _ = screen.batch_bands(spec, spectrum, matrix.column_norms()[idx])
     ((_, valid),) = _batch_scores(matrix.array, matrix.column_norms(), idx, [spec])
     assert not valid[int(np.argmin(estimate))]
     expected = _expected("duplicated", spec)
@@ -819,8 +820,8 @@ def test_ill_conditioned_subsets_next_to_the_residual_optimum(ident, estimator):
     ((vals, _),) = _batch_scores(matrix.array, matrix.column_norms(), idx, [spec])
     assert 0.0 < vals[0] - value <= 1e-5 * value
     _, kappa = _estimates(matrix, idx, estimator)
-    unit, scale = selectors._unit_scaled(matrix.array)
-    bands = selectors._residual_bands(selectors._residual_basis(unit), scale, idx, kappa,
+    unit, scale = screen.unit_scaled(matrix.array)
+    bands = screen._residual_bands(screen._residual_basis(unit), scale, idx, kappa,
                                       {spec.residual_norm})
     assert bands[spec.residual_norm][1][0] == np.inf
     assert _select_outcome(matrix, k, spec) == expected
@@ -836,19 +837,19 @@ def test_residual_widths_hold_the_rounding_of_the_condition_number(ident, estima
     a[:, 6] = a[:, 2] + 1e-4 * np.random.default_rng(4).standard_normal(len(a))
     matrix, k = DenseMatrix(a), 5
     spec = parse_criterion(ident)
-    unit, scale = selectors._unit_scaled(a)
-    basis = selectors._residual_basis(unit)
+    unit, scale = screen.unit_scaled(a)
+    basis = screen._residual_basis(unit)
     dominant = 0
     for idx in selectors._index_chunks(matrix.cols, k, 2048):
         _, kappa = _estimates(matrix, idx, estimator)
-        _, width = selectors._residual_bands(basis, scale, idx, kappa,
+        _, width = screen._residual_bands(basis, scale, idx, kappa,
                                              {spec.residual_norm})[spec.residual_norm]
         sigma, _ = batch_svd(gather_columns(a, idx))
         proven = np.isfinite(kappa)
         norm = np.linalg.norm(a)
-        rounding = norm * selectors._rounding(k, sigma[:, 0] / sigma[:, -1])
+        rounding = norm * screen._rounding(k, sigma[:, 0] / sigma[:, -1])
         assert np.all(width[proven] >= rounding[proven])
-        dominant += np.count_nonzero(proven & (rounding > norm * selectors.RESIDUAL_SLACK))
+        dominant += np.count_nonzero(proven & (rounding > norm * screen.RESIDUAL_SLACK))
     assert dominant > 0
     (best,), seen = oracle_optima(matrix, k, [spec])
     assert _select_outcome(matrix, k, spec) == ("ok", best[1], best[0], seen)
@@ -890,8 +891,8 @@ def test_enumeration_beyond_int64_ranks_is_rejected_up_front(select, monkeypatch
     def unreachable(*args, **kwargs):
         raise AssertionError("the enumeration started")
 
-    for name in ("_unit_scaled", "_index_chunks"):
-        monkeypatch.setattr(selectors, name, unreachable)
+    for module, name in ((screen, "unit_scaled"), (selectors, "_index_chunks")):
+        monkeypatch.setattr(module, name, unreachable)
     with pytest.raises(InvalidParameterError, match="C\\(70, 35\\)"):
         select()
 
@@ -911,8 +912,8 @@ def test_bands_that_overflow_have_infinite_widths():
     # finite widths from the same spectrum
     spectrum = GramSpectrum(np.full(4, 1e-12), 2.0**332, 6, eigenvalues=np.ones((4, 6)))
     norms = np.full((4, 6), 1e100)
-    estimate, width = selectors.batch_bands(parse_criterion("sopt"), spectrum, norms)
+    estimate, width = screen.batch_bands(parse_criterion("sopt"), spectrum, norms)
     assert estimate.shape == width.shape == (4,)
     assert np.all(width == np.inf)
-    _, width = selectors.batch_bands(parse_criterion("rvol"), spectrum, norms)
+    _, width = screen.batch_bands(parse_criterion("rvol"), spectrum, norms)
     assert np.all(np.isfinite(width))

@@ -15,7 +15,7 @@ import itertools
 import numpy as np
 import pytest
 
-from colsel import selectors
+from colsel import screen, selectors
 from colsel.criteria import CriterionSpec, CriterionValue, batch_values, parse_criterion
 from colsel.errors import InfeasibleError
 from colsel.matrixkit import DenseMatrix, batch_svd, gather_columns
@@ -232,7 +232,7 @@ def test_wrong_estimates_fall_back_to_scoring_every_candidate(run, monkeypatch):
             return band[0][::-1].copy(), band[1]
         return wrapped
 
-    for name in ("_swap_estimates", "_extension_estimates"):
+    for name in ("swap_estimates", "extension_estimates"):
         monkeypatch.setattr(selectors, name, reversed_estimates(getattr(selectors, name)))
     matrix = DenseMatrix(_gaussian(13))
     selector, oracle = RUNS[run]
@@ -316,10 +316,10 @@ def test_a_certified_best_outside_its_band_rescores_every_row(svd_rows):
 
 def test_criteria_without_a_rank_one_estimate_get_infinite_widths():
     a = _gaussian(16, 10, 20)
-    unit, scale = selectors._unit_scaled(a)
+    unit, scale = screen.unit_scaled(a)
     remaining = np.arange(2, 20)
     for ident in ("sopt", "rvol", "res-two"):
-        estimate, width = selectors._extension_estimates(parse_criterion(ident), unit, scale,
-                                                         (0, 1), remaining, 1.0)
+        estimate, width = screen.extension_estimates(parse_criterion(ident), unit, scale,
+                                                     (0, 1), remaining, 1.0)
         assert estimate.shape == width.shape == remaining.shape
         assert np.all(width == np.inf), ident

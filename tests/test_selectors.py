@@ -8,9 +8,10 @@ import pytest
 from colsel.criteria import evaluate, parse_criterion
 from colsel.errors import InfeasibleError, InvalidInputError, InvalidParameterError
 from colsel.matrixkit import DenseMatrix
-from colsel import selectors
+from colsel import screen, selectors
 from colsel.selectors import (
     ColumnSubset,
+    DecisionOutcome,
     DecisionQuery,
     check_exhaustive,
     decide,
@@ -127,8 +128,8 @@ class TestSelectExact:
             raise AssertionError("the enumeration started")
 
         a = DenseMatrix(np.random.default_rng(0).standard_normal((3, 31)))
-        for name in ("_unit_scaled", "_index_chunks"):
-            monkeypatch.setattr(selectors, name, unreachable)
+        for module, name in ((screen, "unit_scaled"), (selectors, "_index_chunks")):
+            monkeypatch.setattr(module, name, unreachable)
         with pytest.raises(InvalidParameterError, match="C\\(31, 15\\)"):
             select_exact(a, 15, parse_criterion("norm-two"))
 
@@ -334,6 +335,15 @@ class TestDecide:
         outcome = decide(a, DecisionQuery(parse_criterion("vol"), 2, 1.0))
         assert outcome.answer is False
         assert outcome.witness is None
+
+    def test_no_feasible_subset_answers_no(self):
+        # both columns equal: the one 2-subset is rank-deficient, which rvol
+        # rejects, so no subset can cross b
+        a = DenseMatrix(np.ones((2, 2)))
+        outcome = decide(a, DecisionQuery(parse_criterion("rvol"), 2, 0.5))
+        assert outcome == DecisionOutcome(False, None)
+        with pytest.raises(InfeasibleError):
+            select_exact(a, 2, parse_criterion("rvol"))
 
     def test_minimization_side(self):
         a = DenseMatrix(np.diag([3.0, 1.0, 2.0]))
