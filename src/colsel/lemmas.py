@@ -15,11 +15,12 @@ scores the unit-column family as stacks: one ``batch_svd`` call per shape
 (m, k), then one ``stacked_values`` call per k, the path ``values`` takes
 for a single matrix, so a matrix scores the same bits in a stack and alone.
 The removal subsets of a matrix are one stack as well (``gather_columns``).
+Above 1000 subsets, ``check_removal_monotonicity`` checks 1000 distinct ones
+drawn uniformly from all C(k, ell).
 """
 
 from __future__ import annotations
 
-import bisect
 import collections
 import functools
 import itertools
@@ -357,8 +358,8 @@ def check_removal_monotonicity(c: DenseMatrix, ell: int, seed: int = 0) -> bool:
     """Whether removing columns never lowers the scaled volume or raises any
     condition number.
 
-    Checks all ell-column submatrices when there are at most 1000, otherwise a
-    seeded sample of 1000 distinct ones.
+    Checks all ell-column submatrices when there are at most 1000, otherwise
+    1000 distinct ones drawn uniformly from all C(k, ell), seeded by ``seed``.
     """
     k = c.cols
     if not 1 <= ell < k:
@@ -372,34 +373,15 @@ def check_removal_monotonicity(c: DenseMatrix, ell: int, seed: int = 0) -> bool:
 
 def _removal_subsets(k: int, ell: int, seed: int) -> list:
     """Every ell-column subset of k columns when there are at most 1000, else
-    a seeded sample of 1000 distinct ones; each sorted, in lexicographic order.
-
-    The sample is 1000 distinct lexicographic ranks from two generator calls,
-    whatever C(k, ell) is: ranks r below min(C(k, ell), 2**62) drawn without
-    replacement, each taken as r * s + o with s = C(k, ell) // 2**62 (1 below
-    2**62) and an o drawn below s, which keeps them distinct.  Each rank
-    is unranked in the combinatorial number system (as
-    ``selectors._index_chunks`` does): the combination of rank r is
-    j -> k - 1 - j applied to the one of colex rank R = C(k, ell) - 1 - r,
-    whose largest element is the c with C(c, ell) <= R < C(c + 1, ell), and
-    so on down with R - C(c, ell).
-    """
-    total = math.comb(k, ell)
-    if total <= 1000:
+    the first 1000 distinct ones of seeded uniform draws from all C(k, ell)
+    (Floyd's algorithm, batches of 1000); each sorted, in lexicographic order."""
+    if math.comb(k, ell) <= 1000:
         return list(itertools.combinations(range(k), ell))
-    rng = np.random.default_rng(seed)
-    bound = min(total, 2**62)
-    stride = total // bound
-    ranks = np.sort(rng.choice(bound, size=1000, replace=False))
-    offsets = rng.integers(0, min(stride, bound), size=1000)
-    table = [[math.comb(c, j) for c in range(k)] for j in range(ell, 0, -1)]
-    subsets = []
-    for rank, offset in zip(ranks.tolist(), offsets.tolist()):
-        colex = total - 1 - (rank * stride + offset)
-        subset = []
-        for row in table:
-            c = bisect.bisect_right(row, colex) - 1
-            colex -= row[c]
-            subset.append(k - 1 - c)
-        subsets.append(tuple(subset))
-    return subsets
+    rng, sample = np.random.default_rng(seed), {}
+    while len(sample) < 1000:
+        draws = np.empty((1000, ell), dtype=np.intp)
+        for i, j in enumerate(range(k - ell, k)):
+            t = rng.integers(0, j + 1, size=1000)
+            draws[:, i] = np.where(np.any(draws[:, :i] == t[:, None], axis=1), j, t)
+        sample.update(dict.fromkeys(map(tuple, np.sort(draws, axis=1).tolist())))
+    return sorted(itertools.islice(sample, 1000))

@@ -39,20 +39,21 @@ class GramSpectrum:
 
     Row b's sigmas are taken to lie within a factor 1 -+ ``rel[b]`` of the
     ones the SVD computes; a row whose full column rank its estimator did not
-    prove has a NaN ``rel`` and NaN invariants, so every quantity formed from
-    it is NaN.  Per row, with H = C^T C / scale^2, its estimator gave either
-    the eigenvalues of H (``eigenvalues``, non-increasing), or what a
-    Cholesky factor gives: ``root_det`` = det(H)^(1/2), ``traces`` mapping j
-    to tr H^j for j = 1, 2 and, when an inverse was formed, -1, -2, and
-    ``top``, the largest eigenvalue of H, when it was bracketed (else None).
-    ``sum(j)`` is the power sum tr H^j, formed once and kept: by products and
-    square roots of the eigenvalues where 2j is an integer of magnitude at
-    most 4, the j that p = 2, 3 and 4 need, by ``np.power`` for any other.
-    ``prod()``, ``power_sum(q)``, ``largest()`` and ``smallest()`` are C's
-    prod sigma, sum sigma^q, sigma_1 and sigma_k.  ``scale`` is a numpy
-    float64, so under ``np.errstate`` they over- and underflow where the
-    products and powers of ``_Kind.value`` do; a quantity whose forming
-    raises is not kept.  ``growth(L)`` is (1 - rel)^-L - 1, formed once per L.
+    prove has a NaN ``rel``, and the constructor makes its invariants NaN in
+    place, so every quantity formed from it is NaN.  Per row, with
+    H = C^T C / scale^2, its estimator gave either the eigenvalues of H
+    (``eigenvalues``, non-increasing), or what a Cholesky factor gives:
+    ``root_det`` = det(H)^(1/2), ``traces`` mapping j to tr H^j for j = 1, 2
+    and, when an inverse was formed, -1, -2, and ``top``, the largest
+    eigenvalue of H, when it was bracketed.  ``sum(j)`` is tr H^j, formed once
+    and kept: by products and square roots of the eigenvalues where 2j is an
+    integer of magnitude at most 4, the j that p = 2, 3 and 4 need, by
+    ``np.power`` for any other.  ``prod()``, ``power_sum(q)``, ``largest()``
+    and ``smallest()`` are C's prod sigma, sum sigma^q, sigma_1 and sigma_k.
+    ``scale`` is a numpy float64, so under ``np.errstate`` they over- and
+    underflow where the products and powers of ``_Kind.value`` do; a quantity
+    whose forming raises is not kept.  ``growth(L)`` is (1 - rel)^-L - 1,
+    formed once per L.
     """
 
     def __init__(self, rel, scale, k: int, eigenvalues=None, root_det=None, traces=None,
@@ -60,6 +61,10 @@ class GramSpectrum:
         self.rel, self.scale, self.k = rel, np.float64(scale), k
         self._sums, self._root_det, self.top, self.bottom = dict(traces or {}), root_det, top, None
         self._powers, self._growth, self._eigenvalues = {}, {}, None
+        unproven = np.isnan(rel)
+        for invariant in (eigenvalues, root_det, *self._sums.values(), top):
+            if invariant is not None:
+                invariant[unproven] = np.nan
         if eigenvalues is not None:
             # the eigenvalues of a row run down a column, so that every sum
             # over them adds whole rows of this array
@@ -224,7 +229,6 @@ def _gram_estimates(gram: np.ndarray, scale: float, m: int, idx: np.ndarray):
     lam = np.maximum(lam, 0.0)
     rel, kappa = _proven(m, k, np.sqrt(lam[:, 0]) * scale, np.sqrt(lam[:, -1]) * scale,
                          err / lam[:, -1])
-    lam[np.isnan(rel)] = np.nan
     return GramSpectrum(rel, scale, k, eigenvalues=lam), kappa
 
 
@@ -389,9 +393,6 @@ def _cholesky_estimates(gram: np.ndarray, scale: float, m: int, idx: np.ndarray,
         low = np.min(d, axis=0) * np.prod(pivots**2 / d, axis=0) * ((k - 1) / k) ** (k - 1)
     rel, kappa = _proven(m, k, np.sqrt(traces[1]) * scale, np.sqrt(low) * scale,
                          4.0 * delta / low + spread)
-    unproven = np.isnan(rel)
-    for invariant in [root_det, *traces.values()] + ([largest] if top else []):
-        invariant[unproven] = np.nan
     return GramSpectrum(rel, scale, k, root_det=root_det, traces=traces, top=largest), kappa
 
 

@@ -268,6 +268,8 @@ def exact_optima(matrix: DenseMatrix, k: int, specs, threads: int = 1, allow_lar
     if threads < 1:
         raise InvalidParameterError("threads must be >= 1")
     specs = list(specs)
+    if not specs:
+        raise InvalidParameterError("need at least one criterion")
     maximize = [spec.direction == "maximize" for spec in specs]
     a = matrix.array
     col_norms = matrix.column_norms()

@@ -166,10 +166,10 @@ class TestRemovalMonotonicity:
         c = DenseMatrix(rng.standard_normal((16, 14)))
         assert check_removal_monotonicity(c, 7, seed=1) is True
 
-    # C(14, 4) = 1,001 is one above the sample size, and C(70, 35) and
-    # C(100, 50) are above the 2**62 ranks drawn without replacement
-    @pytest.mark.parametrize("k, ell, seed", [(14, 7, 1), (14, 4, 0), (16, 8, 3), (70, 35, 2),
-                                              (100, 50, 5), (200, 3, 4)])
+    # C(14, 4) = 1,001 is one above the sample size, so the draws collect all
+    # but one subset, and C(66, 33), C(70, 35) and C(100, 50) are above 2**62
+    @pytest.mark.parametrize("k, ell, seed", [(14, 7, 1), (14, 4, 0), (16, 8, 3), (66, 33, 1),
+                                              (70, 35, 2), (100, 50, 5), (200, 3, 4)])
     def test_sampled_subsets_are_distinct_and_sorted(self, k, ell, seed):
         subsets = _removal_subsets(k, ell, seed)
         assert len(subsets) == len(set(subsets)) == 1000
@@ -178,6 +178,31 @@ class TestRemovalMonotonicity:
         assert subsets == sorted(subsets)
         assert len({s[0] for s in subsets}) > 1
         assert _removal_subsets(k, ell, seed) == subsets
+
+    # each column is in half of all C(2 ell, ell) subsets, and some subsets drop
+    # both of the first two columns or sit in the last 1% of lexicographic order
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sampled_subsets_reach_all_of_them(self, seed):
+        for k in (66, 70, 100):
+            subsets = _removal_subsets(k, k // 2, seed)
+            share = sum(s[0] == 0 for s in subsets) / len(subsets)
+            assert abs(share - 0.5) <= 0.06
+        assert any(s[0] >= 2 for s in _removal_subsets(66, 33, seed))
+        assert 100 * lex_rank(_removal_subsets(70, 35, seed)[-1], 70) > 99 * math.comb(70, 35)
+
+    def test_sampled_path_on_a_large_orthonormal_matrix(self):
+        q, _ = np.linalg.qr(np.random.default_rng(9).standard_normal((66, 66)))
+        assert check_removal_monotonicity(DenseMatrix(q), 33) is True
+
+
+def lex_rank(subset, k):
+    """The number of sorted len(subset)-subsets of range(k) that come before
+    ``subset`` in lexicographic order."""
+    rank, prev = 0, -1
+    for i, c in enumerate(subset):
+        rank += sum(math.comb(k - 1 - v, len(subset) - 1 - i) for v in range(prev + 1, c))
+        prev = c
+    return rank
 
 
 def per_subset_violations(c, subsets):

@@ -133,6 +133,17 @@ class TestSelectExact:
         with pytest.raises(InvalidParameterError, match="C\\(31, 15\\)"):
             select_exact(a, 15, parse_criterion("norm-two"))
 
+    def test_no_criteria_is_rejected_up_front(self, monkeypatch):
+        # an empty criterion list failed inside the first chunk's reduction
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the enumeration started")
+
+        a = DenseMatrix(np.random.default_rng(0).standard_normal((5, 7)))
+        for module, name in ((screen, "unit_scaled"), (selectors, "_index_chunks")):
+            monkeypatch.setattr(module, name, unreachable)
+        with pytest.raises(InvalidParameterError, match="criterion"):
+            selectors.exact_optima(a, 2, [])
+
     def test_budget_counts_subsets(self, monkeypatch):
         monkeypatch.setattr(selectors, "MAX_EXHAUSTIVE_SUBSETS", math.comb(8, 4))
         check_exhaustive(8, 4)
