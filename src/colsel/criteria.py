@@ -5,20 +5,20 @@ submatrix C (plus its column norms for the scaled volume, and the parent
 matrix for the residuals).  ``_KINDS`` holds one row per criterion (a
 Schatten family such as the condition numbers is one criterion), keyed by its
 id, the one name a ``CriterionSpec`` takes: its other names, optimization
-direction, rank requirement, Schatten-parameter domain, sigma-to-value
-function, its value from an estimated spectrum of C (a
-``screen.GramSpectrum``, for every criterion but the residuals) and the p at
-which a Cholesky factor of C^T C gives that value, how far it can move when
-the sigmas move (``batch_bands``), and the optimal value attained by k
-orthonormal columns, which is what turns the optimization problems into
-decision problems.  Adding a criterion means adding one row (plus its
-``REGISTRY`` id when it belongs in the reports).
+direction, rank requirement, Schatten-parameter domain, its one value
+function, which reads a spectrum of C (computed sigmas, a ``Singular``, or
+estimated ones, a ``screen.GramSpectrum``; every criterion but the
+residuals has one), the p at which a Cholesky factor of C^T C serves that
+value, how far it can move when the sigmas move (``batch_bands``), and the
+optimal value attained by k orthonormal columns, which is what turns the
+optimization problems into decision problems.  Adding a criterion means
+adding one row (plus its ``REGISTRY`` id when it belongs in the reports).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -29,10 +29,8 @@ from .matrixkit import DenseMatrix, default_rank_tolerance, svd
 # Schatten-parameter domains as (minimum, whether p = inf is allowed)
 _ANY_P = (1.0, True)
 _FINITE_P2 = (2.0, False)
-# the Schatten p whose power sums, tr H^(p/2) and tr H^(-p/2), a Cholesky factor gives
-_CHOLESKY_P = (2.0, 4.0)
 
-# The value functions take a stack of sigma rows and reduce along the last
+# ``Singular``'s reads take a stack of sigma rows and reduce along the last
 # axis.  ``values`` passes a stack of one, so every power runs as numpy's
 # array power, never as the float64 scalar power, whose last bit can differ;
 # scalar and batched values then agree bit for bit.  The ufunc reductions
@@ -42,58 +40,54 @@ _sum = np.add.reduce
 _prod = np.multiply.reduce
 
 
-def _schatten(sigma, p):
+@dataclass(frozen=True, eq=False)
+class Singular:
+    """The spectrum a value function reads, from a (B, r) stack of computed
+    singular values, non-increasing along each row; ``screen.GramSpectrum``
+    answers the same reads from estimates."""
+
+    sigma: np.ndarray
+
+    def largest(self):
+        return self.sigma[..., 0]
+
+    def smallest(self):
+        return self.sigma[..., -1]
+
+    def prod(self):
+        return _prod(self.sigma, axis=-1)
+
+    def power_sum(self, q):
+        return _sum(self.sigma**q, axis=-1)
+
+    def relative_prod(self):
+        return _prod(self.sigma / self.sigma[..., :1], axis=-1)
+
+    def relative_power_sum(self, q):
+        return _sum((self.sigma / self.sigma[..., :1]) ** q, axis=-1)
+
+
+def _schatten(s, p, norms):
     if p == math.inf:
-        return sigma[..., 0]
-    return _sum(sigma**p, axis=-1) ** (1.0 / p)
+        return s.largest()
+    return s.power_sum(p) ** (1.0 / p)
 
 
-def _pinv_schatten(sigma, p):
+def _pinv_schatten(s, p, norms):
     if p == math.inf:
-        return 1.0 / sigma[..., -1]
-    return _sum(sigma ** (-p), axis=-1) ** (1.0 / p)
+        return 1.0 / s.smallest()
+    return s.power_sum(-p) ** (1.0 / p)
 
 
-def _cond_schatten(sigma, p, norms):
+def _cond_schatten(s, p, norms):
     if p == math.inf:
-        return sigma[..., 0] / sigma[..., -1]
-    return _schatten(sigma, p) * _pinv_schatten(sigma, p)
+        return s.largest() / s.smallest()
+    return _schatten(s, p, norms) * _pinv_schatten(s, p, norms)
 
 
-def _sopt(sigma, p, norms):
-    k = norms.shape[-1]
-    return (_prod(sigma, axis=-1) / _prod(norms, axis=-1)) ** (1.0 / k)
-
-
-def _gram_schatten(g, p, norms):
-    if p == math.inf:
-        return g.largest()
-    return g.power_sum(p) ** (1.0 / p)
-
-
-def _gram_pinv_schatten(g, p, norms):
-    if p == math.inf:
-        return 1.0 / g.smallest()
-    return g.power_sum(-p) ** (1.0 / p)
-
-
-def _gram_cond(g, p, norms):
-    if p == math.inf:
-        return g.largest() / g.smallest()
-    return _gram_schatten(g, p, norms) * _gram_pinv_schatten(g, p, norms)
-
-
-def _gram_rvol(g, p, norms):
-    # both invariants at unit scale: scale-free, as prod(sigma / sigma_1) is
-    return g.root_det / g.top ** (g.k / 2.0)
-
-
-def _gram_srank(g, p, norms):
-    return g.sum(p / 2) / g.top ** (p / 2)
-
-
-def _gram_sopt(g, p, norms):
-    return (g.prod() / _prod(norms, axis=0)) ** (1.0 / g.k)
+def _sopt(s, p, norms):
+    # column-major, so that the product over the columns multiplies whole rows
+    return (s.prod() / _prod(np.asfortranarray(norms), axis=-1)) ** (1.0 / norms.shape[-1])
 
 
 def _root(k, p):
@@ -122,22 +116,21 @@ class _Kind:
     ("cond-frobenius", 2), or None for an alias that pins none ("volume");
     ``default_p`` is the p a bare id means (2 for "srank" and "cond-mixed").  ``rank``
     says what a numerically rank-deficient C scores: "required" rejects it,
-    "zero" scores 0, "any" evaluates it as is.  ``value`` maps a stack of singular values (B, r), p
-    and column norms (B, k) to B criterion values; residuals, which are not
-    singular-value computable, name their norm in ``residual`` instead.
-    ``gram_value`` maps a ``GramSpectrum`` (B rows), p and column norms
-    (k, B) to the same B values, through its power sums, sigma_1, sigma_k
-    and prod sigma; every criterion but the residuals has one.  ``cholesky_p`` holds the p
-    at which that value needs only what a Cholesky factor gives, det(C^T C),
-    the traces of its first two powers and inverse powers, and the largest
-    eigenvalue (vol, rvol, sopt, norm at p = 2, 4 and inf, pinv-norm, cond
-    and srank at p = 2 and 4; none for cond-mixed, which needs sigma_k on
-    its own, as pinv-norm and cond at p = inf do).  ``log_lipschitz`` bounds the
-    sum over i of |d log value / d log sigma_i| for k columns, so sigmas that
-    each move by a factor within [1/c, c] move the value by a factor within
-    [c^-L, c^L] (``batch_bands``); where ``gram_value`` reads one sigma through
-    two invariants, each estimated on its own (rvol's sigma_1 through the
-    determinant and the largest eigenvalue), the sum counts it in both.
+    "zero" scores 0, "any" evaluates it as is.  ``value`` maps a spectrum of
+    B matrices (a ``Singular``, or a ``screen.GramSpectrum``), p and their
+    column norms (B, k) to B criterion values, through the spectrum's reads
+    alone; the residuals, which are not singular-value computable, name
+    their norm in ``residual`` instead.  ``factored`` maps each p at which a
+    Cholesky factor of C^T C serves the value to what that pass forms beside
+    det(C^T C) and tr (C^T C)^j, j = 1, 2: "plain" nothing, "inverse" the
+    inverse's traces, "top" the largest eigenvalue's bracket (none at p = 3,
+    nor for sigma_k alone: cond-mixed, pinv-norm-two and cond-two).
+    ``log_lipschitz`` bounds the sum over i of |d log value / d log sigma_i|
+    for k columns, so sigmas that each move by a factor within [1/c, c] move
+    the value by a factor within [c^-L, c^L] (``batch_bands``); where a
+    spectrum read takes one sigma from two invariants, each estimated on its
+    own (``relative_prod()``'s sigma_1 through a ``GramSpectrum``'s
+    determinant and largest eigenvalue), the sum counts it in both.
     """
 
     direction: str
@@ -151,36 +144,33 @@ class _Kind:
     needs_norms: bool = False
     residual: str | None = None
     log_lipschitz: Callable[[int, float | None], float] = _one
-    gram_value: Callable | None = None
-    cholesky_p: tuple[float, ...] = _CHOLESKY_P
+    factored: dict[float | None, str] = field(default_factory=dict)
 
 
 _KINDS = {
-    "vol": _Kind("maximize", "zero", _one, lambda s, p, n: _prod(s, axis=-1),
-                 named=(("volume", None),), log_lipschitz=lambda k, p: float(k),
-                 gram_value=lambda g, p, n: g.prod()),
-    "rvol": _Kind("maximize", "required", _one, lambda s, p, n: _prod(s / s[..., :1], axis=-1),
-                  log_lipschitz=lambda k, p: 2.0 * k, gram_value=_gram_rvol),
-    "sopt": _Kind("maximize", "required", _one, _sopt, needs_norms=True, gram_value=_gram_sopt),
-    "norm": _Kind("minimize", "any", _unit_schatten, lambda s, p, n: _schatten(s, p), _ANY_P,
+    "vol": _Kind("maximize", "zero", _one, lambda s, p, n: s.prod(), named=(("volume", None),),
+                 log_lipschitz=lambda k, p: float(k), factored={None: "plain"}),
+    "rvol": _Kind("maximize", "required", _one, lambda s, p, n: s.relative_prod(),
+                  log_lipschitz=lambda k, p: 2.0 * k, factored={None: "top"}),
+    "sopt": _Kind("maximize", "required", _one, _sopt, needs_norms=True,
+                  factored={None: "plain"}),
+    "norm": _Kind("minimize", "any", _unit_schatten, _schatten, _ANY_P,
                   named=(("norm-two", math.inf), ("norm-frobenius", 2.0)),
-                  characterizes=lambda p: p > 2, gram_value=_gram_schatten,
-                  cholesky_p=(*_CHOLESKY_P, math.inf)),
-    "pinv-norm": _Kind("minimize", "required", _unit_schatten,
-                       lambda s, p, n: _pinv_schatten(s, p), _ANY_P,
+                  characterizes=lambda p: p > 2,
+                  factored={2.0: "plain", 4.0: "plain", math.inf: "top"}),
+    "pinv-norm": _Kind("minimize", "required", _unit_schatten, _pinv_schatten, _ANY_P,
                        named=(("pinv-norm-two", math.inf), ("pinv-norm-frobenius", 2.0)),
-                       characterizes=lambda p: p >= 2, gram_value=_gram_pinv_schatten),
+                       characterizes=lambda p: p >= 2,
+                       factored={2.0: "inverse", 4.0: "inverse"}),
     "cond": _Kind("minimize", "required", lambda k, p: k ** (2.0 / p), _cond_schatten, _ANY_P,
                   named=(("cond-two", math.inf), ("cond-frobenius", 2.0)),
-                  log_lipschitz=lambda k, p: 2.0, gram_value=_gram_cond),
+                  log_lipschitz=lambda k, p: 2.0, factored={2.0: "inverse", 4.0: "inverse"}),
     "cond-mixed": _Kind("minimize", "required", _root,
-                        lambda s, p, n: _schatten(s, p) / s[..., -1], _ANY_P,
-                        default_p=2.0, log_lipschitz=lambda k, p: 2.0,
-                        gram_value=lambda g, p, n: _gram_schatten(g, p, n) / g.smallest(),
-                        cholesky_p=()),
+                        lambda s, p, n: _schatten(s, p, n) / s.smallest(), _ANY_P,
+                        default_p=2.0, log_lipschitz=lambda k, p: 2.0),
     "srank": _Kind("maximize", "any", lambda k, p: float(k),
-                   lambda s, p, n: _sum((s / s[..., :1]) ** p, axis=-1), _FINITE_P2,
-                   default_p=2.0, log_lipschitz=lambda k, p: 2.0 * p, gram_value=_gram_srank),
+                   lambda s, p, n: s.relative_power_sum(p), _FINITE_P2, default_p=2.0,
+                   log_lipschitz=lambda k, p: 2.0 * p, factored={2.0: "top", 4.0: "top"}),
     "res-two": _Kind("minimize", "any", lambda k, p: None,
                      characterizes=lambda p: False, residual="two"),
     "res-frobenius": _Kind("minimize", "any", lambda k, p: None,
@@ -241,12 +231,9 @@ def stacked_values(specs, sigma: np.ndarray, column_norms, full_rank: np.ndarray
     (a zero column for sopt, rank deficiency for a rank-required criterion);
     the residual criteria are rejected.
     """
-    out = np.empty((len(specs), len(sigma)))
-    # the rows each rank rule scores 0, formed once: none when every matrix
-    # has full rank, as each then has sigma_1 > 0
-    zeroed = {}
-    if np.count_nonzero(full_rank) < len(full_rank):
-        zeroed = {"zero": ~full_rank, "any": sigma[:, 0] == 0.0}
+    out, spectrum = np.empty((len(specs), len(sigma))), Singular(sigma)
+    # no rank rule zeroes a matrix of full rank, whose sigma_1 is positive
+    deficient = np.count_nonzero(full_rank) < len(full_rank)
     zero_column = column_norms is not None and bool((column_norms == 0.0).any())
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for i, spec in enumerate(specs):
@@ -255,12 +242,18 @@ def stacked_values(specs, sigma: np.ndarray, column_norms, full_rank: np.ndarray
                 raise InvalidParameterError("residual criteria need the parent matrix")
             if row.needs_norms and zero_column:
                 raise InvalidInputError("matrix has a zero column")
-            if row.rank == "required" and zeroed:
+            if row.rank == "required" and deficient:
                 raise RankDeficiencyError(f"criterion {spec.identifier!r} needs full column rank")
-            out[i] = row.value(sigma, spec.p, column_norms)
-            if row.rank in zeroed:
-                out[i, zeroed[row.rank]] = 0.0
+            out[i] = row.value(spectrum, spec.p, column_norms)
+            if deficient:
+                out[i, _zeroed(row.rank, sigma, full_rank)] = 0.0
     return out
+
+
+def _zeroed(rank: str, sigma: np.ndarray, full_rank: np.ndarray) -> np.ndarray:
+    """The rows the rank rule ``rank`` scores 0: for "any" those whose
+    sigma_1 is 0, else those short of full column rank."""
+    return sigma[:, 0] == 0.0 if rank == "any" else ~full_rank
 
 
 def volume(c: DenseMatrix) -> float:
@@ -378,12 +371,15 @@ class CriterionSpec:
         return _KINDS[self.kind].residual
 
     @property
+    def factored(self) -> str | None:
+        """What a Cholesky pass forms to band the value (``_Kind.factored``),
+        or None where no factor serves it."""
+        return _KINDS[self.kind].factored.get(self.p)
+
+    @property
     def gram_invariant(self) -> bool:
-        """Whether ``batch_bands`` can band the value from the ``GramSpectrum``
-        of a Cholesky factor: vol, rvol, sopt, norm-two, and norm, pinv-norm,
-        cond and srank at p = 2 or 4."""
-        row = _KINDS[self.kind]
-        return row.gram_value is not None and self.p in (None, *row.cholesky_p)
+        """Whether ``batch_bands`` can band the value from a Cholesky factor."""
+        return self.factored is not None
 
     @property
     def identifier(self) -> str:
@@ -504,11 +500,11 @@ def batch_values(spec: CriterionSpec, sigma: np.ndarray, column_norms: np.ndarra
             f"criterion {spec.identifier!r} is not singular-value computable"
         )
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        vals = row.value(sigma, spec.p, column_norms)
+        vals = row.value(Singular(sigma), spec.p, column_norms)
+    zeroed = _zeroed(row.rank, sigma, full_rank)
     if row.rank == "required":
-        return np.where(full_rank & np.isfinite(vals), vals, 0.0), full_rank
-    scored = full_rank if row.rank == "zero" else sigma[:, 0] > 0.0
-    return np.where(scored, vals, 0.0), np.ones(len(sigma), dtype=bool)
+        return np.where(zeroed | ~np.isfinite(vals), 0.0, vals), full_rank
+    return np.where(zeroed, 0.0, vals), np.ones(len(sigma), dtype=bool)
 
 
 def batch_bands(spec: CriterionSpec, spectrum, column_norms: np.ndarray):
@@ -516,22 +512,21 @@ def batch_bands(spec: CriterionSpec, spectrum, column_norms: np.ndarray):
     from a ``screen.GramSpectrum`` of its sigmas; a band that is not finite
     marks no usable estimate.
 
-    ``column_norms`` is (B, k).  The estimate is the kind's ``gram_value``
-    (the same function of the sigmas as its ``value``), and the width
-    ``estimate * ((1 - rel)^-L - 1)`` follows from its ``log_lipschitz``
-    constant L; ``rel`` is large enough to also cover the rounding of the
-    value function and of the invariants it reads.  Both are NaN on a row
-    whose full column rank the spectrum does not prove (its ``rel`` is NaN).
-    Every width of the spec is infinite when its estimate overflows or
-    underflows, where the value's own rounding is no longer relative to the
-    value; the other specs of the spectrum keep theirs.
+    ``column_norms`` is (B, k).  The estimate is the kind's ``value`` read
+    from the estimated spectrum, the one function ``batch_values`` reads from
+    the computed sigmas, and the width ``estimate * ((1 - rel)^-L - 1)``
+    follows from its ``log_lipschitz`` constant L; ``rel`` is large enough to
+    also cover the rounding of the value function and of the invariants it
+    reads.  Both are NaN on a row whose full column rank the spectrum does
+    not prove (its ``rel`` is NaN).  Every width of the spec is infinite when
+    its estimate, or a product it forms on the way (sopt's column norms),
+    overflows or underflows, where the value's own rounding is no longer
+    relative to the value; the other specs of the spectrum keep theirs.
     """
     row = _KINDS[spec.kind]
-    # down columns, as the spectrum's eigenvalues run
-    norms = np.ascontiguousarray(column_norms.T) if row.needs_norms else None
     try:
         with np.errstate(all="raise"):
-            estimate = row.gram_value(spectrum, spec.p, norms)
+            estimate = row.value(spectrum, spec.p, column_norms)
     except FloatingPointError:
         return np.zeros(len(spectrum.rel)), np.full(len(spectrum.rel), np.inf)
     return estimate, estimate * spectrum.growth(row.log_lipschitz(spectrum.k, spec.p))

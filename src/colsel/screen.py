@@ -33,9 +33,10 @@ _SQUARINGS = 5
 
 
 class GramSpectrum:
-    """Estimated spectra of a stack of B k-column submatrices C: what the
-    ``_Kind.gram_value`` functions read in place of singular values, one
-    object for every criterion of a chunk, so each quantity is formed once.
+    """Estimated spectra of a stack of B k-column submatrices C: the reads of
+    a ``criteria.Singular``, which the criteria's value functions make,
+    answered from estimates; one object for every criterion of a chunk, so
+    each quantity is formed once.
 
     Row b's sigmas are taken to lie within a factor 1 -+ ``rel[b]`` of the
     ones the SVD computes; a row whose full column rank its estimator did not
@@ -49,11 +50,12 @@ class GramSpectrum:
     and kept: by products and square roots of the eigenvalues where 2j is an
     integer of magnitude at most 4, the j that p = 2, 3 and 4 need, by
     ``np.power`` for any other.  ``prod()``, ``power_sum(q)``, ``largest()``
-    and ``smallest()`` are C's prod sigma, sum sigma^q, sigma_1 and sigma_k.
-    ``scale`` is a numpy float64, so under ``np.errstate`` they over- and
-    underflow where the products and powers of ``_Kind.value`` do; a quantity
-    whose forming raises is not kept.  ``growth(L)`` is (1 - rel)^-L - 1,
-    formed once per L.
+    and ``smallest()`` are C's prod sigma, sum sigma^q, sigma_1 and sigma_k,
+    and the scale-free ``relative_prod()`` and ``relative_power_sum(q)`` those
+    of sigma / sigma_1, from the invariants at unit scale.  ``scale`` is a
+    numpy float64, so under ``np.errstate`` they over- and underflow where
+    ``Singular``'s reads do; a quantity whose forming raises is not kept.
+    ``growth(L)`` is (1 - rel)^-L - 1, formed once per L.
     """
 
     def __init__(self, rel, scale, k: int, eigenvalues=None, root_det=None, traces=None,
@@ -112,6 +114,12 @@ class GramSpectrum:
     def power_sum(self, q):
         return self.sum(q / 2) * self.scale**q
 
+    def relative_prod(self):
+        return self.root_det / self.top ** (self.k / 2.0)
+
+    def relative_power_sum(self, q):
+        return self.sum(q / 2) / self.top ** (q / 2)
+
     def growth(self, lipschitz: float):
         if lipschitz not in self._growth:
             self._growth[lipschitz] = (1.0 - self.rel) ** -lipschitz - 1.0
@@ -132,13 +140,10 @@ class ChunkScreen:
         self.basis = _residual_basis(unit) if self.norms else None
         (self.m, self.n), self.col_norms, self.specs = a.shape, col_norms, specs
         # None when the pass solves for the blocks' eigenvalues, else whether its
-        # Cholesky pass also forms the inverse's traces (pinv-norm, cond) and the
-        # largest eigenvalue's bracket (rvol, norm-two, srank)
-        self.parts = None
-        if all(spec.gram_invariant or spec.residual_norm for spec in specs):
-            self.parts = (any(spec.kind in ("pinv-norm", "cond") for spec in specs),
-                          any(spec.kind in ("rvol", "srank") or spec.kind == "norm"
-                              and spec.p == math.inf for spec in specs))
+        # Cholesky pass also forms the inverse's traces and the largest
+        # eigenvalue's bracket (``CriterionSpec.factored``)
+        needs = {spec.factored for spec in specs if not spec.residual_norm}
+        self.parts = None if None in needs else ("inverse" in needs, "top" in needs)
 
     def bytes_per_subset(self, k: int) -> int:
         """Bytes per subset of the arrays one chunk of k-subsets holds at once,
@@ -166,13 +171,12 @@ class ChunkScreen:
         the residuals' from one batched QR of the subsets' columns
         (``_residual_bands``).  The blocks are factored a column of every
         block at a time (``_cholesky_estimates``, with the inverse's traces
-        only for pinv-norm and cond, and the bracket on the largest
-        eigenvalue from repeated squaring only for rvol, norm-two and srank)
-        when every spec is ``gram_invariant`` or a residual, a block that
-        fails to factor leaving only its own row unproven, for the SVD to
-        certify; otherwise (p = 3, or sigma_k alone: every x3c pass) their
-        eigenvalues are solved for in one batched eigensolve
-        (``_gram_estimates``).
+        and the bracket on the largest eigenvalue only where a spec's
+        ``factored`` part asks for them) when every spec has one or is a
+        residual, a block that fails to factor leaving only its own row
+        unproven, for the SVD to certify; otherwise (p = 3, or sigma_k alone:
+        every x3c pass) their eigenvalues are solved for in one batched
+        eigensolve (``_gram_estimates``).
         """
         if self.parts is None:
             spectrum, kappa = _gram_estimates(self.gram, self.scale, self.m, idx)

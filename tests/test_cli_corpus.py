@@ -2,9 +2,10 @@
 
 Each case runs ``colsel.cli.main`` in process, with stdin either a literal
 text or the stdout of an earlier case, and must reproduce the recorded exit
-code and stdout byte for byte.  Record the corpus again with
-``PYTHONPATH=src python tests/test_cli_corpus.py`` from a commit whose output
-is trusted.
+code and stdout byte for byte.  ``PYTHONPATH=src python tests/test_cli_corpus.py``
+records the cases missing from the corpus, from a commit whose output is
+trusted; it never rewrites a recorded case, so to record one again, delete it
+from ``data/cli_corpus.json`` by hand first.
 """
 
 import contextlib
@@ -65,8 +66,13 @@ def same_up_to_rounding(want: str, got: str) -> bool:
     return True
 
 
-EVAL_IDS = ("vol", "rvol", "sopt", "norm:p=3", "pinv-norm:p=4", "cond-two", "cond-frobenius",
-            "cond:p=3", "cond-mixed", "cond-mixed:p=4", "srank:p=3", "res-two", "res-frobenius")
+# every registry id but the residuals, written out so that the corpus stays fixed
+SPECTRAL_IDS = ("vol", "rvol", "sopt", "norm-two", "norm:p=3", "norm:p=4", "norm-frobenius",
+                "pinv-norm-two", "pinv-norm-frobenius", "pinv-norm:p=3", "pinv-norm:p=4",
+                "cond-two", "cond-frobenius", "cond:p=3", "cond:p=4", "cond-mixed",
+                "cond-mixed:p=3", "cond-mixed:p=4", "srank", "srank:p=3", "srank:p=4")
+# plus a p that each Schatten family takes through np.power
+EVAL_IDS = SPECTRAL_IDS + ("norm:p=1.5", "pinv-norm:p=6", "srank:p=6", "res-two", "res-frobenius")
 
 # (name, argv, literal stdin, or the name of the earlier case whose stdout is stdin)
 CASES = [(f"eval-{ident}", ["eval", "--criterion", ident], EVAL_MATRIX) for ident in EVAL_IDS]
@@ -126,6 +132,8 @@ CASES += [
     ("lemmas-200-seed-1-json", ["lemmas", "--trials", "200", "--seed", "1", "--format", "json"],
      None),
 ]
+CASES += [(f"select-exact-k3-{ident}", ["select", "--method", "exact", "--criterion", ident,
+                                        "--k", "3"], SELECT_MATRIX) for ident in SPECTRAL_IDS]
 
 
 def run(argv, stdin: str) -> tuple[int, str]:
@@ -171,5 +179,8 @@ def test_stdout_matches_recorded_bytes(name, current):
 
 
 if __name__ == "__main__":
+    recorded = json.loads(CORPUS.read_text(encoding="utf-8")) if CORPUS.exists() else {}
+    for name, result in run_all().items():
+        recorded.setdefault(name, result)
     CORPUS.parent.mkdir(exist_ok=True)
-    CORPUS.write_text(json.dumps(run_all(), indent=1) + "\n", encoding="utf-8")
+    CORPUS.write_text(json.dumps(recorded, indent=1) + "\n", encoding="utf-8")

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import warnings
 
@@ -30,7 +32,8 @@ from colsel.errors import (
     RankDeficiencyError,
     ShapeError,
 )
-from colsel.matrixkit import DenseMatrix, pseudo_inverse
+from colsel.matrixkit import DenseMatrix, batch_svd, gather_columns, pseudo_inverse
+from colsel.screen import ChunkScreen
 from colsel.x3c import gadget
 
 SQRT2 = math.sqrt(2.0)
@@ -495,3 +498,29 @@ class TestFloatingPointWarnings:
             assert values(c, (spec,)) == [math.inf]
             with pytest.raises(InvalidInputError, match="must be finite"):
                 evaluate(spec, c)
+
+
+class TestOneValueFunction:
+    """A criterion's one value function serves certification and the bands."""
+
+    # a Cholesky pass with the largest eigenvalue's bracket, one with the
+    # inverse's traces, and the eigenvalue pass of p = 3
+    @pytest.mark.parametrize("ident", ("rvol", "cond:p=4", "pinv-norm:p=3", "sopt"))
+    def test_values_batch_values_and_bands_call_it(self, ident, monkeypatch):
+        spec = parse_criterion(ident)
+        row = _KINDS[spec.kind]
+        spectra = []
+
+        def recording(spectrum, p, norms):
+            spectra.append(type(spectrum).__name__)
+            return row.value(spectrum, p, norms)
+
+        monkeypatch.setitem(_KINDS, spec.kind, dataclasses.replace(row, value=recording))
+        a = np.random.default_rng(0).standard_normal((6, 8))
+        idx = np.array(list(itertools.combinations(range(8), 3)))
+        values(DenseMatrix(a[:, :3]), (spec,))
+        stack = gather_columns(a, idx)
+        sigma, full_rank = batch_svd(stack)
+        batch_values(spec, sigma, np.linalg.norm(stack, axis=1), full_rank)
+        ChunkScreen(a, np.linalg.norm(a, axis=0), [spec]).bands(idx)
+        assert spectra == ["Singular", "Singular", "GramSpectrum"]
