@@ -13,6 +13,12 @@ value, how far it can move when the sigmas move (``batch_bands``), and the
 optimal value attained by k orthonormal columns, which is what turns the
 optimization problems into decision problems.  Adding a criterion means
 adding one row (plus its ``REGISTRY`` id when it belongs in the reports).
+
+Every criterion is homogeneous in the scale of C: value(c C) = c^d value(C)
+for the row's ``degree`` d.  So values are read at unit scale and rescaled
+once: ``Singular`` divides each matrix's sigmas by the power of two of its
+sigma_1, and the value found there is multiplied by that power to the d.
+No read over- or underflows on the way, whatever the scale of C.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError, RankDeficiencyError, ShapeError
-from .matrixkit import DenseMatrix, default_rank_tolerance, svd
+from .matrixkit import DenseMatrix, default_rank_tolerance, svd, unit_scaled
 
 # Schatten-parameter domains as (minimum, whether p = inf is allowed)
 _ANY_P = (1.0, True)
@@ -40,13 +46,28 @@ _sum = np.add.reduce
 _prod = np.multiply.reduce
 
 
-@dataclass(frozen=True, eq=False)
 class Singular:
     """The spectrum a value function reads, from a (B, r) stack of computed
-    singular values, non-increasing along each row; ``screen.GramSpectrum``
-    answers the same reads from estimates."""
+    singular values, non-increasing along each row, at each row's unit
+    scale: ``sigma`` holds the row divided by 2**e, e the binary exponent of
+    its sigma_1, so that sigma_1 lies in [1/2, 1).  ``unit`` divides a
+    row's column norms alike, and ``rescaled`` takes values read at unit
+    scale back to the matrices' own.  ``screen.GramSpectrum`` answers the
+    same reads from estimates."""
 
-    sigma: np.ndarray
+    def __init__(self, sigma: np.ndarray):
+        self._exponent = np.frexp(sigma[:, 0])[1]
+        self._shift = -self._exponent[:, None]
+        self.sigma = np.ldexp(sigma, self._shift)
+
+    def unit(self, column_norms: np.ndarray) -> np.ndarray:
+        """(B, k) column norms divided by their row's 2**e."""
+        return np.ldexp(column_norms, self._shift)
+
+    def rescaled(self, vals: np.ndarray, degree: int) -> np.ndarray:
+        """(B,) values read at unit scale, of a criterion of this degree d,
+        times 2**(e d)."""
+        return np.ldexp(vals, self._exponent * degree) if degree else vals
 
     def largest(self):
         return self.sigma[..., 0]
@@ -106,6 +127,10 @@ def _always(p):
     return True
 
 
+def _scale_free(k):
+    return 0
+
+
 @dataclass(frozen=True)
 class _Kind:
     """Everything the package knows about one criterion; one row per criterion.
@@ -131,6 +156,9 @@ class _Kind:
     spectrum read takes one sigma from two invariants, each estimated on its
     own (``relative_prod()``'s sigma_1 through a ``GramSpectrum``'s
     determinant and largest eigenvalue), the sum counts it in both.
+    ``degree`` maps k to the d with value(c C) = c^d value(C): k for vol, 1
+    for the Schatten norms and the residuals, -1 for the pseudo-inverse
+    norms, 0 for the scale-free rest.
     """
 
     direction: str
@@ -145,11 +173,13 @@ class _Kind:
     residual: str | None = None
     log_lipschitz: Callable[[int, float | None], float] = _one
     factored: dict[float | None, str] = field(default_factory=dict)
+    degree: Callable[[int], int] = _scale_free
 
 
 _KINDS = {
     "vol": _Kind("maximize", "zero", _one, lambda s, p, n: s.prod(), named=(("volume", None),),
-                 log_lipschitz=lambda k, p: float(k), factored={None: "plain"}),
+                 log_lipschitz=lambda k, p: float(k), factored={None: "plain"},
+                 degree=lambda k: k),
     "rvol": _Kind("maximize", "required", _one, lambda s, p, n: s.relative_prod(),
                   log_lipschitz=lambda k, p: 2.0 * k, factored={None: "top"}),
     "sopt": _Kind("maximize", "required", _one, _sopt, needs_norms=True,
@@ -157,11 +187,11 @@ _KINDS = {
     "norm": _Kind("minimize", "any", _unit_schatten, _schatten, _ANY_P,
                   named=(("norm-two", math.inf), ("norm-frobenius", 2.0)),
                   characterizes=lambda p: p > 2,
-                  factored={2.0: "plain", 4.0: "plain", math.inf: "top"}),
+                  factored={2.0: "plain", 4.0: "plain", math.inf: "top"}, degree=lambda k: 1),
     "pinv-norm": _Kind("minimize", "required", _unit_schatten, _pinv_schatten, _ANY_P,
                        named=(("pinv-norm-two", math.inf), ("pinv-norm-frobenius", 2.0)),
                        characterizes=lambda p: p >= 2,
-                       factored={2.0: "inverse", 4.0: "inverse"}),
+                       factored={2.0: "inverse", 4.0: "inverse"}, degree=lambda k: -1),
     "cond": _Kind("minimize", "required", lambda k, p: k ** (2.0 / p), _cond_schatten, _ANY_P,
                   named=(("cond-two", math.inf), ("cond-frobenius", 2.0)),
                   log_lipschitz=lambda k, p: 2.0, factored={2.0: "inverse", 4.0: "inverse"}),
@@ -172,9 +202,10 @@ _KINDS = {
                    lambda s, p, n: s.relative_power_sum(p), _FINITE_P2, default_p=2.0,
                    log_lipschitz=lambda k, p: 2.0 * p, factored={2.0: "top", 4.0: "top"}),
     "res-two": _Kind("minimize", "any", lambda k, p: None,
-                     characterizes=lambda p: False, residual="two"),
+                     characterizes=lambda p: False, residual="two", degree=lambda k: 1),
     "res-frobenius": _Kind("minimize", "any", lambda k, p: None,
-                           characterizes=lambda p: False, residual="frobenius"),
+                           characterizes=lambda p: False, residual="frobenius",
+                           degree=lambda k: 1),
 }
 
 # every id and named entry -> (id, the p it pins or None), and pinned (id, p) -> its name
@@ -191,9 +222,9 @@ def values(c: DenseMatrix, specs, full_matrix: DenseMatrix | None = None) -> lis
     scored by one ``stacked_values`` call on the stack of ``c`` alone; the
     residual criteria measure against ``full_matrix``.  Raises what
     ``evaluate`` raises for the first spec that fails, apart from its
-    finite-value check: a value that overflows is returned as is, without
-    the floating-point warning (``batch_values`` instead scores a non-finite
-    value of a rank-required criterion 0.0).
+    finite-value check: a value past float64 range comes back as inf (or as
+    the rounded subnormal or 0 below it), without a floating-point warning
+    (``batch_values`` instead marks a non-finite value's row invalid).
     """
     out, spectral, failure = [None] * len(specs), [], None
     # a residual spec that fails ends the specs scored, so that an earlier
@@ -235,6 +266,7 @@ def stacked_values(specs, sigma: np.ndarray, column_norms, full_rank: np.ndarray
     # no rank rule zeroes a matrix of full rank, whose sigma_1 is positive
     deficient = np.count_nonzero(full_rank) < len(full_rank)
     zero_column = column_norms is not None and bool((column_norms == 0.0).any())
+    norms = None if column_norms is None else spectrum.unit(column_norms)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for i, spec in enumerate(specs):
             row = _KINDS[spec.kind]
@@ -244,7 +276,8 @@ def stacked_values(specs, sigma: np.ndarray, column_norms, full_rank: np.ndarray
                 raise InvalidInputError("matrix has a zero column")
             if row.rank == "required" and deficient:
                 raise RankDeficiencyError(f"criterion {spec.identifier!r} needs full column rank")
-            out[i] = row.value(spectrum, spec.p, column_norms)
+            value = row.value(spectrum, spec.p, norms)
+            out[i] = spectrum.rescaled(value, row.degree(sigma.shape[1]))
             if deficient:
                 out[i, _zeroed(row.rank, sigma, full_rank)] = 0.0
     return out
@@ -307,12 +340,18 @@ def stable_rank(c: DenseMatrix, p=2) -> float:
     return values(c, (CriterionSpec("srank", p),))[0]
 
 
-def batch_residuals(a: np.ndarray, sub: np.ndarray, norm: str) -> np.ndarray:
-    """Norms of (I - C C^+) a for a stack ``sub`` of (B, m, k) submatrices C.
+def batch_residuals(a: np.ndarray, sub: np.ndarray, norm: str, exponent: int = 0) -> np.ndarray:
+    """Norms of (I - C C^+) a / 2**exponent for a stack ``sub`` of (B, m, k)
+    submatrices C of ``a``.
 
-    One thin SVD with U per submatrix; singular directions at or below the
-    rank tolerance are dropped, so rank-deficient C yields a finite residual.
+    Both are taken at a's unit scale (``unit_scaled``), where no square
+    over- or underflows, and the norms are rescaled once.  One thin SVD
+    with U per submatrix; singular directions at or below the rank
+    tolerance are dropped, so rank-deficient C yields a finite residual.
     """
+    a, e = unit_scaled(a)
+    if e:
+        sub = np.ldexp(sub, -e)
     m, k = sub.shape[1], sub.shape[2]
     u, s, _ = np.linalg.svd(sub, full_matrices=False)
     tol = default_rank_tolerance(m, k, s[:, 0])
@@ -320,15 +359,20 @@ def batch_residuals(a: np.ndarray, sub: np.ndarray, norm: str) -> np.ndarray:
     coeff = np.einsum("bmr,mn->brn", u, a)
     rest = a[None, :, :] - u @ coeff
     if norm == "two":
-        return np.linalg.svd(rest, compute_uv=False)[:, 0]
-    return np.sqrt(np.sum(rest**2, axis=(1, 2)))
+        out = np.linalg.svd(rest, compute_uv=False)[:, 0]
+    else:
+        out = np.sqrt(np.sum(rest**2, axis=(1, 2)))
+    if e == exponent:
+        return out
+    with np.errstate(over="ignore"):  # a norm past float64 range is inf
+        return np.ldexp(out, e - exponent)
 
 
 def residual(a: DenseMatrix, c: DenseMatrix, norm: str) -> float:
     """Norm of the part of ``a`` outside range(C), i.e. of (I - C C^+) a.
 
     Rank-deficient C is handled through tolerance truncation, so any column
-    selection yields a finite residual.
+    selection yields a residual, finite unless it leaves float64 range.
     """
     if a.rows != c.rows:
         raise ShapeError(f"row counts differ: {a.rows} vs {c.rows}")
@@ -375,6 +419,10 @@ class CriterionSpec:
         """What a Cholesky pass forms to band the value (``_Kind.factored``),
         or None where no factor serves it."""
         return _KINDS[self.kind].factored.get(self.p)
+
+    def degree(self, k: int) -> int:
+        """The d with value(c C) = c^d value(C) on k columns (``_Kind.degree``)."""
+        return _KINDS[self.kind].degree(k)
 
     @property
     def gram_invariant(self) -> bool:
@@ -489,22 +537,24 @@ def batch_values(spec: CriterionSpec, sigma: np.ndarray, column_norms: np.ndarra
     ``sigma`` is (B, r) with singular values sorted non-increasing per row,
     ``column_norms`` is (B, k), and ``full_rank`` flags rows whose numerical
     rank equals k.  Returns (values, valid); invalid rows hold placeholder
-    values and must be skipped by the caller.  The row's value function is
-    the one ``stacked_values`` calls, so batched values match scalar ones
-    bit for bit.  Residual criteria are not singular-value computable and are
-    rejected here.
+    values and must be skipped by the caller.  A row is invalid where its
+    rank rule rejects it, and wherever its value or its sigma_1 is not
+    finite.  The value is read as ``stacked_values`` reads it, so batched
+    values match scalar ones bit for bit.  Residual criteria are not
+    singular-value computable and are rejected here.
     """
     row = _KINDS[spec.kind]
     if row.value is None:
         raise InvalidParameterError(
             f"criterion {spec.identifier!r} is not singular-value computable"
         )
+    spectrum = Singular(sigma)
+    norms = spectrum.unit(column_norms) if row.needs_norms else None
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        vals = row.value(Singular(sigma), spec.p, column_norms)
-    zeroed = _zeroed(row.rank, sigma, full_rank)
-    if row.rank == "required":
-        return np.where(zeroed | ~np.isfinite(vals), 0.0, vals), full_rank
-    return np.where(zeroed, 0.0, vals), np.ones(len(sigma), dtype=bool)
+        vals = spectrum.rescaled(row.value(spectrum, spec.p, norms), row.degree(sigma.shape[1]))
+    vals = np.where(_zeroed(row.rank, sigma, full_rank), 0.0, vals)
+    valid = np.isfinite(vals) & np.isfinite(sigma[:, 0])
+    return vals, valid & full_rank if row.rank == "required" else valid
 
 
 def batch_bands(spec: CriterionSpec, spectrum, column_norms: np.ndarray):

@@ -7,6 +7,7 @@ objects, so they are safe to call concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +81,21 @@ def column_norms(arr: np.ndarray) -> np.ndarray:
     gets alone."""
     top = np.max(np.abs(arr), axis=-2, keepdims=True)
     scale = np.ldexp(0.5, np.frexp(top)[1])
-    return np.linalg.norm(arr / scale, axis=-2) * scale[..., 0, :]
+    with np.errstate(over="ignore"):  # a norm past float64 range is inf
+        return np.linalg.norm(arr / scale, axis=-2) * scale[..., 0, :]
+
+
+def unit_scaled(a: np.ndarray):
+    """(a / 2**e, e) with 2**e the power of two at or below max|a|, so
+    |a / 2**e| < 2; ``a`` itself where e = 0, the zero matrix included.
+
+    The scaling is exact wherever a / 2**e is not subnormal.  Squares and
+    products formed at unit scale neither underflow nor overflow, whatever
+    the scale of ``a``.
+    """
+    top = float(np.max(np.abs(a)))
+    exponent = math.frexp(top)[1] - 1 if top else 0
+    return (np.ldexp(a, -exponent) if exponent else a), exponent
 
 
 def gather_columns(a: np.ndarray, idx: np.ndarray) -> np.ndarray:

@@ -5,7 +5,9 @@ not finite marks no usable estimate.
 
 Exact search bands each chunk of subsets through the pass's ``ChunkScreen``,
 from one ``GramSpectrum`` of the subsets' k x k blocks of A^T A that every
-criterion of the pass reads.  The heuristic selectors (forward greedy for
+criterion of the pass reads, all at A's unit scale (``unit_scaled``): the
+bands are those of the values on A / 2**e, which stay in float64 range at
+any uniform scale of A.  The heuristic selectors (forward greedy for
 vol and res-frobenius, and the local swap) band every candidate by a
 rank-one update of the current selection (``_projection``).
 """
@@ -17,7 +19,7 @@ import math
 import numpy as np
 
 from .criteria import CriterionSpec, batch_bands
-from .matrixkit import default_rank_tolerance, gather_columns
+from .matrixkit import column_norms, default_rank_tolerance, gather_columns, unit_scaled
 
 # How far an estimate may sit from the SVD value: relative, and for the
 # residuals also absolute, in units of ||A||_F (see _residual_width); on top,
@@ -41,8 +43,8 @@ class GramSpectrum:
     Row b's sigmas are taken to lie within a factor 1 -+ ``rel[b]`` of the
     ones the SVD computes; a row whose full column rank its estimator did not
     prove has a NaN ``rel``, and the constructor makes its invariants NaN in
-    place, so every quantity formed from it is NaN.  Per row, with
-    H = C^T C / scale^2, its estimator gave either the eigenvalues of H
+    place, so every quantity formed from it is NaN.  Per row, with H = C^T C
+    for C at A's unit scale, its estimator gave either the eigenvalues of H
     (``eigenvalues``, non-increasing), or what a Cholesky factor gives:
     ``root_det`` = det(H)^(1/2), ``traces`` mapping j to tr H^j for j = 1, 2
     and, when an inverse was formed, -1, -2, and ``top``, the largest
@@ -51,16 +53,13 @@ class GramSpectrum:
     integer of magnitude at most 4, the j that p = 2, 3 and 4 need, by
     ``np.power`` for any other.  ``prod()``, ``power_sum(q)``, ``largest()``
     and ``smallest()`` are C's prod sigma, sum sigma^q, sigma_1 and sigma_k,
-    and the scale-free ``relative_prod()`` and ``relative_power_sum(q)`` those
-    of sigma / sigma_1, from the invariants at unit scale.  ``scale`` is a
-    numpy float64, so under ``np.errstate`` they over- and underflow where
-    ``Singular``'s reads do; a quantity whose forming raises is not kept.
+    and ``relative_prod()`` and ``relative_power_sum(q)`` those of
+    sigma / sigma_1; a quantity whose forming raises is not kept.
     ``growth(L)`` is (1 - rel)^-L - 1, formed once per L.
     """
 
-    def __init__(self, rel, scale, k: int, eigenvalues=None, root_det=None, traces=None,
-                 top=None):
-        self.rel, self.scale, self.k = rel, np.float64(scale), k
+    def __init__(self, rel, k: int, eigenvalues=None, root_det=None, traces=None, top=None):
+        self.rel, self.k = rel, k
         self._sums, self._root_det, self.top, self.bottom = dict(traces or {}), root_det, top, None
         self._powers, self._growth, self._eigenvalues = {}, {}, None
         unproven = np.isnan(rel)
@@ -103,16 +102,16 @@ class GramSpectrum:
         return self._root_det
 
     def prod(self):
-        return self.root_det * self.scale**self.k
+        return self.root_det
 
     def largest(self):
-        return np.sqrt(self.top) * self.scale
+        return np.sqrt(self.top)
 
     def smallest(self):
-        return np.sqrt(self.bottom) * self.scale
+        return np.sqrt(self.bottom)
 
     def power_sum(self, q):
-        return self.sum(q / 2) * self.scale**q
+        return self.sum(q / 2)
 
     def relative_prod(self):
         return self.root_det / self.top ** (self.k / 2.0)
@@ -128,17 +127,19 @@ class GramSpectrum:
 
 class ChunkScreen:
     """The bands of one exact-search pass over ``specs`` on the m x n matrix
-    ``a``, whose column norms are ``col_norms``: formed once per pass, A at
-    unit scale (``unit_scaled``), its Gram matrix, the residuals'
-    ``_residual_basis`` when a residual is among the specs, and how the pass
-    bands (``parts``); then read by every chunk's ``bands``, from any thread."""
+    ``a``: formed once per pass, A at unit scale, A / 2**``exponent``
+    (``unit_scaled``), with its column norms ``col_norms`` and Gram matrix,
+    the residuals' ``_residual_basis`` when a residual is among the specs,
+    and how the pass bands (``parts``); then read by every chunk's
+    ``bands``, from any thread."""
 
-    def __init__(self, a: np.ndarray, col_norms: np.ndarray, specs):
-        unit, self.scale = unit_scaled(a)
+    def __init__(self, a: np.ndarray, specs):
+        unit, self.exponent = unit_scaled(a)
         self.gram = unit.T @ unit
+        self.col_norms = column_norms(unit)
         self.norms = {spec.residual_norm for spec in specs} - {None}
         self.basis = _residual_basis(unit) if self.norms else None
-        (self.m, self.n), self.col_norms, self.specs = a.shape, col_norms, specs
+        (self.m, self.n), self.specs = a.shape, specs
         # None when the pass solves for the blocks' eigenvalues, else whether its
         # Cholesky pass also forms the inverse's traces and the largest
         # eigenvalue's bracket (``CriterionSpec.factored``)
@@ -166,24 +167,23 @@ class ChunkScreen:
 
     def bands(self, idx: np.ndarray):
         """Each spec's band (estimate, width) of the m x k submatrices
-        a[:, idx[b]]: from one ``GramSpectrum`` of their blocks of the Gram
-        matrix, gathered once as one (k, k, B) array (``batch_bands``), and
-        the residuals' from one batched QR of the subsets' columns
-        (``_residual_bands``).  The blocks are factored a column of every
-        block at a time (``_cholesky_estimates``, with the inverse's traces
-        and the bracket on the largest eigenvalue only where a spec's
-        ``factored`` part asks for them) when every spec has one or is a
-        residual, a block that fails to factor leaving only its own row
+        a[:, idx[b]] / 2**``exponent``: from one ``GramSpectrum`` of their
+        blocks of the Gram matrix, gathered once as one (k, k, B) array
+        (``batch_bands``), and the residuals' from one batched QR of the
+        subsets' columns (``_residual_bands``).  The blocks are factored a
+        column of every block at a time (``_cholesky_estimates``, with the
+        inverse's traces and the bracket on the largest eigenvalue only where
+        a spec's ``factored`` part asks for them) when every spec has one or
+        is a residual, a block that fails to factor leaving only its own row
         unproven, for the SVD to certify; otherwise (p = 3, or sigma_k alone:
         every x3c pass) their eigenvalues are solved for in one batched
         eigensolve (``_gram_estimates``).
         """
         if self.parts is None:
-            spectrum, kappa = _gram_estimates(self.gram, self.scale, self.m, idx)
+            spectrum, kappa = _gram_estimates(self.gram, self.m, idx)
         else:
-            spectrum, kappa = _cholesky_estimates(self.gram, self.scale, self.m, idx, *self.parts)
-        residual = (_residual_bands(self.basis, self.scale, idx, kappa, self.norms)
-                    if self.norms else {})
+            spectrum, kappa = _cholesky_estimates(self.gram, self.m, idx, *self.parts)
+        residual = _residual_bands(self.basis, idx, kappa, self.norms) if self.norms else {}
         cn = self.col_norms[idx]
         return [residual[spec.residual_norm] if spec.residual_norm
                 else batch_bands(spec, spectrum, cn) for spec in self.specs]
@@ -210,16 +210,16 @@ def _proven(m: int, k: int, top: np.ndarray, bottom: np.ndarray, rel: np.ndarray
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _gram_estimates(gram: np.ndarray, scale: float, m: int, idx: np.ndarray):
+def _gram_estimates(gram: np.ndarray, m: int, idx: np.ndarray):
     """(spectrum, kappa): a ``GramSpectrum`` of the eigenvalues of each
     submatrix a[:, idx[b]], with a bound rel on the relative error of its
     sigmas against the SVD's values, and a bound on its condition number;
     a row whose full column rank the estimate does not prove (``_proven``)
     has a NaN rel and NaN eigenvalues, and an infinite kappa.
 
-    ``gram`` is (a / scale)^T (a / scale) for a power of two ``scale``.  Each
-    row's sigma^2 are the eigenvalues of its k x k block; Gram formation,
-    ``eigvalsh`` and the SVD's own rounding together move them by at most
+    ``gram`` is A^T A for A at unit scale.  Each row's sigma^2 are the
+    eigenvalues of its k x k block; Gram formation, ``eigvalsh`` and the
+    SVD's own rounding together move them by at most
     ROUNDING * (m + k) * k * sigma_1^2 (plus underflow, which is below
     m * k * the smallest normal number).  The relative error grows as the
     square of the row's condition number and is never below
@@ -231,9 +231,8 @@ def _gram_estimates(gram: np.ndarray, scale: float, m: int, idx: np.ndarray):
     lam = np.linalg.eigvalsh(np.moveaxis(_blocks(gram, idx), -1, 0))[:, ::-1][:, :r]
     err = ROUNDING * (m + k) * k * lam[:, 0] + m * k * np.finfo(np.float64).smallest_normal
     lam = np.maximum(lam, 0.0)
-    rel, kappa = _proven(m, k, np.sqrt(lam[:, 0]) * scale, np.sqrt(lam[:, -1]) * scale,
-                         err / lam[:, -1])
-    return GramSpectrum(rel, scale, k, eigenvalues=lam), kappa
+    rel, kappa = _proven(m, k, np.sqrt(lam[:, 0]), np.sqrt(lam[:, -1]), err / lam[:, -1])
+    return GramSpectrum(rel, k, eigenvalues=lam), kappa
 
 
 def _cholesky(h: np.ndarray) -> np.ndarray:
@@ -326,8 +325,7 @@ def _top_bracket(h: np.ndarray):
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore")
-def _cholesky_estimates(gram: np.ndarray, scale: float, m: int, idx: np.ndarray, inverse: bool,
-                        top: bool):
+def _cholesky_estimates(gram: np.ndarray, m: int, idx: np.ndarray, inverse: bool, top: bool):
     """(spectrum, kappa) as ``_gram_estimates`` gives them, with the
     spectrum's Cholesky invariants (NaN where rel is), from one (k, k, B)
     array of the rows' k x k blocks G_b of ``gram`` (``_blocks``), each
@@ -343,7 +341,7 @@ def _cholesky_estimates(gram: np.ndarray, scale: float, m: int, idx: np.ndarray,
     (tr G_b >= sigma_1^2 - k delta, a second-order gap that the margin of
     ROUNDING over the measured rounding absorbs), so Gram formation and the
     SVD's own rounding leave each eigenvalue of G_b within delta of the
-    SVD's sigma_i^2 (at unit scale), and sigma_1^2 <= tr H.  H's eigenvalues are therefore within
+    SVD's sigma_i^2, and sigma_1^2 <= tr H.  H's eigenvalues are therefore within
     [sigma_i^2, sigma_i^2 + 2 delta]: at least delta, which keeps the
     factorization of a singular block from breaking down (it needs about
     k^2 eps lambda_1(H), and ROUNDING is about 45 eps).  The computed L is
@@ -395,9 +393,8 @@ def _cholesky_estimates(gram: np.ndarray, scale: float, m: int, idx: np.ndarray,
     else:
         d = np.einsum("ilb,ilb->ib", lower, lower)
         low = np.min(d, axis=0) * np.prod(pivots**2 / d, axis=0) * ((k - 1) / k) ** (k - 1)
-    rel, kappa = _proven(m, k, np.sqrt(traces[1]) * scale, np.sqrt(low) * scale,
-                         4.0 * delta / low + spread)
-    return GramSpectrum(rel, scale, k, root_det=root_det, traces=traces, top=largest), kappa
+    rel, kappa = _proven(m, k, np.sqrt(traces[1]), np.sqrt(low), 4.0 * delta / low + spread)
+    return GramSpectrum(rel, k, root_det=root_det, traces=traces, top=largest), kappa
 
 
 def _residual_width(estimate: np.ndarray, norm2: float, rounding: np.ndarray) -> np.ndarray:
@@ -416,7 +413,7 @@ def _residual_width(estimate: np.ndarray, norm2: float, rounding: np.ndarray) ->
 
 
 def _residual_basis(unit: np.ndarray):
-    """(B, ||A||_F^2, underflow) for ``unit`` = A / scale, what every chunk's
+    """(B, ||A||_F^2, underflow) for A = ``unit`` at unit scale, what every chunk's
     ``_residual_bands`` needs: B has A's residual norms and no more rows than
     columns (the R of A's own QR for a tall A); the underflow of the squares
     ``batch_residuals`` sums is below sqrt(m * n * smallest normal)."""
@@ -426,10 +423,10 @@ def _residual_basis(unit: np.ndarray):
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore")
-def _residual_bands(basis, scale: float, idx: np.ndarray, kappa: np.ndarray, norms) -> dict:
+def _residual_bands(basis, idx: np.ndarray, kappa: np.ndarray, norms) -> dict:
     """Band (estimate, width) of ||(I - P_C) A|| for each subset of ``idx``,
     per residual norm in ``norms`` ("two", "frobenius"), from the
-    ``_residual_basis`` of A / ``scale``.
+    ``_residual_basis`` of A at unit scale.
 
     A complete QR of each C = [Q1, Q2] R gives (I - P_C) A = Q2 Q2^T A for a
     full-rank C: res-frobenius is ||Q2^T A||_F and res-two the square root
@@ -461,22 +458,9 @@ def _residual_bands(basis, scale: float, idx: np.ndarray, kappa: np.ndarray, nor
             estimate, spread = (low + high) / 2.0, (high - low) / 2.0
         else:
             estimate = spread = np.zeros(len(idx))
-        width = scale * (_residual_width(estimate, norm2, rounding) + spread) + underflow
-        bands[norm] = scale * estimate, np.where(np.isfinite(kappa), width, np.inf)
+        width = _residual_width(estimate, norm2, rounding) + spread + underflow
+        bands[norm] = estimate, np.where(np.isfinite(kappa), width, np.inf)
     return bands
-
-
-def unit_scaled(a: np.ndarray):
-    """(a / s, s) with s the power of two at or below max|a|, so |a / s| < 2.
-
-    The estimates square column norms; at unit scale that neither
-    underflows nor overflows, whatever the scale of ``a``.
-    """
-    top = float(np.max(np.abs(a)))
-    if top == 0.0:
-        return a, 1.0
-    scale = math.ldexp(0.5, math.frexp(top)[1])
-    return a / scale, scale
 
 
 def _rounding(k: int, kappa: np.ndarray) -> np.ndarray:
@@ -526,10 +510,10 @@ def swap_estimates(unit: np.ndarray, current, outside: np.ndarray, current_vol: 
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def extension_estimates(criterion: CriterionSpec, unit: np.ndarray, scale: float, chosen,
+def extension_estimates(criterion: CriterionSpec, unit: np.ndarray, exponent: int, chosen,
                         remaining: np.ndarray, value: float):
     """Band (estimate, width) of each extension chosen + (j,) of A = ``unit``
-    * ``scale``; all widths are infinite for a criterion without a rank-one
+    * 2**``exponent``; all widths are infinite for a criterion without a rank-one
     estimate, and a row's width is infinite or NaN where its rounding is.
 
     With R = P_perp_S A and r_j its column j: vol(S + j) = vol(S) * ||r_j||,
@@ -542,9 +526,10 @@ def extension_estimates(criterion: CriterionSpec, unit: np.ndarray, scale: float
     _, _, rest, rho, rounding = _projection(unit, chosen, slice(None), len(chosen) + 1)
     rho, rounding = rho[remaining], rounding[remaining]
     if criterion.kind == "vol":
-        estimate = value * (scale * rho)
+        estimate = value * np.ldexp(rho, exponent)
         return estimate, estimate * (SCREEN_MARGIN + rounding)
     gram = rest.T @ rest[:, remaining]
     gain = np.divide(np.sum(gram**2, axis=0), rho**2, out=np.zeros_like(rho), where=rho > 0.0)
     estimate = np.sqrt(np.maximum(np.sum(rest**2) - gain, 0.0))
-    return scale * estimate, scale * _residual_width(estimate, np.sum(unit**2), rounding)
+    width = _residual_width(estimate, np.sum(unit**2), rounding)
+    return np.ldexp(estimate, exponent), np.ldexp(width, exponent)

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import CriterionSpec, CriterionValue, batch_residuals, batch_values, evaluate
-from .errors import InfeasibleError, InvalidParameterError
-from .matrixkit import DenseMatrix, batch_svd, gather_columns
-from .screen import ChunkScreen, extension_estimates, swap_estimates, unit_scaled
+from .errors import InfeasibleError, InvalidInputError, InvalidParameterError
+from .matrixkit import DenseMatrix, batch_svd, gather_columns, unit_scaled
+from .screen import ChunkScreen, extension_estimates, swap_estimates
 
 DECISION_SLACK = 1e-9
 SWAP_IMPROVEMENT = 1e-12
@@ -148,41 +148,57 @@ def _score_bytes(m: int, n: int, k: int, specs) -> int:
     return 8 * floats
 
 
-def _batch_scores(a: np.ndarray, col_norms: np.ndarray, idx: np.ndarray, specs):
-    """(values, valid) per spec for the subsets in ``idx``, scored in the
+def _batch_scores(a: np.ndarray, col_norms: np.ndarray, idx: np.ndarray, specs,
+                  exponent: int = 0):
+    """(values, valid) per spec for the subsets in ``idx`` of A / 2**exponent,
+    whose column norms are ``col_norms``, A being ``a``; scored in the
     fewest slices of at most ``_CHUNK_BYTES`` (``_score_bytes``), with sizes
     at most one apart, so a rescore of a whole chunk stays within the
     budget.  Every subset's SVD is its own, so the slices change no bit of
-    the result.
+    the result.  A non-finite value is never valid.
     """
     rows = max(1, _CHUNK_BYTES // _score_bytes(*a.shape, idx.shape[1], specs))
     if len(idx) <= rows:
-        return _slice_scores(a, col_norms, idx, specs)
-    parts = [_slice_scores(a, col_norms, part, specs)
+        return _slice_scores(a, col_norms, idx, specs, exponent)
+    parts = [_slice_scores(a, col_norms, part, specs, exponent)
              for part in np.array_split(idx, -(-len(idx) // rows))]
     return [tuple(map(np.concatenate, zip(*spec_parts))) for spec_parts in zip(*parts)]
 
 
-def _slice_scores(a: np.ndarray, col_norms: np.ndarray, idx: np.ndarray, specs):
+def _slice_scores(a: np.ndarray, col_norms: np.ndarray, idx: np.ndarray, specs, exponent: int):
     """``_batch_scores`` of one slice.
 
-    The singular-value criteria share one values-only batched SVD; each
-    residual takes the SVD with U instead.  An SVD runs only when a spec
-    needs it.
+    The singular-value criteria share one values-only batched SVD
+    (``_divided_svd``); each residual takes the SVD with U instead.  An SVD
+    runs only when a spec needs it.
     """
     sub = gather_columns(a, idx)
     stats = None
     scores = []
     for spec in specs:
         if spec.residual_norm is not None:
-            scores.append((batch_residuals(a, sub, spec.residual_norm),
-                           np.ones(len(idx), dtype=bool)))
+            vals = batch_residuals(a, sub, spec.residual_norm, exponent)
+            scores.append((vals, np.isfinite(vals)))
             continue
         if stats is None:
-            stats = batch_svd(sub) + (col_norms[idx],)
+            stats = _divided_svd(sub, exponent) + (col_norms[idx],)
         sigma, full, cn = stats
         scores.append(batch_values(spec, sigma, cn, full))
     return scores
+
+
+def _divided_svd(sub: np.ndarray, exponent: int):
+    """(sigma, full rank) of the (B, m, k) stack ``sub`` divided by
+    2**exponent.  The SVD takes ``sub`` itself, as ``criteria.values``
+    does, and its sigmas are divided exactly; a matrix whose sigma_1
+    overflows float64 there is decomposed divided instead."""
+    sigma, full = batch_svd(sub)
+    if exponent:
+        sigma = np.ldexp(sigma, -exponent)
+        over = np.isinf(sigma[:, 0])
+        if over.any():
+            sigma[over], full[over] = batch_svd(np.ldexp(sub[over], -exponent))
+    return sigma, full
 
 
 def _best_row(vals: np.ndarray, valid: np.ndarray, maximize: bool) -> int | None:
@@ -224,6 +240,28 @@ def _merged(optima, maximize):
     return best
 
 
+def _rescaled(spec: CriterionSpec, k: int, optimum, exponent: int):
+    """An optimum (value, indices), or None, found on A / 2**exponent, as
+    the optimum on A: its value times 2**(exponent * d) for the criterion's
+    degree d, inf above float64 range and the rounded subnormal or 0 below
+    it."""
+    if optimum is None:
+        return None
+    value, idx = optimum
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(value, exponent * spec.degree(k))), idx
+
+
+def _optimum_value(spec: CriterionSpec, k: int, optimum) -> CriterionValue:
+    """The reported value of an exact optimum (value, indices); an optimum
+    past float64 range raises InvalidInputError, which names its subset."""
+    value, idx = optimum
+    if math.isinf(value):
+        raise InvalidInputError(f"criterion {spec.identifier!r}: the value of optimal subset "
+                                f"{ColumnSubset(idx)} overflows float64")
+    return CriterionValue(value, spec, k)
+
+
 def check_exhaustive(n: int, k: int, allow_large: bool = False):
     """Raise InvalidParameterError before an exhaustive search over the C(n, k)
     k-subsets of n columns that exceeds ``MAX_EXHAUSTIVE_SUBSETS`` (unless
@@ -257,6 +295,12 @@ def exact_optima(matrix: DenseMatrix, k: int, specs, threads: int = 1, allow_lar
     (value, indices) (``_better``): the witness is the lexicographically
     smallest optimal subset at any thread count and any chunk size.
 
+    The search runs at A's unit scale, on A / 2**e (``unit_scaled``): the
+    bands and the certified values are those of the subsets of A / 2**e,
+    which stay in float64 range at any uniform scale of A, and each optimum
+    is rescaled once, by 2**(e d) for its criterion's degree d
+    (``_rescaled``), to inf where it leaves float64 range.
+
     Before any of this work, ``check_exhaustive`` rejects a search over more
     than ``MAX_EXHAUSTIVE_SUBSETS`` subsets unless ``allow_large`` is set, and
     one over 2**63 or more subsets in any case.
@@ -272,24 +316,25 @@ def exact_optima(matrix: DenseMatrix, k: int, specs, threads: int = 1, allow_lar
         raise InvalidParameterError("need at least one criterion")
     maximize = [spec.direction == "maximize" for spec in specs]
     a = matrix.array
-    col_norms = matrix.column_norms()
-    screen = ChunkScreen(a, col_norms, specs)
+    screen = ChunkScreen(a, specs)
     total = math.comb(n, k)
     rows = max(1, _CHUNK_BYTES // screen.bytes_per_subset(k))
     workers, chunks = _chunk_plan(total, rows, threads)
     size, extra = divmod(total, chunks)
 
     def chunk_optima(idx):
-        return _screened_best(a, col_norms, idx, specs, screen.bands(idx))
+        return _screened_best(a, screen.col_norms, idx, specs, screen.bands(idx), screen.exponent)
 
     def reduce_stride(first):
         strided = _index_chunks(n, k, size, first, workers, extra)
         return _merged(map(chunk_optima, strided), maximize)
 
     if workers == 1:
-        return reduce_stride(0), total
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return _merged(pool.map(reduce_stride, range(workers)), maximize), total
+        optima = reduce_stride(0)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            optima = _merged(pool.map(reduce_stride, range(workers)), maximize)
+    return [_rescaled(spec, k, best, screen.exponent) for spec, best in zip(specs, optima)], total
 
 
 def select_exact(matrix: DenseMatrix, k: int, criterion: CriterionSpec,
@@ -307,10 +352,9 @@ def select_exact(matrix: DenseMatrix, k: int, criterion: CriterionSpec,
         raise InfeasibleError(
             f"no subset of {k} columns is feasible for criterion {criterion.identifier!r}"
         )
-    value, idx = outcome
     return SelectionResult(
-        subset=ColumnSubset(idx),
-        value=CriterionValue(value, criterion, k),
+        subset=ColumnSubset(outcome[1]),
+        value=_optimum_value(criterion, k, outcome),
         method="exact",
         subsets_evaluated=seen,
         elapsed=time.perf_counter() - start,
@@ -346,9 +390,11 @@ def _moves(bases: np.ndarray, added: np.ndarray) -> np.ndarray:
                                     np.tile(added, len(bases))]), axis=1)
 
 
-def _screened_best(a: np.ndarray, col_norms: np.ndarray, idx: np.ndarray, specs, bands):
+def _screened_best(a: np.ndarray, col_norms: np.ndarray, idx: np.ndarray, specs, bands,
+                   exponent: int = 0):
     """Per spec, (value, indices) of the first best valid row of ``idx``, the
-    optimum ``_better`` merges, or None when no row is valid.
+    optimum ``_better`` merges, or None when no row is valid; the subsets
+    are those of A / 2**exponent, as ``_batch_scores`` scores them.
 
     ``bands`` holds one band (estimate, width) per spec, the one band
     contract: each row's SVD value is taken to lie within ``width`` of its
@@ -380,7 +426,7 @@ def _screened_best(a: np.ndarray, col_norms: np.ndarray, idx: np.ndarray, specs,
     high = np.add(estimate, width, out=estimate)
     union = (high >= low.max(axis=1, keepdims=True)).any(axis=0)
     certified, everything = idx.compress(union, axis=0), union.all()
-    scores = _batch_scores(a, col_norms, certified, specs)
+    scores = _batch_scores(a, col_norms, certified, specs, exponent)
     oriented = sign * np.concatenate([vals for vals, _ in scores]).reshape(len(specs), -1)
     low, high = low.compress(union, axis=1), high.compress(union, axis=1)
     inside = ((low <= oriented) & (oriented <= high)).all(axis=1)
@@ -388,7 +434,7 @@ def _screened_best(a: np.ndarray, col_norms: np.ndarray, idx: np.ndarray, specs,
     for spec, larger, held, (vals, valid) in zip(specs, maximize, inside, scores):
         cands, best = certified, _best_row(vals, valid, larger)
         if not (everything or best is not None and held):
-            ((vals, valid),) = _batch_scores(a, col_norms, idx, [spec])
+            ((vals, valid),) = _batch_scores(a, col_norms, idx, [spec], exponent)
             cands, best = idx, _best_row(vals, valid, larger)
         out.append(None if best is None else (float(vals[best]), tuple(map(int, cands[best]))))
     return out
@@ -456,12 +502,12 @@ def select_local_swap_volume(matrix: DenseMatrix, k: int, seed: int = 0,
         kept = np.array([current[:pos] + current[pos + 1:] for pos in range(k)], dtype=np.intp)
         idx = _moves(kept, outside)
         band = swap_estimates(unit, current, outside, current_vol)
-        ((vol, swapped),) = _screened_best(a, col_norms, idx, [vol_spec], [band])
+        (best,) = _screened_best(a, col_norms, idx, [vol_spec], [band])
         evaluated += len(idx)
-        if vol > current_vol * (1.0 + SWAP_IMPROVEMENT):
-            current, current_vol = swapped, vol
-        else:
+        # no swap is valid where every volume overflows
+        if best is None or not best[0] > current_vol * (1.0 + SWAP_IMPROVEMENT):
             break
+        current_vol, current = best
 
     return SelectionResult(
         subset=ColumnSubset(current),
@@ -491,7 +537,7 @@ def select_greedy_forward(matrix: DenseMatrix, k: int, criterion: CriterionSpec)
     start = time.perf_counter()
     a = matrix.array
     col_norms = matrix.column_norms()
-    unit, scale = unit_scaled(a)
+    unit, exponent = unit_scaled(a)
     evaluated = 0
 
     chosen: tuple[int, ...] = ()
@@ -499,7 +545,7 @@ def select_greedy_forward(matrix: DenseMatrix, k: int, criterion: CriterionSpec)
     for _ in range(k):
         remaining = np.setdiff1d(np.arange(n), chosen)
         idx = _moves(np.array([chosen], dtype=np.intp), remaining)
-        band = extension_estimates(criterion, unit, scale, chosen, remaining, value)
+        band = extension_estimates(criterion, unit, exponent, chosen, remaining, value)
         (best,) = _screened_best(a, col_norms, idx, [criterion], [band])
         evaluated += len(idx)
         if best is None:
@@ -529,7 +575,7 @@ def decide(matrix: DenseMatrix, query: DecisionQuery, threads: int = 1,
            allow_large: bool = False) -> DecisionOutcome:
     """Answer a threshold decision problem by exhaustive selection
     (``exact_optima``): no when no k-subset is feasible for the criterion,
-    and an error for a non-finite optimum (``CriterionValue``).
+    and an error that names the subset for an optimum past float64 range.
 
     Comparisons use a slack of 1e-9 relative to the threshold b
     (``meets_threshold``), strictly smaller than every separation the
@@ -537,7 +583,7 @@ def decide(matrix: DenseMatrix, query: DecisionQuery, threads: int = 1,
     """
     (outcome,), _ = exact_optima(matrix, query.k, [query.criterion], threads=threads,
                                  allow_large=allow_large)
-    value = None if outcome is None else CriterionValue(outcome[0], query.criterion, query.k).value
+    value = None if outcome is None else _optimum_value(query.criterion, query.k, outcome).value
     optimal = query.criterion.optimal_unit_value(query.k)
     if optimal is not None and math.isclose(query.b, optimal, rel_tol=0.0, abs_tol=1e-12):
         norms = matrix.column_norms()

@@ -9,9 +9,9 @@ def svd_rows(monkeypatch):
     rows = []
     real = selectors._batch_scores
 
-    def counting(a, col_norms, idx, specs):
+    def counting(a, col_norms, idx, specs, *exponent):
         rows.append(len(idx))
-        return real(a, col_norms, idx, specs)
+        return real(a, col_norms, idx, specs, *exponent)
 
     monkeypatch.setattr(selectors, "_batch_scores", counting)
     return rows

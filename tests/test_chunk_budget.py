@@ -37,7 +37,7 @@ def _x3c_matrix():
 
 def _bytes_per_subset(matrix, k, specs):
     """What a pass's chunk holds per subset of k columns of ``matrix``."""
-    return screen.ChunkScreen(matrix.array, matrix.column_norms(), specs).bytes_per_subset(k)
+    return screen.ChunkScreen(matrix.array, specs).bytes_per_subset(k)
 
 
 def _budget(matrix, k, specs, rows):
@@ -183,8 +183,8 @@ def _peak_bytes(run):
 # Cholesky factor alone (vol, sopt), with its inverse (pinv-norm, cond) or
 # the bracket on the largest eigenvalue (rvol, norm-two, srank), the
 # residuals' QR, every registered criterion at once, x3c gap's 12 and
-# verify's 20 criteria at M = 6, and at 1e100, where the estimates
-# overflow, a rescore of every row
+# verify's 20 criteria at M = 6, and at 1e100, which the pass screens at
+# unit scale
 PASSES = [*((ident, 1.0) for ident in ("norm:p=3", *BENCH_CRITERIA, "res-frobenius", "registry",
                                        "gap", "verify")),
           ("sopt", 1e100), ("registry", 1e100)]
@@ -224,16 +224,21 @@ def test_a_pass_holds_what_its_chunks_count(name, scale):
 
 def test_a_rescore_of_every_row_is_sliced(svd_rows, monkeypatch):
     # svd_rows has the rows of each _batch_scores call, slices the rows of
-    # each of its slices
+    # each of its slices; bands that belong to other rows make every chunk
+    # rescore all of its rows
     slices = []
-    real = selectors._slice_scores
+    real, real_bands = selectors._slice_scores, screen.ChunkScreen.bands
 
-    def recording(a, col_norms, idx, specs):
+    def recording(a, col_norms, idx, specs, exponent):
         slices.append(len(idx))
-        return real(a, col_norms, idx, specs)
+        return real(a, col_norms, idx, specs, exponent)
+
+    def reversed_bands(self, idx):
+        return [(estimate[::-1].copy(), width) for estimate, width in real_bands(self, idx)]
 
     monkeypatch.setattr(selectors, "_slice_scores", recording)
-    matrix = _bench_matrix(1e100)
+    monkeypatch.setattr(screen.ChunkScreen, "bands", reversed_bands)
+    matrix = _bench_matrix()
     spec = parse_criterion("sopt")
     exact_optima(matrix, K, [spec])
     rows = selectors._CHUNK_BYTES // selectors._score_bytes(matrix.rows, matrix.cols, K, [spec])

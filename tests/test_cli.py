@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -454,6 +455,63 @@ class TestUsageErrors:
                                  '{"rows": 1, "cols": 1, "data": ["x"]}')
         assert code == 2 and out == ""
         assert err.startswith("error: line 1:")
+
+
+def _csv(a) -> str:
+    return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in a)
+
+
+def _kv(out: str) -> dict:
+    return dict(item.split("=", 1) for item in out.split())
+
+
+class TestUniformScale:
+    """Exact search scores at A's unit scale: a uniform scale of A changes no
+    witness, a value past float64 range is an error that names it, and no
+    floating-point warning is raised on the way."""
+
+    ORTHOGONAL_1E300 = "1e300,1e300\n1e300,-1e300\n"
+
+    def run(self, capsys, monkeypatch, args, stdin):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return run_cli(capsys, monkeypatch, ["select", "--method", "exact", *args], stdin)
+
+    def test_scale_free_value_of_orthogonal_columns_at_1e300(self, capsys, monkeypatch):
+        # sopt printed value=0.0 here: the product of the sigmas overflowed
+        code, out, _ = self.run(capsys, monkeypatch, ["--k", "2", "--criterion", "sopt"],
+                                self.ORTHOGONAL_1E300)
+        report = _kv(out)
+        assert code == 0 and report["subset"] == "0,1"
+        assert abs(float(report["value"]) - 1.0) <= 1e-12
+
+    def test_frobenius_residual_at_1e300(self, capsys, monkeypatch):
+        # the squares of the residual overflowed: exit 2, or a traceback
+        # under -W error
+        code, out, _ = self.run(capsys, monkeypatch, ["--k", "1", "--criterion", "res-frobenius"],
+                                self.ORTHOGONAL_1E300)
+        value = float(_kv(out)["value"])
+        assert code == 0
+        assert abs(value - math.sqrt(2.0) * 1e300) <= 1e-12 * value
+
+    def test_overflowing_volume_names_the_unscaled_witness(self, capsys, monkeypatch):
+        a = np.random.default_rng(3).standard_normal((12, 20))
+        args = ["--k", "6", "--criterion", "vol"]
+        code, out, _ = self.run(capsys, monkeypatch, args, _csv(a))
+        assert code == 0
+        witness = _kv(out)["subset"]
+        code, out, err = self.run(capsys, monkeypatch, args, _csv(a * 1e100))
+        assert code == 2 and out == ""
+        assert err == (f"error: criterion 'vol': the value of optimal subset {witness} "
+                       "overflows float64\n")
+
+    def test_volume_past_float64_names_the_larger_column(self, capsys, monkeypatch):
+        # column 0's norm, about 2.4e308, overflowed in the column norms and
+        # the SVD; column 1 won with 2.236
+        code, out, err = self.run(capsys, monkeypatch, ["--k", "1", "--criterion", "vol"],
+                                  "1.7e308,1.0\n1.7e308,2.0\n")
+        assert code == 2 and out == ""
+        assert "optimal subset 0 overflows float64" in err
 
 
 def test_module_run_prints_no_runtime_warning():

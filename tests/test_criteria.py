@@ -481,6 +481,16 @@ class TestBatchValues:
                 expected = evaluate(spec, DenseMatrix(a[:, row])).value
                 np.testing.assert_allclose(vals[pos], expected, rtol=1e-12, atol=1e-13)
 
+    @pytest.mark.parametrize("ident", ("pinv-norm-frobenius", "pinv-norm-two", "cond:p=4", "cond-two"))
+    def test_a_row_whose_sigma_or_value_is_not_finite_is_invalid(self, ident):
+        # these minimized criteria used to score such a row a valid 0.0, which
+        # then won; full_rank claims every row, so only finiteness decides
+        sigma = np.array([[2.0, 1.0], [np.inf, 1.0], [np.inf, np.inf], [np.nan, np.nan]])
+        vals, valid = batch_values(parse_criterion(ident), sigma, np.ones((4, 2)),
+                                   np.ones(4, dtype=bool))
+        assert valid.tolist() == [True, False, False, False]
+        assert vals[0] == evaluate(parse_criterion(ident), DenseMatrix(np.diag([2.0, 1.0]))).value
+
     def test_residual_not_batchable(self):
         with pytest.raises(InvalidParameterError):
             batch_values(parse_criterion("res-two"), np.ones((1, 2)), np.ones((1, 2)),
@@ -522,5 +532,5 @@ class TestOneValueFunction:
         stack = gather_columns(a, idx)
         sigma, full_rank = batch_svd(stack)
         batch_values(spec, sigma, np.linalg.norm(stack, axis=1), full_rank)
-        ChunkScreen(a, np.linalg.norm(a, axis=0), [spec]).bands(idx)
+        ChunkScreen(a, [spec]).bands(idx)
         assert spectra == ["Singular", "Singular", "GramSpectrum"]

@@ -3,14 +3,20 @@
 * Column permutation: permuting A's columns permutes the exact optimum's
   witness and leaves its value unchanged, up to rounding.
 * Scale: multiplying A by c keeps the witness and scales the value by c^d,
-  with d the criterion's degree (1 for the residuals, 0 for the scale-free
-  criteria).
+  with d the criterion's degree (k for vol, 1 for the Schatten norms and the
+  residuals, -1 for the pseudo-inverse norms, 0 for the scale-free rest);
+  where c^d times the value leaves float64 range, the search fails with an
+  error that names the witness, and below it returns the rounded subnormal
+  or 0 with the same witness.
 * Scalar/batched agreement: on a rank-deficient input, every subset the
   batched path scores has the value ``evaluate`` gives it, bit for bit, and
   every subset it skips makes ``evaluate`` raise.
 """
 
 import itertools
+import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -49,22 +55,53 @@ def test_column_permutation(seed):
             assert back == plain.subset.indices, spec.identifier
 
 
-SCALE_DEGREES = {"rvol": 0, "srank": 0, "cond-mixed": 0, "cond-two": 0, "res-two": 1}
+SCALE_K = 4
+# every registered criterion's degree d at k = SCALE_K: value(cA) = c^d value(A)
+SCALE_DEGREES = {
+    "vol": SCALE_K, "rvol": 0, "sopt": 0,
+    "norm-two": 1, "norm:p=3": 1, "norm:p=4": 1, "norm-frobenius": 1,
+    "pinv-norm-two": -1, "pinv-norm-frobenius": -1, "pinv-norm:p=3": -1, "pinv-norm:p=4": -1,
+    "cond-two": 0, "cond-frobenius": 0, "cond:p=3": 0, "cond:p=4": 0,
+    "cond-mixed": 0, "cond-mixed:p=3": 0, "cond-mixed:p=4": 0,
+    "srank": 0, "srank:p=3": 0, "srank:p=4": 0, "res-two": 1, "res-frobenius": 1,
+}
+
+
+def test_scale_degrees_cover_the_registry():
+    assert sorted(SCALE_DEGREES) == sorted(map(str, registry()))
+    for ident, degree in SCALE_DEGREES.items():
+        assert parse_criterion(ident).degree(SCALE_K) == degree, ident
+
+
+def scaled_value(value: float, c: float, degree: int) -> float:
+    """c^degree * value, correctly rounded; inf above float64 range."""
+    try:
+        return float(Fraction(value) * Fraction(c) ** degree)
+    except OverflowError:
+        return math.inf
 
 
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("c", [1e-150, 1e-80, 1e80, 1e150])
 def test_scale(seed, c):
     rng = np.random.default_rng(seed)
-    k = 4
     a = rng.standard_normal((8, 10))
+    smallest_normal = np.finfo(np.float64).smallest_normal
     for ident, degree in SCALE_DEGREES.items():
         spec = parse_criterion(ident)
-        plain = select_exact(DenseMatrix(a), k, spec)
-        scaled = select_exact(DenseMatrix(a * c), k, spec)
+        plain = select_exact(DenseMatrix(a), SCALE_K, spec)
+        expected = scaled_value(plain.value.value, c, degree)
+        if expected == math.inf:
+            with pytest.raises(InvalidInputError, match=re.escape(f"subset {plain.subset} ")):
+                select_exact(DenseMatrix(a * c), SCALE_K, spec)
+            continue
+        scaled = select_exact(DenseMatrix(a * c), SCALE_K, spec)
         assert scaled.subset == plain.subset, ident
-        expected = plain.value.value * c**degree
-        assert abs(scaled.value.value - expected) <= 1e-12 * abs(expected), ident
+        error = abs(scaled.value.value - expected)
+        if abs(expected) >= smallest_normal:
+            assert error <= 1e-12 * abs(expected), ident
+        else:  # the subnormal or 0 it rounds to, to within its last place
+            assert error <= 1e-12 * abs(expected) + 2.0**-1074, ident
 
 
 def rank_deficient_matrix():

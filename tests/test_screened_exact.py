@@ -13,8 +13,9 @@ the same subset, the same value under ``==`` and the same
 criterion, also where the estimates are poor or absent: duplicated and nearly
 duplicated columns, rank below k, k equal to or above the row count, more
 rows than columns, the tie-heavy X3C reduction matrices, and scales of
-1e+-100 and 1e+-150, where the values themselves are known to be wrong
-(sigma**p over- or underflows) and must stay exactly as wrong.
+1e+-100 and 1e+-150.  The oracle scores at A's unit scale, as the selector
+does, and rescales its optimum once, so a value past float64 range keeps
+the witness of the unscaled input.
 """
 
 import functools
@@ -27,7 +28,7 @@ import pytest
 from colsel import screen, selectors, x3c
 from colsel.criteria import equivalence_criteria, parse_criterion, registry
 from colsel.errors import InvalidParameterError
-from colsel.matrixkit import DenseMatrix, batch_svd, gather_columns
+from colsel.matrixkit import DenseMatrix, batch_svd, column_norms, gather_columns
 from colsel.screen import GramSpectrum
 from colsel.selectors import _batch_scores, _best_row, _better, exact_optima, select_exact
 
@@ -36,21 +37,27 @@ CRITERIA = ("vol", "rvol", "sopt", "norm-two", "pinv-norm:p=4", "cond:p=4", "sra
             "res-frobenius")
 
 
+def _unit(matrix):
+    """(A, the column norms of A / 2**e, e), with e from ``unit_scaled``: the
+    inputs ``exact_optima`` certifies with."""
+    unit, exponent = screen.unit_scaled(matrix.array)
+    return matrix.array, column_norms(unit), exponent
+
+
 def oracle_optima(matrix, k, specs):
-    a = matrix.array
-    col_norms = matrix.column_norms()
+    a, col_norms, exponent = _unit(matrix)
     maximize = [spec.direction == "maximize" for spec in specs]
     best = [None] * len(specs)
     seen = 0
     combos = itertools.combinations(range(matrix.cols), k)
     while block := list(itertools.islice(combos, 2048)):
         idx = np.array(block, dtype=np.intp)
-        for i, (vals, valid) in enumerate(_batch_scores(a, col_norms, idx, specs)):
+        for i, (vals, valid) in enumerate(_batch_scores(a, col_norms, idx, specs, exponent)):
             row = _best_row(vals, valid, maximize[i])
             cand = None if row is None else (float(vals[row]), tuple(int(j) for j in idx[row]))
             best[i] = _better(best[i], cand, maximize[i])
         seen += len(idx)
-    return best, seen
+    return [selectors._rescaled(spec, k, b, exponent) for spec, b in zip(specs, best)], seen
 
 
 def _gaussian(seed, m=9, n=15):
@@ -152,12 +159,12 @@ READS_INVERSE = ("pinv-norm", "cond")
 def _estimates(matrix, idx, estimator="eigvalsh"):
     """(spectrum, kappa) of the subsets ``idx`` of ``matrix`` by ``estimator``:
     "eigvalsh", or "cholesky" with the parts "-inverse" and "-top" it names."""
-    unit, scale = screen.unit_scaled(matrix.array)
+    unit, _ = screen.unit_scaled(matrix.array)
     gram = unit.T @ unit
     if estimator == "eigvalsh":
-        return screen._gram_estimates(gram, scale, matrix.rows, idx)
-    return screen._cholesky_estimates(gram, scale, matrix.rows, idx,
-                                         "-inverse" in estimator, "-top" in estimator)
+        return screen._gram_estimates(gram, matrix.rows, idx)
+    return screen._cholesky_estimates(gram, matrix.rows, idx, "-inverse" in estimator,
+                                      "-top" in estimator)
 
 
 def _select_outcome(matrix, k, spec, threads=1):
@@ -474,7 +481,7 @@ def test_a_row_is_unproven_exactly_where_its_pivot_fails(inverse, top):
     # NaN exactly where a pivot failed
     make, k = CASES["gaussian-0"]
     matrix = DenseMatrix(make())
-    unit, scale = screen.unit_scaled(matrix.array)
+    unit, _ = screen.unit_scaled(matrix.array)
     gram = unit.T @ unit
     gram[0, 1] = gram[1, 0] = 3.0 * math.sqrt(gram[0, 0] * gram[1, 1])
     mixed = 0
@@ -483,7 +490,7 @@ def test_a_row_is_unproven_exactly_where_its_pivot_fails(inverse, top):
         pivots = np.diagonal(screen._cholesky(screen._blocks(gram, idx))).T
         assert np.array_equal(np.isnan(pivots).any(axis=0), fails)
         assert np.all(np.isnan(pivots[1:, fails])) and np.all(pivots[0, fails] > 0.0)
-        spectrum, kappa = screen._cholesky_estimates(gram, scale, matrix.rows, idx, inverse, top)
+        spectrum, kappa = screen._cholesky_estimates(gram, matrix.rows, idx, inverse, top)
         assert np.array_equal(np.isnan(spectrum.rel), fails)
         assert np.array_equal(np.isinf(kappa), fails)
         mixed += fails.any() and not fails.all()
@@ -516,15 +523,13 @@ def test_cholesky_bands_hold_the_svd_value(family, scale):
     checked = 0
     for seed in range(3):
         matrix = DenseMatrix(make(seed) * scale)
-        a, col_norms = matrix.array, matrix.column_norms()
-        unit, unit_scale = screen.unit_scaled(a)
-        basis = screen._residual_basis(unit)
+        a, col_norms, exponent = _unit(matrix)
+        basis = screen._residual_basis(screen.unit_scaled(a)[0])
         for idx in selectors._index_chunks(matrix.cols, k, 2048):
-            scores = _batch_scores(a, col_norms, idx, specs)
+            scores = _batch_scores(a, col_norms, idx, specs, exponent)
             for estimator in ("cholesky", "cholesky-inverse", "cholesky-top", "cholesky-inverse-top"):
                 spectrum, kappa = _estimates(matrix, idx, estimator)
-                residual = screen._residual_bands(basis, unit_scale, idx, kappa,
-                                                     {"two", "frobenius"})
+                residual = screen._residual_bands(basis, idx, kappa, {"two", "frobenius"})
                 for spec, (vals, _) in zip(specs, scores):
                     if spec.residual_norm is not None:
                         estimate, width = residual[spec.residual_norm]
@@ -566,10 +571,10 @@ EIGEN_FAMILIES = {
 def _chunk_bands(specs, spectrum, kappa, matrix, idx):
     """Each spec's band of the rows ``idx``, all from one ``spectrum``, as a
     pass of exact search forms them."""
-    unit, scale = screen.unit_scaled(matrix.array)
+    unit, _ = screen.unit_scaled(matrix.array)
     norms = {spec.residual_norm for spec in specs} - {None}
-    residual = screen._residual_bands(screen._residual_basis(unit), scale, idx, kappa, norms)
-    col_norms = matrix.column_norms()[idx]
+    residual = screen._residual_bands(screen._residual_basis(unit), idx, kappa, norms)
+    col_norms = column_norms(unit)[idx]
     return [residual[spec.residual_norm] if spec.residual_norm is not None
             else screen.batch_bands(spec, spectrum, col_norms) for spec in specs]
 
@@ -586,12 +591,12 @@ def test_eigenvalue_bands_hold_the_svd_value(family, scale):
     checked = 0
     for seed in range(2):
         matrix = DenseMatrix(make(seed) * scale)
-        a, col_norms = matrix.array, matrix.column_norms()
+        a, col_norms, exponent = _unit(matrix)
         for idx in selectors._index_chunks(matrix.cols, k, 2048):
             spectrum, kappa = _estimates(matrix, idx)
             bands = _chunk_bands(specs, spectrum, kappa, matrix, idx)
             for spec, (vals, _), (estimate, width) in zip(
-                    specs, _batch_scores(a, col_norms, idx, specs), bands):
+                    specs, _batch_scores(a, col_norms, idx, specs, exponent), bands):
                 finite = np.isfinite(width)
                 assert np.all(np.abs(vals[finite] - estimate[finite]) <= width[finite]), spec
                 checked += np.count_nonzero(finite)
@@ -664,14 +669,15 @@ def test_bands_are_not_finite_exactly_where_full_rank_is_not_proven(family, esti
     # an unproven row carries a NaN rel and NaN invariants, so every band of
     # it is NaN, and no other row's band is lost to a floating-point error
     # that row would raise; only an estimate that over- or underflows on a
-    # proven row makes a spec's widths infinite, and at unit scale none does
+    # proven row makes a spec's widths infinite, and at A's unit scale, at
+    # any scale of A, none does
     make, k = FAMILIES[family]
     specs = [spec for spec in registry()
              if spec.residual_norm is None and (estimator == "eigvalsh" or spec.gram_invariant)]
     unproven_rows = overflowed = 0
     for seed in range(2):
         matrix = DenseMatrix(make(seed) * scale)
-        col_norms = matrix.column_norms()
+        _, col_norms, _ = _unit(matrix)
         for idx in selectors._index_chunks(matrix.cols, k, 2048):
             spectrum, _ = _estimates(matrix, idx, estimator)
             unproven = np.isnan(spectrum.rel)
@@ -685,7 +691,7 @@ def test_bands_are_not_finite_exactly_where_full_rank_is_not_proven(family, esti
                 assert np.array_equal(usable, ~unproven), spec
                 assert np.array_equal(np.isnan(estimate), unproven), spec
     assert unproven_rows > 0
-    assert overflowed == 0 or scale != 1.0
+    assert overflowed == 0
 
 
 @pytest.mark.parametrize("ident", ("res-two", "res-frobenius"))
@@ -734,9 +740,9 @@ def test_rank_deficient_rows_are_certified_for_the_residuals(ident, monkeypatch)
     certified = set()
     real = selectors._batch_scores
 
-    def recording(a, col_norms, idx, specs):
+    def recording(a, col_norms, idx, specs, *exponent):
         certified.update(map(tuple, idx.tolist()))
-        return real(a, col_norms, idx, specs)
+        return real(a, col_norms, idx, specs, *exponent)
 
     monkeypatch.setattr(selectors, "_batch_scores", recording)
     spec = parse_criterion(ident)
@@ -820,9 +826,8 @@ def test_ill_conditioned_subsets_next_to_the_residual_optimum(ident, estimator):
     ((vals, _),) = _batch_scores(matrix.array, matrix.column_norms(), idx, [spec])
     assert 0.0 < vals[0] - value <= 1e-5 * value
     _, kappa = _estimates(matrix, idx, estimator)
-    unit, scale = screen.unit_scaled(matrix.array)
-    bands = screen._residual_bands(screen._residual_basis(unit), scale, idx, kappa,
-                                      {spec.residual_norm})
+    unit, _ = screen.unit_scaled(matrix.array)
+    bands = screen._residual_bands(screen._residual_basis(unit), idx, kappa, {spec.residual_norm})
     assert bands[spec.residual_norm][1][0] == np.inf
     assert _select_outcome(matrix, k, spec) == expected
 
@@ -837,16 +842,16 @@ def test_residual_widths_hold_the_rounding_of_the_condition_number(ident, estima
     a[:, 6] = a[:, 2] + 1e-4 * np.random.default_rng(4).standard_normal(len(a))
     matrix, k = DenseMatrix(a), 5
     spec = parse_criterion(ident)
-    unit, scale = screen.unit_scaled(a)
+    unit, _ = screen.unit_scaled(a)
     basis = screen._residual_basis(unit)
     dominant = 0
     for idx in selectors._index_chunks(matrix.cols, k, 2048):
         _, kappa = _estimates(matrix, idx, estimator)
-        _, width = screen._residual_bands(basis, scale, idx, kappa,
-                                             {spec.residual_norm})[spec.residual_norm]
+        _, width = screen._residual_bands(basis, idx, kappa,
+                                          {spec.residual_norm})[spec.residual_norm]
         sigma, _ = batch_svd(gather_columns(a, idx))
         proven = np.isfinite(kappa)
-        norm = np.linalg.norm(a)
+        norm = np.linalg.norm(unit)
         rounding = norm * screen._rounding(k, sigma[:, 0] / sigma[:, -1])
         assert np.all(width[proven] >= rounding[proven])
         dominant += np.count_nonzero(proven & (rounding > norm * screen.RESIDUAL_SLACK))
@@ -907,10 +912,10 @@ def test_unranking_stays_in_int64_where_binomials_overflow_it():
 
 
 def test_bands_that_overflow_have_infinite_widths():
-    # sopt's value multiplies the sigmas, which overflows at this scale; its
-    # band is still a band, every width infinite, while rvol, scale-free, keeps
-    # finite widths from the same spectrum
-    spectrum = GramSpectrum(np.full(4, 1e-12), 2.0**332, 6, eigenvalues=np.ones((4, 6)))
+    # sopt's value multiplies the column norms, which overflows on these; its
+    # band is still a band, every width infinite, while rvol, which reads no
+    # norm, keeps finite widths from the same spectrum
+    spectrum = GramSpectrum(np.full(4, 1e-12), 6, eigenvalues=np.ones((4, 6)))
     norms = np.full((4, 6), 1e100)
     estimate, width = screen.batch_bands(parse_criterion("sopt"), spectrum, norms)
     assert estimate.shape == width.shape == (4,)

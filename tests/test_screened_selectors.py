@@ -316,10 +316,10 @@ def test_a_certified_best_outside_its_band_rescores_every_row(svd_rows):
 
 def test_criteria_without_a_rank_one_estimate_get_infinite_widths():
     a = _gaussian(16, 10, 20)
-    unit, scale = screen.unit_scaled(a)
+    unit, exponent = screen.unit_scaled(a)
     remaining = np.arange(2, 20)
     for ident in ("sopt", "rvol", "res-two"):
-        estimate, width = screen.extension_estimates(parse_criterion(ident), unit, scale,
+        estimate, width = screen.extension_estimates(parse_criterion(ident), unit, exponent,
                                                      (0, 1), remaining, 1.0)
         assert estimate.shape == width.shape == remaining.shape
         assert np.all(width == np.inf), ident
