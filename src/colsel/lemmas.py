@@ -9,14 +9,14 @@ tolerance was exceeded) and the per-check maxima are aggregated into one
 report record per lemma id.
 
 The suite runs in blocks of ``_BLOCK_ROUNDS`` rounds.  A block first draws
-its rounds, in the order of the generator calls that fix every report; the
-partition and interlacing trials are scored as they are drawn.  It then
-scores the unit-column family as stacks: one ``batch_svd`` call per shape
-(m, k), then one ``stacked_values`` call per k, the path ``values`` takes
-for a single matrix, so a matrix scores the same bits in a stack and alone.
-The removal subsets of a matrix are one stack as well (``gather_columns``).
-Above 1000 subsets, ``check_removal_monotonicity`` checks 1000 distinct ones
-drawn uniformly from all C(k, ell).
+its rounds, in the order of the generator calls that fix every report; a
+draw keeps only the linear algebra that needs more than singular values.
+The block then scores every family as stacks (``_stacks``): one
+``batch_svd`` call per shape (m, k), then one ``stacked_values`` call per k,
+the path ``values`` takes for a single matrix, so a matrix scores the same
+bits in a stack and alone; a matrix whose sigmas a draw already has is not
+decomposed again.  Above 1000 subsets, ``check_removal_monotonicity`` checks
+1000 distinct ones drawn uniformly from all C(k, ell).
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import CriterionSpec, parse_criterion, stacked_values, values
+from .criteria import CriterionSpec, parse_criterion, stacked_values
 # bench/tracer.py PATCHES wraps these names in this module: svd, pseudo_inverse,
-# complement_projector and partitioned_pinv, which the suite calls, and the
-# seven scalar wrappers, which it does not (ROADMAP item 4)
+# complement_projector and partitioned_pinv, which the suite calls at each
+# draw, and the seven scalar wrappers below, which nothing here calls
 from .criteria import (condition_number, pinv_schatten_norm, relative_volume,  # noqa: F401
                        s_optimality, schatten_norm, stable_rank, volume)
 from .errors import InvalidParameterError, RankDeficiencyError
@@ -84,8 +84,8 @@ _PARENT_COLS = (2, 8)
 _P_LARGE = (3.0, 4.0, 6.0)
 _P_SMALL = (1.0, 1.5)
 
-# rounds per block: a block is drawn, then scored, so the unit-column stacks
-# hold at most 4 * _BLOCK_ROUNDS matrices at any trial count
+# rounds per block: a block is drawn, then scored, so its stacks hold at most
+# 4 + 3 + C(5, 2) + 1 matrices per round of it at any trial count
 _BLOCK_ROUNDS = 64
 # the most matrix entries in one stack of removal subsets, which bounds the
 # memory check_removal_monotonicity takes on a large C
@@ -117,33 +117,49 @@ def _band(defect, value, optimum):
     return np.maximum(v_if, v_only_if)
 
 
-def _unit_stacks(matrices) -> dict[int, tuple[np.ndarray, ...]]:
-    """The m x k matrices by column count k, with one SVD call per shape:
-    for each k, their positions in ``matrices``, singular values, column
-    norms, full-rank flags and orthonormality defects ||C^T C - I||_F, each
-    with one row per matrix."""
-    shapes = {}
-    for i, c in enumerate(matrices):
-        shapes.setdefault(c.shape, []).append(i)
-    by_cols = {}
-    for (_, k), rows in shapes.items():
-        stack = np.stack([matrices[i] for i in rows])
-        sigma, full = batch_svd(stack)
-        # one ddot per matrix, as np.linalg.norm takes the Frobenius norm
-        d = (np.swapaxes(stack, 1, 2) @ stack - np.eye(k)).reshape(len(rows), 1, k * k)
-        defect = np.sqrt(d @ np.swapaxes(d, 1, 2))[:, 0, 0]
-        by_cols.setdefault(k, []).append((np.array(rows), sigma, column_norms(stack), full, defect))
+def _stacks(stacks, sigmas=(), per_matrix=()) -> dict[int, tuple[np.ndarray, ...]]:
+    """The matrices of the (B_i, m, k) ``stacks``, then the full-rank ones
+    whose singular values ``sigmas`` lists, by column count k, with one SVD
+    call per shape: for each k, the matrices' positions in that order, their
+    singular values, full-rank flags and ``per_matrix`` functions of a
+    shape's stack (``stacks`` alone), each with one row per matrix."""
+    shapes, by_cols, start = {}, {}, 0
+    for stack in stacks:
+        shapes.setdefault(stack.shape[1:], []).append((np.arange(start, start + len(stack)), stack))
+        start += len(stack)
+    for (_, k), group in shapes.items():
+        rows, parts = zip(*group)
+        stack = np.concatenate(parts)
+        by_cols.setdefault(k, []).append((np.concatenate(rows), *batch_svd(stack),
+                                          *(f(stack) for f in per_matrix)))
+    for row, sigma in enumerate(sigmas, start):
+        by_cols.setdefault(len(sigma), []).append(([row], sigma[None], [True]))
     return {k: tuple(map(np.concatenate, zip(*parts))) for k, parts in by_cols.items()}
 
 
-def _draw_full_rank(rng, m: int, k: int) -> np.ndarray:
-    """A standard normal m x k draw (m >= k) of full column rank under
-    ``svd``'s tolerance, redrawn until it has it."""
+def _scores(specs, stacks, sigmas=()) -> np.ndarray:
+    """The (matrices, specs) values of ``specs`` on the matrices ``_stacks``
+    groups, in its order, from one ``stacked_values`` call per k."""
+    out = np.empty((sum(map(len, stacks)) + len(sigmas), len(specs)))
+    for rows, sigma, full in _stacks(stacks, sigmas).values():
+        out[rows] = stacked_values(specs, sigma, None, full).T
+    return out
+
+
+def _orthonormality_defect(stack: np.ndarray) -> np.ndarray:
+    """||C^T C - I||_F per matrix of a (B, m, k) stack, one ddot each, as np.linalg.norm takes it."""
+    d = (np.swapaxes(stack, 1, 2) @ stack - np.eye(stack.shape[2])).reshape(len(stack), 1, -1)
+    return np.sqrt(d @ np.swapaxes(d, 1, 2))[:, 0, 0]
+
+
+def _draw_full_rank(rng, m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """A standard normal m x k draw (m >= k), redrawn until it has full
+    column rank under ``svd``'s tolerance, and ``svd``'s sigmas of it."""
     for _ in range(64):
         g = rng.standard_normal((m, k))
         sigma = np.linalg.svd(g, compute_uv=False)
         if sigma[-1] > default_rank_tolerance(m, k, sigma[0]):
-            return g
+            return g, sigma
     raise RuntimeError("could not draw a full-rank matrix")  # pragma: no cover
 
 
@@ -179,7 +195,8 @@ def _unit_column_checks(matrices, acc: dict):
     """All unit-column optimal-value lemmas on the unit-column ``matrices``,
     each claim scored by one value-function call per k; each claim row
     yields its bound check and its equality check on every matrix."""
-    for k, (_, sigma, norms, full, defect) in _unit_stacks(matrices).items():
+    stacks = _stacks([c[None] for c in matrices], per_matrix=(column_norms, _orthonormality_defect))
+    for k, (_, sigma, full, norms, defect) in stacks.items():
         claims = _unit_claims(k)
         specs = [spec for _, spec, _, _ in claims]
         scores = stacked_values([_FROBENIUS, *specs], sigma, norms, full)
@@ -217,7 +234,7 @@ _UNIT_FAMILIES = (None, 0.0, 1e-6, 1e-3)
 
 def _draw_unit_columns(rng, eps: float | None) -> np.ndarray:
     m, k = _dims(rng)
-    arr = _draw_full_rank(rng, m, k)
+    arr, _ = _draw_full_rank(rng, m, k)
     if eps is None:
         return _unit_columns(arr)
     q, _ = np.linalg.qr(arr)
@@ -232,21 +249,15 @@ _PINV_SPECS = tuple(parse_criterion("pinv-norm", p) for p in _PINV_POWERS)
 
 
 def _partition_trial(rng, found: dict):
+    """Draw [C1 C2] = C and record its l_pi0 row; return what the block
+    scores: C1, C2, C's singular values and e_sc's right-hand side."""
     m = int(rng.integers(max(_ROWS[0], 3), _ROWS[1] + 1))
     n = int(rng.integers(2, min(m, 6) + 1))
-    c = DenseMatrix(_draw_full_rank(rng, m, n))
+    arr, sigma = _draw_full_rank(rng, m, n)
+    c = DenseMatrix(arr)
     split = int(rng.integers(1, n))
     c1 = DenseMatrix(c.array[:, :split])
     c2 = DenseMatrix(c.array[:, split:])
-
-    # block-diagonal Schatten-p norms add in p-th powers, so the parts'
-    # pseudo-inverse norms, in p-th powers, sum to at most C's (l_fi is p=2)
-    pinv1, pinv2 = values(c1, _PINV_SPECS), values(c2, _PINV_SPECS)
-    vol, *pinv = values(c, (_VOLUME, *_PINV_SPECS))
-    excess = [a**p + b**p - whole**p - 1e-9
-              for p, a, b, whole in zip(_PINV_POWERS, pinv1, pinv2, pinv)]
-    found["l_fi"].append(excess[:1])
-    found["l_pi1"].append(excess[1:])
 
     # C+ entries grow as 1/sigma_min, so the reconstruction error is taken
     # relative to the largest of them, as e_sc below is
@@ -260,17 +271,35 @@ def _partition_trial(rng, found: dict):
     )
     found["l_pi0"].append((recon - 1e-9, -spd))
 
-    # determinant identity for appending one column
+    # determinant identity for appending one column, vol(C)^2 on the left
     head = DenseMatrix(c.array[:, :-1])
     tail = c.array[:, -1]
-    lhs = vol**2
     gram = head.array.T @ head.array
     rhs = float(np.linalg.det(gram) * np.sum((complement_projector(head).array @ tail) ** 2))
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    found["e_sc"].append((abs(lhs - rhs) / scale - 1e-9,))
+    return c1.array, c2.array, sigma, rhs
 
 
-def _interlacing_trial(rng, found: dict):
+def _partition_checks(trials, found: dict):
+    """The l_fi, l_pi1 and e_sc rows of the block's partition ``trials``,
+    from one ``_scores`` call over every C1, C2 and C."""
+    parts = [part[None] for c1, c2, _, _ in trials for part in (c1, c2)]
+    scores = _scores((_VOLUME, *_PINV_SPECS), parts, [sigma for _, _, sigma, _ in trials]).tolist()
+    for t, (*_, rhs) in enumerate(trials):
+        (_, *pinv1), (_, *pinv2) = scores[2 * t:2 * t + 2]
+        vol, *pinv = scores[len(parts) + t]
+        # block-diagonal Schatten-p norms add in p-th powers, so the parts'
+        # pseudo-inverse norms, in p-th powers, sum to at most C's (l_fi is p=2)
+        excess = [a**p + b**p - whole**p - 1e-9
+                  for p, a, b, whole in zip(_PINV_POWERS, pinv1, pinv2, pinv)]
+        found["l_fi"].append(excess[:1])
+        found["l_pi1"].append(excess[1:])
+        lhs = vol**2
+        found["e_sc"].append((abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300) - 1e-9,))
+
+
+def _interlacing_trial(rng, found: dict) -> list:
+    """Draw A and its submatrix C and record its e_inter row; return what the
+    block scores, [(C, its removal subsets, sigmas)], or [] if C is deficient."""
     m = int(rng.integers(_ROWS[0], _ROWS[1] + 1))
     n = int(rng.integers(_PARENT_COLS[0], _PARENT_COLS[1] + 1))
     a = DenseMatrix(rng.standard_normal((m, n)))
@@ -292,12 +321,11 @@ def _interlacing_trial(rng, found: dict):
     found["e_inter"].append((worst,))
 
     if svd_c.numerical_rank < k:
-        v_inter = v_inter2 = -math.inf
-    else:
-        ell = int(rng.integers(1, k))
-        v_inter, v_inter2 = _removal_violations(c, list(itertools.combinations(range(k), ell)))
-    found["l_inter"].append((v_inter,))
-    found["l_inter2"].append((v_inter2,))
+        found["l_inter"].append((-math.inf,))
+        found["l_inter2"].append((-math.inf,))
+        return []
+    ell = int(rng.integers(1, k))
+    return [(c.array, np.array(list(itertools.combinations(range(k), ell)), dtype=np.intp), sig_c)]
 
 
 # rvol, then the five condition numbers that never rise when columns go
@@ -305,24 +333,33 @@ _REMOVAL_SPECS = tuple(map(parse_criterion, (
     "rvol", "cond-two", "cond-frobenius", "cond:p=4", "cond-mixed", "cond-mixed:p=4")))
 
 
+def _removal_maxima(arrays, subsets, sigmas) -> np.ndarray:
+    """The (C, 2) signed worst violations, per full-rank C of ``arrays`` with
+    singular values ``sigmas``, over its column ``subsets`` ((S, ell) indices),
+    of the scaled volume never dropping (l_inter) and no condition number
+    rising (l_inter2); one ``_scores`` call over every subset and every C."""
+    stacks = [gather_columns(a, s) for a, s in zip(arrays, subsets)]
+    sizes = [len(stack) for stack in stacks]
+    scores = _scores(_REMOVAL_SPECS, stacks, sigmas)
+    parent = np.repeat(scores[sum(sizes):], sizes, axis=0)
+    sub = scores[:len(parent)]
+    worst = np.column_stack([parent[:, 0] - sub[:, 0] - 1e-10,
+                             np.max(sub[:, 1:] - parent[:, 1:] - 1e-10, axis=1)])
+    return np.maximum.reduceat(worst, np.cumsum([0, *sizes[:-1]]), axis=0)
+
+
 def _removal_violations(c: DenseMatrix, subsets) -> tuple[float, float]:
-    """Signed worst violations, over the column ``subsets`` of C (a sequence
-    of equal-length index tuples), of the scaled volume never dropping
-    (l_inter) and no condition number rising (l_inter2) when columns are
-    removed; the subsets are scored as stacks of at most ``_STACK_ENTRIES``
-    entries, one SVD call each, and C from one SVD."""
-    parent_rvol, *parent_kappa = values(c, _REMOVAL_SPECS)
-    parent_kappa = np.array(parent_kappa)[:, None]
+    """``_removal_maxima`` of C over its column ``subsets`` (a sequence of
+    equal-length index tuples), in stacks of at most ``_STACK_ENTRIES``
+    entries, with C from one SVD; C must have full column rank."""
+    res = svd(c)
+    if res.numerical_rank < c.cols:
+        raise RankDeficiencyError("removal monotonicity requires full column rank")
     subsets = np.array(subsets, dtype=np.intp)
     step = max(1, _STACK_ENTRIES // (c.rows * subsets.shape[1]))
-    v_inter = v_inter2 = -math.inf
-    for start in range(0, len(subsets), step):
-        sigma, full = batch_svd(gather_columns(c.array, subsets[start:start + step]))
-        scores = stacked_values(_REMOVAL_SPECS, sigma, None, full)
-        rvol, kappa = scores[0], scores[1:]
-        v_inter = max(v_inter, float(np.max(parent_rvol - rvol - 1e-10)))
-        v_inter2 = max(v_inter2, float(np.max(kappa - parent_kappa - 1e-10)))
-    return v_inter, v_inter2
+    worst = [_removal_maxima([c.array], [subsets[start:start + step]], [res.singular_values])
+             for start in range(0, len(subsets), step)]
+    return tuple(np.max(np.concatenate(worst), axis=0).tolist())
 
 
 def run_suite(seed: int = 0, trials: int = 200) -> list[LemmaReport]:
@@ -338,13 +375,18 @@ def run_suite(seed: int = 0, trials: int = 200) -> list[LemmaReport]:
     acc = {lid: _Accumulator() for lid in LEMMA_IDS}
     rng = np.random.default_rng(seed)
     for start in range(0, trials, _BLOCK_ROUNDS):
-        # the partition and interlacing trials score as they draw, one
-        # violation row per trial and lemma, recorded once per block
-        units, found = [], collections.defaultdict(list)
+        # the trials draw in generator order and leave their criteria to the
+        # block's stacks; one row per trial and lemma, recorded once per block
+        units, parts, removals, found = [], [], [], collections.defaultdict(list)
         for _ in range(min(_BLOCK_ROUNDS, trials - start)):
             units += [_draw_unit_columns(rng, eps) for eps in _UNIT_FAMILIES]
-            _partition_trial(rng, found)
-            _interlacing_trial(rng, found)
+            parts.append(_partition_trial(rng, found))
+            removals += _interlacing_trial(rng, found)
+        _partition_checks(parts, found)
+        if removals:
+            worst = _removal_maxima(*zip(*removals))
+            acc["l_inter"].record(worst[:, :1])
+            acc["l_inter2"].record(worst[:, 1:])
         for lid, rows in found.items():
             acc[lid].record(rows)
         _unit_column_checks(units, acc)
@@ -366,8 +408,6 @@ def check_removal_monotonicity(c: DenseMatrix, ell: int, seed: int = 0) -> bool:
         raise InvalidParameterError(f"need 1 <= ell < {k}, got {ell}")
     if seed < 0:
         raise InvalidParameterError(f"need seed >= 0, got {seed}")
-    if svd(c).numerical_rank < k:
-        raise RankDeficiencyError("removal monotonicity requires full column rank")
     return max(_removal_violations(c, _removal_subsets(k, ell, seed))) <= 0.0
 
 

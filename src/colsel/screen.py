@@ -510,11 +510,12 @@ def swap_estimates(unit: np.ndarray, current, outside: np.ndarray, current_vol: 
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def extension_estimates(criterion: CriterionSpec, unit: np.ndarray, exponent: int, chosen,
+def extension_estimates(criterion: CriterionSpec, unit: np.ndarray, chosen,
                         remaining: np.ndarray, value: float):
-    """Band (estimate, width) of each extension chosen + (j,) of A = ``unit``
-    * 2**``exponent``; all widths are infinite for a criterion without a rank-one
-    estimate, and a row's width is infinite or NaN where its rounding is.
+    """Band (estimate, width) of each extension chosen + (j,) of ``unit``,
+    whose chosen columns score ``value``; all widths are infinite for a
+    criterion without a rank-one estimate, and a row's width is infinite or
+    NaN where its rounding is.
 
     With R = P_perp_S A and r_j its column j: vol(S + j) = vol(S) * ||r_j||,
     and res-frobenius(S + j)^2 = ||R||_F^2 - ||r_j^T R||^2 / ||r_j||^2
@@ -526,10 +527,9 @@ def extension_estimates(criterion: CriterionSpec, unit: np.ndarray, exponent: in
     _, _, rest, rho, rounding = _projection(unit, chosen, slice(None), len(chosen) + 1)
     rho, rounding = rho[remaining], rounding[remaining]
     if criterion.kind == "vol":
-        estimate = value * np.ldexp(rho, exponent)
+        estimate = value * rho
         return estimate, estimate * (SCREEN_MARGIN + rounding)
     gram = rest.T @ rest[:, remaining]
     gain = np.divide(np.sum(gram**2, axis=0), rho**2, out=np.zeros_like(rho), where=rho > 0.0)
     estimate = np.sqrt(np.maximum(np.sum(rest**2) - gain, 0.0))
-    width = _residual_width(estimate, np.sum(unit**2), rounding)
-    return np.ldexp(estimate, exponent), np.ldexp(width, exponent)
+    return estimate, _residual_width(estimate, np.sum(unit**2), rounding)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .criteria import CriterionSpec, CriterionValue, batch_residuals, batch_values, evaluate
 from .errors import InfeasibleError, InvalidInputError, InvalidParameterError
-from .matrixkit import DenseMatrix, batch_svd, gather_columns, unit_scaled
+from .matrixkit import DenseMatrix, batch_svd, column_norms, gather_columns, unit_scaled
 from .screen import ChunkScreen, extension_estimates, swap_estimates
 
 DECISION_SLACK = 1e-9
@@ -458,6 +458,10 @@ def select_local_swap_volume(matrix: DenseMatrix, k: int, seed: int = 0,
     equals an SVD of every swap).  ``subsets_evaluated`` counts the start
     draws (plus greedy's count when it gives the start) and every swap
     considered, k(n - k) per sweep, whether or not its SVD ran.
+
+    The ascent runs at A's unit scale, as exact search does: the volume is
+    rescaled once, and one past float64 range raises InvalidInputError,
+    which names the subset.
     """
     n = matrix.cols
     if not 1 <= k <= n:
@@ -469,15 +473,15 @@ def select_local_swap_volume(matrix: DenseMatrix, k: int, seed: int = 0,
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     a = matrix.array
-    col_norms = matrix.column_norms()
-    unit = unit_scaled(a)[0]
+    unit, exponent = unit_scaled(a)
+    col_norms = column_norms(unit)
     vol_spec = CriterionSpec("vol")
     evaluated = 0
 
     def full_rank_volume(cand):
-        """The volume of a[:, cand], or None when it is rank-deficient."""
+        """The volume of a[:, cand] / 2**exponent, or None when it is rank-deficient."""
         idx = np.array([cand], dtype=np.intp)
-        sigma, full = batch_svd(gather_columns(a, idx))
+        sigma, full = _divided_svd(gather_columns(a, idx), exponent)
         vols, _ = batch_values(vol_spec, sigma, col_norms[idx], full)
         return float(vols[0]) if full[0] else None
 
@@ -487,9 +491,9 @@ def select_local_swap_volume(matrix: DenseMatrix, k: int, seed: int = 0,
         if (current_vol := full_rank_volume(current)) is not None:
             break
     else:
-        greedy = select_greedy_forward(matrix, k, vol_spec)
-        evaluated += greedy.subsets_evaluated
-        current_vol = full_rank_volume(current := greedy.subset.indices)
+        ((_, current), count) = _greedy_steps(a, unit, exponent, col_norms, k, vol_spec)
+        evaluated += count
+        current_vol = full_rank_volume(current)
     if current_vol is None:
         raise InfeasibleError(
             f"no full-rank starting subset found after {n * k} seeded attempts or by greedy vol"
@@ -502,7 +506,7 @@ def select_local_swap_volume(matrix: DenseMatrix, k: int, seed: int = 0,
         kept = np.array([current[:pos] + current[pos + 1:] for pos in range(k)], dtype=np.intp)
         idx = _moves(kept, outside)
         band = swap_estimates(unit, current, outside, current_vol)
-        (best,) = _screened_best(a, col_norms, idx, [vol_spec], [band])
+        (best,) = _screened_best(a, col_norms, idx, [vol_spec], [band], exponent)
         evaluated += len(idx)
         # no swap is valid where every volume overflows
         if best is None or not best[0] > current_vol * (1.0 + SWAP_IMPROVEMENT):
@@ -511,7 +515,7 @@ def select_local_swap_volume(matrix: DenseMatrix, k: int, seed: int = 0,
 
     return SelectionResult(
         subset=ColumnSubset(current),
-        value=CriterionValue(current_vol, vol_spec, k),
+        value=_optimum_value(vol_spec, k, _rescaled(vol_spec, k, (current_vol, current), exponent)),
         method="local_swap",
         subsets_evaluated=evaluated,
         elapsed=time.perf_counter() - start,
@@ -529,38 +533,42 @@ def select_greedy_forward(matrix: DenseMatrix, k: int, criterion: CriterionSpec)
     batched SVD (``_screened_best``, which states when the result equals an
     SVD of every extension).  The other criteria score every extension.
     ``subsets_evaluated`` counts every extension considered, whether or not
-    its SVD ran.
+    its SVD ran.  The steps run at A's unit scale, as exact search does: the
+    value is rescaled once, and one past float64 range raises
+    InvalidInputError, which names the subset.
     """
     n = matrix.cols
     if not 1 <= k <= n:
         raise InvalidParameterError(f"k must be in [1, {n}], got {k}")
     start = time.perf_counter()
-    a = matrix.array
-    col_norms = matrix.column_norms()
-    unit, exponent = unit_scaled(a)
-    evaluated = 0
+    unit, exponent = unit_scaled(matrix.array)
+    best, evaluated = _greedy_steps(matrix.array, unit, exponent, column_norms(unit), k, criterion)
+    return SelectionResult(
+        subset=ColumnSubset(best[1]),
+        value=_optimum_value(criterion, k, _rescaled(criterion, k, best, exponent)),
+        method="greedy_forward",
+        subsets_evaluated=evaluated,
+        elapsed=time.perf_counter() - start,
+    )
 
-    chosen: tuple[int, ...] = ()
-    value = 1.0  # the volume of no columns
+
+def _greedy_steps(a: np.ndarray, unit: np.ndarray, exponent: int, col_norms: np.ndarray, k: int,
+                  criterion: CriterionSpec):
+    """Greedy forward selection on A / 2**exponent = ``unit``, whose column
+    norms are ``col_norms``: ((value, chosen) there, extensions considered)."""
+    evaluated, chosen, value = 0, (), 1.0  # the volume of no columns
     for _ in range(k):
-        remaining = np.setdiff1d(np.arange(n), chosen)
+        remaining = np.setdiff1d(np.arange(a.shape[1]), chosen)
         idx = _moves(np.array([chosen], dtype=np.intp), remaining)
-        band = extension_estimates(criterion, unit, exponent, chosen, remaining, value)
-        (best,) = _screened_best(a, col_norms, idx, [criterion], [band])
+        band = extension_estimates(criterion, unit, chosen, remaining, value)
+        (best,) = _screened_best(a, col_norms, idx, [criterion], [band], exponent)
         evaluated += len(idx)
         if best is None:
             raise InfeasibleError(
                 f"every extension is rank-deficient for criterion {criterion.identifier!r}"
             )
         value, chosen = best
-
-    return SelectionResult(
-        subset=ColumnSubset(chosen),
-        value=CriterionValue(value, criterion, k),
-        method="greedy_forward",
-        subsets_evaluated=evaluated,
-        elapsed=time.perf_counter() - start,
-    )
+    return (value, chosen), evaluated
 
 
 def meets_threshold(criterion: CriterionSpec, value: float, b: float) -> bool:

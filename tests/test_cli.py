@@ -513,6 +513,16 @@ class TestUniformScale:
         assert code == 2 and out == ""
         assert "optimal subset 0 overflows float64" in err
 
+    @pytest.mark.parametrize("method", (["greedy", "--criterion", "vol"], ["local-swap"]))
+    def test_heuristics_name_the_larger_column_too(self, capsys, monkeypatch, method):
+        # both printed subset=1 value=2.23606797749979 and exited 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, monkeypatch, ["select", "--method", *method, "--k", "1"],
+                                     "1.7e308,1.0\n1.7e308,2.0\n")
+        assert code == 2 and out == ""
+        assert err == "error: criterion 'vol': the value of optimal subset 0 overflows float64\n"
+
 
 def test_module_run_prints_no_runtime_warning():
     """``python -m colsel.cli`` must not find colsel.cli already imported by

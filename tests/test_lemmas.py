@@ -8,15 +8,20 @@ import pytest
 from colsel import lemmas
 from colsel.criteria import parse_criterion, relative_volume, stacked_values, values
 from colsel.errors import InvalidInputError, InvalidParameterError, RankDeficiencyError
-from colsel.lemmas import (_FROBENIUS, _REMOVAL_SPECS, LEMMA_IDS, _removal_subsets,
-                           _removal_violations, _unit_claims, _unit_stacks,
+from colsel.lemmas import (_FROBENIUS, _PINV_SPECS, _REMOVAL_SPECS, _VOLUME, LEMMA_IDS,
+                           _draw_full_rank, _orthonormality_defect, _removal_subsets,
+                           _removal_violations, _scores, _stacks, _unit_claims,
                            check_removal_monotonicity, run_suite)
-from colsel.matrixkit import DenseMatrix, batch_svd
+from colsel.matrixkit import DenseMatrix, batch_svd, column_norms, svd
 from colsel.x3c import gadget
 
 # run_suite(seed=7) reports recorded from the suite before it drew in blocks,
 # when it scored each matrix as it drew it
 RECORDED = Path(__file__).resolve().parent / "data" / "lemma_reports.json"
+# run_suite reports per trial count and seed, recorded from the suite before
+# the partition and interlacing trials joined the block's stacks, when each
+# trial scored its matrices one ``values`` call at a time
+RECORDED_BY_SEED = Path(__file__).resolve().parent / "data" / "lemma_reports_by_seed.json"
 
 
 class TestRunSuite:
@@ -58,23 +63,35 @@ class TestRunSuite:
                for r in run_suite(seed=7, trials=trials)]
         assert got == recorded
 
+    @pytest.mark.parametrize("trials,seed", [(25, seed) for seed in range(10)] + [(1000, 3)])
+    def test_stacked_trials_keep_the_recorded_reports(self, trials, seed):
+        recorded = json.loads(RECORDED_BY_SEED.read_text(encoding="utf-8"))[str(trials)][str(seed)]
+        got = [[r.lemma_id, r.trials, r.failures, r.worst_violation]
+               for r in run_suite(seed=seed, trials=trials)]
+        assert got == recorded
 
-def mixed_matrices(seed, count=120):
-    """Unit-column, orthonormal and Gaussian matrices, m in 3..8, k in 1..5."""
+
+def mixed_matrices(seed, count=120, max_cols=5):
+    """Unit-column, orthonormal and Gaussian matrices, m in 3..8, k in 1..max_cols."""
     rng = np.random.default_rng(seed)
     out = []
     for i in range(count):
         m = int(rng.integers(3, 9))
-        k = int(rng.integers(1, min(5, m) + 1))
+        k = int(rng.integers(1, min(max_cols, m) + 1))
         g = rng.standard_normal((m, k))
         out.append([g / np.linalg.norm(g, axis=0), np.linalg.qr(g)[0], g][i % 3])
     return out
 
 
+def unit_stacks(matrices):
+    """The unit-column family's stacks, as ``_unit_column_checks`` forms them."""
+    return _stacks([c[None] for c in matrices], per_matrix=(column_norms, _orthonormality_defect))
+
+
 class TestStackedScorer:
     def test_equals_values_row_by_row_on_mixed_shapes(self):
         matrices = mixed_matrices(0)
-        for k, (rows, sigma, norms, full, defect) in _unit_stacks(matrices).items():
+        for k, (rows, sigma, full, norms, defect) in unit_stacks(matrices).items():
             for specs in ([_FROBENIUS, *[spec for _, spec, _, _ in _unit_claims(k)]],
                           _REMOVAL_SPECS):
                 got = stacked_values(specs, sigma, norms, full)
@@ -84,8 +101,32 @@ class TestStackedScorer:
             for col, i in enumerate(rows):
                 c = matrices[i]
                 assert defect[col] == float(np.linalg.norm(c.T @ c - np.eye(k)))
-        assert sorted(i for rows, *_ in _unit_stacks(matrices).values() for i in rows) == \
+        assert sorted(i for rows, *_ in unit_stacks(matrices).values() for i in rows) == \
             list(range(len(matrices)))
+
+    # partition trials draw C with up to 6 columns, and C1, C2 from its split
+    @pytest.mark.parametrize("seed", range(3))
+    def test_partition_specs_equal_values_on_mixed_shapes_up_to_six_columns(self, seed):
+        matrices = mixed_matrices(seed, max_cols=6)
+        assert max(c.shape[1] for c in matrices) == 6
+        specs = (_VOLUME, *_PINV_SPECS)
+        for rows, sigma, full in _stacks([c[None] for c in matrices]).values():
+            got = stacked_values(specs, sigma, None, full)
+            for col, i in enumerate(rows):
+                assert got[:, col].tolist() == values(DenseMatrix(matrices[i]), specs), i
+        # C scores from its draw's sigmas, C1 and C2 from their stacks, in one call
+        half = len(matrices) // 2
+        sigmas = [svd(DenseMatrix(c)).singular_values for c in matrices[half:]]
+        got = _scores(specs, [c[None] for c in matrices[:half]], sigmas)
+        assert got.tolist() == [values(DenseMatrix(c), specs) for c in matrices]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_draw_full_rank_returns_the_sigmas_svd_gives(self, seed):
+        rng = np.random.default_rng(seed)
+        for m in range(3, 9):
+            for k in range(1, min(m, 6) + 1):
+                g, sigma = _draw_full_rank(rng, m, k)
+                assert sigma.tolist() == svd(DenseMatrix(g)).singular_values.tolist(), (m, k)
 
     def test_rank_deficient_row_raises_as_values_does(self):
         rng = np.random.default_rng(1)
@@ -118,7 +159,7 @@ class TestStackedScorer:
         sopt = (parse_criterion("sopt"),)
         with pytest.raises(InvalidInputError, match="zero column"):
             values(DenseMatrix(stack[3]), sopt)
-        (_, sigma, norms, full, _), = _unit_stacks(list(stack)).values()
+        (_, sigma, full, norms, _), = unit_stacks(list(stack)).values()
         with pytest.raises(InvalidInputError, match="zero column"):
             stacked_values(sopt, sigma, norms, full)
 

@@ -3,7 +3,8 @@
 ``select_greedy_forward`` (vol, res-frobenius) and ``select_local_swap_volume``
 estimate every candidate by a rank-one update and run the batched SVD only on
 the near-best.  The oracles below are the loops that score every candidate
-through ``_batch_scores``; the selectors must return the same subset, the same
+through ``_batch_scores``, at A's unit scale with the value rescaled once, as
+the selectors score; the selectors must return the same subset, the same
 value under ``==`` and the same ``subsets_evaluated`` (or raise the same
 error), also on inputs where the estimates are poor: rank(A) < k, duplicated
 and nearly duplicated columns, extreme scales, and a near-dependent column
@@ -16,12 +17,15 @@ import numpy as np
 import pytest
 
 from colsel import screen, selectors
-from colsel.criteria import CriterionSpec, CriterionValue, batch_values, parse_criterion
+from colsel.criteria import CriterionSpec, batch_values, parse_criterion
 from colsel.errors import InfeasibleError
-from colsel.matrixkit import DenseMatrix, batch_svd, gather_columns
+from colsel.matrixkit import DenseMatrix, column_norms, gather_columns
 from colsel.selectors import (
     _batch_scores,
     _best_row,
+    _divided_svd,
+    _optimum_value,
+    _rescaled,
     select_greedy_forward,
     select_local_swap_volume,
 )
@@ -29,29 +33,32 @@ from colsel.selectors import (
 
 def oracle_greedy(matrix, k, criterion):
     a = matrix.array
-    col_norms = matrix.column_norms()
+    unit, exponent = screen.unit_scaled(a)
+    col_norms = column_norms(unit)
     maximize = criterion.direction == "maximize"
     evaluated = 0
     chosen = ()
     for _ in range(k):
         remaining = [j for j in range(matrix.cols) if j not in chosen]
         cands = [tuple(sorted(chosen + (j,))) for j in remaining]
-        ((vals, valid),) = _batch_scores(a, col_norms, np.array(cands, dtype=np.intp), [criterion])
+        ((vals, valid),) = _batch_scores(a, col_norms, np.array(cands, dtype=np.intp), [criterion],
+                                         exponent)
         evaluated += len(cands)
         row = _best_row(vals, valid, maximize)
         if row is None:
             raise InfeasibleError("every extension is rank-deficient")
         chosen = cands[row]
         last_value = float(vals[row])
-    CriterionValue(last_value, criterion, k)
-    return chosen, last_value, evaluated
+    value = _optimum_value(criterion, k, _rescaled(criterion, k, (last_value, chosen), exponent))
+    return chosen, value.value, evaluated
 
 
 def oracle_local_swap(matrix, k, seed=0, max_sweeps=100):
     n = matrix.cols
     rng = np.random.default_rng(seed)
     a = matrix.array
-    col_norms = matrix.column_norms()
+    unit, exponent = screen.unit_scaled(a)
+    col_norms = column_norms(unit)
     vol_spec = CriterionSpec("vol")
     evaluated = 0
     current = None
@@ -63,7 +70,7 @@ def oracle_local_swap(matrix, k, seed=0, max_sweeps=100):
 
     for _ in range(n * k):
         cand = np.sort(rng.choice(n, size=k, replace=False)).astype(np.intp)
-        sigma, full = batch_svd(gather_columns(a, cand[None, :]))
+        sigma, full = _divided_svd(gather_columns(a, cand[None, :]), exponent)
         evaluated += 1
         if full[0]:
             current = tuple(int(i) for i in cand)
@@ -73,7 +80,7 @@ def oracle_local_swap(matrix, k, seed=0, max_sweeps=100):
         chosen, _, count = oracle_greedy(matrix, k, vol_spec)
         evaluated += count
         idx = np.array([chosen], dtype=np.intp)
-        sigma, full = batch_svd(gather_columns(a, idx))
+        sigma, full = _divided_svd(gather_columns(a, idx), exponent)
         if not full[0]:
             raise InfeasibleError("no full-rank starting subset")
         current, current_vol = chosen, volume(idx, sigma, full)
@@ -83,7 +90,8 @@ def oracle_local_swap(matrix, k, seed=0, max_sweeps=100):
             break
         swaps = [tuple(sorted(current[:pos] + current[pos + 1:] + (j,)))
                  for pos in range(k) for j in outside]
-        ((vols, _),) = _batch_scores(a, col_norms, np.array(swaps, dtype=np.intp), [vol_spec])
+        ((vols, _),) = _batch_scores(a, col_norms, np.array(swaps, dtype=np.intp), [vol_spec],
+                                     exponent)
         evaluated += len(swaps)
         best_row = int(np.argmax(vols))
         if vols[best_row] > current_vol * (1.0 + selectors.SWAP_IMPROVEMENT):
@@ -91,8 +99,8 @@ def oracle_local_swap(matrix, k, seed=0, max_sweeps=100):
             current_vol = float(vols[best_row])
         else:
             break
-    CriterionValue(current_vol, vol_spec, k)
-    return current, current_vol, evaluated
+    value = _optimum_value(vol_spec, k, _rescaled(vol_spec, k, (current_vol, current), exponent))
+    return current, value.value, evaluated
 
 
 def _gaussian(seed, m=60, n=200):
@@ -316,10 +324,10 @@ def test_a_certified_best_outside_its_band_rescores_every_row(svd_rows):
 
 def test_criteria_without_a_rank_one_estimate_get_infinite_widths():
     a = _gaussian(16, 10, 20)
-    unit, exponent = screen.unit_scaled(a)
+    unit, _ = screen.unit_scaled(a)
     remaining = np.arange(2, 20)
     for ident in ("sopt", "rvol", "res-two"):
-        estimate, width = screen.extension_estimates(parse_criterion(ident), unit, exponent,
-                                                     (0, 1), remaining, 1.0)
+        estimate, width = screen.extension_estimates(parse_criterion(ident), unit, (0, 1),
+                                                     remaining, 1.0)
         assert estimate.shape == width.shape == remaining.shape
         assert np.all(width == np.inf), ident

@@ -335,6 +335,61 @@ class TestGreedyForward:
             select_greedy_forward(a, 2, parse_criterion("rvol"))
 
 
+HEURISTICS = {
+    "greedy-vol": lambda a, k: select_greedy_forward(a, k, parse_criterion("vol")),
+    "greedy-res-frobenius": lambda a, k: select_greedy_forward(a, k, parse_criterion("res-frobenius")),
+    "local-swap": lambda a, k: select_local_swap_volume(a, k),
+}
+
+
+class TestHeuristicsAtUnitScale:
+    """The heuristic selectors score at A's unit scale, as exact search does:
+    a uniform scale 2**s of A changes no subset, the value is the unscaled
+    one times 2**(s d), rounded once below float64 range, and a value past
+    it is an error that names the subset."""
+
+    A = np.random.default_rng(0).standard_normal((20, 40))
+
+    @pytest.mark.parametrize("run", sorted(HEURISTICS))
+    @pytest.mark.parametrize("s", (-400, -131))
+    def test_below_range_keeps_the_unscaled_subset(self, run, s):
+        # s = -131 puts vol of 8 columns (about 4e5) in the subnormals; at
+        # s = -400 every volume of four or more columns was 0.0 at A's own
+        # scale, and greedy filled the subset with the smallest free indices
+        unscaled = HEURISTICS[run](DenseMatrix(self.A), 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = HEURISTICS[run](DenseMatrix(np.ldexp(self.A, s)), 8)
+        degree = 1 if run == "greedy-res-frobenius" else 8
+        assert scaled.subset == unscaled.subset
+        assert scaled.value.value == math.ldexp(unscaled.value.value, s * degree)
+        assert scaled.subsets_evaluated == unscaled.subsets_evaluated
+        if degree == 8:
+            assert (0.0 < scaled.value.value < np.finfo(np.float64).tiny if s == -131
+                    else scaled.value.value == 0.0)
+        if run == "greedy-vol":
+            assert str(scaled.subset) == "4,13,19,22,30,37,38,39"
+
+    @pytest.mark.parametrize("run", ("greedy-vol", "local-swap"))
+    def test_volume_past_float64_names_the_unscaled_subset(self, run):
+        # greedy raised "every extension is rank-deficient" here, and local
+        # swap "criterion value must be finite"
+        subset = HEURISTICS[run](DenseMatrix(self.A), 8).subset
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError,
+                               match=f"optimal subset {subset} overflows float64"):
+                HEURISTICS[run](DenseMatrix(np.ldexp(self.A, 400)), 8)
+
+    @pytest.mark.parametrize("run", ("greedy-vol", "local-swap"))
+    def test_column_past_float64_is_chosen_and_named(self, run):
+        # column 0's volume, about 2.4e308, was invalid at A's scale, and
+        # column 1 won with 2.236
+        a = DenseMatrix([[1.7e308, 1.0], [1.7e308, 2.0]])
+        with pytest.raises(InvalidInputError, match="optimal subset 0 overflows float64"):
+            HEURISTICS[run](a, 1)
+
+
 class TestDecide:
     def test_identity_volume_yes(self):
         outcome = decide(DenseMatrix(np.eye(4)), DecisionQuery(parse_criterion("vol"), 2, 1.0))
