@@ -9,14 +9,19 @@ tolerance was exceeded) and the per-check maxima are aggregated into one
 report record per lemma id.
 
 The suite runs in blocks of ``_BLOCK_ROUNDS`` rounds.  A block first draws
-its rounds, in the order of the generator calls that fix every report; a
-draw keeps only the linear algebra that needs more than singular values.
-The block then scores every family as stacks (``_stacks``): one
-``batch_svd`` call per shape (m, k), then one ``stacked_values`` call per k,
-the path ``values`` takes for a single matrix, so a matrix scores the same
-bits in a stack and alone; a matrix whose sigmas a draw already has is not
-decomposed again.  Above 1000 subsets, ``check_removal_monotonicity`` checks
-1000 distinct ones drawn uniformly from all C(k, ell).
+its rounds, in the order of the generator calls that fix every report.  A
+unit-column draw keeps only its generator calls (the full-rank Gaussian and,
+for a perturbed family, the perturbation's direction); a partition draw keeps
+the linear algebra that needs more than singular values (the partitioned and
+direct pseudo-inverses, the complement projector).  The block then finishes
+each unit-column family as one stack per shape (``_unit_columns``: one QR,
+one SVD for the perturbations' two-norms and one column normalisation), and
+scores every family as stacks (``_stacks``): one ``batch_svd`` call per
+shape (m, k), then one ``stacked_values`` call per k, the path ``values``
+takes for a single matrix, so a matrix scores the same bits in a stack and
+alone; a matrix whose sigmas a draw already has is not decomposed again.
+Above 1000 subsets, ``check_removal_monotonicity`` checks 1000 distinct ones
+drawn uniformly from all C(k, ell).
 """
 
 from __future__ import annotations
@@ -30,9 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import CriterionSpec, parse_criterion, stacked_values
-# bench/tracer.py PATCHES wraps these names in this module: svd, pseudo_inverse,
-# complement_projector and partitioned_pinv, which the suite calls at each
-# draw, and the seven scalar wrappers below, which nothing here calls
+# bench/tracer.py PATCHES wraps these names in this module: pseudo_inverse,
+# complement_projector and partitioned_pinv, which each partition draw calls,
+# svd, which check_removal_monotonicity calls, and the seven scalar wrappers
+# below, which nothing here calls
 from .criteria import (condition_number, pinv_schatten_norm, relative_volume,  # noqa: F401
                        s_optimality, schatten_norm, stable_rank, volume)
 from .errors import InvalidParameterError, RankDeficiencyError
@@ -163,10 +169,6 @@ def _draw_full_rank(rng, m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     raise RuntimeError("could not draw a full-rank matrix")  # pragma: no cover
 
 
-def _unit_columns(arr: np.ndarray) -> np.ndarray:
-    return arr / np.linalg.norm(arr, axis=0)
-
-
 _FROBENIUS, _VOLUME, _RVOL = map(parse_criterion, ("norm-frobenius", "vol", "rvol"))
 
 
@@ -191,11 +193,12 @@ def _unit_claims(k: int) -> tuple[tuple[str, CriterionSpec, float, bool], ...]:
     return tuple(rows)
 
 
-def _unit_column_checks(matrices, acc: dict):
-    """All unit-column optimal-value lemmas on the unit-column ``matrices``,
-    each claim scored by one value-function call per k; each claim row
-    yields its bound check and its equality check on every matrix."""
-    stacks = _stacks([c[None] for c in matrices], per_matrix=(column_norms, _orthonormality_defect))
+def _unit_column_checks(stacks, acc: dict):
+    """All unit-column optimal-value lemmas on the (B, m, k) ``stacks`` of
+    unit-column matrices, each claim scored by one value-function call per k;
+    each claim row yields its bound check and its equality check on every
+    matrix."""
+    stacks = _stacks(stacks, per_matrix=(column_norms, _orthonormality_defect))
     for k, (_, sigma, full, norms, defect) in stacks.items():
         claims = _unit_claims(k)
         specs = [spec for _, spec, _, _ in claims]
@@ -232,16 +235,30 @@ def _dims(rng) -> tuple[int, int]:
 _UNIT_FAMILIES = (None, 0.0, 1e-6, 1e-3)
 
 
-def _draw_unit_columns(rng, eps: float | None) -> np.ndarray:
+def _draw_unit_columns(rng, eps: float | None) -> tuple[np.ndarray, ...]:
+    """The generator calls of one draw of family ``eps``: a full-rank m x k
+    Gaussian and, for a perturbed family, the m x k direction of its
+    perturbation; ``_unit_columns`` makes the matrices from stacks of them."""
     m, k = _dims(rng)
     arr, _ = _draw_full_rank(rng, m, k)
+    return (arr, rng.standard_normal((m, k))) if eps else (arr,)
+
+
+def _normalized(stack: np.ndarray) -> np.ndarray:
+    return stack / np.linalg.norm(stack, axis=1, keepdims=True)
+
+
+def _unit_columns(eps: float | None, arr: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
+    """The (B, m, k) unit-column matrices of family ``eps`` from the stacks of
+    its draws' Gaussians ``arr`` and perturbation directions ``g``: arr with
+    normalized columns (None), arr's Q factor (0), or Q + eps * g / ||g||_2
+    with normalized columns; each matrix has the bits it has alone."""
     if eps is None:
-        return _unit_columns(arr)
+        return _normalized(arr)
     q, _ = np.linalg.qr(arr)
     if eps == 0.0:
         return q
-    g = rng.standard_normal((m, k))
-    return _unit_columns(q + eps * (g / np.linalg.norm(g, 2)))
+    return _normalized(q + eps * (g / np.linalg.svd(g, compute_uv=False)[:, :1, None]))
 
 
 _PINV_POWERS = (2.0, 3.0, 4.0, 6.0)
@@ -302,14 +319,14 @@ def _interlacing_trial(rng, found: dict) -> list:
     block scores, [(C, its removal subsets, sigmas)], or [] if C is deficient."""
     m = int(rng.integers(_ROWS[0], _ROWS[1] + 1))
     n = int(rng.integers(_PARENT_COLS[0], _PARENT_COLS[1] + 1))
-    a = DenseMatrix(rng.standard_normal((m, n)))
+    a = rng.standard_normal((m, n))
     k = int(rng.integers(2, min(m, n, _SUBSET_COLS[1]) + 1)) if min(m, n) > 2 else 2
     cols = np.sort(rng.choice(n, size=k, replace=False))
-    c = a.columns(cols)
+    c = a[:, cols]
 
-    sig_a = svd(a).singular_values
-    svd_c = svd(c)
-    sig_c = svd_c.singular_values
+    (sigma_a,), _ = batch_svd(a[None])
+    (sigma_c,), (full,) = batch_svd(c[None])
+    sig_a, sig_c = sigma_a.tolist(), sigma_c.tolist()
     worst = -math.inf
     for j in range(k):
         # deleting n-k columns pushes sigma_j(C) down to at most position
@@ -320,12 +337,12 @@ def _interlacing_trial(rng, found: dict) -> list:
         worst = max(worst, sig_c[j] - sig_a[j] - 1e-10)
     found["e_inter"].append((worst,))
 
-    if svd_c.numerical_rank < k:
+    if not full:
         found["l_inter"].append((-math.inf,))
         found["l_inter2"].append((-math.inf,))
         return []
     ell = int(rng.integers(1, k))
-    return [(c.array, np.array(list(itertools.combinations(range(k), ell)), dtype=np.intp), sig_c)]
+    return [(c, np.array(list(itertools.combinations(range(k), ell)), dtype=np.intp), sigma_c)]
 
 
 # rvol, then the five condition numbers that never rise when columns go
@@ -377,9 +394,11 @@ def run_suite(seed: int = 0, trials: int = 200) -> list[LemmaReport]:
     for start in range(0, trials, _BLOCK_ROUNDS):
         # the trials draw in generator order and leave their criteria to the
         # block's stacks; one row per trial and lemma, recorded once per block
-        units, parts, removals, found = [], [], [], collections.defaultdict(list)
+        units, parts, removals, found = {}, [], [], collections.defaultdict(list)
         for _ in range(min(_BLOCK_ROUNDS, trials - start)):
-            units += [_draw_unit_columns(rng, eps) for eps in _UNIT_FAMILIES]
+            for eps in _UNIT_FAMILIES:
+                draw = _draw_unit_columns(rng, eps)
+                units.setdefault((eps, draw[0].shape), []).append(draw)
             parts.append(_partition_trial(rng, found))
             removals += _interlacing_trial(rng, found)
         _partition_checks(parts, found)
@@ -389,7 +408,8 @@ def run_suite(seed: int = 0, trials: int = 200) -> list[LemmaReport]:
             acc["l_inter2"].record(worst[:, 1:])
         for lid, rows in found.items():
             acc[lid].record(rows)
-        _unit_column_checks(units, acc)
+        _unit_column_checks([_unit_columns(eps, *map(np.stack, zip(*draws)))
+                             for (eps, _), draws in units.items()], acc)
     return [
         LemmaReport(lid, acc[lid].trials, acc[lid].failures, acc[lid].worst, seed)
         for lid in LEMMA_IDS

@@ -34,7 +34,7 @@ class DenseMatrix:
             raise InvalidInputError(f"expected a 2-d matrix, got ndim={arr.ndim}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise InvalidInputError(f"matrix dimensions must be positive, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise InvalidInputError("matrix entries must all be finite")
         object.__setattr__(self, "array", _readonly(arr))
 
@@ -62,7 +62,7 @@ class DenseMatrix:
             raise InvalidInputError("a column subset must be non-empty")
         if any(j < 0 or j >= self.cols for j in idx):
             raise InvalidInputError(f"column index out of range for {self.cols} columns")
-        return DenseMatrix(self.array[:, idx])
+        return _built(np.ascontiguousarray(self.array[:, idx]))
 
     def column_norms(self) -> np.ndarray:
         """Two-norm of each column, as ``column_norms`` computes it."""
@@ -70,6 +70,16 @@ class DenseMatrix:
 
     def __repr__(self):
         return f"DenseMatrix({self.rows}x{self.cols})"
+
+
+def _built(arr: np.ndarray) -> DenseMatrix:
+    """``DenseMatrix(arr)`` without its copy and finiteness scan, for a result
+    this module has just built with entries finite by construction.  ``arr``
+    must be a fresh, C-ordered float64 array that nothing else holds: the
+    constructor's C-ordered copy fixes the layout, and matmul bits depend on it."""
+    matrix = object.__new__(DenseMatrix)
+    object.__setattr__(matrix, "array", _readonly(arr))
+    return matrix
 
 
 def column_norms(arr: np.ndarray) -> np.ndarray:
@@ -107,7 +117,7 @@ def concat_columns(left: DenseMatrix, right: DenseMatrix) -> DenseMatrix:
     """Horizontal concatenation [left right]."""
     if left.rows != right.rows:
         raise ShapeError(f"row counts differ: {left.rows} vs {right.rows}")
-    return DenseMatrix(np.hstack([left.array, right.array]))
+    return _built(np.hstack([left.array, right.array]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,11 +167,11 @@ def pseudo_inverse(matrix: DenseMatrix) -> DenseMatrix:
     with np.errstate(over="ignore", invalid="ignore"):
         inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > tol)
         pinv = vt.T @ (inv[:, None] * u.T)
-    if not np.all(np.isfinite(pinv)):
+    if not np.isfinite(pinv).all():
         raise InvalidInputError(
             f"pseudo-inverse overflows float64: smallest kept singular value {s[s > tol][-1]!r}"
         )
-    return DenseMatrix(pinv)
+    return _built(pinv)
 
 
 def complement_projector(c: DenseMatrix) -> DenseMatrix:
@@ -177,7 +187,7 @@ def complement_projector(c: DenseMatrix) -> DenseMatrix:
             f"matrix has numerical rank {rank} < {c.cols} columns"
         )
     p = np.eye(c.rows) - u @ u.T
-    return DenseMatrix((p + p.T) / 2.0)
+    return _built((p + p.T) / 2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,7 +206,7 @@ class PartitionedPinv:
     schur2: DenseMatrix
 
     def stacked(self) -> DenseMatrix:
-        return DenseMatrix(np.vstack([self.m1_pinv.array, self.m2_pinv.array]))
+        return _built(np.vstack([self.m1_pinv.array, self.m2_pinv.array]))
 
 
 def partitioned_pinv(c1: DenseMatrix, c2: DenseMatrix) -> PartitionedPinv:
@@ -204,6 +214,8 @@ def partitioned_pinv(c1: DenseMatrix, c2: DenseMatrix) -> PartitionedPinv:
 
     The stack of the two returned pseudo-inverse blocks equals the
     pseudo-inverse of [C1 C2] whenever the concatenation has full column rank.
+    A projection or Schur complement beyond float64 range (e.g. of columns
+    near 1e308) raises InvalidInputError.
     """
     combined = concat_columns(c1, c2)
     m, n = combined.rows, combined.cols
@@ -215,13 +227,22 @@ def partitioned_pinv(c1: DenseMatrix, c2: DenseMatrix) -> PartitionedPinv:
 
     p1 = complement_projector(c1).array
     p2 = complement_projector(c2).array
-    m1 = DenseMatrix(p2 @ c1.array)
-    m2 = DenseMatrix(p1 @ c2.array)
-    s1 = c1.array.T @ p2 @ c1.array
-    s2 = c2.array.T @ p1 @ c2.array
+    # the projections and Schur complements of columns near float64's limit
+    # can overflow, so each keeps DenseMatrix's finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        m1, m2 = p2 @ c1.array, p1 @ c2.array
+        s1 = c1.array.T @ p2 @ c1.array
+        s2 = c2.array.T @ p1 @ c2.array
+        s1, s2 = (s1 + s1.T) / 2.0, (s2 + s2.T) / 2.0
+    try:
+        m1, m2, s1, s2 = map(DenseMatrix, (m1, m2, s1, s2))
+    except InvalidInputError:
+        raise InvalidInputError(
+            "partitioned pseudo-inverse overflows float64: P2 C1, P1 C2 or a Schur complement is not finite"
+        ) from None
     return PartitionedPinv(
         m1_pinv=pseudo_inverse(m1),
         m2_pinv=pseudo_inverse(m2),
-        schur1=DenseMatrix((s1 + s1.T) / 2.0),
-        schur2=DenseMatrix((s2 + s2.T) / 2.0),
+        schur1=s1,
+        schur2=s2,
     )

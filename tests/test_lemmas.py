@@ -8,9 +8,9 @@ import pytest
 from colsel import lemmas
 from colsel.criteria import parse_criterion, relative_volume, stacked_values, values
 from colsel.errors import InvalidInputError, InvalidParameterError, RankDeficiencyError
-from colsel.lemmas import (_FROBENIUS, _PINV_SPECS, _REMOVAL_SPECS, _VOLUME, LEMMA_IDS,
-                           _draw_full_rank, _orthonormality_defect, _removal_subsets,
-                           _removal_violations, _scores, _stacks, _unit_claims,
+from colsel.lemmas import (_FROBENIUS, _PINV_SPECS, _REMOVAL_SPECS, _UNIT_FAMILIES, _VOLUME, LEMMA_IDS,
+                           _draw_full_rank, _draw_unit_columns, _orthonormality_defect, _removal_subsets,
+                           _removal_violations, _scores, _stacks, _unit_claims, _unit_columns,
                            check_removal_monotonicity, run_suite)
 from colsel.matrixkit import DenseMatrix, batch_svd, column_norms, svd
 from colsel.x3c import gadget
@@ -84,8 +84,40 @@ def mixed_matrices(seed, count=120, max_cols=5):
 
 
 def unit_stacks(matrices):
-    """The unit-column family's stacks, as ``_unit_column_checks`` forms them."""
+    """The unit-column family's stacks, as ``_unit_column_checks`` forms them
+    from one-matrix stacks."""
     return _stacks([c[None] for c in matrices], per_matrix=(column_norms, _orthonormality_defect))
+
+
+def one_matrix_unit_columns(eps, arr, g=None):
+    """A unit-column matrix of family ``eps`` from one draw, one matrix at a time."""
+    if eps is None:
+        return arr / np.linalg.norm(arr, axis=0)
+    q, _ = np.linalg.qr(arr)
+    if eps == 0.0:
+        return q
+    p = q + eps * (g / np.linalg.norm(g, 2))
+    return p / np.linalg.norm(p, axis=0)
+
+
+# the reports pin only each lemma's worst violation; this pins every matrix
+@pytest.mark.parametrize("seed", range(3))
+def test_stacked_unit_draws_equal_the_one_matrix_formulas(seed):
+    rng = np.random.default_rng(seed)
+    groups = {}
+    for _ in range(80):
+        for eps in _UNIT_FAMILIES:
+            draw = _draw_unit_columns(rng, eps)
+            assert len(draw) == (2 if eps else 1)
+            groups.setdefault((eps, draw[0].shape), []).append(draw)
+    for eps in _UNIT_FAMILIES:
+        shapes = {shape for family, shape in groups if family == eps}
+        assert {m for m, _ in shapes} == set(range(3, 9)) and {k for _, k in shapes} == set(range(1, 6))
+    for (eps, shape), draws in groups.items():
+        stack = _unit_columns(eps, *map(np.stack, zip(*draws)))
+        assert stack.shape == (len(draws), *shape)
+        for got, draw in zip(stack, draws):
+            assert np.array_equal(got, one_matrix_unit_columns(eps, *draw)), (eps, shape)
 
 
 class TestStackedScorer:

@@ -45,6 +45,32 @@ class TestDenseMatrix:
         with pytest.raises(ValueError):
             m.array[0, 0] = 5.0
 
+    def test_kernel_results_are_read_only_c_ordered_and_as_constructed(self):
+        # these results skip DenseMatrix's copy and finiteness scan: each must
+        # still be a fresh, read-only, C-ordered float64 array with the bits
+        # the constructor gives it, since matmul bits depend on layout
+        rng = np.random.default_rng(7)
+        a = random_matrix(rng, 6, 4)
+        c1, c2 = a.columns([3, 0]), a.columns([1])
+        parts = partitioned_pinv(c1, c2)
+        results = {
+            "pseudo_inverse": (pseudo_inverse(a), None),
+            "pseudo_inverse of a wide matrix": (pseudo_inverse(DenseMatrix(a.array.T)), None),
+            "complement_projector": (complement_projector(c1), None),
+            "concat_columns": (concat_columns(c1, c2), np.hstack([c1.array, c2.array])),
+            "columns": (a.columns([2, 0, 3]), a.array[:, [2, 0, 3]]),
+            "one column": (c2, a.array[:, [1]]),
+            "stacked": (parts.stacked(), np.vstack([parts.m1_pinv.array, parts.m2_pinv.array])),
+        }
+        for name, (out, want) in results.items():
+            arr = out.array
+            assert arr.dtype == np.float64 and arr.ndim == 2, name
+            assert arr.flags.c_contiguous and not arr.flags.writeable, name
+            assert not np.shares_memory(arr, a.array), name
+            assert arr.tobytes() == DenseMatrix(arr).array.tobytes(), name
+            if want is not None:
+                assert arr.tobytes() == DenseMatrix(want).array.tobytes(), name
+
     def test_detached_from_source(self):
         src = np.eye(2)
         m = DenseMatrix(src)
@@ -167,6 +193,19 @@ class TestPseudoInverse:
             warnings.simplefilter("error")
             with pytest.raises(InvalidInputError, match="overflows float64"):
                 pseudo_inverse(DenseMatrix(base * 1e-310))
+
+    # P2 C1 and C1^T P2 C1 overflow here; a RuntimeWarning from matmul, then
+    # the generic "entries must all be finite", came out instead
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_overflowing_partitioned_pinv_raises_without_warnings(self, swap):
+        c1 = DenseMatrix([[1e308], [1e308], [-1e308], [0.5]])
+        c2 = DenseMatrix([[1.0], [-1.0], [0.0], [1e308]])
+        if swap:
+            c1, c2 = c2, c1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="partitioned pseudo-inverse overflows float64"):
+                partitioned_pinv(c1, c2)
 
     def test_diagonal(self):
         out = pseudo_inverse(DenseMatrix(np.diag([2.0, 1.0])))
