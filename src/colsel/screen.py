@@ -7,9 +7,12 @@ Exact search bands each chunk of subsets through the pass's ``ChunkScreen``,
 from one ``GramSpectrum`` of the subsets' k x k blocks of A^T A that every
 criterion of the pass reads, all at A's unit scale (``unit_scaled``): the
 bands are those of the values on A / 2**e, which stay in float64 range at
-any uniform scale of A.  The heuristic selectors (forward greedy for
-vol and res-frobenius, and the local swap) band every candidate by a
-rank-one update of the current selection (``_projection``).
+any uniform scale of A.  The residuals' bands come from one complete QR
+per (k - 1)-prefix of a chunk's lexicographic rows, shared by the rows that
+begin with it, and one Householder reflection per row (``_residual_bands``).
+The heuristic selectors (forward greedy for vol and res-frobenius, and the
+local swap) band every candidate by a rank-one update of the current
+selection (``_projection``).
 """
 
 from __future__ import annotations
@@ -150,34 +153,46 @@ class ChunkScreen:
         """Bytes per subset of the arrays one chunk of k-subsets holds at once,
         certification slices aside (``selectors._score_bytes``).  The estimates
         hold the (k, k, B) blocks, with ``_top_bracket``'s two (B, k, k) buffers
-        on a factored pass that brackets the largest eigenvalue.  The residuals,
-        once the estimates are formed, hold the (B, m', m') complete Q of
-        ``_residual_bands``, m' = min(m, n) being the rows of ``_residual_basis``,
-        beside the larger of three arrays of the (B, m', k) stack's size (the
-        stack, the QR's working copy and its R) and the (B, m' - k, n) tail.
-        Throughout, a chunk holds four (B, k) arrays (its indices, their
-        transpose, their column norms and the certified rows' copy) and four
-        (B,) vectors per spec: its band (estimate, width) and the band stacked
-        (``selectors._screened_best``)."""
-        floats = k * k * (3 if self.parts and self.parts[1] else 1)
+        on a factored pass that brackets the largest eigenvalue, and then
+        four (B,) vectors per spec: its band (estimate, width) and the band
+        stacked (``selectors._screened_best``).  The residuals are banded
+        between the two and free their arrays before the bands are formed,
+        so a pass with a residual holds the larger of the two and what
+        ``_residual_bands`` holds per (k - 1)-prefix or per subset, m' =
+        min(m, n) being the rows of ``_residual_basis`` and d = m' - k + 1
+        the rows of T.  Per prefix, its (m', m') complete Q beside the larger
+        of three arrays of the (m', k - 1) stack's size (the stack, the QR's
+        working copy and its R) and its (d, n) T; the C(n, k) subsets have
+        C(n - 1, k - 1) prefixes, k / n per subset, and a chunk late in the
+        order up to about twice that, which is counted.  Per subset, its
+        (d, d) W, the (d - 1, d - 1) update and Gram, and four d-vectors
+        (x, v, p, y); res-two's bracket then holds the Gram and one more
+        array of its size, within that.  Throughout, a chunk holds four
+        (B, k) arrays (its indices, their transpose, their column norms and
+        the certified rows' copy)."""
+        floats = k * k * (3 if self.parts and self.parts[1] else 1) + 4 * len(self.specs)
         if self.basis is not None:
             rows = min(self.m, self.n)
-            floats = max(floats, rows * rows + max(3 * rows * k, max(rows - k, 0) * self.n))
-        return 8 * (floats + 4 * k + 4 * len(self.specs))
+            d = max(rows - k + 1, 0)
+            prefix = rows * rows + max(3 * rows * (k - 1), d * self.n)
+            per_prefix = -(-min(2 * k, self.n) * prefix // self.n)
+            floats = max(floats, per_prefix, d * d + 2 * max(d - 1, 0) ** 2 + 4 * d)
+        return 8 * (floats + 4 * k)
 
     def bands(self, idx: np.ndarray):
         """Each spec's band (estimate, width) of the m x k submatrices
         a[:, idx[b]] / 2**``exponent``: from one ``GramSpectrum`` of their
         blocks of the Gram matrix, gathered once as one (k, k, B) array
-        (``batch_bands``), and the residuals' from one batched QR of the
-        subsets' columns (``_residual_bands``).  The blocks are factored a
-        column of every block at a time (``_cholesky_estimates``, with the
-        inverse's traces and the bracket on the largest eigenvalue only where
-        a spec's ``factored`` part asks for them) when every spec has one or
-        is a residual, a block that fails to factor leaving only its own row
-        unproven, for the SVD to certify; otherwise (p = 3, or sigma_k alone:
-        every x3c pass) their eigenvalues are solved for in one batched
-        eigensolve (``_gram_estimates``).
+        (``batch_bands``), and the residuals' from one batched complete QR of
+        the chunk's distinct (k - 1)-prefixes and a rank-two update of each
+        prefix's residual Gram per subset (``_residual_bands``).  The blocks
+        are factored a column of every block at a time
+        (``_cholesky_estimates``, with the inverse's traces and the bracket on
+        the largest eigenvalue only where a spec's ``factored`` part asks for
+        them) when every spec has one or is a residual, a block that fails to
+        factor leaving only its own row unproven, for the SVD to certify;
+        otherwise (p = 3, or sigma_k alone: every x3c pass) their eigenvalues
+        are solved for in one batched eigensolve (``_gram_estimates``).
         """
         if self.parts is None:
             spectrum, kappa = _gram_estimates(self.gram, self.m, idx)
@@ -426,35 +441,74 @@ def _residual_basis(unit: np.ndarray):
 def _residual_bands(basis, idx: np.ndarray, kappa: np.ndarray, norms) -> dict:
     """Band (estimate, width) of ||(I - P_C) A|| for each subset of ``idx``,
     per residual norm in ``norms`` ("two", "frobenius"), from the
-    ``_residual_basis`` of A at unit scale.
+    ``_residual_basis`` B of A at unit scale, which has A's residual norms
+    and m' <= n rows.
 
-    A complete QR of each C = [Q1, Q2] R gives (I - P_C) A = Q2 Q2^T A for a
-    full-rank C: res-frobenius is ||Q2^T A||_F and res-two the square root
-    of the largest eigenvalue of its Gram on the smaller side, whose
-    ``_top_bracket`` [lo, hi] gives the midpoint of [sqrt(lo), sqrt(hi)] as
-    the estimate and half its length on top of the width (its rounding, a
-    relative 2 d (d + 1) eps for a d x d Gram, is far inside the width's
-    ``SCREEN_MARGIN``); A's stand-in B has the same residual norms, so Q2
-    never has more entries than A.
+    The subsets are split as C = [C1 c], C1 their first k - 1 columns, which
+    lexicographic rows share in runs (one comparison of neighbouring rows
+    finds them; a run cut by the chunk's edge is one more run).  Per run, a
+    complete QR of C1 = [Q1, Q2] R gives T = Q2^T B, d = m' - k + 1 rows, and
+    W = T T^T.  Per row, x = T[:, j] for c = b_j, and the Householder
+    reflection H = I - tau v v^T, v = x + s e_1, s = sign(x_1) ||x||, with
+    H x = -s e_1: H is the k-th reflection of a complete QR of C, so the
+    trailing (d - 1) x (d - 1) block of H W H, a rank-two update of W, is
+    Q2'^T B B^T Q2' for the last m' - k columns Q2' of a complete Q of C,
+    whose eigenvalues are the squared singular values of (I - P_C) B for a
+    full-rank C.  res-frobenius is the square root of its trace, and res-two
+    the square root of its largest eigenvalue, whose ``_top_bracket``
+    [lo, hi] gives the midpoint of [sqrt(lo), sqrt(hi)] as the estimate and
+    half its length on top of the width (its rounding, a relative
+    2 d (d + 1) eps, is far inside the width's ``SCREEN_MARGIN``).  For
+    k = 1 the prefix is empty and Q2 = I; for k >= m' the Gram is empty,
+    and both norms are 0.
+
     ``kappa`` bounds C's condition number, which sets the rounding in the
     width (``_residual_width``); it is inf for a row whose full column rank
     the chunk's estimates do not prove, whose width is then infinite, since
-    ``batch_residuals`` truncates its rank and the QR does not.  The width
-    also holds the underflow bound.
+    ``batch_residuals`` truncates its rank and the reflection does not.  The
+    squared norms are formed by subtraction: forming W and the update,
+    whose terms are at most ||A||_F^2, rounds them by a small multiple of
+    eps ||A||_F^2 (sums over the n columns of T and the d - 1 entries of the
+    trace enter that multiple), and that cancellation, carried through the
+    square root, stays inside the width's square-root term
+    min(sqrt(r), r / estimate) for r = ``_rounding`` * ||A||_F^2 >=
+    ROUNDING * k * ||A||_F^2, about 45 k eps ||A||_F^2, with
+    RESIDUAL_SLACK * ||A||_F, the root of 4,500 eps ||A||_F^2, beside it.
+    A row whose x is 0 gets a NaN estimate, which ``selectors._screened_best``
+    certifies.  The width also holds the underflow bound.
     """
     unit, norm2, underflow = basis
     k = idx.shape[1]
-    q = np.linalg.qr(gather_columns(unit, idx), mode="complete")[0]
-    # Q2^T A has at most n rows, so its Gram on the smaller side is tail tail^T
-    tail = np.swapaxes(q[:, :, k:], 1, 2) @ unit
-    del q  # freed before res-two's bracket allocates
+    starts = np.ones(len(idx), dtype=bool)
+    starts[1:] = np.any(idx[1:, :-1] != idx[:-1, :-1], axis=1)
+    run = np.cumsum(starts) - 1
+    q = np.linalg.qr(gather_columns(unit, idx[starts, :-1]), mode="complete")[0]
+    t = np.swapaxes(q[:, :, k - 1:], 1, 2) @ unit
+    del q
+    x = t[run, :, idx[:, -1]]
+    w = (t @ np.swapaxes(t, 1, 2))[run]
+    del t
+    # H W H = W - v y^T - y v^T with y = p - (tau / 2) (v^T p) v, p = tau W v;
+    # v's entries after the first are x's
+    head = x[:, :1]
+    s = np.copysign(np.sqrt(np.sum(x * x, axis=1, keepdims=True)), head)
+    v = x.copy()
+    v[:, :1] += s
+    tau = 1.0 / (s * (s + head))
+    p = tau * np.einsum("bij,bj->bi", w, v)
+    y = p - tau / 2.0 * np.sum(v * p, axis=1, keepdims=True) * v
+    outer = x[:, 1:, None] * y[:, None, 1:]
+    gram = w[:, 1:, 1:] - outer
+    gram -= np.swapaxes(outer, 1, 2)
+    del w, outer  # freed before res-two's bracket allocates
+    squares = np.maximum(np.einsum("bii->b", gram), 0.0)  # read before the bracket overwrites
     rounding = _rounding(k, kappa)
     bands = {}
     for norm in norms:
         if norm == "frobenius":
-            estimate, spread = np.sqrt(np.sum(tail**2, axis=(1, 2))), 0.0
-        elif tail.shape[1]:
-            low, high = np.sqrt(_top_bracket(tail @ np.swapaxes(tail, 1, 2)))
+            estimate, spread = np.sqrt(squares), 0.0
+        elif gram.shape[1]:
+            low, high = np.sqrt(_top_bracket(gram))
             estimate, spread = (low + high) / 2.0, (high - low) / 2.0
         else:
             estimate = spread = np.zeros(len(idx))

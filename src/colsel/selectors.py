@@ -35,15 +35,16 @@ SWAP_IMPROVEMENT = 1e-12
 # (12 x 20, k = 11) to 4.6e6 (12 x 1000, k = 2) subsets/s for vol, whose pass
 # factors its Gram blocks, 4.8e5 at k = 11 for pinv-norm, whose pass also
 # inverts the factor, 2.4e5 at k = 11 for rvol, whose pass also brackets
-# their largest eigenvalues, and 0.9e5 to 1.5e5 for the residuals (k = 11,
-# 6); the spectral pass of gap's 12 criteria, which solves for the blocks'
-# eigenvalues, scores 1.3e5 at M = 8 (24 x 24, k = 8).  These are the best
-# of several runs; the host's load moves single runs by up to a third.  So
-# a search within it takes at most about 11 s.
+# their largest eigenvalues, and 1.5e5 to 2.4e5 for the residuals (k = 11,
+# 6), whose pass factors each chunk's (k - 1)-prefixes; the spectral pass of
+# gap's 12 criteria, which solves for the blocks' eigenvalues, scores 1.3e5
+# at M = 8 (24 x 24, k = 8).  These are the best of several runs; the host's
+# load moves single runs by up to a third.  So a search within it takes at
+# most about 11 s.
 MAX_EXHAUSTIVE_SUBSETS = 10**6
 # The bytes one exact-search worker's chunk may hold in its arrays
 # (ChunkScreen.bytes_per_subset), and one certification slice in its stacks
-# (_score_bytes): a pass holds 0.74 to 1.21 times it at 12 x 20, k = 6 and
+# (_score_bytes): a pass holds 0.78 to 1.05 times it at 12 x 20, k = 6 and
 # x3c's M = 6 (tracemalloc, tests/test_chunk_budget.py).
 _CHUNK_BYTES = 4 * 2**20
 
@@ -535,7 +536,10 @@ def select_greedy_forward(matrix: DenseMatrix, k: int, criterion: CriterionSpec)
     ``subsets_evaluated`` counts every extension considered, whether or not
     its SVD ran.  The steps run at A's unit scale, as exact search does: the
     value is rescaled once, and one past float64 range raises
-    InvalidInputError, which names the subset.
+    InvalidInputError, which names the subset.  A step whose every extension
+    is rank-deficient raises InfeasibleError, which names the columns chosen
+    so far: ties go to the smallest index, so a step can take a column that
+    leaves no full-rank extension where another of equal value would have.
     """
     n = matrix.cols
     if not 1 <= k <= n:
@@ -564,8 +568,11 @@ def _greedy_steps(a: np.ndarray, unit: np.ndarray, exponent: int, col_norms: np.
         (best,) = _screened_best(a, col_norms, idx, [criterion], [band], exponent)
         evaluated += len(idx)
         if best is None:
+            named = ",".join(map(str, chosen)) or "none"
             raise InfeasibleError(
-                f"every extension is rank-deficient for criterion {criterion.identifier!r}"
+                f"every extension of the columns chosen so far ({named}) is rank-deficient for "
+                f"criterion {criterion.identifier!r}; greedy takes the smallest column index "
+                "among equal values"
             )
         value, chosen = best
     return (value, chosen), evaluated

@@ -282,6 +282,21 @@ class TestSelectCommand:
         assert code == 0
         assert out == "criterion=vol method=local_swap value=1.0 subset=0,1 subsets_evaluated=13\n"
 
+    def test_greedy_dead_end_names_the_columns_chosen_so_far(self, capsys, monkeypatch):
+        # cond-two's first step ties all three columns at 1.0 and takes the
+        # smallest index, 0, whose every extension is rank-deficient at this
+        # scale; exact search finds 1,2
+        stdin = "1e-200,1,0\n1e-200,0,1\n"
+        args = ["select", "--criterion", "cond-two", "--k", "2", "--method"]
+        code, out, err = run_cli(capsys, monkeypatch, args + ["greedy"], stdin)
+        assert code == 2 and out == ""
+        assert err == ("error: every extension of the columns chosen so far (0) is rank-deficient "
+                       "for criterion 'cond-two'; greedy takes the smallest column index among "
+                       "equal values\n")
+        code, out, _ = run_cli(capsys, monkeypatch, args + ["exact"], stdin)
+        assert (code, out) == (0, "criterion=cond-two method=exact value=1.0 subset=1,2 "
+                                  "subsets_evaluated=3\n")
+
 
 class TestDeterminism:
     def test_reports_byte_identical(self, capsys, monkeypatch):

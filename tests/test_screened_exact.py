@@ -5,9 +5,10 @@ the subsets that could be a chunk's best.  A pass of Gram-invariant criteria
 (vol, rvol, sopt, norm-two, and norm, pinv-norm, cond and srank at p = 2 or
 4) and residuals takes its bands from a Cholesky factor of each subset's Gram
 block and a bracket on its largest eigenvalue, any other pass from the
-eigenvalues of that block, and the residuals from a QR of the subset.  The
-oracle below is the loop that scores every subset through
-``_batch_scores``, over ``itertools.combinations``; the selector must return
+eigenvalues of that block, and the residuals from a QR of each subset's first
+k - 1 columns, shared by the subsets that begin with them, and one Householder
+reflection per subset.  The oracle below is the loop that scores every subset
+through ``_batch_scores``, over ``itertools.combinations``; the selector must return
 the same subset, the same value under ``==`` and the same
 ``subsets_evaluated`` (or raise the same error) for every registered
 criterion, also where the estimates are poor or absent: duplicated and nearly
@@ -880,6 +881,100 @@ def test_tall_input_keeps_every_subset_qr_at_n_rows(ident, monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", recording)
     assert _select_outcome(matrix, k, spec) == expected
     assert rows and max(rows) <= matrix.cols
+
+
+def _unit_column(seed, m=6, n=9):
+    # column 0 is e_1 plus 1e-6 z: at k = 1 its x lies next to e_1, where a
+    # reflection of the wrong sign cancels
+    a = _gaussian(seed, m, n)
+    a[:, 0] = np.eye(m)[0] + 1e-6 * np.random.default_rng(seed + 1).standard_normal(m)
+    return a
+
+
+# name -> (matrix by seed, k): the 6 x 9 inputs have m' = 6 rows of B
+PREFIX_FAMILIES = {
+    "k-1": (_unit_column, 1),
+    "k-m'-1": (_unit_column, 5),
+    "k-m'": (_unit_column, 6),
+    "k-above-m'": (_unit_column, 7),
+    "very-tall": (lambda seed: _gaussian(seed, 200, 10), 4),
+}
+
+
+def _splits_a_run(first):
+    """Whether the subset before ``first`` in lexicographic order has its (k - 1)-prefix."""
+    return first[-1] > (first[-2] + 1 if len(first) > 1 else 0)
+
+
+@pytest.mark.parametrize("scale", (1.0, 1e-100, 1e100), ids="{:g}".format)
+@pytest.mark.parametrize("family", sorted(PREFIX_FAMILIES))
+def test_residual_bands_hold_the_value_across_split_prefix_runs(family, scale):
+    # chunks of 7 rows cut runs of one (k - 1)-prefix in two; every row whose
+    # full rank the estimates prove has a finite band holding its value, and
+    # for k above m' no row is proven
+    make, k = PREFIX_FAMILIES[family]
+    specs = _specs("res-two", "res-frobenius")
+    proven = split = 0
+    for seed in range(2):
+        matrix = DenseMatrix(make(seed) * scale)
+        a, col_norms, exponent = _unit(matrix)
+        basis = screen._residual_basis(screen.unit_scaled(a)[0])
+        for i, idx in enumerate(selectors._index_chunks(matrix.cols, k, 7)):
+            split += i > 0 and _splits_a_run(idx[0])
+            _, kappa = _estimates(matrix, idx, "cholesky")
+            bands = screen._residual_bands(basis, idx, kappa, {"two", "frobenius"})
+            finite = np.isfinite(kappa)
+            for spec, (vals, _) in zip(specs, _batch_scores(a, col_norms, idx, specs, exponent)):
+                estimate, width = bands[spec.residual_norm]
+                assert np.all(np.isfinite(estimate[finite]) & np.isfinite(width[finite])), spec
+                assert np.all(np.abs(vals[finite] - estimate[finite]) <= width[finite]), spec
+                assert np.all(width[~finite] == np.inf), spec
+            proven += np.count_nonzero(finite)
+    assert split > 0
+    assert (proven == 0) == (family == "k-above-m'")
+
+
+PREFIX_CASES = ("gaussian-0", "duplicated", "k-equals-m", "very-tall")
+
+
+def _split_budget(matrix, k, specs, rows=50):
+    """A ``_CHUNK_BYTES`` that cuts the pass into chunks of ``rows`` subsets."""
+    return rows * screen.ChunkScreen(matrix.array, specs).bytes_per_subset(k)
+
+
+@pytest.mark.parametrize("threads", (1, 2, 3))
+@pytest.mark.parametrize("case", PREFIX_CASES)
+def test_shared_pass_equals_scoring_every_subset_with_split_prefix_runs(case, threads,
+                                                                        monkeypatch):
+    make, k = CASES[case]
+    matrix = DenseMatrix(make())
+    monkeypatch.setattr(selectors, "_CHUNK_BYTES", _split_budget(matrix, k, registry()))
+    chunks = _recording_chunks(monkeypatch)
+    assert exact_optima(matrix, k, registry(), threads=threads) == _oracle(case, registry())
+    assert any(_splits_a_run(idx[0]) for idx in chunks if idx[0].tolist() != list(range(k)))
+
+
+@pytest.mark.parametrize("case", PREFIX_CASES + ("k-above-m",))
+def test_each_chunk_factors_each_prefix_once(case, monkeypatch):
+    # the residuals' complete QR takes one matrix per distinct (k - 1)-prefix
+    # of a chunk, not one per subset
+    make, k = CASES[case]
+    matrix = DenseMatrix(make())
+    specs = _specs("res-two", "res-frobenius")
+    monkeypatch.setattr(selectors, "_CHUNK_BYTES", _split_budget(matrix, k, specs))
+    chunks = _recording_chunks(monkeypatch)
+    batches = []
+    real = np.linalg.qr
+
+    def recording(a, mode="reduced"):
+        if mode == "complete":
+            batches.append(len(a))
+        return real(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", recording)
+    exact_optima(matrix, k, specs)
+    assert batches == [len({tuple(row[:-1]) for row in idx.tolist()}) for idx in chunks]
+    assert sum(batches) < sum(map(len, chunks))
 
 
 def _ones(m, n):
