@@ -7,9 +7,10 @@ Exact search bands each chunk of subsets through the pass's ``ChunkScreen``,
 from one ``GramSpectrum`` of the subsets' k x k blocks of A^T A that every
 criterion of the pass reads, all at A's unit scale (``unit_scaled``): the
 bands are those of the values on A / 2**e, which stay in float64 range at
-any uniform scale of A.  The residuals' bands come from one complete QR
-per (k - 1)-prefix of a chunk's lexicographic rows, shared by the rows that
-begin with it, and one Householder reflection per row (``_residual_bands``).
+any uniform scale of A.  The residuals' bands come from a tree of
+Householder reflections over the prefixes of a chunk's lexicographic rows,
+one reflection per distinct prefix, shared by the rows that begin with it,
+and one more per row (``_residual_bands``).
 The heuristic selectors (forward greedy for vol and res-frobenius, and the
 local swap) band every candidate by a rank-one update of the current
 selection (``_projection``).
@@ -22,7 +23,7 @@ import math
 import numpy as np
 
 from .criteria import CriterionSpec, batch_bands
-from .matrixkit import column_norms, default_rank_tolerance, gather_columns, unit_scaled
+from .matrixkit import column_norms, default_rank_tolerance, unit_scaled
 
 # How far an estimate may sit from the SVD value: relative, and for the
 # residuals also absolute, in units of ||A||_F (see _residual_width); on top,
@@ -33,8 +34,6 @@ from .matrixkit import column_norms, default_rank_tolerance, gather_columns, uni
 SCREEN_MARGIN = 1e-6
 RESIDUAL_SLACK = 1e-6
 ROUNDING = 1e-14
-# _top_bracket's normalized squarings: the traces of H^16 and H^32
-_SQUARINGS = 5
 
 
 class GramSpectrum:
@@ -160,21 +159,23 @@ class ChunkScreen:
         so a pass with a residual holds the larger of the two and what
         ``_residual_bands`` holds per (k - 1)-prefix or per subset, m' =
         min(m, n) being the rows of ``_residual_basis`` and d = m' - k + 1
-        the rows of T.  Per prefix, its (m', m') complete Q beside the larger
-        of three arrays of the (m', k - 1) stack's size (the stack, the QR's
-        working copy and its R) and its (d, n) T; the C(n, k) subsets have
-        C(n - 1, k - 1) prefixes, k / n per subset, and a chunk late in the
-        order up to about twice that, which is counted.  Per subset, its
-        (d, d) W, the (d - 1, d - 1) update and Gram, and four d-vectors
-        (x, v, p, y); res-two's bracket then holds the Gram and one more
-        array of its size, within that.  Throughout, a chunk holds four
-        (B, k) arrays (its indices, their transpose, their column norms and
-        the certified rows' copy)."""
+        the rows of the last level's T.  Per prefix, the arrays of the
+        prefix tree's last level: the (d + 1, n) T gathered from its
+        parent, beside the parent level's (d + 2, n) arrays while it
+        gathers, which it then frees, and beside x, tau v and the v^T T row
+        while it reflects in place; an earlier level holds fewer nodes.  The
+        C(n, k) subsets have C(n - 1, k - 1) prefixes, k / n per subset, and
+        a chunk late in the order up to about twice that, which is counted.
+        Per subset, its (d, d) W, the (d - 1, d - 1) update and Gram, and
+        four d-vectors (x, v, p, y); res-two's bracket then holds the Gram
+        and one more array of its size, within that.  Throughout, a chunk
+        holds four (B, k) arrays (its indices, their transpose, their column
+        norms and the certified rows' copy)."""
         floats = k * k * (3 if self.parts and self.parts[1] else 1) + 4 * len(self.specs)
         if self.basis is not None:
             rows = min(self.m, self.n)
             d = max(rows - k + 1, 0)
-            prefix = rows * rows + max(3 * rows * (k - 1), d * self.n)
+            prefix = (2 * d + 3) * self.n
             per_prefix = -(-min(2 * k, self.n) * prefix // self.n)
             floats = max(floats, per_prefix, d * d + 2 * max(d - 1, 0) ** 2 + 4 * d)
         return 8 * (floats + 4 * k)
@@ -183,16 +184,17 @@ class ChunkScreen:
         """Each spec's band (estimate, width) of the m x k submatrices
         a[:, idx[b]] / 2**``exponent``: from one ``GramSpectrum`` of their
         blocks of the Gram matrix, gathered once as one (k, k, B) array
-        (``batch_bands``), and the residuals' from one batched complete QR of
-        the chunk's distinct (k - 1)-prefixes and a rank-two update of each
-        prefix's residual Gram per subset (``_residual_bands``).  The blocks
-        are factored a column of every block at a time
-        (``_cholesky_estimates``, with the inverse's traces and the bracket on
-        the largest eigenvalue only where a spec's ``factored`` part asks for
-        them) when every spec has one or is a residual, a block that fails to
-        factor leaving only its own row unproven, for the SVD to certify;
-        otherwise (p = 3, or sigma_k alone: every x3c pass) their eigenvalues
-        are solved for in one batched eigensolve (``_gram_estimates``).
+        (``batch_bands``), and the residuals' from one Householder
+        reflection per distinct prefix of the chunk's rows and a rank-two
+        update of each (k - 1)-prefix's residual Gram per subset
+        (``_residual_bands``).  The blocks are factored a column of every
+        block at a time (``_cholesky_estimates``, with the inverse's traces
+        and the bracket on the largest eigenvalue only where a spec's
+        ``factored`` part asks for them) when every spec has one or is a
+        residual, a block that fails to factor leaving only its own row
+        unproven, for the SVD to certify; otherwise (p = 3, or sigma_k alone:
+        every x3c pass) their eigenvalues are solved for in one batched
+        eigensolve (``_gram_estimates``).
         """
         if self.parts is None:
             spectrum, kappa = _gram_estimates(self.gram, self.m, idx)
@@ -290,52 +292,53 @@ def _inverse_traces(lower: np.ndarray):
 
 
 @np.errstate(divide="ignore", invalid="ignore", under="ignore")
-def _top_bracket(h: np.ndarray):
-    """(lo, hi) with lo <= lambda_max(H) <= hi for each H of a (B, d, d) stack
-    ``h`` of symmetric positive semidefinite blocks, both 0 for a zero block.
-    The squarings overwrite ``h``: they take turns between it and one more
-    array of its size.
+def _top_bracket(h: np.ndarray, trace: np.ndarray, out: np.ndarray | None = None):
+    """(lo, hi) with lo <= lambda_max(H) <= hi for each H of a (B, d, d)
+    stack ``h`` of symmetric positive semidefinite blocks whose traces are
+    ``trace``, both 0 where the trace is not positive (a zero block).
+    X = H / tr H is formed once, into ``out``: ``h`` itself divides in
+    place, and by default a new (B, d, d) array is made, into which ``h``
+    may be read in any layout (the Cholesky path passes its (k, k, B)
+    blocks transposed).  Four squarings then take turns between X and one
+    more array of its size, with no division between them.
 
-    With t_q = tr H^q, lambda_max^32 <= t_32 <= lambda_max^16 t_16, so
-    lo = (t_32 / t_16)^(1/16) and hi = t_32^(1/32).  The traces come from
-    ``_SQUARINGS`` normalized squarings: X_0 = H / tr H and
-    X_j = X_(j-1)^2 / c_j with c_j = tr X_(j-1)^2, so every X_j has trace 1
-    and 1/d <= c_j <= 1, and the traces are carried as logs,
-    log t_(2^j) / 2^j = log tr H + sum over i <= j of 2^-i log c_i, which
-    neither over- nor underflow.  The last c_5 = ||X_4||_F^2 = t_32 / t_16^2
-    needs no product, and hi / lo = c_5^(-1/32): 1 where lambda_max is well
-    separated (c_5 -> 1), and at most d^(1/32) (5% at d = 5) where it is
-    multiple.
+    With t_q = tr X^q, lambda_max(X)^32 <= t_32 <= lambda_max(X)^16 t_16,
+    so lo = tr H (t_32 / t_16)^(1/16) and hi = tr H t_32^(1/32), where
+    t_16 = tr X^16 and t_32 = ||X^16||_F^2.  hi / lo = (t_16^2 /
+    t_32)^(1/32): 1 where lambda_max is well separated, and at most
+    d^(1/32) (5% at d = 5) where it is multiple.  Any positive scale in
+    place of tr H gives the same bracket; a ``trace`` within rounding of
+    tr H keeps X's trace at 1 and its eigenvalues in [0, 1].
 
-    Rounding (u = eps / 2, gamma_n = n u / (1 - n u)).  The computed X_j
-    differs from X_(j-1)^2 / c_j by at most gamma_(d+1) |X_(j-1)|^2 / c_j
-    entrywise (Higham, Accuracy and Stability of Numerical Algorithms,
-    section 3.5), a matrix of Frobenius norm at most gamma_(d+1), since
-    || |X|^2 ||_F <= ||X||_F^2 = c_j; so each squaring moves the eigenvalues
-    of X_j by at most gamma_(d+1) (Weyl), at most d gamma_(d+1) relative to
-    lambda_max(X_j) >= tr X_j / d = 1 / d, and the same bound puts each
-    computed c_j within gamma_d, and c_5 within gamma_(d^2), relative.
-    Squaring j enters log lambda_max(H) = log tr H + sum over i <= j of
-    2^-i log c_i + 2^-j log lambda_max(X_j) with the weight 2^-j, and the
-    weights sum to less than 2, so to first order log lo and log hi bracket
-    log lambda_max of the block given within 2 (d gamma_(d+1) + gamma_(d^2))
-    <= 2 d (d + 1) eps.
+    Range.  lambda(X) <= 1, so no power of X overflows, and lambda_max(X)
+    >= tr X / d = 1 / d, so lambda_max(X^16) >= d^-16 and t_16, t_32 >=
+    d^-32 stay normal numbers for any d below 2^31.  An entry that
+    underflows on the way moves the eigenvalues by at most d times the
+    smallest normal number, far below the rounding.
+
+    Rounding (u = eps / 2, gamma_n = n u / (1 - n u)).  The division moves
+    each entry of X by u relative, its eigenvalues by at most u ||X||_F <=
+    u.  The computed X_j = X^(2^j) differs from X_(j-1)^2 by at most
+    gamma_(d+1) |X_(j-1)|^2 entrywise (Higham, Accuracy and Stability of
+    Numerical Algorithms, section 3.5), a matrix of Frobenius norm at most
+    gamma_(d+1) ||X_(j-1)||_F^2 = gamma_(d+1) tr X_j; so a squaring still
+    moves the eigenvalues of X_j by at most gamma_(d+1) tr X_j <=
+    d gamma_(d+1) lambda_max(X_j) (Weyl), and the same bound puts the
+    computed t_16 within gamma_d, and t_32 within gamma_(d^2), relative.
+    Squaring j enters log lambda_max(H) = log tr H + 2^-j log
+    lambda_max(X_j) with the weight 2^-j, and the weights sum to less than
+    2, so to first order log lo and log hi bracket log lambda_max of the
+    block given within 2 (d gamma_(d+1) + gamma_(d^2)) <= 2 d (d + 1) eps.
     """
-    c = np.einsum("bii->b", h)
-    positive = c > 0.0
-    c = np.where(positive, c, 1.0)
-    log_root = np.log(c)  # log t_(2^j) / 2^j, for j = 0 so far
-    x, y = h, np.empty_like(h)
-    x /= c[:, None, None]
-    for j in range(1, _SQUARINGS):
+    positive = trace > 0.0
+    scale = np.where(positive, trace, 1.0)
+    x = np.divide(h, scale[:, None, None], out=np.empty(h.shape) if out is None else out)
+    y = np.empty_like(x)
+    for _ in range(4):
         np.matmul(x, x, out=y)
-        c = np.einsum("bii->b", y)
-        log_root += np.log(c) / 2**j
-        y /= c[:, None, None]
         x, y = y, x
-    last = np.log(np.einsum("bij,bij->b", x, x))  # log c_5
-    weight = 2.0 ** (1 - _SQUARINGS)  # 1/16
-    lo, hi = np.exp(log_root + last * weight), np.exp(log_root + last * weight / 2)
+    t16, t32 = np.einsum("bii->b", x), np.einsum("bij,bij->b", x, x)
+    lo, hi = scale * (t32 / t16) ** (1 / 16), scale * t32 ** (1 / 32)
     return np.where(positive, lo, 0.0), np.where(positive, hi, 0.0)
 
 
@@ -346,8 +349,8 @@ def _cholesky_estimates(gram: np.ndarray, m: int, idx: np.ndarray, inverse: bool
     array of the rows' k x k blocks G_b of ``gram`` (``_blocks``), each
     shifted to H = G_b + delta I and factored L L^T = H a column of every
     block at a time (``_cholesky``); the traces of L^-1 are formed only
-    when ``inverse``, and the largest eigenvalue of H (``_top_bracket``, on
-    a (B, k, k) copy of the shifted blocks) only when ``top``.  A block
+    when ``inverse``, and the largest eigenvalue of H (``_top_bracket``,
+    which reads the shifted blocks transposed) only when ``top``.  A block
     whose pivot is not positive gets a NaN factor, so its row alone is
     unproven (NaN rel) and goes to the SVD.
 
@@ -397,7 +400,7 @@ def _cholesky_estimates(gram: np.ndarray, m: int, idx: np.ndarray, inverse: bool
     traces = {1: trace + k * delta, 2: np.einsum("ijb,ijb->b", h, h)}
     spread, largest = 0.0, None  # r and s^2 of the largest eigenvalue's bracket
     if top:
-        low1, high1 = np.sqrt(_top_bracket(np.moveaxis(h, -1, 0).copy()))
+        low1, high1 = np.sqrt(_top_bracket(np.moveaxis(h, -1, 0), traces[1]))
         spread, largest = (high1 - low1) / (high1 + low1), ((low1 + high1) / 2.0) ** 2
     lower = _cholesky(h)
     pivots = lower.reshape(k * k, -1)[:: k + 1]
@@ -438,34 +441,59 @@ def _residual_basis(unit: np.ndarray):
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore")
+def _reflected(t: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Each T of a (N, r, n) stack ``t`` after the Householder reflection
+    H = I - tau v v^T that takes its column x = T[:, cols[b]] to -s e_1,
+    with the first row dropped: (H T)[1:], formed in ``t``, of which it is
+    a view.  v = x + s e_1, s = sign(x_1) ||x||, tau = 1 / (s (s + x_1)),
+    so v's entries after the first are x's; a zero x gives NaN."""
+    v = t[np.arange(len(cols)), :, cols]  # x, turned into v below
+    head = v[:, :1]
+    s = np.copysign(np.sqrt(np.sum(v * v, axis=1, keepdims=True)), head)
+    tau = 1.0 / (s * (s + head))
+    head += s
+    row = np.einsum("bi,bij->bj", v, t)  # v^T T
+    step = tau * v
+    for i in range(1, t.shape[1]):  # a row at a time: no (N, r - 1, n) temporary
+        t[:, i] -= step[:, i, None] * row
+    return t[:, 1:]
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore")
 def _residual_bands(basis, idx: np.ndarray, kappa: np.ndarray, norms) -> dict:
     """Band (estimate, width) of ||(I - P_C) A|| for each subset of ``idx``,
     per residual norm in ``norms`` ("two", "frobenius"), from the
     ``_residual_basis`` B of A at unit scale, which has A's residual norms
     and m' <= n rows.
 
-    The subsets are split as C = [C1 c], C1 their first k - 1 columns, which
-    lexicographic rows share in runs (one comparison of neighbouring rows
-    finds them; a run cut by the chunk's edge is one more run).  Per run, a
-    complete QR of C1 = [Q1, Q2] R gives T = Q2^T B, d = m' - k + 1 rows, and
-    W = T T^T.  Per row, x = T[:, j] for c = b_j, and the Householder
-    reflection H = I - tau v v^T, v = x + s e_1, s = sign(x_1) ||x||, with
-    H x = -s e_1: H is the k-th reflection of a complete QR of C, so the
-    trailing (d - 1) x (d - 1) block of H W H, a rank-two update of W, is
-    Q2'^T B B^T Q2' for the last m' - k columns Q2' of a complete Q of C,
-    whose eigenvalues are the squared singular values of (I - P_C) B for a
-    full-rank C.  res-frobenius is the square root of its trace, and res-two
-    the square root of its largest eigenvalue, whose ``_top_bracket``
-    [lo, hi] gives the midpoint of [sqrt(lo), sqrt(hi)] as the estimate and
-    half its length on top of the width (its rounding, a relative
-    2 d (d + 1) eps, is far inside the width's ``SCREEN_MARGIN``).  For
-    k = 1 the prefix is empty and Q2 = I; for k >= m' the Gram is empty,
-    and both norms are 0.
+    The subsets are split as C = [C1 c], C1 their first k - 1 columns.  A
+    Householder QR of C1 applied to B is shared by every row that begins
+    with the same columns, and lexicographic rows share prefixes in runs,
+    so a chunk reflects each distinct prefix once, in a tree: level l holds
+    T for each distinct (l + 1)-prefix, its parent's T after the reflection
+    of the parent's column j_l, with the first row dropped
+    (``_reflected``); the root is B.  The column where each row first
+    differs from the row before it (one comparison of neighbouring rows)
+    gives every level's runs; a run cut by the chunk's edge is one more.
+    The last level's T = Q2^T B, d = m' - k + 1 rows, for Q2 the last d
+    columns of a complete Q of C1, and W = T T^T.  Per row, x = T[:, j]
+    for c = b_j, and the reflection H = I - tau v v^T, v = x + s e_1,
+    s = sign(x_1) ||x||, with H x = -s e_1: H is the k-th reflection of a
+    complete QR of C, so the trailing (d - 1) x (d - 1) block of H W H, a
+    rank-two update of W, is Q2'^T B B^T Q2' for the last m' - k columns
+    Q2' of a complete Q of C, whose eigenvalues are the squared singular
+    values of (I - P_C) B for a full-rank C.  res-frobenius is the square
+    root of its trace, and res-two the square root of its largest
+    eigenvalue, whose ``_top_bracket`` [lo, hi] gives the midpoint of
+    [sqrt(lo), sqrt(hi)] as the estimate and half its length on top of the
+    width (its rounding, a relative 2 d (d + 1) eps, is far inside the
+    width's ``SCREEN_MARGIN``).  For k = 1 the prefix is empty and T = B;
+    for k >= m' the Gram is empty, and both norms are 0.
 
     ``kappa`` bounds C's condition number, which sets the rounding in the
     width (``_residual_width``); it is inf for a row whose full column rank
     the chunk's estimates do not prove, whose width is then infinite, since
-    ``batch_residuals`` truncates its rank and the reflection does not.  The
+    ``batch_residuals`` truncates its rank and the reflections do not.  The
     squared norms are formed by subtraction: forming W and the update,
     whose terms are at most ||A||_F^2, rounds them by a small multiple of
     eps ||A||_F^2 (sums over the n columns of T and the d - 1 entries of the
@@ -474,20 +502,29 @@ def _residual_bands(basis, idx: np.ndarray, kappa: np.ndarray, norms) -> dict:
     min(sqrt(r), r / estimate) for r = ``_rounding`` * ||A||_F^2 >=
     ROUNDING * k * ||A||_F^2, about 45 k eps ||A||_F^2, with
     RESIDUAL_SLACK * ||A||_F, the root of 4,500 eps ||A||_F^2, beside it.
-    A row whose x is 0 gets a NaN estimate, which ``selectors._screened_best``
-    certifies.  The width also holds the underflow bound.
+    A zero x at a level makes its whole subtree NaN, and a zero x in the
+    last step a row's estimate NaN; such rows are rank-deficient, so their
+    kappa is inf, and ``selectors._screened_best`` certifies them.  The
+    width also holds the underflow bound.
     """
     unit, norm2, underflow = basis
     k = idx.shape[1]
-    starts = np.ones(len(idx), dtype=bool)
-    starts[1:] = np.any(idx[1:, :-1] != idx[:-1, :-1], axis=1)
-    run = np.cumsum(starts) - 1
-    q = np.linalg.qr(gather_columns(unit, idx[starts, :-1]), mode="complete")[0]
-    t = np.swapaxes(q[:, :, k - 1:], 1, 2) @ unit
-    del q
-    x = t[run, :, idx[:, -1]]
-    w = (t @ np.swapaxes(t, 1, 2))[run]
-    del t
+    # a row begins a new (l + 1)-prefix where its first change is at column l or before
+    first = np.zeros(len(idx), dtype=np.intp)
+    first[1:] = np.argmax(idx[1:] != idx[:-1], axis=1)
+    gathered = t = unit[None]  # the root; both names go once the tree is built
+    node = np.zeros(len(idx), dtype=np.intp)  # each row's node at the level
+    for level in range(k - 1):
+        starts = first <= level
+        heads = np.flatnonzero(starts)
+        gathered = t[node[heads]]
+        del t  # the parent level is freed before the reflection
+        t = _reflected(gathered, idx[heads, level])
+        node = np.cumsum(starts) - 1
+    x = t[node, :, idx[:, -1]]
+    w = t @ np.swapaxes(t, 1, 2)
+    del t, gathered  # the tree goes before W is gathered per row
+    w = w[node]
     # H W H = W - v y^T - y v^T with y = p - (tau / 2) (v^T p) v, p = tau W v;
     # v's entries after the first are x's
     head = x[:, :1]
@@ -508,7 +545,7 @@ def _residual_bands(basis, idx: np.ndarray, kappa: np.ndarray, norms) -> dict:
         if norm == "frobenius":
             estimate, spread = np.sqrt(squares), 0.0
         elif gram.shape[1]:
-            low, high = np.sqrt(_top_bracket(gram))
+            low, high = np.sqrt(_top_bracket(gram, squares, out=gram))
             estimate, spread = (low + high) / 2.0, (high - low) / 2.0
         else:
             estimate = spread = np.zeros(len(idx))

@@ -34,17 +34,17 @@ SWAP_IMPROVEMENT = 1e-12
 # thread of a 2-vCPU x86 machine (4 MiB L2), at 12 rows, it scores 7.1e5
 # (12 x 20, k = 11) to 4.6e6 (12 x 1000, k = 2) subsets/s for vol, whose pass
 # factors its Gram blocks, 4.8e5 at k = 11 for pinv-norm, whose pass also
-# inverts the factor, 2.4e5 at k = 11 for rvol, whose pass also brackets
-# their largest eigenvalues, and 1.5e5 to 2.4e5 for the residuals (k = 11,
-# 6), whose pass factors each chunk's (k - 1)-prefixes; the spectral pass of
-# gap's 12 criteria, which solves for the blocks' eigenvalues, scores 1.3e5
-# at M = 8 (24 x 24, k = 8).  These are the best of several runs; the host's
-# load moves single runs by up to a third.  So a search within it takes at
-# most about 11 s.
+# inverts the factor, 2.7e5 at k = 11 for rvol, whose pass also brackets
+# their largest eigenvalues, and 4.0e5 to 6.3e5 for the residuals (k = 11,
+# 6), whose pass reflects each distinct prefix of a chunk once; the spectral
+# pass of gap's 12 criteria, which solves for the blocks' eigenvalues, scores
+# 1.3e5 at M = 8 (24 x 24, k = 8).  These are the best of several runs; the
+# host's load moves single runs by up to a third.  So a search within it
+# takes at most about 11 s.
 MAX_EXHAUSTIVE_SUBSETS = 10**6
 # The bytes one exact-search worker's chunk may hold in its arrays
 # (ChunkScreen.bytes_per_subset), and one certification slice in its stacks
-# (_score_bytes): a pass holds 0.78 to 1.05 times it at 12 x 20, k = 6 and
+# (_score_bytes): a pass holds 0.75 to 1.05 times it at 12 x 20, k = 6 and
 # x3c's M = 6 (tracemalloc, tests/test_chunk_budget.py).
 _CHUNK_BYTES = 4 * 2**20
 

@@ -22,6 +22,7 @@ the witness of the unscaled input.
 import functools
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -393,7 +394,7 @@ def test_top_bracket_holds_the_largest_eigenvalue(family, seed):
     for stack in TOP_STACKS[family](seed):
         h = stack if stack.ndim == 3 else stack[None]
         d = h.shape[-1]
-        lo, hi = screen._top_bracket(h.copy())  # it overwrites its input
+        lo, hi = screen._top_bracket(h, np.einsum("bii->b", h))
         top = np.linalg.eigvalsh(h)[:, -1]
         slack = 2 * d * (d + 1) * eps + 8 * d * eps
         assert np.all(lo * (1.0 - slack) <= top), family
@@ -695,20 +696,23 @@ def test_bands_are_not_finite_exactly_where_full_rank_is_not_proven(family, esti
     assert overflowed == 0
 
 
+@pytest.mark.parametrize("case", ("gaussian-0", "very-tall"))
 @pytest.mark.parametrize("ident", ("res-two", "res-frobenius"))
-def test_residual_bands_take_the_complete_q_of_numpy_1_qr(ident, monkeypatch):
-    # numpy 1.x returns qr's factors as a plain tuple, without numpy 2's
-    # named fields
+def test_a_residual_pass_takes_a_qr_only_for_its_basis(ident, case, monkeypatch):
+    # the prefixes are reflected in a tree, so the only QR left is the R of a
+    # tall A's own QR, taken once per pass; a wide A needs none
+    callers = []
     real = np.linalg.qr
 
-    def plain(a, mode="reduced"):
-        out = real(a, mode=mode)
-        return out if mode == "r" else tuple(out)
+    def recording(a, mode="reduced"):
+        callers.append((sys._getframe(1).f_code.co_name, mode))
+        return real(a, mode=mode)
 
-    monkeypatch.setattr(np.linalg, "qr", plain)
-    make, k = CASES["gaussian-0"]
+    monkeypatch.setattr(np.linalg, "qr", recording)
+    make, k = CASES[case]
     spec = parse_criterion(ident)
-    assert _select_outcome(DenseMatrix(make()), k, spec) == _expected("gaussian-0", spec)
+    assert _select_outcome(DenseMatrix(make()), k, spec) == _expected(case, spec)
+    assert callers == ([("_residual_basis", "r")] if case == "very-tall" else [])
 
 
 @pytest.mark.parametrize("ident, estimator", _by_estimator(
@@ -861,26 +865,29 @@ def test_residual_widths_hold_the_rounding_of_the_condition_number(ident, estima
     assert _select_outcome(matrix, k, spec) == ("ok", best[1], best[0], seen)
 
 
+def _recording_levels(monkeypatch):
+    """(rows of T, columns reflected) of every ``_reflected`` call from now on."""
+    levels = []
+    real = screen._reflected
+
+    def recording(t, cols):
+        levels.append((t.shape[1], cols.tolist()))
+        return real(t, cols)
+
+    monkeypatch.setattr(screen, "_reflected", recording)
+    return levels
+
+
 @pytest.mark.parametrize("ident", ("res-two", "res-frobenius"))
-def test_tall_input_keeps_every_subset_qr_at_n_rows(ident, monkeypatch):
+def test_tall_input_keeps_every_level_at_n_rows(ident, monkeypatch):
     # 200 x 10: A is replaced by the R of its own QR before the chunks, so no
-    # chunk's complete Q is larger than n x n
+    # level of the prefix tree reflects a T of more than n rows
     make, k = CASES["very-tall"]
     matrix = DenseMatrix(make())
     spec = parse_criterion(ident)
-    expected = _expected("very-tall", spec)
-    rows = []
-    real = np.linalg.qr
-
-    def recording(a, mode="reduced"):
-        out = real(a, mode=mode)
-        if mode == "complete":
-            rows.append(out[0].shape[-2])
-        return out
-
-    monkeypatch.setattr(np.linalg, "qr", recording)
-    assert _select_outcome(matrix, k, spec) == expected
-    assert rows and max(rows) <= matrix.cols
+    levels = _recording_levels(monkeypatch)
+    assert _select_outcome(matrix, k, spec) == _expected("very-tall", spec)
+    assert levels and max(rows for rows, _ in levels) <= matrix.cols
 
 
 def _unit_column(seed, m=6, n=9):
@@ -954,27 +961,27 @@ def test_shared_pass_equals_scoring_every_subset_with_split_prefix_runs(case, th
     assert any(_splits_a_run(idx[0]) for idx in chunks if idx[0].tolist() != list(range(k)))
 
 
+def _distinct_prefixes(idx, length):
+    """The last columns of ``idx``'s distinct ``length``-prefixes, in order."""
+    return [p[-1] for p in dict.fromkeys(tuple(row[:length]) for row in idx.tolist())]
+
+
 @pytest.mark.parametrize("case", PREFIX_CASES + ("k-above-m",))
-def test_each_chunk_factors_each_prefix_once(case, monkeypatch):
-    # the residuals' complete QR takes one matrix per distinct (k - 1)-prefix
-    # of a chunk, not one per subset
+def test_each_chunk_reflects_each_prefix_once(case, monkeypatch):
+    # level l of a chunk's prefix tree reflects each distinct (l + 1)-prefix
+    # once, by its last column, not once per subset
     make, k = CASES[case]
     matrix = DenseMatrix(make())
     specs = _specs("res-two", "res-frobenius")
     monkeypatch.setattr(selectors, "_CHUNK_BYTES", _split_budget(matrix, k, specs))
     chunks = _recording_chunks(monkeypatch)
-    batches = []
-    real = np.linalg.qr
-
-    def recording(a, mode="reduced"):
-        if mode == "complete":
-            batches.append(len(a))
-        return real(a, mode=mode)
-
-    monkeypatch.setattr(np.linalg, "qr", recording)
+    levels = _recording_levels(monkeypatch)
     exact_optima(matrix, k, specs)
-    assert batches == [len({tuple(row[:-1]) for row in idx.tolist()}) for idx in chunks]
-    assert sum(batches) < sum(map(len, chunks))
+    assert len(chunks) > 1
+    assert [cols for _, cols in levels] == [_distinct_prefixes(idx, length) for idx in chunks
+                                            for length in range(1, k)]
+    last = [len(cols) for _, cols in levels[k - 2::k - 1]]
+    assert sum(last) < sum(map(len, chunks))
 
 
 def _ones(m, n):
