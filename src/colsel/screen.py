@@ -10,7 +10,10 @@ bands are those of the values on A / 2**e, which stay in float64 range at
 any uniform scale of A.  The residuals' bands come from a tree of
 Householder reflections over the prefixes of a chunk's lexicographic rows,
 one reflection per distinct prefix, shared by the rows that begin with it,
-and one more per row (``_residual_bands``).
+and one more per row (``_residual_bands``).  A pass that solves for the
+blocks' eigenvalues solves once per group of a chunk's rows whose blocks
+are equal up to the order of their columns (``_equal_blocks``), where its
+Gram's entries repeat, as the X3C reduction's do.
 The heuristic selectors (forward greedy for vol and res-frobenius, and the
 local swap) band every candidate by a rank-one update of the current
 selection (``_projection``).
@@ -19,6 +22,7 @@ selection (``_projection``).
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -128,57 +132,95 @@ class GramSpectrum:
 
 
 class ChunkScreen:
-    """The bands of one exact-search pass over ``specs`` on the m x n matrix
-    ``a``: formed once per pass, A at unit scale, A / 2**``exponent``
-    (``unit_scaled``), with its column norms ``col_norms`` and Gram matrix,
-    the residuals' ``_residual_basis`` when a residual is among the specs,
-    and how the pass bands (``parts``); then read by every chunk's
-    ``bands``, from any thread."""
+    """The bands of one exact-search pass over ``specs`` on the k-subsets of
+    the m x n matrix ``a``: formed once per pass, A at unit scale, A /
+    2**``exponent`` (``unit_scaled``), with its column norms ``col_norms``
+    and Gram matrix, the residuals' ``_residual_basis`` when a residual is
+    among the specs, how the pass bands (``parts``), and on a pass that
+    solves for the blocks' eigenvalues, the codes of the Gram's entries by
+    which it groups equal blocks (``_gram_codes``); then read by every
+    chunk's ``bands``, from any thread.  The grouping's tally is the one
+    state the chunks change, under a lock: the rows grouped so far and
+    their groups, and whether the pass still groups (``grouping``), which
+    stops once the groups exceed two thirds of those rows.  A chunk that
+    starts before another's tally lands may group once more, which changes
+    no result."""
 
-    def __init__(self, a: np.ndarray, specs):
+    def __init__(self, a: np.ndarray, specs, k: int):
         unit, self.exponent = unit_scaled(a)
         self.gram = unit.T @ unit
         self.col_norms = column_norms(unit)
         self.norms = {spec.residual_norm for spec in specs} - {None}
         self.basis = _residual_basis(unit) if self.norms else None
-        (self.m, self.n), self.specs = a.shape, specs
+        (self.m, self.n), self.specs, self.k = a.shape, specs, k
         # None when the pass solves for the blocks' eigenvalues, else whether its
         # Cholesky pass also forms the inverse's traces and the largest
         # eigenvalue's bracket (``CriterionSpec.factored``)
         needs = {spec.factored for spec in specs if not spec.residual_norm}
         self.parts = None if None in needs else ("inverse" in needs, "top" in needs)
+        # a block of one column has no entry off the diagonal, and C(n, 1)
+        # blocks are too few to pay for coding the Gram
+        self.codes = _gram_codes(self.gram) if self.parts is None and k > 1 else None
+        self.grouping = self.codes is not None
+        self._grouped = self._groups = 0  # rows grouped so far, and their groups
+        self._tally = threading.Lock()
 
-    def bytes_per_subset(self, k: int) -> int:
-        """Bytes per subset of the arrays one chunk of k-subsets holds at once,
-        certification slices aside (``selectors._score_bytes``).  The estimates
-        hold the (k, k, B) blocks, with ``_top_bracket``'s two (B, k, k) buffers
-        on a factored pass that brackets the largest eigenvalue, and then
-        four (B,) vectors per spec: its band (estimate, width) and the band
-        stacked (``selectors._screened_best``).  The residuals are banded
-        between the two and free their arrays before the bands are formed,
-        so a pass with a residual holds the larger of the two and what
-        ``_residual_bands`` holds per (k - 1)-prefix or per subset, m' =
-        min(m, n) being the rows of ``_residual_basis`` and d = m' - k + 1
+    def chunk_bytes(self, rows: int) -> int:
+        """Bytes of the arrays a chunk of ``rows`` k-subsets holds at once,
+        certification slices aside (``selectors._score_bytes``).  The
+        estimates hold the (k, k, B) blocks, with ``_top_bracket``'s two
+        (B, k, k) buffers on a factored pass that brackets the largest
+        eigenvalue, and then four (B,) vectors per spec: its band (estimate,
+        width) and the band stacked (``selectors._screened_best``).  A pass
+        that groups equal blocks (``_equal_blocks``) also holds, per subset,
+        its two (k, k) blocks of codes, its key's sorted copy, its reordered
+        indices, the keys' sort order and its group; its groups' blocks are
+        counted as the blocks of every row, which the first chunk, before
+        grouping stops, may need.  The residuals are banded between the
+        estimates and the bands and free their arrays before the bands are
+        formed, so a pass with a residual holds the larger of the two and
+        what ``_residual_bands`` holds per (k - 1)-prefix or per subset, m'
+        = min(m, n) being the rows of ``_residual_basis`` and d = m' - k + 1
         the rows of the last level's T.  Per prefix, the arrays of the
-        prefix tree's last level: the (d + 1, n) T gathered from its
-        parent, beside the parent level's (d + 2, n) arrays while it
-        gathers, which it then frees, and beside x, tau v and the v^T T row
-        while it reflects in place; an earlier level holds fewer nodes.  The
-        C(n, k) subsets have C(n - 1, k - 1) prefixes, k / n per subset, and
-        a chunk late in the order up to about twice that, which is counted.
-        Per subset, its (d, d) W, the (d - 1, d - 1) update and Gram, and
-        four d-vectors (x, v, p, y); res-two's bracket then holds the Gram
-        and one more array of its size, within that.  Throughout, a chunk
-        holds four (B, k) arrays (its indices, their transpose, their column
-        norms and the certified rows' copy)."""
-        floats = k * k * (3 if self.parts and self.parts[1] else 1) + 4 * len(self.specs)
+        prefix tree's last level: the (d + 1, n) T gathered from its parent,
+        beside the parent level's (d + 2, n) arrays while it gathers (for
+        k > 2; for k = 2 the parent is the basis itself), which it then
+        frees, and beside x, tau v and the v^T T row while it reflects in
+        place; an earlier level holds fewer nodes.  The prefixes are counted
+        exactly for the last ``rows`` subsets of the lexicographic order,
+        which hold the most that any ``rows`` consecutive ones do
+        (``_suffix_prefixes``); k = 1 has no tree.  Per subset, its (d, d)
+        W, the (d - 1, d - 1) update and Gram, and four d-vectors (x, v, p,
+        y); res-two's bracket then holds the Gram and one more array of its
+        size, within that.  Throughout, a chunk holds four (B, k) arrays (its
+        indices, their transpose, their column norms and the certified rows'
+        copy)."""
+        k = self.k
+        held = 8 * (k * k * (3 if self.parts and self.parts[1] else 1) + 4 * len(self.specs))
+        if self.codes is not None:
+            held += 3 * k * k * self.codes.itemsize + 8 * (k + 2)
+        held *= rows
         if self.basis is not None:
-            rows = min(self.m, self.n)
-            d = max(rows - k + 1, 0)
-            prefix = (2 * d + 3) * self.n
-            per_prefix = -(-min(2 * k, self.n) * prefix // self.n)
-            floats = max(floats, per_prefix, d * d + 2 * max(d - 1, 0) ** 2 + 4 * d)
-        return 8 * (floats + 4 * k)
+            d = max(min(self.m, self.n) - k + 1, 0)
+            per_subset = d * d + 2 * max(d - 1, 0) ** 2 + 4 * d
+            held = max(held, 8 * rows * per_subset)
+            if k > 1:
+                per_prefix = (2 * d + 3 if k > 2 else d + 2) * self.n + 2 * d + 2
+                held = max(held, 8 * _suffix_prefixes(self.n, k, rows) * per_prefix)
+        return held + 8 * 4 * k * rows
+
+    def chunk_rows(self, budget: int) -> int:
+        """The most rows, at least 1 and at most C(n, k), of a chunk whose
+        arrays fit in ``budget`` bytes (``chunk_bytes``, which grows with
+        the rows)."""
+        low, high = 1, max(1, min(math.comb(self.n, self.k), budget // (32 * self.k)))
+        while low < high:
+            mid = (low + high + 1) // 2
+            if self.chunk_bytes(mid) <= budget:
+                low = mid
+            else:
+                high = mid - 1
+        return low
 
     def bands(self, idx: np.ndarray):
         """Each spec's band (estimate, width) of the m x k submatrices
@@ -187,23 +229,120 @@ class ChunkScreen:
         (``batch_bands``), and the residuals' from one Householder
         reflection per distinct prefix of the chunk's rows and a rank-two
         update of each (k - 1)-prefix's residual Gram per subset
-        (``_residual_bands``).  The blocks are factored a column of every
-        block at a time (``_cholesky_estimates``, with the inverse's traces
-        and the bracket on the largest eigenvalue only where a spec's
-        ``factored`` part asks for them) when every spec has one or is a
-        residual, a block that fails to factor leaving only its own row
-        unproven, for the SVD to certify; otherwise (p = 3, or sigma_k alone:
-        every x3c pass) their eigenvalues are solved for in one batched
-        eigensolve (``_gram_estimates``).
+        (``_residual_bands``).  When every spec has a Cholesky form
+        (``CriterionSpec.factored``) or is a residual, the blocks are
+        factored a column of every block at a time
+        (``_cholesky_estimates``, with the inverse's traces and the bracket
+        on the largest eigenvalue only where a spec's ``factored`` part asks
+        for them), a block that fails to factor leaving only its own row
+        unproven, for the SVD to certify.  Otherwise (p = 3 or a
+        non-integer p, or sigma_k alone: every x3c verify and gap pass)
+        their eigenvalues are solved for in one batched eigensolve
+        (``_gram_estimates``): one per group of the chunk's rows whose
+        blocks are equal up to the order of their columns
+        (``_equal_blocks``) while the pass is ``grouping``, and one per row
+        otherwise.  A pass stops grouping after the chunk that takes its
+        groups above two thirds of the rows it has grouped: the grouping
+        costs a third (k = 8) to a half (k = 5) of an eigensolve per row, so
+        up to that chunk the grouped rows cost about what solving every
+        block would, or less.  The
+        tally spans the pass, not one chunk, so that one chunk of rarer
+        repeats (at M = 8, one chunk in a hundred or so, among chunks whose
+        groups are about half their rows) does not stop it.
         """
         if self.parts is None:
-            spectrum, kappa = _gram_estimates(self.gram, self.m, idx)
+            groups = _equal_blocks(self.codes, idx) if self.grouping else None
+            if groups is not None:
+                with self._tally:
+                    self._grouped += len(idx)
+                    self._groups += len(groups[0])
+                    self.grouping = 3 * self._groups <= 2 * self._grouped
+            spectrum, kappa = _gram_estimates(self.gram, self.m, idx, groups)
         else:
             spectrum, kappa = _cholesky_estimates(self.gram, self.m, idx, *self.parts)
         residual = _residual_bands(self.basis, idx, kappa, self.norms) if self.norms else {}
         cn = self.col_norms[idx]
         return [residual[spec.residual_norm] if spec.residual_norm
                 else batch_bands(spec, spectrum, cn) for spec in self.specs]
+
+
+def _suffix_prefixes(n: int, k: int, rows: int) -> int:
+    """The distinct (k - 1)-prefixes among the last ``rows`` of the C(n, k)
+    k-combinations of range(n) in lexicographic order, k >= 2: the most that
+    any ``rows`` consecutive combinations hold, the order's runs of equal
+    prefixes being shortest at its end.
+
+    Under j -> n - 1 - j, the last rows taken backwards are the first
+    ``rows`` in colexicographic order, and a prefix becomes the k - 1
+    largest elements, on which colex order sorts first.  So the prefixes
+    are those of colex rank at most that of the combination c_1 < ... <
+    c_k of colex rank rows - 1: with c_1 dropped and every other element
+    lowered by one, a (k - 1)-combination of colex rank sum C(c_i - 1,
+    i - 1) over i >= 2, whose count is one more.  The combination is
+    unranked greedily, c_i the largest c below c_(i + 1) (c_(k + 1) = n)
+    with C(c, i) within the rank left."""
+    count, rank, c = 1, rows - 1, n
+    for i in range(k, 0, -1):
+        c -= 1
+        while math.comb(c, i) > rank:
+            c -= 1
+        rank -= math.comb(c, i)
+        if i > 1:
+            count += math.comb(c - 1, i - 1)
+    return count
+
+
+def _gram_codes(gram: np.ndarray):
+    """Each entry of ``gram``'s code among its distinct values, in the
+    smallest unsigned integer type that holds them, or None when no two of
+    its entries above the diagonal are equal: then no two subsets of k >= 2
+    columns share a block in any order of their columns, since each has an
+    entry off the diagonal that names its own pair of columns.  Inputs
+    drawn from a continuous distribution are such; the reduction's 0 and
+    1 / sqrt(3) entries, whose blocks are (3 I + N) / 3 for N the triples'
+    overlap counts, and 0/1 matrices are not."""
+    upper = np.sort(gram[np.triu_indices(len(gram), 1)])
+    if np.all(upper[1:] != upper[:-1]):
+        return None
+    values = np.sort(gram, axis=None)
+    values = values[np.insert(values[1:] != values[:-1], 0, True)]
+    return np.searchsorted(values, gram).astype(np.min_scalar_type(len(values) - 1))
+
+
+def _equal_blocks(codes: np.ndarray, idx: np.ndarray):
+    """(reps, inverse): the rows of ``idx`` grouped by their k x k Gram
+    blocks, equal up to the order of their columns; ``reps`` holds each
+    group's columns in their canonical order, and ``inverse`` each row's
+    group.  ``codes`` is the Gram's ``_gram_codes``.
+
+    Each row's columns are put in a canonical order: sorted by the block's
+    row sums s of codes, ties broken by the row sums of codes weighted by s,
+    a stable sort by quantities that a reordering of the columns permutes
+    along (integers, exact in float64 below 2**53).  The reordered block is
+    then keyed exactly by the bytes of its codes, and one sort of the keys
+    finds the groups (not ``np.unique``, whose first call imports
+    ``numpy.ma``, a megabyte).  Two rows with one key have equal reordered
+    blocks, entry for entry; two rows whose blocks are equal under some
+    order but that still tie in another may fall into two groups, which
+    costs one more eigensolve and nothing else.
+    """
+    n, flat = len(codes), codes.ravel()
+    block = flat[(idx * n)[:, :, None] + idx[:, None, :]].astype(np.float64)
+    sums = np.einsum("bij->bi", block)
+    order = np.lexsort((np.einsum("bij,bj->bi", block, sums), sums), axis=1)
+    del block
+    reordered = np.take_along_axis(idx, order, axis=1)
+    block = flat[(reordered * n)[:, :, None] + reordered[:, None, :]]
+    keys = block.reshape(len(idx), -1).view(np.dtype((np.void, block[0].nbytes))).ravel()
+    del block
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.empty(len(idx), dtype=bool)  # where a group begins, in key order
+    first[0] = True
+    first[1:] = keys[1:] != keys[:-1]
+    inverse = np.empty(len(idx), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return reordered[order[first]], inverse
 
 
 def _blocks(gram: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -227,7 +366,7 @@ def _proven(m: int, k: int, top: np.ndarray, bottom: np.ndarray, rel: np.ndarray
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _gram_estimates(gram: np.ndarray, m: int, idx: np.ndarray):
+def _gram_estimates(gram: np.ndarray, m: int, idx: np.ndarray, groups=None):
     """(spectrum, kappa): a ``GramSpectrum`` of the eigenvalues of each
     submatrix a[:, idx[b]], with a bound rel on the relative error of its
     sigmas against the SVD's values, and a bound on its condition number;
@@ -242,10 +381,27 @@ def _gram_estimates(gram: np.ndarray, m: int, idx: np.ndarray):
     square of the row's condition number and is never below
     ROUNDING * (m + k) * k, which also covers the rounding of the criteria's
     value functions.
+
+    With ``groups``, the (reps, inverse) of ``_equal_blocks``, one
+    ``eigvalsh`` per group solves the block of the group's columns in
+    their canonical order, and each row takes its group's eigenvalues.
+    That block equals the row's own block with its rows and columns
+    permuted alike, entry for entry, so it has the same eigenvalues, and
+    ``eigvalsh`` solves it within the same backward error: the bound above
+    holds for every row as it stands, and so does all that ``_proven``
+    and the bands derive from it.  ``ChunkScreen`` groups only where blocks
+    can repeat, on a pass whose Gram has two equal entries off the diagonal
+    (``_gram_codes``), and stops once its groups exceed two thirds of the
+    rows it has grouped, where the grouping, a third to a half of an
+    eigensolve per row, no longer pays.
     """
     k = idx.shape[1]
     r = min(m, k)
-    lam = np.linalg.eigvalsh(np.moveaxis(_blocks(gram, idx), -1, 0))[:, ::-1][:, :r]
+    reps, inverse = (idx, None) if groups is None else groups
+    lam = np.linalg.eigvalsh(np.moveaxis(_blocks(gram, reps), -1, 0))
+    if inverse is not None:
+        lam = lam[inverse]
+    lam = lam[:, ::-1][:, :r]
     err = ROUNDING * (m + k) * k * lam[:, 0] + m * k * np.finfo(np.float64).smallest_normal
     lam = np.maximum(lam, 0.0)
     rel, kappa = _proven(m, k, np.sqrt(lam[:, 0]), np.sqrt(lam[:, -1]), err / lam[:, -1])

@@ -37,15 +37,17 @@ SWAP_IMPROVEMENT = 1e-12
 # inverts the factor, 2.7e5 at k = 11 for rvol, whose pass also brackets
 # their largest eigenvalues, and 4.0e5 to 6.3e5 for the residuals (k = 11,
 # 6), whose pass reflects each distinct prefix of a chunk once; the spectral
-# pass of gap's 12 criteria, which solves for the blocks' eigenvalues, scores
-# 1.3e5 at M = 8 (24 x 24, k = 8).  These are the best of several runs; the
+# pass of gap's 12 criteria, which solves for the eigenvalues of each group
+# of equal blocks, scores 1.6e5 at M = 8 (24 x 24, k = 8; 1.3e5 solving every
+# block).  These are the best of several runs; the
 # host's load moves single runs by up to a third.  So a search within it
 # takes at most about 11 s.
 MAX_EXHAUSTIVE_SUBSETS = 10**6
 # The bytes one exact-search worker's chunk may hold in its arrays
-# (ChunkScreen.bytes_per_subset), and one certification slice in its stacks
-# (_score_bytes): a pass holds 0.75 to 1.05 times it at 12 x 20, k = 6 and
-# x3c's M = 6 (tracemalloc, tests/test_chunk_budget.py).
+# (ChunkScreen.chunk_bytes), and one certification slice in its stacks
+# (_score_bytes): a pass holds 0.78 to 1.0 times it at 12 x 20, k = 6 and
+# x3c's M = 6, and the densest chunk of res-two at 12 x 1000, k = 2, 1.11
+# times (tracemalloc, tests/test_chunk_budget.py).
 _CHUNK_BYTES = 4 * 2**20
 
 
@@ -287,7 +289,7 @@ def exact_optima(matrix: DenseMatrix, k: int, specs, threads: int = 1, allow_lar
     witnesses and the count equal those of an SVD of every subset.
 
     A chunk holds as many subsets as fit in ``_CHUNK_BYTES`` of the arrays
-    the pass holds at once (``ChunkScreen.bytes_per_subset``).  The workers
+    the pass holds at once (``ChunkScreen.chunk_rows``).  The workers
     are ``threads``, but never more than the chunks that budget needs, so no
     thread starts without a chunk; the chunk count is rounded up to a
     multiple of the workers, with sizes that differ by at most one
@@ -317,9 +319,9 @@ def exact_optima(matrix: DenseMatrix, k: int, specs, threads: int = 1, allow_lar
         raise InvalidParameterError("need at least one criterion")
     maximize = [spec.direction == "maximize" for spec in specs]
     a = matrix.array
-    screen = ChunkScreen(a, specs)
+    screen = ChunkScreen(a, specs, k)
     total = math.comb(n, k)
-    rows = max(1, _CHUNK_BYTES // screen.bytes_per_subset(k))
+    rows = screen.chunk_rows(_CHUNK_BYTES)
     workers, chunks = _chunk_plan(total, rows, threads)
     size, extra = divmod(total, chunks)
 

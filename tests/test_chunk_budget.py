@@ -2,7 +2,7 @@
 
 ``exact_optima`` cuts the C(n, k) subsets into as many chunks as
 ``_CHUNK_BYTES`` of the arrays the pass holds at once needs
-(``ChunkScreen.bytes_per_subset``), a multiple of the workers, which never
+(``ChunkScreen.chunk_rows``), a multiple of the workers, which never
 outnumber the chunks; ``_batch_scores`` certifies in slices within the same
 budget (``_score_bytes``).  Neither the chunks, the slices nor the thread
 count may change a value or a witness.
@@ -30,19 +30,19 @@ def _bench_matrix(scale=1.0):
     return DenseMatrix(np.random.default_rng(20).standard_normal((12, 20)) * scale)
 
 
+def _zero_one_matrix():
+    """A seeded 12 x 20 matrix of 0s and 1s: its Gram's entries repeat."""
+    return DenseMatrix(np.random.default_rng(20).integers(0, 2, (12, 20)).astype(float))
+
+
 def _x3c_matrix():
     # M = 5 over 14 triples: 2,002 subsets
     return x3c.reduce(x3c.generate_false(5, 14, 3)).matrix
 
 
-def _bytes_per_subset(matrix, k, specs):
-    """What a pass's chunk holds per subset of k columns of ``matrix``."""
-    return screen.ChunkScreen(matrix.array, specs).bytes_per_subset(k)
-
-
 def _budget(matrix, k, specs, rows):
     """The byte budget that gives chunks of ``rows`` subsets to a pass."""
-    return rows * _bytes_per_subset(matrix, k, specs)
+    return screen.ChunkScreen(matrix.array, specs, k).chunk_bytes(rows)
 
 
 def _recording_chunks(monkeypatch):
@@ -183,11 +183,12 @@ def _peak_bytes(run):
 # Cholesky factor alone (vol, sopt), with its inverse (pinv-norm, cond) or
 # the bracket on the largest eigenvalue (rvol, norm-two, srank), the
 # residuals' QR, every registered criterion at once, x3c gap's 12 and
-# verify's 20 criteria at M = 6, and at 1e100, which the pass screens at
-# unit scale
+# verify's 20 criteria at M = 6, which group their chunks' equal blocks, and
+# at 1e100, which the pass screens at unit scale; and the eigenvalues on a
+# 0/1 matrix, whose first chunk groups its blocks and finds too few equal
 PASSES = [*((ident, 1.0) for ident in ("norm:p=3", *BENCH_CRITERIA, "res-frobenius", "registry",
                                        "gap", "verify")),
-          ("sopt", 1e100), ("registry", 1e100)]
+          ("sopt", 1e100), ("registry", 1e100), ("norm:p=3 on 0/1", 1.0)]
 
 
 def _pass(name, scale):
@@ -197,12 +198,15 @@ def _pass(name, scale):
         matrix = x3c.reduce(x3c.generate_false(6, 18, 7)).matrix
         specs = [row[0] for row in x3c._gap_rows(6)] if name == "gap" else equivalence_criteria()
         return matrix, 6, specs
+    if name == "norm:p=3 on 0/1":
+        return _zero_one_matrix(), K, [parse_criterion("norm:p=3")]
     return _bench_matrix(scale), K, registry() if name == "registry" else [parse_criterion(name)]
 
 
-# a pass's peak against the bytes its largest chunk holds by bytes_per_subset,
-# which the budget bounds: measured 0.79 to 1.24 (a rescore of every row
-# adds its certification slices).  Above the range, the byte counts miss an
+# a pass's peak against the bytes its largest chunk holds by chunk_bytes,
+# which the budget bounds: measured 0.78 to 1.0 for PASSES and 1.11 for the
+# densest chunk of a wide residual pass (a rescore of every row adds its
+# certification slices).  Above the range, the byte counts miss an
 # array; below it, they count arrays the pass does not hold, and its chunks
 # come out needlessly small.
 HELD_RANGE = (0.6, 1.3)
@@ -211,13 +215,48 @@ HELD_RANGE = (0.6, 1.3)
 @pytest.mark.parametrize("name, scale", PASSES, ids=str)
 def test_a_pass_holds_what_its_chunks_count(name, scale):
     matrix, k, specs = _pass(name, scale)
-    per_row = _bytes_per_subset(matrix, k, specs)
+    chunk = screen.ChunkScreen(matrix.array, specs, k)
     total = math.comb(matrix.cols, k)
-    _, chunks = selectors._chunk_plan(total, selectors._CHUNK_BYTES // per_row, 1)
+    _, chunks = selectors._chunk_plan(total, chunk.chunk_rows(selectors._CHUNK_BYTES), 1)
     assert chunks > 1
-    held = -(-total // chunks) * per_row
+    held = chunk.chunk_bytes(-(-total // chunks))
     assert held <= selectors._CHUNK_BYTES
     peak = _peak_bytes(lambda: exact_optima(matrix, k, specs))
+    low, high = HELD_RANGE
+    assert low * held <= peak <= high * held
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 11) for k in range(2, n + 1)])
+def test_the_last_rows_hold_the_most_distinct_prefixes(n, k):
+    # for every window length, no run of consecutive k-combinations holds
+    # more distinct (k - 1)-prefixes than the order's last rows, which
+    # _suffix_prefixes counts
+    combos = list(itertools.combinations(range(n), k))
+    starts = np.array([i == 0 or a[:-1] != b[:-1] for i, (a, b)
+                       in enumerate(zip(combos, [None] + combos[:-1]))])
+    begun = np.concatenate([[0], np.cumsum(starts)])
+    for rows in range(1, len(combos) + 1):
+        first = np.arange(len(combos) - rows + 1)
+        held = begun[first + rows] - begun[first] + ~starts[first]
+        assert screen._suffix_prefixes(n, k, rows) == held[-1] == held.max()
+
+
+def test_the_chunk_densest_in_prefixes_holds_what_it_counts():
+    # res-two at 12 x 1000, k = 2: the order's last chunk holds the most
+    # distinct 1-prefixes, each a 12 x 1000 T of the prefix tree, 39 in its
+    # 779 rows, where 2k / n per row would count 3; its bands alone are
+    # measured, since the pass certifies most of its 499,500 rows through
+    # SVDs of 12 x 1000 residuals and takes minutes
+    matrix = DenseMatrix(np.random.default_rng(21).standard_normal((12, 1000)))
+    chunk = screen.ChunkScreen(matrix.array, [parse_criterion("res-two")], 2)
+    total = math.comb(1000, 2)
+    _, chunks = selectors._chunk_plan(total, chunk.chunk_rows(selectors._CHUNK_BYTES), 1)
+    size, extra = divmod(total, chunks)
+    (last,) = selectors._index_chunks(1000, 2, size, chunks - 1, chunks, extra)
+    assert screen._suffix_prefixes(1000, 2, len(last)) == len({row[0] for row in last.tolist()})
+    held = chunk.chunk_bytes(len(last))
+    assert held <= selectors._CHUNK_BYTES
+    peak = _peak_bytes(lambda: chunk.bands(last))
     low, high = HELD_RANGE
     assert low * held <= peak <= high * held
 

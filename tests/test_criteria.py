@@ -532,5 +532,5 @@ class TestOneValueFunction:
         stack = gather_columns(a, idx)
         sigma, full_rank = batch_svd(stack)
         batch_values(spec, sigma, np.linalg.norm(stack, axis=1), full_rank)
-        ChunkScreen(a, [spec]).bands(idx)
+        ChunkScreen(a, [spec], 3).bands(idx)
         assert spectra == ["Singular", "Singular", "GramSpectrum"]

@@ -946,7 +946,7 @@ PREFIX_CASES = ("gaussian-0", "duplicated", "k-equals-m", "very-tall")
 
 def _split_budget(matrix, k, specs, rows=50):
     """A ``_CHUNK_BYTES`` that cuts the pass into chunks of ``rows`` subsets."""
-    return rows * screen.ChunkScreen(matrix.array, specs).bytes_per_subset(k)
+    return screen.ChunkScreen(matrix.array, specs, k).chunk_bytes(rows)
 
 
 @pytest.mark.parametrize("threads", (1, 2, 3))
@@ -1024,3 +1024,129 @@ def test_bands_that_overflow_have_infinite_widths():
     assert np.all(width == np.inf)
     _, width = screen.batch_bands(parse_criterion("rvol"), spectrum, norms)
     assert np.all(np.isfinite(width))
+
+
+# A pass that solves for the blocks' eigenvalues solves once per group of a
+# chunk's rows whose blocks are equal up to the order of their columns, where
+# the Gram's entries off the diagonal repeat (``screen._gram_codes``): the
+# reduction's blocks are (3 I + N) / 3, N the triples' overlap counts
+SPECTRAL = tuple(equivalence_criteria())
+
+
+def _zero_one(seed=20, m=12, n=20):
+    return np.random.default_rng(seed).integers(0, 2, (m, n)).astype(float)
+
+
+def _ungrouped(monkeypatch):
+    """Switch grouping off for every pass formed from now on."""
+    monkeypatch.setattr(screen, "_gram_codes", lambda gram: None)
+
+
+def _recording_groups(monkeypatch):
+    """(rows, groups) of every chunk ``_equal_blocks`` groups from now on."""
+    seen = []
+    real = screen._equal_blocks
+
+    def recording(codes, idx):
+        reps, inverse = real(codes, idx)
+        seen.append((len(idx), len(reps)))
+        return reps, inverse
+
+    monkeypatch.setattr(screen, "_equal_blocks", recording)
+    return seen
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_reduction_passes_group_their_blocks(m):
+    a = _reduction(x3c.generate_true(m, m, m))
+    chunk = screen.ChunkScreen(a, SPECTRAL, m)
+    assert chunk.codes is not None and chunk.grouping
+    idx = next(selectors._index_chunks(a.shape[1], m, 2048))
+    reps, inverse = screen._equal_blocks(chunk.codes, idx)
+    assert len(reps) < len(idx) and inverse.max() == len(reps) - 1
+
+
+@pytest.mark.parametrize("make, groups", [(_zero_one, True), (lambda: _twice(1.0), True),
+                                          (lambda: _gaussian(0, 12, 20), False)],
+                         ids=("zero-one", "twice", "gaussian"))
+def test_only_passes_whose_gram_repeats_off_the_diagonal_group(make, groups):
+    a = make()
+    assert (screen.ChunkScreen(a, SPECTRAL, 4).codes is not None) == groups
+    # a factored pass, and a pass of single columns, never group
+    assert screen.ChunkScreen(a, [parse_criterion("vol")], 4).codes is None
+    assert screen.ChunkScreen(a, SPECTRAL, 1).codes is None
+
+
+def test_grouping_stops_after_a_chunk_of_too_few_equal_blocks(monkeypatch):
+    # the 0/1 matrix's 38,760 blocks rarely repeat: its first chunk groups,
+    # finds more groups than two thirds of its rows, and the pass's other
+    # chunks solve every block, one by one
+    groups = _recording_groups(monkeypatch)
+    chunks = _recording_chunks(monkeypatch)
+    matrix = DenseMatrix(_zero_one())
+    outcome = exact_optima(matrix, 6, [parse_criterion("norm:p=3")])
+    assert len(chunks) > 1 and len(groups) == 1
+    rows, found = groups[0]
+    assert 3 * found > 2 * rows
+    _ungrouped(monkeypatch)
+    assert exact_optima(matrix, 6, [parse_criterion("norm:p=3")]) == outcome
+
+
+def test_a_chunk_of_rarer_repeats_does_not_stop_the_grouping(monkeypatch):
+    # 100-row chunks of an M = 6 reduction: some have more groups than two
+    # thirds of their rows, but the pass's groups stay below two thirds of
+    # the rows it grouped, so every chunk groups
+    matrix = x3c.reduce(x3c.generate_false(6, 18, 4)).matrix
+    monkeypatch.setattr(selectors, "_CHUNK_BYTES",
+                        screen.ChunkScreen(matrix.array, SPECTRAL, 6).chunk_bytes(100))
+    groups = _recording_groups(monkeypatch)
+    chunks = _recording_chunks(monkeypatch)
+    outcome = exact_optima(matrix, 6, SPECTRAL)
+    assert len(groups) == len(chunks) > 100
+    assert any(3 * found > 2 * rows for rows, found in groups[:-1])
+    assert 3 * sum(found for _, found in groups) <= 2 * sum(rows for rows, _ in groups)
+    _ungrouped(monkeypatch)
+    assert exact_optima(matrix, 6, SPECTRAL) == outcome
+
+
+@pytest.mark.parametrize("make, k", [(lambda: _reduction(x3c.generate_false(5, 14, 1)), 5),
+                                     (lambda: _reduction(x3c.generate_false(6, 18, 7)), 6),
+                                     (lambda: _reduction(x3c.generate_true(8, 8, 2)), 8),
+                                     (_zero_one, 6), (lambda: _twice(1e100), 4)],
+                         ids=("x3c-5", "x3c-6", "x3c-8", "zero-one", "twice-1e100"))
+def test_grouped_eigenvalues_hold_the_bound_of_each_rows_own_block(make, k):
+    a = make()
+    unit, _ = screen.unit_scaled(a)
+    gram = unit.T @ unit
+    codes = screen._gram_codes(gram)
+    idx = next(selectors._index_chunks(a.shape[1], k, 2048))
+    reps, inverse = screen._equal_blocks(codes, idx)
+    own = np.linalg.eigvalsh(np.moveaxis(screen._blocks(gram, idx), -1, 0))
+    grouped = np.linalg.eigvalsh(np.moveaxis(screen._blocks(gram, reps), -1, 0))[inverse]
+    bound = screen.ROUNDING * (a.shape[0] + k) * k * own[:, -1:]
+    assert np.all(np.abs(grouped - own) <= bound)
+    # a group's canonical block holds each of its rows' entries, reordered
+    assert np.array_equal(np.sort(gram[reps[inverse][:, :, None], reps[inverse][:, None, :]]
+                                  .reshape(len(idx), -1), axis=1),
+                          np.sort(gram[idx[:, :, None], idx[:, None, :]].reshape(len(idx), -1),
+                                  axis=1))
+    # the estimates through the groups are those of _gram_estimates' bound
+    spectrum, kappa = screen._gram_estimates(gram, a.shape[0], idx, (reps, inverse))
+    plain, plain_kappa = screen._gram_estimates(gram, a.shape[0], idx)
+    finite = np.isfinite(plain.rel)
+    assert np.array_equal(finite, np.isfinite(spectrum.rel))
+    assert np.all(np.abs(spectrum.top - plain.top)[finite] <= bound[finite, 0])
+
+
+@pytest.mark.parametrize("threads", (1, 3))
+@pytest.mark.parametrize("m, n, seed", [(3, 8, 1), (4, 11, 2), (5, 14, 3), (6, 18, 4)])
+def test_grouped_x3c_passes_equal_ungrouped_ones(m, n, seed, threads, monkeypatch):
+    matrix = x3c.reduce(x3c.generate_false(m, n, seed)).matrix
+    gap = [spec for spec, _, _ in x3c._gap_rows(m)]
+    groups = _recording_groups(monkeypatch)
+    grouped = [exact_optima(matrix, m, specs, threads=threads) for specs in (gap, SPECTRAL)]
+    assert groups and all(3 * found <= 2 * rows for rows, found in groups)
+    _ungrouped(monkeypatch)
+    groups.clear()
+    assert [exact_optima(matrix, m, specs, threads=threads) for specs in (gap, SPECTRAL)] == grouped
+    assert not groups
