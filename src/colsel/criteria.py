@@ -13,6 +13,8 @@ value, how far it can move when the sigmas move (``batch_bands``), and the
 optimal value attained by k orthonormal columns, which is what turns the
 optimization problems into decision problems.  Adding a criterion means
 adding one row (plus its ``REGISTRY`` id when it belongs in the reports).
+Each criterion prints one name, and ``evaluate`` and the scalar wrappers
+are one-spec calls of ``values``.
 
 Every criterion is homogeneous in the scale of C: value(c C) = c^d value(C)
 for the row's ``degree`` d.  So values are read at unit scale and rescaled
@@ -52,8 +54,9 @@ class Singular:
     scale: ``sigma`` holds the row divided by 2**e, e the binary exponent of
     its sigma_1, so that sigma_1 lies in [1/2, 1).  ``unit`` divides a
     row's column norms alike, and ``rescaled`` takes values read at unit
-    scale back to the matrices' own.  ``screen.GramSpectrum`` answers the
-    same reads from estimates."""
+    scale back to the matrices' own, keeping their bits but for the last
+    digits of a 1/p power whose 1/p is inexact in binary (p = 3, 1.5, 6,
+    rarely 4).  ``screen.GramSpectrum`` answers the same reads from estimates."""
 
     def __init__(self, sigma: np.ndarray):
         self._exponent = np.frexp(sigma[:, 0])[1]
@@ -468,12 +471,16 @@ def parse_criterion(text: str, p=None) -> CriterionSpec:
     """Parse a criterion name like "rvol", "cond-two" or "pinv-norm:p=4".
 
     The name is an id, the alias "volume", or a name that pins p such as
-    "cond-two".  An explicit ``p`` argument supplies the Schatten parameter
-    for the ids that take one, "norm", "pinv-norm", "cond", "cond-mixed" and
-    "srank"; a ":p=" suffix takes precedence.  ``CriterionSpec`` checks p.
+    "cond-two".  The ids "norm", "pinv-norm", "cond", "cond-mixed" and "srank"
+    take a Schatten parameter from a ":p=" suffix or the ``p`` argument, and
+    a name that gives p, by a suffix or by pinning it, takes no ``p``.
+    ``CriterionSpec`` checks p.
     """
     text = text.strip().lower()
     if ":p=" in text:
+        if p is not None:
+            raise InvalidParameterError(f"criterion {text!r} gives p by its suffix, so it takes no "
+                                        "Schatten parameter")
         text, _, p = text.partition(":p=")
     if text not in _NAMES:
         raise InvalidParameterError(f"unknown criterion id {text!r}")

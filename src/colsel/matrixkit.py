@@ -134,7 +134,8 @@ def default_rank_tolerance(rows: int, cols: int, sigma_max):
 
     ``sigma_max`` is one matrix's sigma_1 (a float) or an array of sigma_1
     over a stack of m x n matrices.  Singular values above the tolerance
-    count toward the rank, so the zero matrix has rank 0 at any scale.
+    count toward the rank, so the zero matrix has rank 0 at any scale, and
+    with no floor, a matrix at subnormal scale keeps its full rank.
     """
     return max(rows, cols) * EPS * sigma_max
 
@@ -148,7 +149,8 @@ def svd(matrix: DenseMatrix) -> SvdResult:
 
 def batch_svd(stack: np.ndarray):
     """Singular values of a (B, m, k) stack from one LAPACK call, and whether
-    each matrix has numerical rank k under ``svd``'s tolerance."""
+    each matrix has numerical rank k under ``svd``'s tolerance: row for row
+    the bits and the rank ``svd`` gives that matrix alone."""
     sigma = np.linalg.svd(stack, compute_uv=False)
     tol = default_rank_tolerance(*stack.shape[1:], sigma[:, 0])
     return sigma, np.count_nonzero(sigma > tol[:, None], axis=1) == stack.shape[2]
@@ -215,7 +217,7 @@ def partitioned_pinv(c1: DenseMatrix, c2: DenseMatrix) -> PartitionedPinv:
     The stack of the two returned pseudo-inverse blocks equals the
     pseudo-inverse of [C1 C2] whenever the concatenation has full column rank.
     A projection or Schur complement beyond float64 range (e.g. of columns
-    near 1e308) raises InvalidInputError.
+    near 1e308) raises InvalidInputError, without a floating-point warning.
     """
     combined = concat_columns(c1, c2)
     m, n = combined.rows, combined.cols

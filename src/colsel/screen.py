@@ -43,8 +43,8 @@ ROUNDING = 1e-14
 class GramSpectrum:
     """Estimated spectra of a stack of B k-column submatrices C: the reads of
     a ``criteria.Singular``, which the criteria's value functions make,
-    answered from estimates; one object for every criterion of a chunk, so
-    each quantity is formed once.
+    answered from estimates; one object for every criterion of a chunk (20
+    in an x3c verify pass, 12 in gap's), so each quantity is formed once.
 
     Row b's sigmas are taken to lie within a factor 1 -+ ``rel[b]`` of the
     ones the SVD computes; a row whose full column rank its estimator did not
@@ -324,7 +324,8 @@ def _equal_blocks(codes: np.ndarray, idx: np.ndarray):
     ``numpy.ma``, a megabyte).  Two rows with one key have equal reordered
     blocks, entry for entry; two rows whose blocks are equal under some
     order but that still tie in another may fall into two groups, which
-    costs one more eigensolve and nothing else.
+    costs one more eigensolve and nothing else.  On the X3C reduction at
+    M = 5, about 190 groups stand for a pass's 2,002 blocks.
     """
     n, flat = len(codes), codes.ravel()
     block = flat[(idx * n)[:, :, None] + idx[:, None, :]].astype(np.float64)

@@ -1,16 +1,15 @@
 """Exact and heuristic column subset selectors plus the decision-problem solver.
 
 The exact selector enumerates all C(n, k) subsets in lexicographic order, in
-chunks, each unranked in closed form from its first rank, of as many subsets
-as fit in a per-worker byte budget (``_CHUNK_BYTES``).  Each worker thread
-reduces every workers-th chunk on its own, and optima merge by (value,
-indices), so ties resolve to the lexicographically smallest index sequence
-at any thread count.  Every candidate of every selector gets a value band
-from ``screen``, and ``_screened_best``, the one certify path, runs only the
-candidates whose band could be the best through the vectorized LAPACK SVD
-that gives the reported values, in slices within the same budget
-(``_score_bytes``).  ``subsets_evaluated`` counts every candidate
-considered, not only the ones the SVD certified.
+the fewest chunks that fit a per-worker byte budget (``_CHUNK_BYTES``), each
+unranked in closed form when its task runs, and folds the chunks' optima by
+(value, indices) as they arrive, so ties resolve to the lexicographically
+smallest index sequence at any thread count.  Every candidate of every
+selector gets a value band from ``screen``, and ``_screened_best``, the one
+certify path, runs only the candidates whose band could be the best through
+the vectorized LAPACK SVD that gives the reported values, in slices within
+the same budget (``_score_bytes``).  ``subsets_evaluated`` counts every
+candidate considered, not only the ones the SVD certified.
 """
 
 from __future__ import annotations
@@ -41,7 +40,10 @@ SWAP_IMPROVEMENT = 1e-12
 # of equal blocks, scores 1.6e5 at M = 8 (24 x 24, k = 8; 1.3e5 solving every
 # block).  These are the best of several runs; the
 # host's load moves single runs by up to a third.  So a search within it
-# takes at most about 11 s.
+# takes at most about 11 s, with one known exception: res-two on a wide input,
+# whose bands exclude few rows, so most go to the SVD of an m x n residual; a
+# 12 x 1000 Gaussian at k = 2 (499,500 subsets) certifies 414,124 of them and
+# takes about 223 s.
 MAX_EXHAUSTIVE_SUBSETS = 10**6
 # The bytes one exact-search worker's chunk may hold in its arrays
 # (ChunkScreen.chunk_bytes), and one certification slice in its stacks
@@ -107,36 +109,35 @@ class DecisionOutcome:
     witness: ColumnSubset | None
 
 
-def _index_chunks(n: int, k: int, chunk_size: int, first: int = 0, stride: int = 1,
-                  extra: int = 0):
-    """Chunks ``first``, ``first + stride``, ... of the k-combinations of
-    range(n) in lexicographic order, as (rows, k) index arrays of
-    ``chunk_size`` rows, one more in each of the first ``extra`` chunks; the
-    last chunk may be shorter, and no chunk is empty.  (chunk_size, extra) =
-    divmod(C(n, k), c) cuts them into c chunks (fewer when c > C(n, k)) whose
-    sizes differ by at most one.
+def _index_chunks(n: int, k: int, size: int, extra: int):
+    """The function i -> chunk i of the k-combinations of range(n) in
+    lexicographic order, as a (rows, k) index array: chunks of ``size``
+    rows, one more in each of the first ``extra`` chunks, the last one cut
+    at C(n, k).  (size, extra) = divmod(C(n, k), c) cuts them into c chunks
+    whose sizes differ by at most one.
 
     Each chunk is unranked in closed form (combinatorial number system): the
     combination of lexicographic rank r is j -> n - 1 - j applied to the one
     of colex rank R = C(n, k) - 1 - r, whose largest element is the c with
-    C(c, k) <= R < C(c + 1, k), and so on down with R - C(c, k).  Table
-    entries are clamped at C(n, k), above every rank, to fit in int64.
+    C(c, k) <= R < C(c + 1, k), and so on down with R - C(c, k).  The table
+    of those binomials is built once, and its entries are clamped at
+    C(n, k), above every rank, to fit in int64.
     """
     total = math.comb(n, k)
     table = np.array([[min(math.comb(c, j), total) for c in range(n)] for j in range(k, 0, -1)],
                      dtype=np.int64)
-    for i in range(first, total, stride):
-        start = i * chunk_size + min(i, extra)
-        if start >= total:
-            break
-        stop = min(start + chunk_size + (i < extra), total)
-        rank = total - 1 - np.arange(start, stop, dtype=np.int64)
-        chunk = np.empty((len(rank), k), dtype=np.intp)
+
+    def chunk(i):
+        start = i * size + min(i, extra)
+        rank = total - 1 - np.arange(start, min(start + size + (i < extra), total), dtype=np.int64)
+        idx = np.empty((len(rank), k), dtype=np.intp)
         for pos, row in enumerate(table):
             c = np.searchsorted(row, rank, side="right") - 1
             rank -= row[c]
-            chunk[:, pos] = n - 1 - c
-        yield chunk
+            idx[:, pos] = n - 1 - c
+        return idx
+
+    return chunk
 
 
 def _score_bytes(m: int, n: int, k: int, specs) -> int:
@@ -211,15 +212,6 @@ def _best_row(vals: np.ndarray, valid: np.ndarray, maximize: bool) -> int | None
     return row if valid[row] else None
 
 
-def _chunk_plan(total: int, rows: int, threads: int):
-    """(workers, chunks) for ``total`` subsets: the fewest chunks of at most
-    ``rows`` subsets, rounded up to a multiple of the workers, which are
-    ``threads`` but never more than those fewest chunks."""
-    needed = -(-total // rows)
-    workers = min(threads, needed)
-    return workers, workers * -(-needed // workers)
-
-
 def _better(current, candidate, maximize: bool):
     """The better of two (value, indices) optima, either of which may be
     None.  An exact tie goes to the smaller index tuple, so optima merge to
@@ -288,15 +280,13 @@ def exact_optima(matrix: DenseMatrix, k: int, specs, threads: int = 1, allow_lar
     union of those rows for all specs (``_screened_best``), so optima,
     witnesses and the count equal those of an SVD of every subset.
 
-    A chunk holds as many subsets as fit in ``_CHUNK_BYTES`` of the arrays
-    the pass holds at once (``ChunkScreen.chunk_rows``).  The workers
-    are ``threads``, but never more than the chunks that budget needs, so no
-    thread starts without a chunk; the chunk count is rounded up to a
-    multiple of the workers, with sizes that differ by at most one
-    (``_chunk_plan``).  Each worker unranks and reduces every workers-th
-    chunk (``_index_chunks``) on its own, and the workers' optima merge by
-    (value, indices) (``_better``): the witness is the lexicographically
-    smallest optimal subset at any thread count and any chunk size.
+    The subsets are cut into the fewest chunks, sizes at most one apart,
+    whose arrays fit in ``_CHUNK_BYTES`` (``ChunkScreen.chunk_rows``) at any
+    ``threads``.  Their ids map over one pool of min(``threads``, chunks)
+    threads; each task unranks (``_index_chunks``) and reduces its chunk,
+    and the optima fold by (value, indices) as they arrive (``_better``), so
+    the witness is the lexicographically smallest optimal subset at any
+    thread count and chunk size.
 
     The search runs at A's unit scale, on A / 2**e (``unit_scaled``): the
     bands and the certified values are those of the subsets of A / 2**e,
@@ -321,22 +311,19 @@ def exact_optima(matrix: DenseMatrix, k: int, specs, threads: int = 1, allow_lar
     a = matrix.array
     screen = ChunkScreen(a, specs, k)
     total = math.comb(n, k)
-    rows = screen.chunk_rows(_CHUNK_BYTES)
-    workers, chunks = _chunk_plan(total, rows, threads)
-    size, extra = divmod(total, chunks)
+    chunks = -(-total // screen.chunk_rows(_CHUNK_BYTES))
+    index_chunk = _index_chunks(n, k, *divmod(total, chunks))
 
-    def chunk_optima(idx):
+    def chunk_optima(i):
+        idx = index_chunk(i)
         return _screened_best(a, screen.col_norms, idx, specs, screen.bands(idx), screen.exponent)
 
-    def reduce_stride(first):
-        strided = _index_chunks(n, k, size, first, workers, extra)
-        return _merged(map(chunk_optima, strided), maximize)
-
+    workers = min(threads, chunks)
     if workers == 1:
-        optima = reduce_stride(0)
+        optima = _merged(map(chunk_optima, range(chunks)), maximize)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            optima = _merged(pool.map(reduce_stride, range(workers)), maximize)
+            optima = _merged(pool.map(chunk_optima, range(chunks)), maximize)
     return [_rescaled(spec, k, best, screen.exponent) for spec, best in zip(specs, optima)], total
 
 
@@ -580,10 +567,11 @@ def _greedy_steps(a: np.ndarray, unit: np.ndarray, exponent: int, col_norms: np.
     return (value, chosen), evaluated
 
 
-def meets_threshold(criterion: CriterionSpec, value: float, b: float) -> bool:
-    """Whether ``value`` reaches threshold ``b`` on the criterion's side of it,
-    up to a slack of ``DECISION_SLACK * b``, relative to the threshold."""
-    if criterion.direction == "maximize":
+def meets_threshold(value: float, b: float, maximize: bool) -> bool:
+    """Whether ``value`` reaches threshold ``b`` from above when ``maximize``,
+    else from below, up to a slack of ``DECISION_SLACK * b``: the one
+    decision rule, which the X3C checks share."""
+    if maximize:
         return value >= b - DECISION_SLACK * b
     return value <= b + DECISION_SLACK * b
 
@@ -610,5 +598,6 @@ def decide(matrix: DenseMatrix, query: DecisionQuery, threads: int = 1,
                 "does not have unit columns; the decision is still answered",
                 stacklevel=2,
             )
-    answer = value is not None and meets_threshold(query.criterion, value, query.b)
+    answer = value is not None and meets_threshold(value, query.b,
+                                                   query.criterion.direction == "maximize")
     return DecisionOutcome(answer=answer, witness=ColumnSubset(outcome[1]) if answer else None)

@@ -2,19 +2,21 @@
 
 ``exact_optima`` cuts the C(n, k) subsets into as many chunks as
 ``_CHUNK_BYTES`` of the arrays the pass holds at once needs
-(``ChunkScreen.chunk_rows``), a multiple of the workers, which never
-outnumber the chunks; ``_batch_scores`` certifies in slices within the same
-budget (``_score_bytes``).  Neither the chunks, the slices nor the thread
-count may change a value or a witness.
+(``ChunkScreen.chunk_rows``), at any thread count, and maps them over
+min(threads, chunks) workers; ``_batch_scores`` certifies in slices within
+the same budget (``_score_bytes``).  Neither the chunks, the slices nor the
+thread count may change a value or a witness.
 """
 
 import itertools
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from chunking import index_chunks, recording_chunks
 from colsel import screen, selectors, x3c
 from colsel.criteria import equivalence_criteria, parse_criterion, registry
 from colsel.matrixkit import DenseMatrix
@@ -45,55 +47,35 @@ def _budget(matrix, k, specs, rows):
     return screen.ChunkScreen(matrix.array, specs, k).chunk_bytes(rows)
 
 
-def _recording_chunks(monkeypatch):
-    """(stride, rows) of every chunk ``exact_optima`` enumerates."""
-    seen = []
-    real = selectors._index_chunks
+def _recording_pools(monkeypatch):
+    """The ``max_workers`` of every pool ``exact_optima`` starts."""
+    sizes = []
 
-    def recording(n, k, chunk_size, first=0, stride=1, extra=0):
-        for chunk in real(n, k, chunk_size, first, stride, extra):
-            seen.append((stride, len(chunk)))
-            yield chunk
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
 
-    monkeypatch.setattr(selectors, "_index_chunks", recording)
-    return seen
-
-
-@pytest.mark.parametrize("total, rows, threads", [(38760, 14563, 1), (38760, 14563, 2),
-                                                  (38760, 1747, 3), (10, 3, 4), (7, 7, 4),
-                                                  (2**63 - 1, 10**6, 5), (100, 1, 10**6)])
-def test_chunk_plan_balances_the_workers(total, rows, threads):
-    workers, chunks = selectors._chunk_plan(total, rows, threads)
-    needed = -(-total // rows)
-    assert workers == min(threads, needed)
-    assert chunks % workers == 0 and needed <= chunks < needed + workers
-    # every chunk within the budget's rows
-    size, extra = divmod(total, chunks)
-    assert size + (extra > 0) <= rows
+    monkeypatch.setattr(selectors, "ThreadPoolExecutor", Recording)
+    return sizes
 
 
 @pytest.mark.parametrize("n, k, chunks", [(20, 6, 4), (20, 6, 24), (10, 3, 7), (9, 4, 126),
                                           (7, 7, 1), (2100, 1, 3)])
 def test_balanced_chunks_cover_every_subset_with_sizes_one_apart(n, k, chunks):
     size, extra = divmod(math.comb(n, k), chunks)
-    found = list(selectors._index_chunks(n, k, size, extra=extra))
+    found = list(index_chunks(n, k, size, extra))
     assert len(found) == chunks
     assert max(map(len, found)) - min(map(len, found)) <= 1
     combos = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
     assert np.array_equal(np.concatenate(found), combos)
-    for stride in (2, 3):
-        strided = [list(selectors._index_chunks(n, k, size, first, stride, extra))
-                   for first in range(stride)]
-        for i, chunk in enumerate(found):
-            assert np.array_equal(strided[i % stride][i // stride], chunk)
 
 
 def test_more_chunks_than_subsets_give_one_subset_each():
     # 5 subsets cut for 6 chunks: five chunks of one, and no empty one
     size, extra = divmod(5, 6)
-    found = list(selectors._index_chunks(5, 4, size, extra=extra))
+    found = list(index_chunks(5, 4, size, extra))
     assert [len(c) for c in found] == [1] * 5
-    assert len(list(selectors._index_chunks(5, 4, size, 1, 2, extra))) == 2
 
 
 class _SerialPool:
@@ -126,7 +108,7 @@ def test_threads_beyond_the_chunks_start_one_worker_per_chunk(rows, monkeypatch)
     sizes = []
     monkeypatch.setattr(selectors, "ThreadPoolExecutor",
                         lambda max_workers: _SerialPool(sizes, max_workers))
-    chunks = _recording_chunks(monkeypatch)
+    chunks = recording_chunks(monkeypatch)
     assert exact_optima(matrix, 3, specs, threads=10**6) == expected
     assert sizes == ([] if rows is None else [7])
     assert len(chunks) == (1 if rows is None else 7)
@@ -138,21 +120,26 @@ BUDGETS = {"tiny": 1201, "default": None, "one-chunk": math.comb(20, K)}
 
 def _invariance(matrix, k, specs, monkeypatch):
     """The optima at every budget of BUDGETS and 1 to 4 threads, checking
-    each run's chunk plan."""
+    each run's chunks and workers: the fewest chunks of the budget's rows
+    at every thread count, with sizes at most one apart, over
+    min(threads, chunks) workers."""
     outcomes = set()
+    total = math.comb(matrix.cols, k)
     for name, rows in BUDGETS.items():
         if rows is not None:
             monkeypatch.setattr(selectors, "_CHUNK_BYTES", _budget(matrix, k, specs, rows))
-        chunks = _recording_chunks(monkeypatch)
+        budget_rows = screen.ChunkScreen(matrix.array, specs, k).chunk_rows(selectors._CHUNK_BYTES)
+        chunks, pools = recording_chunks(monkeypatch), _recording_pools(monkeypatch)
         for threads in (1, 2, 3, 4):
             chunks.clear()
+            pools.clear()
             outcomes.add(repr(exact_optima(matrix, k, specs, threads=threads)))
-            workers = chunks[0][0]
-            sizes = [size for _, size in chunks]
-            assert workers <= threads and {stride for stride, _ in chunks} == {workers}
-            assert len(chunks) % workers == 0, (name, threads)
+            sizes = [len(idx) for idx in chunks]
+            assert len(chunks) == -(-total // budget_rows), (name, threads)
+            workers = min(threads, len(chunks))
+            assert pools == ([] if workers == 1 else [workers]), (name, threads)
             assert max(sizes) - min(sizes) <= 1, (name, threads)
-            assert sum(sizes) == math.comb(matrix.cols, k)
+            assert sum(sizes) == total
             if rows is not None:
                 assert max(sizes) <= rows
         monkeypatch.undo()
@@ -217,7 +204,7 @@ def test_a_pass_holds_what_its_chunks_count(name, scale):
     matrix, k, specs = _pass(name, scale)
     chunk = screen.ChunkScreen(matrix.array, specs, k)
     total = math.comb(matrix.cols, k)
-    _, chunks = selectors._chunk_plan(total, chunk.chunk_rows(selectors._CHUNK_BYTES), 1)
+    chunks = -(-total // chunk.chunk_rows(selectors._CHUNK_BYTES))
     assert chunks > 1
     held = chunk.chunk_bytes(-(-total // chunks))
     assert held <= selectors._CHUNK_BYTES
@@ -250,9 +237,8 @@ def test_the_chunk_densest_in_prefixes_holds_what_it_counts():
     matrix = DenseMatrix(np.random.default_rng(21).standard_normal((12, 1000)))
     chunk = screen.ChunkScreen(matrix.array, [parse_criterion("res-two")], 2)
     total = math.comb(1000, 2)
-    _, chunks = selectors._chunk_plan(total, chunk.chunk_rows(selectors._CHUNK_BYTES), 1)
-    size, extra = divmod(total, chunks)
-    (last,) = selectors._index_chunks(1000, 2, size, chunks - 1, chunks, extra)
+    chunks = -(-total // chunk.chunk_rows(selectors._CHUNK_BYTES))
+    last = selectors._index_chunks(1000, 2, *divmod(total, chunks))(chunks - 1)
     assert screen._suffix_prefixes(1000, 2, len(last)) == len({row[0] for row in last.tolist()})
     held = chunk.chunk_bytes(len(last))
     assert held <= selectors._CHUNK_BYTES
@@ -291,7 +277,7 @@ def test_a_rescore_of_every_row_is_sliced(svd_rows, monkeypatch):
 def test_sliced_scores_equal_one_stack_bit_for_bit(idents, scale, monkeypatch):
     matrix = _bench_matrix(scale)
     specs = [parse_criterion(ident) for ident in idents]
-    idx = next(selectors._index_chunks(matrix.cols, K, 2048))
+    idx = next(index_chunks(matrix.cols, K, 2048))
     a, col_norms = matrix.array, matrix.column_norms()
     whole = _batch_scores(a, col_norms, idx, specs)
     stack = selectors._score_bytes(matrix.rows, matrix.cols, K, specs)

@@ -63,6 +63,8 @@ class TestMatrixIO:
         '{"rows": true, "cols": 1, "data": [2]}',
         '{"rows": 1, "cols": 2, "data": ["1.5", "2"]}',
         '{"rows": 1, "cols": 2, "data": [true, 2]}',
+        "not json",
+        '{"rows": 1, "cols": 1}',
         pytest.param('{"rows": 1, "cols": 1, "data": [1' + '0' * 400 + ']}',
                      id="integer-beyond-float64"),
     ])
@@ -84,11 +86,25 @@ class TestEvalCommand:
         assert code == 0
         assert out == "1.0\n"
 
+    def test_input_flag_reads_the_file_not_stdin(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("3,0\n0,2\n")
+        code, out, _ = run_cli(capsys, monkeypatch,
+                               ["eval", "--criterion", "vol", "--input", str(path)], "not a matrix")
+        assert (code, out) == (0, "6.0\n")
+
     def test_unknown_criterion_is_usage_error(self, capsys, monkeypatch):
         code, _, err = run_cli(capsys, monkeypatch,
                                ["eval", "--criterion", "sparsity"], "1,0\n0,1\n")
         assert code == 2
         assert "error" in err
+
+    def test_p_beside_a_p_suffix_is_usage_error(self, capsys, monkeypatch):
+        # this printed the p = 3 value and exited 0, as if --p were not given
+        code, out, err = run_cli(capsys, monkeypatch,
+                                 ["eval", "--criterion", "cond:p=3", "--p", "4"], "2,1\n0,1\n1,3\n")
+        assert (code, out) == (2, "")
+        assert "criterion 'cond:p=3' gives p by its suffix" in err
 
     def test_parse_error_exit_code(self, capsys, monkeypatch):
         code, _, err = run_cli(capsys, monkeypatch,
@@ -244,6 +260,12 @@ class TestSelectCommand:
                                "3,0,0\n0,1,0\n0,0,2\n")
         assert code == 0
         assert "subset=1,2" in out
+
+    @pytest.mark.parametrize("method", ["exact", "greedy"])
+    def test_exact_and_greedy_need_a_criterion(self, capsys, monkeypatch, method):
+        code, out, err = run_cli(capsys, monkeypatch, ["select", "--method", method, "--k", "1"],
+                                 "1,0\n0,1\n")
+        assert (code, out, err) == (2, "", "error: a --criterion id is required\n")
 
     def test_local_swap_seeded(self, capsys, monkeypatch):
         stdin = "1,0,0.70710678118654757\n0,1,0.70710678118654757\n"

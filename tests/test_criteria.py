@@ -349,6 +349,9 @@ class TestParseCriterion:
         ("norm", None, "criterion 'norm' needs a Schatten parameter"),
         ("volume", 3, "criterion 'vol' takes no Schatten parameter"),
         ("cond-two", 3, "criterion 'cond-two' takes no Schatten parameter"),
+        # the suffix silently overrode p
+        ("cond:p=3", 4, "criterion 'cond:p=3' gives p by its suffix, so it takes no Schatten "
+                        "parameter"),
         ("cond", 0.5, "criterion 'cond': Schatten parameter must be >= 1 or inf, got 0.5"),
         ("srank", "inf", "criterion 'srank': Schatten parameter must be finite and >= 2, got inf"),
     ])

@@ -27,6 +27,7 @@ import sys
 import numpy as np
 import pytest
 
+from chunking import index_chunks, recording_chunks
 from colsel import screen, selectors, x3c
 from colsel.criteria import equivalence_criteria, parse_criterion, registry
 from colsel.errors import InvalidParameterError
@@ -126,7 +127,7 @@ def _twice(scale):
 
 
 # [B, B]: subset S and its copy S + 12 are the same submatrix, so optima tie
-# exactly across chunks and strides; 10,626 subsets in six chunks
+# exactly across chunks and threads; 10,626 subsets in six chunks
 TIE_CASES = {f"twice-{c:g}": (lambda c=c: _twice(c), 4) for c in (1.0, 1e100)}
 
 
@@ -182,23 +183,10 @@ def _select_outcome(matrix, k, spec, threads=1):
                                                (70, 69, 2048), (40, 37, 2048)])
 def test_index_chunks_match_itertools(n, k, chunk_size):
     combos = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
-    chunks = list(selectors._index_chunks(n, k, chunk_size))
+    chunks = list(index_chunks(n, k, chunk_size))
     assert [len(c) for c in chunks[:-1]] == [chunk_size] * (len(chunks) - 1)
     assert all(c.dtype == np.intp for c in chunks)
     assert np.array_equal(np.concatenate(chunks), combos)
-
-
-@pytest.mark.parametrize("stride", (2, 3, 4, 7))
-@pytest.mark.parametrize("n, k, chunk_size", [(20, 6, 2048), (10, 3, 7), (7, 7, 3), (40, 37, 2048)])
-def test_index_chunk_strides_interleave_to_every_chunk(n, k, chunk_size, stride):
-    # worker ``first`` of ``stride`` gets chunks first, first + stride, ...;
-    # a worker past the last chunk gets none
-    chunks = list(selectors._index_chunks(n, k, chunk_size))
-    strides = [list(selectors._index_chunks(n, k, chunk_size, first, stride))
-               for first in range(stride)]
-    assert sum(map(len, strides)) == len(chunks)
-    for i, chunk in enumerate(chunks):
-        assert np.array_equal(strides[i % stride][i // stride], chunk)
 
 
 @pytest.mark.parametrize("spec", registry(), ids=str)
@@ -487,7 +475,7 @@ def test_a_row_is_unproven_exactly_where_its_pivot_fails(inverse, top):
     gram = unit.T @ unit
     gram[0, 1] = gram[1, 0] = 3.0 * math.sqrt(gram[0, 0] * gram[1, 1])
     mixed = 0
-    for idx in selectors._index_chunks(matrix.cols, k, 2048):
+    for idx in index_chunks(matrix.cols, k, 2048):
         fails = (idx[:, 0] == 0) & (idx[:, 1] == 1)
         pivots = np.diagonal(screen._cholesky(screen._blocks(gram, idx))).T
         assert np.array_equal(np.isnan(pivots).any(axis=0), fails)
@@ -527,7 +515,7 @@ def test_cholesky_bands_hold_the_svd_value(family, scale):
         matrix = DenseMatrix(make(seed) * scale)
         a, col_norms, exponent = _unit(matrix)
         basis = screen._residual_basis(screen.unit_scaled(a)[0])
-        for idx in selectors._index_chunks(matrix.cols, k, 2048):
+        for idx in index_chunks(matrix.cols, k, 2048):
             scores = _batch_scores(a, col_norms, idx, specs, exponent)
             for estimator in ("cholesky", "cholesky-inverse", "cholesky-top", "cholesky-inverse-top"):
                 spectrum, kappa = _estimates(matrix, idx, estimator)
@@ -594,7 +582,7 @@ def test_eigenvalue_bands_hold_the_svd_value(family, scale):
     for seed in range(2):
         matrix = DenseMatrix(make(seed) * scale)
         a, col_norms, exponent = _unit(matrix)
-        for idx in selectors._index_chunks(matrix.cols, k, 2048):
+        for idx in index_chunks(matrix.cols, k, 2048):
             spectrum, kappa = _estimates(matrix, idx)
             bands = _chunk_bands(specs, spectrum, kappa, matrix, idx)
             for spec, (vals, _), (estimate, width) in zip(
@@ -623,7 +611,7 @@ def test_a_shared_spectrum_bands_as_one_spec_passes_do(case, estimator):
     matrix = DenseMatrix(make())
     specs = SHARED_PASSES[estimator]
     compared = 0
-    for idx in selectors._index_chunks(matrix.cols, k, 2048):
+    for idx in index_chunks(matrix.cols, k, 2048):
         shared = _chunk_bands(specs, *_estimates(matrix, idx, estimator), matrix, idx)
         for spec, (estimate, width) in zip(specs, shared):
             ((alone, alone_width),) = _chunk_bands([spec], *_estimates(matrix, idx, estimator),
@@ -651,7 +639,7 @@ def test_estimates_prove_full_rank_only_where_the_svd_finds_it(case, estimator):
     # such row must be full rank for the SVD, since it may set the cut
     make, k = CASES[case]
     matrix = DenseMatrix(make())
-    for idx in selectors._index_chunks(matrix.cols, k, 2048):
+    for idx in index_chunks(matrix.cols, k, 2048):
         spectrum, kappa = _estimates(matrix, idx, estimator)
         sigma, full = batch_svd(gather_columns(matrix.array, idx))
         proven = ~np.isnan(spectrum.rel)
@@ -680,7 +668,7 @@ def test_bands_are_not_finite_exactly_where_full_rank_is_not_proven(family, esti
     for seed in range(2):
         matrix = DenseMatrix(make(seed) * scale)
         _, col_norms, _ = _unit(matrix)
-        for idx in selectors._index_chunks(matrix.cols, k, 2048):
+        for idx in index_chunks(matrix.cols, k, 2048):
             spectrum, _ = _estimates(matrix, idx, estimator)
             unproven = np.isnan(spectrum.rel)
             unproven_rows += np.count_nonzero(unproven)
@@ -726,7 +714,7 @@ def test_rank_deficient_best_estimate_is_not_the_witness(ident, estimator):
     make, k = CASES["duplicated"]
     matrix = DenseMatrix(make())
     spec = parse_criterion(ident)
-    idx = next(selectors._index_chunks(matrix.cols, k, 2048))
+    idx = next(index_chunks(matrix.cols, k, 2048))
     spectrum, _ = _estimates(matrix, idx, estimator)
     estimate, _ = screen.batch_bands(spec, spectrum, matrix.column_norms()[idx])
     ((_, valid),) = _batch_scores(matrix.array, matrix.column_norms(), idx, [spec])
@@ -753,25 +741,11 @@ def test_rank_deficient_rows_are_certified_for_the_residuals(ident, monkeypatch)
     spec = parse_criterion(ident)
     assert _select_outcome(matrix, k, spec) == _expected("duplicated", spec)
     deficient = set()
-    for idx in selectors._index_chunks(matrix.cols, k, 2048):
+    for idx in index_chunks(matrix.cols, k, 2048):
         _, full = batch_svd(gather_columns(matrix.array, idx))
         deficient.update(map(tuple, idx[~full].tolist()))
     assert deficient and deficient <= certified
     assert len(certified) < math.comb(matrix.cols, k)
-
-
-def _recording_chunks(monkeypatch):
-    """Every chunk ``exact_optima`` enumerates from now on, in any worker."""
-    chunks = []
-    real = selectors._index_chunks
-
-    def recording(*args):
-        for idx in real(*args):
-            chunks.append(idx)
-            yield idx
-
-    monkeypatch.setattr(selectors, "_index_chunks", recording)
-    return chunks
 
 
 def _chunk_of(chunks, subset):
@@ -786,7 +760,7 @@ def test_shared_pass_equals_scoring_every_subset_at_more_threads(case, threads, 
     # CASES fill one or two chunks, so the workers are capped at the chunks;
     # LARGE_CASES give every worker chunks of its own
     make, k = {**CASES, **LARGE_CASES}[case]
-    chunks = _recording_chunks(monkeypatch)
+    chunks = recording_chunks(monkeypatch)
     assert exact_optima(DenseMatrix(make()), k, registry(), threads=threads) == _oracle(case, registry())
     if case in LARGE_CASES:
         assert len(chunks) >= threads
@@ -798,7 +772,7 @@ def test_exact_ties_across_chunks_go_to_the_smallest_witness(case, threads, monk
     make, k = TIE_CASES[case]
     matrix = DenseMatrix(make())
     best, _ = expected = _oracle(case, registry())
-    chunks = _recording_chunks(monkeypatch)
+    chunks = recording_chunks(monkeypatch)
     assert exact_optima(matrix, k, registry(), threads=threads) == expected
     # the ties are real and cross chunks: a witness in the first copy of B
     # scores exactly what its copy in the last chunk does
@@ -850,7 +824,7 @@ def test_residual_widths_hold_the_rounding_of_the_condition_number(ident, estima
     unit, _ = screen.unit_scaled(a)
     basis = screen._residual_basis(unit)
     dominant = 0
-    for idx in selectors._index_chunks(matrix.cols, k, 2048):
+    for idx in index_chunks(matrix.cols, k, 2048):
         _, kappa = _estimates(matrix, idx, estimator)
         _, width = screen._residual_bands(basis, idx, kappa,
                                           {spec.residual_norm})[spec.residual_norm]
@@ -926,7 +900,7 @@ def test_residual_bands_hold_the_value_across_split_prefix_runs(family, scale):
         matrix = DenseMatrix(make(seed) * scale)
         a, col_norms, exponent = _unit(matrix)
         basis = screen._residual_basis(screen.unit_scaled(a)[0])
-        for i, idx in enumerate(selectors._index_chunks(matrix.cols, k, 7)):
+        for i, idx in enumerate(index_chunks(matrix.cols, k, 7)):
             split += i > 0 and _splits_a_run(idx[0])
             _, kappa = _estimates(matrix, idx, "cholesky")
             bands = screen._residual_bands(basis, idx, kappa, {"two", "frobenius"})
@@ -956,7 +930,7 @@ def test_shared_pass_equals_scoring_every_subset_with_split_prefix_runs(case, th
     make, k = CASES[case]
     matrix = DenseMatrix(make())
     monkeypatch.setattr(selectors, "_CHUNK_BYTES", _split_budget(matrix, k, registry()))
-    chunks = _recording_chunks(monkeypatch)
+    chunks = recording_chunks(monkeypatch)
     assert exact_optima(matrix, k, registry(), threads=threads) == _oracle(case, registry())
     assert any(_splits_a_run(idx[0]) for idx in chunks if idx[0].tolist() != list(range(k)))
 
@@ -974,7 +948,7 @@ def test_each_chunk_reflects_each_prefix_once(case, monkeypatch):
     matrix = DenseMatrix(make())
     specs = _specs("res-two", "res-frobenius")
     monkeypatch.setattr(selectors, "_CHUNK_BYTES", _split_budget(matrix, k, specs))
-    chunks = _recording_chunks(monkeypatch)
+    chunks = recording_chunks(monkeypatch)
     levels = _recording_levels(monkeypatch)
     exact_optima(matrix, k, specs)
     assert len(chunks) > 1
@@ -1061,7 +1035,7 @@ def test_reduction_passes_group_their_blocks(m):
     a = _reduction(x3c.generate_true(m, m, m))
     chunk = screen.ChunkScreen(a, SPECTRAL, m)
     assert chunk.codes is not None and chunk.grouping
-    idx = next(selectors._index_chunks(a.shape[1], m, 2048))
+    idx = next(index_chunks(a.shape[1], m, 2048))
     reps, inverse = screen._equal_blocks(chunk.codes, idx)
     assert len(reps) < len(idx) and inverse.max() == len(reps) - 1
 
@@ -1082,7 +1056,7 @@ def test_grouping_stops_after_a_chunk_of_too_few_equal_blocks(monkeypatch):
     # finds more groups than two thirds of its rows, and the pass's other
     # chunks solve every block, one by one
     groups = _recording_groups(monkeypatch)
-    chunks = _recording_chunks(monkeypatch)
+    chunks = recording_chunks(monkeypatch)
     matrix = DenseMatrix(_zero_one())
     outcome = exact_optima(matrix, 6, [parse_criterion("norm:p=3")])
     assert len(chunks) > 1 and len(groups) == 1
@@ -1100,7 +1074,7 @@ def test_a_chunk_of_rarer_repeats_does_not_stop_the_grouping(monkeypatch):
     monkeypatch.setattr(selectors, "_CHUNK_BYTES",
                         screen.ChunkScreen(matrix.array, SPECTRAL, 6).chunk_bytes(100))
     groups = _recording_groups(monkeypatch)
-    chunks = _recording_chunks(monkeypatch)
+    chunks = recording_chunks(monkeypatch)
     outcome = exact_optima(matrix, 6, SPECTRAL)
     assert len(groups) == len(chunks) > 100
     assert any(3 * found > 2 * rows for rows, found in groups[:-1])
@@ -1119,7 +1093,7 @@ def test_grouped_eigenvalues_hold_the_bound_of_each_rows_own_block(make, k):
     unit, _ = screen.unit_scaled(a)
     gram = unit.T @ unit
     codes = screen._gram_codes(gram)
-    idx = next(selectors._index_chunks(a.shape[1], k, 2048))
+    idx = next(index_chunks(a.shape[1], k, 2048))
     reps, inverse = screen._equal_blocks(codes, idx)
     own = np.linalg.eigvalsh(np.moveaxis(screen._blocks(gram, idx), -1, 0))
     grouped = np.linalg.eigvalsh(np.moveaxis(screen._blocks(gram, reps), -1, 0))[inverse]

@@ -234,6 +234,14 @@ class TestLocalSwapVolume:
             result = select_local_swap_volume(DenseMatrix(np.eye(4)), 2, seed=seed)
             np.testing.assert_allclose(result.value.value, 1.0, atol=1e-14)
 
+    def test_k_equal_to_n_keeps_every_column(self):
+        # no column is left to swap in, so the first full-rank draw is the answer
+        a = DenseMatrix(np.random.default_rng(3).standard_normal((4, 3)))
+        result = select_local_swap_volume(a, 3)
+        assert (result.subset.indices, result.subsets_evaluated) == ((0, 1, 2), 1)
+        np.testing.assert_allclose(result.value.value,
+                                   np.prod(np.linalg.svd(a.array, compute_uv=False)), rtol=1e-12)
+
     def test_negative_max_sweeps_is_rejected(self):
         with pytest.raises(InvalidParameterError, match="max_sweeps"):
             select_local_swap_volume(DenseMatrix(np.eye(4)), 2, max_sweeps=-1)
@@ -335,6 +343,17 @@ class TestGreedyForward:
             select_greedy_forward(a, 2, parse_criterion("rvol"))
 
 
+@pytest.mark.parametrize("select", [
+    select_greedy_frobenius,
+    select_local_swap_volume,
+    lambda a, k: select_greedy_forward(a, k, parse_criterion("vol")),
+], ids=("greedy-frobenius", "local-swap", "greedy"))
+@pytest.mark.parametrize("k", (0, 4))
+def test_heuristics_reject_k_outside_one_to_n(select, k):
+    with pytest.raises(InvalidParameterError, match=r"k must be in \[1, 3\], got " + str(k)):
+        select(DenseMatrix(np.eye(3)), k)
+
+
 HEURISTICS = {
     "greedy-vol": lambda a, k: select_greedy_forward(a, k, parse_criterion("vol")),
     "greedy-res-frobenius": lambda a, k: select_greedy_forward(a, k, parse_criterion("res-frobenius")),
@@ -425,6 +444,18 @@ class TestDecide:
             spec = parse_criterion(ident)
             outcome = decide(a, DecisionQuery(spec, 2, spec.optimal_unit_value(2)))
             assert outcome.answer is True
+
+    @pytest.mark.parametrize("ident", ["vol", "cond-two"])
+    def test_slack_is_a_billionth_of_b(self, ident):
+        # b just past the optimum, on the side no subset reaches: a tenth of
+        # the slack (1e-9 of b) away is within it, ten times the slack is not
+        spec = parse_criterion(ident)
+        a = DenseMatrix(np.random.default_rng(5).standard_normal((6, 8)))
+        optimum = select_exact(a, 3, spec).value.value
+        past = 1.0 if spec.direction == "maximize" else -1.0
+        for factor, answer in ((0.1, True), (10.0, False)):
+            b = optimum * (1.0 + past * factor * 1e-9)
+            assert decide(a, DecisionQuery(spec, 3, b)).answer is answer, factor
 
     def test_warns_on_non_unit_columns_at_optimal_threshold(self):
         a = DenseMatrix(np.diag([2.0, 1.0]))
