@@ -8,8 +8,8 @@ id, the one name a ``CriterionSpec`` takes: its other names, optimization
 direction, rank requirement, Schatten-parameter domain, its one value
 function, which reads a spectrum of C (computed sigmas, a ``Singular``, or
 estimated ones, a ``screen.GramSpectrum``; every criterion but the
-residuals has one), the p at which a Cholesky factor of C^T C serves that
-value, how far it can move when the sigmas move (``batch_bands``), and the
+residuals has one), the p at which that value needs no eigenvalue of C^T C
+and what it reads instead, how far it can move when the sigmas move (``batch_bands``), and the
 optimal value attained by k orthonormal columns, which is what turns the
 optimization problems into decision problems.  Adding a criterion means
 adding one row (plus its ``REGISTRY`` id when it belongs in the reports).
@@ -148,11 +148,16 @@ class _Kind:
     B matrices (a ``Singular``, or a ``screen.GramSpectrum``), p and their
     column norms (B, k) to B criterion values, through the spectrum's reads
     alone; the residuals, which are not singular-value computable, name
-    their norm in ``residual`` instead.  ``factored`` maps each p at which a
-    Cholesky factor of C^T C serves the value to what that pass forms beside
-    det(C^T C) and tr (C^T C)^j, j = 1, 2: "plain" nothing, "inverse" the
-    inverse's traces, "top" the largest eigenvalue's bracket (none at p = 3,
-    nor for sigma_k alone: cond-mixed, pinv-norm-two and cond-two).
+    their norm in ``residual`` instead.  ``factored`` maps each p at which
+    the value needs no eigenvalue of H = C^T C to the invariants it reads
+    beside tr H^j, j = 1, 2: "det" det H and "inverse" tr H^-j, which a
+    Cholesky factor of H gives (vol, sopt, rvol, and pinv-norm and cond at
+    p = 2, 4), and "top" the largest eigenvalue's bracket; the values that
+    read neither "det" nor "inverse" (norm at p = 2, 4, inf and srank at
+    p = 2, 4) are functions of tr H^j and lambda_max alone, and their
+    passes form no factor.  No p is mapped where the value needs an
+    eigenvalue (p = 3, or sigma_k alone: cond-mixed, pinv-norm-two and
+    cond-two).
     ``log_lipschitz`` bounds the sum over i of |d log value / d log sigma_i|
     for k columns, so sigmas that each move by a factor within [1/c, c] move
     the value by a factor within [c^-L, c^L] (``batch_bands``); where a
@@ -175,35 +180,35 @@ class _Kind:
     needs_norms: bool = False
     residual: str | None = None
     log_lipschitz: Callable[[int, float | None], float] = _one
-    factored: dict[float | None, str] = field(default_factory=dict)
+    factored: dict[float | None, tuple[str, ...]] = field(default_factory=dict)
     degree: Callable[[int], int] = _scale_free
 
 
 _KINDS = {
     "vol": _Kind("maximize", "zero", _one, lambda s, p, n: s.prod(), named=(("volume", None),),
-                 log_lipschitz=lambda k, p: float(k), factored={None: "plain"},
+                 log_lipschitz=lambda k, p: float(k), factored={None: ("det",)},
                  degree=lambda k: k),
     "rvol": _Kind("maximize", "required", _one, lambda s, p, n: s.relative_prod(),
-                  log_lipschitz=lambda k, p: 2.0 * k, factored={None: "top"}),
+                  log_lipschitz=lambda k, p: 2.0 * k, factored={None: ("det", "top")}),
     "sopt": _Kind("maximize", "required", _one, _sopt, needs_norms=True,
-                  factored={None: "plain"}),
+                  factored={None: ("det",)}),
     "norm": _Kind("minimize", "any", _unit_schatten, _schatten, _ANY_P,
                   named=(("norm-two", math.inf), ("norm-frobenius", 2.0)),
                   characterizes=lambda p: p > 2,
-                  factored={2.0: "plain", 4.0: "plain", math.inf: "top"}, degree=lambda k: 1),
+                  factored={2.0: (), 4.0: (), math.inf: ("top",)}, degree=lambda k: 1),
     "pinv-norm": _Kind("minimize", "required", _unit_schatten, _pinv_schatten, _ANY_P,
                        named=(("pinv-norm-two", math.inf), ("pinv-norm-frobenius", 2.0)),
                        characterizes=lambda p: p >= 2,
-                       factored={2.0: "inverse", 4.0: "inverse"}, degree=lambda k: -1),
+                       factored={2.0: ("inverse",), 4.0: ("inverse",)}, degree=lambda k: -1),
     "cond": _Kind("minimize", "required", lambda k, p: k ** (2.0 / p), _cond_schatten, _ANY_P,
                   named=(("cond-two", math.inf), ("cond-frobenius", 2.0)),
-                  log_lipschitz=lambda k, p: 2.0, factored={2.0: "inverse", 4.0: "inverse"}),
+                  log_lipschitz=lambda k, p: 2.0, factored={2.0: ("inverse",), 4.0: ("inverse",)}),
     "cond-mixed": _Kind("minimize", "required", _root,
                         lambda s, p, n: _schatten(s, p, n) / s.smallest(), _ANY_P,
                         default_p=2.0, log_lipschitz=lambda k, p: 2.0),
     "srank": _Kind("maximize", "any", lambda k, p: float(k),
                    lambda s, p, n: s.relative_power_sum(p), _FINITE_P2, default_p=2.0,
-                   log_lipschitz=lambda k, p: 2.0 * p, factored={2.0: "top", 4.0: "top"}),
+                   log_lipschitz=lambda k, p: 2.0 * p, factored={2.0: ("top",), 4.0: ("top",)}),
     "res-two": _Kind("minimize", "any", lambda k, p: None,
                      characterizes=lambda p: False, residual="two", degree=lambda k: 1),
     "res-frobenius": _Kind("minimize", "any", lambda k, p: None,
@@ -418,9 +423,10 @@ class CriterionSpec:
         return _KINDS[self.kind].residual
 
     @property
-    def factored(self) -> str | None:
-        """What a Cholesky pass forms to band the value (``_Kind.factored``),
-        or None where no factor serves it."""
+    def factored(self) -> tuple[str, ...] | None:
+        """The invariants beside tr (C^T C)^j that the value reads ("det",
+        "inverse", "top"; ``_Kind.factored``), or None where it needs an
+        eigenvalue."""
         return _KINDS[self.kind].factored.get(self.p)
 
     def degree(self, k: int) -> int:
@@ -429,7 +435,8 @@ class CriterionSpec:
 
     @property
     def gram_invariant(self) -> bool:
-        """Whether ``batch_bands`` can band the value from a Cholesky factor."""
+        """Whether ``batch_bands`` can band the value without the eigenvalues
+        of C^T C: from tr (C^T C)^j and the ``factored`` invariants."""
         return self.factored is not None
 
     @property

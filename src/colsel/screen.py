@@ -7,10 +7,15 @@ Exact search bands each chunk of subsets through the pass's ``ChunkScreen``,
 from one ``GramSpectrum`` of the subsets' k x k blocks of A^T A that every
 criterion of the pass reads, all at A's unit scale (``unit_scaled``): the
 bands are those of the values on A / 2**e, which stay in float64 range at
-any uniform scale of A.  The residuals' bands come from a tree of
-Householder reflections over the prefixes of a chunk's lexicographic rows,
-one reflection per distinct prefix, shared by the rows that begin with it,
-and one more per row (``_residual_bands``).  A pass that solves for the
+any uniform scale of A.  The spectrum forms only what the pass's criteria
+read: the blocks' eigenvalues, or a Cholesky factor where a criterion
+reads det(C^T C) or the inverse's traces, or else tr (C^T C)^j and the
+largest eigenvalue alone, with no factor.  The residuals' bands come from
+a tree of Householder reflections over the prefixes of a chunk's
+lexicographic rows, one reflection per distinct prefix, shared by the rows
+that begin with it, and one more per row, which also proves each row's
+rank and bounds its condition number, so that a pass of residuals alone
+gathers no block (``_residual_bands``).  A pass that solves for the
 blocks' eigenvalues solves once per group of a chunk's rows whose blocks
 are equal up to the order of their columns (``_equal_blocks``), where its
 Gram's entries repeat, as the X3C reduction's do.
@@ -54,7 +59,12 @@ class GramSpectrum:
     (``eigenvalues``, non-increasing), or what a Cholesky factor gives:
     ``root_det`` = det(H)^(1/2), ``traces`` mapping j to tr H^j for j = 1, 2
     and, when an inverse was formed, -1, -2, and ``top``, the largest
-    eigenvalue of H, when it was bracketed.  ``sum(j)`` is tr H^j, formed once
+    eigenvalue of H, when it was bracketed; or, with no factor, ``traces``
+    for j = 1, 2 and ``top`` alone, whose ``rel`` bounds sigma_1 and the
+    sums of sigma^(2j), not each sigma, and proves no rank (a zero block
+    aside).  A read whose invariant was not formed raises ``LookupError``:
+    without eigenvalues, ``prod()`` with no ``root_det`` and ``smallest()``
+    always.  ``sum(j)`` is tr H^j, formed once
     and kept: by products and square roots of the eigenvalues where 2j is an
     integer of magnitude at most 4, the j that p = 2, 3 and 4 need, by
     ``np.power`` for any other.  ``prod()``, ``power_sum(q)``, ``largest()``
@@ -81,7 +91,7 @@ class GramSpectrum:
     def _power(self, j):
         """The eigenvalues to the power j, formed once per j."""
         if j not in self._powers:
-            lam = self._eigenvalues
+            lam = _formed(self._eigenvalues, "eigenvalues")
             if j == 1:
                 out = lam
             elif j == -1:
@@ -111,10 +121,10 @@ class GramSpectrum:
         return self.root_det
 
     def largest(self):
-        return np.sqrt(self.top)
+        return np.sqrt(_formed(self.top, "largest eigenvalue"))
 
     def smallest(self):
-        return np.sqrt(self.bottom)
+        return np.sqrt(_formed(self.bottom, "smallest eigenvalue"))
 
     def power_sum(self, q):
         return self.sum(q / 2)
@@ -131,12 +141,21 @@ class GramSpectrum:
         return self._growth[lipschitz]
 
 
+def _formed(invariant, name: str):
+    """``invariant``, which a read of a ``GramSpectrum`` needs; a pass
+    whose estimator did not form it reads no value through it."""
+    if invariant is None:
+        raise LookupError(f"the pass's estimates formed no {name}")
+    return invariant
+
+
 class ChunkScreen:
     """The bands of one exact-search pass over ``specs`` on the k-subsets of
     the m x n matrix ``a``: formed once per pass, A at unit scale, A /
-    2**``exponent`` (``unit_scaled``), with its column norms ``col_norms``
-    and Gram matrix, the residuals' ``_residual_basis`` when a residual is
-    among the specs, how the pass bands (``parts``), and on a pass that
+    2**``exponent`` (``unit_scaled``), with its column norms ``col_norms``,
+    its Gram matrix when a spec is no residual (``spectral``), the
+    residuals' ``_residual_basis`` when a residual is among the specs, how
+    the pass bands (``parts``), and on a pass that
     solves for the blocks' eigenvalues, the codes of the Gram's entries by
     which it groups equal blocks (``_gram_codes``); then read by every
     chunk's ``bands``, from any thread.  The grouping's tally is the one
@@ -148,16 +167,17 @@ class ChunkScreen:
 
     def __init__(self, a: np.ndarray, specs, k: int):
         unit, self.exponent = unit_scaled(a)
-        self.gram = unit.T @ unit
         self.col_norms = column_norms(unit)
         self.norms = {spec.residual_norm for spec in specs} - {None}
         self.basis = _residual_basis(unit) if self.norms else None
         (self.m, self.n), self.specs, self.k = a.shape, specs, k
-        # None when the pass solves for the blocks' eigenvalues, else whether its
-        # Cholesky pass also forms the inverse's traces and the largest
-        # eigenvalue's bracket (``CriterionSpec.factored``)
-        needs = {spec.factored for spec in specs if not spec.residual_norm}
-        self.parts = None if None in needs else ("inverse" in needs, "top" in needs)
+        # whether a spec reads the Gram's blocks, and then None when the pass
+        # solves for their eigenvalues, else the invariants beside tr H^j that
+        # its specs read (``CriterionSpec.factored``)
+        reads = [spec.factored for spec in specs if not spec.residual_norm]
+        self.spectral = bool(reads)
+        self.parts = None if None in reads else set().union(*reads)
+        self.gram = unit.T @ unit if self.spectral else None
         # a block of one column has no entry off the diagonal, and C(n, 1)
         # blocks are too few to pay for coding the Gram
         self.codes = _gram_codes(self.gram) if self.parts is None and k > 1 else None
@@ -168,10 +188,12 @@ class ChunkScreen:
     def chunk_bytes(self, rows: int) -> int:
         """Bytes of the arrays a chunk of ``rows`` k-subsets holds at once,
         certification slices aside (``selectors._score_bytes``).  The
-        estimates hold the (k, k, B) blocks, with ``_top_bracket``'s two
-        (B, k, k) buffers on a factored pass that brackets the largest
-        eigenvalue, and then four (B,) vectors per spec: its band (estimate,
-        width) and the band stacked (``selectors._screened_best``).  A pass
+        estimates of a pass with a spec that is no residual hold the
+        (k, k, B) blocks, with ``_top_bracket``'s two (B, k, k) buffers on a
+        pass that brackets the largest eigenvalue, with or without a factor;
+        a pass of residuals alone gathers no block.  Every pass then holds
+        four (B,) vectors per spec: its band (estimate, width) and the band
+        stacked (``selectors._screened_best``).  A pass
         that groups equal blocks (``_equal_blocks``) also holds, per subset,
         its two (k, k) blocks of codes, its key's sorted copy, its reordered
         indices, the keys' sort order and its group; its groups' blocks are
@@ -190,19 +212,20 @@ class ChunkScreen:
         exactly for the last ``rows`` subsets of the lexicographic order,
         which hold the most that any ``rows`` consecutive ones do
         (``_suffix_prefixes``); k = 1 has no tree.  Per subset, its (d, d)
-        W, the (d - 1, d - 1) update and Gram, and four d-vectors (x, v, p,
-        y); res-two's bracket then holds the Gram and one more array of its
-        size, within that.  Throughout, a chunk holds four (B, k) arrays (its
+        W, the (d - 1, d - 1) update and Gram, four d-vectors (x, v, p, y)
+        and its condition bound kappa; res-two's bracket then holds the Gram
+        and one more array of its size, within that.  Throughout, a chunk holds four (B, k) arrays (its
         indices, their transpose, their column norms and the certified rows'
         copy)."""
         k = self.k
-        held = 8 * (k * k * (3 if self.parts and self.parts[1] else 1) + 4 * len(self.specs))
+        blocks = (3 if self.parts and "top" in self.parts else 1) if self.spectral else 0
+        held = 8 * (k * k * blocks + 4 * len(self.specs))
         if self.codes is not None:
             held += 3 * k * k * self.codes.itemsize + 8 * (k + 2)
         held *= rows
         if self.basis is not None:
             d = max(min(self.m, self.n) - k + 1, 0)
-            per_subset = d * d + 2 * max(d - 1, 0) ** 2 + 4 * d
+            per_subset = d * d + 2 * max(d - 1, 0) ** 2 + 4 * d + 1
             held = max(held, 8 * rows * per_subset)
             if k > 1:
                 per_prefix = (2 * d + 3 if k > 2 else d + 2) * self.n + 2 * d + 2
@@ -229,14 +252,21 @@ class ChunkScreen:
         (``batch_bands``), and the residuals' from one Householder
         reflection per distinct prefix of the chunk's rows and a rank-two
         update of each (k - 1)-prefix's residual Gram per subset
-        (``_residual_bands``).  When every spec has a Cholesky form
-        (``CriterionSpec.factored``) or is a residual, the blocks are
-        factored a column of every block at a time
+        (``_residual_bands``, which proves each row's rank and bounds its
+        condition number from the same reflections, so a pass of residuals
+        alone gathers no block).  Each spec that is no residual reads
+        either invariants of the blocks (``CriterionSpec.factored``) or
+        their eigenvalues.  When every such spec reads invariants and one
+        reads det H or the inverse's traces (vol, rvol, sopt, pinv-norm,
+        cond), the blocks are factored a column of every block at a time
         (``_cholesky_estimates``, with the inverse's traces and the bracket
-        on the largest eigenvalue only where a spec's ``factored`` part asks
-        for them), a block that fails to factor leaving only its own row
-        unproven, for the SVD to certify.  Otherwise (p = 3 or a
-        non-integer p, or sigma_k alone: every x3c verify and gap pass)
+        on the largest eigenvalue only where a spec asks for them), a block
+        that fails to factor leaving only its own row unproven, for the SVD
+        to certify.  When they read tr H^j and the largest eigenvalue alone
+        (norm at p = 2, 4, inf and srank at p = 2, 4), no factor is formed:
+        the bands come from tr H, tr H^2 and, where read, the bracket on
+        the largest eigenvalue (``_trace_estimates``).  Otherwise (p = 3 or
+        a non-integer p, or sigma_k alone: every x3c verify and gap pass)
         their eigenvalues are solved for in one batched eigensolve
         (``_gram_estimates``): one per group of the chunk's rows whose
         blocks are equal up to the order of their columns
@@ -257,10 +287,15 @@ class ChunkScreen:
                     self._grouped += len(idx)
                     self._groups += len(groups[0])
                     self.grouping = 3 * self._groups <= 2 * self._grouped
-            spectrum, kappa = _gram_estimates(self.gram, self.m, idx, groups)
-        else:
-            spectrum, kappa = _cholesky_estimates(self.gram, self.m, idx, *self.parts)
-        residual = _residual_bands(self.basis, idx, kappa, self.norms) if self.norms else {}
+            spectrum = _gram_estimates(self.gram, self.m, idx, groups)
+        elif self.parts & {"det", "inverse"}:
+            spectrum = _cholesky_estimates(self.gram, self.m, idx, "inverse" in self.parts,
+                                           "top" in self.parts)
+        elif self.spectral:
+            spectrum = _trace_estimates(self.gram, self.m, idx, "top" in self.parts)
+        else:  # a pass of residuals alone
+            spectrum = None
+        residual = _residual_bands(self.basis, idx, self.norms)[0] if self.norms else {}
         cn = self.col_norms[idx]
         return [residual[spec.residual_norm] if spec.residual_norm
                 else batch_bands(spec, spectrum, cn) for spec in self.specs]
@@ -368,11 +403,10 @@ def _proven(m: int, k: int, top: np.ndarray, bottom: np.ndarray, rel: np.ndarray
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _gram_estimates(gram: np.ndarray, m: int, idx: np.ndarray, groups=None):
-    """(spectrum, kappa): a ``GramSpectrum`` of the eigenvalues of each
-    submatrix a[:, idx[b]], with a bound rel on the relative error of its
-    sigmas against the SVD's values, and a bound on its condition number;
-    a row whose full column rank the estimate does not prove (``_proven``)
-    has a NaN rel and NaN eigenvalues, and an infinite kappa.
+    """A ``GramSpectrum`` of the eigenvalues of each submatrix a[:, idx[b]],
+    with a bound rel on the relative error of its sigmas against the SVD's
+    values; a row whose full column rank the estimate does not prove
+    (``_proven``) has a NaN rel and NaN eigenvalues.
 
     ``gram`` is A^T A for A at unit scale.  Each row's sigma^2 are the
     eigenvalues of its k x k block; Gram formation, ``eigvalsh`` and the
@@ -405,8 +439,8 @@ def _gram_estimates(gram: np.ndarray, m: int, idx: np.ndarray, groups=None):
     lam = lam[:, ::-1][:, :r]
     err = ROUNDING * (m + k) * k * lam[:, 0] + m * k * np.finfo(np.float64).smallest_normal
     lam = np.maximum(lam, 0.0)
-    rel, kappa = _proven(m, k, np.sqrt(lam[:, 0]), np.sqrt(lam[:, -1]), err / lam[:, -1])
-    return GramSpectrum(rel, k, eigenvalues=lam), kappa
+    rel, _ = _proven(m, k, np.sqrt(lam[:, 0]), np.sqrt(lam[:, -1]), err / lam[:, -1])
+    return GramSpectrum(rel, k, eigenvalues=lam)
 
 
 def _cholesky(h: np.ndarray) -> np.ndarray:
@@ -500,16 +534,38 @@ def _top_bracket(h: np.ndarray, trace: np.ndarray, out: np.ndarray | None = None
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore")
+def _shifted_blocks(gram: np.ndarray, m: int, idx: np.ndarray, top: bool):
+    """(h, delta, traces, spread, largest) of the rows' k x k blocks G_b of
+    ``gram``: h the (k, k, B) array of the blocks shifted to H = G_b +
+    delta I (``_blocks``), delta their shift, ``traces`` tr H and tr H^2,
+    and, only when ``top``, the bracket of the largest eigenvalue of H
+    (``_top_bracket``, which reads the shifted blocks transposed): its
+    relative half-width r and the square of its midpoint s (0 and None
+    otherwise).  ``_cholesky_estimates`` states the bounds these carry."""
+    k = idx.shape[1]
+    h = _blocks(gram, idx)
+    diagonal = h.reshape(k * k, -1)[:: k + 1]  # a view of every block's diagonal
+    trace = np.sum(diagonal, axis=0)
+    delta = ROUNDING * (m + k) * k * trace + m * k * np.finfo(np.float64).smallest_normal
+    diagonal += delta
+    traces = {1: trace + k * delta, 2: np.einsum("ijb,ijb->b", h, h)}
+    if not top:
+        return h, delta, traces, 0.0, None
+    low, high = np.sqrt(_top_bracket(np.moveaxis(h, -1, 0), traces[1]))
+    return h, delta, traces, (high - low) / (high + low), ((low + high) / 2.0) ** 2
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore")
 def _cholesky_estimates(gram: np.ndarray, m: int, idx: np.ndarray, inverse: bool, top: bool):
-    """(spectrum, kappa) as ``_gram_estimates`` gives them, with the
+    """A ``GramSpectrum`` as ``_gram_estimates`` gives it, with the
     spectrum's Cholesky invariants (NaN where rel is), from one (k, k, B)
     array of the rows' k x k blocks G_b of ``gram`` (``_blocks``), each
-    shifted to H = G_b + delta I and factored L L^T = H a column of every
-    block at a time (``_cholesky``); the traces of L^-1 are formed only
-    when ``inverse``, and the largest eigenvalue of H (``_top_bracket``,
-    which reads the shifted blocks transposed) only when ``top``.  A block
-    whose pivot is not positive gets a NaN factor, so its row alone is
-    unproven (NaN rel) and goes to the SVD.
+    shifted to H = G_b + delta I (``_shifted_blocks``) and factored L L^T =
+    H a column of every block at a time (``_cholesky``); the traces of
+    L^-1 are formed only when ``inverse``, and the largest eigenvalue of H
+    (``_top_bracket``) only when ``top``.  A block whose pivot is not
+    positive gets a NaN factor, so its row alone is unproven (NaN rel) and
+    goes to the SVD.
 
     The width.  delta = ROUNDING * (m + k) * k * tr G_b (plus the underflow
     term) is the bound of ``_gram_estimates`` with tr G_b for sigma_1^2
@@ -546,19 +602,10 @@ def _cholesky_estimates(gram: np.ndarray, m: int, idx: np.ndarray, inverse: bool
     diagonal of L L^T and S = D^-1/2 L L^T D^-1/2: S has unit diagonal, so
     AM-GM over its other k - 1 eigenvalues, which sum to at most k, bounds
     its smallest one, and nu_min >= min(D) lambda_min(S).  The rank proof
-    and kappa take sqrt(tr H) for sigma_1 and sqrt(nu_low) for sigma_k.
+    (``_proven``) takes sqrt(tr H) for sigma_1 and sqrt(nu_low) for sigma_k.
     """
     k = idx.shape[1]
-    h = _blocks(gram, idx)
-    diagonal = h.reshape(k * k, -1)[:: k + 1]  # a view of every block's diagonal
-    trace = np.sum(diagonal, axis=0)
-    delta = ROUNDING * (m + k) * k * trace + m * k * np.finfo(np.float64).smallest_normal
-    diagonal += delta
-    traces = {1: trace + k * delta, 2: np.einsum("ijb,ijb->b", h, h)}
-    spread, largest = 0.0, None  # r and s^2 of the largest eigenvalue's bracket
-    if top:
-        low1, high1 = np.sqrt(_top_bracket(np.moveaxis(h, -1, 0), traces[1]))
-        spread, largest = (high1 - low1) / (high1 + low1), ((low1 + high1) / 2.0) ** 2
+    h, delta, traces, spread, largest = _shifted_blocks(gram, m, idx, top)
     lower = _cholesky(h)
     pivots = lower.reshape(k * k, -1)[:: k + 1]
     root_det = np.prod(pivots, axis=0)
@@ -568,8 +615,44 @@ def _cholesky_estimates(gram: np.ndarray, m: int, idx: np.ndarray, inverse: bool
     else:
         d = np.einsum("ilb,ilb->ib", lower, lower)
         low = np.min(d, axis=0) * np.prod(pivots**2 / d, axis=0) * ((k - 1) / k) ** (k - 1)
-    rel, kappa = _proven(m, k, np.sqrt(traces[1]), np.sqrt(low), 4.0 * delta / low + spread)
-    return GramSpectrum(rel, k, root_det=root_det, traces=traces, top=largest), kappa
+    rel, _ = _proven(m, k, np.sqrt(traces[1]), np.sqrt(low), 4.0 * delta / low + spread)
+    return GramSpectrum(rel, k, root_det=root_det, traces=traces, top=largest)
+
+
+def _trace_estimates(gram: np.ndarray, m: int, idx: np.ndarray, top: bool):
+    """A ``GramSpectrum`` of tr H and tr H^2 for the rows' blocks H = G_b +
+    delta I shifted as ``_cholesky_estimates`` shifts them
+    (``_shifted_blocks``), and, only when ``top``, of the bracket on their
+    largest eigenvalue; no factor.  It answers what norm at p = 2, 4, inf
+    and srank at p = 2, 4 read, sigma_1 and sum sigma^(2j) for j = 1, 2,
+    and nothing else: ``prod()`` and ``smallest()`` raise.
+
+    Each eigenvalue of H lies within [sigma_i^2, sigma_i^2 + 2 delta] of the
+    SVD's (``_cholesky_estimates``; sigma_i = 0 past the SVD's min(m, k)
+    values, the rank being no matter here), so with t = tr H,
+
+        sum sigma^2 in [t - 2 k delta, t],
+        sum sigma^4 in [tr H^2 - 4 delta t, tr H^2], and tr H^2 >= t^2 / k,
+        sigma_1^2 in [lambda_max(H) - 2 delta, lambda_max(H)], lambda_max(H) >= t / k:
+
+    the sums lie within a factor 1 - 4 k delta / t of the estimates, and
+    sigma_1 within 1 -+ (r + 2 k delta / t) of the bracket's midpoint s
+    (``_cholesky_estimates``).  rel = 8 k delta / t + r therefore bounds
+    sigma_1 and each sum's 2j-th root relatively, as the values' Lipschitz
+    constants read it, whatever the row's rank, with half of its delta term
+    to spare for the rounding of the traces (k^2 eps), of the bracket (2 k
+    (k + 1) eps) and of the value functions, against 8 k delta / t >= 360
+    (m + k) k^2 eps.  No row's rank is proven or needed: every value read
+    here scores a rank-deficient C (rank rule "any"), and the SVD's sigmas
+    of such a C sum as H's eigenvalues do.  The one exception is a zero
+    block, which the SVD scores 0 and whose estimate, from the shift alone,
+    is not: its rel reaches 8 (t = k delta), and a row whose rel is 1 or
+    more is left unproven (NaN rel), for the SVD to certify.
+    """
+    k = idx.shape[1]
+    _, delta, traces, spread, largest = _shifted_blocks(gram, m, idx, top)
+    rel = 8.0 * k * delta / traces[1] + spread
+    return GramSpectrum(np.where(rel < 1.0, rel, np.nan), k, traces=traces, top=largest)
 
 
 def _residual_width(estimate: np.ndarray, norm2: float, rounding: np.ndarray) -> np.ndarray:
@@ -588,40 +671,46 @@ def _residual_width(estimate: np.ndarray, norm2: float, rounding: np.ndarray) ->
 
 
 def _residual_basis(unit: np.ndarray):
-    """(B, ||A||_F^2, underflow) for A = ``unit`` at unit scale, what every chunk's
-    ``_residual_bands`` needs: B has A's residual norms and no more rows than
-    columns (the R of A's own QR for a tall A); the underflow of the squares
-    ``batch_residuals`` sums is below sqrt(m * n * smallest normal)."""
+    """(B, ||A||_F^2, underflow, squares, m) for the m x n A = ``unit`` at
+    unit scale, what every chunk's ``_residual_bands`` needs: B has A's
+    residual norms and no more rows than columns (the R of A's own QR for a
+    tall A), ``squares`` its squared column norms; the underflow of the
+    squares ``batch_residuals`` sums is below sqrt(m * n * smallest normal)."""
     m, n = unit.shape
     underflow = math.sqrt(m * n * np.finfo(np.float64).smallest_normal)
-    return np.linalg.qr(unit, mode="r") if m > n else unit, np.sum(unit**2), underflow
+    basis = np.linalg.qr(unit, mode="r") if m > n else unit
+    return basis, np.sum(unit**2), underflow, np.einsum("ij,ij->j", basis, basis), m
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore")
-def _reflected(t: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Each T of a (N, r, n) stack ``t`` after the Householder reflection
-    H = I - tau v v^T that takes its column x = T[:, cols[b]] to -s e_1,
-    with the first row dropped: (H T)[1:], formed in ``t``, of which it is
-    a view.  v = x + s e_1, s = sign(x_1) ||x||, tau = 1 / (s (s + x_1)),
-    so v's entries after the first are x's; a zero x gives NaN."""
+def _reflected(t: np.ndarray, cols: np.ndarray):
+    """(T', ||x||) for each T of a (N, r, n) stack ``t`` and the Householder
+    reflection H = I - tau v v^T that takes its column x = T[:, cols[b]] to
+    -s e_1: T' = (H T)[1:], the first row dropped, formed in ``t``, of
+    which it is a view, and ||x|| = |s|, the (N,) norms.  v = x + s e_1,
+    s = sign(x_1) ||x||, tau = 1 / (s (s + x_1)), so v's entries after the
+    first are x's; a zero x gives NaN."""
     v = t[np.arange(len(cols)), :, cols]  # x, turned into v below
     head = v[:, :1]
-    s = np.copysign(np.sqrt(np.sum(v * v, axis=1, keepdims=True)), head)
+    norm = np.sqrt(np.sum(v * v, axis=1))
+    s = np.copysign(norm[:, None], head)
     tau = 1.0 / (s * (s + head))
     head += s
     row = np.einsum("bi,bij->bj", v, t)  # v^T T
     step = tau * v
     for i in range(1, t.shape[1]):  # a row at a time: no (N, r - 1, n) temporary
         t[:, i] -= step[:, i, None] * row
-    return t[:, 1:]
+    return t[:, 1:], norm
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore")
-def _residual_bands(basis, idx: np.ndarray, kappa: np.ndarray, norms) -> dict:
-    """Band (estimate, width) of ||(I - P_C) A|| for each subset of ``idx``,
-    per residual norm in ``norms`` ("two", "frobenius"), from the
-    ``_residual_basis`` B of A at unit scale, which has A's residual norms
-    and m' <= n rows.
+def _residual_bands(basis, idx: np.ndarray, norms):
+    """(bands, kappa): per residual norm in ``norms`` ("two", "frobenius"),
+    the band (estimate, width) of ||(I - P_C) A|| for each subset of
+    ``idx``, and the bound kappa on each C's condition number that sizes
+    the widths' rounding, inf where C's full column rank is not proven;
+    from the ``_residual_basis`` B of the m x n A at unit scale, which has
+    A's residual norms and m' = min(m, n) rows.
 
     The subsets are split as C = [C1 c], C1 their first k - 1 columns.  A
     Householder QR of C1 applied to B is shared by every row that begins
@@ -647,11 +736,43 @@ def _residual_bands(basis, idx: np.ndarray, kappa: np.ndarray, norms) -> dict:
     width's ``SCREEN_MARGIN``).  For k = 1 the prefix is empty and T = B;
     for k >= m' the Gram is empty, and both norms are 0.
 
-    ``kappa`` bounds C's condition number, which sets the rounding in the
-    width (``_residual_width``); it is inf for a row whose full column rank
-    the chunk's estimates do not prove, whose width is then infinite, since
-    ``batch_residuals`` truncates its rank and the reflections do not.  The
-    squared norms are formed by subtraction: forming W and the update,
+    kappa.  The reflections' norms |s_1|, ..., |s_k| down a row's path are
+    the diagonal of the R of C's Householder QR, so det(C^T C) is their
+    product squared, with no Gram block formed.  Householder QR is
+    columnwise backward stable (Higham, Accuracy and Stability of Numerical
+    Algorithms, Thm 19.4): the computed R is the exact R of C + E with
+    ||e_j|| <= gamma ||c_j||, gamma about c k m' eps for the tree's at most
+    k reflections of length at most m' per column, plus c m n eps from A's
+    own QR when A is tall (c a small constant).  So the singular values of
+    C + E lie within eta = gamma ||C||_F of C's, and the eigenvalues nu_i
+    of R^T R within
+
+        delta = ROUNDING * ((m' + k) k + m n [A tall]) * tr(C^T C)
+                + m k * smallest normal
+
+    of the SVD's sigma_i^2, for 2 eta ||C||_F + eta^2 <= 3 gamma ||C||_F^2
+    and ROUNDING about 45 eps: delta holds gamma's constant c up to 30 (the
+    Cholesky delta's form, ``_cholesky_estimates``, with m' for m and A's
+    own QR added).  nu_low is the determinant bound of
+    ``_cholesky_estimates`` on R^T R, min(D) det(S) ((k - 1) / k)^(k - 1)
+    with det(S) = prod_i s_i^2 / D_(j_i) over the path's columns j_i, each
+    factor at most 1, and D the squared column norms of C (B's, from
+    ``_residual_basis``), which are R^T R's diagonal up to a relative
+    3 gamma.  Then sigma_k^2 >= nu_low - delta, and ``_proven`` takes
+    sqrt(tr(C^T C)) for sigma_1 and sqrt(nu_low) for sigma_k within
+    rel = 4 delta / nu_low: that leaves 3 delta / nu_low >= 9 k gamma, since tr(C^T C) >= k nu_low,
+    for the 3 (k + 1) gamma by which D moves nu_low and the rounding of the
+    products and of the column norms.  kappa = sqrt(tr(C^T C)) (1 + rel) /
+    (sqrt(nu_low) (1 - rel)) >= sigma_1 / sigma_k on a proven row; on the
+    others it is inf, and so is the width, since ``batch_residuals``
+    truncates a rank-deficient C and the reflections do not.  A zero x at
+    a level makes its whole subtree NaN, and a zero x in the last step (a
+    zero column, say) a row's estimate NaN;
+    either leaves its det(S) 0 or NaN, so its kappa is inf, and
+    ``selectors._screened_best`` certifies it.
+
+    The width.  kappa sets the rounding in the width (``_residual_width``).
+    The squared norms are formed by subtraction: forming W and the update,
     whose terms are at most ||A||_F^2, rounds them by a small multiple of
     eps ||A||_F^2 (sums over the n columns of T and the d - 1 entries of the
     trace enter that multiple), and that cancellation, carried through the
@@ -659,26 +780,35 @@ def _residual_bands(basis, idx: np.ndarray, kappa: np.ndarray, norms) -> dict:
     min(sqrt(r), r / estimate) for r = ``_rounding`` * ||A||_F^2 >=
     ROUNDING * k * ||A||_F^2, about 45 k eps ||A||_F^2, with
     RESIDUAL_SLACK * ||A||_F, the root of 4,500 eps ||A||_F^2, beside it.
-    A zero x at a level makes its whole subtree NaN, and a zero x in the
-    last step a row's estimate NaN; such rows are rank-deficient, so their
-    kappa is inf, and ``selectors._screened_best`` certifies them.  The
-    width also holds the underflow bound.
+    The width also holds the underflow bound.
     """
-    unit, norm2, underflow = basis
+    unit, norm2, underflow, col_squares, m = basis
+    rows, n = unit.shape
     k = idx.shape[1]
     # a row begins a new (l + 1)-prefix where its first change is at column l or before
     first = np.zeros(len(idx), dtype=np.intp)
     first[1:] = np.argmax(idx[1:] != idx[:-1], axis=1)
     gathered = t = unit[None]  # the root; both names go once the tree is built
     node = np.zeros(len(idx), dtype=np.intp)  # each row's node at the level
+    ratio = np.ones(1)  # each node's product of s_i^2 / D_(j_i) down its path
     for level in range(k - 1):
         starts = first <= level
         heads = np.flatnonzero(starts)
+        cols = idx[heads, level]
         gathered = t[node[heads]]
         del t  # the parent level is freed before the reflection
-        t = _reflected(gathered, idx[heads, level])
+        t, s = _reflected(gathered, cols)
+        ratio = ratio[node[heads]] * (s * s / col_squares[cols])
         node = np.cumsum(starts) - 1
     x = t[node, :, idx[:, -1]]
+    d = col_squares[idx]
+    trace = np.sum(d, axis=1)
+    low = (np.min(d, axis=1) * ratio[node] * (np.sum(x * x, axis=1) / col_squares[idx[:, -1]])
+           * ((k - 1) / k) ** (k - 1))
+    delta = (ROUNDING * ((rows + k) * k + (m * n if rows < m else 0)) * trace
+             + m * k * np.finfo(np.float64).smallest_normal)
+    _, kappa = _proven(m, k, np.sqrt(trace), np.sqrt(low), 4.0 * delta / low)
+    del d, trace, low, delta  # only kappa is held on
     w = t @ np.swapaxes(t, 1, 2)
     del t, gathered  # the tree goes before W is gathered per row
     w = w[node]
@@ -708,7 +838,7 @@ def _residual_bands(basis, idx: np.ndarray, kappa: np.ndarray, norms) -> dict:
             estimate = spread = np.zeros(len(idx))
         width = _residual_width(estimate, norm2, rounding) + spread + underflow
         bands[norm] = estimate, np.where(np.isfinite(kappa), width, np.inf)
-    return bands
+    return bands, kappa
 
 
 def _rounding(k: int, kappa: np.ndarray) -> np.ndarray:

@@ -30,20 +30,21 @@ from .screen import ChunkScreen, extension_estimates, swap_estimates
 DECISION_SLACK = 1e-9
 SWAP_IMPROVEMENT = 1e-12
 # The subsets an exhaustive search may enumerate without allow_large.  On one
-# thread of a 2-vCPU x86 machine (4 MiB L2), at 12 rows, it scores 7.1e5
+# thread of a 2-vCPU x86 machine (4 MiB L2), at 12 rows, it scores 9.1e5
 # (12 x 20, k = 11) to 4.6e6 (12 x 1000, k = 2) subsets/s for vol, whose pass
-# factors its Gram blocks, 4.8e5 at k = 11 for pinv-norm, whose pass also
-# inverts the factor, 2.7e5 at k = 11 for rvol, whose pass also brackets
-# their largest eigenvalues, and 4.0e5 to 6.3e5 for the residuals (k = 11,
-# 6), whose pass reflects each distinct prefix of a chunk once; the spectral
-# pass of gap's 12 criteria, which solves for the eigenvalues of each group
-# of equal blocks, scores 1.6e5 at M = 8 (24 x 24, k = 8; 1.3e5 solving every
-# block).  These are the best of several runs; the
-# host's load moves single runs by up to a third.  So a search within it
-# takes at most about 11 s, with one known exception: res-two on a wide input,
-# whose bands exclude few rows, so most go to the SVD of an m x n residual; a
-# 12 x 1000 Gaussian at k = 2 (499,500 subsets) certifies 414,124 of them and
-# takes about 223 s.
+# factors its Gram blocks, 6.3e5 at k = 11 for pinv-norm, whose pass also
+# inverts the factor, 4.5e5 at k = 11 for rvol, whose pass also brackets
+# their largest eigenvalues, 6.0e5 and 5.7e5 at k = 11 for norm-two and
+# srank, whose passes bracket them with no factor, and 7.0e5 to 9.9e5 for
+# the residuals (k = 6, 11), whose pass reflects each distinct prefix of a
+# chunk once and gathers no block; the spectral pass of gap's 12 criteria,
+# which solves for the eigenvalues of each group of equal blocks, scores
+# 1.6e5 at M = 8 (24 x 24, k = 8; 1.3e5 solving every block).  These are the
+# best of several runs; the host's load moves single runs by up to a third.
+# So a search within it takes at most about 11 s, with one known exception:
+# res-two on a wide input, whose bands exclude few rows, so most go to the SVD
+# of an m x n residual; a 12 x 1000 Gaussian at k = 2 (499,500 subsets)
+# certifies 414,124 of them and takes about 223 s.
 MAX_EXHAUSTIVE_SUBSETS = 10**6
 # The bytes one exact-search worker's chunk may hold in its arrays
 # (ChunkScreen.chunk_bytes), and one certification slice in its stacks

@@ -168,8 +168,9 @@ def _peak_bytes(run):
 
 # one pass of each estimator path: the blocks' eigenvalues (norm:p=3), their
 # Cholesky factor alone (vol, sopt), with its inverse (pinv-norm, cond) or
-# the bracket on the largest eigenvalue (rvol, norm-two, srank), the
-# residuals' QR, every registered criterion at once, x3c gap's 12 and
+# the bracket on the largest eigenvalue (rvol), the bracket with no factor
+# (norm-two, srank), the residuals' prefix tree with no block, every
+# registered criterion at once, x3c gap's 12 and
 # verify's 20 criteria at M = 6, which group their chunks' equal blocks, and
 # at 1e100, which the pass screens at unit scale; and the eigenvalues on a
 # 0/1 matrix, whose first chunk groups its blocks and finds too few equal

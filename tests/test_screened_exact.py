@@ -3,15 +3,17 @@
 ``exact_optima`` bands every subset's value and runs the batched SVD only on
 the subsets that could be a chunk's best.  A pass of Gram-invariant criteria
 (vol, rvol, sopt, norm-two, and norm, pinv-norm, cond and srank at p = 2 or
-4) and residuals takes its bands from a Cholesky factor of each subset's Gram
-block and a bracket on its largest eigenvalue, any other pass from the
-eigenvalues of that block, and the residuals from a QR of each subset's first
-k - 1 columns, shared by the subsets that begin with them, and one Householder
-reflection per subset.  The oracle below is the loop that scores every subset
-through ``_batch_scores``, over ``itertools.combinations``; the selector must return
-the same subset, the same value under ``==`` and the same
-``subsets_evaluated`` (or raise the same error) for every registered
-criterion, also where the estimates are poor or absent: duplicated and nearly
+4) takes its bands from each subset's Gram block: from a Cholesky factor of
+it where a criterion reads its determinant or its inverse (vol, rvol, sopt,
+pinv-norm, cond), else from its traces alone, and from a bracket on its
+largest eigenvalue where one is read; any other pass from the eigenvalues of
+that block.  The residuals take theirs, and their rank proof, from a QR of
+each subset's first k - 1 columns, shared by the subsets that begin with
+them, and one Householder reflection per subset.  The oracle below is the
+loop that scores every subset through ``_batch_scores``, over
+``itertools.combinations``; the selector must return the same subset, the
+same value under ``==`` and the same ``subsets_evaluated`` (or raise the
+same error) for every registered criterion, also where the estimates are poor or absent: duplicated and nearly
 duplicated columns, rank below k, k equal to or above the row count, more
 rows than columns, the tie-heavy X3C reduction matrices, and scales of
 1e+-100 and 1e+-150.  The oracle scores at A's unit scale, as the selector
@@ -28,7 +30,7 @@ import numpy as np
 import pytest
 
 from chunking import index_chunks, recording_chunks
-from colsel import screen, selectors, x3c
+from colsel import criteria, screen, selectors, x3c
 from colsel.criteria import equivalence_criteria, parse_criterion, registry
 from colsel.errors import InvalidParameterError
 from colsel.matrixkit import DenseMatrix, batch_svd, column_norms, gather_columns
@@ -150,24 +152,46 @@ def _expected(case, spec, specs=registry()):
 
 
 # how exact_optima estimates a chunk: by eigenvalues for a pass with a spectral
-# criterion, by a Cholesky factor for the others, with the inverse's traces
-# for a pass with pinv-norm or cond, and the bracket on the largest eigenvalue
-# for a pass with rvol, norm-two or srank
+# criterion, by a Cholesky factor for a pass with a criterion that reads the
+# determinant or the inverse, with the inverse's traces for a pass with
+# pinv-norm or cond, by the traces alone for the others, and with the bracket
+# on the largest eigenvalue for a pass with rvol, norm-two or srank; the
+# estimators that prove rank, and the factor-free ones, which prove none
 ESTIMATORS = ("eigvalsh", "cholesky", "cholesky-inverse", "cholesky-top")
-# the Gram-invariant criteria that read the largest eigenvalue, and the inverse
-READS_TOP = ("rvol", "norm-two", "srank", "srank:p=4")
-READS_INVERSE = ("pinv-norm", "cond")
+FACTOR_FREE = ("traces", "traces-top")
 
 
 def _estimates(matrix, idx, estimator="eigvalsh"):
-    """(spectrum, kappa) of the subsets ``idx`` of ``matrix`` by ``estimator``:
-    "eigvalsh", or "cholesky" with the parts "-inverse" and "-top" it names."""
+    """The spectrum of the subsets ``idx`` of ``matrix`` by ``estimator``:
+    "eigvalsh", or "cholesky" or "traces" with the parts "-inverse" and
+    "-top" it names."""
     unit, _ = screen.unit_scaled(matrix.array)
     gram = unit.T @ unit
     if estimator == "eigvalsh":
         return screen._gram_estimates(gram, matrix.rows, idx)
+    if estimator.startswith("traces"):
+        return screen._trace_estimates(gram, matrix.rows, idx, "-top" in estimator)
     return screen._cholesky_estimates(gram, matrix.rows, idx, "-inverse" in estimator,
                                       "-top" in estimator)
+
+
+def _reads_a_factor(spec):
+    """Whether a pass of ``spec`` factors its blocks (``CriterionSpec.factored``)."""
+    return spec.gram_invariant and bool({"det", "inverse"} & set(spec.factored))
+
+
+def _serves(estimator, spec):
+    """Whether ``estimator`` forms every invariant a Gram-invariant ``spec`` reads."""
+    reads = set(spec.factored)
+    return ((estimator.startswith("cholesky") or not reads & {"det", "inverse"})
+            and ("inverse" not in reads or "-inverse" in estimator)
+            and ("top" not in reads or "-top" in estimator))
+
+
+def _tree(matrix, idx, norms=("two", "frobenius")):
+    """(bands, kappa) of ``_residual_bands`` on the subsets ``idx`` of ``matrix``."""
+    unit, _ = screen.unit_scaled(matrix.array)
+    return screen._residual_bands(screen._residual_basis(unit), idx, set(norms))
 
 
 def _select_outcome(matrix, k, spec, threads=1):
@@ -250,24 +274,40 @@ def _halved(band):
     return band[0] / 2.0, band[1]
 
 
+def _corrupted_tree(real, corrupt):
+    """``_residual_bands`` with every band corrupted, its kappa kept."""
+    def tree(*args):
+        bands, kappa = real(*args)
+        return {norm: corrupt(band) for norm, band in bands.items()}, kappa
+    return tree
+
+
 @pytest.mark.parametrize("corrupt", (_reversed, _halved), ids=("reversed", "halved"))
 @pytest.mark.parametrize("ident", CRITERIA)
 def test_wrong_estimates_fall_back_to_scoring_every_subset(ident, corrupt, monkeypatch, svd_rows):
     # estimates of the right size that belong to other rows, or are all off by
     # a factor of two: the certified values leave their bands, and the guard
-    # must score the chunk in full; batch_bands forms the bands of both the
-    # eigenvalue and the Cholesky estimates, and every one of CRITERIA, rvol,
-    # norm-two and srank among them, now has Cholesky estimates
+    # must score the chunk in full; batch_bands forms the bands of the
+    # eigenvalue, the Cholesky and the factor-free estimates, and every one of
+    # CRITERIA has one of the latter two: a Cholesky factor where it reads
+    # the determinant or the inverse, the traces alone for norm-two and
+    # srank, and no block at all for the residuals
     real, real_residual = screen.batch_bands, screen._residual_bands
     monkeypatch.setattr(screen, "batch_bands", lambda *args: corrupt(real(*args)))
-    monkeypatch.setattr(screen, "_residual_bands", lambda *args: {
-        norm: corrupt(band) for norm, band in real_residual(*args).items()})
+    monkeypatch.setattr(screen, "_residual_bands", _corrupted_tree(real_residual, corrupt))
     factored = _recording(monkeypatch, "_cholesky", screen)
+    traced = _recording(monkeypatch, "_trace_estimates", screen)
+    gathered = _recording(monkeypatch, "_blocks", screen)
     make, k = CASES["gaussian-0"]
     spec = parse_criterion(ident)
     assert _select_outcome(DenseMatrix(make()), k, spec) == _expected("gaussian-0", spec)
     assert sum(svd_rows) >= math.comb(make().shape[1], k)
-    assert factored and (spec.gram_invariant or spec.residual_norm is not None)
+    if _reads_a_factor(spec):
+        assert factored and not traced
+    elif spec.gram_invariant:
+        assert traced and not factored
+    else:
+        assert spec.residual_norm is not None and not gathered
 
 
 @pytest.mark.parametrize("threads", (1, 3))
@@ -276,16 +316,25 @@ def test_wrong_estimates_fall_back_to_scoring_every_subset(ident, corrupt, monke
 @pytest.mark.parametrize("case", ("gaussian-0", "duplicated", "scale-1e-150"))
 def test_failed_pivots_are_certified_by_the_svd(case, stride, threads, monkeypatch, svd_rows):
     # a block whose pivot is not positive leaves its own row unproven (NaN
-    # rel), and that row is certified by the SVD; no chunk falls back to
+    # rel), and a reflection of a zero x (every node of the residuals' tree,
+    # or every other one, at every level) the kappa of each row below it
+    # infinite; such a row is certified by the SVD; no chunk falls back to
     # eigvalsh, and a row that fails does not disturb its chunk's others
-    real = screen._cholesky
-    calls = []
+    real, real_reflected = screen._cholesky, screen._reflected
+    calls, zeroed = [], []
 
     def failing(h):
         calls.append(h.shape)
         return real(np.where(np.arange(h.shape[-1]) % stride == 0, -h, h))
 
+    def zeroing(t, cols):
+        nodes = np.arange(0, len(cols), stride)
+        t[nodes, :, cols[nodes]] = 0.0
+        zeroed.append(len(nodes))
+        return real_reflected(t, cols)
+
     monkeypatch.setattr(screen, "_cholesky", failing)
+    monkeypatch.setattr(screen, "_reflected", zeroing)
     solved = _recording(monkeypatch, "eigvalsh")
     make, k = CASES[case]
     matrix = DenseMatrix(make())
@@ -293,22 +342,26 @@ def test_failed_pivots_are_certified_by_the_svd(case, stride, threads, monkeypat
         spec = parse_criterion(ident)
         svd_rows.clear()
         assert _select_outcome(matrix, k, spec, threads) == _expected(case, spec)
-        if stride == 1:
+        if stride == 1 and (_reads_a_factor(spec) or spec.residual_norm is not None):
             assert sum(svd_rows) >= math.comb(matrix.cols, k), spec
-    assert calls and not solved
+    assert calls and zeroed and not solved
 
 
 def _specs(*idents):
     return [parse_criterion(ident) for ident in idents]
 
 
-def test_only_passes_without_a_spectral_criterion_factor(monkeypatch):
+def test_only_passes_that_read_a_determinant_or_an_inverse_factor(monkeypatch):
     # a pass holding any criterion that is no function of the Gram invariants
     # and the largest eigenvalue (p = 3, or sigma_k alone) keeps its eigenvalue
     # estimates and never factors, x3c's passes included; a pass of
     # Gram-invariant criteria and residuals never calls eigvalsh at all,
-    # res-two's tail Grams included
+    # res-two's tail Grams included; of those, a pass factors its blocks
+    # only when a criterion reads det(C^T C) or the inverse's traces (vol,
+    # rvol, sopt, pinv-norm, cond), one of norm and srank alone reads their
+    # traces, and a pass of residuals alone gathers no block
     factored = _recording(monkeypatch, "_cholesky", screen)
+    gathered = _recording(monkeypatch, "_blocks", screen)
     solved = _recording(monkeypatch, "eigvalsh")
     matrix, k = DenseMatrix(_gaussian(0)), 5
     for specs in (_specs("pinv-norm:p=3"), _specs("srank:p=3"), _specs("pinv-norm-two"),
@@ -322,12 +375,30 @@ def test_only_passes_without_a_spectral_criterion_factor(monkeypatch):
     solved.clear()
     gram_invariant = [spec for spec in registry() if spec.gram_invariant]
     assert len(gram_invariant) == 12
-    assert {"rvol", "norm-two", "srank", "srank:p=4"} <= {str(spec) for spec in gram_invariant}
-    for specs in ([[spec] for spec in gram_invariant] + [gram_invariant]
-                  + [_specs("res-two"), _specs("res-frobenius", "vol"), _specs("res-two", "rvol")]):
+    factoring = [spec for spec in gram_invariant if _reads_a_factor(spec)]
+    assert {str(spec) for spec in factoring} == {
+        "vol", "rvol", "sopt", "pinv-norm-frobenius", "pinv-norm:p=4", "cond-frobenius",
+        "cond:p=4"}
+    traces = [spec for spec in gram_invariant if not _reads_a_factor(spec)]
+    assert {str(spec) for spec in traces} == {"norm-two", "norm:p=4", "norm-frobenius", "srank",
+                                              "srank:p=4"}
+    # the traces prove no rank, and serve only values that score a rank-deficient C
+    assert all(criteria._KINDS[spec.kind].rank == "any" for spec in traces)
+    for specs in ([[spec] for spec in factoring] + [gram_invariant]
+                  + [_specs("res-frobenius", "vol"), _specs("res-two", "rvol"),
+                     _specs("norm-two", "vol")]):
         factored.clear()
         exact_optima(matrix, k, specs)
-        assert factored
+        assert factored, specs
+    for specs in [[spec] for spec in traces] + [traces, _specs("res-two", "srank")]:
+        factored.clear()
+        gathered.clear()
+        exact_optima(matrix, k, specs)
+        assert gathered and not factored, specs
+    for specs in (_specs("res-two"), _specs("res-frobenius"), _specs("res-two", "res-frobenius")):
+        gathered.clear()
+        exact_optima(matrix, k, specs)
+        assert not gathered and not factored, specs
     assert not solved
 
 
@@ -480,9 +551,8 @@ def test_a_row_is_unproven_exactly_where_its_pivot_fails(inverse, top):
         pivots = np.diagonal(screen._cholesky(screen._blocks(gram, idx))).T
         assert np.array_equal(np.isnan(pivots).any(axis=0), fails)
         assert np.all(np.isnan(pivots[1:, fails])) and np.all(pivots[0, fails] > 0.0)
-        spectrum, kappa = screen._cholesky_estimates(gram, matrix.rows, idx, inverse, top)
+        spectrum = screen._cholesky_estimates(gram, matrix.rows, idx, inverse, top)
         assert np.array_equal(np.isnan(spectrum.rel), fails)
-        assert np.array_equal(np.isinf(kappa), fails)
         mixed += fails.any() and not fails.all()
     assert mixed
 
@@ -500,38 +570,57 @@ FAMILIES = {
 }
 
 
-@pytest.mark.parametrize("scale", (1.0, 1e-150, 1e-100, 1e100, 1e150), ids="{:g}".format)
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_cholesky_bands_hold_the_svd_value(family, scale):
-    # every row whose band has a finite width scores inside it, for each
-    # Gram-invariant criterion, with and without the inverse's traces and the
-    # largest eigenvalue's bracket (each criterion with the parts it reads),
-    # and for the residuals, whose widths then take the Cholesky
-    # condition-number bound
-    make, k = FAMILIES[family]
+def _bands_hold(make, k, scale, estimators):
+    """The rows, over three seeds of ``make``, whose band by each of
+    ``estimators`` (each for the Gram-invariant criteria whose invariants it
+    forms) or by the residuals' tree has a finite width; each must score
+    inside it."""
     specs = [spec for spec in registry() if spec.gram_invariant] + _specs("res-two", "res-frobenius")
     checked = 0
     for seed in range(3):
         matrix = DenseMatrix(make(seed) * scale)
         a, col_norms, exponent = _unit(matrix)
-        basis = screen._residual_basis(screen.unit_scaled(a)[0])
         for idx in index_chunks(matrix.cols, k, 2048):
             scores = _batch_scores(a, col_norms, idx, specs, exponent)
-            for estimator in ("cholesky", "cholesky-inverse", "cholesky-top", "cholesky-inverse-top"):
-                spectrum, kappa = _estimates(matrix, idx, estimator)
-                residual = screen._residual_bands(basis, idx, kappa, {"two", "frobenius"})
+            residual, _ = _tree(matrix, idx)
+            for estimator in estimators:
+                spectrum = _estimates(matrix, idx, estimator)
                 for spec, (vals, _) in zip(specs, scores):
                     if spec.residual_norm is not None:
                         estimate, width = residual[spec.residual_norm]
-                    elif (spec.kind in READS_INVERSE and "-inverse" not in estimator
-                          or str(spec) in READS_TOP and "-top" not in estimator):
+                    elif not _serves(estimator, spec):
                         continue
                     else:
                         estimate, width = screen.batch_bands(spec, spectrum, col_norms[idx])
                     finite = np.isfinite(width)
                     assert np.all(np.abs(vals[finite] - estimate[finite]) <= width[finite]), spec
                     checked += np.count_nonzero(finite)
+    return checked
+
+
+@pytest.mark.parametrize("scale", (1.0, 1e-150, 1e-100, 1e100, 1e150), ids="{:g}".format)
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_cholesky_bands_hold_the_svd_value(family, scale):
+    # every row whose band has a finite width scores inside it, for each
+    # Gram-invariant criterion, with and without the inverse's traces and the
+    # largest eigenvalue's bracket (each criterion with the parts it reads),
+    # and for the residuals, whose widths take the tree's condition-number
+    # bound
+    make, k = FAMILIES[family]
+    checked = _bands_hold(make, k, scale, ("cholesky", "cholesky-inverse", "cholesky-top",
+                                            "cholesky-inverse-top"))
     assert checked > 0 or family in ("rank-k-1", "wide")
+
+
+@pytest.mark.parametrize("scale", (1.0, 1e-150, 1e-100, 1e100, 1e150), ids="{:g}".format)
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_factor_free_bands_hold_the_svd_value(family, scale):
+    # the same through the traces alone, with and without the bracket, for
+    # norm at p = 2, 4, inf and srank at p = 2, 4: their rel bounds sigma_1
+    # and the power sums whatever the rank, so rank-deficient and wide rows
+    # keep finite bands too
+    make, k = FAMILIES[family]
+    assert _bands_hold(make, k, scale, FACTOR_FREE) > 0
 
 
 # the Schatten criteria at p off the registry's 2, 3, 4 and inf, whose power
@@ -558,12 +647,11 @@ EIGEN_FAMILIES = {
 }
 
 
-def _chunk_bands(specs, spectrum, kappa, matrix, idx):
+def _chunk_bands(specs, spectrum, matrix, idx):
     """Each spec's band of the rows ``idx``, all from one ``spectrum``, as a
     pass of exact search forms them."""
     unit, _ = screen.unit_scaled(matrix.array)
-    norms = {spec.residual_norm for spec in specs} - {None}
-    residual = screen._residual_bands(screen._residual_basis(unit), idx, kappa, norms)
+    residual, _ = _tree(matrix, idx, {spec.residual_norm for spec in specs} - {None})
     col_norms = column_norms(unit)[idx]
     return [residual[spec.residual_norm] if spec.residual_norm is not None
             else screen.batch_bands(spec, spectrum, col_norms) for spec in specs]
@@ -583,8 +671,7 @@ def test_eigenvalue_bands_hold_the_svd_value(family, scale):
         matrix = DenseMatrix(make(seed) * scale)
         a, col_norms, exponent = _unit(matrix)
         for idx in index_chunks(matrix.cols, k, 2048):
-            spectrum, kappa = _estimates(matrix, idx)
-            bands = _chunk_bands(specs, spectrum, kappa, matrix, idx)
+            bands = _chunk_bands(specs, _estimates(matrix, idx), matrix, idx)
             for spec, (vals, _), (estimate, width) in zip(
                     specs, _batch_scores(a, col_norms, idx, specs, exponent), bands):
                 finite = np.isfinite(width)
@@ -594,9 +681,12 @@ def test_eigenvalue_bands_hold_the_svd_value(family, scale):
 
 
 # estimator -> the specs of one pass: the x3c verify pass plus the
-# off-registry p, or every criterion a Cholesky factor bands
+# off-registry p, every criterion a Cholesky factor bands, or every one the
+# traces alone band
 SHARED_PASSES = {"eigvalsh": equivalence_criteria() + OFF_REGISTRY,
-                 "cholesky-inverse-top": tuple(spec for spec in registry() if spec.gram_invariant)}
+                 "cholesky-inverse-top": tuple(spec for spec in registry() if spec.gram_invariant),
+                 "traces-top": tuple(spec for spec in registry()
+                                     if spec.gram_invariant and _serves("traces-top", spec))}
 
 
 @pytest.mark.parametrize("estimator", sorted(SHARED_PASSES))
@@ -612,9 +702,9 @@ def test_a_shared_spectrum_bands_as_one_spec_passes_do(case, estimator):
     specs = SHARED_PASSES[estimator]
     compared = 0
     for idx in index_chunks(matrix.cols, k, 2048):
-        shared = _chunk_bands(specs, *_estimates(matrix, idx, estimator), matrix, idx)
+        shared = _chunk_bands(specs, _estimates(matrix, idx, estimator), matrix, idx)
         for spec, (estimate, width) in zip(specs, shared):
-            ((alone, alone_width),) = _chunk_bands([spec], *_estimates(matrix, idx, estimator),
+            ((alone, alone_width),) = _chunk_bands([spec], _estimates(matrix, idx, estimator),
                                                    matrix, idx)
             finite = np.isfinite(width)
             assert np.array_equal(finite, np.isfinite(alone_width)), spec
@@ -640,16 +730,66 @@ def test_estimates_prove_full_rank_only_where_the_svd_finds_it(case, estimator):
     make, k = CASES[case]
     matrix = DenseMatrix(make())
     for idx in index_chunks(matrix.cols, k, 2048):
-        spectrum, kappa = _estimates(matrix, idx, estimator)
-        sigma, full = batch_svd(gather_columns(matrix.array, idx))
+        spectrum = _estimates(matrix, idx, estimator)
+        _, full = batch_svd(gather_columns(matrix.array, idx))
         proven = ~np.isnan(spectrum.rel)
-        assert np.array_equal(proven, np.isfinite(kappa))
+        assert np.all(full[proven])
+        if case == "gaussian-0":
+            assert np.all(proven)
+        if case in ("rank-k-1", "wide"):
+            assert not np.any(proven)
+
+
+def _zero_column(seed=0):
+    """A Gaussian 9 x 15 whose column 3 is zero."""
+    a = _gaussian(seed)
+    a[:, 3] = 0.0
+    return a
+
+
+@pytest.mark.parametrize("case", ("gaussian-0", "duplicated", "near-duplicate", "rank-k-1", "wide",
+                                  "zero-column"))
+def test_the_tree_proves_full_rank_only_where_the_svd_finds_it(case):
+    # the residuals' tree proves a row's rank exactly where its kappa is
+    # finite, and then both its widths are finite; every such row is full
+    # rank for the SVD, with sigma_1 <= kappa sigma_k; a zero column's
+    # reflection leaves exactly the rows that hold it unproven
+    make, k = (_zero_column, 5) if case == "zero-column" else CASES[case]
+    matrix = DenseMatrix(make())
+    for idx in index_chunks(matrix.cols, k, 2048):
+        bands, kappa = _tree(matrix, idx)
+        sigma, full = batch_svd(gather_columns(matrix.array, idx))
+        proven = np.isfinite(kappa)
+        for _, width in bands.values():
+            assert np.array_equal(np.isfinite(width), proven)
         assert np.all(full[proven])
         assert np.all(sigma[proven, 0] <= kappa[proven] * sigma[proven, -1])
         if case == "gaussian-0":
             assert np.all(proven)
         if case in ("rank-k-1", "wide"):
             assert not np.any(proven)
+        if case == "zero-column":
+            assert np.array_equal(proven, ~np.any(idx == 3, axis=1))
+
+
+@pytest.mark.parametrize("estimator", FACTOR_FREE)
+def test_a_factor_free_spectrum_has_no_determinant_and_no_smallest_sigma(estimator):
+    # the traces bound sigma_1 and the power sums alone: a criterion that
+    # read prod sigma or sigma_k from them would read what the pass never
+    # formed, and raises instead
+    make, k = CASES["gaussian-0"]
+    matrix = DenseMatrix(make())
+    spectrum = _estimates(matrix, next(index_chunks(matrix.cols, k, 2048)), estimator)
+    for read in (spectrum.prod, spectrum.smallest, spectrum.relative_prod,
+                 lambda: spectrum.power_sum(3.0)):
+        with pytest.raises(LookupError):
+            read()
+    assert np.all(np.isfinite(spectrum.power_sum(2.0)) & np.isfinite(spectrum.power_sum(4.0)))
+    if estimator == "traces-top":
+        assert np.all(np.isfinite(spectrum.largest()))
+    else:
+        with pytest.raises(LookupError):
+            spectrum.largest()
 
 
 @pytest.mark.parametrize("scale", (1.0, 1e-100, 1e100), ids="{:g}".format)
@@ -669,7 +809,7 @@ def test_bands_are_not_finite_exactly_where_full_rank_is_not_proven(family, esti
         matrix = DenseMatrix(make(seed) * scale)
         _, col_norms, _ = _unit(matrix)
         for idx in index_chunks(matrix.cols, k, 2048):
-            spectrum, _ = _estimates(matrix, idx, estimator)
+            spectrum = _estimates(matrix, idx, estimator)
             unproven = np.isnan(spectrum.rel)
             unproven_rows += np.count_nonzero(unproven)
             for spec in specs:
@@ -715,7 +855,7 @@ def test_rank_deficient_best_estimate_is_not_the_witness(ident, estimator):
     matrix = DenseMatrix(make())
     spec = parse_criterion(ident)
     idx = next(index_chunks(matrix.cols, k, 2048))
-    spectrum, _ = _estimates(matrix, idx, estimator)
+    spectrum = _estimates(matrix, idx, estimator)
     estimate, _ = screen.batch_bands(spec, spectrum, matrix.column_norms()[idx])
     ((_, valid),) = _batch_scores(matrix.array, matrix.column_norms(), idx, [spec])
     assert not valid[int(np.argmin(estimate))]
@@ -786,12 +926,11 @@ def test_exact_ties_across_chunks_go_to_the_smallest_witness(case, threads, monk
     assert ties >= 1
 
 
-@pytest.mark.parametrize("ident, estimator", _by_estimator(("res-two", "res-frobenius"),
-                                                           ("eigvalsh", "cholesky")))
-def test_ill_conditioned_subsets_next_to_the_residual_optimum(ident, estimator):
+@pytest.mark.parametrize("ident", ("res-two", "res-frobenius"))
+def test_ill_conditioned_subsets_next_to_the_residual_optimum(ident):
     # the witness holds 2 and 11; swapping 11 for 6 gives a subset within a
     # relative 1e-5 of the optimum at a condition number above 1e11, whose
-    # Gram estimates prove no full rank, so its band is infinite and it is
+    # rank the tree does not prove, so its band is infinite and it is
     # certified, whatever the rounding term of the widths
     make, k = CASES["spanning-near-duplicate"]
     matrix = DenseMatrix(make())
@@ -804,30 +943,25 @@ def test_ill_conditioned_subsets_next_to_the_residual_optimum(ident, estimator):
     assert sigma[0] / sigma[-1] >= 1e11
     ((vals, _),) = _batch_scores(matrix.array, matrix.column_norms(), idx, [spec])
     assert 0.0 < vals[0] - value <= 1e-5 * value
-    _, kappa = _estimates(matrix, idx, estimator)
-    unit, _ = screen.unit_scaled(matrix.array)
-    bands = screen._residual_bands(screen._residual_basis(unit), idx, kappa, {spec.residual_norm})
+    bands, _ = _tree(matrix, idx, {spec.residual_norm})
     assert bands[spec.residual_norm][1][0] == np.inf
     assert _select_outcome(matrix, k, spec) == expected
 
 
-@pytest.mark.parametrize("ident, estimator", _by_estimator(("res-two", "res-frobenius"),
-                                                           ("eigvalsh", "cholesky")))
-def test_residual_widths_hold_the_rounding_of_the_condition_number(ident, estimator):
+@pytest.mark.parametrize("ident", ("res-two", "res-frobenius"))
+def test_residual_widths_hold_the_rounding_of_the_condition_number(ident):
     # columns 2 and 6 differ by 1e-4 z: condition numbers near 1e5 that the
-    # Gram estimates still prove, where ROUNDING * k * kappa^2 exceeds
-    # RESIDUAL_SLACK and so sets the width
+    # tree still proves, where ROUNDING * k * kappa^2 exceeds RESIDUAL_SLACK
+    # and so sets the width
     a = _gaussian(3)
     a[:, 6] = a[:, 2] + 1e-4 * np.random.default_rng(4).standard_normal(len(a))
     matrix, k = DenseMatrix(a), 5
     spec = parse_criterion(ident)
     unit, _ = screen.unit_scaled(a)
-    basis = screen._residual_basis(unit)
     dominant = 0
     for idx in index_chunks(matrix.cols, k, 2048):
-        _, kappa = _estimates(matrix, idx, estimator)
-        _, width = screen._residual_bands(basis, idx, kappa,
-                                          {spec.residual_norm})[spec.residual_norm]
+        bands, kappa = _tree(matrix, idx, {spec.residual_norm})
+        _, width = bands[spec.residual_norm]
         sigma, _ = batch_svd(gather_columns(a, idx))
         proven = np.isfinite(kappa)
         norm = np.linalg.norm(unit)
@@ -899,11 +1033,9 @@ def test_residual_bands_hold_the_value_across_split_prefix_runs(family, scale):
     for seed in range(2):
         matrix = DenseMatrix(make(seed) * scale)
         a, col_norms, exponent = _unit(matrix)
-        basis = screen._residual_basis(screen.unit_scaled(a)[0])
         for i, idx in enumerate(index_chunks(matrix.cols, k, 7)):
             split += i > 0 and _splits_a_run(idx[0])
-            _, kappa = _estimates(matrix, idx, "cholesky")
-            bands = screen._residual_bands(basis, idx, kappa, {"two", "frobenius"})
+            bands, kappa = _tree(matrix, idx)
             finite = np.isfinite(kappa)
             for spec, (vals, _) in zip(specs, _batch_scores(a, col_norms, idx, specs, exponent)):
                 estimate, width = bands[spec.residual_norm]
@@ -1105,8 +1237,8 @@ def test_grouped_eigenvalues_hold_the_bound_of_each_rows_own_block(make, k):
                           np.sort(gram[idx[:, :, None], idx[:, None, :]].reshape(len(idx), -1),
                                   axis=1))
     # the estimates through the groups are those of _gram_estimates' bound
-    spectrum, kappa = screen._gram_estimates(gram, a.shape[0], idx, (reps, inverse))
-    plain, plain_kappa = screen._gram_estimates(gram, a.shape[0], idx)
+    spectrum = screen._gram_estimates(gram, a.shape[0], idx, (reps, inverse))
+    plain = screen._gram_estimates(gram, a.shape[0], idx)
     finite = np.isfinite(plain.rel)
     assert np.array_equal(finite, np.isfinite(spectrum.rel))
     assert np.all(np.abs(spectrum.top - plain.top)[finite] <= bound[finite, 0])
