@@ -10,16 +10,21 @@ report record per lemma id.
 
 The suite runs in blocks of ``_BLOCK_ROUNDS`` rounds.  A block first draws
 its rounds, in the order of the generator calls that fix every report.  A
-unit-column draw keeps only its generator calls (the full-rank Gaussian and,
-for a perturbed family, the perturbation's direction); a partition draw keeps
-the linear algebra that needs more than singular values (the partitioned and
-direct pseudo-inverses, the complement projector).  The block then finishes
-each unit-column family as one stack per shape (``_unit_columns``: one QR,
-one SVD for the perturbations' two-norms and one column normalisation), and
-scores every family as stacks (``_stacks``): one ``batch_svd`` call per
-shape (m, k), then one ``stacked_values`` call per k, the path ``values``
-takes for a single matrix, so a matrix scores the same bits in a stack and
-alone; a matrix whose sigmas a draw already has is not decomposed again.
+draw keeps only its generator calls: for a unit-column family the full-rank
+Gaussian and, for a perturbed family, the perturbation's direction; for a
+partition C = [C1 C2] the full-rank Gaussian C and the split.  The block
+then finishes each unit-column family as one stack per shape
+(``_unit_columns``: one QR, one SVD for the perturbations' two-norms and one
+column normalisation); it decomposes the partitions as stacks
+(``_partition_stacks``: the complement projectors of C1, C2 and C's head,
+the pseudo-inverses of P2 C1, P1 C2 and C, the Schur complements'
+eigenvalues and the head Grams' determinants, each one call per shape of the
+matrixkit kernels that ``partitioned_pinv``, ``pseudo_inverse`` and
+``complement_projector`` run on a stack of one); and it scores every family
+as stacks (``_stacks``): one ``batch_svd`` call per shape (m, k), then one
+``stacked_values`` call per k, the path ``values`` takes for a single
+matrix.  So a matrix gets the same bits in a stack and alone, and a matrix
+whose sigmas a draw already has is not decomposed again.
 Above 1000 subsets, ``check_removal_monotonicity`` checks 1000 distinct ones
 drawn uniformly from all C(k, ell).
 """
@@ -35,15 +40,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import CriterionSpec, parse_criterion, stacked_values
-# bench/tracer.py PATCHES wraps these names in this module: pseudo_inverse,
-# complement_projector and partitioned_pinv, which each partition draw calls,
-# svd, which check_removal_monotonicity calls, and the seven scalar wrappers
-# below, which nothing here calls
+# bench/tracer.py PATCHES wraps these names in this module: svd, which
+# check_removal_monotonicity calls, and the three one-matrix kernels and
+# seven scalar wrappers below, which nothing here calls
 from .criteria import (condition_number, pinv_schatten_norm, relative_volume,  # noqa: F401
                        s_optimality, schatten_norm, stable_rank, volume)
 from .errors import InvalidParameterError, RankDeficiencyError
-from .matrixkit import (DenseMatrix, batch_svd, column_norms, complement_projector, default_rank_tolerance,
-                        gather_columns, partitioned_pinv, pseudo_inverse, svd)
+from .matrixkit import complement_projector, partitioned_pinv, pseudo_inverse  # noqa: F401
+from .matrixkit import (DenseMatrix, batch_complement_projector, batch_projected, batch_pseudo_inverse,
+                        batch_svd, column_norms, default_rank_tolerance, gather_columns, svd)
 
 LEMMA_IDS = (
     "e_inter",
@@ -265,43 +270,65 @@ _PINV_POWERS = (2.0, 3.0, 4.0, 6.0)
 _PINV_SPECS = tuple(parse_criterion("pinv-norm", p) for p in _PINV_POWERS)
 
 
-def _partition_trial(rng, found: dict):
-    """Draw [C1 C2] = C and record its l_pi0 row; return what the block
-    scores: C1, C2, C's singular values and e_sc's right-hand side."""
+def _partition_trial(rng) -> tuple[np.ndarray, np.ndarray, int]:
+    """The generator calls of one partition draw: C = [C1 C2], full rank (so
+    ``partitioned_pinv``'s rank test would pass), its sigmas and C1's width."""
     m = int(rng.integers(max(_ROWS[0], 3), _ROWS[1] + 1))
     n = int(rng.integers(2, min(m, 6) + 1))
     arr, sigma = _draw_full_rank(rng, m, n)
-    c = DenseMatrix(arr)
-    split = int(rng.integers(1, n))
-    c1 = DenseMatrix(c.array[:, :split])
-    c2 = DenseMatrix(c.array[:, split:])
+    return arr, sigma, int(rng.integers(1, n))
 
-    # C+ entries grow as 1/sigma_min, so the reconstruction error is taken
-    # relative to the largest of them, as e_sc below is
-    parts = partitioned_pinv(c1, c2)
-    direct = pseudo_inverse(c).array
-    scale = max(1.0, float(np.max(np.abs(direct))))
-    recon = float(np.max(np.abs(parts.stacked().array - direct))) / scale
-    spd = min(
-        float(np.linalg.eigvalsh(parts.schur1.array)[0]),
-        float(np.linalg.eigvalsh(parts.schur2.array)[0]),
-    )
-    found["l_pi0"].append((recon - 1e-9, -spd))
 
-    # determinant identity for appending one column, vol(C)^2 on the left
-    head = DenseMatrix(c.array[:, :-1])
-    tail = c.array[:, -1]
-    gram = head.array.T @ head.array
-    rhs = float(np.linalg.det(gram) * np.sum((complement_projector(head).array @ tail) ** 2))
-    return c1.array, c2.array, sigma, rhs
+def _per_shape(kernel, *operands) -> list:
+    """``kernel`` on the rows of the equal-length lists ``operands``, one call
+    on the stacks of each group of rows whose operands have equal shapes: one
+    result per row, in order, a tuple where ``kernel`` returns a tuple."""
+    groups = collections.defaultdict(list)
+    for i, row in enumerate(zip(*operands)):
+        groups[tuple(x.shape for x in row)].append(i)
+    out = [None] * len(operands[0])
+    for rows in groups.values():
+        got = kernel(*(np.array([x[i] for i in rows]) for x in operands))
+        for i, result in zip(rows, zip(*got) if isinstance(got, tuple) else got):
+            out[i] = result
+    return out
+
+
+def _partition_stacks(trials) -> list[tuple]:
+    """Per partition draw (C, sigmas, split) of ``trials``: M1^+, M2^+, S1
+    and S2 of ``partitioned_pinv``, the smaller of the least eigenvalues of
+    S1 and S2, C^+, and e_sc's right-hand side det(H^T H) ||P_H c||^2, H the
+    first n-1 columns of C, c its last and P_H H's complement projector;
+    each decomposition one matrixkit kernel call per shape over the block."""
+    cs = [c for c, _, _ in trials]
+    c1s = [c[:, :split] for c, _, split in trials]
+    c2s = [c[:, split:] for c, _, split in trials]
+    heads = [c[:, :-1] for c in cs]
+    t = len(cs)
+    proj = _per_shape(batch_complement_projector, c1s + c2s + heads)
+    # M1 = P2 C1 and M2 = P1 C2, with their Schur complements
+    blocks, schurs = zip(*_per_shape(batch_projected, proj[t:2 * t] + proj[:t], c1s + c2s))
+    pinv = _per_shape(batch_pseudo_inverse, [*blocks, *cs])
+    smallest = _per_shape(lambda s: np.linalg.eigvalsh(s)[:, 0], schurs)
+    dets = _per_shape(lambda h: np.linalg.det(np.swapaxes(h, 1, 2) @ h), heads)
+    residuals = _per_shape(lambda p, c: np.sum((p @ c) ** 2, axis=(1, 2)), proj[2 * t:],
+                           [c[:, -1:] for c in cs])
+    return [(pinv[i], pinv[t + i], schurs[i], schurs[t + i], float(min(smallest[i], smallest[t + i])),
+             pinv[2 * t + i], float(dets[i] * residuals[i])) for i in range(t)]
 
 
 def _partition_checks(trials, found: dict):
-    """The l_fi, l_pi1 and e_sc rows of the block's partition ``trials``,
-    from one ``_scores`` call over every C1, C2 and C."""
-    parts = [part[None] for c1, c2, _, _ in trials for part in (c1, c2)]
-    scores = _scores((_VOLUME, *_PINV_SPECS), parts, [sigma for _, _, sigma, _ in trials]).tolist()
-    for t, (*_, rhs) in enumerate(trials):
+    """The l_pi0, l_fi, l_pi1 and e_sc rows of the block's partition
+    ``trials``, from ``_partition_stacks`` and one ``_scores`` call over
+    every C1, C2 and C."""
+    parts = [part[None] for c, _, split in trials for part in (c[:, :split], c[:, split:])]
+    scores = _scores((_VOLUME, *_PINV_SPECS), parts, [sigma for _, sigma, _ in trials]).tolist()
+    for t, (m1_pinv, m2_pinv, _, _, spd, direct, rhs) in enumerate(_partition_stacks(trials)):
+        # C+ entries grow as 1/sigma_min, so the reconstruction error is taken
+        # relative to the largest of them, as e_sc below is
+        scale = max(1.0, float(np.max(np.abs(direct))))
+        recon = float(np.max(np.abs(np.vstack([m1_pinv, m2_pinv]) - direct))) / scale
+        found["l_pi0"].append((recon - 1e-9, -spd))
         (_, *pinv1), (_, *pinv2) = scores[2 * t:2 * t + 2]
         vol, *pinv = scores[len(parts) + t]
         # block-diagonal Schatten-p norms add in p-th powers, so the parts'
@@ -310,6 +337,7 @@ def _partition_checks(trials, found: dict):
                   for p, a, b, whole in zip(_PINV_POWERS, pinv1, pinv2, pinv)]
         found["l_fi"].append(excess[:1])
         found["l_pi1"].append(excess[1:])
+        # determinant identity for appending one column, vol(C)^2 on the left
         lhs = vol**2
         found["e_sc"].append((abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300) - 1e-9,))
 
@@ -399,7 +427,7 @@ def run_suite(seed: int = 0, trials: int = 200) -> list[LemmaReport]:
             for eps in _UNIT_FAMILIES:
                 draw = _draw_unit_columns(rng, eps)
                 units.setdefault((eps, draw[0].shape), []).append(draw)
-            parts.append(_partition_trial(rng, found))
+            parts.append(_partition_trial(rng))
             removals += _interlacing_trial(rng, found)
         _partition_checks(parts, found)
         if removals:

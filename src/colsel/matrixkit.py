@@ -156,40 +156,68 @@ def batch_svd(stack: np.ndarray):
     return sigma, np.count_nonzero(sigma > tol[:, None], axis=1) == stack.shape[2]
 
 
-def pseudo_inverse(matrix: DenseMatrix) -> DenseMatrix:
-    """Moore-Penrose pseudo-inverse via SVD.
+def batch_pseudo_inverse(stack: np.ndarray) -> np.ndarray:
+    """Moore-Penrose pseudo-inverses of a (B, m, n) stack via one SVD call,
+    each with the bits it gets alone.
 
     Singular values at or below the rank tolerance are treated as zero, so
     rank-deficient inputs are handled by truncation rather than rejected.
     A pseudo-inverse beyond float64 range (e.g. of ``eye(2) * 1e-310``)
     raises InvalidInputError.
     """
-    u, s, vt = np.linalg.svd(matrix.array, full_matrices=False)
-    tol = default_rank_tolerance(matrix.rows, matrix.cols, float(s[0]))
+    u, s, vt = np.linalg.svd(stack, full_matrices=False)
+    kept = s > default_rank_tolerance(*stack.shape[1:], s[:, :1])
     with np.errstate(over="ignore", invalid="ignore"):
-        inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > tol)
-        pinv = vt.T @ (inv[:, None] * u.T)
+        inv = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
+        pinv = np.swapaxes(vt, 1, 2) @ (inv[:, :, None] * np.swapaxes(u, 1, 2))
     if not np.isfinite(pinv).all():
+        row = np.argmin(np.isfinite(pinv).all(axis=(1, 2)))
         raise InvalidInputError(
-            f"pseudo-inverse overflows float64: smallest kept singular value {s[s > tol][-1]!r}"
+            f"pseudo-inverse overflows float64: smallest kept singular value {s[row][kept[row]][-1]!r}"
         )
-    return _built(pinv)
+    return pinv
+
+
+def pseudo_inverse(matrix: DenseMatrix) -> DenseMatrix:
+    """``batch_pseudo_inverse`` of ``matrix`` alone."""
+    return _built(batch_pseudo_inverse(matrix.array[None])[0])
+
+
+def batch_complement_projector(stack: np.ndarray) -> np.ndarray:
+    """Orthogonal projectors I - C C^+ onto the complements of range(C) for
+    a (B, m, k) stack via one SVD call, each with the bits it gets alone.
+
+    Requires every C to have full column rank under the default tolerance.
+    """
+    u, s, _ = np.linalg.svd(stack, full_matrices=False)
+    rank = np.count_nonzero(s > default_rank_tolerance(*stack.shape[1:], s[:, :1]), axis=1)
+    if (rank < stack.shape[2]).any():
+        raise RankDeficiencyError(
+            f"matrix has numerical rank {rank.min()} < {stack.shape[2]} columns"
+        )
+    p = np.eye(stack.shape[1]) - u @ np.swapaxes(u, 1, 2)
+    return (p + np.swapaxes(p, 1, 2)) / 2.0
 
 
 def complement_projector(c: DenseMatrix) -> DenseMatrix:
-    """Orthogonal projector I - C C^+ onto the complement of range(C).
+    """``batch_complement_projector`` of ``c`` alone."""
+    return _built(batch_complement_projector(c.array[None])[0])
 
-    Requires C to have full column rank under the default tolerance.
-    """
-    u, s, _ = np.linalg.svd(c.array, full_matrices=False)
-    tol = default_rank_tolerance(c.rows, c.cols, float(s[0]))
-    rank = int(np.count_nonzero(s > tol))
-    if rank < c.cols:
-        raise RankDeficiencyError(
-            f"matrix has numerical rank {rank} < {c.cols} columns"
+
+def batch_projected(p: np.ndarray, c: np.ndarray):
+    """P C and the symmetrized Schur complement C^T P C of (B, m, m)
+    projectors and a (B, m, k) stack: ``partitioned_pinv``'s M1 = P2 C1 and
+    S1 (or M2 and S2).  A product beyond float64 range (e.g. of columns near
+    1e308) raises InvalidInputError, without a floating-point warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        pc = p @ c
+        schur = np.swapaxes(c, 1, 2) @ p @ c
+        schur = (schur + np.swapaxes(schur, 1, 2)) / 2.0
+    if not (np.isfinite(pc).all() and np.isfinite(schur).all()):
+        raise InvalidInputError(
+            "partitioned pseudo-inverse overflows float64: P2 C1, P1 C2 or a Schur complement is not finite"
         )
-    p = np.eye(c.rows) - u @ u.T
-    return _built((p + p.T) / 2.0)
+    return pc, schur
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,24 +255,7 @@ def partitioned_pinv(c1: DenseMatrix, c2: DenseMatrix) -> PartitionedPinv:
     if svd(combined).numerical_rank < n:
         raise RankDeficiencyError("concatenation [C1 C2] is numerically rank deficient")
 
-    p1 = complement_projector(c1).array
-    p2 = complement_projector(c2).array
-    # the projections and Schur complements of columns near float64's limit
-    # can overflow, so each keeps DenseMatrix's finiteness check
-    with np.errstate(over="ignore", invalid="ignore"):
-        m1, m2 = p2 @ c1.array, p1 @ c2.array
-        s1 = c1.array.T @ p2 @ c1.array
-        s2 = c2.array.T @ p1 @ c2.array
-        s1, s2 = (s1 + s1.T) / 2.0, (s2 + s2.T) / 2.0
-    try:
-        m1, m2, s1, s2 = map(DenseMatrix, (m1, m2, s1, s2))
-    except InvalidInputError:
-        raise InvalidInputError(
-            "partitioned pseudo-inverse overflows float64: P2 C1, P1 C2 or a Schur complement is not finite"
-        ) from None
-    return PartitionedPinv(
-        m1_pinv=pseudo_inverse(m1),
-        m2_pinv=pseudo_inverse(m2),
-        schur1=s1,
-        schur2=s2,
-    )
+    p1, p2 = (batch_complement_projector(c.array[None]) for c in (c1, c2))
+    (m1, s1), (m2, s2) = batch_projected(p2, c1.array[None]), batch_projected(p1, c2.array[None])
+    pinvs = batch_pseudo_inverse(m1), batch_pseudo_inverse(m2)
+    return PartitionedPinv(*(_built(x[0]) for x in (*pinvs, s1, s2)))

@@ -375,6 +375,14 @@ def select_greedy_frobenius(matrix: DenseMatrix, k: int) -> SelectionResult:
     )
 
 
+def _outside(n: int, chosen) -> np.ndarray:
+    """The sorted indices of range(n) not in ``chosen``, from a mask: not
+    ``np.setdiff1d``, whose ``np.unique`` imports ``numpy.ma``, a megabyte."""
+    keep = np.ones(n, dtype=bool)
+    keep[np.asarray(chosen, dtype=np.intp)] = False
+    return np.flatnonzero(keep)
+
+
 def _moves(bases: np.ndarray, added: np.ndarray) -> np.ndarray:
     """Sorted rows base + (j,), per row of ``bases`` and then per j in ``added``."""
     return np.sort(np.column_stack([np.repeat(bases, len(added), axis=0),
@@ -491,7 +499,7 @@ def select_local_swap_volume(matrix: DenseMatrix, k: int, seed: int = 0,
         )
 
     for _ in range(max_sweeps):
-        outside = np.setdiff1d(np.arange(n), current)
+        outside = _outside(n, current)
         if not len(outside):
             break
         kept = np.array([current[:pos] + current[pos + 1:] for pos in range(k)], dtype=np.intp)
@@ -552,7 +560,7 @@ def _greedy_steps(a: np.ndarray, unit: np.ndarray, exponent: int, col_norms: np.
     norms are ``col_norms``: ((value, chosen) there, extensions considered)."""
     evaluated, chosen, value = 0, (), 1.0  # the volume of no columns
     for _ in range(k):
-        remaining = np.setdiff1d(np.arange(a.shape[1]), chosen)
+        remaining = _outside(a.shape[1], chosen)
         idx = _moves(np.array([chosen], dtype=np.intp), remaining)
         band = extension_estimates(criterion, unit, chosen, remaining, value)
         (best,) = _screened_best(a, col_norms, idx, [criterion], [band], exponent)

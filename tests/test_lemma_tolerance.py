@@ -2,7 +2,6 @@
 
 from colsel import lemmas
 from colsel.lemmas import run_suite
-from colsel.matrixkit import DenseMatrix, PartitionedPinv
 
 
 def l_pi0(reports):
@@ -16,18 +15,15 @@ def test_ill_conditioned_draws_pass():
 
 
 def test_relative_perturbation_still_fails(monkeypatch):
-    original = lemmas.partitioned_pinv
+    # M1 = P2 C1 and M2 = P1 C2 shrunk by 1e-6 grow their pseudo-inverses,
+    # the blocks of C+, by about as much
+    original = lemmas.batch_projected
 
-    def perturbed(c1, c2):
-        parts = original(c1, c2)
-        return PartitionedPinv(
-            m1_pinv=DenseMatrix(parts.m1_pinv.array * (1.0 + 1e-6)),
-            m2_pinv=DenseMatrix(parts.m2_pinv.array * (1.0 + 1e-6)),
-            schur1=parts.schur1,
-            schur2=parts.schur2,
-        )
+    def perturbed(p, c):
+        blocks, schurs = original(p, c)
+        return blocks / (1.0 + 1e-6), schurs
 
-    monkeypatch.setattr(lemmas, "partitioned_pinv", perturbed)
+    monkeypatch.setattr(lemmas, "batch_projected", perturbed)
     report = l_pi0(run_suite(seed=0, trials=5))
     assert report.failures == report.trials == 5
     assert report.worst_violation > 0.0

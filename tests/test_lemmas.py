@@ -9,10 +9,11 @@ from colsel import lemmas
 from colsel.criteria import parse_criterion, relative_volume, stacked_values, values
 from colsel.errors import InvalidInputError, InvalidParameterError, RankDeficiencyError
 from colsel.lemmas import (_FROBENIUS, _PINV_SPECS, _REMOVAL_SPECS, _UNIT_FAMILIES, _VOLUME, LEMMA_IDS,
-                           _draw_full_rank, _draw_unit_columns, _orthonormality_defect, _removal_subsets,
-                           _removal_violations, _scores, _stacks, _unit_claims, _unit_columns,
-                           check_removal_monotonicity, run_suite)
-from colsel.matrixkit import DenseMatrix, batch_svd, column_norms, svd
+                           _draw_full_rank, _draw_unit_columns, _orthonormality_defect, _partition_stacks,
+                           _partition_trial, _removal_subsets, _removal_violations, _scores, _stacks,
+                           _unit_claims, _unit_columns, check_removal_monotonicity, run_suite)
+from colsel.matrixkit import (DenseMatrix, batch_svd, column_norms, complement_projector, partitioned_pinv,
+                              pseudo_inverse, svd)
 from colsel.x3c import gadget
 
 # run_suite(seed=7) reports recorded from the suite before it drew in blocks,
@@ -118,6 +119,27 @@ def test_stacked_unit_draws_equal_the_one_matrix_formulas(seed):
         assert stack.shape == (len(draws), *shape)
         for got, draw in zip(stack, draws):
             assert np.array_equal(got, one_matrix_unit_columns(eps, *draw)), (eps, shape)
+
+
+# the reports pin only each lemma's worst row; this pins every partition draw
+@pytest.mark.parametrize("seed", range(3))
+def test_stacked_partition_draws_equal_the_one_matrix_functions(seed):
+    rng = np.random.default_rng(seed)
+    trials = [_partition_trial(rng) for _ in range(1000)]
+    assert {(*c.shape, split) for c, _, split in trials} == \
+        {(m, n, split) for m in range(3, 9) for n in range(2, min(m, 6) + 1) for split in range(1, n)}
+    for (arr, _, split), got in zip(trials, _partition_stacks(trials)):
+        m1_pinv, m2_pinv, schur1, schur2, spd, direct, rhs = got
+        c = DenseMatrix(arr)
+        parts = partitioned_pinv(c.columns(range(split)), c.columns(range(split, c.cols)))
+        for name, a, b in [("m1_pinv", m1_pinv, parts.m1_pinv), ("m2_pinv", m2_pinv, parts.m2_pinv),
+                           ("schur1", schur1, parts.schur1), ("schur2", schur2, parts.schur2),
+                           ("direct", direct, pseudo_inverse(c))]:
+            assert a.shape == b.array.shape and a.tobytes() == b.array.tobytes(), (name, arr.shape, split)
+        assert spd == min(np.linalg.eigvalsh(schur.array)[0] for schur in (parts.schur1, parts.schur2))
+        head, tail = DenseMatrix(arr[:, :-1]), arr[:, -1]
+        gram = head.array.T @ head.array
+        assert rhs == float(np.linalg.det(gram) * np.sum((complement_projector(head).array @ tail) ** 2))
 
 
 class TestStackedScorer:

@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -485,3 +489,27 @@ class TestDecide:
             warnings.simplefilter("error")
             with pytest.raises(InvalidParameterError, match="k must be in"):
                 decide(a, DecisionQuery(parse_criterion("vol"), 5, 1.0))
+
+
+def test_heuristics_leave_numpy_ma_unimported():
+    """Greedy and local swap take each step's complement from a mask:
+    ``np.setdiff1d`` goes through ``np.unique``, which imports ``numpy.ma``
+    (about a megabyte) on its first call."""
+    code = """if True:
+        import sys
+        import numpy as np
+        from colsel.criteria import parse_criterion
+        from colsel.matrixkit import DenseMatrix
+        from colsel.selectors import select_greedy_forward, select_local_swap_volume
+        a = DenseMatrix(np.random.default_rng(0).standard_normal((8, 14)))
+        assert "numpy.ma" not in sys.modules
+        for ident in ("res-frobenius", "vol"):
+            select_greedy_forward(a, 4, parse_criterion(ident))
+            assert "numpy.ma" not in sys.modules, ident
+        select_local_swap_volume(a, 4)
+        assert "numpy.ma" not in sys.modules, "local swap"
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
