@@ -10,21 +10,23 @@ report record per lemma id.
 
 The suite runs in blocks of ``_BLOCK_ROUNDS`` rounds.  A block first draws
 its rounds, in the order of the generator calls that fix every report.  A
-draw keeps only its generator calls: for a unit-column family the full-rank
-Gaussian and, for a perturbed family, the perturbation's direction; for a
-partition C = [C1 C2] the full-rank Gaussian C and the split.  The block
-then finishes each unit-column family as one stack per shape
-(``_unit_columns``: one QR, one SVD for the perturbations' two-norms and one
-column normalisation); it decomposes the partitions as stacks
+draw makes only its generator calls and no linear algebra: for a
+unit-column family the m x k Gaussian and, for a perturbed family, the
+perturbation's direction; for a partition C = [C1 C2] the Gaussian C and
+the split; for an interlacing pair the parent A, the columns of its
+submatrix C and the removal depth.  The block then does every
+decomposition as stacks.  It finishes each unit-column family as one stack
+per shape (``_unit_columns``: one QR, one SVD for the perturbations'
+two-norms and one column normalisation).  It decomposes the partitions
 (``_partition_stacks``: the complement projectors of C1, C2 and C's head,
 the pseudo-inverses of P2 C1, P1 C2 and C, the Schur complements'
 eigenvalues and the head Grams' determinants, each one call per shape of the
 matrixkit kernels that ``partitioned_pinv``, ``pseudo_inverse`` and
-``complement_projector`` run on a stack of one); and it scores every family
-as stacks (``_stacks``): one ``batch_svd`` call per shape (m, k), then one
+``complement_projector`` run on a stack of one), and the interlacing
+pairs' A and C for their singular values.  It scores every family as stacks
+(``_stacks``): one ``batch_svd`` call per shape (m, k), then one
 ``stacked_values`` call per k, the path ``values`` takes for a single
-matrix.  So a matrix gets the same bits in a stack and alone, and a matrix
-whose sigmas a draw already has is not decomposed again.
+matrix.  So a matrix gets the same bits in a stack and alone.
 Above 1000 subsets, ``check_removal_monotonicity`` checks 1000 distinct ones
 drawn uniformly from all C(k, ell).
 """
@@ -48,7 +50,7 @@ from .criteria import (condition_number, pinv_schatten_norm, relative_volume,  #
 from .errors import InvalidParameterError, RankDeficiencyError
 from .matrixkit import complement_projector, partitioned_pinv, pseudo_inverse  # noqa: F401
 from .matrixkit import (DenseMatrix, batch_complement_projector, batch_projected, batch_pseudo_inverse,
-                        batch_svd, column_norms, default_rank_tolerance, gather_columns, svd)
+                        batch_svd, column_norms, gather_columns, svd)
 
 LEMMA_IDS = (
     "e_inter",
@@ -128,12 +130,11 @@ def _band(defect, value, optimum):
     return np.maximum(v_if, v_only_if)
 
 
-def _stacks(stacks, sigmas=(), per_matrix=()) -> dict[int, tuple[np.ndarray, ...]]:
-    """The matrices of the (B_i, m, k) ``stacks``, then the full-rank ones
-    whose singular values ``sigmas`` lists, by column count k, with one SVD
-    call per shape: for each k, the matrices' positions in that order, their
-    singular values, full-rank flags and ``per_matrix`` functions of a
-    shape's stack (``stacks`` alone), each with one row per matrix."""
+def _stacks(stacks, per_matrix=()) -> dict[int, tuple[np.ndarray, ...]]:
+    """The matrices of the (B_i, m, k) ``stacks`` by column count k, with one
+    SVD call per shape: for each k, the matrices' positions in ``stacks``,
+    their singular values, full-rank flags and ``per_matrix`` functions of a
+    shape's stack, each with one row per matrix."""
     shapes, by_cols, start = {}, {}, 0
     for stack in stacks:
         shapes.setdefault(stack.shape[1:], []).append((np.arange(start, start + len(stack)), stack))
@@ -143,16 +144,14 @@ def _stacks(stacks, sigmas=(), per_matrix=()) -> dict[int, tuple[np.ndarray, ...
         stack = np.concatenate(parts)
         by_cols.setdefault(k, []).append((np.concatenate(rows), *batch_svd(stack),
                                           *(f(stack) for f in per_matrix)))
-    for row, sigma in enumerate(sigmas, start):
-        by_cols.setdefault(len(sigma), []).append(([row], sigma[None], [True]))
     return {k: tuple(map(np.concatenate, zip(*parts))) for k, parts in by_cols.items()}
 
 
-def _scores(specs, stacks, sigmas=()) -> np.ndarray:
-    """The (matrices, specs) values of ``specs`` on the matrices ``_stacks``
-    groups, in its order, from one ``stacked_values`` call per k."""
-    out = np.empty((sum(map(len, stacks)) + len(sigmas), len(specs)))
-    for rows, sigma, full in _stacks(stacks, sigmas).values():
+def _scores(specs, stacks) -> np.ndarray:
+    """The (matrices, specs) values of ``specs`` on the matrices of
+    ``stacks``, in order, from one ``stacked_values`` call per k."""
+    out = np.empty((sum(map(len, stacks)), len(specs)))
+    for rows, sigma, full in _stacks(stacks).values():
         out[rows] = stacked_values(specs, sigma, None, full).T
     return out
 
@@ -161,17 +160,6 @@ def _orthonormality_defect(stack: np.ndarray) -> np.ndarray:
     """||C^T C - I||_F per matrix of a (B, m, k) stack, one ddot each, as np.linalg.norm takes it."""
     d = (np.swapaxes(stack, 1, 2) @ stack - np.eye(stack.shape[2])).reshape(len(stack), 1, -1)
     return np.sqrt(d @ np.swapaxes(d, 1, 2))[:, 0, 0]
-
-
-def _draw_full_rank(rng, m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """A standard normal m x k draw (m >= k), redrawn until it has full
-    column rank under ``svd``'s tolerance, and ``svd``'s sigmas of it."""
-    for _ in range(64):
-        g = rng.standard_normal((m, k))
-        sigma = np.linalg.svd(g, compute_uv=False)
-        if sigma[-1] > default_rank_tolerance(m, k, sigma[0]):
-            return g, sigma
-    raise RuntimeError("could not draw a full-rank matrix")  # pragma: no cover
 
 
 _FROBENIUS, _VOLUME, _RVOL = map(parse_criterion, ("norm-frobenius", "vol", "rvol"))
@@ -241,11 +229,11 @@ _UNIT_FAMILIES = (None, 0.0, 1e-6, 1e-3)
 
 
 def _draw_unit_columns(rng, eps: float | None) -> tuple[np.ndarray, ...]:
-    """The generator calls of one draw of family ``eps``: a full-rank m x k
-    Gaussian and, for a perturbed family, the m x k direction of its
-    perturbation; ``_unit_columns`` makes the matrices from stacks of them."""
+    """The generator calls of one draw of family ``eps``: an m x k Gaussian
+    and, for a perturbed family, the m x k direction of its perturbation;
+    ``_unit_columns`` makes the matrices from stacks of them."""
     m, k = _dims(rng)
-    arr, _ = _draw_full_rank(rng, m, k)
+    arr = rng.standard_normal((m, k))
     return (arr, rng.standard_normal((m, k))) if eps else (arr,)
 
 
@@ -270,13 +258,11 @@ _PINV_POWERS = (2.0, 3.0, 4.0, 6.0)
 _PINV_SPECS = tuple(parse_criterion("pinv-norm", p) for p in _PINV_POWERS)
 
 
-def _partition_trial(rng) -> tuple[np.ndarray, np.ndarray, int]:
-    """The generator calls of one partition draw: C = [C1 C2], full rank (so
-    ``partitioned_pinv``'s rank test would pass), its sigmas and C1's width."""
+def _partition_trial(rng) -> tuple[np.ndarray, int]:
+    """The generator calls of one partition draw: C = [C1 C2] and C1's width."""
     m = int(rng.integers(max(_ROWS[0], 3), _ROWS[1] + 1))
     n = int(rng.integers(2, min(m, 6) + 1))
-    arr, sigma = _draw_full_rank(rng, m, n)
-    return arr, sigma, int(rng.integers(1, n))
+    return rng.standard_normal((m, n)), int(rng.integers(1, n))
 
 
 def _per_shape(kernel, *operands) -> list:
@@ -295,14 +281,14 @@ def _per_shape(kernel, *operands) -> list:
 
 
 def _partition_stacks(trials) -> list[tuple]:
-    """Per partition draw (C, sigmas, split) of ``trials``: M1^+, M2^+, S1
+    """Per partition draw (C, split) of ``trials``: M1^+, M2^+, S1
     and S2 of ``partitioned_pinv``, the smaller of the least eigenvalues of
     S1 and S2, C^+, and e_sc's right-hand side det(H^T H) ||P_H c||^2, H the
     first n-1 columns of C, c its last and P_H H's complement projector;
     each decomposition one matrixkit kernel call per shape over the block."""
-    cs = [c for c, _, _ in trials]
-    c1s = [c[:, :split] for c, _, split in trials]
-    c2s = [c[:, split:] for c, _, split in trials]
+    cs = [c for c, _ in trials]
+    c1s = [c[:, :split] for c, split in trials]
+    c2s = [c[:, split:] for c, split in trials]
     heads = [c[:, :-1] for c in cs]
     t = len(cs)
     proj = _per_shape(batch_complement_projector, c1s + c2s + heads)
@@ -321,8 +307,8 @@ def _partition_checks(trials, found: dict):
     """The l_pi0, l_fi, l_pi1 and e_sc rows of the block's partition
     ``trials``, from ``_partition_stacks`` and one ``_scores`` call over
     every C1, C2 and C."""
-    parts = [part[None] for c, _, split in trials for part in (c[:, :split], c[:, split:])]
-    scores = _scores((_VOLUME, *_PINV_SPECS), parts, [sigma for _, sigma, _ in trials]).tolist()
+    parts = [part[None] for c, split in trials for part in (c[:, :split], c[:, split:])]
+    scores = _scores((_VOLUME, *_PINV_SPECS), parts + [c[None] for c, _ in trials]).tolist()
     for t, (m1_pinv, m2_pinv, _, _, spd, direct, rhs) in enumerate(_partition_stacks(trials)):
         # C+ entries grow as 1/sigma_min, so the reconstruction error is taken
         # relative to the largest of them, as e_sc below is
@@ -342,35 +328,36 @@ def _partition_checks(trials, found: dict):
         found["e_sc"].append((abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300) - 1e-9,))
 
 
-def _interlacing_trial(rng, found: dict) -> list:
-    """Draw A and its submatrix C and record its e_inter row; return what the
-    block scores, [(C, its removal subsets, sigmas)], or [] if C is deficient."""
+def _interlacing_trial(rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The generator calls of one interlacing draw: A, its submatrix C and
+    C's removal subsets, every ell-column subset for the drawn ell."""
     m = int(rng.integers(_ROWS[0], _ROWS[1] + 1))
     n = int(rng.integers(_PARENT_COLS[0], _PARENT_COLS[1] + 1))
     a = rng.standard_normal((m, n))
     k = int(rng.integers(2, min(m, n, _SUBSET_COLS[1]) + 1)) if min(m, n) > 2 else 2
-    cols = np.sort(rng.choice(n, size=k, replace=False))
-    c = a[:, cols]
-
-    (sigma_a,), _ = batch_svd(a[None])
-    (sigma_c,), (full,) = batch_svd(c[None])
-    sig_a, sig_c = sigma_a.tolist(), sigma_c.tolist()
-    worst = -math.inf
-    for j in range(k):
-        # deleting n-k columns pushes sigma_j(C) down to at most position
-        # n-k+j of the parent spectrum; beyond min(m, n) the bound is 0
-        pos = n - k + j
-        lower = sig_a[pos] if pos < len(sig_a) else 0.0
-        worst = max(worst, lower - sig_c[j] - 1e-10)
-        worst = max(worst, sig_c[j] - sig_a[j] - 1e-10)
-    found["e_inter"].append((worst,))
-
-    if not full:
-        found["l_inter"].append((-math.inf,))
-        found["l_inter2"].append((-math.inf,))
-        return []
+    c = a[:, np.sort(rng.choice(n, size=k, replace=False))]
     ell = int(rng.integers(1, k))
-    return [(c, np.array(list(itertools.combinations(range(k), ell)), dtype=np.intp), sigma_c)]
+    return a, c, np.array(list(itertools.combinations(range(k), ell)), dtype=np.intp)
+
+
+def _interlacing_checks(trials, found: dict):
+    """The e_inter, l_inter and l_inter2 rows of the block's interlacing
+    ``trials`` (A, C, removal subsets), from the singular values of every A
+    and C, one SVD call per shape, and one ``_removal_maxima`` call."""
+    parents, subs, subsets = zip(*trials)
+    sigmas = [sigma.tolist() for sigma in _per_shape(lambda s: batch_svd(s)[0], [*parents, *subs])]
+    for a, sig_a, sig_c in zip(parents, sigmas, sigmas[len(trials):]):
+        n, k, worst = a.shape[1], len(sig_c), -math.inf
+        for j in range(k):
+            # deleting n-k columns pushes sigma_j(C) down to at most position
+            # n-k+j of the parent spectrum; beyond min(m, n) the bound is 0
+            pos = n - k + j
+            lower = sig_a[pos] if pos < len(sig_a) else 0.0
+            worst = max(worst, lower - sig_c[j] - 1e-10)
+            worst = max(worst, sig_c[j] - sig_a[j] - 1e-10)
+        found["e_inter"].append((worst,))
+    worst = _removal_maxima(subs, subsets)
+    found["l_inter"], found["l_inter2"] = worst[:, :1], worst[:, 1:]
 
 
 # rvol, then the five condition numbers that never rise when columns go
@@ -378,14 +365,14 @@ _REMOVAL_SPECS = tuple(map(parse_criterion, (
     "rvol", "cond-two", "cond-frobenius", "cond:p=4", "cond-mixed", "cond-mixed:p=4")))
 
 
-def _removal_maxima(arrays, subsets, sigmas) -> np.ndarray:
-    """The (C, 2) signed worst violations, per full-rank C of ``arrays`` with
-    singular values ``sigmas``, over its column ``subsets`` ((S, ell) indices),
-    of the scaled volume never dropping (l_inter) and no condition number
-    rising (l_inter2); one ``_scores`` call over every subset and every C."""
+def _removal_maxima(arrays, subsets) -> np.ndarray:
+    """The (C, 2) signed worst violations, per full-rank C of ``arrays``, over
+    its column ``subsets`` ((S, ell) indices), of the scaled volume never
+    dropping (l_inter) and no condition number rising (l_inter2); one
+    ``_scores`` call over every subset and every C."""
     stacks = [gather_columns(a, s) for a, s in zip(arrays, subsets)]
     sizes = [len(stack) for stack in stacks]
-    scores = _scores(_REMOVAL_SPECS, stacks, sigmas)
+    scores = _scores(_REMOVAL_SPECS, [*stacks, *(a[None] for a in arrays)])
     parent = np.repeat(scores[sum(sizes):], sizes, axis=0)
     sub = scores[:len(parent)]
     worst = np.column_stack([parent[:, 0] - sub[:, 0] - 1e-10,
@@ -396,13 +383,12 @@ def _removal_maxima(arrays, subsets, sigmas) -> np.ndarray:
 def _removal_violations(c: DenseMatrix, subsets) -> tuple[float, float]:
     """``_removal_maxima`` of C over its column ``subsets`` (a sequence of
     equal-length index tuples), in stacks of at most ``_STACK_ENTRIES``
-    entries, with C from one SVD; C must have full column rank."""
-    res = svd(c)
-    if res.numerical_rank < c.cols:
+    entries; C must have full column rank."""
+    if svd(c).numerical_rank < c.cols:
         raise RankDeficiencyError("removal monotonicity requires full column rank")
     subsets = np.array(subsets, dtype=np.intp)
     step = max(1, _STACK_ENTRIES // (c.rows * subsets.shape[1]))
-    worst = [_removal_maxima([c.array], [subsets[start:start + step]], [res.singular_values])
+    worst = [_removal_maxima([c.array], [subsets[start:start + step]])
              for start in range(0, len(subsets), step)]
     return tuple(np.max(np.concatenate(worst), axis=0).tolist())
 
@@ -411,7 +397,10 @@ def run_suite(seed: int = 0, trials: int = 200) -> list[LemmaReport]:
     """Run every documented check ``trials`` times per matrix family.
 
     Deterministic given ``seed``; the report is sorted by lemma id and a
-    missing id means the suite itself is broken.
+    missing id means the suite itself is broken.  A drawn matrix that a
+    check needs at full column rank and that is numerically rank deficient
+    (a Gaussian draw essentially never is) ends the run with
+    RankDeficiencyError; it is not redrawn.
     """
     if trials < 1:
         raise InvalidParameterError(f"need trials >= 1, got {trials}")
@@ -422,18 +411,15 @@ def run_suite(seed: int = 0, trials: int = 200) -> list[LemmaReport]:
     for start in range(0, trials, _BLOCK_ROUNDS):
         # the trials draw in generator order and leave their criteria to the
         # block's stacks; one row per trial and lemma, recorded once per block
-        units, parts, removals, found = {}, [], [], collections.defaultdict(list)
+        units, parts, pairs, found = {}, [], [], collections.defaultdict(list)
         for _ in range(min(_BLOCK_ROUNDS, trials - start)):
             for eps in _UNIT_FAMILIES:
                 draw = _draw_unit_columns(rng, eps)
                 units.setdefault((eps, draw[0].shape), []).append(draw)
             parts.append(_partition_trial(rng))
-            removals += _interlacing_trial(rng, found)
+            pairs.append(_interlacing_trial(rng))
         _partition_checks(parts, found)
-        if removals:
-            worst = _removal_maxima(*zip(*removals))
-            acc["l_inter"].record(worst[:, :1])
-            acc["l_inter2"].record(worst[:, 1:])
+        _interlacing_checks(pairs, found)
         for lid, rows in found.items():
             acc[lid].record(rows)
         _unit_column_checks([_unit_columns(eps, *map(np.stack, zip(*draws)))

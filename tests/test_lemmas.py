@@ -5,15 +5,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from colsel import lemmas
+from colsel import cli, lemmas
 from colsel.criteria import parse_criterion, relative_volume, stacked_values, values
 from colsel.errors import InvalidInputError, InvalidParameterError, RankDeficiencyError
 from colsel.lemmas import (_FROBENIUS, _PINV_SPECS, _REMOVAL_SPECS, _UNIT_FAMILIES, _VOLUME, LEMMA_IDS,
-                           _draw_full_rank, _draw_unit_columns, _orthonormality_defect, _partition_stacks,
-                           _partition_trial, _removal_subsets, _removal_violations, _scores, _stacks,
-                           _unit_claims, _unit_columns, check_removal_monotonicity, run_suite)
+                           _draw_unit_columns, _orthonormality_defect, _partition_stacks, _partition_trial,
+                           _removal_subsets, _removal_violations, _scores, _stacks, _unit_claims,
+                           _unit_columns, check_removal_monotonicity, run_suite)
 from colsel.matrixkit import (DenseMatrix, batch_svd, column_norms, complement_projector, partitioned_pinv,
-                              pseudo_inverse, svd)
+                              pseudo_inverse)
 from colsel.x3c import gadget
 
 # run_suite(seed=7) reports recorded from the suite before it drew in blocks,
@@ -64,12 +64,57 @@ class TestRunSuite:
                for r in run_suite(seed=7, trials=trials)]
         assert got == recorded
 
-    @pytest.mark.parametrize("trials,seed", [(25, seed) for seed in range(10)] + [(1000, 3)])
+    # 65, 129 and 130 trials end on a one- or two-round block
+    @pytest.mark.parametrize("trials,seed", [(25, seed) for seed in range(10)] +
+                             [(1000, 3), (65, 5), (129, 9), (130, 131)])
     def test_stacked_trials_keep_the_recorded_reports(self, trials, seed):
         recorded = json.loads(RECORDED_BY_SEED.read_text(encoding="utf-8"))[str(trials)][str(seed)]
         got = [[r.lemma_id, r.trials, r.failures, r.worst_violation]
                for r in run_suite(seed=seed, trials=trials)]
         assert got == recorded
+
+
+def repeated_column(arr):
+    """``arr`` with its last column replaced by a copy of its first."""
+    out = arr.copy()
+    out[:, -1] = out[:, 0]
+    return out
+
+
+def deficient_unit_draw(draw):
+    def patched(rng, eps):
+        got = draw(rng, eps)
+        return (repeated_column(got[0]),) if eps is None else got
+    return patched
+
+
+def deficient_partition(trial):
+    def patched(rng):
+        c, split = trial(rng)
+        return repeated_column(c), split
+    return patched
+
+
+def deficient_interlacing(trial):
+    def patched(rng):
+        _, c, subsets = trial(rng)
+        c = repeated_column(c)
+        return c, c, subsets
+    return patched
+
+
+# a drawn matrix that a check needs at full rank is never redrawn: a deficient
+# one ends the run, and the CLI exits 2
+@pytest.mark.parametrize("name,patch", [("_draw_unit_columns", deficient_unit_draw),
+                                        ("_partition_trial", deficient_partition),
+                                        ("_interlacing_trial", deficient_interlacing)])
+def test_deficient_draw_raises_for_every_family(monkeypatch, capsys, name, patch):
+    monkeypatch.setattr(lemmas, name, patch(getattr(lemmas, name)))
+    with pytest.raises(RankDeficiencyError):
+        run_suite(0, 1)
+    assert cli.main(["lemmas", "--seed", "0", "--trials", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
 
 
 def mixed_matrices(seed, count=120, max_cols=5):
@@ -126,9 +171,9 @@ def test_stacked_unit_draws_equal_the_one_matrix_formulas(seed):
 def test_stacked_partition_draws_equal_the_one_matrix_functions(seed):
     rng = np.random.default_rng(seed)
     trials = [_partition_trial(rng) for _ in range(1000)]
-    assert {(*c.shape, split) for c, _, split in trials} == \
+    assert {(*c.shape, split) for c, split in trials} == \
         {(m, n, split) for m in range(3, 9) for n in range(2, min(m, 6) + 1) for split in range(1, n)}
-    for (arr, _, split), got in zip(trials, _partition_stacks(trials)):
+    for (arr, split), got in zip(trials, _partition_stacks(trials)):
         m1_pinv, m2_pinv, schur1, schur2, spd, direct, rhs = got
         c = DenseMatrix(arr)
         parts = partitioned_pinv(c.columns(range(split)), c.columns(range(split, c.cols)))
@@ -168,19 +213,10 @@ class TestStackedScorer:
             got = stacked_values(specs, sigma, None, full)
             for col, i in enumerate(rows):
                 assert got[:, col].tolist() == values(DenseMatrix(matrices[i]), specs), i
-        # C scores from its draw's sigmas, C1 and C2 from their stacks, in one call
-        half = len(matrices) // 2
-        sigmas = [svd(DenseMatrix(c)).singular_values for c in matrices[half:]]
-        got = _scores(specs, [c[None] for c in matrices[:half]], sigmas)
-        assert got.tolist() == [values(DenseMatrix(c), specs) for c in matrices]
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_draw_full_rank_returns_the_sigmas_svd_gives(self, seed):
-        rng = np.random.default_rng(seed)
-        for m in range(3, 9):
-            for k in range(1, min(m, 6) + 1):
-                g, sigma = _draw_full_rank(rng, m, k)
-                assert sigma.tolist() == svd(DenseMatrix(g)).singular_values.tolist(), (m, k)
+        # C1 and C2 of each split, then every C, in one call, as _partition_checks scores them
+        parts = [part for c in matrices if c.shape[1] > 1 for part in (c[:, :1], c[:, 1:])] + matrices
+        got = _scores(specs, [c[None] for c in parts])
+        assert got.tolist() == [values(DenseMatrix(c), specs) for c in parts]
 
     def test_rank_deficient_row_raises_as_values_does(self):
         rng = np.random.default_rng(1)
