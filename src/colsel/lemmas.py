@@ -23,10 +23,11 @@ the pseudo-inverses of P2 C1, P1 C2 and C, the Schur complements'
 eigenvalues and the head Grams' determinants, each one call per shape of the
 matrixkit kernels that ``partitioned_pinv``, ``pseudo_inverse`` and
 ``complement_projector`` run on a stack of one), and the interlacing
-pairs' A and C for their singular values.  It scores every family as stacks
+pairs' A for their singular values.  It scores every family as stacks
 (``_stacks``): one ``batch_svd`` call per shape (m, k), then one
 ``stacked_values`` call per k, the path ``values`` takes for a single
-matrix.  So a matrix gets the same bits in a stack and alone.
+matrix; an interlacing pair's C takes its singular values from the stacks
+that score it.  So a matrix gets the same bits in a stack and alone.
 Above 1000 subsets, ``check_removal_monotonicity`` checks 1000 distinct ones
 drawn uniformly from all C(k, ell).
 """
@@ -147,12 +148,16 @@ def _stacks(stacks, per_matrix=()) -> dict[int, tuple[np.ndarray, ...]]:
     return {k: tuple(map(np.concatenate, zip(*parts))) for k, parts in by_cols.items()}
 
 
-def _scores(specs, stacks) -> np.ndarray:
+def _scores(specs, stacks, sigmas=None) -> np.ndarray:
     """The (matrices, specs) values of ``specs`` on the matrices of
-    ``stacks``, in order, from one ``stacked_values`` call per k."""
+    ``stacks``, in order, from one ``stacked_values`` call per k; each
+    matrix's singular values also go into the dict ``sigmas``, when given,
+    keyed by its position."""
     out = np.empty((sum(map(len, stacks)), len(specs)))
     for rows, sigma, full in _stacks(stacks).values():
         out[rows] = stacked_values(specs, sigma, None, full).T
+        if sigmas is not None:
+            sigmas.update(zip(rows.tolist(), sigma.tolist()))
     return out
 
 
@@ -342,11 +347,13 @@ def _interlacing_trial(rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _interlacing_checks(trials, found: dict):
     """The e_inter, l_inter and l_inter2 rows of the block's interlacing
-    ``trials`` (A, C, removal subsets), from the singular values of every A
-    and C, one SVD call per shape, and one ``_removal_maxima`` call."""
+    ``trials`` (A, C, removal subsets), from one ``_removal_maxima`` call,
+    which also decomposes every C, and the singular values of every A, one
+    SVD call per shape."""
     parents, subs, subsets = zip(*trials)
-    sigmas = [sigma.tolist() for sigma in _per_shape(lambda s: batch_svd(s)[0], [*parents, *subs])]
-    for a, sig_a, sig_c in zip(parents, sigmas, sigmas[len(trials):]):
+    removal, sub_sigmas = _removal_maxima(subs, subsets)
+    sigmas = [sigma.tolist() for sigma in _per_shape(lambda s: batch_svd(s)[0], parents)]
+    for a, sig_a, sig_c in zip(parents, sigmas, sub_sigmas):
         n, k, worst = a.shape[1], len(sig_c), -math.inf
         for j in range(k):
             # deleting n-k columns pushes sigma_j(C) down to at most position
@@ -356,8 +363,7 @@ def _interlacing_checks(trials, found: dict):
             worst = max(worst, lower - sig_c[j] - 1e-10)
             worst = max(worst, sig_c[j] - sig_a[j] - 1e-10)
         found["e_inter"].append((worst,))
-    worst = _removal_maxima(subs, subsets)
-    found["l_inter"], found["l_inter2"] = worst[:, :1], worst[:, 1:]
+    found["l_inter"], found["l_inter2"] = removal[:, :1], removal[:, 1:]
 
 
 # rvol, then the five condition numbers that never rise when columns go
@@ -365,19 +371,21 @@ _REMOVAL_SPECS = tuple(map(parse_criterion, (
     "rvol", "cond-two", "cond-frobenius", "cond:p=4", "cond-mixed", "cond-mixed:p=4")))
 
 
-def _removal_maxima(arrays, subsets) -> np.ndarray:
+def _removal_maxima(arrays, subsets) -> tuple[np.ndarray, list]:
     """The (C, 2) signed worst violations, per full-rank C of ``arrays``, over
     its column ``subsets`` ((S, ell) indices), of the scaled volume never
-    dropping (l_inter) and no condition number rising (l_inter2); one
-    ``_scores`` call over every subset and every C."""
+    dropping (l_inter) and no condition number rising (l_inter2), and each
+    C's singular values; one ``_scores`` call over every subset and every C."""
     stacks = [gather_columns(a, s) for a, s in zip(arrays, subsets)]
     sizes = [len(stack) for stack in stacks]
-    scores = _scores(_REMOVAL_SPECS, [*stacks, *(a[None] for a in arrays)])
+    sigmas = {}
+    scores = _scores(_REMOVAL_SPECS, [*stacks, *(a[None] for a in arrays)], sigmas)
     parent = np.repeat(scores[sum(sizes):], sizes, axis=0)
     sub = scores[:len(parent)]
     worst = np.column_stack([parent[:, 0] - sub[:, 0] - 1e-10,
                              np.max(sub[:, 1:] - parent[:, 1:] - 1e-10, axis=1)])
-    return np.maximum.reduceat(worst, np.cumsum([0, *sizes[:-1]]), axis=0)
+    return (np.maximum.reduceat(worst, np.cumsum([0, *sizes[:-1]]), axis=0),
+            [sigmas[i] for i in range(sum(sizes), len(scores))])
 
 
 def _removal_violations(c: DenseMatrix, subsets) -> tuple[float, float]:
@@ -388,7 +396,7 @@ def _removal_violations(c: DenseMatrix, subsets) -> tuple[float, float]:
         raise RankDeficiencyError("removal monotonicity requires full column rank")
     subsets = np.array(subsets, dtype=np.intp)
     step = max(1, _STACK_ENTRIES // (c.rows * subsets.shape[1]))
-    worst = [_removal_maxima([c.array], [subsets[start:start + step]])
+    worst = [_removal_maxima([c.array], [subsets[start:start + step]])[0]
              for start in range(0, len(subsets), step)]
     return tuple(np.max(np.concatenate(worst), axis=0).tolist())
 

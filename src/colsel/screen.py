@@ -37,9 +37,9 @@ from .matrixkit import column_norms, default_rank_tolerance, unit_scaled
 # How far an estimate may sit from the SVD value: relative, and for the
 # residuals also absolute, in units of ||A||_F (see _residual_width); on top,
 # ROUNDING * k * kappa^2 relative for a k-column candidate whose condition
-# number is at most kappa (see _rounding).  The exact selector's Gram
-# eigenvalues get ROUNDING * (m + k) * k * sigma_1^2 (see _gram_estimates),
-# and its Cholesky estimates a multiple of that (see _cholesky_estimates).
+# number is at most kappa (see _rounding).  The exact selector's estimates
+# take the rounding bound delta of _shift, ROUNDING * (m + k) * k * sigma_1^2
+# for its Gram eigenvalues, and a multiple of it for its shifted blocks.
 SCREEN_MARGIN = 1e-6
 RESIDUAL_SLACK = 1e-6
 ROUNDING = 1e-14
@@ -56,16 +56,16 @@ class GramSpectrum:
     prove has a NaN ``rel``, and the constructor makes its invariants NaN in
     place, so every quantity formed from it is NaN.  Per row, with H = C^T C
     for C at A's unit scale, its estimator gave either the eigenvalues of H
-    (``eigenvalues``, non-increasing), or what a Cholesky factor gives:
-    ``root_det`` = det(H)^(1/2), ``traces`` mapping j to tr H^j for j = 1, 2
-    and, when an inverse was formed, -1, -2, and ``top``, the largest
-    eigenvalue of H, when it was bracketed; or, with no factor, ``traces``
-    for j = 1, 2 and ``top`` alone, whose ``rel`` bounds sigma_1 and the
-    sums of sigma^(2j), not each sigma, and proves no rank (a zero block
-    aside).  A read whose invariant was not formed raises ``LookupError``:
-    without eigenvalues, ``prod()`` with no ``root_det`` and ``smallest()``
-    always.  ``sum(j)`` is tr H^j, formed once
-    and kept: by products and square roots of the eigenvalues where 2j is an
+    (``eigenvalues``, non-increasing; ``_gram_estimates``) or the invariants
+    of H shifted by the rounding bound (``_shifted_estimates``): ``traces``
+    mapping j to tr H^j for j = 1, 2, ``top``, the largest eigenvalue, when
+    it was bracketed, and with a Cholesky factor, ``root_det`` =
+    det(H)^(1/2) and, when an inverse was formed, the traces for j = -1,
+    -2; with no factor, ``rel`` bounds sigma_1 and the sums of sigma^(2j),
+    not each sigma, and proves no rank (a zero block aside).  A read whose
+    invariant was not formed raises ``LookupError``: without eigenvalues,
+    ``prod()`` with no ``root_det`` and ``smallest()`` always.  ``sum(j)``
+    is tr H^j, formed once and kept: by products and square roots of the eigenvalues where 2j is an
     integer of magnitude at most 4, the j that p = 2, 3 and 4 need, by
     ``np.power`` for any other.  ``prod()``, ``power_sum(q)``, ``largest()``
     and ``smallest()`` are C's prod sigma, sum sigma^q, sigma_1 and sigma_k,
@@ -187,36 +187,35 @@ class ChunkScreen:
 
     def chunk_bytes(self, rows: int) -> int:
         """Bytes of the arrays a chunk of ``rows`` k-subsets holds at once,
-        certification slices aside (``selectors._score_bytes``).  The
-        estimates of a pass with a spec that is no residual hold the
-        (k, k, B) blocks, with ``_top_bracket``'s two (B, k, k) buffers on a
-        pass that brackets the largest eigenvalue, with or without a factor;
-        a pass of residuals alone gathers no block.  Every pass then holds
-        four (B,) vectors per spec: its band (estimate, width) and the band
-        stacked (``selectors._screened_best``).  A pass
-        that groups equal blocks (``_equal_blocks``) also holds, per subset,
-        its two (k, k) blocks of codes, its key's sorted copy, its reordered
-        indices, the keys' sort order and its group; its groups' blocks are
-        counted as the blocks of every row, which the first chunk, before
-        grouping stops, may need.  The residuals are banded between the
-        estimates and the bands and free their arrays before the bands are
-        formed, so a pass with a residual holds the larger of the two and
-        what ``_residual_bands`` holds per (k - 1)-prefix or per subset, m'
-        = min(m, n) being the rows of ``_residual_basis`` and d = m' - k + 1
-        the rows of the last level's T.  Per prefix, the arrays of the
-        prefix tree's last level: the (d + 1, n) T gathered from its parent,
-        beside the parent level's (d + 2, n) arrays while it gathers (for
-        k > 2; for k = 2 the parent is the basis itself), which it then
+        certification slices aside (``selectors._score_bytes``).  The estimates
+        of a pass with a spec that is no residual hold the (k, k, B) blocks,
+        with ``_top_bracket``'s two (B, k, k) buffers on a pass that brackets
+        the largest eigenvalue, with or without a factor; a pass of residuals
+        alone gathers no block.  Every pass then holds four (B,) vectors per
+        spec: its band (estimate, width) and the band stacked
+        (``selectors._screened_best``).  A pass that groups equal blocks
+        (``_equal_blocks``) also holds, per subset, its two (k, k) blocks of
+        codes, its key's sorted copy, its reordered indices, the keys' sort
+        order and its group; its groups' blocks are counted as the blocks of
+        every row, which the first chunk, before grouping stops, may need.  The
+        residuals are banded between the estimates and the bands and free their
+        arrays before the bands are formed, so a pass with a residual holds the
+        larger of the two and what ``_residual_bands`` holds per (k - 1)-prefix
+        or per subset, m' = min(m, n) being the rows of ``_residual_basis`` and
+        d = m' - k + 1 the rows of the last level's T.  Per prefix, the arrays
+        of the prefix tree's last level: the (d + 1, n) T gathered from its
+        parent, beside the parent level's (d + 2, n) arrays while it gathers
+        (for k > 2; for k = 2 the parent is the basis itself), which it then
         frees, and beside x, tau v and the v^T T row while it reflects in
         place; an earlier level holds fewer nodes.  The prefixes are counted
-        exactly for the last ``rows`` subsets of the lexicographic order,
-        which hold the most that any ``rows`` consecutive ones do
-        (``_suffix_prefixes``); k = 1 has no tree.  Per subset, its (d, d)
-        W, the (d - 1, d - 1) update and Gram, four d-vectors (x, v, p, y)
-        and its condition bound kappa; res-two's bracket then holds the Gram
-        and one more array of its size, within that.  Throughout, a chunk holds four (B, k) arrays (its
-        indices, their transpose, their column norms and the certified rows'
-        copy)."""
+        exactly for the last ``rows`` subsets of the lexicographic order, which
+        hold the most that any ``rows`` consecutive ones do
+        (``_suffix_prefixes``); k = 1 has no tree.  Per subset, its (d, d) W,
+        the (d - 1, d - 1) update and Gram, four d-vectors (v, p, y, v * p) and its
+        condition bound kappa; res-two's bracket then holds the Gram and one
+        more array of its size, within that.  Throughout, a chunk holds four
+        (B, k) arrays (its indices, their transpose, their column norms and the
+        certified rows' copy)."""
         k = self.k
         blocks = (3 if self.parts and "top" in self.parts else 1) if self.spectral else 0
         held = 8 * (k * k * blocks + 4 * len(self.specs))
@@ -256,17 +255,12 @@ class ChunkScreen:
         condition number from the same reflections, so a pass of residuals
         alone gathers no block).  Each spec that is no residual reads
         either invariants of the blocks (``CriterionSpec.factored``) or
-        their eigenvalues.  When every such spec reads invariants and one
-        reads det H or the inverse's traces (vol, rvol, sopt, pinv-norm,
-        cond), the blocks are factored a column of every block at a time
-        (``_cholesky_estimates``, with the inverse's traces and the bracket
-        on the largest eigenvalue only where a spec asks for them), a block
-        that fails to factor leaving only its own row unproven, for the SVD
-        to certify.  When they read tr H^j and the largest eigenvalue alone
-        (norm at p = 2, 4, inf and srank at p = 2, 4), no factor is formed:
-        the bands come from tr H, tr H^2 and, where read, the bracket on
-        the largest eigenvalue (``_trace_estimates``).  Otherwise (p = 3 or
-        a non-integer p, or sigma_k alone: every x3c verify and gap pass)
+        their eigenvalues.  When every such spec reads invariants, the
+        estimator shifts the blocks (``_shifted_estimates``) and forms the
+        ``parts`` they read: a Cholesky factor for det H or the inverse's
+        traces (vol, rvol, sopt, pinv-norm, cond), and no factor for norm
+        at p = 2, 4, inf and srank at p = 2, 4.  Otherwise (p = 3 or a
+        non-integer p, or sigma_k alone: every x3c verify and gap pass)
         their eigenvalues are solved for in one batched eigensolve
         (``_gram_estimates``): one per group of the chunk's rows whose
         blocks are equal up to the order of their columns
@@ -275,10 +269,10 @@ class ChunkScreen:
         groups above two thirds of the rows it has grouped: the grouping
         costs a third (k = 8) to a half (k = 5) of an eigensolve per row, so
         up to that chunk the grouped rows cost about what solving every
-        block would, or less.  The
-        tally spans the pass, not one chunk, so that one chunk of rarer
-        repeats (at M = 8, one chunk in a hundred or so, among chunks whose
-        groups are about half their rows) does not stop it.
+        block would, or less.  The tally spans the pass, not one chunk, so
+        that one chunk of rarer repeats (at M = 8, one chunk in a hundred
+        or so, among chunks whose groups are about half their rows) does
+        not stop it.
         """
         if self.parts is None:
             groups = _equal_blocks(self.codes, idx) if self.grouping else None
@@ -288,11 +282,8 @@ class ChunkScreen:
                     self._groups += len(groups[0])
                     self.grouping = 3 * self._groups <= 2 * self._grouped
             spectrum = _gram_estimates(self.gram, self.m, idx, groups)
-        elif self.parts & {"det", "inverse"}:
-            spectrum = _cholesky_estimates(self.gram, self.m, idx, "inverse" in self.parts,
-                                           "top" in self.parts)
         elif self.spectral:
-            spectrum = _trace_estimates(self.gram, self.m, idx, "top" in self.parts)
+            spectrum = _shifted_estimates(self.gram, self.m, idx, self.parts)
         else:  # a pass of residuals alone
             spectrum = None
         residual = _residual_bands(self.basis, idx, self.norms)[0] if self.norms else {}
@@ -401,6 +392,40 @@ def _proven(m: int, k: int, top: np.ndarray, bottom: np.ndarray, rel: np.ndarray
     return np.where(proven, rel, np.nan), np.where(proven, high / low, np.inf)
 
 
+def _shift(size: int, trace, m: int, k: int):
+    """delta = ROUNDING * ``size`` * ``trace`` + m k * the smallest normal
+    number (the underflow): how far rounding moves the eigenvalues of C^T C
+    for an m x k submatrix C of A at unit scale, or of R^T R for C's R, from
+    the SVD's sigma_i^2.  ``trace`` is sigma_1^2, or tr(C^T C) >= sigma_1^2 -
+    k delta, a second-order gap that the margin of ROUNDING, about 45 eps,
+    over the measured rounding absorbs.
+
+    Gram formation, ``eigvalsh`` or the Cholesky factor, and the SVD's own
+    rounding together take size = (m + k) k.  The residuals' tree reaches R
+    by Householder QR, which is columnwise backward stable (Higham, Accuracy
+    and Stability of Numerical Algorithms, Thm 19.4): the computed R is the
+    exact R of C + E with ||e_j|| <= gamma ||c_j||, gamma about c k m' eps
+    for the tree's at most k reflections of length at most m' per column,
+    plus c m n eps from A's own QR when A is tall (c a small constant).  So
+    the singular values of C + E lie within eta = gamma ||C||_F of C's, and
+    the eigenvalues of R^T R within 2 eta ||C||_F + eta^2 <= 3 gamma
+    ||C||_F^2 of the SVD's sigma_i^2: size = (m' + k) k + m n [A tall]
+    holds gamma's constant c up to 30.
+    """
+    return ROUNDING * size * trace + m * k * np.finfo(np.float64).smallest_normal
+
+
+def _determinant_bound(min_diag, ratio, k: int):
+    """nu_low = ``min_diag`` * ``ratio`` * ((k - 1) / k)^(k - 1), a lower
+    bound on the smallest eigenvalue of each k x k positive definite M whose
+    diagonal D has the least entry ``min_diag`` and whose S = D^-1/2 M D^-1/2
+    has the determinant ``ratio`` = det(M) / prod(D).  S has unit diagonal,
+    so its eigenvalues sum to k, and AM-GM over all of them but the smallest,
+    which sum to at most k, bounds that smallest one below by det(S)
+    ((k - 1) / k)^(k - 1); and nu_min(M) >= min(D) lambda_min(S)."""
+    return min_diag * ratio * ((k - 1) / k) ** (k - 1)
+
+
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _gram_estimates(gram: np.ndarray, m: int, idx: np.ndarray, groups=None):
     """A ``GramSpectrum`` of the eigenvalues of each submatrix a[:, idx[b]],
@@ -409,13 +434,10 @@ def _gram_estimates(gram: np.ndarray, m: int, idx: np.ndarray, groups=None):
     (``_proven``) has a NaN rel and NaN eigenvalues.
 
     ``gram`` is A^T A for A at unit scale.  Each row's sigma^2 are the
-    eigenvalues of its k x k block; Gram formation, ``eigvalsh`` and the
-    SVD's own rounding together move them by at most
-    ROUNDING * (m + k) * k * sigma_1^2 (plus underflow, which is below
-    m * k * the smallest normal number).  The relative error grows as the
-    square of the row's condition number and is never below
-    ROUNDING * (m + k) * k, which also covers the rounding of the criteria's
-    value functions.
+    eigenvalues of its k x k block, within ``_shift``((m + k) k, sigma_1^2)
+    of the SVD's.  The relative error grows as the square of the row's
+    condition number and is never below ROUNDING * (m + k) * k, which also
+    covers the rounding of the criteria's value functions.
 
     With ``groups``, the (reps, inverse) of ``_equal_blocks``, one
     ``eigvalsh`` per group solves the block of the group's columns in
@@ -424,11 +446,7 @@ def _gram_estimates(gram: np.ndarray, m: int, idx: np.ndarray, groups=None):
     permuted alike, entry for entry, so it has the same eigenvalues, and
     ``eigvalsh`` solves it within the same backward error: the bound above
     holds for every row as it stands, and so does all that ``_proven``
-    and the bands derive from it.  ``ChunkScreen`` groups only where blocks
-    can repeat, on a pass whose Gram has two equal entries off the diagonal
-    (``_gram_codes``), and stops once its groups exceed two thirds of the
-    rows it has grouped, where the grouping, a third to a half of an
-    eigensolve per row, no longer pays.
+    and the bands derive from it.
     """
     k = idx.shape[1]
     r = min(m, k)
@@ -437,7 +455,7 @@ def _gram_estimates(gram: np.ndarray, m: int, idx: np.ndarray, groups=None):
     if inverse is not None:
         lam = lam[inverse]
     lam = lam[:, ::-1][:, :r]
-    err = ROUNDING * (m + k) * k * lam[:, 0] + m * k * np.finfo(np.float64).smallest_normal
+    err = _shift((m + k) * k, lam[:, 0], m, k)
     lam = np.maximum(lam, 0.0)
     rel, _ = _proven(m, k, np.sqrt(lam[:, 0]), np.sqrt(lam[:, -1]), err / lam[:, -1])
     return GramSpectrum(rel, k, eigenvalues=lam)
@@ -534,125 +552,93 @@ def _top_bracket(h: np.ndarray, trace: np.ndarray, out: np.ndarray | None = None
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore")
-def _shifted_blocks(gram: np.ndarray, m: int, idx: np.ndarray, top: bool):
-    """(h, delta, traces, spread, largest) of the rows' k x k blocks G_b of
-    ``gram``: h the (k, k, B) array of the blocks shifted to H = G_b +
-    delta I (``_blocks``), delta their shift, ``traces`` tr H and tr H^2,
-    and, only when ``top``, the bracket of the largest eigenvalue of H
-    (``_top_bracket``, which reads the shifted blocks transposed): its
-    relative half-width r and the square of its midpoint s (0 and None
-    otherwise).  ``_cholesky_estimates`` states the bounds these carry."""
-    k = idx.shape[1]
-    h = _blocks(gram, idx)
-    diagonal = h.reshape(k * k, -1)[:: k + 1]  # a view of every block's diagonal
-    trace = np.sum(diagonal, axis=0)
-    delta = ROUNDING * (m + k) * k * trace + m * k * np.finfo(np.float64).smallest_normal
-    diagonal += delta
-    traces = {1: trace + k * delta, 2: np.einsum("ijb,ijb->b", h, h)}
-    if not top:
-        return h, delta, traces, 0.0, None
-    low, high = np.sqrt(_top_bracket(np.moveaxis(h, -1, 0), traces[1]))
-    return h, delta, traces, (high - low) / (high + low), ((low + high) / 2.0) ** 2
+def _shifted_estimates(gram: np.ndarray, m: int, idx: np.ndarray, parts):
+    """A ``GramSpectrum`` of the rows' k x k blocks G_b of ``gram``, each
+    shifted to H = G_b + delta I, delta = ``_shift``((m + k) k, tr G_b), in
+    one (k, k, B) array (``_blocks``): tr H and tr H^2, the bracket on H's
+    largest eigenvalue (``_top_bracket``, which reads the blocks
+    transposed) only where ``parts`` (``ChunkScreen.parts``) holds "top",
+    and, where it holds "det" or "inverse", a factor L L^T = H, formed a
+    column of every block at a time (``_cholesky``), with ``root_det`` =
+    prod diag L and, for "inverse", the traces of (L L^T)^-1.  A block
+    whose pivot is not positive gets a NaN factor, so its row alone is
+    unproven (NaN rel) and goes to the SVD.
 
-
-@np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore")
-def _cholesky_estimates(gram: np.ndarray, m: int, idx: np.ndarray, inverse: bool, top: bool):
-    """A ``GramSpectrum`` as ``_gram_estimates`` gives it, with the
-    spectrum's Cholesky invariants (NaN where rel is), from one (k, k, B)
-    array of the rows' k x k blocks G_b of ``gram`` (``_blocks``), each
-    shifted to H = G_b + delta I (``_shifted_blocks``) and factored L L^T =
-    H a column of every block at a time (``_cholesky``); the traces of
-    L^-1 are formed only when ``inverse``, and the largest eigenvalue of H
-    (``_top_bracket``) only when ``top``.  A block whose pivot is not
-    positive gets a NaN factor, so its row alone is unproven (NaN rel) and
-    goes to the SVD.
-
-    The width.  delta = ROUNDING * (m + k) * k * tr G_b (plus the underflow
-    term) is the bound of ``_gram_estimates`` with tr G_b for sigma_1^2
-    (tr G_b >= sigma_1^2 - k delta, a second-order gap that the margin of
-    ROUNDING over the measured rounding absorbs), so Gram formation and the
-    SVD's own rounding leave each eigenvalue of G_b within delta of the
-    SVD's sigma_i^2, and sigma_1^2 <= tr H.  H's eigenvalues are therefore within
-    [sigma_i^2, sigma_i^2 + 2 delta]: at least delta, which keeps the
-    factorization of a singular block from breaking down (it needs about
-    k^2 eps lambda_1(H), and ROUNDING is about 45 eps).  The computed L is
-    the exact factor of H + E with ||E||_2 <= (k + 1) eps tr H / (1 -
-    (k + 1) eps) <= delta (Cholesky backward error; Higham, Accuracy and
-    Stability of Numerical Algorithms, Thm 10.3, which holds for any order
-    of the sums in ``_cholesky``'s columns), so the eigenvalues nu_i of
-    L L^T, which ``root_det`` = prod diag L and the inverse traces describe,
-    lie within [sigma_i^2 - delta, sigma_i^2 + 3 delta], while tr H and
-    ||H||_F^2 hold H's own.  For nu_low <= every nu_i, rel = 4 delta / nu_low
-    bounds |sigma_i^2 - nu_i| / nu_i, so sigma_i lies within 1 -+ rel of
-    sqrt(nu_i), with delta / nu_low to spare.  The spare is at least
-    45 (m + k) k eps kappa(H); it covers the forward error of the triangular
-    inverse, about k eps kappa(L) relative with kappa(L)^2 = kappa(L L^T)
-    (Higham, section 14.2), the rounding of the traces, of nu_low and of the
-    value functions, and the 2 k (k + 1) eps of ``_top_bracket``.
-    ``batch_bands`` carries rel through the kind's ``log_lipschitz``.
-
-    The largest eigenvalue.  ``_top_bracket`` gives lo <= lambda_max(H) <= hi,
-    and sigma_1^2 lies within [lambda_max(H) - 2 delta, lambda_max(H)], so
+    G_b's eigenvalues lie within delta of the SVD's sigma_i^2 (sigma_i = 0
+    past its min(m, k) values), so H's lie within [sigma_i^2, sigma_i^2 +
+    2 delta], at least delta, which keeps the factorization of a singular
+    block from breaking down (it needs about k^2 eps lambda_1(H)), and
+    sigma_1^2 <= tr H.  With lo <= lambda_max(H) <= hi (``_top_bracket``),
     sigma_1 lies within 1 -+ r of the midpoint s of [sqrt(lo), sqrt(hi)],
     r = (sqrt(hi) - sqrt(lo)) / (sqrt(hi) + sqrt(lo)), up to the 2 delta
-    that the spare holds; ``top`` is s^2, and the row's rel grows by r.
+    that the spare below holds; ``top`` is s^2, and the row's rel grows by
+    r (0 without the bracket).  ``batch_bands`` carries rel through the
+    kind's ``log_lipschitz``.
 
-    nu_low is 1 / tr (L L^T)^-1 with the inverse, and otherwise the
-    determinant bound min(D) det(S) ((k - 1) / k)^(k - 1), where D is the
-    diagonal of L L^T and S = D^-1/2 L L^T D^-1/2: S has unit diagonal, so
-    AM-GM over its other k - 1 eigenvalues, which sum to at most k, bounds
-    its smallest one, and nu_min >= min(D) lambda_min(S).  The rank proof
-    (``_proven``) takes sqrt(tr H) for sigma_1 and sqrt(nu_low) for sigma_k.
-    """
-    k = idx.shape[1]
-    h, delta, traces, spread, largest = _shifted_blocks(gram, m, idx, top)
-    lower = _cholesky(h)
-    pivots = lower.reshape(k * k, -1)[:: k + 1]
-    root_det = np.prod(pivots, axis=0)
-    if inverse:  # the inverse takes the factor's place
-        traces[-1], traces[-2] = _inverse_traces(lower)
-        low = 1.0 / traces[-1]
-    else:
-        d = np.einsum("ilb,ilb->ib", lower, lower)
-        low = np.min(d, axis=0) * np.prod(pivots**2 / d, axis=0) * ((k - 1) / k) ** (k - 1)
-    rel, _ = _proven(m, k, np.sqrt(traces[1]), np.sqrt(low), 4.0 * delta / low + spread)
-    return GramSpectrum(rel, k, root_det=root_det, traces=traces, top=largest)
+    With a factor.  The computed L is the exact factor of H + E with
+    ||E||_2 <= (k + 1) eps tr H / (1 - (k + 1) eps) <= delta (Cholesky
+    backward error; Higham, Accuracy and Stability of Numerical Algorithms,
+    Thm 10.3, which holds for any order of the sums in ``_cholesky``'s
+    columns), so the eigenvalues nu_i of L L^T, which ``root_det`` and the
+    inverse traces describe, lie within [sigma_i^2 - delta, sigma_i^2 + 3
+    delta], while tr H and ||H||_F^2 hold H's own.  For nu_low <= every
+    nu_i, rel = 4 delta / nu_low bounds |sigma_i^2 - nu_i| / nu_i, so
+    sigma_i lies within 1 -+ rel of sqrt(nu_i), with delta / nu_low to
+    spare.  The spare is at least 45 (m + k) k eps kappa(H); it covers the
+    forward error of the triangular inverse, about k eps kappa(L) relative
+    with kappa(L)^2 = kappa(L L^T) (Higham, section 14.2), the rounding of
+    the traces, of nu_low and of the value functions, and the 2 k (k + 1)
+    eps of ``_top_bracket``.  nu_low is 1 / tr (L L^T)^-1 with the
+    inverse, and otherwise ``_determinant_bound`` on L L^T, whose diagonal
+    D holds the squared norms of L's rows, with det(S) = prod_i L_ii^2 /
+    D_i.  The rank proof (``_proven``) takes sqrt(tr H) for sigma_1 and
+    sqrt(nu_low) for sigma_k.
 
-
-def _trace_estimates(gram: np.ndarray, m: int, idx: np.ndarray, top: bool):
-    """A ``GramSpectrum`` of tr H and tr H^2 for the rows' blocks H = G_b +
-    delta I shifted as ``_cholesky_estimates`` shifts them
-    (``_shifted_blocks``), and, only when ``top``, of the bracket on their
-    largest eigenvalue; no factor.  It answers what norm at p = 2, 4, inf
-    and srank at p = 2, 4 read, sigma_1 and sum sigma^(2j) for j = 1, 2,
-    and nothing else: ``prod()`` and ``smallest()`` raise.
-
-    Each eigenvalue of H lies within [sigma_i^2, sigma_i^2 + 2 delta] of the
-    SVD's (``_cholesky_estimates``; sigma_i = 0 past the SVD's min(m, k)
-    values, the rank being no matter here), so with t = tr H,
+    Without a factor, the spectrum answers what norm at p = 2, 4, inf and
+    srank at p = 2, 4 read, sigma_1 and sum sigma^(2j) for j = 1, 2, and
+    nothing else: ``prod()`` and ``smallest()`` raise.  With t = tr H,
 
         sum sigma^2 in [t - 2 k delta, t],
         sum sigma^4 in [tr H^2 - 4 delta t, tr H^2], and tr H^2 >= t^2 / k,
         sigma_1^2 in [lambda_max(H) - 2 delta, lambda_max(H)], lambda_max(H) >= t / k:
 
     the sums lie within a factor 1 - 4 k delta / t of the estimates, and
-    sigma_1 within 1 -+ (r + 2 k delta / t) of the bracket's midpoint s
-    (``_cholesky_estimates``).  rel = 8 k delta / t + r therefore bounds
-    sigma_1 and each sum's 2j-th root relatively, as the values' Lipschitz
-    constants read it, whatever the row's rank, with half of its delta term
-    to spare for the rounding of the traces (k^2 eps), of the bracket (2 k
-    (k + 1) eps) and of the value functions, against 8 k delta / t >= 360
-    (m + k) k^2 eps.  No row's rank is proven or needed: every value read
-    here scores a rank-deficient C (rank rule "any"), and the SVD's sigmas
-    of such a C sum as H's eigenvalues do.  The one exception is a zero
-    block, which the SVD scores 0 and whose estimate, from the shift alone,
-    is not: its rel reaches 8 (t = k delta), and a row whose rel is 1 or
+    sigma_1 within 1 -+ (r + 2 k delta / t) of s.  rel = 8 k delta / t + r
+    therefore bounds sigma_1 and each sum's 2j-th root relatively, as the
+    values' Lipschitz constants read it, whatever the row's rank, with half
+    of its delta term to spare for the rounding of the traces (k^2 eps), of
+    the bracket (2 k (k + 1) eps) and of the value functions.  No row's
+    rank is proven or needed: every value read here scores a rank-deficient
+    C (rank rule "any"), whose sigmas sum as H's eigenvalues do.  The one
+    exception is a zero block, which the SVD scores 0 and the shift alone
+    does not: its rel reaches 8 (t = k delta), and a row whose rel is 1 or
     more is left unproven (NaN rel), for the SVD to certify.
     """
     k = idx.shape[1]
-    _, delta, traces, spread, largest = _shifted_blocks(gram, m, idx, top)
-    rel = 8.0 * k * delta / traces[1] + spread
-    return GramSpectrum(np.where(rel < 1.0, rel, np.nan), k, traces=traces, top=largest)
+    h = _blocks(gram, idx)
+    diagonal = h.reshape(k * k, -1)[:: k + 1]  # a view of every block's diagonal
+    trace = np.sum(diagonal, axis=0)
+    delta = _shift((m + k) * k, trace, m, k)
+    diagonal += delta
+    traces = {1: trace + k * delta, 2: np.einsum("ijb,ijb->b", h, h)}
+    spread, top = 0.0, None
+    if "top" in parts:
+        low, high = np.sqrt(_top_bracket(np.moveaxis(h, -1, 0), traces[1]))
+        spread, top = (high - low) / (high + low), ((low + high) / 2.0) ** 2
+    if not parts & {"det", "inverse"}:
+        rel = 8.0 * k * delta / traces[1] + spread
+        return GramSpectrum(np.where(rel < 1.0, rel, np.nan), k, traces=traces, top=top)
+    lower = _cholesky(h)
+    pivots = lower.reshape(k * k, -1)[:: k + 1]
+    root_det = np.prod(pivots, axis=0)
+    if "inverse" in parts:  # the inverse takes the factor's place
+        traces[-1], traces[-2] = _inverse_traces(lower)
+        low = 1.0 / traces[-1]
+    else:
+        d = np.einsum("ilb,ilb->ib", lower, lower)
+        low = _determinant_bound(np.min(d, axis=0), np.prod(pivots**2 / d, axis=0), k)
+    rel, _ = _proven(m, k, np.sqrt(traces[1]), np.sqrt(low), 4.0 * delta / low + spread)
+    return GramSpectrum(rel, k, root_det=root_det, traces=traces, top=top)
 
 
 def _residual_width(estimate: np.ndarray, norm2: float, rounding: np.ndarray) -> np.ndarray:
@@ -682,20 +668,28 @@ def _residual_basis(unit: np.ndarray):
     return basis, np.sum(unit**2), underflow, np.einsum("ij,ij->j", basis, basis), m
 
 
-@np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore")
-def _reflected(t: np.ndarray, cols: np.ndarray):
-    """(T', ||x||) for each T of a (N, r, n) stack ``t`` and the Householder
-    reflection H = I - tau v v^T that takes its column x = T[:, cols[b]] to
-    -s e_1: T' = (H T)[1:], the first row dropped, formed in ``t``, of
-    which it is a view, and ||x|| = |s|, the (N,) norms.  v = x + s e_1,
-    s = sign(x_1) ||x||, tau = 1 / (s (s + x_1)), so v's entries after the
-    first are x's; a zero x gives NaN."""
-    v = t[np.arange(len(cols)), :, cols]  # x, turned into v below
-    head = v[:, :1]
-    norm = np.sqrt(np.sum(v * v, axis=1))
+def _householder(x: np.ndarray):
+    """(v, tau, ||x||) for each row x of an (N, r) array ``x``: H = I - tau
+    v v^T takes x to -s e_1, v = x + s e_1, s = sign(x_1) ||x|| (no
+    cancellation in s + x_1), tau = 1 / (s (s + x_1)).  v is formed in
+    ``x``, so its entries after the first are x's; tau is (N, 1) and ||x||
+    = |s| (N,).  A zero x gives NaN."""
+    head = x[:, :1]
+    norm = np.sqrt(np.sum(x * x, axis=1))
     s = np.copysign(norm[:, None], head)
     tau = 1.0 / (s * (s + head))
     head += s
+    return x, tau, norm
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore")
+def _reflected(t: np.ndarray, cols: np.ndarray):
+    """(T', ||x||) for each T of a (N, r, n) stack ``t`` and the Householder
+    reflection H = I - tau v v^T (``_householder``) that takes its column
+    x = T[:, cols[b]] to -s e_1: T' = (H T)[1:], the first row dropped,
+    formed in ``t``, of which it is a view, and ||x|| = |s|, the (N,)
+    norms."""
+    v, tau, norm = _householder(t[np.arange(len(cols)), :, cols])
     row = np.einsum("bi,bij->bj", v, t)  # v^T T
     step = tau * v
     for i in range(1, t.shape[1]):  # a row at a time: no (N, r - 1, n) temporary
@@ -722,10 +716,9 @@ def _residual_bands(basis, idx: np.ndarray, norms):
     differs from the row before it (one comparison of neighbouring rows)
     gives every level's runs; a run cut by the chunk's edge is one more.
     The last level's T = Q2^T B, d = m' - k + 1 rows, for Q2 the last d
-    columns of a complete Q of C1, and W = T T^T.  Per row, x = T[:, j]
-    for c = b_j, and the reflection H = I - tau v v^T, v = x + s e_1,
-    s = sign(x_1) ||x||, with H x = -s e_1: H is the k-th reflection of a
-    complete QR of C, so the trailing (d - 1) x (d - 1) block of H W H, a
+    columns of a complete Q of C1, and W = T T^T.  Per row, the reflection
+    H of x = T[:, j], c = b_j (``_householder``) is the k-th reflection of
+    a complete QR of C, so the trailing (d - 1) x (d - 1) block of H W H, a
     rank-two update of W, is Q2'^T B B^T Q2' for the last m' - k columns
     Q2' of a complete Q of C, whose eigenvalues are the squared singular
     values of (I - P_C) B for a full-rank C.  res-frobenius is the square
@@ -738,37 +731,24 @@ def _residual_bands(basis, idx: np.ndarray, norms):
 
     kappa.  The reflections' norms |s_1|, ..., |s_k| down a row's path are
     the diagonal of the R of C's Householder QR, so det(C^T C) is their
-    product squared, with no Gram block formed.  Householder QR is
-    columnwise backward stable (Higham, Accuracy and Stability of Numerical
-    Algorithms, Thm 19.4): the computed R is the exact R of C + E with
-    ||e_j|| <= gamma ||c_j||, gamma about c k m' eps for the tree's at most
-    k reflections of length at most m' per column, plus c m n eps from A's
-    own QR when A is tall (c a small constant).  So the singular values of
-    C + E lie within eta = gamma ||C||_F of C's, and the eigenvalues nu_i
-    of R^T R within
-
-        delta = ROUNDING * ((m' + k) k + m n [A tall]) * tr(C^T C)
-                + m k * smallest normal
-
-    of the SVD's sigma_i^2, for 2 eta ||C||_F + eta^2 <= 3 gamma ||C||_F^2
-    and ROUNDING about 45 eps: delta holds gamma's constant c up to 30 (the
-    Cholesky delta's form, ``_cholesky_estimates``, with m' for m and A's
-    own QR added).  nu_low is the determinant bound of
-    ``_cholesky_estimates`` on R^T R, min(D) det(S) ((k - 1) / k)^(k - 1)
+    product squared, with no Gram block formed, and the eigenvalues nu_i of
+    R^T R lie within delta = ``_shift``((m' + k) k + m n [A tall],
+    tr(C^T C)) of the SVD's sigma_i^2, gamma being ``_shift``'s backward
+    error of the reflections.  nu_low is ``_determinant_bound`` on R^T R,
     with det(S) = prod_i s_i^2 / D_(j_i) over the path's columns j_i, each
     factor at most 1, and D the squared column norms of C (B's, from
     ``_residual_basis``), which are R^T R's diagonal up to a relative
     3 gamma.  Then sigma_k^2 >= nu_low - delta, and ``_proven`` takes
-    sqrt(tr(C^T C)) for sigma_1 and sqrt(nu_low) for sigma_k within
-    rel = 4 delta / nu_low: that leaves 3 delta / nu_low >= 9 k gamma, since tr(C^T C) >= k nu_low,
-    for the 3 (k + 1) gamma by which D moves nu_low and the rounding of the
-    products and of the column norms.  kappa = sqrt(tr(C^T C)) (1 + rel) /
-    (sqrt(nu_low) (1 - rel)) >= sigma_1 / sigma_k on a proven row; on the
-    others it is inf, and so is the width, since ``batch_residuals``
-    truncates a rank-deficient C and the reflections do not.  A zero x at
-    a level makes its whole subtree NaN, and a zero x in the last step (a
-    zero column, say) a row's estimate NaN;
-    either leaves its det(S) 0 or NaN, so its kappa is inf, and
+    sqrt(tr(C^T C)) for sigma_1 and sqrt(nu_low) for sigma_k within rel =
+    4 delta / nu_low: that leaves 3 delta / nu_low >= 9 k gamma, since
+    tr(C^T C) >= k nu_low, for the 3 (k + 1) gamma by which D moves nu_low
+    and the rounding of the products and of the column norms.  kappa =
+    sqrt(tr(C^T C)) (1 + rel) / (sqrt(nu_low) (1 - rel)) >= sigma_1 /
+    sigma_k on a proven row; on the others it is inf, and so is the width,
+    since ``batch_residuals`` truncates a rank-deficient C and the
+    reflections do not.  A zero x at a level makes its whole subtree NaN,
+    and a zero x in the last step (a zero column, say) a row's estimate
+    NaN; either leaves its det(S) 0 or NaN, so its kappa is inf, and
     ``selectors._screened_best`` certifies it.
 
     The width.  kappa sets the rounding in the width (``_residual_width``).
@@ -800,28 +780,21 @@ def _residual_bands(basis, idx: np.ndarray, norms):
         t, s = _reflected(gathered, cols)
         ratio = ratio[node[heads]] * (s * s / col_squares[cols])
         node = np.cumsum(starts) - 1
-    x = t[node, :, idx[:, -1]]
+    v, tau, s = _householder(t[node, :, idx[:, -1]])
+    ratio = ratio[node] * (s * s / col_squares[idx[:, -1]])
     d = col_squares[idx]
     trace = np.sum(d, axis=1)
-    low = (np.min(d, axis=1) * ratio[node] * (np.sum(x * x, axis=1) / col_squares[idx[:, -1]])
-           * ((k - 1) / k) ** (k - 1))
-    delta = (ROUNDING * ((rows + k) * k + (m * n if rows < m else 0)) * trace
-             + m * k * np.finfo(np.float64).smallest_normal)
+    low = _determinant_bound(np.min(d, axis=1), ratio, k)
+    delta = _shift((rows + k) * k + (m * n if rows < m else 0), trace, m, k)
     _, kappa = _proven(m, k, np.sqrt(trace), np.sqrt(low), 4.0 * delta / low)
     del d, trace, low, delta  # only kappa is held on
     w = t @ np.swapaxes(t, 1, 2)
     del t, gathered  # the tree goes before W is gathered per row
     w = w[node]
-    # H W H = W - v y^T - y v^T with y = p - (tau / 2) (v^T p) v, p = tau W v;
-    # v's entries after the first are x's
-    head = x[:, :1]
-    s = np.copysign(np.sqrt(np.sum(x * x, axis=1, keepdims=True)), head)
-    v = x.copy()
-    v[:, :1] += s
-    tau = 1.0 / (s * (s + head))
+    # H W H = W - v y^T - y v^T with y = p - (tau / 2) (v^T p) v, p = tau W v
     p = tau * np.einsum("bij,bj->bi", w, v)
     y = p - tau / 2.0 * np.sum(v * p, axis=1, keepdims=True) * v
-    outer = x[:, 1:, None] * y[:, None, 1:]
+    outer = v[:, 1:, None] * y[:, None, 1:]
     gram = w[:, 1:, 1:] - outer
     gram -= np.swapaxes(outer, 1, 2)
     del w, outer  # freed before res-two's bracket allocates

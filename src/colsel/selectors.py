@@ -43,8 +43,9 @@ SWAP_IMPROVEMENT = 1e-12
 # best of several runs; the host's load moves single runs by up to a third.
 # So a search within it takes at most about 11 s, with one known exception:
 # res-two on a wide input, whose bands exclude few rows, so most go to the SVD
-# of an m x n residual; a 12 x 1000 Gaussian at k = 2 (499,500 subsets)
-# certifies 414,124 of them and takes about 223 s.
+# of an m x n residual; the 12 x 1000 Gaussian of default_rng(0) at k = 2
+# (499,500 subsets, one BLAS thread) certifies 220,168 of them and takes
+# about 54 s.
 MAX_EXHAUSTIVE_SUBSETS = 10**6
 # The bytes one exact-search worker's chunk may hold in its arrays
 # (ChunkScreen.chunk_bytes), and one certification slice in its stacks

@@ -18,7 +18,7 @@ from colsel.criteria import parse_criterion
 from colsel.matrixkit import DenseMatrix
 
 MOVED = ("_blocks", "_cholesky", "_inverse_traces", "_top_bracket", "_gram_estimates",
-         "_cholesky_estimates", "_proven", "_residual_basis", "_residual_bands",
+         "_shifted_estimates", "_proven", "_residual_basis", "_residual_bands",
          "_residual_width", "_factored_parts", "_chunk_bytes", "_projection", "_swap_estimates",
          "_extension_estimates", "_rounding", "_unit_scaled", "GramSpectrum", "ROUNDING",
          "SCREEN_MARGIN", "RESIDUAL_SLACK")

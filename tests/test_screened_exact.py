@@ -97,6 +97,13 @@ def _low_rank(seed, rank=4):
     return rng.standard_normal((9, rank)) @ rng.standard_normal((rank, 15))
 
 
+def _graded(seed, m=10, n=14):
+    # column norms spread over six orders of magnitude, 10^U(-3, 3): the
+    # determinant bound proves the rank of fewer rows than the eigenvalues do
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-3, 3, n)
+
+
 def _reduction(instance):
     return x3c.reduce(instance).matrix.array
 
@@ -115,6 +122,7 @@ CASES = {
     "k-equals-m": (lambda: _gaussian(10, 5, 10), 5),
     "tall": (lambda: _gaussian(11, 16, 9), 4),
     "very-tall": (lambda: _gaussian(12, 200, 10), 4),
+    "graded": (lambda: _graded(13), 5),
     "x3c-false": (lambda: _reduction(x3c.generate_false(5, 14, 1)), 5),
     "x3c-true": (lambda: _reduction(x3c.generate_true(5, 9, 1)), 5),
     **{f"scale-{c:g}": (lambda c=c: _gaussian(5) * c, 5) for c in (1e-150, 1e-100, 1e100, 1e150)},
@@ -161,6 +169,14 @@ ESTIMATORS = ("eigvalsh", "cholesky", "cholesky-inverse", "cholesky-top")
 FACTOR_FREE = ("traces", "traces-top")
 
 
+def _parts(estimator):
+    """The ``ChunkScreen.parts`` of a shifted-block ``estimator``: "cholesky"
+    (a factor for the determinant) or "traces" (none), with the parts
+    "-inverse" and "-top" it names."""
+    parts = {"det"} if estimator.startswith("cholesky") else set()
+    return parts | {part for part in ("inverse", "top") if f"-{part}" in estimator}
+
+
 def _estimates(matrix, idx, estimator="eigvalsh"):
     """The spectrum of the subsets ``idx`` of ``matrix`` by ``estimator``:
     "eigvalsh", or "cholesky" or "traces" with the parts "-inverse" and
@@ -169,10 +185,7 @@ def _estimates(matrix, idx, estimator="eigvalsh"):
     gram = unit.T @ unit
     if estimator == "eigvalsh":
         return screen._gram_estimates(gram, matrix.rows, idx)
-    if estimator.startswith("traces"):
-        return screen._trace_estimates(gram, matrix.rows, idx, "-top" in estimator)
-    return screen._cholesky_estimates(gram, matrix.rows, idx, "-inverse" in estimator,
-                                      "-top" in estimator)
+    return screen._shifted_estimates(gram, matrix.rows, idx, _parts(estimator))
 
 
 def _reads_a_factor(spec):
@@ -296,16 +309,16 @@ def test_wrong_estimates_fall_back_to_scoring_every_subset(ident, corrupt, monke
     monkeypatch.setattr(screen, "batch_bands", lambda *args: corrupt(real(*args)))
     monkeypatch.setattr(screen, "_residual_bands", _corrupted_tree(real_residual, corrupt))
     factored = _recording(monkeypatch, "_cholesky", screen)
-    traced = _recording(monkeypatch, "_trace_estimates", screen)
+    shifted = _recording(monkeypatch, "_shifted_estimates", screen)
     gathered = _recording(monkeypatch, "_blocks", screen)
     make, k = CASES["gaussian-0"]
     spec = parse_criterion(ident)
     assert _select_outcome(DenseMatrix(make()), k, spec) == _expected("gaussian-0", spec)
     assert sum(svd_rows) >= math.comb(make().shape[1], k)
     if _reads_a_factor(spec):
-        assert factored and not traced
+        assert factored and shifted
     elif spec.gram_invariant:
-        assert traced and not factored
+        assert shifted and not factored
     else:
         assert spec.residual_norm is not None and not gathered
 
@@ -471,7 +484,7 @@ def test_top_bracket_holds_the_largest_eigenvalue(family, seed):
 def _spd_stacks(k, seed, count=256):
     """(k, k, count) arrays of symmetric positive definite blocks, one per
     family: Gaussian Grams, Grams of columns scaled by 10^U(-3, 3), and
-    Grams of rank k - 1 (1 at k = 1) shifted as ``_cholesky_estimates``
+    Grams of rank k - 1 (1 at k = 1) shifted as ``_shifted_estimates``
     shifts them."""
     rng = np.random.default_rng(seed)
     gaussian = _grams(rng.standard_normal((count, k + 3, k)))
@@ -551,7 +564,8 @@ def test_a_row_is_unproven_exactly_where_its_pivot_fails(inverse, top):
         pivots = np.diagonal(screen._cholesky(screen._blocks(gram, idx))).T
         assert np.array_equal(np.isnan(pivots).any(axis=0), fails)
         assert np.all(np.isnan(pivots[1:, fails])) and np.all(pivots[0, fails] > 0.0)
-        spectrum = screen._cholesky_estimates(gram, matrix.rows, idx, inverse, top)
+        parts = _parts("cholesky" + "-inverse" * inverse + "-top" * top)
+        spectrum = screen._shifted_estimates(gram, matrix.rows, idx, parts)
         assert np.array_equal(np.isnan(spectrum.rel), fails)
         mixed += fails.any() and not fails.all()
     assert mixed
@@ -738,6 +752,17 @@ def test_estimates_prove_full_rank_only_where_the_svd_finds_it(case, estimator):
             assert np.all(proven)
         if case in ("rank-k-1", "wide"):
             assert not np.any(proven)
+
+
+def test_the_graded_case_holds_rows_only_the_determinant_bound_leaves_unproven():
+    # the graded columns send rows that the eigenvalues prove to the SVD, on
+    # the Cholesky path without an inverse and on the residuals' tree alike
+    make, k = CASES["graded"]
+    matrix = DenseMatrix(make())
+    (idx,) = index_chunks(matrix.cols, k, 2048)
+    assert not np.isnan(_estimates(matrix, idx).rel).any()
+    assert np.isnan(_estimates(matrix, idx, "cholesky").rel).any()
+    assert np.isinf(_tree(matrix, idx)[1]).any()
 
 
 def _zero_column(seed=0):
