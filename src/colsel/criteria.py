@@ -16,6 +16,13 @@ adding one row (plus its ``REGISTRY`` id when it belongs in the reports).
 Each criterion prints one name, and ``evaluate`` and the scalar wrappers
 are one-spec calls of ``values``.
 
+One reader, ``_read``, turns a computed spectrum into reported values and
+applies the rank rules.  ``stacked_values`` checks its specs in order and
+then reads them; ``values`` scores its specs in order, each non-residual
+one through ``stacked_values``, so the first spec that fails raises; and
+``batch_values``, which certifies every selector's candidates, reads one
+spec and marks the rows it can report.
+
 Every criterion is homogeneous in the scale of C: value(c C) = c^d value(C)
 for the row's ``degree`` d.  So values are read at unit scale and rescaled
 once: ``Singular`` divides each matrix's sigmas by the power of two of its
@@ -224,77 +231,80 @@ _PINNED_NAMES = {(kind, p): name for kind, row in _KINDS.items()
 
 
 def values(c: DenseMatrix, specs, full_matrix: DenseMatrix | None = None) -> list[float]:
-    """The value of each criterion in ``specs`` on submatrix ``c``.
+    """The value of each criterion in ``specs`` on submatrix ``c``, scored
+    in spec order, so the first spec that fails raises what ``evaluate``
+    raises for it.
 
-    One ``svd(c)`` and at most one ``column_norms()`` serve every spec,
-    scored by one ``stacked_values`` call on the stack of ``c`` alone; the
-    residual criteria measure against ``full_matrix``.  Raises what
-    ``evaluate`` raises for the first spec that fails, apart from its
-    finite-value check: a value past float64 range comes back as inf (or as
-    the rounded subnormal or 0 below it), without a floating-point warning
-    (``batch_values`` instead marks a non-finite value's row invalid).
+    A residual measures against ``full_matrix`` (``residual``); every other
+    spec is read by ``stacked_values`` on the stack of ``c`` alone, from
+    one ``svd(c)``, taken when the first such spec comes up, and at most
+    one ``column_norms()``, taken when the first spec that reads norms does
+    (a residual without the parent matrix is rejected there).  Apart from
+    ``evaluate``'s finite-value check: a value past float64 range comes back
+    as inf (or as the rounded subnormal or 0 below it), without a
+    floating-point warning (``batch_values`` instead marks a non-finite
+    value's row invalid).
     """
-    out, spectral, failure = [None] * len(specs), [], None
-    # a residual spec that fails ends the specs scored, so that an earlier
-    # spec's failure still comes first; without the parent matrix, it goes to
-    # the stack, which rejects it in its turn
-    for i, spec in enumerate(specs):
-        if spec.residual_norm is None or full_matrix is None:
-            spectral.append(i)
+    out, sigma, norms = [], None, None
+    for spec in specs:
+        if spec.residual_norm is not None and full_matrix is not None:
+            out.append(residual(full_matrix, c, spec.residual_norm))
             continue
-        try:
-            out[i] = residual(full_matrix, c, spec.residual_norm)
-        except ShapeError as exc:
-            failure = exc
-            break
-    if spectral:
-        res, chosen = svd(c), [specs[i] for i in spectral]
-        norms = c.column_norms()[None] if any(_KINDS[s.kind].needs_norms for s in chosen) else None
-        scores = stacked_values(chosen, res.singular_values[None], norms,
-                                np.array([res.numerical_rank == c.cols]))
-        for i, value in zip(spectral, scores[:, 0].tolist()):
-            out[i] = value
-    if failure is not None:
-        raise failure
+        if sigma is None:
+            res = svd(c)
+            sigma, full = res.singular_values[None], np.array([res.numerical_rank == c.cols])
+        if norms is None and _KINDS[spec.kind].needs_norms:
+            norms = c.column_norms()[None]
+        out.append(float(stacked_values([spec], sigma, norms, full)[0, 0]))
     return out
 
 
 def stacked_values(specs, sigma: np.ndarray, column_norms, full_rank: np.ndarray) -> np.ndarray:
-    """``values`` on a stack of B matrices of k columns, one value-function
-    call per spec: the (len(specs), B) array whose column b is what
-    ``values`` returns for matrix b.
+    """``values`` on a stack of B matrices of k columns: the (len(specs), B)
+    array whose column b is what ``values`` returns for matrix b.
 
     ``sigma`` (B, r), ``column_norms`` (B, k) and ``full_rank`` (B,) are as
     ``batch_values`` takes them; ``column_norms`` may be None when no spec
-    reads it.  Raises for the first spec on which any of the matrices fails
-    (a zero column for sopt, rank deficiency for a rank-required criterion);
-    the residual criteria are rejected.
+    reads it.  The specs are checked in order, and the first on which any
+    of the matrices fails raises (a zero column for sopt, rank deficiency
+    for a rank-required criterion; the residual criteria are rejected);
+    then ``_read`` reads them all.
     """
-    out, spectrum = np.empty((len(specs), len(sigma))), Singular(sigma)
-    # no rank rule zeroes a matrix of full rank, whose sigma_1 is positive
     deficient = np.count_nonzero(full_rank) < len(full_rank)
     zero_column = column_norms is not None and bool((column_norms == 0.0).any())
+    for spec in specs:
+        row = _KINDS[spec.kind]
+        if row.value is None:
+            raise InvalidParameterError("residual criteria need the parent matrix")
+        if row.needs_norms and zero_column:
+            raise InvalidInputError("matrix has a zero column")
+        if row.rank == "required" and deficient:
+            raise RankDeficiencyError(f"criterion {spec.identifier!r} needs full column rank")
+    return _read(specs, sigma, column_norms, full_rank)
+
+
+def _read(specs, sigma: np.ndarray, column_norms, full_rank: np.ndarray) -> np.ndarray:
+    """The one reader of a computed spectrum: the (len(specs), B) values of
+    singular-value ``specs`` on a stack of B matrices, each row of ``sigma``
+    read at its unit scale by one ``Singular`` (with ``column_norms``, when
+    given, put at the same scale) and rescaled by the spec's degree.  A row
+    the spec's rank rule scores 0 is 0: for "any" one whose sigma_1 is 0,
+    else one short of full column rank.  No floating-point warning is
+    raised; a value past float64 range is inf.
+    """
+    out, spectrum = np.empty((len(specs), len(sigma))), Singular(sigma)
     norms = None if column_norms is None else spectrum.unit(column_norms)
+    # a rank rule zeroes no matrix of full rank whose sigma_1 is positive (a
+    # sigma_1 that certification divided can underflow to 0 at full rank)
+    zeroes = (np.count_nonzero(full_rank) < len(full_rank)
+              or np.count_nonzero(sigma[:, 0]) < len(sigma))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for i, spec in enumerate(specs):
             row = _KINDS[spec.kind]
-            if row.value is None:
-                raise InvalidParameterError("residual criteria need the parent matrix")
-            if row.needs_norms and zero_column:
-                raise InvalidInputError("matrix has a zero column")
-            if row.rank == "required" and deficient:
-                raise RankDeficiencyError(f"criterion {spec.identifier!r} needs full column rank")
-            value = row.value(spectrum, spec.p, norms)
-            out[i] = spectrum.rescaled(value, row.degree(sigma.shape[1]))
-            if deficient:
-                out[i, _zeroed(row.rank, sigma, full_rank)] = 0.0
+            out[i] = spectrum.rescaled(row.value(spectrum, spec.p, norms), row.degree(sigma.shape[1]))
+            if zeroes:
+                out[i, sigma[:, 0] == 0.0 if row.rank == "any" else ~full_rank] = 0.0
     return out
-
-
-def _zeroed(rank: str, sigma: np.ndarray, full_rank: np.ndarray) -> np.ndarray:
-    """The rows the rank rule ``rank`` scores 0: for "any" those whose
-    sigma_1 is 0, else those short of full column rank."""
-    return sigma[:, 0] == 0.0 if rank == "any" else ~full_rank
 
 
 def volume(c: DenseMatrix) -> float:
@@ -553,20 +563,17 @@ def batch_values(spec: CriterionSpec, sigma: np.ndarray, column_norms: np.ndarra
     rank equals k.  Returns (values, valid); invalid rows hold placeholder
     values and must be skipped by the caller.  A row is invalid where its
     rank rule rejects it, and wherever its value or its sigma_1 is not
-    finite.  The value is read as ``stacked_values`` reads it, so batched
-    values match scalar ones bit for bit.  Residual criteria are not
-    singular-value computable and are rejected here.
+    finite.  The value is read by ``_read``, the one reader behind
+    ``stacked_values`` and so behind ``values``, so batched values match
+    scalar ones bit for bit.  Residual criteria are not singular-value
+    computable and are rejected here.
     """
     row = _KINDS[spec.kind]
     if row.value is None:
         raise InvalidParameterError(
             f"criterion {spec.identifier!r} is not singular-value computable"
         )
-    spectrum = Singular(sigma)
-    norms = spectrum.unit(column_norms) if row.needs_norms else None
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        vals = spectrum.rescaled(row.value(spectrum, spec.p, norms), row.degree(sigma.shape[1]))
-    vals = np.where(_zeroed(row.rank, sigma, full_rank), 0.0, vals)
+    (vals,) = _read([spec], sigma, column_norms if row.needs_norms else None, full_rank)
     valid = np.isfinite(vals) & np.isfinite(sigma[:, 0])
     return vals, valid & full_rank if row.rank == "required" else valid
 

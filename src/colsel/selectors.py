@@ -259,6 +259,23 @@ def _optimum_value(spec: CriterionSpec, k: int, optimum) -> CriterionValue:
     return CriterionValue(value, spec, k)
 
 
+def _selection(spec: CriterionSpec, k: int, optimum, method: str, evaluated: int, start: float,
+               exponent: int = 0) -> SelectionResult:
+    """The result of a selector that began at ``start`` (``time.perf_counter``)
+    and considered ``evaluated`` subsets: its optimum (value, indices),
+    found on A / 2**exponent, reported on A (``_rescaled``,
+    ``_optimum_value``)."""
+    value = _optimum_value(spec, k, _rescaled(spec, k, optimum, exponent))
+    return SelectionResult(ColumnSubset(optimum[1]), value, method, evaluated,
+                           time.perf_counter() - start)
+
+
+def _check_k(n: int, k: int):
+    """Raise InvalidParameterError unless 1 <= k <= n."""
+    if not 1 <= k <= n:
+        raise InvalidParameterError(f"k must be in [1, {n}], got {k}")
+
+
 def check_exhaustive(n: int, k: int, allow_large: bool = False):
     """Raise InvalidParameterError before an exhaustive search over the C(n, k)
     k-subsets of n columns that exceeds ``MAX_EXHAUSTIVE_SUBSETS`` (unless
@@ -301,8 +318,7 @@ def exact_optima(matrix: DenseMatrix, k: int, specs, threads: int = 1, allow_lar
     one over 2**63 or more subsets in any case.
     """
     n = matrix.cols
-    if not 1 <= k <= n:
-        raise InvalidParameterError(f"k must be in [1, {n}], got {k}")
+    _check_k(n, k)
     check_exhaustive(n, k, allow_large)
     if threads < 1:
         raise InvalidParameterError("threads must be >= 1")
@@ -344,13 +360,7 @@ def select_exact(matrix: DenseMatrix, k: int, criterion: CriterionSpec,
         raise InfeasibleError(
             f"no subset of {k} columns is feasible for criterion {criterion.identifier!r}"
         )
-    return SelectionResult(
-        subset=ColumnSubset(outcome[1]),
-        value=_optimum_value(criterion, k, outcome),
-        method="exact",
-        subsets_evaluated=seen,
-        elapsed=time.perf_counter() - start,
-    )
+    return _selection(criterion, k, outcome, "exact", seen, start)
 
 
 def select_greedy_frobenius(matrix: DenseMatrix, k: int) -> SelectionResult:
@@ -359,21 +369,14 @@ def select_greedy_frobenius(matrix: DenseMatrix, k: int) -> SelectionResult:
     The squared Frobenius norm of a column selection is the sum of its squared
     column norms, so this greedy choice coincides with the exhaustive optimum.
     """
-    n = matrix.cols
-    if not 1 <= k <= n:
-        raise InvalidParameterError(f"k must be in [1, {n}], got {k}")
+    _check_k(matrix.cols, k)
     start = time.perf_counter()
     order = np.argsort(matrix.column_norms(), kind="stable")
-    subset = ColumnSubset(tuple(sorted(int(j) for j in order[:k])))
+    subset = tuple(sorted(int(j) for j in order[:k]))
     spec = CriterionSpec("norm", 2.0)
-    value = evaluate(spec, matrix.columns(subset))
-    return SelectionResult(
-        subset=subset,
-        value=value,
-        method="greedy_frobenius",
-        subsets_evaluated=1,
-        elapsed=time.perf_counter() - start,
-    )
+    # a norm past float64 range fails evaluate's finite-value check first
+    value = evaluate(spec, matrix.columns(subset)).value
+    return _selection(spec, k, (value, subset), "greedy_frobenius", 1, start)
 
 
 def _outside(n: int, chosen) -> np.ndarray:
@@ -464,8 +467,7 @@ def select_local_swap_volume(matrix: DenseMatrix, k: int, seed: int = 0,
     which names the subset.
     """
     n = matrix.cols
-    if not 1 <= k <= n:
-        raise InvalidParameterError(f"k must be in [1, {n}], got {k}")
+    _check_k(n, k)
     if max_sweeps < 0:
         raise InvalidParameterError(f"max_sweeps must be >= 0, got {max_sweeps}")
     if seed < 0:
@@ -513,13 +515,7 @@ def select_local_swap_volume(matrix: DenseMatrix, k: int, seed: int = 0,
             break
         current_vol, current = best
 
-    return SelectionResult(
-        subset=ColumnSubset(current),
-        value=_optimum_value(vol_spec, k, _rescaled(vol_spec, k, (current_vol, current), exponent)),
-        method="local_swap",
-        subsets_evaluated=evaluated,
-        elapsed=time.perf_counter() - start,
-    )
+    return _selection(vol_spec, k, (current_vol, current), "local_swap", evaluated, start, exponent)
 
 
 def select_greedy_forward(matrix: DenseMatrix, k: int, criterion: CriterionSpec) -> SelectionResult:
@@ -540,19 +536,11 @@ def select_greedy_forward(matrix: DenseMatrix, k: int, criterion: CriterionSpec)
     so far: ties go to the smallest index, so a step can take a column that
     leaves no full-rank extension where another of equal value would have.
     """
-    n = matrix.cols
-    if not 1 <= k <= n:
-        raise InvalidParameterError(f"k must be in [1, {n}], got {k}")
+    _check_k(matrix.cols, k)
     start = time.perf_counter()
     unit, exponent = unit_scaled(matrix.array)
     best, evaluated = _greedy_steps(matrix.array, unit, exponent, column_norms(unit), k, criterion)
-    return SelectionResult(
-        subset=ColumnSubset(best[1]),
-        value=_optimum_value(criterion, k, _rescaled(criterion, k, best, exponent)),
-        method="greedy_forward",
-        subsets_evaluated=evaluated,
-        elapsed=time.perf_counter() - start,
-    )
+    return _selection(criterion, k, best, "greedy_forward", evaluated, start, exponent)
 
 
 def _greedy_steps(a: np.ndarray, unit: np.ndarray, exponent: int, col_norms: np.ndarray, k: int,

@@ -84,6 +84,38 @@ def test_one_svd_and_one_norm_pass_per_call(monkeypatch):
     assert calls == {"svd": 1, "norms": 1}
 
 
+@pytest.fixture
+def work(monkeypatch):
+    """Counts of the ``svd(c)`` and ``column_norms()`` calls ``values`` makes."""
+    calls = {"svd": 0, "norms": 0}
+    original_svd, original_norms = criteria.svd, DenseMatrix.column_norms
+
+    def counted_svd(c):
+        calls["svd"] += 1
+        return original_svd(c)
+
+    def counted_norms(c):
+        calls["norms"] += 1
+        return original_norms(c)
+
+    monkeypatch.setattr(criteria, "svd", counted_svd)
+    monkeypatch.setattr(DenseMatrix, "column_norms", counted_norms)
+    return calls
+
+
+@pytest.mark.parametrize("ident", ["res-two", "res-frobenius"])
+def test_a_residual_with_its_parent_takes_no_svd_of_c(ident, work):
+    a = MATRICES["gaussian-4x4"]
+    values(a.columns([0, 2]), [parse_criterion(ident)], full_matrix=a)
+    assert work == {"svd": 0, "norms": 0}
+
+
+def test_specs_that_read_no_norms_take_no_column_norms(work):
+    specs = [spec for spec in SPECS if spec.kind != "sopt"]
+    values(MATRICES["gaussian-5x3"], specs)
+    assert work == {"svd": 1, "norms": 0}
+
+
 @pytest.mark.parametrize("spec", [s for s in registry() if s.residual_norm is not None], ids=str)
 def test_residuals_measure_against_the_parent(spec):
     a = MATRICES["gaussian-4x4"]
