@@ -24,10 +24,13 @@ one through ``stacked_values``, so the first spec that fails raises; and
 spec and marks the rows it can report.
 
 Every criterion is homogeneous in the scale of C: value(c C) = c^d value(C)
-for the row's ``degree`` d.  So values are read at unit scale and rescaled
-once: ``Singular`` divides each matrix's sigmas by the power of two of its
-sigma_1, and the value found there is multiplied by that power to the d.
-No read over- or underflows on the way, whatever the scale of C.
+for the row's ``degree`` d.  So C is decomposed at its own unit scale, C /
+2**e with 2**e the power of two at or below its largest entry
+(``unit_scaled``): by ``values``, and by the selectors for each candidate.
+``Singular`` then divides each matrix's sigmas by the power of two of its
+sigma_1, and the value read there is multiplied back by both powers to the
+d, exactly wherever it stays normal.  No decomposition and no read over- or
+underflows on the way, whatever the scale of C.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError, RankDeficiencyError, ShapeError
-from .matrixkit import DenseMatrix, default_rank_tolerance, svd, unit_scaled
+from .matrixkit import DenseMatrix, default_rank_tolerance, pow2_scaled, svd, unit_scaled
 
 # Schatten-parameter domains as (minimum, whether p = inf is allowed)
 _ANY_P = (1.0, True)
@@ -236,14 +239,15 @@ def values(c: DenseMatrix, specs, full_matrix: DenseMatrix | None = None) -> lis
     raises for it.
 
     A residual measures against ``full_matrix`` (``residual``); every other
-    spec is read by ``stacked_values`` on the stack of ``c`` alone, from
-    one ``svd(c)``, taken when the first such spec comes up, and at most
-    one ``column_norms()``, taken when the first spec that reads norms does
-    (a residual without the parent matrix is rejected there).  Apart from
-    ``evaluate``'s finite-value check: a value past float64 range comes back
-    as inf (or as the rounded subnormal or 0 below it), without a
-    floating-point warning (``batch_values`` instead marks a non-finite
-    value's row invalid).
+    spec is read by ``stacked_values`` on C / 2**e alone, C at its own unit
+    scale (``DenseMatrix.unit_scaled``), from one ``svd``, taken when the
+    first such spec comes up, and at most one ``column_norms()``, taken
+    when the first spec that reads norms does (a residual without the
+    parent matrix is rejected there), and multiplied by 2**(e d) for the
+    spec's degree d.  Apart from ``evaluate``'s finite-value check: a value
+    past float64 range comes back as inf (or as the rounded subnormal or 0
+    below it), without a floating-point warning (``batch_values`` instead
+    marks a non-finite value's row invalid).
     """
     out, sigma, norms = [], None, None
     for spec in specs:
@@ -251,11 +255,13 @@ def values(c: DenseMatrix, specs, full_matrix: DenseMatrix | None = None) -> lis
             out.append(residual(full_matrix, c, spec.residual_norm))
             continue
         if sigma is None:
-            res = svd(c)
+            unit, exponent = c.unit_scaled()
+            res = svd(unit)
             sigma, full = res.singular_values[None], np.array([res.numerical_rank == c.cols])
         if norms is None and _KINDS[spec.kind].needs_norms:
-            norms = c.column_norms()[None]
-        out.append(float(stacked_values([spec], sigma, norms, full)[0, 0]))
+            norms = unit.column_norms()[None]
+        value = stacked_values([spec], sigma, norms, full)[0, 0]
+        out.append(pow2_scaled(value, exponent * spec.degree(c.cols)))
     return out
 
 
@@ -294,10 +300,8 @@ def _read(specs, sigma: np.ndarray, column_norms, full_rank: np.ndarray) -> np.n
     """
     out, spectrum = np.empty((len(specs), len(sigma))), Singular(sigma)
     norms = None if column_norms is None else spectrum.unit(column_norms)
-    # a rank rule zeroes no matrix of full rank whose sigma_1 is positive (a
-    # sigma_1 that certification divided can underflow to 0 at full rank)
-    zeroes = (np.count_nonzero(full_rank) < len(full_rank)
-              or np.count_nonzero(sigma[:, 0]) < len(sigma))
+    # a rank rule zeroes no matrix of full rank (whose sigma_1 is positive)
+    zeroes = np.count_nonzero(full_rank) < len(full_rank)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for i, spec in enumerate(specs):
             row = _KINDS[spec.kind]
@@ -358,18 +362,14 @@ def stable_rank(c: DenseMatrix, p=2) -> float:
     return values(c, (CriterionSpec("srank", p),))[0]
 
 
-def batch_residuals(a: np.ndarray, sub: np.ndarray, norm: str, exponent: int = 0) -> np.ndarray:
-    """Norms of (I - C C^+) a / 2**exponent for a stack ``sub`` of (B, m, k)
-    submatrices C of ``a``.
+def batch_residuals(a: np.ndarray, sub: np.ndarray, norm: str) -> np.ndarray:
+    """Norms of (I - C C^+) a for a stack ``sub`` of (B, m, k) submatrices C
+    of ``a``, both at a's unit scale (``unit_scaled``), where no square
+    over- or underflows; nothing is rescaled here.
 
-    Both are taken at a's unit scale (``unit_scaled``), where no square
-    over- or underflows, and the norms are rescaled once.  One thin SVD
-    with U per submatrix; singular directions at or below the rank
-    tolerance are dropped, so rank-deficient C yields a finite residual.
+    One thin SVD with U per submatrix; singular directions at or below the
+    rank tolerance are dropped, so rank-deficient C yields a finite residual.
     """
-    a, e = unit_scaled(a)
-    if e:
-        sub = np.ldexp(sub, -e)
     m, k = sub.shape[1], sub.shape[2]
     u, s, _ = np.linalg.svd(sub, full_matrices=False)
     tol = default_rank_tolerance(m, k, s[:, 0])
@@ -377,26 +377,24 @@ def batch_residuals(a: np.ndarray, sub: np.ndarray, norm: str, exponent: int = 0
     coeff = np.einsum("bmr,mn->brn", u, a)
     rest = a[None, :, :] - u @ coeff
     if norm == "two":
-        out = np.linalg.svd(rest, compute_uv=False)[:, 0]
-    else:
-        out = np.sqrt(np.sum(rest**2, axis=(1, 2)))
-    if e == exponent:
-        return out
-    with np.errstate(over="ignore"):  # a norm past float64 range is inf
-        return np.ldexp(out, e - exponent)
+        return np.linalg.svd(rest, compute_uv=False)[:, 0]
+    return np.sqrt(np.sum(rest**2, axis=(1, 2)))
 
 
 def residual(a: DenseMatrix, c: DenseMatrix, norm: str) -> float:
     """Norm of the part of ``a`` outside range(C), i.e. of (I - C C^+) a.
 
-    Rank-deficient C is handled through tolerance truncation, so any column
-    selection yields a residual, finite unless it leaves float64 range.
+    Both are divided by A's power of two (``unit_scaled``), and the norm is
+    multiplied back once.  Rank-deficient C is handled through tolerance
+    truncation, so any column selection yields a residual, finite unless it
+    leaves float64 range.
     """
     if a.rows != c.rows:
         raise ShapeError(f"row counts differ: {a.rows} vs {c.rows}")
     if norm not in ("two", "frobenius"):
         raise InvalidParameterError(f"unknown residual norm {norm!r}")
-    return float(batch_residuals(a.array, c.array[None], norm)[0])
+    unit, exponent = unit_scaled(a.array)
+    return pow2_scaled(batch_residuals(unit, np.ldexp(c.array, -exponent)[None], norm)[0], exponent)
 
 
 @dataclass(frozen=True)
@@ -565,7 +563,8 @@ def batch_values(spec: CriterionSpec, sigma: np.ndarray, column_norms: np.ndarra
     rank rule rejects it, and wherever its value or its sigma_1 is not
     finite.  The value is read by ``_read``, the one reader behind
     ``stacked_values`` and so behind ``values``, so batched values match
-    scalar ones bit for bit.  Residual criteria are not singular-value
+    scalar ones bit for bit when each row's sigmas come, as the selectors
+    take them, from its matrix at its own unit scale.  Residual criteria are not singular-value
     computable and are rejected here.
     """
     row = _KINDS[spec.kind]

@@ -68,6 +68,11 @@ class DenseMatrix:
         """Two-norm of each column, as ``column_norms`` computes it."""
         return column_norms(self.array)
 
+    def unit_scaled(self) -> tuple["DenseMatrix", int]:
+        """(this matrix / 2**e, e) as ``unit_scaled`` gives them."""
+        arr, exponent = unit_scaled(self.array)
+        return (_built(arr) if exponent else self), exponent
+
     def __repr__(self):
         return f"DenseMatrix({self.rows}x{self.cols})"
 
@@ -103,9 +108,18 @@ def unit_scaled(a: np.ndarray):
     products formed at unit scale neither underflow nor overflow, whatever
     the scale of ``a``.
     """
-    top = float(np.max(np.abs(a)))
+    top = float(np.abs(a).max())
     exponent = math.frexp(top)[1] - 1 if top else 0
     return (np.ldexp(a, -exponent) if exponent else a), exponent
+
+
+def pow2_scaled(value, exponent: int) -> float:
+    """``value`` times 2**exponent, exact where the result is normal, inf past
+    float64 range and the rounded subnormal or 0 below it, without a warning."""
+    try:
+        return math.ldexp(value, exponent)
+    except OverflowError:
+        return math.copysign(math.inf, value)
 
 
 def gather_columns(a: np.ndarray, idx: np.ndarray) -> np.ndarray:

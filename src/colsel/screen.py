@@ -151,25 +151,25 @@ def _formed(invariant, name: str):
 
 class ChunkScreen:
     """The bands of one exact-search pass over ``specs`` on the k-subsets of
-    the m x n matrix ``a``: formed once per pass, A at unit scale, A /
-    2**``exponent`` (``unit_scaled``), with its column norms ``col_norms``,
-    its Gram matrix when a spec is no residual (``spectral``), the
-    residuals' ``_residual_basis`` when a residual is among the specs, how
-    the pass bands (``parts``), and on a pass that
-    solves for the blocks' eigenvalues, the codes of the Gram's entries by
-    which it groups equal blocks (``_gram_codes``); then read by every
-    chunk's ``bands``, from any thread.  The grouping's tally is the one
-    state the chunks change, under a lock: the rows grouped so far and
-    their groups, and whether the pass still groups (``grouping``), which
-    stops once the groups exceed two thirds of those rows.  A chunk that
-    starts before another's tally lands may group once more, which changes
-    no result."""
+    the m x n matrix ``a``: formed once per pass, A's unit-scale copy ``unit``
+    (``unit_scaled``, with its power of two ``exponent``), which the pass also
+    certifies (``selectors._screened_best``), its column norms ``col_norms``,
+    its Gram matrix when a spec is no residual (``spectral``), the residuals'
+    ``_residual_basis`` when a residual is among the specs, how the pass bands
+    (``parts``), and on a pass that solves for the blocks' eigenvalues, the
+    codes of the Gram's entries by which it groups equal blocks
+    (``_gram_codes``); then read by every chunk's ``bands``, from any thread.
+    The grouping's tally is the one state the chunks change, under a lock: the
+    rows grouped so far and their groups, and whether the pass still groups
+    (``grouping``), which stops once the groups exceed two thirds of those
+    rows.  A chunk that starts before another's tally lands may group once
+    more, which changes no result."""
 
     def __init__(self, a: np.ndarray, specs, k: int):
-        unit, self.exponent = unit_scaled(a)
-        self.col_norms = column_norms(unit)
+        self.unit, self.exponent = unit_scaled(a)
+        self.col_norms = column_norms(self.unit)
         self.norms = {spec.residual_norm for spec in specs} - {None}
-        self.basis = _residual_basis(unit) if self.norms else None
+        self.basis = _residual_basis(self.unit) if self.norms else None
         (self.m, self.n), self.specs, self.k = a.shape, specs, k
         # whether a spec reads the Gram's blocks, and then None when the pass
         # solves for their eigenvalues, else the invariants beside tr H^j that
@@ -177,7 +177,7 @@ class ChunkScreen:
         reads = [spec.factored for spec in specs if not spec.residual_norm]
         self.spectral = bool(reads)
         self.parts = None if None in reads else set().union(*reads)
-        self.gram = unit.T @ unit if self.spectral else None
+        self.gram = self.unit.T @ self.unit if self.spectral else None
         # a block of one column has no entry off the diagonal, and C(n, 1)
         # blocks are too few to pay for coding the Gram
         self.codes = _gram_codes(self.gram) if self.parts is None and k > 1 else None
@@ -246,7 +246,7 @@ class ChunkScreen:
 
     def bands(self, idx: np.ndarray):
         """Each spec's band (estimate, width) of the m x k submatrices
-        a[:, idx[b]] / 2**``exponent``: from one ``GramSpectrum`` of their
+        unit[:, idx[b]]: from one ``GramSpectrum`` of their
         blocks of the Gram matrix, gathered once as one (k, k, B) array
         (``batch_bands``), and the residuals' from one Householder
         reflection per distinct prefix of the chunk's rows and a rank-two

@@ -10,6 +10,13 @@ certify path, runs only the candidates whose band could be the best through
 the vectorized LAPACK SVD that gives the reported values, in slices within
 the same budget (``_score_bytes``).  ``subsets_evaluated`` counts every
 candidate considered, not only the ones the SVD certified.
+
+One scale rule: every selector searches A's unit-scale copy
+(``unit_scaled``), decomposes each candidate at its own unit scale
+(``_unit_svd``), as ``criteria.values`` decomposes a submatrix, and
+multiplies the optimum's value back once (``_rescaled``).  So A scaled by
+2**j gives the same subsets, and values times exactly 2**(j d) for the
+criterion's degree d wherever they stay normal.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import numpy as np
 
 from .criteria import CriterionSpec, CriterionValue, batch_residuals, batch_values, evaluate
 from .errors import InfeasibleError, InvalidInputError, InvalidParameterError
-from .matrixkit import DenseMatrix, batch_svd, column_norms, gather_columns, unit_scaled
+from .matrixkit import DenseMatrix, batch_svd, column_norms, gather_columns, pow2_scaled, unit_scaled
 from .screen import ChunkScreen, extension_estimates, swap_estimates
 
 DECISION_SLACK = 1e-9
@@ -144,67 +151,64 @@ def _index_chunks(n: int, k: int, size: int, extra: int):
 
 def _score_bytes(m: int, n: int, k: int, specs) -> int:
     """Bytes per subset of the largest arrays ``_batch_scores`` forms for
-    ``specs`` on an m x n matrix: the (B, m, k) stack and four (B, k)
-    vectors of singular values and their powers, and for the residuals the
-    SVD's U (B, m, k), U^T A (B, k, n), and the (B, m, n) product and
-    residual."""
-    floats = m * k + 4 * k
+    ``specs`` on an m x n matrix: the (B, m, k) stack and its copy at each
+    matrix's unit scale (``_unit_svd``) and four (B, k) vectors of singular
+    values and their powers, and for the residuals the SVD's U (B, m, k),
+    U^T A (B, k, n), and the (B, m, n) product and residual."""
+    floats = 2 * m * k + 4 * k
     if any(spec.residual_norm for spec in specs):
         floats += m * k + k * n + 2 * m * n
     return 8 * floats
 
 
-def _batch_scores(a: np.ndarray, col_norms: np.ndarray, idx: np.ndarray, specs,
-                  exponent: int = 0):
-    """(values, valid) per spec for the subsets in ``idx`` of A / 2**exponent,
-    whose column norms are ``col_norms``, A being ``a``; scored in the
+def _batch_scores(unit: np.ndarray, col_norms: np.ndarray, idx: np.ndarray, specs):
+    """(values, valid) per spec for the subsets in ``idx`` of A's unit-scale
+    copy ``unit``, whose column norms are ``col_norms``; scored in the
     fewest slices of at most ``_CHUNK_BYTES`` (``_score_bytes``), with sizes
     at most one apart, so a rescore of a whole chunk stays within the
     budget.  Every subset's SVD is its own, so the slices change no bit of
     the result.  A non-finite value is never valid.
     """
-    rows = max(1, _CHUNK_BYTES // _score_bytes(*a.shape, idx.shape[1], specs))
+    rows = max(1, _CHUNK_BYTES // _score_bytes(*unit.shape, idx.shape[1], specs))
     if len(idx) <= rows:
-        return _slice_scores(a, col_norms, idx, specs, exponent)
-    parts = [_slice_scores(a, col_norms, part, specs, exponent)
+        return _slice_scores(unit, col_norms, idx, specs)
+    parts = [_slice_scores(unit, col_norms, part, specs)
              for part in np.array_split(idx, -(-len(idx) // rows))]
     return [tuple(map(np.concatenate, zip(*spec_parts))) for spec_parts in zip(*parts)]
 
 
-def _slice_scores(a: np.ndarray, col_norms: np.ndarray, idx: np.ndarray, specs, exponent: int):
+def _slice_scores(unit: np.ndarray, col_norms: np.ndarray, idx: np.ndarray, specs):
     """``_batch_scores`` of one slice.
 
-    The singular-value criteria share one values-only batched SVD
-    (``_divided_svd``); each residual takes the SVD with U instead.  An SVD
-    runs only when a spec needs it.
+    The singular-value criteria share one values-only batched SVD of the
+    gathered subsets, each at its own unit scale (``_unit_svd``); each
+    residual takes the SVD with U of the subsets as gathered instead.  An
+    SVD runs only when a spec needs it.
     """
-    sub = gather_columns(a, idx)
+    sub = gather_columns(unit, idx)
     stats = None
     scores = []
     for spec in specs:
         if spec.residual_norm is not None:
-            vals = batch_residuals(a, sub, spec.residual_norm, exponent)
+            vals = batch_residuals(unit, sub, spec.residual_norm)
             scores.append((vals, np.isfinite(vals)))
             continue
         if stats is None:
-            stats = _divided_svd(sub, exponent) + (col_norms[idx],)
-        sigma, full, cn = stats
-        scores.append(batch_values(spec, sigma, cn, full))
+            sigma, full = _unit_svd(sub)
+            stats = sigma, col_norms[idx], full
+        scores.append(batch_values(spec, *stats))
     return scores
 
 
-def _divided_svd(sub: np.ndarray, exponent: int):
-    """(sigma, full rank) of the (B, m, k) stack ``sub`` divided by
-    2**exponent.  The SVD takes ``sub`` itself, as ``criteria.values``
-    does, and its sigmas are divided exactly; a matrix whose sigma_1
-    overflows float64 there is decomposed divided instead."""
-    sigma, full = batch_svd(sub)
-    if exponent:
-        sigma = np.ldexp(sigma, -exponent)
-        over = np.isinf(sigma[:, 0])
-        if over.any():
-            sigma[over], full[over] = batch_svd(np.ldexp(sub[over], -exponent))
-    return sigma, full
+def _unit_svd(sub: np.ndarray):
+    """(sigma, full rank) of the (B, m, k) stack ``sub``: each matrix is
+    decomposed at its own unit scale, divided by the power of two at or
+    below its largest entry as ``unit_scaled`` divides it (so as
+    ``criteria.values`` decomposes it), and its sigmas are multiplied back
+    by that power, exactly wherever they stay normal."""
+    power = np.frexp(np.abs(sub).max(axis=(1, 2)))[1] - 1
+    sigma, full = batch_svd(np.ldexp(sub, -power[:, None, None]))
+    return np.ldexp(sigma, power[:, None]), full
 
 
 def _best_row(vals: np.ndarray, valid: np.ndarray, maximize: bool) -> int | None:
@@ -240,13 +244,11 @@ def _merged(optima, maximize):
 def _rescaled(spec: CriterionSpec, k: int, optimum, exponent: int):
     """An optimum (value, indices), or None, found on A / 2**exponent, as
     the optimum on A: its value times 2**(exponent * d) for the criterion's
-    degree d, inf above float64 range and the rounded subnormal or 0 below
-    it."""
+    degree d (``pow2_scaled``)."""
     if optimum is None:
         return None
     value, idx = optimum
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(value, exponent * spec.degree(k))), idx
+    return pow2_scaled(value, exponent * spec.degree(k)), idx
 
 
 def _optimum_value(spec: CriterionSpec, k: int, optimum) -> CriterionValue:
@@ -307,11 +309,11 @@ def exact_optima(matrix: DenseMatrix, k: int, specs, threads: int = 1, allow_lar
     the witness is the lexicographically smallest optimal subset at any
     thread count and chunk size.
 
-    The search runs at A's unit scale, on A / 2**e (``unit_scaled``): the
-    bands and the certified values are those of the subsets of A / 2**e,
-    which stay in float64 range at any uniform scale of A, and each optimum
-    is rescaled once, by 2**(e d) for its criterion's degree d
-    (``_rescaled``), to inf where it leaves float64 range.
+    The search bands and certifies A's unit-scale copy ``ChunkScreen.unit``
+    (``unit_scaled``), each certified subset decomposed at its own unit
+    scale (``_unit_svd``), and each optimum is rescaled once, by 2**(e d)
+    for its criterion's degree d (``_rescaled``), to inf where it leaves
+    float64 range.
 
     Before any of this work, ``check_exhaustive`` rejects a search over more
     than ``MAX_EXHAUSTIVE_SUBSETS`` subsets unless ``allow_large`` is set, and
@@ -326,15 +328,14 @@ def exact_optima(matrix: DenseMatrix, k: int, specs, threads: int = 1, allow_lar
     if not specs:
         raise InvalidParameterError("need at least one criterion")
     maximize = [spec.direction == "maximize" for spec in specs]
-    a = matrix.array
-    screen = ChunkScreen(a, specs, k)
+    screen = ChunkScreen(matrix.array, specs, k)
     total = math.comb(n, k)
     chunks = -(-total // screen.chunk_rows(_CHUNK_BYTES))
     index_chunk = _index_chunks(n, k, *divmod(total, chunks))
 
     def chunk_optima(i):
         idx = index_chunk(i)
-        return _screened_best(a, screen.col_norms, idx, specs, screen.bands(idx), screen.exponent)
+        return _screened_best(screen.unit, screen.col_norms, idx, specs, screen.bands(idx))
 
     workers = min(threads, chunks)
     if workers == 1:
@@ -393,11 +394,11 @@ def _moves(bases: np.ndarray, added: np.ndarray) -> np.ndarray:
                                     np.tile(added, len(bases))]), axis=1)
 
 
-def _screened_best(a: np.ndarray, col_norms: np.ndarray, idx: np.ndarray, specs, bands,
-                   exponent: int = 0):
+def _screened_best(unit: np.ndarray, col_norms: np.ndarray, idx: np.ndarray, specs, bands):
     """Per spec, (value, indices) of the first best valid row of ``idx``, the
     optimum ``_better`` merges, or None when no row is valid; the subsets
-    are those of A / 2**exponent, as ``_batch_scores`` scores them.
+    are those of A's unit-scale copy ``unit``, as ``_batch_scores`` scores
+    them.
 
     ``bands`` holds one band (estimate, width) per spec, the one band
     contract: each row's SVD value is taken to lie within ``width`` of its
@@ -429,7 +430,7 @@ def _screened_best(a: np.ndarray, col_norms: np.ndarray, idx: np.ndarray, specs,
     high = np.add(estimate, width, out=estimate)
     union = (high >= low.max(axis=1, keepdims=True)).any(axis=0)
     certified, everything = idx.compress(union, axis=0), union.all()
-    scores = _batch_scores(a, col_norms, certified, specs, exponent)
+    scores = _batch_scores(unit, col_norms, certified, specs)
     oriented = sign * np.concatenate([vals for vals, _ in scores]).reshape(len(specs), -1)
     low, high = low.compress(union, axis=1), high.compress(union, axis=1)
     inside = ((low <= oriented) & (oriented <= high)).all(axis=1)
@@ -437,7 +438,7 @@ def _screened_best(a: np.ndarray, col_norms: np.ndarray, idx: np.ndarray, specs,
     for spec, larger, held, (vals, valid) in zip(specs, maximize, inside, scores):
         cands, best = certified, _best_row(vals, valid, larger)
         if not (everything or best is not None and held):
-            ((vals, valid),) = _batch_scores(a, col_norms, idx, [spec], exponent)
+            ((vals, valid),) = _batch_scores(unit, col_norms, idx, [spec])
             cands, best = idx, _best_row(vals, valid, larger)
         out.append(None if best is None else (float(vals[best]), tuple(map(int, cands[best]))))
     return out
@@ -462,9 +463,10 @@ def select_local_swap_volume(matrix: DenseMatrix, k: int, seed: int = 0,
     draws (plus greedy's count when it gives the start) and every swap
     considered, k(n - k) per sweep, whether or not its SVD ran.
 
-    The ascent runs at A's unit scale, as exact search does: the volume is
-    rescaled once, and one past float64 range raises InvalidInputError,
-    which names the subset.
+    The ascent runs on A's unit-scale copy, as exact search does, each
+    start and swap decomposed at its own unit scale (``_unit_svd``): the
+    volume is rescaled once, and one past float64 range raises
+    InvalidInputError, which names the subset.
     """
     n = matrix.cols
     _check_k(n, k)
@@ -474,16 +476,15 @@ def select_local_swap_volume(matrix: DenseMatrix, k: int, seed: int = 0,
         raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
-    a = matrix.array
-    unit, exponent = unit_scaled(a)
+    unit, exponent = unit_scaled(matrix.array)
     col_norms = column_norms(unit)
     vol_spec = CriterionSpec("vol")
     evaluated = 0
 
     def full_rank_volume(cand):
-        """The volume of a[:, cand] / 2**exponent, or None when it is rank-deficient."""
+        """The volume of unit[:, cand], or None when it is rank-deficient."""
         idx = np.array([cand], dtype=np.intp)
-        sigma, full = _divided_svd(gather_columns(a, idx), exponent)
+        sigma, full = _unit_svd(gather_columns(unit, idx))
         vols, _ = batch_values(vol_spec, sigma, col_norms[idx], full)
         return float(vols[0]) if full[0] else None
 
@@ -493,7 +494,7 @@ def select_local_swap_volume(matrix: DenseMatrix, k: int, seed: int = 0,
         if (current_vol := full_rank_volume(current)) is not None:
             break
     else:
-        ((_, current), count) = _greedy_steps(a, unit, exponent, col_norms, k, vol_spec)
+        ((_, current), count) = _greedy_steps(unit, col_norms, k, vol_spec)
         evaluated += count
         current_vol = full_rank_volume(current)
     if current_vol is None:
@@ -508,7 +509,7 @@ def select_local_swap_volume(matrix: DenseMatrix, k: int, seed: int = 0,
         kept = np.array([current[:pos] + current[pos + 1:] for pos in range(k)], dtype=np.intp)
         idx = _moves(kept, outside)
         band = swap_estimates(unit, current, outside, current_vol)
-        (best,) = _screened_best(a, col_norms, idx, [vol_spec], [band], exponent)
+        (best,) = _screened_best(unit, col_norms, idx, [vol_spec], [band])
         evaluated += len(idx)
         # no swap is valid where every volume overflows
         if best is None or not best[0] > current_vol * (1.0 + SWAP_IMPROVEMENT):
@@ -529,8 +530,9 @@ def select_greedy_forward(matrix: DenseMatrix, k: int, criterion: CriterionSpec)
     batched SVD (``_screened_best``, which states when the result equals an
     SVD of every extension).  The other criteria score every extension.
     ``subsets_evaluated`` counts every extension considered, whether or not
-    its SVD ran.  The steps run at A's unit scale, as exact search does: the
-    value is rescaled once, and one past float64 range raises
+    its SVD ran.  The steps run on A's unit-scale copy, as exact search
+    does, each extension decomposed at its own unit scale: the value is
+    rescaled once, and one past float64 range raises
     InvalidInputError, which names the subset.  A step whose every extension
     is rank-deficient raises InfeasibleError, which names the columns chosen
     so far: ties go to the smallest index, so a step can take a column that
@@ -539,20 +541,19 @@ def select_greedy_forward(matrix: DenseMatrix, k: int, criterion: CriterionSpec)
     _check_k(matrix.cols, k)
     start = time.perf_counter()
     unit, exponent = unit_scaled(matrix.array)
-    best, evaluated = _greedy_steps(matrix.array, unit, exponent, column_norms(unit), k, criterion)
+    best, evaluated = _greedy_steps(unit, column_norms(unit), k, criterion)
     return _selection(criterion, k, best, "greedy_forward", evaluated, start, exponent)
 
 
-def _greedy_steps(a: np.ndarray, unit: np.ndarray, exponent: int, col_norms: np.ndarray, k: int,
-                  criterion: CriterionSpec):
-    """Greedy forward selection on A / 2**exponent = ``unit``, whose column
+def _greedy_steps(unit: np.ndarray, col_norms: np.ndarray, k: int, criterion: CriterionSpec):
+    """Greedy forward selection on A's unit-scale copy ``unit``, whose column
     norms are ``col_norms``: ((value, chosen) there, extensions considered)."""
     evaluated, chosen, value = 0, (), 1.0  # the volume of no columns
     for _ in range(k):
-        remaining = _outside(a.shape[1], chosen)
+        remaining = _outside(unit.shape[1], chosen)
         idx = _moves(np.array([chosen], dtype=np.intp), remaining)
         band = extension_estimates(criterion, unit, chosen, remaining, value)
-        (best,) = _screened_best(a, col_norms, idx, [criterion], [band], exponent)
+        (best,) = _screened_best(unit, col_norms, idx, [criterion], [band])
         evaluated += len(idx)
         if best is None:
             named = ",".join(map(str, chosen)) or "none"

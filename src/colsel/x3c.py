@@ -97,7 +97,6 @@ def solve_exact(instance: X3CInstance):
     planted instances per size with 2M to 3M sets: at most 0.6 ms a call up
     to M = 9, 1.6 ms at M = 12 and 23 ms at M = 20.
     """
-    m = instance.m_triples
     ground = instance.ground_size
     by_element: dict[int, list[int]] = {e: [] for e in range(1, ground + 1)}
     for j, triple in enumerate(instance.sets):
@@ -110,10 +109,8 @@ def solve_exact(instance: X3CInstance):
     def backtrack(lowest: int):
         while lowest <= ground and covered[lowest]:
             lowest += 1
-        if lowest > ground:
-            return len(chosen) == m
-        if len(chosen) == m:
-            return False
+        if lowest > ground:  # disjoint triples covering all 3M elements: M of them
+            return True
         for j in by_element[lowest]:
             triple = instance.sets[j]
             if any(covered[e] for e in triple):
@@ -143,6 +140,8 @@ def generate_true(m: int, extra_sets: int, seed: int) -> X3CInstance:
         raise InvalidParameterError(f"need M >= 1, got {m}")
     if extra_sets < 0:
         raise InvalidParameterError(f"need extra_sets >= 0, got {extra_sets}")
+    if seed < 0:  # random.Random would take -5 as 5
+        raise InvalidParameterError(f"need seed >= 0, got {seed}")
     capacity = _all_triples_count(m)
     if m + extra_sets > capacity:
         raise CapacityError(
@@ -194,6 +193,8 @@ def generate_false(m: int, n: int, seed: int) -> X3CInstance:
         )
     if n < 2:
         raise InvalidParameterError(f"need n >= 2, got {n}")
+    if seed < 0:
+        raise InvalidParameterError(f"need seed >= 0, got {seed}")
     check_exhaustive(n, m)
     if n > (most := math.comb(3 * m - 1, 3)):
         raise CapacityError(f"no {n} distinct triples over {3 * m} elements lack an exact cover: "

@@ -255,9 +255,9 @@ def test_a_rescore_of_every_row_is_sliced(svd_rows, monkeypatch):
     slices = []
     real, real_bands = selectors._slice_scores, screen.ChunkScreen.bands
 
-    def recording(a, col_norms, idx, specs, exponent):
+    def recording(a, col_norms, idx, specs):
         slices.append(len(idx))
-        return real(a, col_norms, idx, specs, exponent)
+        return real(a, col_norms, idx, specs)
 
     def reversed_bands(self, idx):
         return [(estimate[::-1].copy(), width) for estimate, width in real_bands(self, idx)]

@@ -477,14 +477,13 @@ class TestUsageErrors:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "3 draws" in err
 
-    def test_generators_take_a_negative_seed(self, capsys, monkeypatch):
-        # random.Random accepts any int; the output is pinned
-        code, out, _ = run_cli(capsys, monkeypatch,
-                               ["x3c", "gen-true", "--m", "2", "--extra", "1", "--seed", "-5"])
-        assert (code, out) == (0, "2 3\n1 2 3\n1 2 4\n3 5 6\n")
-        code, out, _ = run_cli(capsys, monkeypatch,
-                               ["x3c", "gen-false", "--m", "3", "--n", "6", "--seed", "-5"])
-        assert (code, out) == (0, "3 6\n1 3 9\n1 7 9\n4 5 7\n4 6 8\n5 6 7\n6 7 8\n")
+    def test_generators_reject_a_negative_seed(self, capsys, monkeypatch):
+        # random.Random takes a negative seed as its absolute value, so -5
+        # printed seed 5's instance
+        for argv in (["x3c", "gen-true", "--m", "2", "--extra", "1", "--seed", "-5"],
+                     ["x3c", "gen-false", "--m", "3", "--n", "6", "--seed", "-5"]):
+            code, out, err = run_cli(capsys, monkeypatch, argv)
+            assert (code, out, err) == (2, "", "error: need seed >= 0, got -5\n")
 
     def test_malformed_json_matrix_exits_2(self, capsys, monkeypatch):
         code, out, err = run_cli(capsys, monkeypatch,

@@ -43,10 +43,10 @@ CRITERIA = ("vol", "rvol", "sopt", "norm-two", "pinv-norm:p=4", "cond:p=4", "sra
 
 
 def _unit(matrix):
-    """(A, the column norms of A / 2**e, e), with e from ``unit_scaled``: the
+    """(A / 2**e, its column norms, e), with e from ``unit_scaled``: the
     inputs ``exact_optima`` certifies with."""
     unit, exponent = screen.unit_scaled(matrix.array)
-    return matrix.array, column_norms(unit), exponent
+    return unit, column_norms(unit), exponent
 
 
 def oracle_optima(matrix, k, specs):
@@ -57,7 +57,7 @@ def oracle_optima(matrix, k, specs):
     combos = itertools.combinations(range(matrix.cols), k)
     while block := list(itertools.islice(combos, 2048)):
         idx = np.array(block, dtype=np.intp)
-        for i, (vals, valid) in enumerate(_batch_scores(a, col_norms, idx, specs, exponent)):
+        for i, (vals, valid) in enumerate(_batch_scores(a, col_norms, idx, specs)):
             row = _best_row(vals, valid, maximize[i])
             cand = None if row is None else (float(vals[row]), tuple(int(j) for j in idx[row]))
             best[i] = _better(best[i], cand, maximize[i])
@@ -595,7 +595,7 @@ def _bands_hold(make, k, scale, estimators):
         matrix = DenseMatrix(make(seed) * scale)
         a, col_norms, exponent = _unit(matrix)
         for idx in index_chunks(matrix.cols, k, 2048):
-            scores = _batch_scores(a, col_norms, idx, specs, exponent)
+            scores = _batch_scores(a, col_norms, idx, specs)
             residual, _ = _tree(matrix, idx)
             for estimator in estimators:
                 spectrum = _estimates(matrix, idx, estimator)
@@ -687,7 +687,7 @@ def test_eigenvalue_bands_hold_the_svd_value(family, scale):
         for idx in index_chunks(matrix.cols, k, 2048):
             bands = _chunk_bands(specs, _estimates(matrix, idx), matrix, idx)
             for spec, (vals, _), (estimate, width) in zip(
-                    specs, _batch_scores(a, col_norms, idx, specs, exponent), bands):
+                    specs, _batch_scores(a, col_norms, idx, specs), bands):
                 finite = np.isfinite(width)
                 assert np.all(np.abs(vals[finite] - estimate[finite]) <= width[finite]), spec
                 checked += np.count_nonzero(finite)
@@ -1062,7 +1062,7 @@ def test_residual_bands_hold_the_value_across_split_prefix_runs(family, scale):
             split += i > 0 and _splits_a_run(idx[0])
             bands, kappa = _tree(matrix, idx)
             finite = np.isfinite(kappa)
-            for spec, (vals, _) in zip(specs, _batch_scores(a, col_norms, idx, specs, exponent)):
+            for spec, (vals, _) in zip(specs, _batch_scores(a, col_norms, idx, specs)):
                 estimate, width = bands[spec.residual_norm]
                 assert np.all(np.isfinite(estimate[finite]) & np.isfinite(width[finite])), spec
                 assert np.all(np.abs(vals[finite] - estimate[finite]) <= width[finite]), spec

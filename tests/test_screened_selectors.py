@@ -23,9 +23,9 @@ from colsel.matrixkit import DenseMatrix, column_norms, gather_columns
 from colsel.selectors import (
     _batch_scores,
     _best_row,
-    _divided_svd,
     _optimum_value,
     _rescaled,
+    _unit_svd,
     select_greedy_forward,
     select_local_swap_volume,
 )
@@ -41,8 +41,7 @@ def oracle_greedy(matrix, k, criterion):
     for _ in range(k):
         remaining = [j for j in range(matrix.cols) if j not in chosen]
         cands = [tuple(sorted(chosen + (j,))) for j in remaining]
-        ((vals, valid),) = _batch_scores(a, col_norms, np.array(cands, dtype=np.intp), [criterion],
-                                         exponent)
+        ((vals, valid),) = _batch_scores(unit, col_norms, np.array(cands, dtype=np.intp), [criterion])
         evaluated += len(cands)
         row = _best_row(vals, valid, maximize)
         if row is None:
@@ -70,7 +69,7 @@ def oracle_local_swap(matrix, k, seed=0, max_sweeps=100):
 
     for _ in range(n * k):
         cand = np.sort(rng.choice(n, size=k, replace=False)).astype(np.intp)
-        sigma, full = _divided_svd(gather_columns(a, cand[None, :]), exponent)
+        sigma, full = _unit_svd(gather_columns(unit, cand[None, :]))
         evaluated += 1
         if full[0]:
             current = tuple(int(i) for i in cand)
@@ -80,7 +79,7 @@ def oracle_local_swap(matrix, k, seed=0, max_sweeps=100):
         chosen, _, count = oracle_greedy(matrix, k, vol_spec)
         evaluated += count
         idx = np.array([chosen], dtype=np.intp)
-        sigma, full = _divided_svd(gather_columns(a, idx), exponent)
+        sigma, full = _unit_svd(gather_columns(unit, idx))
         if not full[0]:
             raise InfeasibleError("no full-rank starting subset")
         current, current_vol = chosen, volume(idx, sigma, full)
@@ -90,8 +89,7 @@ def oracle_local_swap(matrix, k, seed=0, max_sweeps=100):
             break
         swaps = [tuple(sorted(current[:pos] + current[pos + 1:] + (j,)))
                  for pos in range(k) for j in outside]
-        ((vols, _),) = _batch_scores(a, col_norms, np.array(swaps, dtype=np.intp), [vol_spec],
-                                     exponent)
+        ((vols, _),) = _batch_scores(unit, col_norms, np.array(swaps, dtype=np.intp), [vol_spec])
         evaluated += len(swaps)
         best_row = int(np.argmax(vols))
         if vols[best_row] > current_vol * (1.0 + selectors.SWAP_IMPROVEMENT):

@@ -204,7 +204,10 @@ class TestInputErrors:
         (lambda: generate_true(2, -1, 0), InvalidParameterError, "extra_sets >= 0"),
         (lambda: generate_false(3, 1, 0), InvalidParameterError, "n >= 2"),
         (lambda: generate_false(2, 21, 0), CapacityError, "at most 10 sets"),
-    ], ids=("true-m-0", "true-extra-negative", "false-n-1", "false-over-capacity"))
+        (lambda: generate_true(3, 2, -5), InvalidParameterError, r"need seed >= 0, got -5"),
+        (lambda: generate_false(3, 8, -5), InvalidParameterError, r"need seed >= 0, got -5"),
+    ], ids=("true-m-0", "true-extra-negative", "false-n-1", "false-over-capacity",
+            "true-seed-negative", "false-seed-negative"))
     def test_generator_arguments(self, make, error, match):
         with pytest.raises(error, match=match):
             make()
