@@ -4,31 +4,45 @@ Matrices and instances travel between subcommands as plain text on the
 standard streams, so invocations compose into pipelines.  Reports on stdout
 are deterministic for a fixed command line (timings go to stderr), and all
 floating-point values are printed in full round-trip precision.
+
+A command imports only the modules it runs.  Importing this module loads the
+criteria and the matrix kernels; the selectors (with the exact search's
+screen), the X3C harness and the lemma suite load when a command first calls
+them, so ``colsel select`` never loads the lemma suite or the X3C harness.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
+import importlib
 import sys
 
 import numpy as np
 
-from . import x3c
 from .criteria import CriterionSpec, evaluate, parse_criterion, parse_p
 from .errors import ColselError, InvalidParameterError, ParseError
-from .lemmas import run_suite
 from .matrixkit import DenseMatrix
-from .selectors import (
-    ColumnSubset,
-    DecisionQuery,
-    decide,
-    select_exact,
-    select_greedy_forward,
-    select_greedy_frobenius,
-    select_local_swap_volume,
-)
+
+# what the commands call from the modules that importing this one does not
+# load: each is a module attribute, taken from the package on first access
+# (PEP 562), and the commands call it through ``_deferred``, so a caller that
+# replaces the attribute (as bench/tracer.py does) replaces what they call
+_DEFERRED = frozenset(("x3c", "run_suite", "DecisionQuery", "decide", "select_exact",
+                       "select_greedy_forward", "select_greedy_frobenius",
+                       "select_local_swap_volume"))
+
+
+def __getattr__(name: str):
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value = getattr(importlib.import_module(__package__), name)
+    return value
+
+
+def _deferred(name: str):
+    """The module attribute ``name``, bound by ``__getattr__`` on first use."""
+    return globals()[name] if name in globals() else __getattr__(name)
 
 
 def _fmt(x: float) -> str:
@@ -37,6 +51,8 @@ def _fmt(x: float) -> str:
 
 def parse_matrix_text(text: str, fmt: str = "csv") -> DenseMatrix:
     if fmt == "json":
+        import json
+
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -64,7 +80,7 @@ def parse_matrix_text(text: str, fmt: str = "csv") -> DenseMatrix:
         if not line.strip():
             continue
         try:
-            row = [float(tok) for tok in line.split(",")]
+            row = np.array(line.split(","), dtype=np.float64)
         except ValueError:
             raise ParseError(f"non-numeric entry in {line!r}", line=lineno) from None
         width = width or len(row)
@@ -83,6 +99,8 @@ def parse_matrix(path: str, fmt: str = "csv") -> DenseMatrix:
 
 def format_matrix(matrix: DenseMatrix, fmt: str = "csv") -> str:
     if fmt == "json":
+        import json
+
         data = [float(v) for v in matrix.entries]
         return json.dumps({"rows": matrix.rows, "cols": matrix.cols, "data": data}) + "\n"
     return "\n".join(",".join(_fmt(v) for v in row) for row in matrix.array) + "\n"
@@ -109,8 +127,8 @@ def _criterion(args) -> CriterionSpec:
     return parse_criterion(args.criterion, args.p)
 
 
-def _instance(args) -> x3c.X3CInstance:
-    return x3c.parse_instance(_read_text(args))
+def _instance(args):
+    return _deferred("x3c").parse_instance(_read_text(args))
 
 
 def _text_value(value) -> str:
@@ -123,12 +141,14 @@ def _render(report, fmt: str) -> str:
     """A report, one record (a dict of typed values) or a list of them, as
     JSON (one object, or an indented list) when ``fmt`` is "json", else as
     ``key=value`` lines."""
-    records = report if isinstance(report, list) else [report]
     if fmt == "json":
-        objs = [{key: list(v) if isinstance(v, ColumnSubset) else v for key, v in rec.items()}
-                for rec in records]
-        text = json.dumps(objs, indent=2) if isinstance(report, list) else json.dumps(objs[0])
-        return text + "\n"
+        import json
+
+        # a column subset, the one value json cannot write, goes as its list of indices
+        if isinstance(report, list):
+            return json.dumps(report, indent=2, default=list) + "\n"
+        return json.dumps(report, default=list) + "\n"
+    records = report if isinstance(report, list) else [report]
     return "".join(" ".join(f"{key}={_text_value(v)}" for key, v in rec.items()) + "\n"
                    for rec in records)
 
@@ -140,35 +160,30 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-# the flags of select that only some methods read, by dest, and the ones each
-# method reads; the select parser defaults them to None, so a flag that is not
-# None was given on the command line
-_METHOD_FLAGS = {
-    "exact": ("criterion", "p", "threads", "allow_large"),
-    "greedy": ("criterion", "p"),
-    "greedy-frobenius": (),
-    "local-swap": ("seed", "max_sweeps"),
+# each select method's selector, by its name in this module, and the flags
+# of select that it reads, by dest; the select parser defaults those flags to
+# None, so a flag that is not None was given on the command line
+_METHODS = {
+    "exact": ("select_exact", ("criterion", "p", "threads", "allow_large")),
+    "greedy": ("select_greedy_forward", ("criterion", "p")),
+    "greedy-frobenius": ("select_greedy_frobenius", ()),
+    "local-swap": ("select_local_swap_volume", ("seed", "max_sweeps")),
 }
 
 
 def _cmd_select(args) -> int:
+    selector, reads = _METHODS[args.method]
     given = [dest for dest in ("criterion", "p", "seed", "threads", "allow_large", "max_sweeps")
              if getattr(args, dest) is not None]
     for dest in given:
-        if dest not in _METHOD_FLAGS[args.method]:
+        if dest not in reads:
             flag = "--" + dest.replace("_", "-")
             raise InvalidParameterError(f"{flag} is not read by --method {args.method}")
     # a flag left out takes the selector's own default
     options = {dest: getattr(args, dest) for dest in given if dest not in ("criterion", "p")}
     matrix = parse_matrix_text(_read_text(args), args.format)
-    if args.method == "exact":
-        result = select_exact(matrix, args.k, _criterion(args), **options)
-    elif args.method == "greedy":
-        result = select_greedy_forward(matrix, args.k, _criterion(args))
-    elif args.method == "greedy-frobenius":
-        result = select_greedy_frobenius(matrix, args.k)
-    else:
-        result = select_local_swap_volume(matrix, args.k, **options)
+    criterion = (_criterion(args),) if "criterion" in reads else ()
+    result = _deferred(selector)(matrix, args.k, *criterion, **options)
     _write(args, _render({
         "criterion": result.value.criterion.identifier,
         "method": result.method,
@@ -183,8 +198,9 @@ def _cmd_select(args) -> int:
 def _cmd_decide(args) -> int:
     matrix = parse_matrix_text(_read_text(args), args.format)
     spec = _criterion(args)
-    outcome = decide(matrix, DecisionQuery(spec, args.k, args.b),
-                     threads=args.threads, allow_large=args.allow_large)
+    query = _deferred("DecisionQuery")(spec, args.k, args.b)
+    outcome = _deferred("decide")(matrix, query, threads=args.threads,
+                                  allow_large=args.allow_large)
     _write(args, _render({"criterion": spec.identifier, "k": args.k, "b": args.b,
                           "answer": bool(outcome.answer), "witness": outcome.witness},
                          args.format))
@@ -192,27 +208,30 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_gen_true(args) -> int:
+    x3c = _deferred("x3c")
     _write(args, x3c.format_instance(x3c.generate_true(args.m, args.extra, args.seed)))
     return 0
 
 
 def _cmd_gen_false(args) -> int:
+    x3c = _deferred("x3c")
     _write(args, x3c.format_instance(x3c.generate_false(args.m, args.n, args.seed)))
     return 0
 
 
 def _cmd_solve(args) -> int:
-    cover = x3c.solve_exact(_instance(args))
+    cover = _deferred("x3c").solve_exact(_instance(args))
     _write(args, _render({"cover": None if cover is None else ",".join(map(str, cover))}, "text"))
     return 0 if cover is not None else 1
 
 
 def _cmd_reduce(args) -> int:
-    _write(args, format_matrix(x3c.reduce(_instance(args)).matrix, args.format))
+    _write(args, format_matrix(_deferred("x3c").reduce(_instance(args)).matrix, args.format))
     return 0
 
 
 def _cmd_verify(args) -> int:
+    x3c = _deferred("x3c")
     inst = _instance(args)
     solvable = x3c.solve_exact(inst) is not None
     agree = bool(x3c.verify_equivalence(inst, threads=args.threads))
@@ -230,13 +249,13 @@ def _gap_record(rep, fmt: str) -> dict:
 
 
 def _cmd_gap(args) -> int:
-    reports = x3c.gap_report(_instance(args), threads=args.threads)
+    reports = _deferred("x3c").gap_report(_instance(args), threads=args.threads)
     _write(args, _render([_gap_record(rep, args.format) for rep in reports], args.format))
     return 0 if all(rep.gap_holds for rep in reports) else 1
 
 
 def _cmd_gadget(args) -> int:
-    matrix = x3c.gadget(args.shared)
+    matrix = _deferred("x3c").gadget(args.shared)
     if args.eval_criterion:
         spec = parse_criterion(args.eval_criterion, args.p)
         _write(args, _fmt(evaluate(spec, matrix, full_matrix=matrix).value) + "\n")
@@ -246,7 +265,7 @@ def _cmd_gadget(args) -> int:
 
 
 def _cmd_lemmas(args) -> int:
-    reports = run_suite(seed=args.seed, trials=args.trials)
+    reports = _deferred("run_suite")(seed=args.seed, trials=args.trials)
     _write(args, _render([{"lemma": rep.lemma_id, "trials": rep.trials,
                            "failures": rep.failures, "worst_violation": rep.worst_violation,
                            "seed": rep.seed} for rep in reports], args.format))

@@ -266,8 +266,12 @@ def values(c: DenseMatrix, specs, full_matrix: DenseMatrix | None = None) -> lis
 
 
 def stacked_values(specs, sigma: np.ndarray, column_norms, full_rank: np.ndarray) -> np.ndarray:
-    """``values`` on a stack of B matrices of k columns: the (len(specs), B)
-    array whose column b is what ``values`` returns for matrix b.
+    """The (len(specs), B) values of ``specs`` on a stack of B matrices of k
+    columns, read from the sigmas it is given.  Column b is what ``values``
+    returns for matrix b, bit for bit at any scale, when each matrix is
+    decomposed at its own unit scale, as ``values`` and ``selectors._unit_svd``
+    decompose it; sigmas of the raw matrices may differ in the last bits
+    where LAPACK rescales the input itself (entries beyond about 1e±138).
 
     ``sigma`` (B, r), ``column_norms`` (B, k) and ``full_rank`` (B,) are as
     ``batch_values`` takes them; ``column_norms`` may be None when no spec

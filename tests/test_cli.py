@@ -78,6 +78,38 @@ class TestMatrixIO:
         m = parse_matrix(str(path))
         np.testing.assert_array_equal(m.array, 2 * np.eye(2))
 
+    # float()'s grammar, token class by token class: underscores, surrounding
+    # whitespace, inf/nan spellings (which DenseMatrix then rejects), Unicode
+    # digits, exponents past float64 range, and the tokens float() rejects
+    @pytest.mark.parametrize("token", [
+        "1_0", "1_000.5", " 1 ", "\t-1\r", "\xa01\u2003", "inf", "-Infinity", "iNfInItY", "nan",
+        "+NaN", "\u0661\u0662", "\uff11\uff12", "\u0661.\u0665", "1e5", "1E-5", ".5", "5.",
+        "1e400", "1e-400", "4.9e-324", "1.7976931348623157e308",
+        "1__0", "1e+", "", " ", "1\x00", "\x001", "0x10", "_1", "1_", "1 2", "abc", "\u200b1",
+    ], ids=repr)
+    def test_csv_tokens_parse_as_float_parses_them(self, token):
+        # the reader converts each line with one numpy call; one float() call
+        # per token is the reference, with the reader's messages and lines
+        text = f"1,2\n\n3,{token}\n"
+
+        def by_float():
+            rows = []
+            for lineno, line in enumerate(text.splitlines(), start=1):
+                if line.strip():
+                    try:
+                        rows.append([float(tok) for tok in line.split(",")])
+                    except ValueError:
+                        raise ParseError(f"non-numeric entry in {line!r}", line=lineno) from None
+            return DenseMatrix(rows)
+
+        def outcome(parse):
+            try:
+                return parse().array.tobytes()
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        assert outcome(lambda: parse_matrix_text(text)) == outcome(by_float)
+
 
 class TestEvalCommand:
     def test_identity_volume(self, capsys, monkeypatch):

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from colsel import criteria
-from colsel.criteria import evaluate, parse_criterion, registry, values
+from colsel import criteria, selectors
+from colsel.criteria import evaluate, parse_criterion, registry, stacked_values, values
 from colsel.errors import InvalidInputError, InvalidParameterError, RankDeficiencyError, ShapeError
-from colsel.matrixkit import DenseMatrix
+from colsel.matrixkit import DenseMatrix, column_norms
 
 # every singular-value criterion in the registry, plus the Schatten
 # parameters the lemma suite uses wherever the criterion's domain allows them
@@ -135,3 +135,16 @@ def test_residual_and_rank_failures_come_in_spec_order(order, parent):
     residual_error = InvalidParameterError if parent is None else ShapeError
     with pytest.raises(residual_error if order[0] == "res-two" else RankDeficiencyError):
         values(MATRICES["duplicated-column"], specs, full_matrix=full)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1.0, 1e200])
+def test_stacked_values_are_values_on_sigmas_at_each_unit_scale(scale):
+    # stacked_values reads the sigmas it is given; decomposed as selectors'
+    # _unit_svd decomposes them, each matrix at its own unit scale, they give
+    # what values gives for that matrix, bit for bit, at any scale
+    specs = [spec for spec in registry() if spec.residual_norm is None]
+    stack = np.random.default_rng(0).standard_normal((6, 5, 3)) * scale
+    sigma, full = selectors._unit_svd(stack)
+    got = stacked_values(specs, sigma, column_norms(stack), full)
+    expected = np.array([values(DenseMatrix(c), specs) for c in stack]).T
+    assert got.tobytes() == expected.tobytes()
