@@ -19,9 +19,10 @@ gathers no block (``_residual_bands``).  A pass that solves for the
 blocks' eigenvalues solves once per group of a chunk's rows whose blocks
 are equal up to the order of their columns (``_equal_blocks``), where its
 Gram's entries repeat, as the X3C reduction's do.
-The heuristic selectors (forward greedy for vol and res-frobenius, and the
-local swap) band every candidate by a rank-one update of the current
-selection (``_projection``).
+Forward greedy for vol and res-frobenius bands every extension from one
+pivoted partial Cholesky factor of A^T A that grows by a column per step
+(``GreedyFactor``), and the local swap bands every swap from one QR of the
+current selection (``swap_estimates``).
 """
 
 from __future__ import annotations
@@ -821,29 +822,6 @@ def _rounding(k: int, kappa: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _projection(unit: np.ndarray, chosen, cols, k: int):
-    """(R, Q^T A, P_perp A, rho, rounding) for unit[:, chosen] = QR and
-    A = unit[:, cols], where rho_j = ||P_perp a_j|| and rounding_j is the
-    ``_rounding`` of the k columns with a_j appended to or swapped into
-    ``chosen``.  Both are [Q, u] M with ||M|| <= ||R|| + ||a_j|| and
-    sigma_min(M) >= min(sigma_min(R), rho_j) / (2 + ||R^-1|| ||a_j||).  A
-    zero rho_j or a singular R gives an infinite or NaN rounding and so an
-    infinite or NaN band width: no usable estimate
-    (``selectors._screened_best``).
-    """
-    q, r = np.linalg.qr(unit[:, list(chosen)])
-    cols = unit[:, cols]
-    coef = q.T @ cols
-    rest = cols - q @ coef if chosen else cols
-    rho = np.linalg.norm(rest, axis=0)
-    sigma = np.linalg.svd(r, compute_uv=False)
-    top, inv = sigma.max(initial=0.0), 1.0 / sigma.min(initial=np.inf)
-    norms = np.linalg.norm(cols, axis=0)
-    kappa = (top + norms) * (2.0 + inv * norms) * np.maximum(inv, 1.0 / rho)
-    return r, coef, rest, rho, _rounding(k, kappa)
-
-
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def swap_estimates(unit: np.ndarray, current, outside: np.ndarray, current_vol: float):
     """Band (estimate, width) of the volume after swapping position i of
     ``current`` for column j, per (i, j), row-major.
@@ -852,35 +830,176 @@ def swap_estimates(unit: np.ndarray, current, outside: np.ndarray, current_vol: 
     ratio of the swap is B_ij^2 + [(C^T C)^-1]_ii * ||P_perp a_j||^2
     (rectangular maxvol); the ratio is scale-free, so it is computed on
     ``unit`` (``unit_scaled``) and multiplied by ``current_vol``.
+
+    The width's rounding is the ``_rounding`` of the k columns with a_j
+    swapped in, rho_j = ||P_perp a_j||: they are [Q, u] M with ||M|| <= ||R||
+    + ||a_j|| and sigma_min(M) >= min(sigma_min(R), rho_j) / (2 + ||R^-1||
+    ||a_j||).  A zero rho_j or a singular R gives an infinite or NaN
+    rounding and so an infinite or NaN band width: no usable estimate
+    (``selectors._screened_best``).
     """
-    r, coef, _, rho, rounding = _projection(unit, current, outside, len(current))
+    q, r = np.linalg.qr(unit[:, list(current)])
+    cols = unit[:, outside]
+    coef = q.T @ cols
+    rho = np.linalg.norm(cols - q @ coef, axis=0)
+    sigma = np.linalg.svd(r, compute_uv=False)
+    top, inv = sigma.max(initial=0.0), 1.0 / sigma.min(initial=np.inf)
+    norms = np.linalg.norm(cols, axis=0)
+    kappa = (top + norms) * (2.0 + inv * norms) * np.maximum(inv, 1.0 / rho)
     rinv = np.linalg.inv(r)
     ratio = (rinv @ coef) ** 2 + np.sum(rinv**2, axis=1)[:, None] * rho**2
     estimate = current_vol * np.sqrt(ratio)
-    return estimate.ravel(), (estimate * (SCREEN_MARGIN + rounding)).ravel()
+    return estimate.ravel(), (estimate * (SCREEN_MARGIN + _rounding(len(current), kappa))).ravel()
+
+
+class GreedyFactor:
+    """The state one forward greedy run on A's unit-scale copy ``unit`` (m x
+    n) keeps from step to step, for at most ``k`` pivots: a pivoted partial
+    Cholesky factor of G = A^T A, one column u per chosen column, formed
+    without G, and the reads of its Schur complement K = G - U U^T =
+    (P_perp A)^T P_perp A that ``extension_estimates`` bands by.  Nothing is
+    formed before the first ``extend``, so a criterion without an estimate
+    costs nothing.
+
+    Columns of U are held as the rows of ``rows``; ``rho2`` is K's diagonal,
+    rho_j^2 = ||P_perp a_j||^2; ``frobenius`` is tr K = ||P_perp A||_F^2;
+    ``cross``, kept for res-frobenius only, is S_j = ||K e_j||^2 =
+    ||(P_perp A)^T P_perp a_j||^2.  Pivoting on column c costs O(mn + nk):
+
+        u = (A^T a_c - U U[c]^T) / rho_c,  rho^2 -= u o u,  tr K -= ||u||^2,
+        S -= 2 u o (K u) - (u o u) ||u||^2,  K u = A^T (A u) - U (U^T u),
+
+    K u read before u joins U.  S starts as the diagonal of G^2, from the
+    Gram on A's shorter side: sum_i (a_i^T a_j)^2 over an n x n G when A is
+    tall, a_j^T (A A^T) a_j over an m x m one when it is wide.  Beside the
+    factor ride the pivots' sum and least of ||a_c||^2 and their product of
+    rho_c^2 / ||a_c||^2, which the widths read (``extension_estimates``).  A pivot whose
+    computed rho_c^2 is not positive (cancellation on a column near-dependent
+    on the ones before it, or a zero column) ends the factor: ``broken``, and
+    from then on every band of the run has an infinite width.
+    """
+
+    def __init__(self, unit: np.ndarray, k: int):
+        self.unit, self.k = unit, k
+        self.pivots, self.broken = [], False
+        self.rows = self.rho2 = self.cross = None
+
+    def extend(self, chosen, cross: bool = False):
+        """Pivot on each column of ``chosen`` not pivoted on yet; with
+        ``cross``, keep S too, which is formed before the first pivot."""
+        if self.rho2 is None:
+            unit = self.unit
+            self.squares = np.einsum("ij,ij->j", unit, unit)
+            self.rho2, self.frobenius = self.squares.copy(), float(np.sum(self.squares))
+            self.norm2 = self.frobenius
+            self.rows = np.empty((self.k, unit.shape[1]))
+            self.trace, self.least, self.ratio = 0.0, math.inf, 1.0
+        if cross and self.cross is None:
+            if self.pivots:
+                raise ValueError("S is formed before the factor's first pivot")
+            unit = self.unit
+            if unit.shape[0] <= unit.shape[1]:
+                self.cross = np.einsum("ij,ij->j", unit, (unit @ unit.T) @ unit)
+            else:
+                gram = unit.T @ unit
+                self.cross = np.einsum("ij,ij->j", gram, gram)
+        for c in chosen:
+            if c not in self.pivots:
+                self._pivot(c)
+
+    def _pivot(self, c: int):
+        pivot = float(self.rho2[c])
+        j = len(self.pivots)
+        self.pivots.append(c)
+        if self.broken or not pivot > 0.0:
+            self.broken = True
+            return
+        unit, rows = self.unit, self.rows[:j]
+        u = (unit.T @ unit[:, c] - rows.T @ rows[:, c]) / math.sqrt(pivot)
+        length = float(u @ u)
+        if self.cross is not None:
+            ku = unit.T @ (unit @ u) - rows.T @ (rows @ u)
+            self.cross -= 2.0 * u * ku - u * u * length
+        self.rows[j] = u
+        self.rho2 -= u * u
+        self.frobenius -= length
+        square = float(self.squares[c])
+        self.trace += square
+        self.least = min(self.least, square)
+        self.ratio *= pivot / square
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def extension_estimates(criterion: CriterionSpec, unit: np.ndarray, chosen,
+def extension_estimates(criterion: CriterionSpec, factor: GreedyFactor, chosen,
                         remaining: np.ndarray, value: float):
-    """Band (estimate, width) of each extension chosen + (j,) of ``unit``,
-    whose chosen columns score ``value``; all widths are infinite for a
-    criterion without a rank-one estimate, and a row's width is infinite or
-    NaN where its rounding is.
+    """Band (estimate, width) of each extension chosen + (j,) of the
+    ``factor``'s A, whose chosen columns score ``value``, after the factor
+    pivots on ``chosen`` (``GreedyFactor.extend``); all widths are infinite
+    for a criterion without a rank-one estimate, and where a row has no
+    usable estimate.
 
-    With R = P_perp_S A and r_j its column j: vol(S + j) = vol(S) * ||r_j||,
-    and res-frobenius(S + j)^2 = ||R||_F^2 - ||r_j^T R||^2 / ||r_j||^2
-    (a zero r_j gains nothing).  That difference cancels; ``_residual_width``
-    allows for it.
+    With rho_j = ||P_perp a_j|| and K the factor's Schur complement: vol(S +
+    j) = vol(S) * rho_j, and res-frobenius(S + j)^2 = ||P_perp A||_F^2 - S_j /
+    rho_j^2, S_j = ||K e_j||^2 (a zero rho_j gains nothing).
+
+    The widths, from the rounding model of ``_shift``.  Let H = C^T C for
+    the extension C = [a_S a_j] of k columns, D = diag(H), and Z = D^-1/2 H
+    D^-1/2, whose diagonal is 1.  Gram formation errs by at most gamma_m
+    ||a_i|| ||a_l|| per entry, and each downdate adds the Cholesky backward
+    error, which is componentwise too (Higham, Accuracy and Stability of
+    Numerical Algorithms, Thm 10.3): the computed pivots and rho_j^2 are
+    exact for H + E, |E_il| <= e ||a_i|| ||a_l||, e = gamma_m +
+    gamma_(k + 1), so Z moves by at most e k, whatever D is.  To first order
+    rho_j^2 = D_j / (Z^-1)_jj moves by w^T E w, w = rho_j^2 H^-1 e_j, and
+    |w^T E w| <= e ||D^1/2 w||_1^2 <= e k rho_j^2 / lambda_min(Z): the
+    factor's own error, relative, grows with Z's conditioning alone.  Its
+    bound is delta / nu_low: delta = ``_shift``((m + k) k, k), the shift of
+    a k x k block of trace k, and nu_low the ``_determinant_bound`` on Z + E'
+    (diagonal 1, determinant the product of rho_c^2 / D_c over C's pivots; D,
+    the squared column norms, moves it by a relative 3 (k + 1) gamma_m).
+    delta >= 45 k e k, so it holds the e k / (2 (nu_low - e k)) that log(rho~
+    / rho) needs with 20 k to spare.  The SVD's own rounding, a backward
+    error of at most (delta / k) ||C||_F in the model of ``_shift``, moves
+    each sigma_i of C and of a_S by at most that, so ``value`` and vol(S + j)
+    move by at most a relative 2 delta kappa, kappa = sqrt(tr H / (min D
+    nu_low)) >= ||C||_F / sigma_min(C) (to the spare above).  So rel =
+    delta / nu_low + 2 delta kappa, and vol's width is estimate *
+    (SCREEN_MARGIN + rel).
+
+    res-frobenius's estimate^2 is formed by subtraction from ||A||_F^2, and
+    S and A u also take products of length n: e grows to gamma_(m + n) +
+    gamma_(k + 1), and the first-order moves of ||P_perp A||_F^2 (at most
+    3 e k ||A||_F^2 / lambda_min(Z), by the same scaling) and of S_j /
+    rho_j^2 (as much again, S_j's downdates rounding by k eps ||a_j||^2
+    ||A||_F^2 each, over rho_j^2 >= D_j lambda_min(Z)) stay within 8 e k
+    ||A||_F^2 / lambda_min(Z); the SVD's rounding moves the residual by at
+    most (delta / k) kappa ||A||_F.  With delta = ``_shift``((m + n + k) k,
+    k), rel bounds both relative to ||A||_F^2 and ||A||_F, with 5 k to
+    spare: the ``rounding`` of ``_residual_width``.
+
+    A row whose rel is 1 or more (also a non-positive rho_j^2 or a zero
+    column) has no usable estimate, and after a pivot the factor could not
+    take (``GreedyFactor.broken``) none has: infinite widths, so
+    ``selectors._screened_best`` certifies them.  A finite width proves C
+    full rank as the SVD tests it: 2 delta kappa < 1 puts sigma_min(C) above
+    twice the SVD's backward error and its rank tolerance.
     """
     if criterion.kind not in ("vol", "res-frobenius"):
         return np.zeros(len(remaining)), np.full(len(remaining), np.inf)
-    _, _, rest, rho, rounding = _projection(unit, chosen, slice(None), len(chosen) + 1)
-    rho, rounding = rho[remaining], rounding[remaining]
-    if criterion.kind == "vol":
-        estimate = value * rho
-        return estimate, estimate * (SCREEN_MARGIN + rounding)
-    gram = rest.T @ rest[:, remaining]
-    gain = np.divide(np.sum(gram**2, axis=0), rho**2, out=np.zeros_like(rho), where=rho > 0.0)
-    estimate = np.sqrt(np.maximum(np.sum(rest**2) - gain, 0.0))
-    return estimate, _residual_width(estimate, np.sum(unit**2), rounding)
+    residual = criterion.kind == "res-frobenius"
+    factor.extend(chosen, cross=residual)
+    if factor.broken:
+        return np.zeros(len(remaining)), np.full(len(remaining), np.inf)
+    (m, n), k = factor.unit.shape, len(factor.pivots) + 1
+    rho2, squares = factor.rho2[remaining], factor.squares[remaining]
+    low = _determinant_bound(1.0, factor.ratio * rho2 / squares, k)
+    kappa = np.sqrt((factor.trace + squares) / (np.minimum(factor.least, squares) * low))
+    delta = _shift((m + (n if residual else 0) + k) * k, k, m, k)
+    rel = delta / low + 2.0 * delta * kappa
+    rel = np.where(rel < 1.0, rel, np.inf)
+    if not residual:
+        estimate = value * np.sqrt(np.maximum(rho2, 0.0))
+        return estimate, estimate * (SCREEN_MARGIN + rel)
+    gain = np.divide(factor.cross[remaining], rho2, out=np.zeros_like(rho2), where=rho2 > 0.0)
+    estimate = np.sqrt(np.maximum(factor.frobenius - gain, 0.0))
+    return estimate, _residual_width(estimate, factor.norm2, rel)

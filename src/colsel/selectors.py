@@ -32,7 +32,7 @@ import numpy as np
 from .criteria import CriterionSpec, CriterionValue, batch_residuals, batch_values, evaluate
 from .errors import InfeasibleError, InvalidInputError, InvalidParameterError
 from .matrixkit import DenseMatrix, batch_svd, column_norms, gather_columns, pow2_scaled, unit_scaled
-from .screen import ChunkScreen, extension_estimates, swap_estimates
+from .screen import ChunkScreen, GreedyFactor, extension_estimates, swap_estimates
 
 DECISION_SLACK = 1e-9
 SWAP_IMPROVEMENT = 1e-12
@@ -524,15 +524,16 @@ def select_greedy_forward(matrix: DenseMatrix, k: int, criterion: CriterionSpec)
 
     Ties break toward the smallest column index.  Heuristic: no optimality
     guarantee.  Residual criteria are evaluated against the full matrix.
-    For vol and res-frobenius each step estimates every extension from the
-    part of A outside the chosen columns (``extension_estimates``, a
-    column-pivoted-QR-style sweep) and certifies the near-best by the
-    batched SVD (``_screened_best``, which states when the result equals an
-    SVD of every extension).  The other criteria score every extension.
-    ``subsets_evaluated`` counts every extension considered, whether or not
-    its SVD ran.  The steps run on A's unit-scale copy, as exact search
-    does, each extension decomposed at its own unit scale: the value is
-    rescaled once, and one past float64 range raises
+    For vol and res-frobenius each step estimates every extension from one
+    pivoted partial Cholesky factor of A^T A, which grows by the chosen
+    column each step at O(mn) cost and forms no n x n array
+    (``GreedyFactor``, ``extension_estimates``), and certifies the near-best
+    by the batched SVD (``_screened_best``, which states when the result
+    equals an SVD of every extension).  The other criteria score every
+    extension.  ``subsets_evaluated`` counts every extension considered,
+    whether or not its SVD ran.  The steps run on A's unit-scale copy, as
+    exact search does, each extension decomposed at its own unit scale: the
+    value is rescaled once, and one past float64 range raises
     InvalidInputError, which names the subset.  A step whose every extension
     is rank-deficient raises InfeasibleError, which names the columns chosen
     so far: ties go to the smallest index, so a step can take a column that
@@ -549,10 +550,11 @@ def _greedy_steps(unit: np.ndarray, col_norms: np.ndarray, k: int, criterion: Cr
     """Greedy forward selection on A's unit-scale copy ``unit``, whose column
     norms are ``col_norms``: ((value, chosen) there, extensions considered)."""
     evaluated, chosen, value = 0, (), 1.0  # the volume of no columns
+    factor = GreedyFactor(unit, k)
     for _ in range(k):
         remaining = _outside(unit.shape[1], chosen)
         idx = _moves(np.array([chosen], dtype=np.intp), remaining)
-        band = extension_estimates(criterion, unit, chosen, remaining, value)
+        band = extension_estimates(criterion, factor, chosen, remaining, value)
         (best,) = _screened_best(unit, col_norms, idx, [criterion], [band])
         evaluated += len(idx)
         if best is None:

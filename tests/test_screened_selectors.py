@@ -7,23 +7,27 @@ through ``_batch_scores``, at A's unit scale with the value rescaled once, as
 the selectors score; the selectors must return the same subset, the same
 value under ``==`` and the same ``subsets_evaluated`` (or raise the same
 error), also on inputs where the estimates are poor: rank(A) < k, duplicated
-and nearly duplicated columns, extreme scales, and a near-dependent column
-whose value nearly ties the best.
+and nearly duplicated columns, extreme scales, a near-dependent column
+whose value nearly ties the best, graded column norms, a zero column, and
+tall and wide shapes.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from colsel import screen, selectors
-from colsel.criteria import CriterionSpec, batch_values, parse_criterion
+from colsel.criteria import CriterionSpec, batch_values, evaluate, parse_criterion
 from colsel.errors import InfeasibleError
 from colsel.matrixkit import DenseMatrix, column_norms, gather_columns
 from colsel.selectors import (
     _batch_scores,
     _best_row,
+    _moves,
     _optimum_value,
+    _outside,
     _rescaled,
     _unit_svd,
     select_greedy_forward,
@@ -158,6 +162,40 @@ def _near_tie_residual(seed):
     return a
 
 
+def _graded(seed):
+    # column norms spread by 10^U(-3, 3): tr(C^T C) is about the largest
+    # column's square, and kappa(C) is large though the directions are not
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((60, 200)) * 10.0 ** rng.uniform(-3, 3, 200)
+
+
+def _zero_column(seed):
+    a = _gaussian(seed)
+    a[:, 90] = 0.0
+    return a
+
+
+def _near_dependent(seed):
+    # columns 1-12 are column 0 plus noise of 1e-7 to 1e-4 times a Gaussian,
+    # so with column 0 chosen their Schur complements rho_j^2 cancel to 1e-14
+    # to 1e-8 of ||a_j||^2, and the Gram's rounding moves them by as much as
+    # SCREEN_MARGIN allows, or more
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((30, 40))
+    for j, eps in enumerate(np.geomspace(1e-7, 1e-4, 12), start=1):
+        a[:, j] = a[:, 0] + eps * rng.standard_normal(30)
+    return a
+
+
+def _near_tolerance(seed):
+    # columns 1-12 are scaled by 1e-16 to 1e-10, so the SVD's rank tolerance
+    # zeroes the smallest ones' extensions, which the factor, whose error
+    # grows with the columns' directions alone, still estimates closely
+    a = np.random.default_rng(seed).standard_normal((30, 40))
+    a[:, 1:13] *= np.geomspace(1e-16, 1e-10, 12)
+    return a
+
+
 # name -> (matrix, k)
 CASES = {
     **{f"gaussian-{s}": (lambda s=s: _gaussian(s), 12) for s in (0, 1, 2, 3)},
@@ -173,6 +211,12 @@ CASES = {
     "near-tie-vol-1e11": (lambda: _near_tie_vol(4, 1e11), 6),
     "near-tie-vol-1e12": (lambda: _near_tie_vol(0, 1e12), 6),
     "near-tie-res-frobenius": (lambda: _near_tie_residual(9), 6),
+    "tall-80x30": (lambda: _gaussian(18, 80, 30), 12),
+    "wide-12x600": (lambda: _gaussian(19, 12, 600), 12),
+    "graded": (lambda: _graded(20), 12),
+    "zero-column": (lambda: _zero_column(21), 12),
+    "near-dependent": (lambda: _near_dependent(1), 6),
+    "near-tolerance": (lambda: _near_tolerance(2), 6),
 }
 
 RUNS = {
@@ -325,7 +369,71 @@ def test_criteria_without_a_rank_one_estimate_get_infinite_widths():
     unit, _ = screen.unit_scaled(a)
     remaining = np.arange(2, 20)
     for ident in ("sopt", "rvol", "res-two"):
-        estimate, width = screen.extension_estimates(parse_criterion(ident), unit, (0, 1),
+        estimate, width = screen.extension_estimates(parse_criterion(ident),
+                                                     screen.GreedyFactor(unit, 3), (0, 1),
                                                      remaining, 1.0)
         assert estimate.shape == width.shape == remaining.shape
         assert np.all(width == np.inf), ident
+
+
+def _extension_bands(a, ident, chosen):
+    """(estimate, width) of every extension of ``chosen`` in A's unit-scale
+    copy, their SVD values, and the factor's ||A||_F^2."""
+    spec = parse_criterion(ident)
+    unit, _ = screen.unit_scaled(a)
+    col_norms = column_norms(unit)
+    ((value,), _), = _batch_scores(unit, col_norms, np.array([chosen]), [CriterionSpec("vol")])
+    remaining = _outside(unit.shape[1], chosen)
+    factor = screen.GreedyFactor(unit, len(chosen) + 1)
+    estimate, width = screen.extension_estimates(spec, factor, chosen, remaining, float(value))
+    ((vals, _),) = _batch_scores(unit, col_norms, _moves(np.array([chosen]), remaining), [spec])
+    return estimate, width, vals, factor.norm2
+
+
+@pytest.mark.parametrize("ident", ["vol", "res-frobenius"])
+@pytest.mark.parametrize("make", [_near_dependent, _near_tolerance], ids=lambda f: f.__name__)
+def test_extension_bands_hold_their_values(make, ident):
+    # every finite band of an extension of (0,), (0, 20) and (0, 20, 30) holds
+    # its SVD value
+    for chosen in ((0,), (0, 20), (0, 20, 30)):
+        estimate, width, vals, _ = _extension_bands(make(1), ident, chosen)
+        finite = np.isfinite(width)
+        assert finite.sum() >= len(vals) - 12, chosen
+        assert np.all(np.abs(vals - estimate)[finite] <= width[finite]), chosen
+
+
+@pytest.mark.parametrize("ident", ["vol", "res-frobenius"])
+def test_near_dependent_columns_need_the_factors_rounding(ident):
+    # some value lies outside the band that the widths' terms other than the
+    # factor's own rounding (delta / nu_low) would give
+    estimate, width, vals, norm2 = _extension_bands(_near_dependent(1), ident, (0,))
+    finite = np.isfinite(width)
+    if ident == "vol":
+        rest = screen.SCREEN_MARGIN * estimate
+    else:
+        rest = screen._residual_width(estimate, norm2, 0.0)
+    assert np.max(np.abs(vals - estimate)[finite] / rest[finite]) > 2.0
+
+
+def test_columns_below_the_rank_tolerance_need_the_svds_rounding():
+    # the SVD scores some extensions' volume 0 that the factor estimates as
+    # positive, so only an infinite width holds it: the SVD's term (2 delta
+    # kappa) makes it so, the factor's own rounding would not
+    estimate, width, vals, _ = _extension_bands(_near_tolerance(1), "vol", (0,))
+    zero = (vals == 0.0) & (estimate > 0.0)
+    assert zero.any() and np.all(width[zero] == np.inf)
+
+
+def test_greedy_on_a_wide_input_forms_no_n_by_n_array():
+    # 20 x 5,000: one n x n array is 200 MB; the factor holds 3 x 5,000 floats
+    matrix = DenseMatrix(_gaussian(22, 20, 5000))
+    spec = parse_criterion("res-frobenius")
+    tracemalloc.start()
+    try:
+        result = select_greedy_forward(matrix, 3, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    again = evaluate(spec, matrix.columns(result.subset), full_matrix=matrix)
+    assert result.value.value == again.value
